@@ -10,9 +10,12 @@ of 10^9 unit-circle terms accumulates no phase drift beyond per-term epsilon.
 from __future__ import annotations
 
 import math
+import os
 import struct
+import tempfile
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -87,11 +90,23 @@ class MobiusTable:
         return int(self.values[n])
 
     def save(self, path) -> None:
-        """Flat binary: magic, u32 version, u64 limit, then limit signed bytes."""
-        with open(path, "wb") as fh:
-            fh.write(self._MAGIC)
-            fh.write(struct.pack("<IQ", self._VERSION, self.limit))
-            fh.write(self.values[1:].tobytes())
+        """Flat binary: magic, u32 version, u64 limit, then limit signed bytes.
+
+        Written to a temporary file in the same directory and renamed over
+        `path`, so an interrupted save never leaves a truncated table behind.
+        """
+        path = Path(path)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(self._MAGIC)
+                fh.write(struct.pack("<IQ", self._VERSION, self.limit))
+                fh.write(self.values[1:].tobytes())
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "MobiusTable":
@@ -99,27 +114,33 @@ class MobiusTable:
             magic = fh.read(4)
             if magic != cls._MAGIC:
                 raise ValueError(f"not a Mobius table file (magic {magic!r})")
-            version, limit = struct.unpack("<IQ", fh.read(12))
+            header = fh.read(12)
+            if len(header) != 12:
+                raise ValueError("truncated Mobius table header")
+            version, limit = struct.unpack("<IQ", header)
             if version != cls._VERSION:
                 raise ValueError(f"unsupported table version {version}")
+            stored = os.fstat(fh.fileno()).st_size - 16
+            if stored != limit:
+                raise ValueError(f"Mobius table header promises {limit} values, the file holds {stored}")
             body = np.frombuffer(fh.read(limit), dtype=np.int8)
-            if body.size != limit:
-                raise ValueError("truncated Mobius table file")
+        if limit and (body.min() < -1 or body.max() > 1):
+            raise ValueError("Mobius table holds values outside {-1, 0, 1}")
         values = np.zeros(limit + 1, dtype=np.int8)
         values[1:] = body
         return cls(limit, values)
 
 
-_SEGMENT = 1 << 22
+_SEGMENT = 1 << 18
 
 
 def mobius_sieve(limit: int) -> MobiusTable:
     """Exact mu(1..limit) by a segmented multiplicative sieve.
 
-    Per segment: flip the sign once for every prime divisor p <= sqrt(limit),
-    zero out multiples of p^2, and divide the tracked cofactor by the full
-    p-power; a cofactor > 1 at the end is the single prime factor above
-    sqrt(limit) and flips the sign once more.
+    Per segment: flip the sign once for every prime divisor q <= sqrt(limit),
+    zero out multiples of q^2, and multiply q into the product of the small
+    prime divisors.  A squarefree n whose product falls short of n has
+    exactly one prime factor above sqrt(limit), which flips the sign once more.
     """
     if not 1 <= limit <= 10**9:
         raise LimitOverflow("sieve limit must be in [1, 10**9]")
@@ -127,26 +148,21 @@ def mobius_sieve(limit: int) -> MobiusTable:
     mu = np.zeros(limit + 1, dtype=np.int8)
     for lo in range(1, limit + 1, _SEGMENT):
         hi = min(lo + _SEGMENT, limit + 1)
-        seg = np.ones(hi - lo, dtype=np.int8)
-        rem = np.arange(lo, hi, dtype=np.int64)
+        seg = mu[lo:hi]
+        seg[:] = 1
+        prod = np.ones(hi - lo, dtype=np.int32)  # divides n <= 10**9 < 2**31
         for q in base:
             start = ((lo + q - 1) // q) * q
-            if start < hi:
-                seg[start - lo :: q] *= -1
+            if start >= hi:
+                continue
+            seg[start - lo :: q] *= -1
+            prod[start - lo :: q] *= q
             qq = q * q
             start = ((lo + qq - 1) // qq) * qq
             if start < hi:
                 seg[start - lo :: qq] = 0
-            power = q
-            while power < hi:
-                start = ((lo + power - 1) // power) * power
-                if start >= hi:
-                    break
-                rem[start - lo :: power] //= q
-                power *= q
-        big = rem > 1
+        big = prod < np.arange(lo, hi, dtype=np.int32)
         seg[big] = -seg[big]
-        mu[lo:hi] = seg
     return MobiusTable(limit, mu)
 
 

@@ -5,22 +5,37 @@ bound it is measured against (square-root-of-p type, with the implied
 constant set to 1 and natural log), and the empirical ratio.  Bounds are
 recorded, never asserted here; the safety envelopes live in the test suite.
 
-Summation is compensated (Kahan) with a fixed chunk size and in-order chunk
-reduction, so results are bit-identical across runs and thread counts.
+The trajectory kernels rest on one periodic reduction.  An orbit has period
+t <= p + 1, so every term is the phase of one of the orbit-table entries
+xi_1, ..., xi_t (xi_t = xi_0), and xi_{kn} is entry (k*n - 1) mod t.  A sum
+is then exact integer weights times at most t fixed phases: Mobius residue
+counts for the twisted sum, the histogram of the F_p arguments for the
+correlation and single sums.  Phases are reduced as exact integers before
+any cos/sin, and each component is one exactly rounded math.fsum, so results
+do not depend on summation order or thread count.  The table follows the
+extended scalar map, so orbits through the pole take the same path.
 
-Decimated trajectories xi_{kn} always refer to the extended scalar map.  For
-seeds whose orbit avoids the pole this equals stepping with the k-th matrix
-power (the fast path); orbits through the pole fall back to direct stepping
-so that the scalar sequence stays the single source of truth.
+The exhaustive Weil kernels still add term by term through SumAccumulator,
+a Kahan accumulator with a fixed chunked reduction order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from itertools import chain
+from typing import Sequence
 
-from .arith_fn import AdditiveCharacter, MobiusTable, MultiplicativeCharacter, TableTooSmall, unit_circle
+import numpy as np
+
+from .arith_fn import (
+    _TWO_PI,
+    AdditiveCharacter,
+    MobiusTable,
+    MultiplicativeCharacter,
+    TableTooSmall,
+    unit_circle,
+)
 from .field_arith import (
     Fp2Elem,
     FpElem,
@@ -29,13 +44,7 @@ from .field_arith import (
     discrete_index,
     norm_group_generator,
 )
-from .mobius_dynamics import (
-    MobiusMatrix,
-    Trajectory,
-    _orbit_values,
-    matrix_power_entries,
-    period,
-)
+from .mobius_dynamics import MobiusMatrix, Trajectory, _orbit_prefix, period
 
 
 class BothFrequenciesZero(ValueError):
@@ -55,6 +64,9 @@ class RangeGuard(ValueError):
 
 
 CHUNK_SIZE = 1 << 16
+
+_INT64_EXACT = 1 << 31
+_BLOCK = 1 << 14
 
 
 class SumAccumulator:
@@ -177,6 +189,55 @@ def _psi_lookup(psi: AdditiveCharacter):
     return psi.value_at
 
 
+def _residues(values: np.ndarray, p: int) -> np.ndarray:
+    """Residues mod p in a dtype where u*x + v*y of two of them stays exact.
+
+    Below 2^31 that is int64 itself; above, Python ints in an object array.
+    """
+    return values if p < _INT64_EXACT else values.astype(object)
+
+
+def _angles(nums: np.ndarray, den: int, coef: int = 1) -> np.ndarray:
+    """2*pi*(coef*num mod den)/den per entry, the angle unit_circle would use.
+
+    Each numerator is reduced as an exact integer before the division; the
+    entries go through in blocks, so Python-int temporaries stay small.
+    """
+    frac = np.empty(nums.size)
+    for i in range(0, nums.size, _BLOCK):
+        frac[i : i + _BLOCK] = _residues(nums[i : i + _BLOCK], den) * coef % den / den
+    return _TWO_PI * frac
+
+
+def _fsum(values: np.ndarray) -> float:
+    """math.fsum of a float array, handed over as Python floats one block at a time."""
+    blocks = (values[i : i + _BLOCK].tolist() for i in range(0, values.size, _BLOCK))
+    return math.fsum(chain.from_iterable(blocks))
+
+
+def _weighted_sum(weights, angle: np.ndarray) -> complex:
+    """sum_r weights[r] * e^(i angle[r]) with one exactly rounded fsum per component."""
+    return complex(_fsum(weights * np.cos(angle)), _fsum(weights * np.sin(angle)))
+
+
+def _add_residue_counts(counts: np.ndarray, mu: np.ndarray, start: int) -> None:
+    """counts[(start + i) mod t] += mu[i] for every i, with t = len(counts).
+
+    A head up to the next multiple of t, then whole rows of length t summed
+    column-wise, then a tail: no per-term Python work.
+    """
+    t = counts.size
+    r0 = start % t
+    head = min(mu.size, (t - r0) % t)
+    counts[r0 : r0 + head] += mu[:head]
+    rest = mu[head:]
+    rows = rest.size // t
+    if rows:
+        counts += rest[: rows * t].reshape(rows, t).sum(axis=0, dtype=np.int64)
+    tail = rest[rows * t :]
+    counts[: tail.size] += tail
+
+
 def twisted_sum(
     matrix: MobiusMatrix,
     xi0: FpElem,
@@ -195,11 +256,12 @@ def twisted_sum_schedule(
     n_schedule: Sequence[int],
     mu_table: MobiusTable,
 ) -> list[SumReport]:
-    """One streaming pass reporting the twisted sum at each checkpoint N.
+    """The twisted sum at each checkpoint N of an ascending schedule.
 
-    Checkpoints must be given ascending; every prefix report is identical to
-    what a standalone run at that N would produce (the accumulator state at
-    term N does not depend on later terms).
+    S(N) = sum_r c_r(N) psi(xi_{r+1}), where c_r(N) is the sum of mu(n) over
+    n <= N with n - 1 = r mod t and t is the period (or max N when the orbit
+    is longer).  The counts are exact integers that grow checkpoint by
+    checkpoint, so every prefix report equals a standalone run at that N.
     """
     if not psi.is_nontrivial:
         raise ValueError("psi must be a nontrivial additive character")
@@ -210,55 +272,21 @@ def twisted_sum_schedule(
     n_max = max(n_schedule, default=0)
     if n_max > mu_table.limit:
         raise TableTooSmall(f"need mu up to {n_max}, table holds {mu_table.limit}")
-    mu = mu_table.values[: n_max + 1].tolist()
-    look = _psi_lookup(psi)
+    if not n_schedule:
+        return []
+    p = matrix.p
+    table = _orbit_prefix(matrix, xi0, n_max)
+    angle = _angles(table, p, psi.u.value)
     params = _matrix_params(matrix, xi0)
     params["u"] = psi.u.value
-    acc = SumAccumulator()
+    counts = np.zeros(table.size, dtype=np.int64)
+    done = 0
     reports: list[SumReport] = []
-    targets = iter(n_schedule)
-    target = next(targets, None)
-    orbit = _orbit_values(matrix, xi0)
-    for n in range(1, n_max + 1):
-        x = next(orbit)
-        mu_n = mu[n]
-        if mu_n > 0:
-            acc.add(look(x))
-        elif mu_n < 0:
-            acc.add(-look(x))
-        while target == n:
-            reports.append(SumReport("twisted", acc.value, n, matrix.p, None, dict(params)))
-            target = next(targets, None)
+    for n in n_schedule:
+        _add_residue_counts(counts, mu_table.values[done + 1 : n + 1], done)
+        done = n
+        reports.append(SumReport("twisted", _weighted_sum(counts, angle), n, p, None, dict(params)))
     return reports
-
-
-def _sampled_orbit(matrix: MobiusMatrix, xi0: FpElem, step: int, pole_free: bool) -> Iterator[int]:
-    """Raw values xi_{step*n} for n = 1, 2, ... of the extended trajectory.
-
-    The pole-free fast path steps with the matrix power; orbits through the
-    pole pay O(step) per term so the sampled sequence still matches the
-    extended scalar map.
-    """
-    p = matrix.p
-    if step == 0:
-        x0 = xi0.value
-        while True:
-            yield x0
-    if pole_free:
-        e0, e1, e2, e3 = matrix_power_entries(matrix, step)
-        x = xi0.value
-        while True:
-            den = (e2 * x + e3) % p
-            if den == 0:
-                raise AssertionError("pole reached on a pole-free orbit; invalid fast path")
-            x = (e0 * x + e1) * pow(den, p - 2, p) % p
-            yield x
-    else:
-        orbit = _orbit_values(matrix, xi0)
-        while True:
-            for _ in range(step - 1):
-                next(orbit)
-            yield next(orbit)
 
 
 def _resolve_trajectory(matrix: MobiusMatrix, xi0: FpElem, traj: Trajectory | None) -> Trajectory:
@@ -267,6 +295,40 @@ def _resolve_trajectory(matrix: MobiusMatrix, xi0: FpElem, traj: Trajectory | No
     if traj.matrix != matrix or traj.seed != xi0:
         raise ValueError("supplied trajectory belongs to a different instance")
     return traj
+
+
+def _decimated_phases(
+    traj: Trajectory, psi: AdditiveCharacter, terms: Sequence[tuple[int, int]], n_terms: int
+) -> np.ndarray:
+    """Phase numerators psi_u * sum_j c_j * xi_{s_j n} mod p for n = 1..N.
+
+    terms holds the (c_j, s_j) pairs.  xi_{sn} is orbit-table entry
+    (s*n - 1) mod t for every orbit, pole or not; the index -1 (s*n = 0 mod t)
+    is the last entry, xi_t = xi_0.  (s mod t)*n < t^2 stays inside int64
+    for every period whose table fits in memory.
+    """
+    p = traj.matrix.p
+    table = _residues(traj.orbit_table, p)
+    t = table.size
+    n = np.arange(1, n_terms + 1, dtype=np.int64)
+    acc = np.zeros(n_terms, dtype=table.dtype)
+    for coef, step in terms:
+        c = psi.u.value * coef % p
+        if c:
+            idx = n * (step % t)
+            idx %= t
+            idx -= 1
+            vals = table[idx]
+            vals *= c
+            acc += vals
+            acc %= p
+    return acc
+
+
+def _histogram_sum(phases: np.ndarray, p: int) -> complex:
+    """sum_n e(phases[n]/p) through the integer histogram of the phases."""
+    values, counts = np.unique(phases, return_counts=True)
+    return _weighted_sum(counts, _angles(values, p))
 
 
 def correlation_sum(
@@ -291,17 +353,12 @@ def correlation_sum(
     if n_terms > traj.period:
         raise ValueError(f"N = {n_terms} exceeds the period t = {traj.period}")
     p = matrix.p
-    look = _psi_lookup(psi)
-    zk = _sampled_orbit(matrix, xi0, k, traj.pole_free)
-    zm = _sampled_orbit(matrix, xi0, m, traj.pole_free)
     uv, vv = u.value, v.value
-    acc = SumAccumulator()
-    for _ in range(n_terms):
-        acc.add(look((uv * next(zk) + vv * next(zm)) % p))
+    value = _histogram_sum(_decimated_phases(traj, psi, [(uv, k), (vv, m)], n_terms), p)
     bound = m * math.sqrt(p) * math.log(p)
     params = _matrix_params(matrix, xi0)
     params.update(u=uv, v=vv, k=k, m=m)
-    return SumReport("correlation", acc.value, n_terms, p, bound, params)
+    return SumReport("correlation", value, n_terms, p, bound, params)
 
 
 def single_sum(
@@ -324,16 +381,12 @@ def single_sum(
     if n_terms > traj.period:
         raise ValueError(f"N = {n_terms} exceeds the period t = {traj.period}")
     p = matrix.p
-    look = _psi_lookup(psi)
-    zm = _sampled_orbit(matrix, xi0, m, traj.pole_free)
     uv = u.value
-    acc = SumAccumulator()
-    for _ in range(n_terms):
-        acc.add(look(uv * next(zm) % p))
+    value = _histogram_sum(_decimated_phases(traj, psi, [(uv, m)], n_terms), p)
     bound = math.gcd(m, traj.period) * math.sqrt(p) * math.log(p)
     params = _matrix_params(matrix, xi0)
     params.update(u=uv, m=m)
-    return SumReport("single", acc.value, n_terms, p, bound, params)
+    return SumReport("single", value, n_terms, p, bound, params)
 
 
 def complete_twisted_sum(
@@ -365,18 +418,14 @@ def complete_twisted_sum(
     if not 0 <= h < t:
         raise ValueError(f"need 0 <= h < t = {t}")
     p = matrix.p
-    look = _psi_lookup(psi)
-    zk = _sampled_orbit(matrix, xi0, k, traj.pole_free)
-    zm = _sampled_orbit(matrix, xi0, m, traj.pole_free)
     uv, vv = u.value, v.value
-    acc = SumAccumulator()
-    for n in range(1, t + 1):
-        term = look((uv * next(zk) + vv * next(zm)) % p)
-        acc.add(term * unit_circle(h * n, t))
+    angle = _angles(_decimated_phases(traj, psi, [(uv, k), (vv, m)], t), p)
+    angle += _angles(np.arange(1, t + 1, dtype=np.int64), t, h)
+    value = _weighted_sum(1, angle)
     bound = m * math.sqrt(p) * math.log(p)
     params = _matrix_params(matrix, xi0)
     params.update(u=uv, v=vv, k=k, m=m, h=h)
-    return SumReport("complete", acc.value, t, p, bound, params)
+    return SumReport("complete", value, t, p, bound, params)
 
 
 @dataclass(frozen=True)

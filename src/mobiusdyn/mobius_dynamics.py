@@ -15,7 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterator, NamedTuple
+
+import numpy as np
 
 from .field_arith import (
     Fp2Elem,
@@ -152,6 +155,32 @@ def _orbit_values(matrix: MobiusMatrix, xi0: FpElem) -> Iterator[int]:
         yield x
 
 
+def _orbit_prefix(matrix: MobiusMatrix, xi0: FpElem, limit: int) -> np.ndarray:
+    """xi_1, ..., xi_L as int64 with L = min(period, limit).
+
+    When the orbit closes within `limit` steps the last entry is xi_t = xi_0,
+    so entry r holds xi_n for every n = r + 1 (mod t).  Steps are drawn in
+    doubling blocks, so a short orbit costs little more than its period.
+    """
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    orbit = _orbit_values(matrix, xi0)
+    x0 = xi0.value
+    blocks = []
+    done, size = 0, 64
+    while done < limit:
+        size = min(size, limit - done)
+        block = np.fromiter(islice(orbit, size), dtype=np.int64, count=size)
+        hit = np.flatnonzero(block == x0)
+        if hit.size:
+            blocks.append(block[: hit[0] + 1])
+            break
+        blocks.append(block)
+        done += size
+        size = min(2 * size, 1 << 16)
+    return np.concatenate(blocks)
+
+
 def trajectory_iter(matrix: MobiusMatrix, xi0: FpElem) -> Iterator[FpElem]:
     """Stream xi_1, xi_2, ... under the extended map (O(1) working memory)."""
     m = matrix.modulus
@@ -186,6 +215,14 @@ class Trajectory:
     @property
     def pole_free(self) -> bool:
         return self.pole_hit is None
+
+    @cached_property
+    def orbit_table(self) -> np.ndarray:
+        """xi_1, ..., xi_t as int64 (xi_t = xi_0): xi_n is entry (n - 1) mod t."""
+        table = _orbit_prefix(self.matrix, self.seed, self.period)
+        if table.size != self.period or table[-1] != self.seed.value:
+            raise AssertionError("orbit table does not close at the recorded period")
+        return table
 
 
 def period(matrix: MobiusMatrix, xi0: FpElem) -> Trajectory:

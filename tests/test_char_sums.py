@@ -258,6 +258,141 @@ def test_decimation_through_pole_matches_direct_stepping():
         vals.append(x)
     expected = sum(psi(vals[3 * n - 1]) for n in range(1, 11))
     assert abs(got.value - expected) < 1e-12
+    # correlation: xi_{kn} at k = 0 is the seed itself, which is the pole here
+    for u, v, k, m_step, n_terms in ((1, 1, 0, 1, 10), (2, 7, 1, 3, 10), (5, 3, 2, 3, traj.period)):
+        got = correlation_sum(A, xi0, psi, m.elem(u), m.elem(v), k, m_step, n_terms, traj)
+        expected = _decimated_oracle(A, xi0, psi, [(u, k), (v, m_step)], n_terms)
+        assert abs(got.value - expected) < 1e-9
+
+
+# --- differential tests against the per-term definitions ----------------------------
+
+
+def _orbit_oracle(A, xi0, count):
+    """[xi_0, xi_1, ..., xi_count] by repeated application of the extended map."""
+    vals = [xi0]
+    for _ in range(count):
+        vals.append(apply(A, vals[-1]))
+    return vals
+
+
+def _decimated_oracle(A, xi0, psi, terms, n_terms, h=None, t=None):
+    """sum_{n <= N} psi(sum_j c_j xi_{s_j n}) [* e(h n / t)], one term at a time."""
+    modulus = A.modulus
+    vals = _orbit_oracle(A, xi0, max(s for _, s in terms) * n_terms)
+    total = 0j
+    for n in range(1, n_terms + 1):
+        arg = modulus.zero
+        for c, s in terms:
+            arg = arg + modulus.elem(c) * vals[s * n]
+        term = psi(arg)
+        if h is not None:
+            term *= unit_circle(h * n, t)
+        total += term
+    return total
+
+
+def _twisted_oracle(A, xi0, psi, n_terms, mu_table):
+    vals = _orbit_oracle(A, xi0, n_terms)
+    return sum(mu_table.mu(n) * psi(vals[n]) for n in range(1, n_terms + 1))
+
+
+def _random_orbits(seed, primes, per_prime):
+    """(A, xi0, traj) with a nontrivial orbit: half through the pole, half pole-free."""
+    from mobiusdyn.sampling import random_sl2
+
+    rng = random.Random(seed)
+    out = []
+    for p in primes:
+        modulus = PrimeModulus(p)
+        for want_pole in [True, False] * (per_prime // 2):
+            while True:
+                A = random_sl2(rng, modulus)
+                xi0 = A.pole if want_pole else modulus.elem(rng.randrange(p))
+                traj = period(A, xi0)
+                if traj.period >= 4 and traj.pole_free != want_pole:
+                    out.append((A, xi0, traj))
+                    break
+    return out
+
+
+def test_twisted_matches_per_term_definition(mu_table):
+    rng = random.Random(11)
+    for A, xi0, traj in _random_orbits(11, (101, 211, 1009), 4):
+        psi = AdditiveCharacter(A.modulus.elem(rng.randrange(1, A.p)))
+        t = traj.period
+        # N < t, N = t, a few periods plus a partial row, with a repeated checkpoint
+        schedule = [max(1, t // 3), t, t, 3 * t + 2, 4 * t + t // 2]
+        reports = twisted_sum_schedule(A, xi0, psi, schedule, mu_table)
+        assert [r.term_count for r in reports] == schedule
+        assert reports[1].value == reports[2].value
+        oracle = _orbit_oracle(A, xi0, schedule[-1])
+        for r in reports:
+            expected = sum(mu_table.mu(n) * psi(oracle[n]) for n in range(1, r.term_count + 1))
+            assert abs(r.value - expected) < 1e-9
+
+
+def test_decimated_sums_match_per_term_definition():
+    rng = random.Random(12)
+    for A, xi0, traj in _random_orbits(12, (101, 307, 1009), 4):
+        modulus = A.modulus
+        t = traj.period
+        psi = AdditiveCharacter(modulus.elem(rng.randrange(1, A.p)))
+        u, v = (rng.randrange(A.p) for _ in range(2))
+        v = v or 1
+        n_short = max(1, t // 2)
+        for k, m_step, n_terms in ((0, 1, n_short), (0, 3, t), (1, 2, n_short), (2, 5, t)):
+            got = correlation_sum(A, xi0, psi, modulus.elem(u), modulus.elem(v), k, m_step, n_terms, traj)
+            expected = _decimated_oracle(A, xi0, psi, [(u, k), (v, m_step)], n_terms)
+            assert abs(got.value - expected) < 1e-9
+        for m_step in (1, 3):
+            got = single_sum(A, xi0, psi, modulus.elem(v), m_step, n_short, traj)
+            assert abs(got.value - _decimated_oracle(A, xi0, psi, [(v, m_step)], n_short)) < 1e-9
+        for h in (0, 1, t - 1):
+            got = complete_twisted_sum(A, xi0, psi, modulus.elem(u), modulus.elem(v), 1, 2, h, traj)
+            expected = _decimated_oracle(A, xi0, psi, [(u, 1), (v, 2)], t, h, t)
+            assert abs(got.value - expected) < 1e-9
+
+
+def test_decimation_beyond_the_period_matches_per_term_definition():
+    # m > t samples past the first period; the oracle steps the map all the way
+    for A, xi0, traj in _random_orbits(13, (101,), 2):
+        modulus = A.modulus
+        t = traj.period
+        psi = AdditiveCharacter(modulus.one)
+        for k, m_step in ((1, t + 3), (t, 2 * t + 1)):
+            got = correlation_sum(A, xi0, psi, modulus.elem(2), modulus.elem(9), k, m_step, t, traj)
+            expected = _decimated_oracle(A, xi0, psi, [(2, k), (9, m_step)], t)
+            assert abs(got.value - expected) < 1e-9
+        got = single_sum(A, xi0, psi, modulus.elem(4), t + 1, t, traj)
+        assert abs(got.value - _decimated_oracle(A, xi0, psi, [(4, t + 1)], t)) < 1e-9
+
+
+def test_large_modulus_matches_per_term_definition(mu_table):
+    # p = 2^61 - 1: u*x overflows int64 and a histogram sized by p cannot be
+    # allocated.  Trace 0 gives period 2, trace +-1 gives period 3.
+    from mobiusdyn.mobius_dynamics import normalize_to_sl2
+
+    modulus = PrimeModulus(2**61 - 1)
+    e = modulus.elem
+    psi = AdditiveCharacter(e(2**60 + 12345))
+    u, v = e(2**59 + 7), e(2**61 - 10)
+    for entries, expected_period in (((1, -5, 1, -1), 2), ((1, -3, 1, 1), 3)):
+        A = normalize_to_sl2(*(e(x) for x in entries))
+        xi0 = e(2**58 + 99)
+        traj = period(A, xi0)
+        assert traj.period == expected_period
+        t = traj.period
+        r = twisted_sum(A, xi0, psi, 1000, mu_table)
+        assert abs(r.value - _twisted_oracle(A, xi0, psi, 1000, mu_table)) < 1e-9
+        got = correlation_sum(A, xi0, psi, u, v, 1, 2, t, traj)
+        assert abs(got.value - _decimated_oracle(A, xi0, psi, [(u.value, 1), (v.value, 2)], t)) < 1e-9
+        got = single_sum(A, xi0, psi, u, 1, t, traj)
+        assert abs(got.value - _decimated_oracle(A, xi0, psi, [(u.value, 1)], t)) < 1e-9
+        for h in range(t):
+            got = complete_twisted_sum(A, xi0, psi, u, v, 1, 2, h, traj)
+            expected = _decimated_oracle(A, xi0, psi, [(u.value, 1), (v.value, 2)], t, h, t)
+            assert abs(got.value - expected) < 1e-9
 
 
 # --- complete sums and the completion identity -------------------------------------

@@ -246,3 +246,44 @@ def test_bsz_report_sanity_modes(tmp_path):
     for row in body["rows"]:
         assert row["w"] == pytest.approx(row["p_count"] * row["q_count"])
     assert body["conditions"]["alpha_range_empty"] is True
+
+
+def test_interrupted_mu_cache_write_keeps_the_old_table(tmp_path, monkeypatch):
+    import mobiusdyn.arith_fn as af
+
+    cache = tmp_path / "mu.bin"
+    af.mobius_sieve(50).save(cache)
+    before = cache.read_bytes()
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(af.os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        af.mobius_sieve(500).save(cache)
+    monkeypatch.undo()
+    assert cache.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["mu.bin"]
+
+
+def test_mu_cache_values_outside_mu_range_are_config_error(tmp_path, capsys):
+    import struct
+
+    cache = tmp_path / "mu.bin"
+    cache.write_bytes(b"MUTB" + struct.pack("<IQ", 1, 60) + bytes([1, 255, 255, 0, 5]) + bytes(55))
+    cfg = {
+        "p": "101",
+        "matrix": ["27", "39", "5", "11"],
+        "seed": "55",
+        "kinds": ["twisted"],
+        "frequencies": ["1"],
+        "n_schedule": ["50"],
+    }
+    code, _ = run(tmp_path, "sum-scan", cfg, extra=["--mu-cache", str(cache)])
+    assert code == EXIT_CONFIG
+    assert "mu-cache" in capsys.readouterr().err
+    # a header limit the file cannot back is rejected before anything is read
+    cache.write_bytes(b"MUTB" + struct.pack("<IQ", 1, 2**40) + bytes(60))
+    code, _ = run(tmp_path, "sum-scan", cfg, extra=["--mu-cache", str(cache)])
+    assert code == EXIT_CONFIG
+    assert "mu-cache" in capsys.readouterr().err
