@@ -13,6 +13,12 @@ Q_j and contribute nothing to any sum or cardinality count, so block
 materialisation stops at the last j with R_{j+1} <= N; for realistic alpha
 the nominal upper end j1 sits astronomically beyond that point.
 
+nu arrives as an integer array indexed by n and F as the phases of one
+period, F(n) = phase[(n - 1) % t].  So the inner sum depends on m only
+through m mod t, every W_j is a batch of numpy gathers, and the left side is
+the integer residue counts of nu over the period weighted by the phases, the
+same reduction as the twisted-sum kernel.
+
 Inequalities with unspecified constants are evaluated with the constant set
 to 1 and reported as two-sided numbers, never hard-asserted.
 """
@@ -21,12 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .arith_fn import LimitOverflow, primes_in
-from .char_sums import SumAccumulator
+from .char_sums import _add_residue_counts, _fsum, _weighted_sum
 
 
 class CollisionFound(AssertionError):
@@ -39,6 +45,7 @@ class MemoryGuard(ValueError):
 
 _SIEVE_LIMIT = 10**8
 _PRIME_LIMIT = 10**9
+_GATHER = 1 << 16  # entries per gathered chunk of products
 
 
 @dataclass(frozen=True)
@@ -146,61 +153,103 @@ class DistinctProductsReport:
         return self.total_products <= self.n
 
 
+def _chunks(rows: np.ndarray, width: int):
+    """(start, slice) pairs covering rows, each slice about _GATHER // width long."""
+    step = max(1, _GATHER // max(width, 1))
+    for i in range(0, rows.size, step):
+        yield i, rows[i : i + step]
+
+
 def distinct_products_check(
     blocks: Sequence[PrimeBlock], sets: Sequence[SieveSet], n: int
 ) -> DistinctProductsReport:
-    """Verify the products m*r are pairwise distinct, all <= n, and count them."""
-    seen: set[int] = set()
+    """Verify the products m*r are pairwise distinct, all <= n, and count them.
+
+    A bitmap over 0..n records every product seen; the products of one chunk
+    of a block are sorted to catch a repeat inside the chunk.
+    """
+    seen = np.zeros(n + 1, dtype=bool)
     total = 0
     for block, qset in zip(blocks, sets):
-        for r in block.primes:
-            for m in qset.members:
-                prod = m * r
-                if prod > n:
-                    raise AssertionError(f"product {m}*{r} exceeds N = {n}")
-                if prod in seen:
-                    raise CollisionFound(f"product {prod} produced twice")
-                seen.add(prod)
-                total += 1
+        if not (block.primes and qset.members):
+            continue
+        primes = np.array(block.primes, dtype=np.int64)
+        members = np.array(qset.members, dtype=np.int64)
+        if min(primes.min(), members.min()) < 0:
+            raise AssertionError(f"block {block.j} has a negative factor")
+        m_hi, r_hi = int(members.max()), int(primes.max())
+        if m_hi * r_hi > n:
+            raise AssertionError(f"product {m_hi}*{r_hi} exceeds N = {n}")
+        for _, chunk in _chunks(members, primes.size):
+            prods = np.sort(np.multiply.outer(chunk, primes), axis=None)
+            repeat = np.flatnonzero(prods[1:] == prods[:-1])
+            if repeat.size:
+                raise CollisionFound(f"product {prods[repeat[0]]} produced twice")
+            again = seen[prods]
+            if again.any():
+                raise CollisionFound(f"product {prods[again.argmax()]} produced twice")
+            seen[prods] = True
+        total += primes.size * members.size
     report = DistinctProductsReport(total, n, 0)
     if not report.within_budget:
         raise AssertionError(f"sum #P_j #Q_j = {total} exceeds N = {n}")
     return report
 
 
+def _check_bounded(nu: np.ndarray, phase: np.ndarray) -> None:
+    """|nu| <= 1 and |F| <= 1 on every entry, the hypothesis of the criterion."""
+    if not np.issubdtype(nu.dtype, np.integer):
+        raise TypeError(f"nu must be an integer array, got {nu.dtype}")
+    if phase.ndim != 1 or phase.size == 0:
+        raise ValueError("the phase array must be one nonempty period")
+    if nu.size and (nu.min() < -1 or nu.max() > 1):
+        bad = int(np.flatnonzero(np.abs(nu.astype(np.int64)) > 1)[0])
+        raise ValueError(f"|nu({bad})| = {abs(int(nu[bad]))} exceeds 1")
+    size = np.abs(phase)
+    if size.max() > 1.0 + 1e-9:
+        bad = int(size.argmax())
+        raise ValueError(f"|F({bad + 1})| = {size[bad]} exceeds 1")
+
+
 def wj_sums(
-    nu: Callable[[int], complex],
-    f: Callable[[int], complex],
+    nu: np.ndarray,
+    phase: np.ndarray,
     blocks: Sequence[PrimeBlock],
     sets: Sequence[SieveSet],
 ) -> list[float]:
     """W_j = sum_{m in Q_j} |sum_{r in P_j} nu(r) F(m r)| for each block.
 
-    Both handles must be bounded by 1 in absolute value; this is spot-checked
-    on the first few evaluations, matching the hypothesis of the criterion.
+    nu[n] is nu(n); F(n) = phase[(n - 1) % t] with t = len(phase).  Both
+    must be bounded by 1 in absolute value, which is checked on every entry.
+    The inner sum depends on m only through m mod t: when Q_j has more
+    members than there are residues, W_j = sum_s count_j(s) |inner(s)| over
+    the residues s that occur.  Residues are reduced before multiplying, so
+    the gathered indices (m mod t)(r mod t) stay exact in int64.
     """
+    _check_bounded(nu, phase)
+    t = phase.size
     out: list[float] = []
-    checked = 0
     for block, qset in zip(blocks, sets):
-        nu_r = [complex(nu(r)) for r in block.primes]
-        for val, r in zip(nu_r, block.primes):
-            if checked < 64:
-                if abs(val) > 1.0 + 1e-9:
-                    raise ValueError(f"|nu({r})| = {abs(val)} exceeds 1")
-                checked += 1
-        outer = SumAccumulator()
-        for m in qset.members:
-            inner = SumAccumulator()
-            for val, r in zip(nu_r, block.primes):
-                fv = complex(f(m * r))
-                if checked < 64:
-                    if abs(fv) > 1.0 + 1e-9:
-                        raise ValueError(f"|F({m * r})| = {abs(fv)} exceeds 1")
-                    checked += 1
-                if val != 0:
-                    inner.add(val * fv)
-            outer.add(complex(abs(inner.value), 0.0))
-        out.append(outer.value.real)
+        primes = np.array(block.primes, dtype=np.int64)
+        if primes.size and primes.max() >= nu.size:
+            raise ValueError(f"nu covers 0..{nu.size - 1}, block {block.j} needs {primes.max()}")
+        nu_r = nu[primes]
+        live = nu_r != 0
+        r_res = primes[live] % t
+        weights = nu_r[live].astype(np.float64)
+        m_res = np.array(qset.members, dtype=np.int64) % t
+        counts = 1
+        if m_res.size > t:
+            counts = np.bincount(m_res, minlength=t)
+            m_res = np.flatnonzero(counts)
+            counts = counts[m_res]
+        inner = np.empty(m_res.size)
+        for i, chunk in _chunks(m_res, r_res.size):
+            idx = np.multiply.outer(chunk, r_res)
+            idx -= 1
+            idx %= t
+            inner[i : i + chunk.size] = np.abs((phase[idx] * weights).sum(axis=1))
+        out.append(_fsum(inner, counts))
     return out
 
 
@@ -274,28 +323,31 @@ class BszDecomposition:
 
 
 def decomposition_report(
-    nu: Callable[[int], complex],
-    f: Callable[[int], complex],
+    nu: np.ndarray,
+    phase: np.ndarray,
     n: int,
     alpha: float,
     period: int,
 ) -> BszDecomposition:
     """Compute the left side, every W_j, and the empirical decomposition quotient.
 
+    nu and phase are as in wj_sums, with nu covering 0..N; period is the
+    orbit period recorded in the report.  The left side is
+    sum_s c_s F(s + 1) with the exact integer residue counts
+    c_s = sum_{n <= N, n - 1 = s mod t} nu(n) and one fsum per component.
     quotient = |sum_{n' <= N} nu(n')F(n')| / (sum_j W_j + alpha*N); it is
     reported as data, not compared against any constant.
     """
     params = make_params(alpha, n)
+    if nu.size <= n:
+        raise ValueError(f"nu covers 0..{nu.size - 1}, the left side needs 0..{n}")
     blocks = prime_blocks(params)
     sets = sieve_sets(params, blocks)
-    w_values = wj_sums(nu, f, blocks, sets)
+    w_values = wj_sums(nu, phase, blocks, sets)
     products = distinct_products_check(blocks, sets, n)
-    acc = SumAccumulator()
-    for i in range(1, n + 1):
-        nv = complex(nu(i))
-        if nv != 0:
-            acc.add(nv * complex(f(i)))
-    lhs = acc.value
+    counts = np.zeros(phase.size, dtype=np.int64)
+    _add_residue_counts(counts, nu[1 : n + 1], 0)
+    lhs = _weighted_sum(counts, phase.real, phase.imag)
     denom = math.fsum(w_values) + alpha * n
     quotient = abs(lhs) / denom if denom > 0 else math.inf
     rows = [

@@ -209,15 +209,27 @@ def _angles(nums: np.ndarray, den: int, coef: int = 1) -> np.ndarray:
     return _TWO_PI * frac
 
 
-def _fsum(values: np.ndarray) -> float:
-    """math.fsum of a float array, handed over as Python floats one block at a time."""
-    blocks = (values[i : i + _BLOCK].tolist() for i in range(0, values.size, _BLOCK))
+def _fsum(values: np.ndarray, weights=1) -> float:
+    """math.fsum of weights * values, formed and handed over one block at a time.
+
+    No full-length product array is held; weights broadcast against values.
+    """
+    w = np.broadcast_to(weights, values.shape)
+    blocks = ((w[i : i + _BLOCK] * values[i : i + _BLOCK]).tolist() for i in range(0, values.size, _BLOCK))
     return math.fsum(chain.from_iterable(blocks))
 
 
-def _weighted_sum(weights, angle: np.ndarray) -> complex:
-    """sum_r weights[r] * e^(i angle[r]) with one exactly rounded fsum per component."""
-    return complex(_fsum(weights * np.cos(angle)), _fsum(weights * np.sin(angle)))
+def _unit(angle: np.ndarray) -> np.ndarray:
+    """e^(i angle) per entry, with the real part from np.cos and the imaginary from np.sin."""
+    out = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
+
+
+def _weighted_sum(weights, cos: np.ndarray, sin: np.ndarray) -> complex:
+    """sum_r weights[r] * (cos[r] + i sin[r]) with one exactly rounded fsum per component."""
+    return complex(_fsum(cos, weights), _fsum(sin, weights))
 
 
 def _add_residue_counts(counts: np.ndarray, mu: np.ndarray, start: int) -> None:
@@ -252,7 +264,7 @@ def twisted_sum(
 def twisted_sum_schedule(
     matrix: MobiusMatrix,
     xi0: FpElem,
-    psi: AdditiveCharacter,
+    psi: AdditiveCharacter | Sequence[AdditiveCharacter],
     n_schedule: Sequence[int],
     mu_table: MobiusTable,
 ) -> list[SumReport]:
@@ -262,8 +274,12 @@ def twisted_sum_schedule(
     n <= N with n - 1 = r mod t and t is the period (or max N when the orbit
     is longer).  The counts are exact integers that grow checkpoint by
     checkpoint, so every prefix report equals a standalone run at that N.
+    psi may be one character or several: the orbit prefix and the counts do
+    not depend on it and are built once, and the reports come character by
+    character, each over the whole schedule.
     """
-    if not psi.is_nontrivial:
+    chars = [psi] if isinstance(psi, AdditiveCharacter) else list(psi)
+    if not all(c.is_nontrivial for c in chars):
         raise ValueError("psi must be a nontrivial additive character")
     if any(n < 1 for n in n_schedule):
         raise ValueError("every checkpoint must be >= 1")
@@ -276,17 +292,20 @@ def twisted_sum_schedule(
         return []
     p = matrix.p
     table = _orbit_prefix(matrix, xi0, n_max)
-    angle = _angles(table, p, psi.u.value)
-    params = _matrix_params(matrix, xi0)
-    params["u"] = psi.u.value
+    angles = [_angles(table, p, c.u.value) for c in chars]
     counts = np.zeros(table.size, dtype=np.int64)
     done = 0
-    reports: list[SumReport] = []
+    values = []  # values[i][k]: checkpoint i, character k
     for n in n_schedule:
         _add_residue_counts(counts, mu_table.values[done + 1 : n + 1], done)
         done = n
-        reports.append(SumReport("twisted", _weighted_sum(counts, angle), n, p, None, dict(params)))
-    return reports
+        values.append([_weighted_sum(counts, np.cos(angle), np.sin(angle)) for angle in angles])
+    params = _matrix_params(matrix, xi0)
+    return [
+        SumReport("twisted", row[k], n, p, None, dict(params, u=c.u.value))
+        for k, c in enumerate(chars)
+        for n, row in zip(n_schedule, values)
+    ]
 
 
 def _resolve_trajectory(matrix: MobiusMatrix, xi0: FpElem, traj: Trajectory | None) -> Trajectory:
@@ -328,7 +347,8 @@ def _decimated_phases(
 def _histogram_sum(phases: np.ndarray, p: int) -> complex:
     """sum_n e(phases[n]/p) through the integer histogram of the phases."""
     values, counts = np.unique(phases, return_counts=True)
-    return _weighted_sum(counts, _angles(values, p))
+    angle = _angles(values, p)
+    return _weighted_sum(counts, np.cos(angle), np.sin(angle))
 
 
 def correlation_sum(
@@ -421,7 +441,7 @@ def complete_twisted_sum(
     uv, vv = u.value, v.value
     angle = _angles(_decimated_phases(traj, psi, [(uv, k), (vv, m)], t), p)
     angle += _angles(np.arange(1, t + 1, dtype=np.int64), t, h)
-    value = _weighted_sum(1, angle)
+    value = _weighted_sum(1, np.cos(angle), np.sin(angle))
     bound = m * math.sqrt(p) * math.log(p)
     params = _matrix_params(matrix, xi0)
     params.update(u=uv, v=vv, k=k, m=m, h=h)

@@ -4,9 +4,14 @@ One JSON config per run; exact quantities (primes, matrix entries, seeds,
 checkpoints) are decimal strings so no float literal can corrupt them.  Every
 command writes its artifacts plus a manifest with per-output checksums; files
 land via write-to-temp plus atomic rename, so failures leave nothing partial
-behind.  Identical configs produce byte-identical CSV/JSON regardless of the
-thread count, because all parallelism is across independent grid points with
-results folded in submission order.
+behind.  Identical configs produce byte-identical CSV/JSON.  Every command
+runs in one thread: `--threads` and the config field `threads` are still
+accepted and validated (>= 1) so existing command lines and configs keep
+working, but they change nothing.  A thread pool over the grid points was
+measured slower than one thread, since the kernels hold the interpreter lock.
+
+Exact fields also accept a JSON integer, but never a float or a boolean.  A
+bad or out-of-range field exits 2 and names the field.
 
 Exit codes: 0 success, 1 mathematical mismatch, 2 configuration or usage
 error, 3 resource guard.
@@ -21,11 +26,13 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .arith_fn import (
@@ -42,6 +49,8 @@ from .char_sums import (
     CSV_HEADER,
     RangeGuard,
     SumReport,
+    _angles,
+    _unit,
     correlation_sum,
     single_sum,
     twisted_sum_schedule,
@@ -93,16 +102,24 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _exact_int(raw, name: str) -> int:
+    """A decimal string or a true JSON integer; floats and booleans are refused."""
+    if isinstance(raw, str) and _DECIMAL.fullmatch(raw):
+        return int(raw, 10)
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    raise ConfigError(f"field '{name}' must be a decimal string or an integer, got {raw!r}")
+
+
 def _as_int(cfg: dict, key: str, default=None) -> int:
     if key not in cfg:
         if default is None:
             raise ConfigError(f"missing config field '{key}'")
         return default
-    raw = cfg[key]
-    try:
-        return int(raw, 10) if isinstance(raw, str) else int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"field '{key}' is not an integer: {raw!r}") from None
+    return _exact_int(cfg[key], key)
 
 
 def _as_float(cfg: dict, key: str, default=None) -> float:
@@ -112,9 +129,12 @@ def _as_float(cfg: dict, key: str, default=None) -> float:
         return default
     raw = cfg[key]
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
-        raise ConfigError(f"field '{key}' is not a number: {raw!r}") from None
+        value = math.nan
+    if isinstance(raw, bool) or not math.isfinite(value):
+        raise ConfigError(f"field '{key}' is not a finite number: {raw!r}")
+    return value
 
 
 def _as_int_list(cfg: dict, key: str, default=None) -> list[int]:
@@ -125,13 +145,7 @@ def _as_int_list(cfg: dict, key: str, default=None) -> list[int]:
     raw = cfg[key]
     if not isinstance(raw, list):
         raise ConfigError(f"field '{key}' must be a list")
-    out = []
-    for i, item in enumerate(raw):
-        try:
-            out.append(int(item, 10) if isinstance(item, str) else int(item))
-        except (TypeError, ValueError):
-            raise ConfigError(f"field '{key}[{i}]' is not an integer: {item!r}") from None
-    return out
+    return [_exact_int(item, f"{key}[{i}]") for i, item in enumerate(raw)]
 
 
 @dataclass(frozen=True)
@@ -266,10 +280,12 @@ def _load_or_build_mu(limit: int, cache: str | None) -> MobiusTable:
     return table
 
 
-def cmd_verify_spectral(cfg: dict, outdir: Path, threads: int, config_blob: bytes) -> int:
+def cmd_verify_spectral(cfg: dict, outdir: Path, config_blob: bytes) -> int:
     """Three-way orbit equivalence: map iteration vs linear lift vs closed form."""
     modulus = _parse_modulus(cfg)
     window_cap = _as_int(cfg, "window", 2000)
+    if window_cap < 1:
+        raise ConfigError("field 'window' must be >= 1")
     instances = []
     if "matrix" in cfg:
         matrix = _parse_matrix(cfg, modulus, need_distinct_roots=True)
@@ -343,7 +359,7 @@ def verify_three_way(matrix: MobiusMatrix, xi0: FpElem, window: int) -> dict:
     return {"mismatches": mismatches}
 
 
-def cmd_sum_scan(cfg: dict, outdir: Path, threads: int, config_blob: bytes, mu_cache: str | None) -> int:
+def cmd_sum_scan(cfg: dict, outdir: Path, config_blob: bytes, mu_cache: str | None) -> int:
     """CSV of twisted / correlation / single sums over the configured grid."""
     modulus = _parse_modulus(cfg)
     matrix = _parse_matrix(cfg, modulus, need_distinct_roots=True)
@@ -359,19 +375,14 @@ def cmd_sum_scan(cfg: dict, outdir: Path, threads: int, config_blob: bytes, mu_c
     if "twisted" in kinds:
         schedule = _as_int_list(cfg, "n_schedule", [])
         frequencies = _as_int_list(cfg, "frequencies", [1])
+        if any(n < 1 for n in schedule) or schedule != sorted(schedule):
+            raise ConfigError("field 'n_schedule' must be ascending with every checkpoint >= 1")
+        if any(u % modulus.p == 0 for u in frequencies):
+            raise ConfigError("field 'frequencies': twisted-sum frequencies must be nonzero")
         if schedule:
             table = _load_or_build_mu(max(schedule), mu_cache)
-            for u in frequencies:
-                if u % modulus.p == 0:
-                    raise ConfigError("twisted-sum frequencies must be nonzero")
-                jobs.append(
-                    (
-                        "twisted",
-                        lambda u=u, table=table: twisted_sum_schedule(
-                            matrix, xi0, AdditiveCharacter(modulus.elem(u)), schedule, table
-                        ),
-                    )
-                )
+            chars = [AdditiveCharacter(modulus.elem(u)) for u in frequencies]
+            jobs.append(lambda: twisted_sum_schedule(matrix, xi0, chars, schedule, table))
     if "correlation" in kinds or "single" in kinds:
         traj = period(matrix, xi0)
         for point in cfg.get("points", []):
@@ -381,57 +392,51 @@ def cmd_sum_scan(cfg: dict, outdir: Path, threads: int, config_blob: bytes, mu_c
             if kind not in ("correlation", "single") or kind not in kinds:
                 raise ConfigError(f"scan point with unusable kind: {point!r}")
             n = _as_int(point, "n", traj.period)
+            if n < 1:
+                raise ConfigError(f"scan point field 'n' must be >= 1, got {n}")
             n = min(n, traj.period)
+            u = modulus.elem(_as_int(point, "u"))
+            m = _as_int(point, "m")
             if kind == "correlation":
-                u = modulus.elem(_as_int(point, "u"))
                 v = modulus.elem(_as_int(point, "v"))
                 k = _as_int(point, "k")
-                m = _as_int(point, "m")
+                if not 0 <= k < m:
+                    raise ConfigError(f"scan point fields 'k' and 'm' need 0 <= k < m, got k={k}, m={m}")
+                if not (u or v):
+                    raise ConfigError("scan point fields 'u' and 'v' must not both be 0 mod p")
                 jobs.append(
-                    (
-                        "correlation",
-                        lambda u=u, v=v, k=k, m=m, n=n: [
-                            correlation_sum(matrix, xi0, psi, u, v, k, m, n, traj)
-                        ],
-                    )
+                    lambda u=u, v=v, k=k, m=m, n=n: [correlation_sum(matrix, xi0, psi, u, v, k, m, n, traj)]
                 )
             else:
-                u = modulus.elem(_as_int(point, "u"))
-                m = _as_int(point, "m")
-                jobs.append(
-                    ("single", lambda u=u, m=m, n=n: [single_sum(matrix, xi0, psi, u, m, n, traj)])
-                )
+                if m < 1:
+                    raise ConfigError(f"scan point field 'm' must be >= 1, got {m}")
+                if not u:
+                    raise ConfigError("scan point field 'u' must be nonzero mod p")
+                jobs.append(lambda u=u, m=m, n=n: [single_sum(matrix, xi0, psi, u, m, n, traj)])
 
-    results = _run_jobs(jobs, threads)
-    rows = [report.csv_row() for batch in results for report in batch]
+    rows = [report.csv_row() for job in jobs for report in job()]
     _write_outputs(outdir, {"sum_scan.csv": _csv_bytes(rows)}, config_blob)
     return EXIT_OK
 
 
-def _run_jobs(jobs, threads: int):
-    """Evaluate jobs, possibly concurrently, folding results in submission order."""
-    if threads <= 1 or len(jobs) <= 1:
-        return [fn() for _, fn in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn) for _, fn in jobs]
-        return [f.result() for f in futures]
-
-
-def cmd_weil_check(cfg: dict, outdir: Path, threads: int, config_blob: bytes) -> int:
+def cmd_weil_check(cfg: dict, outdir: Path, config_blob: bytes) -> int:
     """Ratio table for the exhaustive square-root-bound sums on a random grid."""
     primes = _as_int_list(cfg, "primes", [101, 199, 293])
     norm_one_primes = _as_int_list(cfg, "norm_one_primes", [])
     per_prime = _as_int(cfg, "functions_per_prime", 100)
     rng_seed = _as_int(cfg, "rng_seed", 1)
     max_degree = _as_int(cfg, "max_degree", 3)
+    if per_prime < 1 or max_degree < 1:
+        raise ConfigError("fields 'functions_per_prime' and 'max_degree' must be >= 1")
+    for key, values in (("primes", primes), ("norm_one_primes", norm_one_primes)):
+        for i, p in enumerate(values):
+            try:
+                PrimeModulus(p)
+            except ValueError as exc:
+                raise ConfigError(f"field '{key}[{i}]': {exc}") from None
 
-    jobs = []
-    for p in primes:
-        jobs.append(("fp", lambda p=p: _weil_fp_batch(p, per_prime, rng_seed, max_degree)))
-    for p in norm_one_primes:
-        jobs.append(("fp2", lambda p=p: _weil_fp2_batch(p, per_prime, rng_seed, max_degree)))
-    results = _run_jobs(jobs, threads)
-    reports = [report for batch in results for report in batch]
+    reports = [r for p in primes for r in _weil_fp_batch(p, per_prime, rng_seed, max_degree)]
+    reports += [r for p in norm_one_primes for r in _weil_fp2_batch(p, per_prime, rng_seed, max_degree)]
     rows = [r.csv_row() for r in reports]
     finite = [r.ratio for r in reports if math.isfinite(r.ratio)]
     summary = {
@@ -489,14 +494,20 @@ def _first_irreducible_extension(modulus: PrimeModulus) -> QuadExtension:
     raise AssertionError("no irreducible quadratic found; p is not an odd prime?")
 
 
-def cmd_bsz_report(cfg: dict, outdir: Path, threads: int, config_blob: bytes, mu_cache: str | None) -> int:
+def cmd_bsz_report(cfg: dict, outdir: Path, config_blob: bytes, mu_cache: str | None) -> int:
     """JSON decomposition ledger plus the admissibility-condition block."""
     modulus = _parse_modulus(cfg)
     matrix = _parse_matrix(cfg, modulus, need_distinct_roots=True)
     xi0 = _parse_seed(cfg, modulus)
     n = _as_int(cfg, "n")
+    if n < 1:
+        raise ConfigError(f"field 'n' must be >= 1, got {n}")
     alpha = _as_float(cfg, "alpha")
+    if not 0.0 < alpha < 0.5:
+        raise ConfigError(f"field 'alpha' must lie in (0, 1/2), got {alpha}")
     epsilon = _as_float(cfg, "epsilon", 0.1)
+    if epsilon <= 0.0:
+        raise ConfigError(f"field 'epsilon' must be > 0, got {epsilon}")
     nu_kind = cfg.get("nu", "mobius")
     f_kind = cfg.get("f", "psi_xi")
     if nu_kind not in ("mobius", "one") or f_kind not in ("psi_xi", "one"):
@@ -504,37 +515,18 @@ def cmd_bsz_report(cfg: dict, outdir: Path, threads: int, config_blob: bytes, mu
 
     traj = period(matrix, xi0)
     if f_kind == "psi_xi":
-        psi = AdditiveCharacter(modulus.elem(_as_int(cfg, "psi_u", 1)))
-        if not psi.is_nontrivial:
+        psi_u = _as_int(cfg, "psi_u", 1) % modulus.p
+        if not psi_u:
             raise ConfigError("field 'psi_u' must be nonzero")
-        orbit_values = []
-        it = trajectory_iter(matrix, xi0)
-        for _ in range(traj.period):
-            orbit_values.append(next(it))
-        phase = [psi(x) for x in orbit_values]
-        t = traj.period
-
-        def f_handle(idx: int) -> complex:
-            return phase[(idx - 1) % t]
-
+        phase = _unit(_angles(traj.orbit_table, modulus.p, psi_u))  # F(n) = phase[(n - 1) % t]
     else:
-
-        def f_handle(idx: int) -> complex:
-            return 1.0
-
+        phase = np.ones(1, dtype=complex)
     if nu_kind == "mobius":
-        table = _load_or_build_mu(n, mu_cache)
-        mu_list = table.values[: n + 1].tolist()
-
-        def nu_handle(idx: int) -> complex:
-            return float(mu_list[idx]) if idx <= n else float(mobius_oracle(idx))
-
+        nu = _load_or_build_mu(n, mu_cache).values[: n + 1]
     else:
+        nu = np.ones(n + 1, dtype=np.int8)
 
-        def nu_handle(idx: int) -> complex:
-            return 1.0
-
-    decomposition = decomposition_report(nu_handle, f_handle, n, alpha, traj.period)
+    decomposition = decomposition_report(nu, phase, n, alpha, traj.period)
     conditions = theorem_conditions(alpha, n, modulus.p, traj.period, epsilon)
     body = decomposition.to_dict()
     body["conditions"] = conditions.to_dict()
@@ -545,7 +537,7 @@ def cmd_bsz_report(cfg: dict, outdir: Path, threads: int, config_blob: bytes, mu
     return EXIT_OK
 
 
-def cmd_mobius_check(cfg: dict, outdir: Path, threads: int, config_blob: bytes) -> int:
+def cmd_mobius_check(cfg: dict, outdir: Path, config_blob: bytes) -> int:
     """Exhaustive sieve-vs-oracle comparison up to the configured limit."""
     limit = _as_int(cfg, "limit")
     if limit < 1:
@@ -587,7 +579,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to the JSON run config")
         cmd.add_argument("--out", required=True, help="output directory")
         cmd.add_argument("--mu-cache", default=None, help="optional Mobius table cache file")
-        cmd.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
+        cmd.add_argument(
+            "--threads", type=int, default=None, help="accepted for compatibility (>= 1); runs use one thread"
+        )
     return parser
 
 
@@ -596,20 +590,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = ExperimentConfig.load(args.command, args.config)
         cfg, config_blob = config.raw, config.blob
+        # accepted for compatibility and validated, but every command runs in one thread
         threads = args.threads if args.threads is not None else _as_int(cfg, "threads", 1)
         if threads < 1:
             raise ConfigError("threads must be >= 1")
         outdir = Path(args.out)
         if args.command == "verify-spectral":
-            return cmd_verify_spectral(cfg, outdir, threads, config_blob)
+            return cmd_verify_spectral(cfg, outdir, config_blob)
         if args.command == "sum-scan":
-            return cmd_sum_scan(cfg, outdir, threads, config_blob, args.mu_cache)
+            return cmd_sum_scan(cfg, outdir, config_blob, args.mu_cache)
         if args.command == "weil-check":
-            return cmd_weil_check(cfg, outdir, threads, config_blob)
+            return cmd_weil_check(cfg, outdir, config_blob)
         if args.command == "bsz-report":
-            return cmd_bsz_report(cfg, outdir, threads, config_blob, args.mu_cache)
+            return cmd_bsz_report(cfg, outdir, config_blob, args.mu_cache)
         if args.command == "mobius-check":
-            return cmd_mobius_check(cfg, outdir, threads, config_blob)
+            return cmd_mobius_check(cfg, outdir, config_blob)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ import random
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mobiusdyn.arith_fn import (
@@ -24,6 +25,7 @@ from mobiusdyn.arith_fn import (
     unit_circle,
 )
 from mobiusdyn.bsz_harness import (
+    decomposition_report,
     distinct_products_check,
     make_params,
     prime_blocks,
@@ -276,7 +278,8 @@ def test_criterion_8_bsz_sanity_all_ones():
     params = make_params(0.2, n)
     blocks = prime_blocks(params)
     sets = sieve_sets(params, blocks)
-    w = wj_sums(lambda r: 1.0, lambda k: 1.0, blocks, sets)
+    nu, phase = np.ones(n + 1, dtype=np.int8), np.ones(1, dtype=complex)
+    w = wj_sums(nu, phase, blocks, sets)
     for block, qset, wj in zip(blocks, sets, w):
         assert wj == float(len(block.primes) * len(qset.members))
     from mobiusdyn.char_sums import SumAccumulator
@@ -285,6 +288,8 @@ def test_criterion_8_bsz_sanity_all_ones():
     for _ in range(n):
         acc.add(1.0 + 0.0j)
     assert acc.value.real == float(n) and acc.value.imag == 0.0
+    lhs = decomposition_report(nu, phase, n, 0.2, period=1).lhs
+    assert lhs.real == float(n) and lhs.imag == 0.0
     print(f"\nPASS criterion 8: nu = F = 1 gives LHS = N and W_j = #P_j * #Q_j exactly")
 
 

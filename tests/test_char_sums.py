@@ -147,6 +147,19 @@ def test_twisted_schedule_matches_standalone(mu_table):
         assert r.value == solo.value
 
 
+def test_twisted_schedule_shares_one_pass_across_characters(mu_table):
+    # several characters in one call: the same values as one call per
+    # character, character by character, each over the whole schedule
+    chars = [AdditiveCharacter(M101.elem(u)) for u in (1, 3, 100)]
+    schedule = [10, 100, 1000, 5000]
+    shared = twisted_sum_schedule(A101, XI101, chars, schedule, mu_table)
+    separate = [r for psi in chars for r in twisted_sum_schedule(A101, XI101, psi, schedule, mu_table)]
+    assert [r.csv_row() for r in shared] == [r.csv_row() for r in separate]
+    assert [(r.params["u"], r.term_count) for r in shared] == [(u, n) for u in (1, 3, 100) for n in schedule]
+    with pytest.raises(ValueError):
+        twisted_sum_schedule(A101, XI101, [PSI101, AdditiveCharacter(M101.elem(0))], schedule, mu_table)
+
+
 def test_twisted_validation(mu_table):
     with pytest.raises(ValueError):
         twisted_sum(A101, XI101, AdditiveCharacter(M101.elem(0)), 5, mu_table)

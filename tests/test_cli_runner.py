@@ -287,3 +287,88 @@ def test_mu_cache_values_outside_mu_range_are_config_error(tmp_path, capsys):
     code, _ = run(tmp_path, "sum-scan", cfg, extra=["--mu-cache", str(cache)])
     assert code == EXIT_CONFIG
     assert "mu-cache" in capsys.readouterr().err
+
+
+# --- parameter errors name their field and exit 2 -----------------------------------
+
+BSZ_BASE = {
+    "p": "101",
+    "matrix": ["27", "39", "5", "11"],
+    "seed": "55",
+    "alpha": "0.25",
+    "n": "2000",
+}
+SCAN_BASE = {"p": "101", "matrix": ["27", "39", "5", "11"], "seed": "55"}
+
+
+@pytest.mark.parametrize(
+    "command, base, change, field",
+    [
+        ("bsz-report", BSZ_BASE, {"alpha": "0.7"}, "'alpha'"),
+        ("bsz-report", BSZ_BASE, {"epsilon": "0"}, "'epsilon'"),
+        ("bsz-report", BSZ_BASE, {"n": "0"}, "'n'"),
+        ("bsz-report", BSZ_BASE, {"n": 100000.9}, "'n'"),
+        ("bsz-report", BSZ_BASE, {"psi_u": True}, "'psi_u'"),
+        ("bsz-report", BSZ_BASE, {"alpha": True}, "'alpha'"),
+        (
+            "sum-scan",
+            SCAN_BASE,
+            {"kinds": ["correlation"], "points": [{"kind": "correlation", "u": "1", "v": "2", "k": "3", "m": "3"}]},
+            "'k' and 'm'",
+        ),
+        ("sum-scan", SCAN_BASE, {"n_schedule": ["100", 50.5]}, "'n_schedule[1]'"),
+        ("sum-scan", SCAN_BASE, {"n_schedule": ["500", "100"]}, "'n_schedule'"),
+        ("sum-scan", SCAN_BASE, {"n_schedule": ["100"], "psi_u": True}, "'psi_u'"),
+        ("sum-scan", {**SCAN_BASE, "seed": 55.0}, {"n_schedule": ["100"]}, "'seed'"),
+        ("verify-spectral", {**SCAN_BASE, "matrix": ["27", "39", "5", False]}, {}, "'matrix[3]'"),
+        ("weil-check", {"functions_per_prime": "2"}, {"primes": ["101", "91"]}, "'primes[1]'"),
+        ("weil-check", {"functions_per_prime": "2"}, {"norm_one_primes": ["1"]}, "'norm_one_primes[0]'"),
+        ("weil-check", {"functions_per_prime": "2"}, {"max_degree": "0"}, "'max_degree'"),
+        ("weil-check", {}, {"functions_per_prime": "-2"}, "'functions_per_prime'"),
+        ("verify-spectral", SCAN_BASE, {"window": "-5"}, "'window'"),
+    ],
+    ids=[
+        "bsz-alpha-0.7",
+        "bsz-epsilon-0",
+        "bsz-n-0",
+        "bsz-n-float",
+        "bsz-psi_u-bool",
+        "bsz-alpha-bool",
+        "scan-k-not-below-m",
+        "scan-schedule-float",
+        "scan-schedule-descending",
+        "scan-psi_u-bool",
+        "scan-seed-float",
+        "spectral-matrix-bool",
+        "weil-composite-prime",
+        "weil-norm-one-prime-1",
+        "weil-max-degree-0",
+        "weil-negative-count",
+        "spectral-negative-window",
+    ],
+)
+def test_parameter_errors_exit_2_and_name_the_field(tmp_path, capsys, command, base, change, field):
+    code, outdir = run(tmp_path, command, {**base, **change})
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert field in err
+    assert "Traceback" not in err
+    assert not outdir.exists() or not any(outdir.iterdir())
+
+
+def test_exact_fields_take_true_ints_and_decimal_strings(tmp_path):
+    body = {**BSZ_BASE, "n": 2000, "psi_u": "+1", "nu": "one", "f": "one"}
+    code, outdir = run(tmp_path, "bsz-report", body)
+    assert code == EXIT_OK
+    assert json.loads((outdir / "bsz_report.json").read_text())["params"]["n"] == 2000
+
+
+def test_threads_is_validated_but_changes_nothing(tmp_path):
+    cfg = {**SCAN_BASE, "kinds": ["twisted"], "frequencies": ["1", "3"], "n_schedule": ["50", "500"]}
+    code, _ = run(tmp_path, "sum-scan", cfg, out_name="t0", extra=["--threads", "0"])
+    assert code == EXIT_CONFIG
+    code, _ = run(tmp_path, "sum-scan", {**cfg, "threads": "0"}, out_name="t0cfg")
+    assert code == EXIT_CONFIG
+    _, out1 = run(tmp_path, "sum-scan", cfg, out_name="t1", extra=["--threads", "1"])
+    _, out3 = run(tmp_path, "sum-scan", cfg, out_name="t3", extra=["--threads", "3"])
+    assert (out1 / "sum_scan.csv").read_bytes() == (out3 / "sum_scan.csv").read_bytes()
