@@ -14,7 +14,6 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -210,9 +209,6 @@ def mobius_oracle(n: int) -> int:
     return sign
 
 
-_PHASE_TABLE_LIMIT = 1 << 21
-
-
 @dataclass(frozen=True)
 class AdditiveCharacter:
     """psi_u : x -> e(u*x/p) on F_p; nontrivial exactly when u != 0."""
@@ -231,19 +227,6 @@ class AdditiveCharacter:
         if x.modulus != self.u.modulus:
             raise ValueError("argument lives in a different field")
         return unit_circle(self.u.value * x.value, self.p)
-
-    def value_at(self, xval: int) -> complex:
-        """psi(x) for a raw residue, for the sum kernels."""
-        return unit_circle(self.u.value * xval, self.p)
-
-    @cached_property
-    def phase_table(self) -> list[complex]:
-        """psi(x) for x = 0..p-1, each entry from its own exact phase."""
-        if self.p > _PHASE_TABLE_LIMIT:
-            raise MemoryError(f"phase table not built for p > {_PHASE_TABLE_LIMIT}")
-        u = self.u.value
-        p = self.p
-        return [unit_circle(u * x, p) for x in range(p)]
 
 
 @dataclass(frozen=True)

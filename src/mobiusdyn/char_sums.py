@@ -14,9 +14,8 @@ correlation and single sums.  Phases are reduced as exact integers before
 any cos/sin, and each component is one exactly rounded math.fsum, so results
 do not depend on summation order or thread count.  The table follows the
 extended scalar map, so orbits through the pole take the same path.
-
-The exhaustive Weil kernels still add term by term through SumAccumulator,
-a Kahan accumulator with a fixed chunked reduction order.
+The exhaustive Weil kernels follow the same pattern over all of F_p or the
+norm-one group: exact int64 phase numerators, then one fsum per component.
 """
 
 from __future__ import annotations
@@ -34,11 +33,12 @@ from .arith_fn import (
     MobiusTable,
     MultiplicativeCharacter,
     TableTooSmall,
-    unit_circle,
 )
 from .field_arith import (
+    _mul_pairs,
     Fp2Elem,
     FpElem,
+    ModulusMismatch,
     QuadExtension,
     ReducibleExtension,
     discrete_index,
@@ -63,60 +63,8 @@ class RangeGuard(ValueError):
     """Requested modulus exceeds the brute-force enumeration caps."""
 
 
-CHUNK_SIZE = 1 << 16
-
 _INT64_EXACT = 1 << 31
 _BLOCK = 1 << 14
-
-
-class SumAccumulator:
-    """Compensated complex summation with deterministic chunked reduction.
-
-    Terms go into a Kahan accumulator per chunk of CHUNK_SIZE terms; chunk
-    totals are folded in ascending order by a second Kahan stage.  The
-    per-component rounding error stays within a few epsilons per term.
-    """
-
-    __slots__ = ("chunk_size", "count", "_n", "_sr", "_cr", "_si", "_ci", "_tr", "_tcr", "_ti", "_tci")
-
-    def __init__(self, chunk_size: int = CHUNK_SIZE):
-        self.chunk_size = chunk_size
-        self.count = 0
-        self._n = 0
-        self._sr = self._cr = self._si = self._ci = 0.0
-        self._tr = self._tcr = self._ti = self._tci = 0.0
-
-    def add(self, z: complex) -> None:
-        y = z.real - self._cr
-        t = self._sr + y
-        self._cr = (t - self._sr) - y
-        self._sr = t
-        y = z.imag - self._ci
-        t = self._si + y
-        self._ci = (t - self._si) - y
-        self._si = t
-        self.count += 1
-        self._n += 1
-        if self._n == self.chunk_size:
-            self._fold()
-
-    def _fold(self) -> None:
-        y = self._sr - self._tcr
-        t = self._tr + y
-        self._tcr = (t - self._tr) - y
-        self._tr = t
-        y = self._si - self._tci
-        t = self._ti + y
-        self._tci = (t - self._ti) - y
-        self._ti = t
-        self._n = 0
-        self._sr = self._cr = self._si = self._ci = 0.0
-
-    @property
-    def value(self) -> complex:
-        re = self._tr + (self._sr - self._tcr)
-        im = self._ti + (self._si - self._tci)
-        return complex(re, im)
 
 
 _CSV_FIELDS = ("sum_kind", "p", "a", "b", "c", "d", "xi0", "u", "v", "k", "m", "h", "N", "re", "im", "abs", "bound", "ratio")
@@ -181,12 +129,6 @@ class SumReport:
 def _matrix_params(matrix: MobiusMatrix, xi0: FpElem) -> dict:
     a, b, c, d = matrix.entries()
     return {"a": a, "b": b, "c": c, "d": d, "xi0": xi0.value}
-
-
-def _psi_lookup(psi: AdditiveCharacter):
-    if psi.p <= 1 << 21:
-        return psi.phase_table.__getitem__
-    return psi.value_at
 
 
 def _residues(values: np.ndarray, p: int) -> np.ndarray:
@@ -508,6 +450,43 @@ _WEIL_FP_LIMIT = 10**5
 _WEIL_FP2_LIMIT = 3000
 
 
+def _pow_mod(base: np.ndarray, exp: int, p: int) -> np.ndarray:
+    """base**exp mod p per entry by square-and-multiply; exact in int64 for p < 2^31."""
+    out = np.ones_like(base)
+    while exp:
+        if exp & 1:
+            out = out * base % p
+        base = base * base % p
+        exp >>= 1
+    return out
+
+
+def _horner_fp(coeffs: tuple, x: np.ndarray, p: int) -> np.ndarray:
+    """The polynomial with F_p coefficients `coeffs` (low to high) at every entry of x."""
+    acc = np.zeros_like(x)
+    for c in reversed(coeffs):
+        acc = (acc * x + c.value) % p
+    return acc
+
+
+def _horner_fp2(coeffs: tuple, z, e: int, p: int):
+    """The polynomial with F_{p^2} coefficients `coeffs` at every pair (z0, z1) of z."""
+    acc = (np.zeros_like(z[0]), np.zeros_like(z[0]))
+    for c in reversed(coeffs):
+        a0, a1 = _mul_pairs(acc, z, e, p)
+        acc = ((a0 + c.c0.value) % p, (a1 + c.c1.value) % p)
+    return acc
+
+
+def _weil_report(kind: str, angle: np.ndarray, p: int, rf, psi, chi) -> SumReport:
+    """One term e^(i angle) per entry; reference bound max(deg g, deg h) * sqrt(p)."""
+    params = {"u": psi.u.value}
+    if chi is not None:
+        params["h"] = chi.multiplier
+    value = _weighted_sum(1, np.cos(angle), np.sin(angle))
+    return SumReport(kind, value, angle.size, p, rf.max_degree * math.sqrt(p), params)
+
+
 def weil_sum_fp(
     rf: RationalFunction,
     psi: AdditiveCharacter,
@@ -518,58 +497,38 @@ def weil_sum_fp(
     chi = None means no multiplicative twist (the x = 0 term is included);
     a given chi must be a character of the full group F_p^* and contributes
     nothing at x = 0.  Reference bound: max(deg g, deg h) * sqrt(p).
+    h and g are evaluated at every x at once on int64 arrays (exact for
+    p <= _WEIL_FP_LIMIT); the phase is u*h(x)/g(x) mod p, plus
+    multiplier*ind(x) mod p - 1 under chi, and the terms go into one fsum.
     """
     if not psi.is_nontrivial:
         raise ValueError("psi must be a nontrivial additive character")
     p = psi.p
     if p > _WEIL_FP_LIMIT:
         raise RangeGuard(f"exhaustive sum capped at p <= {_WEIL_FP_LIMIT}")
-    look = _psi_lookup(psi)
-    chi_table = None
+    x = np.arange(p, dtype=np.int64)
+    den = _horner_fp(rf.denominator, x, p)
+    live = den != 0
     if chi is not None:
         if chi.order != p - 1:
             raise ValueError("chi must be a character of the full group F_p^*")
-        chi_table = [complex(0.0, 0.0)] * p
         g = int(chi.generator)
         if g <= 1:
             raise ValueError("chi generator must generate F_p^*")
-        x = 1
+        ind = np.full(p, -1, dtype=np.int64)  # ind[g^i] = i; ind[0] stays -1
+        power = 1
         for i in range(p - 1):
-            chi_table[x] = unit_circle(chi.multiplier * i, p - 1)
-            x = x * g % p
-        if x != 1:
+            ind[power] = i
+            power = power * g % p
+        if (ind[1:] < 0).any():
             raise ValueError("chi generator does not have order p - 1")
-    num = tuple(c.value for c in rf.numerator)
-    den = tuple(c.value for c in rf.denominator)
-    acc = SumAccumulator()
-    terms = 0
-    for x in range(p):
-        d = _horner_int(den, x, p)
-        if d == 0:
-            continue
-        val = _horner_int(num, x, p) * pow(d, p - 2, p) % p if num else 0
-        term = look(val)
-        if chi_table is not None:
-            cx = chi_table[x]
-            if cx == 0:
-                continue
-            term *= cx
-        acc.add(term)
-        terms += 1
-    bound = rf.max_degree * math.sqrt(p)
-    params = {"u": psi.u.value}
+        live[0] = False  # chi(0) = 0
+    x, den = x[live], den[live]
+    val = _horner_fp(rf.numerator, x, p) * _pow_mod(den, p - 2, p) % p
+    angle = _angles(val, p, psi.u.value)
     if chi is not None:
-        params["h"] = chi.multiplier
-    return SumReport("weil_fp", acc.value, terms, p, bound, params)
-
-
-def _horner_int(coeffs: tuple[int, ...], x: int, p: int) -> int:
-    if not coeffs:
-        return 0
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = (acc * x + c) % p
-    return acc
+        angle += _angles(ind[x], p - 1, chi.multiplier % (p - 1))
+    return _weil_report("weil_fp", angle, p, rf, psi, chi)
 
 
 def weil_sum_fp2_norm_one(
@@ -583,6 +542,8 @@ def weil_sum_fp2_norm_one(
     sum over {z : Nm(z) = 1, g(z) != 0} of psi(Tr(h(z)/g(z))) chi(z); the
     group has p + 1 elements and is enumerated as powers of its canonical
     generator, ascending in the exponent.  Bound: max(deg g, deg h)*sqrt(p).
+    The group is held as two int64 coordinate arrays (z = c0 + c1*Z), g(z) is
+    inverted through its conjugate and norm, and Tr(c0 + c1*Z) = 2*c0 + e*c1.
     """
     if not psi.is_nontrivial:
         raise ValueError("psi must be a nontrivial additive character")
@@ -593,6 +554,8 @@ def weil_sum_fp2_norm_one(
     if not ext.is_irreducible:
         raise ReducibleExtension("norm-one sums need an irreducible extension")
     gen = generator if generator is not None else norm_group_generator(ext)
+    if any(c.ext != ext for c in (gen, *rf.numerator, *rf.denominator)):
+        raise ModulusMismatch("generator and coefficients must lie in one quadratic extension")
     t = p + 1
     chi_shift = 0
     if chi is not None:
@@ -601,109 +564,21 @@ def weil_sum_fp2_norm_one(
         chi_shift = chi.multiplier * (
             1 if chi.generator == gen else discrete_index(gen, chi.generator, t)
         )
-    look = _psi_lookup(psi)
-    acc = SumAccumulator()
-    z = ext.one
-    terms = 0
+    e = ext.e.value
+    z = np.empty((2, t), dtype=np.int64)  # z[:, i] = gen^i
+    power = (1, 0)
     for i in range(t):
-        val = rf.value_at(z)
-        if val is not None:
-            term = look(val.trace().value)
-            if chi is not None:
-                term *= unit_circle(chi_shift * i, t)
-            acc.add(term)
-            terms += 1
-        z = z * gen
-    if z != ext.one:
+        z[:, i] = power
+        power = _mul_pairs(power, (gen.c0.value, gen.c1.value), e, p)
+    if power != (1, 0):
         raise AssertionError("generator does not have order p + 1")
-    bound = rf.max_degree * math.sqrt(p)
-    params = {"u": psi.u.value}
+    d0, d1 = _horner_fp2(rf.denominator, z, e, p)
+    idx = np.flatnonzero((d0 != 0) | (d1 != 0))
+    d0, d1 = d0[idx], d1[idx]
+    norm_inv = _pow_mod((d0 * d0 + e * d0 * d1 + d1 * d1) % p, p - 2, p)
+    den_inv = ((d0 + e * d1) * norm_inv % p, -d1 * norm_inv % p)  # conj(g) / Nm(g)
+    h0, h1 = _mul_pairs(_horner_fp2(rf.numerator, z[:, idx], e, p), den_inv, e, p)
+    angle = _angles((2 * h0 + e * h1) % p, p, psi.u.value)
     if chi is not None:
-        params["h"] = chi.multiplier
-    return SumReport("weil_fp2_norm1", acc.value, terms, p, bound, params)
-
-
-@dataclass(frozen=True)
-class ScanPoint:
-    """One trajectory instance of a ratio scan (all entries plain ints)."""
-
-    p: int
-    a: int
-    b: int
-    c: int
-    d: int
-    xi0: int
-
-
-@dataclass
-class ScanConfig:
-    """Deterministic grid for bound_ratio_scan.
-
-    kind: 'correlation' or 'single'.  Correlation runs each (u, v) frequency
-    pair at indices (k, m); single sums use u only.  n_terms = None means
-    the full period of each instance.
-    """
-
-    kind: str
-    instances: list[ScanPoint]
-    frequencies: list[tuple[int, int]]
-    k: int = 0
-    m: int = 1
-    psi_u: int = 1
-    n_terms: int | None = None
-
-
-def bound_ratio_scan(config: ScanConfig) -> tuple[list[SumReport], dict]:
-    """Run the grid in deterministic order and summarise the observed ratios.
-
-    Degenerate grid points whose reference bound vanishes are recorded with
-    ratio = inf but excluded from the quantile summary.
-    """
-    from .field_arith import PrimeModulus
-
-    reports: list[SumReport] = []
-    for inst in config.instances:
-        modulus = PrimeModulus(inst.p)
-        matrix = MobiusMatrix(
-            modulus.elem(inst.a), modulus.elem(inst.b), modulus.elem(inst.c), modulus.elem(inst.d)
-        )
-        xi0 = modulus.elem(inst.xi0)
-        psi = AdditiveCharacter(modulus.elem(config.psi_u))
-        traj = period(matrix, xi0)
-        n = config.n_terms if config.n_terms is not None else traj.period
-        n = min(n, traj.period)
-        for u, v in config.frequencies:
-            if config.kind == "correlation":
-                reports.append(
-                    correlation_sum(
-                        matrix, xi0, psi, modulus.elem(u), modulus.elem(v), config.k, config.m, n, traj
-                    )
-                )
-            elif config.kind == "single":
-                reports.append(single_sum(matrix, xi0, psi, modulus.elem(u), config.m, n, traj))
-            else:
-                raise ValueError(f"unknown scan kind {config.kind!r}")
-    return reports, ratio_summary(reports)
-
-
-def ratio_summary(reports: Sequence[SumReport]) -> dict:
-    ratios = sorted(r.ratio for r in reports if math.isfinite(r.ratio))
-    if not ratios:
-        return {"count": 0}
-
-    def q(frac: float) -> float:
-        if len(ratios) == 1:
-            return ratios[0]
-        pos = frac * (len(ratios) - 1)
-        lo = int(pos)
-        hi = min(lo + 1, len(ratios) - 1)
-        return ratios[lo] + (pos - lo) * (ratios[hi] - ratios[lo])
-
-    return {
-        "count": len(ratios),
-        "min": ratios[0],
-        "q25": q(0.25),
-        "median": q(0.5),
-        "q75": q(0.75),
-        "max": ratios[-1],
-    }
+        angle += _angles(idx, t, chi_shift % t)
+    return _weil_report("weil_fp2_norm1", angle, p, rf, psi, chi)

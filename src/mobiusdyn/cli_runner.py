@@ -11,7 +11,8 @@ working, but they change nothing.  A thread pool over the grid points was
 measured slower than one thread, since the kernels hold the interpreter lock.
 
 Exact fields also accept a JSON integer, but never a float or a boolean.  A
-bad or out-of-range field exits 2 and names the field.
+bad or out-of-range field exits 2 and names the field; so does a key the
+command does not read, which is most often a misspelling.
 
 Exit codes: 0 success, 1 mathematical mismatch, 2 configuration or usage
 error, 3 resource guard.
@@ -71,9 +72,9 @@ from .mobius_dynamics import (
     MobiusMatrix,
     NonSquareDeterminant,
     SingularMatrix,
+    linear_lift,
     normalize_to_sl2,
     period,
-    recurrence_pair,
     spectral_form,
     spectral_orbit,
     trajectory_iter,
@@ -148,6 +149,26 @@ def _as_int_list(cfg: dict, key: str, default=None) -> list[int]:
     return [_exact_int(item, f"{key}[{i}]") for i, item in enumerate(raw)]
 
 
+# the fields each command reads; `command` and `threads` are allowed everywhere
+_COMMAND_KEYS = {
+    "verify-spectral": {"p", "matrix", "seed", "samples", "window", "rng_seed"},
+    "sum-scan": {"p", "matrix", "seed", "kinds", "psi_u", "n_schedule", "frequencies", "points"},
+    "weil-check": {"primes", "norm_one_primes", "functions_per_prime", "rng_seed", "max_degree"},
+    "bsz-report": {"p", "matrix", "seed", "n", "alpha", "epsilon", "nu", "f", "psi_u"},
+    "mobius-check": {"limit"},
+}
+_COMMON_KEYS = {"command", "threads"}
+_POINT_KEYS = {"kind", "u", "v", "k", "m", "n"}
+
+
+def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
+    """A key nobody reads is a typo: refuse it rather than run without it."""
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        names = ", ".join(f"'{k}'" for k in unknown)
+        raise ConfigError(f"unknown {where} field {names}; allowed: {', '.join(sorted(allowed))}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One run's validated configuration: the raw JSON object plus its bytes.
@@ -176,6 +197,7 @@ class ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
+        _reject_unknown(raw, _COMMAND_KEYS[command] | _COMMON_KEYS, f"{command} config")
         return cls(command, raw, blob)
 
 
@@ -343,18 +365,18 @@ def verify_three_way(matrix: MobiusMatrix, xi0: FpElem, window: int) -> dict:
     """Compare the three orbit views for n = 1..window on a pole-free orbit."""
     mismatches = 0
     direct = trajectory_iter(matrix, xi0)
-    lift = recurrence_pair(matrix, xi0).stream()
+    lift = linear_lift(matrix, xi0)
     closed = spectral_orbit(spectral_form(matrix, xi0))
     next(lift)  # n = 0
     next(closed)
     for _ in range(window):
         x = next(direct)
-        step = next(lift)
+        u, v = next(lift)
         s = next(closed)
-        if step.pole or s is None:
+        if not v or s is None:
             mismatches += 1
             continue
-        if not (step.u == x * step.v and s == x):
+        if not (u == x * v and s == x):
             mismatches += 1
     return {"mismatches": mismatches}
 
@@ -388,6 +410,7 @@ def cmd_sum_scan(cfg: dict, outdir: Path, config_blob: bytes, mu_cache: str | No
         for point in cfg.get("points", []):
             if not isinstance(point, dict):
                 raise ConfigError(f"scan points must be objects, got {point!r}")
+            _reject_unknown(point, _POINT_KEYS, "scan point")
             kind = point.get("kind")
             if kind not in ("correlation", "single") or kind not in kinds:
                 raise ConfigError(f"scan point with unusable kind: {point!r}")

@@ -266,6 +266,15 @@ class QuadExtension:
         return f"QuadExtension(Z^2 - {self.e.value}*Z + 1 mod {self.p})"
 
 
+def _mul_pairs(a, b, e: int, p: int):
+    """(a0 + a1*Z)(b0 + b1*Z) mod (p, Z^2 - e*Z + 1) on coordinate pairs.
+
+    The coordinates may be ints or int64 arrays (exact there while 3*p^2 < 2^63).
+    """
+    cross = a[1] * b[1] % p
+    return (a[0] * b[0] - cross) % p, (a[0] * b[1] + a[1] * b[0] + e * cross) % p
+
+
 @dataclass(frozen=True)
 class Fp2Elem:
     """c0 + c1*Z in F_p[Z]/(Z^2 - e*Z + 1); reduction Z^2 -> e*Z - 1 is canonical."""
@@ -295,13 +304,8 @@ class Fp2Elem:
 
     def __mul__(self, other: "Fp2Elem") -> "Fp2Elem":
         self._same_ring(other)
-        p = self.p
-        a0, a1 = self.c0.value, self.c1.value
-        b0, b1 = other.c0.value, other.c1.value
-        e = self.ext.e.value
-        cross = a1 * b1 % p
-        c0 = (a0 * b0 - cross) % p
-        c1 = (a0 * b1 + a1 * b0 + e * cross) % p
+        a = (self.c0.value, self.c1.value)
+        c0, c1 = _mul_pairs(a, (other.c0.value, other.c1.value), self.ext.e.value, self.p)
         m = self.ext.modulus
         return Fp2Elem(FpElem(c0, m), FpElem(c1, m), self.ext)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -246,48 +246,19 @@ def period(matrix: MobiusMatrix, xi0: FpElem) -> Trajectory:
     return Trajectory(matrix, xi0, steps, pole_hit, t_ord)
 
 
-class RecurrenceStep(NamedTuple):
-    u: FpElem
-    v: FpElem
-    pole: bool
-
-
-@dataclass(frozen=True)
-class RecurrencePair:
-    """The linear lift of an orbit: (u_{n+1}, v_{n+1})^T = A (u_n, v_n)^T.
+def linear_lift(matrix: MobiusMatrix, xi0: FpElem) -> Iterator[tuple[FpElem, FpElem]]:
+    """Yield (u_n, v_n) for n = 0, 1, 2, ...: (u_{n+1}, v_{n+1})^T = A (u_n, v_n)^T.
 
     Initial values are (u_0, v_0) = (xi_0, 1), so xi_n = u_n / v_n as long as
     v_n != 0; v_n = 0 marks the projective orbit sitting at infinity.  The
     matrix rule is the normative definition; since det A = 1, both sequences
     also satisfy the scalar recurrence w_{n+2} = e*w_{n+1} - w_n.
     """
-
-    matrix: MobiusMatrix
-    seed: FpElem
-
-    @property
-    def e(self) -> FpElem:
-        return self.matrix.trace
-
-    @property
-    def initial_u(self) -> tuple[FpElem, FpElem]:
-        return (self.seed, self.matrix.a * self.seed + self.matrix.b)
-
-    @property
-    def initial_v(self) -> tuple[FpElem, FpElem]:
-        return (self.matrix.modulus.one, self.matrix.c * self.seed + self.matrix.d)
-
-    def stream(self) -> Iterator[RecurrenceStep]:
-        """Yield (u_n, v_n) for n = 0, 1, 2, ... with a flag at v_n = 0 steps."""
-        a, b, c, d = self.matrix.a, self.matrix.b, self.matrix.c, self.matrix.d
-        u, v = self.seed, self.matrix.modulus.one
-        while True:
-            yield RecurrenceStep(u, v, not v)
-            u, v = a * u + b * v, c * u + d * v
-
-
-def recurrence_pair(matrix: MobiusMatrix, xi0: FpElem) -> RecurrencePair:
-    return RecurrencePair(matrix, xi0)
+    a, b, c, d = matrix.a, matrix.b, matrix.c, matrix.d
+    u, v = xi0, matrix.modulus.one
+    while True:
+        yield u, v
+        u, v = a * u + b * v, c * u + d * v
 
 
 @dataclass(frozen=True)
@@ -308,16 +279,16 @@ def spectral_form(matrix: MobiusMatrix, xi0: FpElem) -> SpectralForm:
     """Solve for (alpha, beta, gamma) from the linear lift of the orbit.
 
     Writing u_n = P*theta^n + Q*theta^-n and v_n = R*theta^n + S*theta^-n,
-    the coefficients come from 2x2 solves against (u_0, u_1) and (v_0, v_1);
-    then alpha = P/R, gamma = S/R, beta = (Q*R - P*S)/R^2.  R = 0 (the ratio
-    is affine in theta^(2n)) and beta = 0 (the seed is a fixed point) fall
-    outside the normal form and raise DegenerateSpectral.
+    the coefficients come from 2x2 solves against (u_0, u_1) and (v_0, v_1),
+    the first two items of linear_lift; then alpha = P/R, gamma = S/R,
+    beta = (Q*R - P*S)/R^2.  R = 0 (the ratio is affine in theta^(2n)) and
+    beta = 0 (the seed is a fixed point) fall outside the normal form and
+    raise DegenerateSpectral.
     """
     ext = matrix.extension
     theta, theta_inv = char_poly_roots(ext)
-    pair = recurrence_pair(matrix, xi0)
-    u0, u1 = (ext.embed(x) for x in pair.initial_u)
-    v0, v1 = (ext.embed(x) for x in pair.initial_v)
+    lift = [(ext.embed(u), ext.embed(v)) for u, v in islice(linear_lift(matrix, xi0), 3)]
+    (u0, v0), (u1, v1) = lift[:2]
     dinv = (theta - theta_inv).inv()
     p_coef = (u1 - u0 * theta_inv) * dinv
     q_coef = u0 - p_coef
@@ -334,15 +305,12 @@ def spectral_form(matrix: MobiusMatrix, xi0: FpElem) -> SpectralForm:
     form = SpectralForm(alpha, beta, gamma, theta)
     step = theta * theta
     cur = ext.one
-    u, v = u0, v0
-    ea, eb, ec, ed = (ext.embed(x) for x in (matrix.a, matrix.b, matrix.c, matrix.d))
-    for _ in range(3):
+    for u, v in lift:
         if v:
             den = cur + gamma
             if (alpha + beta * den.inv()) * v != u:
                 raise AssertionError("closed form disagrees with the linear lift")
         cur = cur * step
-        u, v = ea * u + eb * v, ec * u + ed * v
     return form
 
 

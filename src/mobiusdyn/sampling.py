@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .char_sums import RationalFunction, ScanConfig, ScanPoint
+from .char_sums import RationalFunction
 from .field_arith import Fp2Elem, FpElem, PrimeModulus, QuadExtension
 from .mobius_dynamics import (
     DegenerateSpectral,
@@ -146,22 +146,3 @@ def _proportional(num: tuple, den: tuple) -> bool:
         return False
     lam = num[-1] * den[-1].inv()
     return all(c == lam * d for c, d in zip(num, den))
-
-
-def default_scan_config() -> ScanConfig:
-    """The shipped ratio-scan grid: 3 primes x 5 pole-free instances x 4 frequency pairs."""
-    instances = []
-    for p in (101, 199, 293):
-        modulus = PrimeModulus(p)
-        rng = random.Random(f"scan:{p}")
-        for _ in range(5):
-            matrix, xi0, _traj, _form = random_admissible_instance(rng, modulus)
-            a, b, c, d = matrix.entries()
-            instances.append(ScanPoint(p, a, b, c, d, xi0.value))
-    return ScanConfig(
-        kind="correlation",
-        instances=instances,
-        frequencies=[(1, 1), (1, 2), (3, 5), (0, 1)],
-        k=0,
-        m=1,
-    )

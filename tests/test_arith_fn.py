@@ -188,14 +188,6 @@ def test_additive_character_is_additive(p, data):
     assert abs(psi(x + y) - psi(x) * psi(y)) < 1e-12
 
 
-def test_phase_table_matches_pointwise():
-    m = PrimeModulus(101)
-    psi = AdditiveCharacter(m.elem(7))
-    table = psi.phase_table
-    for x in range(101):
-        assert table[x] == psi(m.elem(x))
-
-
 def test_multiplicative_character_basics():
     m = PrimeModulus(11)
     g = primitive_root(m)

@@ -15,13 +15,10 @@ from mobiusdyn.char_sums import (
     CSV_HEADER,
     BadIndices,
     BothFrequenciesZero,
+    RangeGuard,
     RationalFunction,
-    ScanConfig,
-    ScanPoint,
-    SumAccumulator,
     SumReport,
     ZeroFrequency,
-    bound_ratio_scan,
     complete_twisted_sum,
     correlation_sum,
     single_sum,
@@ -30,9 +27,11 @@ from mobiusdyn.char_sums import (
     weil_sum_fp,
     weil_sum_fp2_norm_one,
 )
+from mobiusdyn.cli_runner import _first_irreducible_extension
 from mobiusdyn.field_arith import (
     PrimeModulus,
     QuadExtension,
+    mult_order,
     norm_group_generator,
     primitive_root,
 )
@@ -52,33 +51,6 @@ def traj101():
 @pytest.fixture(scope="module")
 def mu_table():
     return mobius_sieve(20000)
-
-
-# --- accumulator ------------------------------------------------------------------
-
-
-def test_accumulator_matches_fsum():
-    # error contract: within 8*eps*count of the exact sum, per component
-    rng = random.Random(1)
-    acc = SumAccumulator(chunk_size=64)
-    terms = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(10_000)]
-    for z in terms:
-        acc.add(z)
-    assert acc.count == len(terms)
-    budget = 8 * 2.22e-16 * len(terms)
-    assert abs(acc.value.real - math.fsum(t.real for t in terms)) <= budget
-    assert abs(acc.value.imag - math.fsum(t.imag for t in terms)) <= budget
-
-
-def test_accumulator_chunking_is_transparent():
-    terms = [complex((-1) ** n / (n + 1), n % 3 - 1) for n in range(5000)]
-    values = []
-    for chunk in (7, 64, 1 << 16):
-        acc = SumAccumulator(chunk_size=chunk)
-        for z in terms:
-            acc.add(z)
-        values.append(acc.value)
-    assert max(abs(v - values[0]) for v in values) < 1e-13
 
 
 # --- reports -----------------------------------------------------------------------
@@ -528,32 +500,187 @@ def test_weil_norm_one_trace_twist_ratios():
         assert r.ratio <= 10.0
 
 
-# --- scans ---------------------------------------------------------------------------
+def _chi_values(chi):
+    """{g^i: e(multiplier*i/order)} by stepping the generator g of chi; chi is 0 off the dict."""
+    values, x = {}, chi.generator**0
+    for i in range(chi.order):
+        values[x] = unit_circle(chi.multiplier * i, chi.order)
+        x = x * chi.generator
+    return values
 
 
-def test_scan_empty_grid():
-    reports, summary = bound_ratio_scan(ScanConfig("correlation", [], [(1, 2)], 0, 1))
-    assert reports == []
-    assert summary == {"count": 0}
+def _check_chi_values(chi):
+    """The oracle's table against MultiplicativeCharacter.__call__, the per-point definition."""
+    values = _chi_values(chi)
+    assert len(values) == chi.order
+    assert all(abs(v - chi(x)) < 1e-12 for x, v in values.items())
 
 
-def test_scan_singleton_matches_direct_call(traj101):
-    point = ScanPoint(101, *A101.entries(), XI101.value)
-    reports, summary = bound_ratio_scan(ScanConfig("correlation", [point], [(1, 2)], 0, 1))
-    assert len(reports) == 1
-    direct = correlation_sum(
-        A101, XI101, PSI101, M101.elem(1), M101.elem(2), 0, 1, traj101.period, traj101
-    )
-    assert reports[0].value == direct.value
-    assert summary["count"] == 1
-    assert summary["max"] == pytest.approx(direct.ratio)
+def _weil_fp_oracle(rf, psi, chi=None):
+    """(sum, terms) of psi(h(x)/g(x)) chi(x) over F_p, one term at a time."""
+    m = psi.u.modulus
+    chi_at = _chi_values(chi) if chi is not None else None
+    total, terms = 0j, 0
+    for x in map(m.elem, range(m.p)):
+        val = rf.value_at(x)
+        if val is None or (chi is not None and x not in chi_at):
+            continue
+        term = psi(val)
+        if chi is not None:
+            term *= chi_at[x]
+        total += term
+        terms += 1
+    return total, terms
+
+
+def _weil_fp2_oracle(rf, psi, chi, gen):
+    """(sum, terms) of psi(Tr(h(z)/g(z))) chi(z) over z = gen^0, ..., gen^p, one term at a time."""
+    ext = gen.ext
+    chi_at = _chi_values(chi) if chi is not None else None
+    total, terms = 0j, 0
+    z = ext.one
+    for _ in range(ext.p + 1):
+        val = rf.value_at(z)
+        if val is not None:
+            term = psi(val.trace())
+            if chi is not None:
+                term *= chi_at[z]
+            total += term
+            terms += 1
+        z = z * gen
+    return total, terms
+
+
+def _assert_matches(report, oracle):
+    value, terms = oracle
+    assert report.term_count == terms
+    assert abs(report.value - value) < 1e-9
+
+
+def test_weil_fp_matches_per_term_definition():
+    from mobiusdyn.sampling import random_rational_function_fp
+
+    rng = random.Random(17)
+    for p in (101, 293):
+        m = PrimeModulus(p)
+        g = primitive_root(m)
+        other = next(m.elem(x) for x in range(g.value + 1, p) if mult_order(m.elem(x)) == p - 1)
+        psi = AdditiveCharacter(m.elem(rng.randrange(1, p)))
+        chis = [
+            None,
+            MultiplicativeCharacter(g, p - 1, 1),
+            MultiplicativeCharacter(other, p - 1, 5),
+            MultiplicativeCharacter(g, p - 1, 2**62 + 3),  # multiplier * index overflows int64
+        ]
+        roots = RationalFunction((m.one,), (m.elem(-6), m.elem(1), m.one))  # 1/((X - 2)(X + 3))
+        zero = RationalFunction((), (m.elem(-4), m.elem(0), m.one))  # h = 0 over X^2 - 4
+        for chi in chis[1:]:
+            _check_chi_values(chi)
+        rfs = [roots, zero] + [random_rational_function_fp(rng, m, 3) for _ in range(6)]
+        for rf in rfs:
+            for chi in chis:
+                _assert_matches(weil_sum_fp(rf, psi, chi), _weil_fp_oracle(rf, psi, chi))
+        assert weil_sum_fp(roots, psi).term_count == p - 2
+        assert weil_sum_fp(zero, psi, chis[1]).term_count == p - 3
+
+
+def test_weil_fp2_matches_per_term_definition():
+    from mobiusdyn.sampling import random_rational_function_fp2
+
+    rng = random.Random(19)
+    for p in (101, 199):
+        m = PrimeModulus(p)
+        ext = _first_irreducible_extension(m)
+        gen = norm_group_generator(ext)
+        other = gen**5 if math.gcd(5, p + 1) == 1 else gen**7  # another generator
+        assert other != gen
+        psi = AdditiveCharacter(m.elem(rng.randrange(1, p)))
+        chis = [
+            None,
+            MultiplicativeCharacter(gen, p + 1, 1),
+            MultiplicativeCharacter(other, p + 1, 3),  # discrete_index path
+            MultiplicativeCharacter(gen, p + 1, 2**62 + 1),  # multiplier * index overflows int64
+        ]
+        # g(X) = (X - gen^3)(X - 1) vanishes at two group elements; h = 0 counts the rest
+        root = gen**3
+        g_coeffs = (root, -(root + ext.one), ext.one)
+        roots = RationalFunction((ext.elem(2, 1),), g_coeffs)
+        zero = RationalFunction((), g_coeffs)
+        for chi in chis[1:]:
+            _check_chi_values(chi)
+        rfs = [roots, zero] + [random_rational_function_fp2(rng, ext, gen, 3) for _ in range(6)]
+        for rf in rfs:
+            for chi in chis:
+                _assert_matches(weil_sum_fp2_norm_one(rf, psi, chi, gen), _weil_fp2_oracle(rf, psi, chi, gen))
+        assert weil_sum_fp2_norm_one(zero, psi, None, gen).term_count == p - 1
+
+
+def test_weil_kernels_at_their_caps():
+    from mobiusdyn.sampling import random_rational_function_fp, random_rational_function_fp2
+
+    rng = random.Random(23)
+    m = PrimeModulus(99991)
+    psi = AdditiveCharacter(m.elem(12345))
+    chi = MultiplicativeCharacter(primitive_root(m), m.p - 1, 7)
+    rf = random_rational_function_fp(rng, m, 3)
+    _assert_matches(weil_sum_fp(rf, psi, chi), _weil_fp_oracle(rf, psi, chi))  # ~2 s of oracle
+    m2 = PrimeModulus(2999)
+    ext = _first_irreducible_extension(m2)
+    gen = norm_group_generator(ext)
+    psi2 = AdditiveCharacter(m2.elem(777))
+    chi2 = MultiplicativeCharacter(gen, m2.p + 1, 11)
+    rf2 = random_rational_function_fp2(rng, ext, gen, 3)
+    for c in (None, chi2):
+        _assert_matches(weil_sum_fp2_norm_one(rf2, psi2, c, gen), _weil_fp2_oracle(rf2, psi2, c, gen))
+    # just above each cap (100003 and 3001 are the next primes) the guard fires
+    big = PrimeModulus(100003)
+    with pytest.raises(RangeGuard):
+        weil_sum_fp(RationalFunction((big.one,), (big.one,)), AdditiveCharacter(big.one))
+    big2 = PrimeModulus(3001)
+    ext2 = _first_irreducible_extension(big2)
+    with pytest.raises(RangeGuard):
+        weil_sum_fp2_norm_one(RationalFunction((ext2.one,), (ext2.one,)), AdditiveCharacter(big2.one))
+
+
+def test_weil_kernels_reject_bad_characters_and_generators():
+    m = PrimeModulus(101)
+    rf = RationalFunction((m.one,), (m.elem(0), m.one))
+    with pytest.raises(ValueError):
+        weil_sum_fp(rf, AdditiveCharacter(m.elem(0)))
+    with pytest.raises(ValueError):
+        weil_sum_fp(rf, PSI101, MultiplicativeCharacter(primitive_root(m), 50, 1))
+    with pytest.raises(ValueError):
+        weil_sum_fp(rf, PSI101, MultiplicativeCharacter(m.one, 100, 1))
+    with pytest.raises(ValueError):  # 4 = 2^2 has order 50, not 100
+        weil_sum_fp(rf, PSI101, MultiplicativeCharacter(m.elem(4), 100, 1))
+    ext = _first_irreducible_extension(m)
+    gen = norm_group_generator(ext)
+    rf2 = RationalFunction((ext.one,), (ext.zero, ext.one))
+    with pytest.raises(ValueError):
+        weil_sum_fp2_norm_one(rf2, PSI101, MultiplicativeCharacter(gen, 101, 1), gen)
+    with pytest.raises(AssertionError):  # 2*Z has norm 4, so (2*Z)^(p + 1) = 4
+        weil_sum_fp2_norm_one(rf2, PSI101, None, ext.elem(0, 2))
+    e = next(e for e in range(3, m.p - 2) if e != ext.e.value and QuadExtension(m, m.elem(e)).is_irreducible)
+    with pytest.raises(ValueError):  # generator from a different extension
+        weil_sum_fp2_norm_one(rf2, PSI101, None, norm_group_generator(QuadExtension(m, m.elem(e))))
 
 
 def test_default_scan_grid_produces_sixty_reports():
-    from mobiusdyn.sampling import default_scan_config
+    # 3 primes x 5 pole-free instances x 4 frequency pairs, full period, k = 0, m = 1
+    from mobiusdyn.sampling import random_admissible_instance
 
-    reports, summary = bound_ratio_scan(default_scan_config())
+    reports = []
+    for p in (101, 199, 293):
+        modulus = PrimeModulus(p)
+        rng = random.Random(f"scan:{p}")
+        psi = AdditiveCharacter(modulus.one)
+        for _ in range(5):
+            matrix, xi0, traj, _form = random_admissible_instance(rng, modulus)
+            for u, v in ((1, 1), (1, 2), (3, 5), (0, 1)):
+                reports.append(
+                    correlation_sum(matrix, xi0, psi, modulus.elem(u), modulus.elem(v), 0, 1, traj.period, traj)
+                )
+    ratios = [r.ratio for r in reports]
     assert len(reports) == 60
-    assert summary["count"] == 60
-    assert math.isfinite(summary["max"])
-    assert summary["max"] <= 10.0  # safety envelope, not a structural constant
+    assert all(math.isfinite(r) for r in ratios)
+    assert max(ratios) <= 10.0  # safety envelope, not a structural constant

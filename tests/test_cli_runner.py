@@ -372,3 +372,32 @@ def test_threads_is_validated_but_changes_nothing(tmp_path):
     _, out1 = run(tmp_path, "sum-scan", cfg, out_name="t1", extra=["--threads", "1"])
     _, out3 = run(tmp_path, "sum-scan", cfg, out_name="t3", extra=["--threads", "3"])
     assert (out1 / "sum_scan.csv").read_bytes() == (out3 / "sum_scan.csv").read_bytes()
+
+
+# --- unknown keys are refused, not ignored --------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, body, key",
+    [
+        ("sum-scan", {**SCAN_BASE, "kinds": ["twisted"], "n_schedul": ["100"]}, "'n_schedul'"),
+        ("sum-scan", {**SCAN_BASE, "n_schedule": ["100"], "limit": "10"}, "'limit'"),
+        (
+            "sum-scan",
+            {**SCAN_BASE, "kinds": ["single"], "points": [{"kind": "single", "u": "1", "m": "1", "w": "2"}]},
+            "'w'",
+        ),
+        ("bsz-report", {**BSZ_BASE, "alhpa": "0.2"}, "'alhpa'"),
+        ("verify-spectral", {**SCAN_BASE, "windw": "10"}, "'windw'"),
+        ("weil-check", {"functions_per_prime": "2", "prime": ["101"]}, "'prime'"),
+        ("mobius-check", {"limit": "10", "rng_seed": "1"}, "'rng_seed'"),
+    ],
+    ids=["scan-misspelled", "scan-foreign", "scan-point", "bsz", "spectral", "weil", "mobius"],
+)
+def test_unknown_keys_exit_2_and_name_the_key(tmp_path, capsys, command, body, key):
+    code, outdir = run(tmp_path, command, body)
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert key in err
+    assert "Traceback" not in err
+    assert not outdir.exists()

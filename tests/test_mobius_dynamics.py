@@ -18,11 +18,11 @@ from mobiusdyn.mobius_dynamics import (
     apply,
     apply_projective,
     eval_spectral,
+    linear_lift,
     matrix_power_entries,
     normalize_to_sl2,
     period,
     power_matrix,
-    recurrence_pair,
     spectral_form,
     spectral_orbit,
     trajectory,
@@ -225,11 +225,10 @@ def test_recurrence_initial_values():
     for _ in range(10):
         A = random_sl2(rng, m)
         xi0 = m.elem(rng.randrange(101))
-        pair = recurrence_pair(A, xi0)
-        assert pair.initial_u == (xi0, A.a * xi0 + A.b)
-        assert pair.initial_v == (m.one, A.c * xi0 + A.d)
-        first = next(pair.stream())
-        assert (first.u, first.v) == (xi0, m.one)
+        (u0, v0), (u1, v1) = itertools.islice(linear_lift(A, xi0), 2)
+        assert (u0, u1) == (xi0, A.a * xi0 + A.b)
+        assert (v0, v1) == (m.one, A.c * xi0 + A.d)
+        assert (u0, v0) == (xi0, m.one)
 
 
 def test_recurrence_ratio_is_trajectory():
@@ -237,11 +236,11 @@ def test_recurrence_ratio_is_trajectory():
     m = PrimeModulus(101)
     A = random_sl2(rng, m)
     xi0 = m.elem(7)
-    steps = itertools.islice(recurrence_pair(A, xi0).stream(), 1, 60)
-    for x, step in zip(trajectory_iter(A, xi0), steps):
-        if step.pole:
+    steps = itertools.islice(linear_lift(A, xi0), 1, 60)
+    for x, (u, v) in zip(trajectory_iter(A, xi0), steps):
+        if not v:
             continue
-        assert step.u == x * step.v
+        assert u == x * v
 
 
 def test_recurrence_satisfies_minus_sign_scalar_rule():
@@ -250,11 +249,10 @@ def test_recurrence_satisfies_minus_sign_scalar_rule():
     m = PrimeModulus(1009)
     A = random_sl2(rng, m)
     e = A.trace
-    stream = recurrence_pair(A, m.elem(123)).stream()
-    window = [next(stream) for _ in range(1000)]
+    window = list(itertools.islice(linear_lift(A, m.elem(123)), 1000))
     for prev, cur, nxt in zip(window, window[1:], window[2:]):
-        assert nxt.u == e * cur.u - prev.u
-        assert nxt.v == e * cur.v - prev.v
+        assert nxt[0] == e * cur[0] - prev[0]
+        assert nxt[1] == e * cur[1] - prev[1]
 
 
 # --- the closed form ----------------------------------------------------------
@@ -336,12 +334,12 @@ def test_three_way_equivalence_random():
             A, xi0, traj, form = random_admissible_instance(rng, m)
             window = min(traj.period, 200)
             direct = trajectory_iter(A, xi0)
-            lift = itertools.islice(recurrence_pair(A, xi0).stream(), 1, None)
+            lift = itertools.islice(linear_lift(A, xi0), 1, None)
             closed = itertools.islice(spectral_orbit(form), 1, None)
             for _ in range(window):
-                x, step, s = next(direct), next(lift), next(closed)
-                assert not step.pole
-                assert step.u == x * step.v
+                x, (u, v), s = next(direct), next(lift), next(closed)
+                assert v
+                assert u == x * v
                 assert s == x
 
 
