@@ -506,6 +506,9 @@ def weil_sum_fp(
     p = psi.p
     if p > _WEIL_FP_LIMIT:
         raise RangeGuard(f"exhaustive sum capped at p <= {_WEIL_FP_LIMIT}")
+    given = (*rf.numerator, *rf.denominator, *((chi.generator,) if chi is not None else ()))
+    if any(getattr(c, "modulus", None) != psi.u.modulus for c in given):
+        raise ModulusMismatch("coefficients and chi generator must lie in the field of psi")
     x = np.arange(p, dtype=np.int64)
     den = _horner_fp(rf.denominator, x, p)
     live = den != 0

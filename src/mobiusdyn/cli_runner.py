@@ -72,12 +72,12 @@ from .mobius_dynamics import (
     MobiusMatrix,
     NonSquareDeterminant,
     SingularMatrix,
+    Trajectory,
     linear_lift,
     normalize_to_sl2,
     period,
     spectral_form,
     spectral_orbit,
-    trajectory_iter,
 )
 from .sampling import (
     random_admissible_instance,
@@ -308,28 +308,25 @@ def cmd_verify_spectral(cfg: dict, outdir: Path, config_blob: bytes) -> int:
     window_cap = _as_int(cfg, "window", 2000)
     if window_cap < 1:
         raise ConfigError("field 'window' must be >= 1")
-    instances = []
     if "matrix" in cfg:
         matrix = _parse_matrix(cfg, modulus, need_distinct_roots=True)
-        xi0 = _parse_seed(cfg, modulus)
-        instances.append((matrix, xi0))
+        instances = [period(matrix, _parse_seed(cfg, modulus))]
     else:
         samples = _as_int(cfg, "samples", 50)
         if samples < 1:
             raise ConfigError("field 'samples' must be >= 1")
         rng = random.Random(_as_int(cfg, "rng_seed", 1))
-        for _ in range(samples):
-            matrix, xi0, _traj, _form = random_admissible_instance(rng, modulus)
-            instances.append((matrix, xi0))
+        # one orbit table alive at a time
+        instances = (random_admissible_instance(rng, modulus)[2] for _ in range(samples))
 
     mismatches = 0
     periods_checked = []
-    for matrix, xi0 in instances:
-        traj = period(matrix, xi0)
+    for traj in instances:
+        matrix, xi0 = traj.matrix, traj.seed
         if not traj.pole_free:
             raise ConfigError("configured seed orbit passes through the pole; pick another seed")
         window = min(traj.period, window_cap)
-        report = verify_three_way(matrix, xi0, window)
+        report = verify_three_way(traj, window)
         mismatches += report["mismatches"]
         periods_checked.append(
             {
@@ -361,22 +358,17 @@ def cmd_verify_spectral(cfg: dict, outdir: Path, config_blob: bytes) -> int:
     return EXIT_OK if mismatches == 0 else EXIT_MISMATCH
 
 
-def verify_three_way(matrix: MobiusMatrix, xi0: FpElem, window: int) -> dict:
+def verify_three_way(traj: Trajectory, window: int) -> dict:
     """Compare the three orbit views for n = 1..window on a pole-free orbit."""
+    matrix, xi0 = traj.matrix, traj.seed
     mismatches = 0
-    direct = trajectory_iter(matrix, xi0)
     lift = linear_lift(matrix, xi0)
     closed = spectral_orbit(spectral_form(matrix, xi0))
     next(lift)  # n = 0
     next(closed)
-    for _ in range(window):
-        x = next(direct)
-        u, v = next(lift)
-        s = next(closed)
-        if not v or s is None:
-            mismatches += 1
-            continue
-        if not (u == x * v and s == x):
+    for raw, (u, v), s in zip(traj.orbit_table[:window].tolist(), lift, closed):
+        x = matrix.modulus.elem(raw)
+        if not v or s is None or u != x * v or s != x:
             mismatches += 1
     return {"mismatches": mismatches}
 
@@ -389,6 +381,9 @@ def cmd_sum_scan(cfg: dict, outdir: Path, config_blob: bytes, mu_cache: str | No
     kinds = cfg.get("kinds", ["twisted"])
     if not isinstance(kinds, list) or not all(k in ("twisted", "correlation", "single") for k in kinds):
         raise ConfigError("field 'kinds' must be a list drawn from twisted/correlation/single")
+    for key, readers in (("n_schedule", "twisted"), ("frequencies", "twisted"), ("points", "correlation/single")):
+        if key in cfg and not any(k in readers.split("/") for k in kinds):
+            raise ConfigError(f"field '{key}' is read only when field 'kinds' lists {readers}, got {kinds}")
     psi = AdditiveCharacter(modulus.elem(_as_int(cfg, "psi_u", 1)))
     if not psi.is_nontrivial:
         raise ConfigError("field 'psi_u' must be nonzero")

@@ -13,7 +13,7 @@ agree index by index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from typing import Iterator
@@ -48,10 +48,6 @@ class DegenerateSpectral(ValueError):
 
 class SpectralPole(ArithmeticError):
     """theta^(2n) = -gamma: the projective orbit is at infinity at this index."""
-
-
-class LinearPower(ValueError):
-    """A^k has lower-left entry 0; the decimated map degenerates to affine."""
 
 
 @dataclass(frozen=True)
@@ -89,6 +85,12 @@ class MobiusMatrix:
     def extension(self) -> QuadExtension:
         """F_p[Z]/(Z^2 - e*Z + 1) for e = a + d; raises RepeatedRoot when e = +-2."""
         return QuadExtension(self.modulus, self.trace)
+
+    @cached_property
+    def theta_sq_order(self) -> int:
+        """ord(theta^2) for a root theta of Z^2 - e*Z + 1; needs distinct roots."""
+        theta, _ = char_poly_roots(self.extension)
+        return mult_order(theta * theta)
 
     @cached_property
     def pole(self) -> FpElem:
@@ -140,60 +142,31 @@ def apply_projective(matrix: MobiusMatrix, x: FpElem | None) -> FpElem | None:
     return (matrix.a * x + matrix.b) / den
 
 
-def _orbit_values(matrix: MobiusMatrix, xi0: FpElem) -> Iterator[int]:
-    """Raw-int stream xi_1, xi_2, ... of the extended map (hot path for the sums)."""
-    a, b, c, d = matrix.entries()
-    p = matrix.p
-    pole_image = a * pow(c, p - 2, p) % p
-    x = xi0.value
-    while True:
-        den = (c * x + d) % p
-        if den:
-            x = (a * x + b) * pow(den, p - 2, p) % p
-        else:
-            x = pole_image
-        yield x
-
-
 def _orbit_prefix(matrix: MobiusMatrix, xi0: FpElem, limit: int) -> np.ndarray:
-    """xi_1, ..., xi_L as int64 with L = min(period, limit).
+    """xi_1, ..., xi_L as int64 with L = min(period, limit): the one orbit walker.
 
-    When the orbit closes within `limit` steps the last entry is xi_t = xi_0,
-    so entry r holds xi_n for every n = r + 1 (mod t).  Steps are drawn in
-    doubling blocks, so a short orbit costs little more than its period.
+    Each step is raw-int arithmetic on the extended map, the pole going to
+    a/c, and the walk stops at the first return to xi_0.  When the orbit
+    closes within `limit` steps the last entry is xi_t = xi_0, so entry r
+    holds xi_n for every n = r + 1 (mod t).
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    orbit = _orbit_values(matrix, xi0)
+    a, b, c, d = matrix.entries()
+    p = matrix.p
+    pole_image = a * pow(c, p - 2, p) % p
     x0 = xi0.value
-    blocks = []
-    done, size = 0, 64
-    while done < limit:
-        size = min(size, limit - done)
-        block = np.fromiter(islice(orbit, size), dtype=np.int64, count=size)
-        hit = np.flatnonzero(block == x0)
-        if hit.size:
-            blocks.append(block[: hit[0] + 1])
-            break
-        blocks.append(block)
-        done += size
-        size = min(2 * size, 1 << 16)
-    return np.concatenate(blocks)
 
+    def steps():
+        x = x0
+        for _ in range(limit):
+            den = (c * x + d) % p
+            x = (a * x + b) * pow(den, p - 2, p) % p if den else pole_image
+            yield x
+            if x == x0:
+                return
 
-def trajectory_iter(matrix: MobiusMatrix, xi0: FpElem) -> Iterator[FpElem]:
-    """Stream xi_1, xi_2, ... under the extended map (O(1) working memory)."""
-    m = matrix.modulus
-    for v in _orbit_values(matrix, xi0):
-        yield FpElem(v, m)
-
-
-def trajectory(matrix: MobiusMatrix, xi0: FpElem, count: int) -> list[FpElem]:
-    """[xi_1, ..., xi_count] by repeated application of the extended map."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    it = trajectory_iter(matrix, xi0)
-    return [next(it) for _ in range(count)]
+    return np.fromiter(steps(), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -203,7 +176,9 @@ class Trajectory:
     pole_hit is the index n in [0, t) with xi_n = -d/c when the orbit passes
     through the pole, else None.  theta_sq_order is the multiplicative order
     of theta^2, the projective cycle length for every non-fixed seed; a pole
-    visit makes the scalar period exactly one shorter.
+    visit makes the scalar period exactly one shorter.  orbit_table holds
+    xi_1, ..., xi_t as int64 (xi_t = xi_0), so xi_n is entry (n - 1) mod t;
+    it takes 8*t bytes, about 80 MB at t = 1e7.
     """
 
     matrix: MobiusMatrix
@@ -211,39 +186,30 @@ class Trajectory:
     period: int
     pole_hit: int | None
     theta_sq_order: int
+    orbit_table: np.ndarray = field(repr=False, compare=False)
 
     @property
     def pole_free(self) -> bool:
         return self.pole_hit is None
 
-    @cached_property
-    def orbit_table(self) -> np.ndarray:
-        """xi_1, ..., xi_t as int64 (xi_t = xi_0): xi_n is entry (n - 1) mod t."""
-        table = _orbit_prefix(self.matrix, self.seed, self.period)
-        if table.size != self.period or table[-1] != self.seed.value:
-            raise AssertionError("orbit table does not close at the recorded period")
-        return table
-
 
 def period(matrix: MobiusMatrix, xi0: FpElem) -> Trajectory:
-    """Scan the orbit of xi0 for its least period; requires distinct roots."""
-    ext = matrix.extension
-    theta, _ = char_poly_roots(ext)
-    t_ord = mult_order(theta * theta)
-    pole = matrix.pole
-    pole_hit = 0 if xi0 == pole else None
-    x = xi0
-    steps = 0
-    for n in range(1, t_ord + 2):
-        x = apply(matrix, x)
-        steps = n
-        if x == xi0:
-            break
-        if pole_hit is None and x == pole:
-            pole_hit = n
-    else:
+    """Walk the orbit of xi0 once, keeping it as the table; requires distinct roots.
+
+    The scalar period is at most ord(theta^2) + 1, so the walk is capped
+    there and the least period is the length of the table it returns.
+    """
+    t_ord = matrix.theta_sq_order
+    table = _orbit_prefix(matrix, xi0, t_ord + 1)
+    if table[-1] != xi0.value:
         raise AssertionError("orbit did not close within ord(theta^2) + 1 steps")
-    return Trajectory(matrix, xi0, steps, pole_hit, t_ord)
+    pole = matrix.pole.value
+    if xi0.value == pole:
+        pole_hit = 0
+    else:
+        hits = np.flatnonzero(table[:-1] == pole)
+        pole_hit = int(hits[0]) + 1 if hits.size else None
+    return Trajectory(matrix, xi0, int(table.size), pole_hit, t_ord, table)
 
 
 def linear_lift(matrix: MobiusMatrix, xi0: FpElem) -> Iterator[tuple[FpElem, FpElem]]:
@@ -344,38 +310,3 @@ def spectral_orbit(form: SpectralForm) -> Iterator[FpElem | None]:
                 raise ArithmeticError("closed-form value left the base field; invalid form")
             yield val.c0
         cur = cur * step
-
-
-def matrix_power_entries(matrix: MobiusMatrix, k: int) -> tuple[int, int, int, int]:
-    """Entries of A^k as plain ints (k >= 0); no c != 0 requirement on the result."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    p = matrix.p
-    r = (1, 0, 0, 1)
-    base = matrix.entries()
-
-    def mul(x, y):
-        return (
-            (x[0] * y[0] + x[1] * y[2]) % p,
-            (x[0] * y[1] + x[1] * y[3]) % p,
-            (x[2] * y[0] + x[3] * y[2]) % p,
-            (x[2] * y[1] + x[3] * y[3]) % p,
-        )
-
-    while k:
-        if k & 1:
-            r = mul(r, base)
-        base = mul(base, base)
-        k >>= 1
-    return r
-
-
-def power_matrix(matrix: MobiusMatrix, k: int) -> MobiusMatrix:
-    """A^k by fast exponentiation; raises LinearPower when the power turns affine."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    a, b, c, d = matrix_power_entries(matrix, k)
-    if c == 0:
-        raise LinearPower(f"A^{k} has lower-left entry 0 (affine decimation)")
-    m = matrix.modulus
-    return MobiusMatrix(FpElem(a, m), FpElem(b, m), FpElem(c, m), FpElem(d, m))

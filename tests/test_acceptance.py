@@ -52,7 +52,6 @@ from mobiusdyn.mobius_dynamics import (
     linear_lift,
     period,
     spectral_orbit,
-    trajectory_iter,
 )
 from mobiusdyn.sampling import (
     random_admissible_instance,
@@ -100,13 +99,10 @@ def orbit_sample():
             matrix, xi0, traj, form = random_admissible_instance(rng, modulus)
             window = min(traj.period, WINDOW_CAP)
             mismatches = 0
-            direct = trajectory_iter(matrix, xi0)
+            direct = (modulus.elem(raw) for raw in traj.orbit_table[:window].tolist())
             lift = itertools.islice(linear_lift(matrix, xi0), 1, None)
             closed = itertools.islice(spectral_orbit(form), 1, None)
-            for _ in range(window):
-                x = next(direct)
-                u, v = next(lift)
-                s = next(closed)
+            for x, (u, v), s in zip(direct, lift, closed):
                 if not v or s is None or u != x * v or s != x:
                     mismatches += 1
             results.append(

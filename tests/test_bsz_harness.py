@@ -22,7 +22,7 @@ from mobiusdyn.bsz_harness import (
     wj_sums,
 )
 from mobiusdyn.field_arith import PrimeModulus
-from mobiusdyn.mobius_dynamics import MobiusMatrix, apply, period, trajectory
+from mobiusdyn.mobius_dynamics import MobiusMatrix, apply, period
 from mobiusdyn.sampling import random_sl2
 
 TOY = BszParams(alpha=1.0, n=10**4, j0=3.0, j1=5.0)  # R_j = 2^j, blocks j = 3, 4, 5
@@ -261,9 +261,10 @@ def test_wj_against_naive_double_loop():
     m = PrimeModulus(1009)
     A = MobiusMatrix(m.elem(590), m.elem(448), m.elem(600), m.elem(406))
     xi0 = m.elem(50)
-    t = period(A, xi0).period
+    traj = period(A, xi0)
+    t = traj.period
     psi = AdditiveCharacter(m.one)
-    orbit = trajectory(A, xi0, t)
+    orbit = [m.elem(v) for v in traj.orbit_table.tolist()]
     phase = [psi(x) for x in orbit]
 
     def f_handle(n):

@@ -29,6 +29,7 @@ from mobiusdyn.char_sums import (
 )
 from mobiusdyn.cli_runner import _first_irreducible_extension
 from mobiusdyn.field_arith import (
+    ModulusMismatch,
     PrimeModulus,
     QuadExtension,
     mult_order,
@@ -663,6 +664,16 @@ def test_weil_kernels_reject_bad_characters_and_generators():
     e = next(e for e in range(3, m.p - 2) if e != ext.e.value and QuadExtension(m, m.elem(e)).is_irreducible)
     with pytest.raises(ValueError):  # generator from a different extension
         weil_sum_fp2_norm_one(rf2, PSI101, None, norm_group_generator(QuadExtension(m, m.elem(e))))
+
+
+def test_weil_fp_rejects_coefficients_from_another_field():
+    m, other = PrimeModulus(101), PrimeModulus(199)
+    psi = AdditiveCharacter(other.one)
+    with pytest.raises(ModulusMismatch):
+        weil_sum_fp(RationalFunction((m.one,), (m.elem(0), m.one)), psi)
+    rf = RationalFunction((other.one,), (other.elem(0), other.one))
+    with pytest.raises(ModulusMismatch):  # chi generator from F_101
+        weil_sum_fp(rf, psi, MultiplicativeCharacter(primitive_root(m), 198, 1))
 
 
 def test_default_scan_grid_produces_sixty_reports():

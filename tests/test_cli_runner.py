@@ -401,3 +401,24 @@ def test_unknown_keys_exit_2_and_name_the_key(tmp_path, capsys, command, body, k
     assert key in err
     assert "Traceback" not in err
     assert not outdir.exists()
+
+
+# --- fields the chosen kinds do not read are refused, not ignored --------------------
+
+
+@pytest.mark.parametrize(
+    "body, key",
+    [
+        ({"kinds": ["twisted"], "points": [{"kind": "single", "u": "1", "m": "1"}]}, "'points'"),
+        ({"kinds": ["single"], "n_schedule": ["100"]}, "'n_schedule'"),
+        ({"kinds": ["correlation", "single"], "frequencies": ["1"]}, "'frequencies'"),
+    ],
+    ids=["points", "n_schedule", "frequencies"],
+)
+def test_scan_fields_unread_by_kinds_exit_2(tmp_path, capsys, body, key):
+    code, outdir = run(tmp_path, "sum-scan", {**SCAN_BASE, **body})
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert key in err and "'kinds'" in err
+    assert "Traceback" not in err
+    assert not outdir.exists()

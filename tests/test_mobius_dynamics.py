@@ -10,7 +10,6 @@ from mobiusdyn.field_arith import PrimeModulus, RepeatedRoot, char_poly_roots
 from mobiusdyn.mobius_dynamics import (
     DegenerateSpectral,
     InvalidMatrix,
-    LinearPower,
     MobiusMatrix,
     NonSquareDeterminant,
     SingularMatrix,
@@ -19,14 +18,10 @@ from mobiusdyn.mobius_dynamics import (
     apply_projective,
     eval_spectral,
     linear_lift,
-    matrix_power_entries,
     normalize_to_sl2,
     period,
-    power_matrix,
     spectral_form,
     spectral_orbit,
-    trajectory,
-    trajectory_iter,
 )
 from mobiusdyn.sampling import random_admissible_instance, random_sl2
 
@@ -39,6 +34,15 @@ def mat(m, a, b, c, d):
 
 
 INVOLUTION = mat(M5, 0, 4, 1, 0)  # x -> -1/x mod 5
+
+
+def walk(A, x0, count):
+    """[xi_1, ..., xi_count] by `apply`, one step at a time: the per-step oracle."""
+    out, x = [], x0
+    for _ in range(count):
+        x = apply(A, x)
+        out.append(x)
+    return out
 
 
 # --- construction and normalisation ------------------------------------------
@@ -141,15 +145,15 @@ def test_scalar_orbit_is_projective_orbit_minus_infinity(p, data):
         x = apply_projective(A, x)
         proj.append(x)
     finite = [v for v in proj if v is not None]
-    scalar = trajectory(A, x0, len(finite))
-    assert scalar == finite
+    assert walk(A, x0, len(finite)) == finite
 
 
 # --- trajectories and periods -------------------------------------------------
 
 
 def test_trajectory_example():
-    assert [x.value for x in trajectory(INVOLUTION, M5.elem(1), 4)] == [4, 1, 4, 1]
+    table = period(INVOLUTION, M5.elem(1)).orbit_table
+    assert [int(table[(n - 1) % table.size]) for n in range(1, 5)] == [4, 1, 4, 1]
 
 
 def test_trajectory_first_element_is_apply():
@@ -158,15 +162,56 @@ def test_trajectory_first_element_is_apply():
         m = PrimeModulus(101)
         A = random_sl2(rng, m)
         xi0 = m.elem(rng.randrange(101))
-        assert trajectory(A, xi0, 1)[0] == apply(A, xi0)
+        assert period(A, xi0).orbit_table[0] == apply(A, xi0).value
 
 
 def test_trajectory_repeats_with_period():
     A, xi0 = INVOLUTION, M5.elem(1)
-    t = period(A, xi0).period
-    vals = trajectory(A, xi0, 3 * t)
+    traj = period(A, xi0)
+    t = traj.period
+    vals = walk(A, xi0, 3 * t)
+    assert [x.value for x in vals[:t]] == traj.orbit_table.tolist()
     for n in range(len(vals) - t):
         assert vals[n] == vals[n + t]
+
+
+def _theta_sq_order_by_powers(A):
+    theta, _ = char_poly_roots(A.extension)
+    step = theta * theta
+    z, k = step, 1
+    while z != A.extension.one:
+        z, k = z * step, k + 1
+    return k
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_period_matches_apply_loop_exhaustive(p):
+    # every SL2 matrix with c != 0 and distinct roots, every seed; `apply` is the oracle
+    m = PrimeModulus(p)
+    pole_indices = set()
+    for a, c, d in itertools.product(range(p), range(1, p), range(p)):
+        if (a + d) % p in (2, p - 2):
+            continue
+        A = mat(m, a, (a * d - 1) * pow(c, -1, p), c, d)
+        order = _theta_sq_order_by_powers(A)
+        step = [apply(A, m.elem(x)).value for x in range(p)]
+        for x in range(p):
+            xi0 = m.elem(x)
+            xs = [step[x]]
+            while xs[-1] != x:
+                xs.append(step[xs[-1]])
+                assert len(xs) <= p
+            if x == A.pole.value:
+                pole_hit = 0
+            else:
+                pole_hit = next((n for n, v in enumerate(xs[:-1], 1) if v == A.pole.value), None)
+            traj = period(A, xi0)
+            assert traj.orbit_table.tolist() == xs
+            assert traj.period == len(xs)
+            assert traj.pole_hit == pole_hit
+            assert traj.theta_sq_order == order
+            pole_indices.add(pole_hit)
+    assert {None, 0} < pole_indices  # pole visits past the seed are covered too
 
 
 def test_period_examples():
@@ -237,7 +282,7 @@ def test_recurrence_ratio_is_trajectory():
     A = random_sl2(rng, m)
     xi0 = m.elem(7)
     steps = itertools.islice(linear_lift(A, xi0), 1, 60)
-    for x, (u, v) in zip(trajectory_iter(A, xi0), steps):
+    for x, (u, v) in zip(walk(A, xi0, 59), steps):
         if not v:
             continue
         assert u == x * v
@@ -286,10 +331,10 @@ def test_spectral_matches_trajectory_on_random_indices():
     rng = random.Random(47)
     m = PrimeModulus(10007)
     A, xi0, traj, form = random_admissible_instance(rng, m)
-    vals = trajectory(A, xi0, 1000)
+    table = traj.orbit_table
     for _ in range(50):
         n = rng.randrange(1, 1000)
-        assert eval_spectral(form, n) == vals[n - 1]
+        assert eval_spectral(form, n).value == table[(n - 1) % traj.period]
 
 
 def test_spectral_orbit_streaming_agrees_with_eval():
@@ -333,60 +378,10 @@ def test_three_way_equivalence_random():
         for _ in range(10):
             A, xi0, traj, form = random_admissible_instance(rng, m)
             window = min(traj.period, 200)
-            direct = trajectory_iter(A, xi0)
+            direct = (m.elem(raw) for raw in traj.orbit_table[:window].tolist())
             lift = itertools.islice(linear_lift(A, xi0), 1, None)
             closed = itertools.islice(spectral_orbit(form), 1, None)
-            for _ in range(window):
-                x, (u, v), s = next(direct), next(lift), next(closed)
+            for x, (u, v), s in zip(direct, lift, closed):
                 assert v
                 assert u == x * v
                 assert s == x
-
-
-# --- matrix powers --------------------------------------------------------------
-
-
-def test_power_matrix_examples():
-    A = INVOLUTION
-    assert power_matrix(A, 1) == A
-    with pytest.raises(LinearPower):
-        power_matrix(A, 2)  # A^2 = -I
-    assert matrix_power_entries(A, 2) == (4, 0, 0, 4)
-
-
-def test_power_matrix_is_homomorphism():
-    rng = random.Random(67)
-    m = PrimeModulus(1009)
-    A = random_sl2(rng, m)
-    for _ in range(10):
-        k = rng.randrange(1, 50)
-        j = rng.randrange(1, 50)
-        ak = matrix_power_entries(A, k)
-        aj = matrix_power_entries(A, j)
-        prod = (
-            (ak[0] * aj[0] + ak[1] * aj[2]) % m.p,
-            (ak[0] * aj[1] + ak[1] * aj[3]) % m.p,
-            (ak[2] * aj[0] + ak[3] * aj[2]) % m.p,
-            (ak[2] * aj[1] + ak[3] * aj[3]) % m.p,
-        )
-        assert prod == matrix_power_entries(A, k + j)
-
-
-def test_power_matrix_det_still_one():
-    rng = random.Random(71)
-    m = PrimeModulus(101)
-    A = random_sl2(rng, m)
-    for k in range(1, 12):
-        a, b, c, d = matrix_power_entries(A, k)
-        assert (a * d - b * c) % m.p == 1
-
-
-def test_power_matrix_decimates_pole_free_trajectory():
-    rng = random.Random(73)
-    m = PrimeModulus(1009)
-    A, xi0, traj, _form = random_admissible_instance(rng, m)
-    k = 3
-    B = power_matrix(A, k)
-    full = trajectory(A, xi0, 3 * k)
-    decimated = trajectory(B, xi0, 3)
-    assert [full[k - 1], full[2 * k - 1], full[3 * k - 1]] == decimated
