@@ -35,7 +35,9 @@ from .arith_fn import (
     TableTooSmall,
 )
 from .field_arith import (
+    _inv_mod,
     _mul_pairs,
+    _residues,
     Fp2Elem,
     FpElem,
     ModulusMismatch,
@@ -63,7 +65,6 @@ class RangeGuard(ValueError):
     """Requested modulus exceeds the brute-force enumeration caps."""
 
 
-_INT64_EXACT = 1 << 31
 _BLOCK = 1 << 14
 
 
@@ -129,14 +130,6 @@ class SumReport:
 def _matrix_params(matrix: MobiusMatrix, xi0: FpElem) -> dict:
     a, b, c, d = matrix.entries()
     return {"a": a, "b": b, "c": c, "d": d, "xi0": xi0.value}
-
-
-def _residues(values: np.ndarray, p: int) -> np.ndarray:
-    """Residues mod p in a dtype where u*x + v*y of two of them stays exact.
-
-    Below 2^31 that is int64 itself; above, Python ints in an object array.
-    """
-    return values if p < _INT64_EXACT else values.astype(object)
 
 
 def _angles(nums: np.ndarray, den: int, coef: int = 1) -> np.ndarray:
@@ -209,6 +202,7 @@ def twisted_sum_schedule(
     psi: AdditiveCharacter | Sequence[AdditiveCharacter],
     n_schedule: Sequence[int],
     mu_table: MobiusTable,
+    traj: Trajectory | None = None,
 ) -> list[SumReport]:
     """The twisted sum at each checkpoint N of an ascending schedule.
 
@@ -218,7 +212,9 @@ def twisted_sum_schedule(
     checkpoint, so every prefix report equals a standalone run at that N.
     psi may be one character or several: the orbit prefix and the counts do
     not depend on it and are built once, and the reports come character by
-    character, each over the whole schedule.
+    character, each over the whole schedule.  A given traj supplies the
+    prefix from its table; without one only the first max N terms of the
+    orbit are built, so a long orbit never needs its full period.
     """
     chars = [psi] if isinstance(psi, AdditiveCharacter) else list(psi)
     if not all(c.is_nontrivial for c in chars):
@@ -233,7 +229,10 @@ def twisted_sum_schedule(
     if not n_schedule:
         return []
     p = matrix.p
-    table = _orbit_prefix(matrix, xi0, n_max)
+    if traj is None:
+        table = _orbit_prefix(matrix, xi0, n_max)
+    else:
+        table = _resolve_trajectory(matrix, xi0, traj).orbit_table[:n_max]
     angles = [_angles(table, p, c.u.value) for c in chars]
     counts = np.zeros(table.size, dtype=np.int64)
     done = 0
@@ -450,17 +449,6 @@ _WEIL_FP_LIMIT = 10**5
 _WEIL_FP2_LIMIT = 3000
 
 
-def _pow_mod(base: np.ndarray, exp: int, p: int) -> np.ndarray:
-    """base**exp mod p per entry by square-and-multiply; exact in int64 for p < 2^31."""
-    out = np.ones_like(base)
-    while exp:
-        if exp & 1:
-            out = out * base % p
-        base = base * base % p
-        exp >>= 1
-    return out
-
-
 def _horner_fp(coeffs: tuple, x: np.ndarray, p: int) -> np.ndarray:
     """The polynomial with F_p coefficients `coeffs` (low to high) at every entry of x."""
     acc = np.zeros_like(x)
@@ -527,7 +515,7 @@ def weil_sum_fp(
             raise ValueError("chi generator does not have order p - 1")
         live[0] = False  # chi(0) = 0
     x, den = x[live], den[live]
-    val = _horner_fp(rf.numerator, x, p) * _pow_mod(den, p - 2, p) % p
+    val = _horner_fp(rf.numerator, x, p) * _inv_mod(den, p) % p
     angle = _angles(val, p, psi.u.value)
     if chi is not None:
         angle += _angles(ind[x], p - 1, chi.multiplier % (p - 1))
@@ -578,7 +566,7 @@ def weil_sum_fp2_norm_one(
     d0, d1 = _horner_fp2(rf.denominator, z, e, p)
     idx = np.flatnonzero((d0 != 0) | (d1 != 0))
     d0, d1 = d0[idx], d1[idx]
-    norm_inv = _pow_mod((d0 * d0 + e * d0 * d1 + d1 * d1) % p, p - 2, p)
+    norm_inv = _inv_mod((d0 * d0 + e * d0 * d1 + d1 * d1) % p, p)
     den_inv = ((d0 + e * d1) * norm_inv % p, -d1 * norm_inv % p)  # conj(g) / Nm(g)
     h0, h1 = _mul_pairs(_horner_fp2(rf.numerator, z[:, idx], e, p), den_inv, e, p)
     angle = _angles((2 * h0 + e * h1) % p, p, psi.u.value)

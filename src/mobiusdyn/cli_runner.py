@@ -73,6 +73,7 @@ from .mobius_dynamics import (
     NonSquareDeterminant,
     SingularMatrix,
     Trajectory,
+    apply,
     linear_lift,
     normalize_to_sl2,
     period,
@@ -359,16 +360,21 @@ def cmd_verify_spectral(cfg: dict, outdir: Path, config_blob: bytes) -> int:
 
 
 def verify_three_way(traj: Trajectory, window: int) -> dict:
-    """Compare the three orbit views for n = 1..window on a pole-free orbit."""
+    """Compare the three orbit views for n = 1..window on a pole-free orbit.
+
+    The map view steps `apply` itself, so it does not share the linear lift
+    that the orbit table is built from; the table is held to it as well.
+    """
     matrix, xi0 = traj.matrix, traj.seed
     mismatches = 0
     lift = linear_lift(matrix, xi0)
     closed = spectral_orbit(spectral_form(matrix, xi0))
     next(lift)  # n = 0
     next(closed)
+    x = xi0
     for raw, (u, v), s in zip(traj.orbit_table[:window].tolist(), lift, closed):
-        x = matrix.modulus.elem(raw)
-        if not v or s is None or u != x * v or s != x:
+        x = apply(matrix, x)
+        if not v or s is None or u != x * v or s != x or raw != x.value:
             mismatches += 1
     return {"mismatches": mismatches}
 
@@ -388,6 +394,8 @@ def cmd_sum_scan(cfg: dict, outdir: Path, config_blob: bytes, mu_cache: str | No
     if not psi.is_nontrivial:
         raise ConfigError("field 'psi_u' must be nonzero")
 
+    # one orbit build per scan: the points read the whole period, twisted its prefix
+    traj = period(matrix, xi0) if "correlation" in kinds or "single" in kinds else None
     jobs = []
     if "twisted" in kinds:
         schedule = _as_int_list(cfg, "n_schedule", [])
@@ -399,9 +407,8 @@ def cmd_sum_scan(cfg: dict, outdir: Path, config_blob: bytes, mu_cache: str | No
         if schedule:
             table = _load_or_build_mu(max(schedule), mu_cache)
             chars = [AdditiveCharacter(modulus.elem(u)) for u in frequencies]
-            jobs.append(lambda: twisted_sum_schedule(matrix, xi0, chars, schedule, table))
-    if "correlation" in kinds or "single" in kinds:
-        traj = period(matrix, xi0)
+            jobs.append(lambda: twisted_sum_schedule(matrix, xi0, chars, schedule, table, traj))
+    if traj is not None:
         for point in cfg.get("points", []):
             if not isinstance(point, dict):
                 raise ConfigError(f"scan points must be objects, got {point!r}")

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
+
+import numpy as np
 
 
 class ModulusMismatch(ValueError):
@@ -266,6 +268,68 @@ class QuadExtension:
         return f"QuadExtension(Z^2 - {self.e.value}*Z + 1 mod {self.p})"
 
 
+_INT64_EXACT = 1 << 31  # below this, a*x + b*y of residues stays exact in int64
+
+
+def _residues(values: np.ndarray, p: int) -> np.ndarray:
+    """Residues mod p in a dtype where u*x + v*y of two of them stays exact.
+
+    Below 2^31 that is int64 itself; above, Python ints in an object array.
+    """
+    return values if p < _INT64_EXACT else values.astype(object)
+
+
+def _pow_mod(base, exp: int, p: int):
+    """base**exp mod p per entry by square-and-multiply.
+
+    base is an int64 array (exact for p < _INT64_EXACT) or an object array
+    of Python ints (exact for every p).
+    """
+    out = np.ones_like(base)
+    while exp:
+        if exp & 1:
+            out = out * base % p
+        base = base * base % p
+        exp >>= 1
+    return out
+
+
+_LANES = 1024
+
+
+def _inv_mod(x, p: int):
+    """1/x mod p per entry of a 1-d int64 or object array; entries 0 stay 0.
+
+    Montgomery's trick on lanes: the entries fill rows of up to _LANES
+    lanes, running products go down each lane, one _pow_mod(., p - 2, p)
+    inverts the lane totals, and a backward sweep peels off every inverse.
+    That is about three products per entry, against 2*log2(p) for a Fermat
+    power per entry, plus one Python step per row.
+    """
+    n = x.size
+    if not n:
+        return x.copy()
+    width = min(n, _LANES)
+    rows = -(-n // width)
+    zero = x == 0
+    lane = np.ones(rows * width, dtype=x.dtype)
+    lane[:n] = x
+    lane[:n][zero] = 1
+    lane = lane.reshape(rows, width)
+    run = np.empty_like(lane)  # run[r] = lane[0] * ... * lane[r]
+    run[0] = lane[0]
+    for r in range(1, rows):
+        run[r] = run[r - 1] * lane[r] % p
+    inv = _pow_mod(run[-1], p - 2, p)  # 1 / run[r] for r = rows - 1
+    for r in range(rows - 1, 0, -1):
+        run[r] = inv * run[r - 1] % p  # 1 / lane[r]
+        inv = inv * lane[r] % p  # 1 / run[r - 1]
+    run[0] = inv
+    out = run.reshape(-1)[:n]
+    out[zero] = 0
+    return out
+
+
 def _mul_pairs(a, b, e: int, p: int):
     """(a0 + a1*Z)(b0 + b1*Z) mod (p, Z^2 - e*Z + 1) on coordinate pairs.
 
@@ -273,6 +337,17 @@ def _mul_pairs(a, b, e: int, p: int):
     """
     cross = a[1] * b[1] % p
     return (a[0] * b[0] - cross) % p, (a[0] * b[1] + a[1] * b[0] + e * cross) % p
+
+
+def _pow_pairs(z: tuple[int, int], n: int, e: int, p: int) -> tuple[int, int]:
+    """(z0 + z1*Z)^n for n >= 0 by square-and-multiply on raw int pairs."""
+    out = (1, 0)
+    while n:
+        if n & 1:
+            out = _mul_pairs(out, z, e, p)
+        z = _mul_pairs(z, z, e, p)
+        n >>= 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -336,14 +411,7 @@ class Fp2Elem:
     def __pow__(self, n: int) -> "Fp2Elem":
         if n < 0:
             return self.inv() ** (-n)
-        result = self.ext.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return self.ext.elem(*_pow_pairs((self.c0.value, self.c1.value), n, self.ext.e.value, self.p))
 
     def __bool__(self) -> bool:
         return bool(self.c0) or bool(self.c1)
@@ -383,19 +451,20 @@ def mult_order(z: FpElem | Fp2Elem) -> int:
 
     The ambient group order is p - 1 for F_p, p + 1 for norm-one elements of
     an irreducible extension, and p^2 - 1 otherwise; orders descend through
-    the trial-division factorisation of that bound.
+    the trial-division factorisation of that bound.  Powers are taken on raw
+    ints, or on raw (c0, c1) int pairs in the extension.
     """
     if not z:
         raise ZeroElement("0 has no multiplicative order")
     p = z.p
     if isinstance(z, FpElem):
-        one: FpElem | Fp2Elem = z.modulus.one
+        one, power = 1, partial(pow, z.value, mod=p)
         fac = _factorize_cached(p - 1)
         t = p - 1
     else:
         if not z.norm():
             raise ZeroElement("zero divisor has no multiplicative order")
-        one = z.ext.one
+        one, power = (1, 0), partial(_pow_pairs, (z.c0.value, z.c1.value), e=z.ext.e.value, p=p)
         if z.ext.is_irreducible and z.norm().value == 1:
             fac = _factorize_cached(p + 1)
             t = p + 1
@@ -403,9 +472,9 @@ def mult_order(z: FpElem | Fp2Elem) -> int:
             fac = _merged_factors(p, p - 1, p + 1)
             t = p * p - 1
     for q in fac:
-        while t % q == 0 and z ** (t // q) == one:
+        while t % q == 0 and power(t // q) == one:
             t //= q
-    if z**t != one:
+    if power(t) != one:
         raise ZeroElement(f"{z!r} does not lie in the expected ambient group")
     return t
 

@@ -49,6 +49,7 @@ from mobiusdyn.field_arith import (
 )
 from mobiusdyn.mobius_dynamics import (
     MobiusMatrix,
+    apply,
     linear_lift,
     period,
     spectral_orbit,
@@ -99,11 +100,14 @@ def orbit_sample():
             matrix, xi0, traj, form = random_admissible_instance(rng, modulus)
             window = min(traj.period, WINDOW_CAP)
             mismatches = 0
-            direct = (modulus.elem(raw) for raw in traj.orbit_table[:window].tolist())
+            # the map view steps `apply`; the orbit table, built from the lift, is held to it
+            table = traj.orbit_table[:window].tolist()
             lift = itertools.islice(linear_lift(matrix, xi0), 1, None)
             closed = itertools.islice(spectral_orbit(form), 1, None)
-            for x, (u, v), s in zip(direct, lift, closed):
-                if not v or s is None or u != x * v or s != x:
+            x = xi0
+            for raw, (u, v), s in zip(table, lift, closed):
+                x = apply(matrix, x)
+                if not v or s is None or u != x * v or s != x or raw != x.value:
                     mismatches += 1
             results.append(
                 {

@@ -133,6 +133,18 @@ def test_twisted_schedule_shares_one_pass_across_characters(mu_table):
         twisted_sum_schedule(A101, XI101, [PSI101, AdditiveCharacter(M101.elem(0))], schedule, mu_table)
 
 
+def test_twisted_schedule_reads_a_given_trajectory(mu_table, traj101):
+    # the table of a full period gives the same reports as the prefix built for max N
+    chars = [AdditiveCharacter(M101.elem(u)) for u in (1, 77)]
+    for schedule in ([3, 40], [10, 100, 1000]):
+        built = twisted_sum_schedule(A101, XI101, chars, schedule, mu_table)
+        given = twisted_sum_schedule(A101, XI101, chars, schedule, mu_table, traj101)
+        assert [r.csv_row() for r in given] == [r.csv_row() for r in built]
+    other = period(A101, M101.elem(56))
+    with pytest.raises(ValueError, match="different instance"):
+        twisted_sum_schedule(A101, XI101, PSI101, [10], mu_table, other)
+
+
 def test_twisted_validation(mu_table):
     with pytest.raises(ValueError):
         twisted_sum(A101, XI101, AdditiveCharacter(M101.elem(0)), 5, mu_table)

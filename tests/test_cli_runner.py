@@ -192,6 +192,24 @@ def test_verify_spectral_shipped_config_passes(tmp_path):
     assert report["period_divides_order"] is True
 
 
+def test_verify_three_way_steps_the_map_itself():
+    # a table entry that disagrees with the map is a mismatch: the map view
+    # is stepped by `apply`, not read from the table built from the lift
+    import dataclasses
+
+    from mobiusdyn.cli_runner import verify_three_way
+    from mobiusdyn.field_arith import PrimeModulus
+    from mobiusdyn.mobius_dynamics import MobiusMatrix, period
+
+    m = PrimeModulus(101)
+    traj = period(MobiusMatrix(*(m.elem(x) for x in (27, 39, 5, 11))), m.elem(55))
+    assert verify_three_way(traj, traj.period) == {"mismatches": 0}
+    table = traj.orbit_table.copy()
+    table[7] = (table[7] + 1) % 101
+    bad = dataclasses.replace(traj, orbit_table=table)
+    assert verify_three_way(bad, traj.period) == {"mismatches": 1}
+
+
 def test_mu_cache_roundtrip(tmp_path):
     cache = tmp_path / "mu.bin"
     cfg = {
@@ -422,3 +440,34 @@ def test_scan_fields_unread_by_kinds_exit_2(tmp_path, capsys, body, key):
     assert key in err and "'kinds'" in err
     assert "Traceback" not in err
     assert not outdir.exists()
+
+
+# --- one orbit build per scan ----------------------------------------------------------
+
+
+def test_mixed_scan_builds_the_orbit_once(tmp_path, monkeypatch):
+    from mobiusdyn import char_sums, mobius_dynamics
+
+    pinned = json.loads((CONFIG_DIR / "sum_scan_p10007.json").read_text())
+    instance = {key: pinned[key] for key in ("p", "matrix", "seed")}
+    twisted = {**instance, "kinds": ["twisted"], "n_schedule": ["100000"]}
+    single = {"kind": "single", "u": "3", "m": "2"}
+    mixed = {**twisted, "kinds": ["twisted", "single"], "points": [single]}
+    calls = []
+    build = mobius_dynamics._orbit_prefix
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(mobius_dynamics, "_orbit_prefix", counted)
+    monkeypatch.setattr(char_sums, "_orbit_prefix", counted)
+    code, out_mixed = run(tmp_path, "sum-scan", mixed, out_name="mixed")
+    assert code == EXIT_OK
+    assert len(calls) == 1
+    code, out_twisted = run(tmp_path, "sum-scan", twisted, out_name="twisted")
+    assert code == EXIT_OK
+    mixed_rows = (out_mixed / "sum_scan.csv").read_text().splitlines()
+    twisted_rows = (out_twisted / "sum_scan.csv").read_text().splitlines()
+    assert mixed_rows[: len(twisted_rows)] == twisted_rows
+    assert [row.split(",")[0] for row in mixed_rows[len(twisted_rows) :]] == ["single"]

@@ -1,9 +1,12 @@
 """Field arithmetic, extension-ring arithmetic, and group utilities."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from mobiusdyn.field_arith import (
+    _inv_mod,
+    _residues,
     FpElem,
     ModulusMismatch,
     NotInGroup,
@@ -357,3 +360,13 @@ def test_discrete_index_detects_outsiders():
     m = PrimeModulus(7)
     with pytest.raises(NotInGroup):
         discrete_index(m.elem(3), m.elem(2), 3)
+
+
+@pytest.mark.parametrize("p", [10007, 2**31 - 1, 2147483659, 2**61 - 1])
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 5000])
+def test_inv_mod_matches_pow(p, n):
+    # lanes of 1024: empty, one entry, one short row, one full row, a ragged last row
+    rng = np.random.default_rng(n)
+    x = ([0, p - 1, 1] + [int(v) for v in rng.integers(0, p, n)])[:n]
+    got = _inv_mod(_residues(np.array(x, dtype=np.int64), p), p).tolist()
+    assert got == [pow(v, -1, p) if v else 0 for v in x]

@@ -6,7 +6,14 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from mobiusdyn.field_arith import PrimeModulus, RepeatedRoot, char_poly_roots
+from mobiusdyn.field_arith import (
+    PrimeModulus,
+    RepeatedRoot,
+    char_poly_roots,
+    is_prime,
+    primitive_root,
+    sqrt_mod,
+)
 from mobiusdyn.mobius_dynamics import (
     DegenerateSpectral,
     InvalidMatrix,
@@ -14,6 +21,7 @@ from mobiusdyn.mobius_dynamics import (
     NonSquareDeterminant,
     SingularMatrix,
     SpectralPole,
+    _orbit_prefix,
     apply,
     apply_projective,
     eval_spectral,
@@ -24,6 +32,7 @@ from mobiusdyn.mobius_dynamics import (
     spectral_orbit,
 )
 from mobiusdyn.sampling import random_admissible_instance, random_sl2
+from oracles import orbit_walk
 
 M5 = PrimeModulus(5)
 M7 = PrimeModulus(7)
@@ -261,6 +270,109 @@ def test_pole_orbit_shortens_scalar_period_by_one():
         found += 1
 
 
+# --- the orbit builder against the step walker -----------------------------------
+
+PRIMES_TO_1E4 = [q for q in range(3, 10**4) if is_prime(q)]
+
+
+def _fixed_points(A):
+    """Roots of c*x^2 + (d - a)*x - b, the seeds the map fixes."""
+    a, b, c, d = A.entries()
+    r = sqrt_mod(A.modulus.elem((d - a) ** 2 + 4 * b * c))
+    if r is None:
+        return []
+    half_c = A.modulus.elem(2 * c).inv()
+    return sorted({((A.a - A.d + s) * half_c).value for s in (r, -r)})
+
+
+def _check_builder(A, xi0):
+    """_orbit_prefix at limit 1, t - 1, t, t + 1 and period() against the walker."""
+    p = A.p
+    walk_full = orbit_walk(A, xi0, p + 2)
+    t = len(walk_full)
+    assert walk_full[-1] == xi0.value
+    for limit in sorted({1, max(t - 1, 1), t, t + 1}):
+        assert _orbit_prefix(A, xi0, limit).tolist() == walk_full[:limit], limit
+    traj = period(A, xi0)
+    pole = A.pole.value
+    pole_hit = 0 if xi0.value == pole else next(
+        (n for n, x in enumerate(walk_full[:-1], 1) if x == pole), None
+    )
+    assert traj.orbit_table.dtype.name == "int64"
+    assert traj.orbit_table.tolist() == walk_full
+    assert (traj.period, traj.pole_hit) == (t, pole_hit)
+    return traj
+
+
+@st.composite
+def _sl2(draw, trace_zero=False):
+    p = draw(st.sampled_from(PRIMES_TO_1E4))
+    m = PrimeModulus(p)
+    a = draw(st.integers(min_value=0, max_value=p - 1))
+    c = draw(st.integers(min_value=1, max_value=p - 1))
+    d = (-a) % p if trace_zero else draw(st.integers(min_value=0, max_value=p - 1))
+    assume((a + d) % p not in (2, p - 2))
+    return mat(m, a, (a * d - 1) * pow(c, -1, p), c, d)
+
+
+@given(_sl2(), st.integers(min_value=0, max_value=10**4))
+def test_builder_matches_walker_on_pole_orbits(A, j):
+    pole_orbit = orbit_walk(A, A.pole, A.p + 2)
+    xi0 = A.modulus.elem(pole_orbit[j % len(pole_orbit)])
+    traj = _check_builder(A, xi0)
+    assert traj.pole_hit is not None
+    assert traj.period == traj.theta_sq_order - 1
+
+
+@given(_sl2(), st.integers(min_value=0, max_value=10**4 - 1))
+def test_builder_matches_walker_on_pole_free_orbits(A, x):
+    xi0 = A.modulus.elem(x)
+    assume(A.pole.value not in orbit_walk(A, xi0, A.p + 2))
+    assume(xi0.value not in _fixed_points(A))
+    traj = _check_builder(A, xi0)
+    assert traj.pole_free
+    assert traj.period == traj.theta_sq_order
+
+
+@given(_sl2())
+def test_builder_matches_walker_on_fixed_seeds(A):
+    fixed = _fixed_points(A)
+    assume(fixed)
+    for x in fixed:
+        assert apply(A, A.modulus.elem(x)).value == x
+        traj = _check_builder(A, A.modulus.elem(x))
+        assert traj.period == 1
+
+
+@given(_sl2(trace_zero=True), st.integers(min_value=0, max_value=10**4 - 1))
+def test_builder_matches_walker_on_trace_zero(A, x):
+    # theta^2 = -1: every projective orbit is a 2-cycle and the pole's goes through infinity
+    assert A.theta_sq_order == 2
+    assert _check_builder(A, A.pole).period == 1
+    _check_builder(A, A.modulus.elem(x % A.p))
+
+
+def _split_matrix(p, m):
+    """x -> -1/(x + e) with e = theta + 1/theta, theta of order m in F_p^*, via normalize_to_sl2."""
+    modulus = PrimeModulus(p)
+    theta = pow(primitive_root(modulus).value, (p - 1) // m, p)
+    e = (theta + pow(theta, p - 2, p)) % p
+    el = modulus.elem
+    return normalize_to_sl2(el(0), el(-2), el(2), el(2 * e)), theta
+
+
+@pytest.mark.parametrize("p, m", [(2**31 - 1, 2 * 7 * 11 * 31), (2147483659, 2 * 3 * 149)])
+def test_builder_at_the_int64_switch(p, m):
+    # just below 2^31 the lift runs on int64, just above on Python-int object arrays
+    A, theta = _split_matrix(p, m)
+    assert A.theta_sq_order == m // 2
+    rng = random.Random(p)
+    seeds = [A.pole, A.modulus.elem(-theta), A.modulus.elem(rng.randrange(p))]
+    seeds += [A.modulus.elem(orbit_walk(A, A.pole, 100)[-1])]
+    periods = [_check_builder(A, xi0).period for xi0 in seeds]
+    assert periods[:2] == [m // 2 - 1, 1]  # the pole's orbit, a fixed point
+
+
 # --- the linear lift ----------------------------------------------------------
 
 
@@ -378,10 +490,11 @@ def test_three_way_equivalence_random():
         for _ in range(10):
             A, xi0, traj, form = random_admissible_instance(rng, m)
             window = min(traj.period, 200)
-            direct = (m.elem(raw) for raw in traj.orbit_table[:window].tolist())
+            direct = walk(A, xi0, window)
             lift = itertools.islice(linear_lift(A, xi0), 1, None)
             closed = itertools.islice(spectral_orbit(form), 1, None)
-            for x, (u, v), s in zip(direct, lift, closed):
+            for raw, x, (u, v), s in zip(traj.orbit_table[:window].tolist(), direct, lift, closed):
                 assert v
                 assert u == x * v
                 assert s == x
+                assert raw == x.value
