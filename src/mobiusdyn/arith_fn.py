@@ -5,6 +5,8 @@ path) and a trial-division oracle (slow, independent, used to cross-check the
 sieve).  Characters carry their phases as exact integer fractions that are
 reduced mod 1 in integer arithmetic before any transcendental call, so a sum
 of 10^9 unit-circle terms accumulates no phase drift beyond per-term epsilon.
+Mobius tables persist through `_atomic_write`, which the CLI uses for its
+artifacts as well.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .field_arith import Fp2Elem, FpElem, discrete_index
+from .field_arith import Fp2Elem, FpElem
 
 
 class TableTooSmall(ValueError):
@@ -73,6 +75,24 @@ def primes_in(lo: float, hi: float) -> list[int]:
     return (np.flatnonzero(flags) + lo_i).tolist()
 
 
+def _atomic_write(path: Path, *chunks) -> None:
+    """Write the chunks (bytes-like) to a temporary file beside path, then rename it over path.
+
+    An interrupted write leaves path as it was and no temporary file behind.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 @dataclass
 class MobiusTable:
     """Dense mu(1..limit) as a signed-byte array; values[0] is unused (0)."""
@@ -89,23 +109,9 @@ class MobiusTable:
         return int(self.values[n])
 
     def save(self, path) -> None:
-        """Flat binary: magic, u32 version, u64 limit, then limit signed bytes.
-
-        Written to a temporary file in the same directory and renamed over
-        `path`, so an interrupted save never leaves a truncated table behind.
-        """
-        path = Path(path)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(self._MAGIC)
-                fh.write(struct.pack("<IQ", self._VERSION, self.limit))
-                fh.write(self.values[1:].tobytes())
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        """Flat binary: magic, u32 version, u64 limit, then limit signed bytes, written atomically."""
+        header = self._MAGIC + struct.pack("<IQ", self._VERSION, self.limit)
+        _atomic_write(Path(path), header, self.values[1:])
 
     @classmethod
     def load(cls, path) -> "MobiusTable":
@@ -231,16 +237,11 @@ class AdditiveCharacter:
 
 @dataclass(frozen=True)
 class MultiplicativeCharacter:
-    """x -> e(multiplier * ind(x)/order) on the cyclic group spanned by `generator`."""
+    """x -> e(multiplier * ind(x)/order) on the cyclic group spanned by `generator`.
+
+    A description only: the Weil kernels evaluate it on whole groups at once.
+    """
 
     generator: FpElem | Fp2Elem
     order: int
     multiplier: int
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.multiplier % self.order == 0
-
-    def __call__(self, x: FpElem | Fp2Elem) -> complex:
-        ind = discrete_index(x, self.generator, self.order)
-        return unit_circle(self.multiplier * ind, self.order)

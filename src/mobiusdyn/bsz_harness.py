@@ -97,19 +97,17 @@ class SieveSet:
     members: tuple[int, ...]
 
 
-def prime_blocks(params: BszParams, max_r: float | None = None) -> list[PrimeBlock]:
+def prime_blocks(params: BszParams) -> list[PrimeBlock]:
     """Materialise the blocks whose sieve sets can be nonempty.
 
     Blocks with R_{j+1} > N have M_j < 1, hence empty Q_j and zero
-    contribution everywhere, so enumeration stops there (or at an explicit
-    max_r).  Raises LimitOverflow if a needed block would require primes
-    beyond 10^9.
+    contribution everywhere, so enumeration stops there.  Raises
+    LimitOverflow if a needed block would require primes beyond 10^9.
     """
-    cap = params.n if max_r is None else max_r
     blocks: list[PrimeBlock] = []
     for j in params.j_range:
         hi = params.r(j + 1)
-        if hi > cap:
+        if hi > params.n:
             break
         if hi > _PRIME_LIMIT:
             raise LimitOverflow(f"block {j} needs primes beyond {_PRIME_LIMIT}")
@@ -251,30 +249,6 @@ def wj_sums(
             inner[i : i + chunk.size] = np.abs((phase[idx] * weights).sum(axis=1))
         out.append(_fsum(inner, counts))
     return out
-
-
-@dataclass(frozen=True)
-class CardinalityRow:
-    j: int
-    block_size: int
-    r_over_j: float
-    ratio: float
-
-
-def pj_cardinality_check(params: BszParams, blocks: Sequence[PrimeBlock]) -> list[CardinalityRow]:
-    """Empirical #P_j * j / R_j per block; O(1) is expected, nothing is asserted."""
-    rows = []
-    for block in blocks:
-        r_j = params.r(block.j)
-        rows.append(
-            CardinalityRow(
-                block.j,
-                len(block.primes),
-                r_j / block.j,
-                len(block.primes) * block.j / r_j,
-            )
-        )
-    return rows
 
 
 @dataclass

@@ -14,6 +14,9 @@ correlation and single sums.  Phases are reduced as exact integers before
 any cos/sin, and each component is one exactly rounded math.fsum, so results
 do not depend on summation order or thread count.  The table follows the
 extended scalar map, so orbits through the pole take the same path.
+The correlation and single sums read matrix, seed, period and table from one
+Trajectory; the twisted schedule takes (matrix, xi0) and builds only the
+orbit prefix it needs, unless it is handed a Trajectory.
 The exhaustive Weil kernels follow the same pattern over all of F_p or the
 norm-one group: exact int64 phase numerators, then one fsum per component.
 """
@@ -35,6 +38,7 @@ from .arith_fn import (
     TableTooSmall,
 )
 from .field_arith import (
+    _BLOCK,
     _inv_mod,
     _mul_pairs,
     _residues,
@@ -46,7 +50,8 @@ from .field_arith import (
     discrete_index,
     norm_group_generator,
 )
-from .mobius_dynamics import MobiusMatrix, Trajectory, _orbit_prefix, period
+from .mobius_dynamics import MobiusMatrix, Trajectory, _orbit_prefix
+from .mobius_dynamics import period  # noqa: F401  unused here; perfbench's tracer test reads char_sums.period
 
 
 class BothFrequenciesZero(ValueError):
@@ -63,9 +68,6 @@ class ZeroFrequency(ValueError):
 
 class RangeGuard(ValueError):
     """Requested modulus exceeds the brute-force enumeration caps."""
-
-
-_BLOCK = 1 << 14
 
 
 _CSV_FIELDS = ("sum_kind", "p", "a", "b", "c", "d", "xi0", "u", "v", "k", "m", "h", "N", "re", "im", "abs", "bound", "ratio")
@@ -185,17 +187,6 @@ def _add_residue_counts(counts: np.ndarray, mu: np.ndarray, start: int) -> None:
     counts[: tail.size] += tail
 
 
-def twisted_sum(
-    matrix: MobiusMatrix,
-    xi0: FpElem,
-    psi: AdditiveCharacter,
-    n_terms: int,
-    mu_table: MobiusTable,
-) -> SumReport:
-    """sum_{n <= N} mu(n) psi(xi_n) over the extended-map trajectory."""
-    return twisted_sum_schedule(matrix, xi0, psi, [n_terms], mu_table)[0]
-
-
 def twisted_sum_schedule(
     matrix: MobiusMatrix,
     xi0: FpElem,
@@ -212,9 +203,10 @@ def twisted_sum_schedule(
     checkpoint, so every prefix report equals a standalone run at that N.
     psi may be one character or several: the orbit prefix and the counts do
     not depend on it and are built once, and the reports come character by
-    character, each over the whole schedule.  A given traj supplies the
-    prefix from its table; without one only the first max N terms of the
-    orbit are built, so a long orbit never needs its full period.
+    character, each over the whole schedule.  A given traj of the same
+    (matrix, xi0) supplies the prefix from its table; without one only the
+    first max N terms of the orbit are built, so a twisted-only scan needs
+    neither the full period nor ord(theta^2).
     """
     chars = [psi] if isinstance(psi, AdditiveCharacter) else list(psi)
     if not all(c.is_nontrivial for c in chars):
@@ -231,8 +223,10 @@ def twisted_sum_schedule(
     p = matrix.p
     if traj is None:
         table = _orbit_prefix(matrix, xi0, n_max)
+    elif traj.matrix != matrix or traj.seed != xi0:
+        raise ValueError("supplied trajectory belongs to a different instance")
     else:
-        table = _resolve_trajectory(matrix, xi0, traj).orbit_table[:n_max]
+        table = traj.orbit_table[:n_max]
     angles = [_angles(table, p, c.u.value) for c in chars]
     counts = np.zeros(table.size, dtype=np.int64)
     done = 0
@@ -247,14 +241,6 @@ def twisted_sum_schedule(
         for k, c in enumerate(chars)
         for n, row in zip(n_schedule, values)
     ]
-
-
-def _resolve_trajectory(matrix: MobiusMatrix, xi0: FpElem, traj: Trajectory | None) -> Trajectory:
-    if traj is None:
-        return period(matrix, xi0)
-    if traj.matrix != matrix or traj.seed != xi0:
-        raise ValueError("supplied trajectory belongs to a different instance")
-    return traj
 
 
 def _decimated_phases(
@@ -293,100 +279,55 @@ def _histogram_sum(phases: np.ndarray, p: int) -> complex:
 
 
 def correlation_sum(
-    matrix: MobiusMatrix,
-    xi0: FpElem,
+    traj: Trajectory,
     psi: AdditiveCharacter,
     u: FpElem,
     v: FpElem,
     k: int,
     m: int,
     n_terms: int,
-    traj: Trajectory | None = None,
 ) -> SumReport:
-    """sum_{n <= N} psi(u*xi_{kn} + v*xi_{mn}) with reference bound m*sqrt(p)*log(p)."""
+    """sum_{n <= N} psi(u*xi_{kn} + v*xi_{mn}) along traj, with reference bound m*sqrt(p)*log(p)."""
     if not (u or v):
         raise BothFrequenciesZero("need (u, v) != (0, 0)")
     if not (0 <= k < m):
         raise BadIndices(f"need 0 <= k < m, got k={k}, m={m}")
     if not psi.is_nontrivial:
         raise ValueError("psi must be a nontrivial additive character")
-    traj = _resolve_trajectory(matrix, xi0, traj)
     if n_terms > traj.period:
         raise ValueError(f"N = {n_terms} exceeds the period t = {traj.period}")
-    p = matrix.p
+    p = traj.matrix.p
     uv, vv = u.value, v.value
     value = _histogram_sum(_decimated_phases(traj, psi, [(uv, k), (vv, m)], n_terms), p)
     bound = m * math.sqrt(p) * math.log(p)
-    params = _matrix_params(matrix, xi0)
+    params = _matrix_params(traj.matrix, traj.seed)
     params.update(u=uv, v=vv, k=k, m=m)
     return SumReport("correlation", value, n_terms, p, bound, params)
 
 
 def single_sum(
-    matrix: MobiusMatrix,
-    xi0: FpElem,
+    traj: Trajectory,
     psi: AdditiveCharacter,
     u: FpElem,
     m: int,
     n_terms: int,
-    traj: Trajectory | None = None,
 ) -> SumReport:
-    """sum_{n <= N} psi(u*xi_{mn}) with reference bound gcd(m, t)*sqrt(p)*log(p)."""
+    """sum_{n <= N} psi(u*xi_{mn}) along traj, with reference bound gcd(m, t)*sqrt(p)*log(p)."""
     if not u:
         raise ZeroFrequency("u must be nonzero")
     if m < 1:
         raise BadIndices("m must be >= 1")
     if not psi.is_nontrivial:
         raise ValueError("psi must be a nontrivial additive character")
-    traj = _resolve_trajectory(matrix, xi0, traj)
     if n_terms > traj.period:
         raise ValueError(f"N = {n_terms} exceeds the period t = {traj.period}")
-    p = matrix.p
+    p = traj.matrix.p
     uv = u.value
     value = _histogram_sum(_decimated_phases(traj, psi, [(uv, m)], n_terms), p)
     bound = math.gcd(m, traj.period) * math.sqrt(p) * math.log(p)
-    params = _matrix_params(matrix, xi0)
+    params = _matrix_params(traj.matrix, traj.seed)
     params.update(u=uv, m=m)
     return SumReport("single", value, n_terms, p, bound, params)
-
-
-def complete_twisted_sum(
-    matrix: MobiusMatrix,
-    xi0: FpElem,
-    psi: AdditiveCharacter,
-    u: FpElem,
-    v: FpElem,
-    k: int,
-    m: int,
-    h: int,
-    traj: Trajectory | None = None,
-) -> SumReport:
-    """Complete sum over one period with an e(h*n/t) twist.
-
-    sum_{n=1}^{t} psi(u*xi_{kn} + v*xi_{mn}) e(h*n/t); at h = 0 this is the
-    full-period two-term correlation sum.  The family over h = 0..t-1 is the
-    discrete Fourier transform of the term sequence, which is what the
-    complete-to-incomplete reduction in the tests inverts.
-    """
-    if not (u or v):
-        raise BothFrequenciesZero("need (u, v) != (0, 0)")
-    if not (0 <= k < m):
-        raise BadIndices(f"need 0 <= k < m, got k={k}, m={m}")
-    if not psi.is_nontrivial:
-        raise ValueError("psi must be a nontrivial additive character")
-    traj = _resolve_trajectory(matrix, xi0, traj)
-    t = traj.period
-    if not 0 <= h < t:
-        raise ValueError(f"need 0 <= h < t = {t}")
-    p = matrix.p
-    uv, vv = u.value, v.value
-    angle = _angles(_decimated_phases(traj, psi, [(uv, k), (vv, m)], t), p)
-    angle += _angles(np.arange(1, t + 1, dtype=np.int64), t, h)
-    value = _weighted_sum(1, np.cos(angle), np.sin(angle))
-    bound = m * math.sqrt(p) * math.log(p)
-    params = _matrix_params(matrix, xi0)
-    params.update(u=uv, v=vv, k=k, m=m, h=h)
-    return SumReport("complete", value, t, p, bound, params)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ import os
 import random
 import re
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,6 +36,7 @@ import numpy as np
 
 from . import __version__
 from .arith_fn import (
+    _atomic_write,
     AdditiveCharacter,
     LimitOverflow,
     MobiusTable,
@@ -251,19 +251,6 @@ def _parse_seed(cfg: dict, modulus: PrimeModulus) -> FpElem:
     return modulus.elem(_as_int(cfg, "seed"))
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -430,14 +417,14 @@ def cmd_sum_scan(cfg: dict, outdir: Path, config_blob: bytes, mu_cache: str | No
                 if not (u or v):
                     raise ConfigError("scan point fields 'u' and 'v' must not both be 0 mod p")
                 jobs.append(
-                    lambda u=u, v=v, k=k, m=m, n=n: [correlation_sum(matrix, xi0, psi, u, v, k, m, n, traj)]
+                    lambda u=u, v=v, k=k, m=m, n=n: [correlation_sum(traj, psi, u, v, k, m, n)]
                 )
             else:
                 if m < 1:
                     raise ConfigError(f"scan point field 'm' must be >= 1, got {m}")
                 if not u:
                     raise ConfigError("scan point field 'u' must be nonzero mod p")
-                jobs.append(lambda u=u, m=m, n=n: [single_sum(matrix, xi0, psi, u, m, n, traj)])
+                jobs.append(lambda u=u, m=m, n=n: [single_sum(traj, psi, u, m, n)])
 
     rows = [report.csv_row() for job in jobs for report in job()]
     _write_outputs(outdir, {"sum_scan.csv": _csv_bytes(rows)}, config_blob)

@@ -269,6 +269,7 @@ class QuadExtension:
 
 
 _INT64_EXACT = 1 << 31  # below this, a*x + b*y of residues stays exact in int64
+_BLOCK = 1 << 14  # entries per block of the array kernels, so Python-int temporaries stay small
 
 
 def _residues(values: np.ndarray, p: int) -> np.ndarray:

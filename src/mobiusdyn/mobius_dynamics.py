@@ -10,12 +10,15 @@ Z^2 - e*Z + 1 both follow the projective indexing, so the verification
 helpers prefer seeds whose orbit avoids the pole, where all three views
 agree index by index.
 
-`apply` is the definition of the map, one step at a time.  The orbit table
-every sum reads is not stepped: `_orbit_prefix` fills the linear lift on
-int64 arrays by doubling, drops the infinity index and inverts the v_n in
-blocks, so one period of t entries costs about ten array operations per
-entry (~0.1 us per entry at p ~ 1e7 on one core of a 2-CPU x86 machine),
-with a peak of about 16 bytes per entry.
+`apply` is the definition of the map, one step at a time; the step-by-step
+projective map and closed-form evaluation live with the test oracles.  The
+orbit table every sum reads is not stepped: `_orbit_prefix` fills the linear
+lift on int64 arrays by doubling until the lift returns to the seed, drops
+the infinity index and inverts the v_n in blocks, so one period of t entries
+costs about twenty array operations per entry (~0.1 us per entry at p ~ 1e7
+on one core of a 2-CPU x86 machine), with a peak of about 16 bytes per entry.
+It never needs ord(theta^2); `period` computes that order for the record and
+as a cross-check of the closure.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from .field_arith import (
+    _BLOCK,
     _inv_mod,
     _residues,
     Fp2Elem,
@@ -53,10 +57,6 @@ class InvalidMatrix(ValueError):
 
 class DegenerateSpectral(ValueError):
     """Seed admits no alpha + beta/(theta^(2n) + gamma) normal form."""
-
-
-class SpectralPole(ArithmeticError):
-    """theta^(2n) = -gamma: the projective orbit is at infinity at this index."""
 
 
 @dataclass(frozen=True)
@@ -141,55 +141,46 @@ def apply(matrix: MobiusMatrix, x: FpElem) -> FpElem:
     return (matrix.a * x + matrix.b) / den
 
 
-def apply_projective(matrix: MobiusMatrix, x: FpElem | None) -> FpElem | None:
-    """Projective step; None encodes the point at infinity (c != 0 maps it to a/c)."""
-    if x is None:
-        return matrix.a / matrix.c
-    den = matrix.c * x + matrix.d
-    if not den:
-        return None
-    return (matrix.a * x + matrix.b) / den
-
-
-_BLOCK = 1 << 14
-
-
 def _orbit_prefix(matrix: MobiusMatrix, xi0: FpElem, limit: int) -> np.ndarray:
     """xi_1, ..., xi_L as int64 with L = min(period, limit), read off the linear lift.
 
-    (u_n, v_n) for n = 0..M, M = min(limit + 1, ord(theta^2)), fill two
-    arrays by doubling: (u, v)[k:2k] = A^k (u, v)[:k], with A^k squared on
-    Python ints.  The projective orbit of a non-fixed seed has least period
-    ord(theta^2) and meets infinity (v_n = 0) at most once; the extended map
-    skips that index, so dropping it leaves the scalar orbit, which first
-    returns to xi_0 at the end.  The v_n are inverted block by block of
-    _BLOCK entries (_inv_mod: one Fermat power per block on lane products)
-    and xi_n = u_n / v_n is written back into u.  A fixed seed
-    (c*x0^2 + (d - a)*x0 - b = 0) is the one branch: its lift never leaves
-    [x0 : 1].  u and v are int64; from p = 2^31 on, each block is taken to
-    Python ints (_residues) for its products.  Cost: about ten array
-    operations per entry; peak memory about 16*M bytes, the returned table
-    being the first 8*L of them.
+    (u_n, v_n) for n = 0, 1, ... fill two arrays by doubling:
+    (u, v)[k:2k] = A^k (u, v)[:k], with A^k squared on Python ints.  The
+    projective orbit of the seed first returns to [x0 : 1] (u_n = x0*v_n) at
+    n = ord(theta^2), which divides p - 1 or p + 1; so the arrays hold
+    M = min(limit + 1, p + 1) entries, and M drops to that n in the block
+    that finds the return.  No order is computed, so a short prefix never
+    factorises p +- 1.  The projective orbit meets infinity (v_n = 0) at most
+    once; the extended map skips that index, so dropping it leaves the scalar
+    orbit, which first returns to xi_0 at the end (at n = 1 for a fixed
+    seed).  The v_n are inverted block by block of _BLOCK entries (_inv_mod:
+    one Fermat power per block on lane products) and xi_n = u_n / v_n is
+    written back into u.  u and v are int64; from p = 2^31 on, each block is
+    taken to Python ints (_residues) for its products.  Cost: about twenty
+    array operations per entry; peak memory about 16*M bytes, the returned
+    table being the first 8*L of them.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     a, b, c, d = matrix.entries()
     p = matrix.p
     x0 = xi0.value
-    if (c * x0 * x0 + (d - a) * x0 - b) % p == 0:
-        return np.array([x0], dtype=np.int64)
-    size = min(limit + 1, matrix.theta_sq_order)
+    size = min(limit + 1, p + 1)
     u = np.empty(size + 1, dtype=np.int64)
     v = np.empty(size + 1, dtype=np.int64)
     u[0], v[0] = x0, 1
     k, (a_k, b_k, c_k, d_k) = 1, (a, b, c, d)  # A^k
-    while k <= size:
+    while k <= size:  # a return at n < k + m sets size below k + m and ends the loop
         m = min(k, size + 1 - k)
         for i in range(0, m, _BLOCK):
             j = min(i + _BLOCK, m)
             u_blk, v_blk = _residues(u[i:j], p), _residues(v[i:j], p)
-            u[k + i : k + j] = (a_k * u_blk + b_k * v_blk) % p
-            v[k + i : k + j] = (c_k * u_blk + d_k * v_blk) % p
+            u_blk, v_blk = (a_k * u_blk + b_k * v_blk) % p, (c_k * u_blk + d_k * v_blk) % p
+            u[k + i : k + j], v[k + i : k + j] = u_blk, v_blk
+            back = u_blk == x0 * v_blk % p
+            if back.any():
+                size = k + i + int(back.argmax())
+                break
         a_k, b_k, c_k, d_k = (
             (a_k * a_k + b_k * c_k) % p,
             (a_k * b_k + b_k * d_k) % p,
@@ -199,8 +190,9 @@ def _orbit_prefix(matrix: MobiusMatrix, xi0: FpElem, limit: int) -> np.ndarray:
         k += m
     kept = 0  # u[:kept] holds the finite xi_n read so far; kept < i always
     for i in range(1, size + 1, _BLOCK):
-        v_blk = _residues(v[i : i + _BLOCK], p)
-        xi = (_residues(u[i : i + _BLOCK], p) * _inv_mod(v_blk, p) % p)[v_blk != 0]
+        j = min(i + _BLOCK, size + 1)  # entries past size are unwritten
+        v_blk = _residues(v[i:j], p)
+        xi = (_residues(u[i:j], p) * _inv_mod(v_blk, p) % p)[v_blk != 0]
         u[kept : kept + xi.size] = xi
         kept += xi.size
     return u[: min(kept, limit)]
@@ -234,9 +226,10 @@ class Trajectory:
 def period(matrix: MobiusMatrix, xi0: FpElem) -> Trajectory:
     """Build the orbit table of xi0 from the linear lift; requires distinct roots.
 
-    The scalar period is at most ord(theta^2), so the table is built to
-    that cap and the least period is its length.  The pole index is a scan
-    of the table.  At t = 5e6 (p = 10000019) this takes about 0.5 s on a
+    The table runs to the first return to xi0, so the least period is its
+    length; ord(theta^2) is recorded, and a table that has not closed within
+    that many steps raises AssertionError.  The pole index is a scan of the
+    table.  At t = 5e6 (p = 10000019) this takes about 0.5 s on a
     2-CPU x86 machine and 80 MB of peak memory, 40 MB of which stay as the
     table.
     """
@@ -319,19 +312,6 @@ def spectral_form(matrix: MobiusMatrix, xi0: FpElem) -> SpectralForm:
                 raise AssertionError("closed form disagrees with the linear lift")
         cur = cur * step
     return form
-
-
-def eval_spectral(form: SpectralForm, n: int) -> FpElem:
-    """xi_n from the closed form; raises SpectralPole when theta^(2n) = -gamma."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    den = form.theta ** (2 * n) + form.gamma
-    if not den:
-        raise SpectralPole(f"projective orbit is at infinity at index {n}")
-    val = form.alpha + form.beta * den.inv()
-    if val.c1:
-        raise ArithmeticError("closed-form value left the base field; invalid form")
-    return val.c0
 
 
 def spectral_orbit(form: SpectralForm) -> Iterator[FpElem | None]:

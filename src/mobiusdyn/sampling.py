@@ -3,9 +3,10 @@
 Everything is driven by an explicit random.Random so that shipped configs and
 the acceptance suite reproduce bit-identically.  "Admissible" instances are
 the ones every verification layer can handle: distinct characteristic roots,
-a seed that is not a fixed point, a closed form in normal position, and (by
-default) an orbit that never visits the pole, so the scalar, linear-lift and
-closed-form views agree index by index.
+a seed that is not a fixed point, a closed form in normal position, and an
+orbit that never visits the pole, so the scalar, linear-lift and closed-form
+views agree index by index.  Random rational functions feed the Weil-sum
+scans.
 """
 
 from __future__ import annotations
@@ -40,26 +41,24 @@ def random_sl2(rng: random.Random, modulus: PrimeModulus) -> MobiusMatrix:
             return matrix
 
 
+_SEED_TRIES = 12  # seeds per matrix before a fresh matrix is drawn
+
+
 def random_admissible_instance(
-    rng: random.Random,
-    modulus: PrimeModulus,
-    require_pole_free: bool = True,
-    seed_tries_per_matrix: int = 12,
+    rng: random.Random, modulus: PrimeModulus
 ) -> tuple[MobiusMatrix, FpElem, Trajectory, SpectralForm]:
     """Draw (A, xi0) until the orbit is admissible; deterministic in rng.
 
     Matrices whose single projective cycle swallows the whole line leave no
-    pole-free seeds, so after a few failed seeds a fresh matrix is drawn.
+    pole-free seeds, so after _SEED_TRIES failed seeds a fresh matrix is drawn.
     """
     p = modulus.p
     while True:
         matrix = random_sl2(rng, modulus)
-        for _ in range(seed_tries_per_matrix):
+        for _ in range(_SEED_TRIES):
             xi0 = modulus.elem(rng.randrange(p))
             traj = period(matrix, xi0)
-            if traj.period == 1:
-                continue
-            if require_pole_free and not traj.pole_free:
+            if traj.period == 1 or not traj.pole_free:
                 continue
             try:
                 form = spectral_form(matrix, xi0)

@@ -33,7 +33,6 @@ from mobiusdyn.bsz_harness import (
     wj_sums,
 )
 from mobiusdyn.char_sums import (
-    complete_twisted_sum,
     correlation_sum,
     single_sum,
     twisted_sum_schedule,
@@ -59,6 +58,7 @@ from mobiusdyn.sampling import (
     random_rational_function_fp,
     random_rational_function_fp2,
 )
+from oracles import decimated_oracle
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -214,12 +214,12 @@ def test_criterion_5_correlation_envelope():
         (2, 9, 1, 3), (5, 5, 0, 4), (1, 2, 3, 7), (6, 1, 0, 5),
     ]
     for u, v, k, m in corr_points:
-        r = correlation_sum(matrix, xi0, psi, modulus.elem(u), modulus.elem(v), k, m, t, traj)
+        r = correlation_sum(traj, psi, modulus.elem(u), modulus.elem(v), k, m, t)
         assert r.abs_value <= 10.0 * r.reference_bound
         ratios.append(r.ratio)
     single_points = [(1, 1), (2, 2), (5, 3), (1, 5), (9, 101), (3, 10), (4, 15), (1, 7)]
     for u, m in single_points:
-        r = single_sum(matrix, xi0, psi, modulus.elem(u), m, t, traj)
+        r = single_sum(traj, psi, modulus.elem(u), m, t)
         assert r.abs_value <= 10.0 * r.reference_bound
         ratios.append(r.ratio)
     elapsed = time.monotonic() - start
@@ -238,14 +238,13 @@ def test_criterion_6_completion_identity():
     t = traj.period
     psi = AdditiveCharacter(modulus.one)
     u, v = modulus.elem(1), modulus.elem(2)
-    completes = [
-        complete_twisted_sum(matrix, xi0, psi, u, v, 0, 1, h, traj).value for h in range(t)
-    ]
+    # the complete sums with twist e(h n / t), term by term
+    completes = [decimated_oracle(matrix, xi0, psi, [(u.value, 0), (v.value, 1)], t, h, t) for h in range(t)]
     worst = 0.0
     for n_terms in (1, 10, t // 2, t - 1, t):
         kernel = [sum(unit_circle(-h * n, t) for n in range(1, n_terms + 1)) for h in range(t)]
         recon = sum(completes[h] * kernel[h] for h in range(t)) / t
-        direct = correlation_sum(matrix, xi0, psi, u, v, 0, 1, n_terms, traj).value
+        direct = correlation_sum(traj, psi, u, v, 0, 1, n_terms).value
         worst = max(worst, abs(recon - direct))
     elapsed = time.monotonic() - start
     assert worst < 1e-8

@@ -15,7 +15,6 @@ from mobiusdyn.bsz_harness import (
     distinct_products_check,
     decomposition_report,
     make_params,
-    pj_cardinality_check,
     prime_blocks,
     sieve_sets,
     theorem_conditions,
@@ -413,23 +412,7 @@ def test_harness_rejects_short_or_non_integer_nu():
         wj_sums(np.ones(TOY.n + 1), ONE, blocks, sets)
 
 
-# --- cardinality and conditions ------------------------------------------------------
-
-
-def test_pj_cardinality_toy_row():
-    rows = pj_cardinality_check(TOY, prime_blocks(TOY))
-    first = rows[0]
-    assert (first.j, first.block_size) == (3, 2)
-    assert first.ratio == pytest.approx(2 * 3 / 8)
-
-
-def test_pj_cardinality_empty_block():
-    params = BszParams(alpha=1.0, n=2**30, j0=7.0, j1=7.0)
-    import mobiusdyn.bsz_harness as bh
-
-    blocks = [bh.PrimeBlock(7, ())]
-    rows = pj_cardinality_check(params, blocks)
-    assert rows[0].ratio == 0.0
+# --- conditions ---------------------------------------------------------------------
 
 
 def test_theorem_conditions_examples():

@@ -19,10 +19,8 @@ from mobiusdyn.char_sums import (
     RationalFunction,
     SumReport,
     ZeroFrequency,
-    complete_twisted_sum,
     correlation_sum,
     single_sum,
-    twisted_sum,
     twisted_sum_schedule,
     weil_sum_fp,
     weil_sum_fp2_norm_one,
@@ -37,6 +35,7 @@ from mobiusdyn.field_arith import (
     primitive_root,
 )
 from mobiusdyn.mobius_dynamics import MobiusMatrix, apply, period
+from oracles import chi_value, decimated_oracle, orbit_oracle, twisted_oracle
 
 M101 = PrimeModulus(101)
 A101 = MobiusMatrix(M101.elem(27), M101.elem(39), M101.elem(5), M101.elem(11))
@@ -80,15 +79,15 @@ def test_report_csv_row_layout():
 
 
 def test_twisted_single_term(mu_table):
-    r = twisted_sum(A101, XI101, PSI101, 1, mu_table)
+    r = twisted_sum_schedule(A101, XI101, PSI101, [1], mu_table)[0]
     assert abs(r.abs_value - 1.0) < 1e-15
     assert abs(r.value - PSI101(apply(A101, XI101))) < 1e-15
 
 
 def test_twisted_skips_square_factors(mu_table):
     # mu(4) = 0, so N = 4 equals the N = 3 partial sum
-    r3 = twisted_sum(A101, XI101, PSI101, 3, mu_table)
-    r4 = twisted_sum(A101, XI101, PSI101, 4, mu_table)
+    r3 = twisted_sum_schedule(A101, XI101, PSI101, [3], mu_table)[0]
+    r4 = twisted_sum_schedule(A101, XI101, PSI101, [4], mu_table)[0]
     assert r3.value == r4.value
 
 
@@ -100,7 +99,7 @@ def test_twisted_against_direct_resummation(mu_table):
     xi0 = m.elem(6851)
     psi = AdditiveCharacter(m.one)
     n_terms = 10**4
-    r = twisted_sum(A, xi0, psi, n_terms, mu_table)
+    r = twisted_sum_schedule(A, xi0, psi, [n_terms], mu_table)[0]
     expected = 0.0 + 0.0j
     x = xi0
     for n in range(1, n_terms + 1):
@@ -116,7 +115,7 @@ def test_twisted_against_direct_resummation(mu_table):
 def test_twisted_schedule_matches_standalone(mu_table):
     reports = twisted_sum_schedule(A101, XI101, PSI101, [10, 100, 1000], mu_table)
     for r in reports:
-        solo = twisted_sum(A101, XI101, PSI101, r.term_count, mu_table)
+        solo = twisted_sum_schedule(A101, XI101, PSI101, [r.term_count], mu_table)[0]
         assert r.value == solo.value
 
 
@@ -145,41 +144,56 @@ def test_twisted_schedule_reads_a_given_trajectory(mu_table, traj101):
         twisted_sum_schedule(A101, XI101, PSI101, [10], mu_table, other)
 
 
+def test_twisted_prefix_needs_no_multiplicative_order(mu_table, monkeypatch):
+    # a short twisted scan at a 62-bit prime: the orbit prefix finds its own
+    # closure, so ord(theta^2), which needs p +- 1 factorised, is never asked for
+    def no_order(self):
+        raise AssertionError("theta_sq_order was computed")
+
+    monkeypatch.setattr(MobiusMatrix, "theta_sq_order", property(no_order))
+    m = PrimeModulus(4611686018427420187)
+    A = MobiusMatrix(m.zero, m.elem(-1), m.one, m.elem(3))
+    xi0 = m.elem(5)
+    psi = AdditiveCharacter(m.elem(2**61 + 3))
+    r = twisted_sum_schedule(A, xi0, psi, [1000], mu_table)[0]
+    assert abs(r.value - twisted_oracle(A, xi0, psi, 1000, mu_table)) < 1e-9
+
+
 def test_twisted_validation(mu_table):
     with pytest.raises(ValueError):
-        twisted_sum(A101, XI101, AdditiveCharacter(M101.elem(0)), 5, mu_table)
+        twisted_sum_schedule(A101, XI101, AdditiveCharacter(M101.elem(0)), [5], mu_table)
     from mobiusdyn.arith_fn import TableTooSmall
 
     with pytest.raises(TableTooSmall):
-        twisted_sum(A101, XI101, PSI101, mu_table.limit + 1, mu_table)
+        twisted_sum_schedule(A101, XI101, PSI101, [mu_table.limit + 1], mu_table)
 
 
 # --- correlation and single sums ------------------------------------------------------
 
 
 def test_correlation_single_term(traj101):
-    r = correlation_sum(A101, XI101, PSI101, M101.elem(1), M101.elem(2), 0, 1, 1, traj101)
+    r = correlation_sum(traj101, PSI101, M101.elem(1), M101.elem(2), 0, 1, 1)
     assert abs(r.abs_value - 1.0) < 1e-15
 
 
 def test_correlation_validation(traj101):
     with pytest.raises(BothFrequenciesZero):
-        correlation_sum(A101, XI101, PSI101, M101.elem(0), M101.elem(0), 0, 1, 5, traj101)
+        correlation_sum(traj101, PSI101, M101.elem(0), M101.elem(0), 0, 1, 5)
     with pytest.raises(BadIndices):
-        correlation_sum(A101, XI101, PSI101, M101.elem(1), M101.elem(1), 2, 1, 5, traj101)
+        correlation_sum(traj101, PSI101, M101.elem(1), M101.elem(1), 2, 1, 5)
     with pytest.raises(ValueError):
-        correlation_sum(A101, XI101, PSI101, M101.elem(1), M101.elem(1), 0, 1, traj101.period + 1, traj101)
+        correlation_sum(traj101, PSI101, M101.elem(1), M101.elem(1), 0, 1, traj101.period + 1)
 
 
 def test_correlation_u_zero_collapses_to_single(traj101):
     v = M101.elem(3)
-    q = correlation_sum(A101, XI101, PSI101, M101.elem(0), v, 0, 2, 40, traj101)
-    r = single_sum(A101, XI101, PSI101, v, 2, 40, traj101)
+    q = correlation_sum(traj101, PSI101, M101.elem(0), v, 0, 2, 40)
+    r = single_sum(traj101, PSI101, v, 2, 40)
     assert abs(q.value - r.value) < 1e-12
 
 
 def test_correlation_reference_bound(traj101):
-    r = correlation_sum(A101, XI101, PSI101, M101.elem(1), M101.elem(2), 1, 4, 30, traj101)
+    r = correlation_sum(traj101, PSI101, M101.elem(1), M101.elem(2), 1, 4, 30)
     assert r.reference_bound == pytest.approx(4 * math.sqrt(101) * math.log(101))
 
 
@@ -188,7 +202,7 @@ def test_correlation_periodicity_offset(traj101):
     # [t+1, 2t]: shifting the window by the period changes nothing
     t = traj101.period
     u, v = M101.elem(2), M101.elem(7)
-    full = correlation_sum(A101, XI101, PSI101, u, v, 1, 3, t, traj101)
+    full = correlation_sum(traj101, PSI101, u, v, 1, 3, t)
     vals = [XI101]
     x = XI101
     for _ in range(2 * 3 * t):
@@ -202,15 +216,15 @@ def test_correlation_periodicity_offset(traj101):
 
 def test_conjugate_frequency_conjugates_value(traj101):
     u, v = M101.elem(4), M101.elem(9)
-    plus = correlation_sum(A101, XI101, PSI101, u, v, 0, 1, 51, traj101)
+    plus = correlation_sum(traj101, PSI101, u, v, 0, 1, 51)
     psi_minus = AdditiveCharacter(M101.elem(-1))
-    minus = correlation_sum(A101, XI101, psi_minus, u, v, 0, 1, 51, traj101)
+    minus = correlation_sum(traj101, psi_minus, u, v, 0, 1, 51)
     assert abs(plus.value - minus.value.conjugate()) < 1e-12
 
 
 def test_single_sum_constant_when_m_equals_period(traj101):
     t = traj101.period
-    r = single_sum(A101, XI101, PSI101, M101.elem(7), t, t, traj101)
+    r = single_sum(traj101, PSI101, M101.elem(7), t, t)
     expected = t * PSI101(M101.elem(7 * XI101.value))
     assert abs(r.value - expected) < 1e-9
     assert abs(r.abs_value - t) < 1e-9
@@ -221,8 +235,8 @@ def test_single_sum_shift_by_period_invariant(traj101):
     # m and m + t sample identical trajectory values
     t = traj101.period
     for m_step in (1, 2, 5):
-        a = single_sum(A101, XI101, PSI101, M101.elem(3), m_step, 40, traj101)
-        b = single_sum(A101, XI101, PSI101, M101.elem(3), m_step + t, 40, traj101)
+        a = single_sum(traj101, PSI101, M101.elem(3), m_step, 40)
+        b = single_sum(traj101, PSI101, M101.elem(3), m_step + t, 40)
         assert abs(a.value - b.value) < 1e-9
         # the bounds differ (gcd changes); only the values coincide
         assert a.term_count == b.term_count
@@ -230,9 +244,9 @@ def test_single_sum_shift_by_period_invariant(traj101):
 
 def test_single_sum_validation(traj101):
     with pytest.raises(ZeroFrequency):
-        single_sum(A101, XI101, PSI101, M101.elem(0), 1, 5, traj101)
+        single_sum(traj101, PSI101, M101.elem(0), 1, 5)
     with pytest.raises(BadIndices):
-        single_sum(A101, XI101, PSI101, M101.elem(1), 0, 5, traj101)
+        single_sum(traj101, PSI101, M101.elem(1), 0, 5)
 
 
 def test_decimation_through_pole_matches_direct_stepping():
@@ -248,7 +262,7 @@ def test_decimation_through_pole_matches_direct_stepping():
             break
     xi0 = A.pole
     psi = AdditiveCharacter(m.one)
-    got = single_sum(A, xi0, psi, m.one, 3, 10, traj)
+    got = single_sum(traj, psi, m.one, 3, 10)
     vals = []
     x = xi0
     for _ in range(30):
@@ -258,41 +272,12 @@ def test_decimation_through_pole_matches_direct_stepping():
     assert abs(got.value - expected) < 1e-12
     # correlation: xi_{kn} at k = 0 is the seed itself, which is the pole here
     for u, v, k, m_step, n_terms in ((1, 1, 0, 1, 10), (2, 7, 1, 3, 10), (5, 3, 2, 3, traj.period)):
-        got = correlation_sum(A, xi0, psi, m.elem(u), m.elem(v), k, m_step, n_terms, traj)
-        expected = _decimated_oracle(A, xi0, psi, [(u, k), (v, m_step)], n_terms)
+        got = correlation_sum(traj, psi, m.elem(u), m.elem(v), k, m_step, n_terms)
+        expected = decimated_oracle(A, xi0, psi, [(u, k), (v, m_step)], n_terms)
         assert abs(got.value - expected) < 1e-9
 
 
 # --- differential tests against the per-term definitions ----------------------------
-
-
-def _orbit_oracle(A, xi0, count):
-    """[xi_0, xi_1, ..., xi_count] by repeated application of the extended map."""
-    vals = [xi0]
-    for _ in range(count):
-        vals.append(apply(A, vals[-1]))
-    return vals
-
-
-def _decimated_oracle(A, xi0, psi, terms, n_terms, h=None, t=None):
-    """sum_{n <= N} psi(sum_j c_j xi_{s_j n}) [* e(h n / t)], one term at a time."""
-    modulus = A.modulus
-    vals = _orbit_oracle(A, xi0, max(s for _, s in terms) * n_terms)
-    total = 0j
-    for n in range(1, n_terms + 1):
-        arg = modulus.zero
-        for c, s in terms:
-            arg = arg + modulus.elem(c) * vals[s * n]
-        term = psi(arg)
-        if h is not None:
-            term *= unit_circle(h * n, t)
-        total += term
-    return total
-
-
-def _twisted_oracle(A, xi0, psi, n_terms, mu_table):
-    vals = _orbit_oracle(A, xi0, n_terms)
-    return sum(mu_table.mu(n) * psi(vals[n]) for n in range(1, n_terms + 1))
 
 
 def _random_orbits(seed, primes, per_prime):
@@ -324,7 +309,7 @@ def test_twisted_matches_per_term_definition(mu_table):
         reports = twisted_sum_schedule(A, xi0, psi, schedule, mu_table)
         assert [r.term_count for r in reports] == schedule
         assert reports[1].value == reports[2].value
-        oracle = _orbit_oracle(A, xi0, schedule[-1])
+        oracle = orbit_oracle(A, xi0, schedule[-1])
         for r in reports:
             expected = sum(mu_table.mu(n) * psi(oracle[n]) for n in range(1, r.term_count + 1))
             assert abs(r.value - expected) < 1e-9
@@ -340,16 +325,12 @@ def test_decimated_sums_match_per_term_definition():
         v = v or 1
         n_short = max(1, t // 2)
         for k, m_step, n_terms in ((0, 1, n_short), (0, 3, t), (1, 2, n_short), (2, 5, t)):
-            got = correlation_sum(A, xi0, psi, modulus.elem(u), modulus.elem(v), k, m_step, n_terms, traj)
-            expected = _decimated_oracle(A, xi0, psi, [(u, k), (v, m_step)], n_terms)
+            got = correlation_sum(traj, psi, modulus.elem(u), modulus.elem(v), k, m_step, n_terms)
+            expected = decimated_oracle(A, xi0, psi, [(u, k), (v, m_step)], n_terms)
             assert abs(got.value - expected) < 1e-9
         for m_step in (1, 3):
-            got = single_sum(A, xi0, psi, modulus.elem(v), m_step, n_short, traj)
-            assert abs(got.value - _decimated_oracle(A, xi0, psi, [(v, m_step)], n_short)) < 1e-9
-        for h in (0, 1, t - 1):
-            got = complete_twisted_sum(A, xi0, psi, modulus.elem(u), modulus.elem(v), 1, 2, h, traj)
-            expected = _decimated_oracle(A, xi0, psi, [(u, 1), (v, 2)], t, h, t)
-            assert abs(got.value - expected) < 1e-9
+            got = single_sum(traj, psi, modulus.elem(v), m_step, n_short)
+            assert abs(got.value - decimated_oracle(A, xi0, psi, [(v, m_step)], n_short)) < 1e-9
 
 
 def test_decimation_beyond_the_period_matches_per_term_definition():
@@ -359,11 +340,11 @@ def test_decimation_beyond_the_period_matches_per_term_definition():
         t = traj.period
         psi = AdditiveCharacter(modulus.one)
         for k, m_step in ((1, t + 3), (t, 2 * t + 1)):
-            got = correlation_sum(A, xi0, psi, modulus.elem(2), modulus.elem(9), k, m_step, t, traj)
-            expected = _decimated_oracle(A, xi0, psi, [(2, k), (9, m_step)], t)
+            got = correlation_sum(traj, psi, modulus.elem(2), modulus.elem(9), k, m_step, t)
+            expected = decimated_oracle(A, xi0, psi, [(2, k), (9, m_step)], t)
             assert abs(got.value - expected) < 1e-9
-        got = single_sum(A, xi0, psi, modulus.elem(4), t + 1, t, traj)
-        assert abs(got.value - _decimated_oracle(A, xi0, psi, [(4, t + 1)], t)) < 1e-9
+        got = single_sum(traj, psi, modulus.elem(4), t + 1, t)
+        assert abs(got.value - decimated_oracle(A, xi0, psi, [(4, t + 1)], t)) < 1e-9
 
 
 def test_large_modulus_matches_per_term_definition(mu_table):
@@ -381,44 +362,34 @@ def test_large_modulus_matches_per_term_definition(mu_table):
         traj = period(A, xi0)
         assert traj.period == expected_period
         t = traj.period
-        r = twisted_sum(A, xi0, psi, 1000, mu_table)
-        assert abs(r.value - _twisted_oracle(A, xi0, psi, 1000, mu_table)) < 1e-9
-        got = correlation_sum(A, xi0, psi, u, v, 1, 2, t, traj)
-        assert abs(got.value - _decimated_oracle(A, xi0, psi, [(u.value, 1), (v.value, 2)], t)) < 1e-9
-        got = single_sum(A, xi0, psi, u, 1, t, traj)
-        assert abs(got.value - _decimated_oracle(A, xi0, psi, [(u.value, 1)], t)) < 1e-9
-        for h in range(t):
-            got = complete_twisted_sum(A, xi0, psi, u, v, 1, 2, h, traj)
-            expected = _decimated_oracle(A, xi0, psi, [(u.value, 1), (v.value, 2)], t, h, t)
-            assert abs(got.value - expected) < 1e-9
+        r = twisted_sum_schedule(A, xi0, psi, [1000], mu_table)[0]
+        assert abs(r.value - twisted_oracle(A, xi0, psi, 1000, mu_table)) < 1e-9
+        got = correlation_sum(traj, psi, u, v, 1, 2, t)
+        assert abs(got.value - decimated_oracle(A, xi0, psi, [(u.value, 1), (v.value, 2)], t)) < 1e-9
+        got = single_sum(traj, psi, u, 1, t)
+        assert abs(got.value - decimated_oracle(A, xi0, psi, [(u.value, 1)], t)) < 1e-9
 
 
-# --- complete sums and the completion identity -------------------------------------
+# --- the completion identity ----------------------------------------------------------
 
 
 def test_complete_h_zero_equals_full_period_correlation(traj101):
     u, v = M101.elem(1), M101.elem(2)
-    c = complete_twisted_sum(A101, XI101, PSI101, u, v, 0, 1, 0, traj101)
-    q = correlation_sum(A101, XI101, PSI101, u, v, 0, 1, traj101.period, traj101)
-    assert abs(c.value - q.value) < 1e-12
-
-
-def test_complete_validation(traj101):
-    with pytest.raises(ValueError):
-        complete_twisted_sum(A101, XI101, PSI101, M101.elem(1), M101.elem(2), 0, 1, traj101.period, traj101)
+    c = decimated_oracle(A101, XI101, PSI101, [(u.value, 0), (v.value, 1)], traj101.period, 0, traj101.period)
+    q = correlation_sum(traj101, PSI101, u, v, 0, 1, traj101.period)
+    assert abs(c - q.value) < 1e-12
 
 
 def test_completion_identity_reconstructs_incomplete(traj101):
-    # Q(N) = (1/t) sum_h Q_h * sum_{n<=N} e(-h n / t): the finite Fourier kernel
+    # Q(N) = (1/t) sum_h Q_h * sum_{n<=N} e(-h n / t): the finite Fourier kernel, with the
+    # complete sums Q_h = sum_{n<=t} psi(u*xi_0 + v*xi_n) e(h n / t) taken term by term
     t = traj101.period
     u, v = M101.elem(1), M101.elem(2)
-    completes = [
-        complete_twisted_sum(A101, XI101, PSI101, u, v, 0, 1, h, traj101).value for h in range(t)
-    ]
+    completes = [decimated_oracle(A101, XI101, PSI101, [(u.value, 0), (v.value, 1)], t, h, t) for h in range(t)]
     for n_terms in (1, 17, 34, t):
         kernel = [sum(unit_circle(-h * n, t) for n in range(1, n_terms + 1)) for h in range(t)]
         recon = sum(completes[h] * kernel[h] for h in range(t)) / t
-        direct = correlation_sum(A101, XI101, PSI101, u, v, 0, 1, n_terms, traj101).value
+        direct = correlation_sum(traj101, PSI101, u, v, 0, 1, n_terms).value
         assert abs(recon - direct) < 1e-8
 
 
@@ -523,10 +494,10 @@ def _chi_values(chi):
 
 
 def _check_chi_values(chi):
-    """The oracle's table against MultiplicativeCharacter.__call__, the per-point definition."""
+    """The oracle's table against chi_value, the per-point definition through a discrete log."""
     values = _chi_values(chi)
     assert len(values) == chi.order
-    assert all(abs(v - chi(x)) < 1e-12 for x, v in values.items())
+    assert all(abs(v - chi_value(chi, x)) < 1e-12 for x, v in values.items())
 
 
 def _weil_fp_oracle(rf, psi, chi=None):
@@ -701,7 +672,7 @@ def test_default_scan_grid_produces_sixty_reports():
             matrix, xi0, traj, _form = random_admissible_instance(rng, modulus)
             for u, v in ((1, 1), (1, 2), (3, 5), (0, 1)):
                 reports.append(
-                    correlation_sum(matrix, xi0, psi, modulus.elem(u), modulus.elem(v), 0, 1, traj.period, traj)
+                    correlation_sum(traj, psi, modulus.elem(u), modulus.elem(v), 0, 1, traj.period)
                 )
     ratios = [r.ratio for r in reports]
     assert len(reports) == 60

@@ -1,5 +1,6 @@
 """Config validation, exit codes, manifests, and output determinism."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -266,6 +267,20 @@ def test_bsz_report_sanity_modes(tmp_path):
     assert body["conditions"]["alpha_range_empty"] is True
 
 
+def test_weil_check_fills_h_on_the_chi_rows_only(tmp_path):
+    # every function gives two rows, without and with the character chi; the
+    # h column holds chi's multiplier on the second and stays empty on the first
+    cfg = {"primes": ["101"], "norm_one_primes": ["13"], "functions_per_prime": "2"}
+    code, outdir = run(tmp_path, "weil-check", cfg)
+    assert code == EXIT_OK
+    with open(outdir / "weil_check.csv", newline="") as fh:
+        header = fh.readline().strip()
+        rows = list(csv.DictReader(fh, fieldnames=header.split(",")))
+    assert header == "sum_kind,p,a,b,c,d,xi0,u,v,k,m,h,N,re,im,abs,bound,ratio"
+    assert [r["sum_kind"] for r in rows] == ["weil_fp"] * 4 + ["weil_fp2_norm1"] * 4
+    assert [r["h"] for r in rows] == ["", "1"] * 4
+
+
 def test_interrupted_mu_cache_write_keeps_the_old_table(tmp_path, monkeypatch):
     import mobiusdyn.arith_fn as af
 
@@ -282,6 +297,15 @@ def test_interrupted_mu_cache_write_keeps_the_old_table(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert cache.read_bytes() == before
     assert [f.name for f in tmp_path.iterdir()] == ["mu.bin"]
+
+
+def test_mu_cache_in_a_missing_directory_is_created(tmp_path):
+    # the cache goes through the same atomic writer as the artifacts, which makes its directory
+    cache = tmp_path / "cache" / "sub" / "mu.bin"
+    cfg = {**SCAN_BASE, "kinds": ["twisted"], "n_schedule": ["50"]}
+    code, _ = run(tmp_path, "sum-scan", cfg, extra=["--mu-cache", str(cache)])
+    assert code == EXIT_OK
+    assert [f.name for f in cache.parent.iterdir()] == ["mu.bin"]
 
 
 def test_mu_cache_values_outside_mu_range_are_config_error(tmp_path, capsys):

@@ -20,11 +20,8 @@ from mobiusdyn.mobius_dynamics import (
     MobiusMatrix,
     NonSquareDeterminant,
     SingularMatrix,
-    SpectralPole,
     _orbit_prefix,
     apply,
-    apply_projective,
-    eval_spectral,
     linear_lift,
     normalize_to_sl2,
     period,
@@ -32,7 +29,7 @@ from mobiusdyn.mobius_dynamics import (
     spectral_orbit,
 )
 from mobiusdyn.sampling import random_admissible_instance, random_sl2
-from oracles import orbit_walk
+from oracles import SpectralPole, apply_projective, eval_spectral, orbit_walk
 
 M5 = PrimeModulus(5)
 M7 = PrimeModulus(7)
