@@ -6,6 +6,7 @@ A convenience wrapper over the CLI; exits nonzero if any run does.
 
 import pathlib
 import sys
+import time
 
 from mobiusdyn.cli_runner import main
 
@@ -30,8 +31,9 @@ def run_all(out_root=None, config_root=None, threads=1):
         outdir = out_root / name.removesuffix(".json")
         config = str(config_root / name)
         print(f"== {command} {config} -> {outdir}")
+        start = time.perf_counter()
         code = main([command, "--config", config, "--out", str(outdir), "--threads", str(threads)])
-        print(f"   exit {code}")
+        print(f"   exit {code} ({time.perf_counter() - start:.2f} s)")
         worst = max(worst, code)
     return worst
 

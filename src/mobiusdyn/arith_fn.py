@@ -1,16 +1,18 @@
 """Arithmetic functions and characters.
 
-The Mobius function comes in two forms: a segmented numpy sieve (the fast
-path) and a trial-division oracle (slow, independent, used to cross-check the
-sieve).  Characters carry their phases as exact integer fractions that are
-reduced mod 1 in integer arithmetic before any transcendental call, so a sum
-of 10^9 unit-circle terms accumulates no phase drift beyond per-term epsilon.
+The Mobius function comes in two forms: a segmented sign-flip and product
+sieve (the tables every sum reads) and a chunked smallest-prime-factor
+recurrence that shares no code with it (`mobius-check` compares the two).
+Characters carry their phases as exact integer fractions that are reduced
+mod 1 in integer arithmetic before any transcendental call, so a sum of 10^9
+unit-circle terms accumulates no phase drift beyond per-term epsilon.
 Mobius tables persist through `_atomic_write`, which the CLI uses for its
 artifacts as well.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import struct
@@ -171,48 +173,42 @@ def mobius_sieve(limit: int) -> MobiusTable:
     return MobiusTable(limit, mu)
 
 
-_ORACLE_PRIME_BOUND = 1000
+_CHUNK = 1 << 16
 
 
-def _small_primes_by_trial() -> list[int]:
-    ps: list[int] = []
-    for m in range(2, _ORACLE_PRIME_BOUND + 1):
-        if all(m % q for q in ps if q * q <= m):
-            ps.append(m)
-    return ps
+def mobius_by_spf(limit: int) -> np.ndarray:
+    """Exact mu(0..limit) as int8 (index 0 unused) from smallest prime factors.
 
-
-_ORACLE_PRIMES = _small_primes_by_trial()
-
-
-def mobius_oracle(n: int) -> int:
-    """mu(n) by plain trial division; independent of the sieve machinery."""
-    if n < 1:
-        raise ValueError("mu is defined on positive integers")
-    if n == 1:
-        return 1
-    sign = 1
-    m = n
-    for q in _ORACLE_PRIMES:
-        if q * q > m:
-            break
-        if m % q == 0:
-            m //= q
-            if m % q == 0:
-                return 0
-            sign = -sign
-    else:
-        d = _ORACLE_PRIME_BOUND + 9  # 1009, first prime past the precomputed list
-        while d * d <= m:
-            if m % d == 0:
-                m //= d
-                if m % d == 0:
-                    return 0
-                sign = -sign
-            d += 2
-    if m > 1:
-        sign = -sign
-    return sign
+    Independent of `mobius_sieve`, which it checks: with q = spf(n) the
+    smallest prime factor of n > 1, mu(n) = 0 when q divides n/q and
+    -mu(n/q) otherwise.  Chunks [lo, hi) are filled in ascending order with
+    hi <= 2*lo, so n/q <= n/2 < lo has always been filled already.  Inside a
+    chunk spf comes from descending strided writes over the primes q with
+    q^2 < hi (the smallest prime writes last); those primes were found in
+    earlier chunks as the entries with spf(n) = n.
+    """
+    if not 1 <= limit < 2**31:
+        raise ValueError("limit must be in [1, 2**31)")
+    mu = np.zeros(limit + 1, dtype=np.int8)
+    mu[1] = 1
+    root = math.isqrt(limit)
+    primes: list[int] = []
+    lo = 2
+    while lo <= limit:
+        hi = min(2 * lo, lo + _CHUNK, limit + 1)
+        n = np.arange(lo, hi, dtype=np.int32)  # int32, not int64: a smaller peak RSS
+        spf = n.copy()
+        for q in reversed(primes[: bisect.bisect_right(primes, math.isqrt(hi - 1))]):
+            start = max(q * q, ((lo + q - 1) // q) * q)
+            spf[start - lo :: q] = q
+        cofactor = n // spf
+        chunk = -mu[cofactor]
+        chunk[cofactor % spf == 0] = 0
+        mu[lo:hi] = chunk
+        if lo <= root:
+            primes.extend(n[(spf == n) & (n <= root)].tolist())
+        lo = hi
+    return mu
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .arith_fn import (
     MobiusTable,
     MultiplicativeCharacter,
     TableTooSmall,
-    mobius_oracle,
+    mobius_by_spf,
     mobius_sieve,
 )
 from .bsz_harness import MemoryGuard, decomposition_report, theorem_conditions
@@ -550,20 +550,18 @@ def cmd_bsz_report(cfg: dict, outdir: Path, config_blob: bytes, mu_cache: str | 
 
 
 def cmd_mobius_check(cfg: dict, outdir: Path, config_blob: bytes) -> int:
-    """Exhaustive sieve-vs-oracle comparison up to the configured limit."""
+    """Compare the sieve table with the smallest-prime-factor oracle for every n <= limit.
+
+    Reports the first ten n where they differ, in ascending order.
+    """
     limit = _as_int(cfg, "limit")
     if limit < 1:
         raise ConfigError("field 'limit' must be >= 1")
     if limit > 10**7:
         raise ConfigError("exhaustive oracle mode capped at limit <= 10**7")
-    table = mobius_sieve(limit)
-    mismatches = []
-    values = table.values
-    for n in range(1, limit + 1):
-        if int(values[n]) != mobius_oracle(n):
-            mismatches.append(n)
-            if len(mismatches) >= 10:
-                break
+    sieve = mobius_sieve(limit).values
+    oracle = mobius_by_spf(limit)
+    mismatches = (np.flatnonzero(sieve[1:] != oracle[1:])[:10] + 1).tolist()
     body = {
         "schema_version": 1,
         "limit": limit,
@@ -585,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("sum-scan", "trajectory sum scan to CSV"),
         ("weil-check", "square-root-bound ratio scan to CSV"),
         ("bsz-report", "sieve-block decomposition report to JSON"),
-        ("mobius-check", "sieve vs trial-division oracle"),
+        ("mobius-check", "sieve vs smallest-prime-factor oracle"),
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the JSON run config")

@@ -5,6 +5,50 @@ from mobiusdyn.field_arith import Fp2Elem, FpElem, discrete_index
 from mobiusdyn.mobius_dynamics import MobiusMatrix, SpectralForm, apply
 
 
+_ORACLE_PRIME_BOUND = 1000
+
+
+def _small_primes_by_trial() -> list[int]:
+    ps: list[int] = []
+    for m in range(2, _ORACLE_PRIME_BOUND + 1):
+        if all(m % q for q in ps if q * q <= m):
+            ps.append(m)
+    return ps
+
+
+_ORACLE_PRIMES = _small_primes_by_trial()
+
+
+def mobius_oracle(n: int) -> int:
+    """mu(n) by plain trial division; independent of the sieve machinery."""
+    if n < 1:
+        raise ValueError("mu is defined on positive integers")
+    if n == 1:
+        return 1
+    sign = 1
+    m = n
+    for q in _ORACLE_PRIMES:
+        if q * q > m:
+            break
+        if m % q == 0:
+            m //= q
+            if m % q == 0:
+                return 0
+            sign = -sign
+    else:
+        d = _ORACLE_PRIME_BOUND + 9  # 1009, first prime past the precomputed list
+        while d * d <= m:
+            if m % d == 0:
+                m //= d
+                if m % d == 0:
+                    return 0
+                sign = -sign
+            d += 2
+    if m > 1:
+        sign = -sign
+    return sign
+
+
 def orbit_walk(matrix: MobiusMatrix, xi0: FpElem, limit: int) -> list[int]:
     """xi_1, ..., xi_L with L = min(period, limit), one step of the extended map at a time.
 

@@ -20,7 +20,6 @@ import pytest
 from mobiusdyn.arith_fn import (
     AdditiveCharacter,
     MultiplicativeCharacter,
-    mobius_oracle,
     mobius_sieve,
     unit_circle,
 )
@@ -58,7 +57,7 @@ from mobiusdyn.sampling import (
     random_rational_function_fp,
     random_rational_function_fp2,
 )
-from oracles import decimated_oracle
+from oracles import decimated_oracle, mobius_oracle
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

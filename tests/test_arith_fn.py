@@ -12,14 +12,14 @@ from mobiusdyn.arith_fn import (
     MobiusTable,
     MultiplicativeCharacter,
     TableTooSmall,
-    mobius_oracle,
+    mobius_by_spf,
     mobius_sieve,
     primes_in,
     primes_up_to,
     unit_circle,
 )
 from mobiusdyn.field_arith import PrimeModulus, norm_group_generator, primitive_root, QuadExtension
-from oracles import chi_value
+from oracles import chi_value, mobius_oracle
 
 
 # --- unit circle ---------------------------------------------------------------
@@ -128,6 +128,40 @@ def test_table_binary_roundtrip(tmp_path):
     with pytest.raises(ValueError):
         (tmp_path / "bad.bin").write_bytes(b"JUNKJUNKJUNK")
         MobiusTable.load(tmp_path / "bad.bin")
+
+
+# --- smallest-prime-factor oracle -------------------------------------------------
+
+
+def test_spf_oracle_matches_trial_division_to_1e5():
+    limit = 10**5
+    mu = mobius_by_spf(limit)
+    assert mu.tolist()[1:] == [mobius_oracle(n) for n in range(1, limit + 1)]
+
+
+def test_spf_oracle_matches_sieve_at_1e7():
+    limit = 10**7
+    assert np.array_equal(mobius_by_spf(limit), mobius_sieve(limit).values)
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 48, 49, 50])
+def test_spf_oracle_small_limits(limit):
+    mu = mobius_by_spf(limit)
+    assert mu.dtype == np.int8 and mu.shape == (limit + 1,) and mu[0] == 0
+    assert np.array_equal(mu, mobius_sieve(limit).values)
+
+
+def test_spf_oracle_chunk_boundaries(monkeypatch):
+    import mobiusdyn.arith_fn as af
+
+    monkeypatch.setattr(af, "_CHUNK", 7)
+    assert np.array_equal(af.mobius_by_spf(5000), mobius_sieve(5000).values)
+
+
+def test_spf_oracle_range_guard():
+    for limit in (0, 2**31):
+        with pytest.raises(ValueError):
+            mobius_by_spf(limit)
 
 
 # --- prime enumeration -----------------------------------------------------------

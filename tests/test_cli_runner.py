@@ -8,6 +8,7 @@ import pytest
 
 from mobiusdyn.cli_runner import (
     EXIT_CONFIG,
+    EXIT_MISMATCH,
     EXIT_OK,
     EXIT_RESOURCE,
     main,
@@ -116,6 +117,29 @@ def test_mobius_check_small_pass(tmp_path):
     assert code == EXIT_OK
     body = json.loads((outdir / "mobius_check.json").read_text())
     assert body["ok"] is True
+
+
+@pytest.mark.parametrize("target", ["mobius_sieve", "mobius_by_spf"], ids=["sieve", "oracle"])
+def test_mobius_check_reports_flipped_signs(tmp_path, monkeypatch, target):
+    # a flipped sign in either table fails the check; the first ten flips are reported in order
+    from mobiusdyn import cli_runner
+
+    flipped = [997, 2, 30, 7, 101, 15, 510, 3, 13, 991, 66, 5]  # squarefree, so mu != 0
+    real = getattr(cli_runner, target)
+
+    def corrupted(limit):
+        out = real(limit)
+        values = getattr(out, "values", out)
+        assert values[flipped].all()
+        values[flipped] *= -1
+        return out
+
+    monkeypatch.setattr(cli_runner, target, corrupted)
+    code, outdir = run(tmp_path, "mobius-check", {"limit": "1000"})
+    assert code == EXIT_MISMATCH
+    body = json.loads((outdir / "mobius_check.json").read_text())
+    assert body["ok"] is False
+    assert body["mismatches"] == [2, 3, 5, 7, 13, 15, 30, 66, 101, 510]
 
 
 # --- outputs and manifests -------------------------------------------------------

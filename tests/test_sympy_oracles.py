@@ -9,7 +9,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from mobiusdyn.arith_fn import mobius_sieve  # noqa: E402
+from mobiusdyn.arith_fn import mobius_by_spf, mobius_sieve, primes_in  # noqa: E402
 from mobiusdyn.field_arith import (  # noqa: E402
     PrimeModulus,
     discrete_index,
@@ -47,6 +47,24 @@ def test_mobius_sieve_matches_sympy():
     samples = [rng.randrange(1, limit + 1) for _ in range(3000)] + [1, 2, limit - 1, limit]
     for n in samples:
         assert table.mu(n) == int(sympy.mobius(n)), n
+
+
+def test_spf_oracle_matches_sympy():
+    limit = 10**7
+    mu = mobius_by_spf(limit)
+    rng = random.Random(97)
+    samples = [rng.randrange(1, limit + 1) for _ in range(3000)] + [1, 2, limit - 1, limit]
+    for n in samples:
+        assert int(mu[n]) == int(sympy.mobius(n)), n
+
+
+def test_primes_in_matches_sympy_near_cap():
+    # 20,000-wide windows up to the 1e9 cap, where a Mobius table would need a gigabyte
+    width = 2 * 10**4
+    lo = random.Random(101).randrange(10**8, 10**9 + 1 - width)
+    windows = [(10**9 - width, 10**9 + 1), (999 * 10**6, 999 * 10**6 + width), (lo, lo + width)]
+    for lo, hi in windows:
+        assert primes_in(lo, hi) == list(sympy.primerange(lo, hi)), (lo, hi)
 
 
 def test_mult_order_and_primitive_root_match_sympy():
