@@ -61,20 +61,20 @@ def primes_up_to(n: int) -> list[int]:
 _PRIMES_RANGE_MAX = 10**9
 
 
-def primes_in(lo: float, hi: float) -> list[int]:
-    """Ascending primes in the half-open real interval [lo, hi); segmented sieve."""
+def primes_in(lo: float, hi: float) -> np.ndarray:
+    """Ascending primes in the half-open real interval [lo, hi) as int64; segmented sieve."""
     if hi > _PRIMES_RANGE_MAX + 1:
         raise LimitOverflow(f"prime enumeration capped at {_PRIMES_RANGE_MAX}")
     lo_i = max(2, math.ceil(lo))
     hi_i = math.ceil(hi)
     if hi_i <= lo_i:
-        return []
+        return np.empty(0, dtype=np.int64)
     flags = np.ones(hi_i - lo_i, dtype=bool)
     for q in primes_up_to(math.isqrt(hi_i - 1)):
         start = max(q * q, ((lo_i + q - 1) // q) * q)
         if start < hi_i:
             flags[start - lo_i :: q] = False
-    return (np.flatnonzero(flags) + lo_i).tolist()
+    return np.flatnonzero(flags) + lo_i
 
 
 def _atomic_write(path: Path, *chunks) -> None:

@@ -81,20 +81,20 @@ def make_params(alpha: float, n: int) -> BszParams:
     return BszParams(alpha, n, j0, j0 * j0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrimeBlock:
-    """Ascending primes in [R_j, R_{j+1})."""
+    """Ascending primes in [R_j, R_{j+1}), an int64 array as primes_in returns it."""
 
     j: int
-    primes: tuple[int, ...]
+    primes: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SieveSet:
-    """Ascending m <= M_j with no prime factor in the union of blocks up to j."""
+    """Ascending m <= M_j with no prime factor in the union of blocks up to j, as int64."""
 
     j: int
-    members: tuple[int, ...]
+    members: np.ndarray
 
 
 def prime_blocks(params: BszParams) -> list[PrimeBlock]:
@@ -111,7 +111,7 @@ def prime_blocks(params: BszParams) -> list[PrimeBlock]:
             break
         if hi > _PRIME_LIMIT:
             raise LimitOverflow(f"block {j} needs primes beyond {_PRIME_LIMIT}")
-        blocks.append(PrimeBlock(j, tuple(primes_in(params.r(j), hi))))
+        blocks.append(PrimeBlock(j, primes_in(params.r(j), hi)))
     return blocks
 
 
@@ -129,12 +129,11 @@ def sieve_sets(params: BszParams, blocks: Sequence[PrimeBlock]) -> list[SieveSet
     excluded = np.zeros(m_max + 1, dtype=bool)
     out: list[SieveSet] = []
     for block in blocks:
-        for r in block.primes:
-            if r <= m_max:
-                excluded[r::r] = True
+        primes = np.asarray(block.primes, dtype=np.int64)
+        for r in primes[primes <= m_max]:
+            excluded[r::r] = True
         m_j = math.floor(params.m(block.j))
-        members = (np.flatnonzero(~excluded[1 : m_j + 1]) + 1).tolist() if m_j >= 1 else []
-        out.append(SieveSet(block.j, tuple(members)))
+        out.append(SieveSet(block.j, np.flatnonzero(~excluded[1 : m_j + 1]) + 1))
     return out
 
 
@@ -169,10 +168,10 @@ def distinct_products_check(
     seen = np.zeros(n + 1, dtype=bool)
     total = 0
     for block, qset in zip(blocks, sets):
-        if not (block.primes and qset.members):
+        primes = np.asarray(block.primes, dtype=np.int64)
+        members = np.asarray(qset.members, dtype=np.int64)
+        if not (primes.size and members.size):
             continue
-        primes = np.array(block.primes, dtype=np.int64)
-        members = np.array(qset.members, dtype=np.int64)
         if min(primes.min(), members.min()) < 0:
             raise AssertionError(f"block {block.j} has a negative factor")
         m_hi, r_hi = int(members.max()), int(primes.max())
@@ -228,14 +227,14 @@ def wj_sums(
     t = phase.size
     out: list[float] = []
     for block, qset in zip(blocks, sets):
-        primes = np.array(block.primes, dtype=np.int64)
+        primes = np.asarray(block.primes, dtype=np.int64)
         if primes.size and primes.max() >= nu.size:
             raise ValueError(f"nu covers 0..{nu.size - 1}, block {block.j} needs {primes.max()}")
         nu_r = nu[primes]
         live = nu_r != 0
         r_res = primes[live] % t
         weights = nu_r[live].astype(np.float64)
-        m_res = np.array(qset.members, dtype=np.int64) % t
+        m_res = np.asarray(qset.members, dtype=np.int64) % t
         counts = 1
         if m_res.size > t:
             counts = np.bincount(m_res, minlength=t)

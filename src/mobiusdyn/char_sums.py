@@ -19,6 +19,7 @@ Trajectory; the twisted schedule takes (matrix, xi0) and builds only the
 orbit prefix it needs, unless it is handed a Trajectory.
 The exhaustive Weil kernels follow the same pattern over all of F_p or the
 norm-one group: exact int64 phase numerators, then one fsum per component.
+Both read their group as generator powers from field_arith._powers.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .field_arith import (
     _BLOCK,
     _inv_mod,
     _mul_pairs,
+    _powers,
     _residues,
     Fp2Elem,
     FpElem,
@@ -361,15 +363,6 @@ class RationalFunction:
     def max_degree(self) -> int:
         return max(self.deg_num, self.deg_den)
 
-    def value_at(self, x):
-        """h(x)/g(x), or None at poles (g(x) = 0)."""
-        den = _horner(self.denominator, x)
-        if not den:
-            return None
-        if not self.numerator:
-            return den - den  # zero of the matching field
-        return _horner(self.numerator, x) * den.inv()
-
 
 def _trim(coeffs) -> tuple:
     coeffs = tuple(coeffs)
@@ -377,13 +370,6 @@ def _trim(coeffs) -> tuple:
     while n and not coeffs[n - 1]:
         n -= 1
     return coeffs[:n]
-
-
-def _horner(coeffs, x):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
 
 
 _WEIL_FP_LIMIT = 10**5
@@ -405,6 +391,17 @@ def _horner_fp2(coeffs: tuple, z, e: int, p: int):
         a0, a1 = _mul_pairs(acc, z, e, p)
         acc = ((a0 + c.c0.value) % p, (a1 + c.c1.value) % p)
     return acc
+
+
+def _norm_one_traces(rf: RationalFunction, z: np.ndarray, e: int, p: int):
+    """(idx, Tr(h(z)/g(z))) on the columns idx of the pair array z where g(z) != 0 (irreducible ext)."""
+    d0, d1 = _horner_fp2(rf.denominator, z, e, p)
+    idx = np.flatnonzero((d0 != 0) | (d1 != 0))
+    d0, d1 = d0[idx], d1[idx]
+    norm_inv = _inv_mod((d0 * d0 + e * d0 * d1 + d1 * d1) % p, p)
+    den_inv = ((d0 + e * d1) * norm_inv % p, -d1 * norm_inv % p)  # conj(g) / Nm(g)
+    h0, h1 = _mul_pairs(_horner_fp2(rf.numerator, z[:, idx], e, p), den_inv, e, p)
+    return idx, (2 * h0 + e * h1) % p  # Tr(c0 + c1*Z) = 2*c0 + e*c1
 
 
 def _weil_report(kind: str, angle: np.ndarray, p: int, rf, psi, chi) -> SumReport:
@@ -448,10 +445,7 @@ def weil_sum_fp(
         if g <= 1:
             raise ValueError("chi generator must generate F_p^*")
         ind = np.full(p, -1, dtype=np.int64)  # ind[g^i] = i; ind[0] stays -1
-        power = 1
-        for i in range(p - 1):
-            ind[power] = i
-            power = power * g % p
+        ind[_powers((g, 0), p - 1, 0, p)[0]] = np.arange(p - 1)
         if (ind[1:] < 0).any():
             raise ValueError("chi generator does not have order p - 1")
         live[0] = False  # chi(0) = 0
@@ -474,8 +468,8 @@ def weil_sum_fp2_norm_one(
     sum over {z : Nm(z) = 1, g(z) != 0} of psi(Tr(h(z)/g(z))) chi(z); the
     group has p + 1 elements and is enumerated as powers of its canonical
     generator, ascending in the exponent.  Bound: max(deg g, deg h)*sqrt(p).
-    The group is held as two int64 coordinate arrays (z = c0 + c1*Z), g(z) is
-    inverted through its conjugate and norm, and Tr(c0 + c1*Z) = 2*c0 + e*c1.
+    The group is the (2, p + 1) int64 pair array of _powers, so a given
+    generator must have order exactly p + 1; traces from _norm_one_traces.
     """
     if not psi.is_nontrivial:
         raise ValueError("psi must be a nontrivial additive character")
@@ -497,20 +491,14 @@ def weil_sum_fp2_norm_one(
             1 if chi.generator == gen else discrete_index(gen, chi.generator, t)
         )
     e = ext.e.value
-    z = np.empty((2, t), dtype=np.int64)  # z[:, i] = gen^i
-    power = (1, 0)
-    for i in range(t):
-        z[:, i] = power
-        power = _mul_pairs(power, (gen.c0.value, gen.c1.value), e, p)
-    if power != (1, 0):
+    g = (gen.c0.value, gen.c1.value)
+    z = _powers(g, t, e, p)  # z[:, i] = gen^i
+    if _mul_pairs(z[:, -1], g, e, p) != (1, 0):
         raise AssertionError("generator does not have order p + 1")
-    d0, d1 = _horner_fp2(rf.denominator, z, e, p)
-    idx = np.flatnonzero((d0 != 0) | (d1 != 0))
-    d0, d1 = d0[idx], d1[idx]
-    norm_inv = _inv_mod((d0 * d0 + e * d0 * d1 + d1 * d1) % p, p)
-    den_inv = ((d0 + e * d1) * norm_inv % p, -d1 * norm_inv % p)  # conj(g) / Nm(g)
-    h0, h1 = _mul_pairs(_horner_fp2(rf.numerator, z[:, idx], e, p), den_inv, e, p)
-    angle = _angles((2 * h0 + e * h1) % p, p, psi.u.value)
+    if np.unique(z[0] * p + z[1]).size != t:
+        raise ValueError("generator has order below p + 1")
+    idx, trace = _norm_one_traces(rf, z, e, p)
+    angle = _angles(trace, p, psi.u.value)
     if chi is not None:
         angle += _angles(idx, t, chi_shift % t)
     return _weil_report("weil_fp2_norm1", angle, p, rf, psi, chi)

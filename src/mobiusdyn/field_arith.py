@@ -351,6 +351,22 @@ def _pow_pairs(z: tuple[int, int], n: int, e: int, p: int) -> tuple[int, int]:
     return out
 
 
+def _powers(g: tuple[int, int], n: int, e: int, p: int) -> np.ndarray:
+    """g^0, ..., g^(n-1) (n >= 1) as a (2, n) int64 pair array; F_p powers are the pairs (g, 0).
+
+    Doubling as in _orbit_prefix: out[:, k:2k] = g^k * out[:, :k], g^k squared on ints.
+    """
+    out = np.empty((2, n), dtype=np.int64)
+    out[:, 0] = (1, 0)
+    k, g_k = 1, (g[0] % p, g[1] % p)  # g^k
+    while k < n:
+        m = min(k, n - k)
+        out[0, k : k + m], out[1, k : k + m] = _mul_pairs(out[:, :m], g_k, e, p)
+        g_k = _mul_pairs(g_k, g_k, e, p)
+        k += m
+    return out
+
+
 @dataclass(frozen=True)
 class Fp2Elem:
     """c0 + c1*Z in F_p[Z]/(Z^2 - e*Z + 1); reduction Z^2 -> e*Z - 1 is canonical."""

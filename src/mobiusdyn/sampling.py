@@ -6,15 +6,15 @@ the ones every verification layer can handle: distinct characteristic roots,
 a seed that is not a fixed point, a closed form in normal position, and an
 orbit that never visits the pole, so the scalar, linear-lift and closed-form
 views agree index by index.  Random rational functions feed the Weil-sum
-scans.
+scans; F_{p^2} draws are probed with the kernel's own _norm_one_traces.
 """
 
 from __future__ import annotations
 
 import random
 
-from .char_sums import RationalFunction
-from .field_arith import Fp2Elem, FpElem, PrimeModulus, QuadExtension
+from .char_sums import RationalFunction, _norm_one_traces
+from .field_arith import _powers, Fp2Elem, FpElem, PrimeModulus, QuadExtension
 from .mobius_dynamics import (
     DegenerateSpectral,
     MobiusMatrix,
@@ -100,14 +100,13 @@ def random_rational_function_fp2(
 ) -> RationalFunction:
     """Random h/g over F_{p^2} whose trace phase actually varies on the norm-one group.
 
-    Rejects draws where Tr(h(z)/g(z)) is constant across a probe of group
-    elements (for example h/g = z0*(X^2-1)/X with z0 in F_p), since those
-    degenerate sums escape any square-root bound.
+    Rejects draws where Tr(h(z)/g(z)) is constant on the probe z = gen^0..gen^6
+    off the poles (for example h/g = z0*(X^2-1)/X with z0 in F_p), since
+    those degenerate sums escape any square-root bound.  ext is irreducible.
     """
     p = ext.p
-    probe = [ext.one]
-    for _ in range(6):
-        probe.append(probe[-1] * group_generator)
+    e = ext.e.value
+    probe = _powers((group_generator.c0.value, group_generator.c1.value), 7, e, p)
     while True:
         dg = rng.randrange(max_degree + 1)
         dh = rng.randrange(max_degree + 1)
@@ -120,12 +119,8 @@ def random_rational_function_fp2(
         rf = RationalFunction(tuple(num), tuple(den))
         if _proportional(rf.numerator, rf.denominator):
             continue
-        traces = set()
-        for z in probe:
-            val = rf.value_at(z)
-            if val is not None:
-                traces.add(val.trace().value)
-        if len(traces) >= 2:
+        _, traces = _norm_one_traces(rf, probe, e, p)
+        if len(set(traces.tolist())) >= 2:
             return rf
 
 

@@ -1,6 +1,7 @@
 """Step-by-step reference implementations that the array paths are tested against."""
 
 from mobiusdyn.arith_fn import MultiplicativeCharacter, unit_circle
+from mobiusdyn.char_sums import RationalFunction
 from mobiusdyn.field_arith import Fp2Elem, FpElem, discrete_index
 from mobiusdyn.mobius_dynamics import MobiusMatrix, SpectralForm, apply
 
@@ -135,3 +136,20 @@ def chi_value(chi: MultiplicativeCharacter, x: FpElem | Fp2Elem) -> complex:
     """chi(x) = e(multiplier * ind(x) / order) through one discrete logarithm."""
     ind = discrete_index(x, chi.generator, chi.order)
     return unit_circle(chi.multiplier * ind, chi.order)
+
+
+def _horner(coeffs, x):
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def value_at(rf: RationalFunction, x: FpElem | Fp2Elem) -> FpElem | Fp2Elem | None:
+    """h(x)/g(x) on field elements, or None at poles (g(x) = 0)."""
+    den = _horner(rf.denominator, x)
+    if not den:
+        return None
+    if not rf.numerator:
+        return den - den  # zero of the matching field
+    return _horner(rf.numerator, x) * den.inv()

@@ -168,14 +168,14 @@ def test_spf_oracle_range_guard():
 
 
 def test_primes_in_examples():
-    assert primes_in(8, 16) == [11, 13]
-    assert primes_in(2, 3) == [2]
-    assert primes_in(24, 29) == []
+    assert primes_in(8, 16).tolist() == [11, 13]
+    assert primes_in(2, 3).tolist() == [2]
+    assert primes_in(24, 29).tolist() == []
 
 
 def test_primes_in_real_endpoints():
-    assert primes_in(10.5, 13.0) == [11]  # 13 excluded: half-open
-    assert primes_in(13.0, 13.5) == [13]
+    assert primes_in(10.5, 13.0).tolist() == [11]  # 13 excluded: half-open
+    assert primes_in(13.0, 13.5).tolist() == [13]
 
 
 def test_primes_in_matches_trial_division():

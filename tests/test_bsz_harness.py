@@ -76,10 +76,10 @@ def test_j_range_endpoints_compared_as_reals():
 
 def test_toy_blocks_enumeration():
     blocks = prime_blocks(TOY)
-    assert [(b.j, b.primes) for b in blocks] == [
-        (3, (11, 13)),
-        (4, (17, 19, 23, 29, 31)),
-        (5, (37, 41, 43, 47, 53, 59, 61)),
+    assert [(b.j, b.primes.tolist()) for b in blocks] == [
+        (3, [11, 13]),
+        (4, [17, 19, 23, 29, 31]),
+        (5, [37, 41, 43, 47, 53, 59, 61]),
     ]
 
 
@@ -99,10 +99,10 @@ def test_empty_blocks_are_legal():
     from mobiusdyn.arith_fn import primes_in
     from mobiusdyn.bsz_harness import PrimeBlock
 
-    assert primes_in(114, 127) == []
+    assert primes_in(114, 127).tolist() == []
     blocks = [PrimeBlock(3, ())]
     sets = sieve_sets(TOY, blocks)
-    assert sets[0].members[:5] == (1, 2, 3, 4, 5)  # nothing excluded
+    assert sets[0].members[:5].tolist() == [1, 2, 3, 4, 5]  # nothing excluded
     report = distinct_products_check(blocks, sets, TOY.n)
     assert report.total_products == 0
 
@@ -128,10 +128,10 @@ def test_sieve_sets_toy_against_trial_division():
     for block, qset in zip(blocks, sets):
         union.update(block.primes)
         m_j = math.floor(TOY.m(block.j))
-        expected = tuple(
+        expected = [
             m for m in range(1, m_j + 1) if all(m % r for r in union)
-        )
-        assert qset.members == expected
+        ]
+        assert qset.members.tolist() == expected
         assert 1 in qset.members
 
 
@@ -139,8 +139,8 @@ def test_sieve_sets_first_block_excludes_only_its_primes():
     blocks = prime_blocks(TOY)
     sets = sieve_sets(TOY, blocks[:1])
     m_3 = math.floor(TOY.m(3))
-    expected = tuple(m for m in range(1, m_3 + 1) if m % 11 and m % 13)
-    assert sets[0].members == expected
+    expected = [m for m in range(1, m_3 + 1) if m % 11 and m % 13]
+    assert sets[0].members.tolist() == expected
 
 
 def test_sieve_sets_toy_instance_alpha_point_two():
@@ -151,8 +151,27 @@ def test_sieve_sets_toy_instance_alpha_point_two():
     for block, qset in zip(blocks, sets):
         union.update(block.primes)
         m_j = math.floor(params.m(block.j))
-        expected = tuple(m for m in range(1, m_j + 1) if all(m % r for r in union))
-        assert qset.members == expected
+        expected = [m for m in range(1, m_j + 1) if all(m % r for r in union)]
+        assert qset.members.tolist() == expected
+
+
+def test_blocks_and_sets_stay_int64_arrays_at_benchmark_size():
+    # alpha = 0.2, N = 4e6: 265,588 primes and 349,821 members; as Python ints they traced 23.3 MB
+    import tracemalloc
+
+    params = make_params(0.2, 4 * 10**6)
+    tracemalloc.start()
+    try:
+        blocks = prime_blocks(params)
+        sets = sieve_sets(params, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for seq in [b.primes for b in blocks] + [q.members for q in sets]:
+        assert isinstance(seq, np.ndarray) and seq.dtype == np.int64
+    assert sum(b.primes.size for b in blocks) == 265588
+    assert sum(q.members.size for q in sets) == 349821
+    assert peak < 8 * 2**20, peak
 
 
 # --- distinct products -----------------------------------------------------------------

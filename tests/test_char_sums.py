@@ -35,7 +35,7 @@ from mobiusdyn.field_arith import (
     primitive_root,
 )
 from mobiusdyn.mobius_dynamics import MobiusMatrix, apply, period
-from oracles import chi_value, decimated_oracle, orbit_oracle, twisted_oracle
+from oracles import chi_value, decimated_oracle, orbit_oracle, twisted_oracle, value_at
 
 M101 = PrimeModulus(101)
 A101 = MobiusMatrix(M101.elem(27), M101.elem(39), M101.elem(5), M101.elem(11))
@@ -506,7 +506,7 @@ def _weil_fp_oracle(rf, psi, chi=None):
     chi_at = _chi_values(chi) if chi is not None else None
     total, terms = 0j, 0
     for x in map(m.elem, range(m.p)):
-        val = rf.value_at(x)
+        val = value_at(rf, x)
         if val is None or (chi is not None and x not in chi_at):
             continue
         term = psi(val)
@@ -524,7 +524,7 @@ def _weil_fp2_oracle(rf, psi, chi, gen):
     total, terms = 0j, 0
     z = ext.one
     for _ in range(ext.p + 1):
-        val = rf.value_at(z)
+        val = value_at(rf, z)
         if val is not None:
             term = psi(val.trace())
             if chi is not None:
@@ -644,6 +644,8 @@ def test_weil_kernels_reject_bad_characters_and_generators():
         weil_sum_fp2_norm_one(rf2, PSI101, MultiplicativeCharacter(gen, 101, 1), gen)
     with pytest.raises(AssertionError):  # 2*Z has norm 4, so (2*Z)^(p + 1) = 4
         weil_sum_fp2_norm_one(rf2, PSI101, None, ext.elem(0, 2))
+    with pytest.raises(ValueError, match="order below"):  # gen^2 has order 51: each power would count twice
+        weil_sum_fp2_norm_one(rf2, PSI101, None, gen**2)
     e = next(e for e in range(3, m.p - 2) if e != ext.e.value and QuadExtension(m, m.elem(e)).is_irreducible)
     with pytest.raises(ValueError):  # generator from a different extension
         weil_sum_fp2_norm_one(rf2, PSI101, None, norm_group_generator(QuadExtension(m, m.elem(e))))

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from mobiusdyn.field_arith import (
     _inv_mod,
+    _pow_pairs,
+    _powers,
     _residues,
     FpElem,
     ModulusMismatch,
@@ -370,3 +372,21 @@ def test_inv_mod_matches_pow(p, n):
     x = ([0, p - 1, 1] + [int(v) for v in rng.integers(0, p, n)])[:n]
     got = _inv_mod(_residues(np.array(x, dtype=np.int64), p), p).tolist()
     assert got == [pow(v, -1, p) if v else 0 for v in x]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 102])
+def test_powers_match_pow_pairs(n):
+    m = PrimeModulus(101)
+    ext = QuadExtension(m, m.elem(1))
+    assert ext.is_irreducible
+    gen = norm_group_generator(ext)
+    cases = [
+        ((3, 5), 1, 101),  # not of norm one
+        ((gen.c0.value, gen.c1.value), 1, 101),
+        ((5, 0), 0, 293),  # F_p as the pairs (g, 0)
+        ((290, 0), 0, 293),
+    ]
+    for g, e, p in cases:
+        z = _powers(g, n, e, p)
+        assert z.shape == (2, n) and z.dtype == np.int64
+        assert [tuple(z[:, k].tolist()) for k in range(n)] == [_pow_pairs(g, k, e, p) for k in range(n)]

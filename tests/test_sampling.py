@@ -9,6 +9,7 @@ from mobiusdyn.sampling import (
     random_rational_function_fp2,
     random_sl2,
 )
+from oracles import value_at
 
 
 def test_random_sl2_contract():
@@ -62,8 +63,40 @@ def test_random_fp2_rational_function_trace_varies():
         traces = set()
         z = ext.one
         for _ in range(20):
-            val = rf.value_at(z)
+            val = value_at(rf, z)
             if val is not None:
                 traces.add(val.trace().value)
             z = z * gen
         assert len(traces) >= 2
+
+
+class _Scripted(random.Random):
+    """random.Random whose first randrange calls return the scripted values."""
+
+    def __init__(self, script, seed):
+        super().__init__(seed)
+        self.script = list(script)
+
+    def randrange(self, *args):
+        return self.script.pop(0) if self.script else super().randrange(*args)
+
+
+def test_random_fp2_rational_function_rejects_constant_trace():
+    # first draw: h/g = 3*(X^2 - 1)/X, which is 3*(z - conj z) on Nm(z) = 1, so its trace is 0
+    from mobiusdyn.arith_fn import AdditiveCharacter
+    from mobiusdyn.char_sums import RationalFunction, weil_sum_fp2_norm_one
+    from mobiusdyn.field_arith import QuadExtension, norm_group_generator
+
+    m = PrimeModulus(101)
+    ext = QuadExtension(m, m.elem(1))
+    gen = norm_group_generator(ext)
+    degenerate = RationalFunction((ext.elem(-3), ext.zero, ext.elem(3)), (ext.zero, ext.one))
+    flat = weil_sum_fp2_norm_one(degenerate, AdditiveCharacter(m.one), None, gen)
+    assert flat.term_count == 102 and flat.value == 102
+    # dg, dh, then g's coefficient pairs low to high, then h's
+    script = [1, 2, 0, 0, 1, 0, 98, 0, 0, 0, 3, 0]
+    rng = _Scripted(script, 7)
+    got = random_rational_function_fp2(rng, ext, gen, 3)
+    assert not rng.script
+    assert got != degenerate
+    assert got == random_rational_function_fp2(random.Random(7), ext, gen, 3)
