@@ -19,7 +19,9 @@ Trajectory; the twisted schedule takes (matrix, xi0) and builds only the
 orbit prefix it needs, unless it is handed a Trajectory.
 The exhaustive Weil kernels follow the same pattern over all of F_p or the
 norm-one group: exact int64 phase numerators, then one fsum per component.
-Both read their group as generator powers from field_arith._powers.
+Each takes a batch of rational functions over one field, builds its group
+(generator powers from field_arith._powers) once per batch, and evaluates
+the functions in 2-D array passes before summing each row on its own.
 """
 
 from __future__ import annotations
@@ -374,70 +376,112 @@ def _trim(coeffs) -> tuple:
 
 _WEIL_FP_LIMIT = 10**5
 _WEIL_FP2_LIMIT = 3000
+# function-by-point entries per array pass of the Weil kernels: on the shipped weil-check,
+# 2^12 ran as fast as 2^20 and kept the peak RSS at the per-function kernels' level
+_WEIL_PASS = 1 << 12
 
 
-def _horner_fp(coeffs: tuple, x: np.ndarray, p: int) -> np.ndarray:
-    """The polynomial with F_p coefficients `coeffs` (low to high) at every entry of x."""
-    acc = np.zeros_like(x)
-    for c in reversed(coeffs):
-        acc = (acc * x + c.value) % p
+def _coefficient_rows(polys: Sequence[tuple], value) -> np.ndarray:
+    """(len(polys), width) int64 array of value(c) per coefficient, low to high, zero-padded on the high side."""
+    out = np.zeros((len(polys), max(map(len, polys), default=0)), dtype=np.int64)
+    for row, coeffs in zip(out, polys):
+        row[: len(coeffs)] = [value(c) for c in coeffs]
+    return out
+
+
+def _horner_fp(polys: Sequence[tuple], x: np.ndarray, p: int) -> np.ndarray:
+    """Row r: the F_p polynomial polys[r] at every entry of x."""
+    coeffs = _coefficient_rows(polys, int)
+    acc = np.zeros((len(polys), x.size), dtype=np.int64)
+    for j in range(coeffs.shape[1] - 1, -1, -1):
+        acc = (acc * x + coeffs[:, j, None]) % p
     return acc
 
 
-def _horner_fp2(coeffs: tuple, z, e: int, p: int):
-    """The polynomial with F_{p^2} coefficients `coeffs` at every pair (z0, z1) of z."""
-    acc = (np.zeros_like(z[0]), np.zeros_like(z[0]))
-    for c in reversed(coeffs):
+def _horner_fp2(polys: Sequence[tuple], z: np.ndarray, e: int, p: int):
+    """Row r of each coordinate: the F_{p^2} polynomial polys[r] at every pair (z0, z1) of z."""
+    c0 = _coefficient_rows(polys, lambda c: c.c0.value)
+    c1 = _coefficient_rows(polys, lambda c: c.c1.value)
+    zero = np.zeros((len(polys), z.shape[1]), dtype=np.int64)
+    acc = (zero, zero)
+    for j in range(c0.shape[1] - 1, -1, -1):
         a0, a1 = _mul_pairs(acc, z, e, p)
-        acc = ((a0 + c.c0.value) % p, (a1 + c.c1.value) % p)
+        acc = ((a0 + c0[:, j, None]) % p, (a1 + c1[:, j, None]) % p)
     return acc
 
 
-def _norm_one_traces(rf: RationalFunction, z: np.ndarray, e: int, p: int):
-    """(idx, Tr(h(z)/g(z))) on the columns idx of the pair array z where g(z) != 0 (irreducible ext)."""
-    d0, d1 = _horner_fp2(rf.denominator, z, e, p)
-    idx = np.flatnonzero((d0 != 0) | (d1 != 0))
-    d0, d1 = d0[idx], d1[idx]
+def _norm_one_traces(rfs: Sequence[RationalFunction], z: np.ndarray, e: int, p: int):
+    """(live, traces): live[r, i] says g_r(z_i) != 0 for the pair array z (irreducible ext).
+
+    traces holds Tr(h_r(z_i)/g_r(z_i)) on the live entries in row-major order,
+    so row by row, ascending in i.  Every live g_r(z_i) is inverted in one
+    _inv_mod call, through its conjugate and norm.
+    """
+    d0, d1 = _horner_fp2([rf.denominator for rf in rfs], z, e, p)
+    live = (d0 != 0) | (d1 != 0)
+    d0, d1 = d0[live], d1[live]
     norm_inv = _inv_mod((d0 * d0 + e * d0 * d1 + d1 * d1) % p, p)
     den_inv = ((d0 + e * d1) * norm_inv % p, -d1 * norm_inv % p)  # conj(g) / Nm(g)
-    h0, h1 = _mul_pairs(_horner_fp2(rf.numerator, z[:, idx], e, p), den_inv, e, p)
-    return idx, (2 * h0 + e * h1) % p  # Tr(c0 + c1*Z) = 2*c0 + e*c1
+    h0, h1 = _horner_fp2([rf.numerator for rf in rfs], z, e, p)
+    h0, h1 = _mul_pairs((h0[live], h1[live]), den_inv, e, p)
+    return live, (2 * h0 + e * h1) % p  # Tr(c0 + c1*Z) = 2*c0 + e*c1
 
 
-def _weil_report(kind: str, angle: np.ndarray, p: int, rf, psi, chi) -> SumReport:
-    """One term e^(i angle) per entry; reference bound max(deg g, deg h) * sqrt(p)."""
+def _passes(rfs: list, points: int):
+    """rfs in consecutive slices of at most _WEIL_PASS // points functions (at least one)."""
+    step = max(1, _WEIL_PASS // points)
+    return (rfs[i : i + step] for i in range(0, len(rfs), step))
+
+
+def _weil_reports(kind: str, angle: np.ndarray, live: np.ndarray, p: int, rfs, psi, chi) -> list[SumReport]:
+    """One report per row of live: its live terms e^(i angle), taken from angle in row-major order.
+
+    Each row gets its own _weighted_sum, so a report does not depend on the
+    other functions of its pass.  Reference bound max(deg g, deg h) * sqrt(p).
+    """
     params = {"u": psi.u.value}
     if chi is not None:
         params["h"] = chi.multiplier
-    value = _weighted_sum(1, np.cos(angle), np.sin(angle))
-    return SumReport(kind, value, angle.size, p, rf.max_degree * math.sqrt(p), params)
+    cos, sin = np.cos(angle), np.sin(angle)
+    ends = np.cumsum(live.sum(axis=1)).tolist()
+    out = []
+    for rf, lo, hi in zip(rfs, [0] + ends, ends):
+        value = _weighted_sum(1, cos[lo:hi], sin[lo:hi])
+        out.append(SumReport(kind, value, hi - lo, p, rf.max_degree * math.sqrt(p), dict(params)))
+    return out
 
 
 def weil_sum_fp(
-    rf: RationalFunction,
+    rfs: Sequence[RationalFunction],
     psi: AdditiveCharacter,
     chi: MultiplicativeCharacter | None = None,
-) -> SumReport:
-    """Exhaustive hybrid sum over F_p: psi(h(x)/g(x)) chi(x) where g(x) != 0.
+) -> list[SumReport]:
+    """Exhaustive hybrid sums over F_p, one report per function, in order.
 
+    For each h/g of rfs: the sum of psi(h(x)/g(x)) chi(x) where g(x) != 0.
     chi = None means no multiplicative twist (the x = 0 term is included);
     a given chi must be a character of the full group F_p^* and contributes
     nothing at x = 0.  Reference bound: max(deg g, deg h) * sqrt(p).
-    h and g are evaluated at every x at once on int64 arrays (exact for
-    p <= _WEIL_FP_LIMIT); the phase is u*h(x)/g(x) mod p, plus
-    multiplier*ind(x) mod p - 1 under chi, and the terms go into one fsum.
+    The index table of chi is built once per call.  Each array pass takes a
+    slice of the functions, at least one and at most _WEIL_PASS // p:
+    one 2-D Horner pass gives h and g of every function at every x on int64
+    arrays (exact for p <= _WEIL_FP_LIMIT), one _inv_mod inverts every live
+    g(x), and one _angles call gives the phases u*h(x)/g(x) mod p, plus
+    multiplier*ind(x) mod p - 1 under chi.  Each function's terms then go
+    into their own fsum, so its report does not depend on the rest of rfs.
     """
     if not psi.is_nontrivial:
         raise ValueError("psi must be a nontrivial additive character")
     p = psi.p
     if p > _WEIL_FP_LIMIT:
         raise RangeGuard(f"exhaustive sum capped at p <= {_WEIL_FP_LIMIT}")
-    given = (*rf.numerator, *rf.denominator, *((chi.generator,) if chi is not None else ()))
+    rfs = list(rfs)
+    given = [c for rf in rfs for c in (*rf.numerator, *rf.denominator)]
+    if chi is not None:
+        given.append(chi.generator)
     if any(getattr(c, "modulus", None) != psi.u.modulus for c in given):
         raise ModulusMismatch("coefficients and chi generator must lie in the field of psi")
     x = np.arange(p, dtype=np.int64)
-    den = _horner_fp(rf.denominator, x, p)
-    live = den != 0
     if chi is not None:
         if chi.order != p - 1:
             raise ValueError("chi must be a character of the full group F_p^*")
@@ -448,39 +492,50 @@ def weil_sum_fp(
         ind[_powers((g, 0), p - 1, 0, p)[0]] = np.arange(p - 1)
         if (ind[1:] < 0).any():
             raise ValueError("chi generator does not have order p - 1")
-        live[0] = False  # chi(0) = 0
-    x, den = x[live], den[live]
-    val = _horner_fp(rf.numerator, x, p) * _inv_mod(den, p) % p
-    angle = _angles(val, p, psi.u.value)
-    if chi is not None:
-        angle += _angles(ind[x], p - 1, chi.multiplier % (p - 1))
-    return _weil_report("weil_fp", angle, p, rf, psi, chi)
+        x = x[1:]  # chi(0) = 0
+    out = []
+    for rows in _passes(rfs, x.size):
+        den = _horner_fp([rf.denominator for rf in rows], x, p)
+        live = den != 0
+        num = _horner_fp([rf.numerator for rf in rows], x, p)
+        angle = _angles(num[live] * _inv_mod(den[live], p) % p, p, psi.u.value)
+        if chi is not None:
+            angle += _angles(ind[x][np.nonzero(live)[1]], p - 1, chi.multiplier % (p - 1))
+        out += _weil_reports("weil_fp", angle, live, p, rows, psi, chi)
+    return out
 
 
 def weil_sum_fp2_norm_one(
-    rf: RationalFunction,
+    rfs: Sequence[RationalFunction],
     psi: AdditiveCharacter,
     chi: MultiplicativeCharacter | None = None,
     generator: Fp2Elem | None = None,
-) -> SumReport:
-    """Hybrid sum over the norm-one subgroup of an irreducible quadratic extension.
+) -> list[SumReport]:
+    """Hybrid sums over the norm-one subgroup of an irreducible quadratic extension.
 
-    sum over {z : Nm(z) = 1, g(z) != 0} of psi(Tr(h(z)/g(z))) chi(z); the
-    group has p + 1 elements and is enumerated as powers of its canonical
-    generator, ascending in the exponent.  Bound: max(deg g, deg h)*sqrt(p).
-    The group is the (2, p + 1) int64 pair array of _powers, so a given
-    generator must have order exactly p + 1; traces from _norm_one_traces.
+    For each h/g of rfs, in order: the sum over {z : Nm(z) = 1, g(z) != 0}
+    of psi(Tr(h(z)/g(z))) chi(z).  The group has p + 1 elements and is
+    enumerated as powers of its canonical generator, ascending in the
+    exponent.  Bound: max(deg g, deg h) * sqrt(p).  The group is the
+    (2, p + 1) int64 pair array of _powers, built and checked once per call,
+    so a given generator must have order exactly p + 1.  Each array pass
+    takes a slice of the functions, as in weil_sum_fp, and gets its traces
+    from one _norm_one_traces call.  All functions share one extension.
     """
     if not psi.is_nontrivial:
         raise ValueError("psi must be a nontrivial additive character")
-    ext: QuadExtension = rf.denominator[0].ext
+    rfs = list(rfs)
+    if not rfs:
+        return []
+    ext: QuadExtension = rfs[0].denominator[0].ext
     p = ext.p
     if p > _WEIL_FP2_LIMIT:
         raise RangeGuard(f"norm-one enumeration capped at p <= {_WEIL_FP2_LIMIT}")
     if not ext.is_irreducible:
         raise ReducibleExtension("norm-one sums need an irreducible extension")
     gen = generator if generator is not None else norm_group_generator(ext)
-    if any(c.ext != ext for c in (gen, *rf.numerator, *rf.denominator)):
+    given = chain([gen], *(chain(rf.numerator, rf.denominator) for rf in rfs))
+    if any(c.ext != ext for c in given):
         raise ModulusMismatch("generator and coefficients must lie in one quadratic extension")
     t = p + 1
     chi_shift = 0
@@ -497,8 +552,11 @@ def weil_sum_fp2_norm_one(
         raise AssertionError("generator does not have order p + 1")
     if np.unique(z[0] * p + z[1]).size != t:
         raise ValueError("generator has order below p + 1")
-    idx, trace = _norm_one_traces(rf, z, e, p)
-    angle = _angles(trace, p, psi.u.value)
-    if chi is not None:
-        angle += _angles(idx, t, chi_shift % t)
-    return _weil_report("weil_fp2_norm1", angle, p, rf, psi, chi)
+    out = []
+    for rows in _passes(rfs, t):
+        live, trace = _norm_one_traces(rows, z, e, p)
+        angle = _angles(trace, p, psi.u.value)
+        if chi is not None:
+            angle += _angles(np.nonzero(live)[1], t, chi_shift % t)
+        out += _weil_reports("weil_fp2_norm1", angle, live, p, rows, psi, chi)
+    return out

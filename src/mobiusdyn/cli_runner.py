@@ -59,6 +59,7 @@ from .char_sums import (
     weil_sum_fp2_norm_one,
 )
 from .field_arith import (
+    _mul_pairs,
     FpElem,
     PrimeModulus,
     QuadExtension,
@@ -68,17 +69,16 @@ from .field_arith import (
     sqrt_mod,
 )
 from .mobius_dynamics import (
+    DegenerateSpectral,
     InvalidMatrix,
     MobiusMatrix,
     NonSquareDeterminant,
     SingularMatrix,
+    SpectralForm,
     Trajectory,
-    apply,
-    linear_lift,
     normalize_to_sl2,
     period,
     spectral_form,
-    spectral_orbit,
 )
 from .sampling import (
     random_admissible_instance,
@@ -298,23 +298,28 @@ def cmd_verify_spectral(cfg: dict, outdir: Path, config_blob: bytes) -> int:
         raise ConfigError("field 'window' must be >= 1")
     if "matrix" in cfg:
         matrix = _parse_matrix(cfg, modulus, need_distinct_roots=True)
-        instances = [period(matrix, _parse_seed(cfg, modulus))]
+        xi0 = _parse_seed(cfg, modulus)
+        try:
+            form = spectral_form(matrix, xi0)
+        except DegenerateSpectral as exc:
+            raise ConfigError(f"field 'seed': {exc}") from None
+        instances = [(period(matrix, xi0), form)]
     else:
         samples = _as_int(cfg, "samples", 50)
         if samples < 1:
             raise ConfigError("field 'samples' must be >= 1")
         rng = random.Random(_as_int(cfg, "rng_seed", 1))
         # one orbit table alive at a time
-        instances = (random_admissible_instance(rng, modulus)[2] for _ in range(samples))
+        instances = (random_admissible_instance(rng, modulus)[2:] for _ in range(samples))
 
     mismatches = 0
     periods_checked = []
-    for traj in instances:
+    for traj, form in instances:
         matrix, xi0 = traj.matrix, traj.seed
         if not traj.pole_free:
             raise ConfigError("configured seed orbit passes through the pole; pick another seed")
         window = min(traj.period, window_cap)
-        report = verify_three_way(traj, window)
+        report = verify_three_way(traj, form, window)
         mismatches += report["mismatches"]
         periods_checked.append(
             {
@@ -346,22 +351,42 @@ def cmd_verify_spectral(cfg: dict, outdir: Path, config_blob: bytes) -> int:
     return EXIT_OK if mismatches == 0 else EXIT_MISMATCH
 
 
-def verify_three_way(traj: Trajectory, window: int) -> dict:
-    """Compare the three orbit views for n = 1..window on a pole-free orbit.
+def verify_three_way(traj: Trajectory, form: SpectralForm, window: int) -> dict:
+    """Compare the three orbit views for n = 1..window on a pole-free orbit, on raw ints mod p.
 
-    The map view steps `apply` itself, so it does not share the linear lift
-    that the orbit table is built from; the table is held to it as well.
+    Each view is stepped on its own from the seed:
+    - the map: x -> (a*x + b) * (c*x + d)^-1, with the pole sent to a/c;
+    - the lift: (u, v) -> (a*u + b*v, c*u + d*v);
+    - the closed form of `form`: cur = theta^(2n) by one pair product per
+      step, and alpha + beta/den with den = cur + gamma inverted through its
+      conjugate and norm.
+    Index n is a mismatch unless den != 0, the closed form lies in F_p and
+    equals x_n, u_n = x_n * v_n (so v_n != 0, as (u_n, v_n) != (0, 0)), and
+    orbit-table entry n - 1 equals x_n: the table, built from the lift by
+    doubling, is held to the map.
     """
-    matrix, xi0 = traj.matrix, traj.seed
+    a, b, c, d = traj.matrix.entries()
+    p = traj.matrix.p
+    e = form.ext.e.value
+    alpha, beta, gamma, theta = ((z.c0.value, z.c1.value) for z in (form.alpha, form.beta, form.gamma, form.theta))
+    step = _mul_pairs(theta, theta, e, p)
+    pole_image = a * pow(c, -1, p) % p
+    x = u = traj.seed.value
+    v, cur = 1, (1, 0)
     mismatches = 0
-    lift = linear_lift(matrix, xi0)
-    closed = spectral_orbit(spectral_form(matrix, xi0))
-    next(lift)  # n = 0
-    next(closed)
-    x = xi0
-    for raw, (u, v), s in zip(traj.orbit_table[:window].tolist(), lift, closed):
-        x = apply(matrix, x)
-        if not v or s is None or u != x * v or s != x or raw != x.value:
+    for raw in traj.orbit_table[:window].tolist():
+        den = (c * x + d) % p
+        x = (a * x + b) * pow(den, -1, p) % p if den else pole_image
+        u, v = (a * u + b * v) % p, (c * u + d * v) % p
+        cur = _mul_pairs(cur, step, e, p)
+        g0, g1 = (cur[0] + gamma[0]) % p, (cur[1] + gamma[1]) % p
+        norm = (g0 * g0 + e * g0 * g1 + g1 * g1) % p
+        if not norm:
+            mismatches += 1
+            continue
+        inv = pow(norm, -1, p)
+        s0, s1 = _mul_pairs(beta, ((g0 + e * g1) * inv % p, -g1 * inv % p), e, p)  # beta * conj(den) / Nm(den)
+        if (s1 + alpha[1]) % p or (s0 + alpha[0]) % p != x or u != x * v % p or raw != x:
             mismatches += 1
     return {"mismatches": mismatches}
 
@@ -472,12 +497,8 @@ def _weil_fp_batch(p: int, count: int, rng_seed: int, max_degree: int) -> list[S
     rng = random.Random(f"{rng_seed}:fp:{p}")
     psi = AdditiveCharacter(modulus.one)
     chi = MultiplicativeCharacter(primitive_root(modulus), p - 1, 1)
-    out = []
-    for _ in range(count):
-        rf = random_rational_function_fp(rng, modulus, max_degree)
-        out.append(weil_sum_fp(rf, psi))
-        out.append(weil_sum_fp(rf, psi, chi))
-    return out
+    rfs = [random_rational_function_fp(rng, modulus, max_degree) for _ in range(count)]
+    return _interleave(weil_sum_fp(rfs, psi), weil_sum_fp(rfs, psi, chi))
 
 
 def _weil_fp2_batch(p: int, count: int, rng_seed: int, max_degree: int) -> list[SumReport]:
@@ -487,12 +508,13 @@ def _weil_fp2_batch(p: int, count: int, rng_seed: int, max_degree: int) -> list[
     gen = norm_group_generator(ext)
     psi = AdditiveCharacter(modulus.one)
     chi = MultiplicativeCharacter(gen, p + 1, 1)
-    out = []
-    for _ in range(count):
-        rf = random_rational_function_fp2(rng, ext, gen, max_degree)
-        out.append(weil_sum_fp2_norm_one(rf, psi, None, gen))
-        out.append(weil_sum_fp2_norm_one(rf, psi, chi, gen))
-    return out
+    rfs = [random_rational_function_fp2(rng, ext, gen, max_degree) for _ in range(count)]
+    return _interleave(weil_sum_fp2_norm_one(rfs, psi, None, gen), weil_sum_fp2_norm_one(rfs, psi, chi, gen))
+
+
+def _interleave(plain: list[SumReport], twisted: list[SumReport]) -> list[SumReport]:
+    """plain[0], twisted[0], plain[1], twisted[1], ...: each function's rows stay together."""
+    return [r for pair in zip(plain, twisted) for r in pair]
 
 
 def _first_irreducible_extension(modulus: PrimeModulus) -> QuadExtension:

@@ -312,22 +312,3 @@ def spectral_form(matrix: MobiusMatrix, xi0: FpElem) -> SpectralForm:
                 raise AssertionError("closed form disagrees with the linear lift")
         cur = cur * step
     return form
-
-
-def spectral_orbit(form: SpectralForm) -> Iterator[FpElem | None]:
-    """Stream xi_0, xi_1, ... from the closed form with one multiplication per step.
-
-    Yields None at indices where the projective orbit is at infinity.
-    """
-    step = form.theta * form.theta
-    cur = form.ext.one
-    while True:
-        den = cur + form.gamma
-        if not den:
-            yield None
-        else:
-            val = form.alpha + form.beta * den.inv()
-            if val.c1:
-                raise ArithmeticError("closed-form value left the base field; invalid form")
-            yield val.c0
-        cur = cur * step

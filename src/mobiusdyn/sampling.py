@@ -12,6 +12,9 @@ scans; F_{p^2} draws are probed with the kernel's own _norm_one_traces.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
+
+import numpy as np
 
 from .char_sums import RationalFunction, _norm_one_traces
 from .field_arith import _powers, Fp2Elem, FpElem, PrimeModulus, QuadExtension
@@ -103,10 +106,12 @@ def random_rational_function_fp2(
     Rejects draws where Tr(h(z)/g(z)) is constant on the probe z = gen^0..gen^6
     off the poles (for example h/g = z0*(X^2-1)/X with z0 in F_p), since
     those degenerate sums escape any square-root bound.  ext is irreducible.
+    The probe is built once per (generator, p) and read by the norm-one
+    kernel's own _norm_one_traces, as a batch of one function.
     """
     p = ext.p
     e = ext.e.value
-    probe = _powers((group_generator.c0.value, group_generator.c1.value), 7, e, p)
+    probe = _probe((group_generator.c0.value, group_generator.c1.value), e, p)
     while True:
         dg = rng.randrange(max_degree + 1)
         dh = rng.randrange(max_degree + 1)
@@ -119,9 +124,17 @@ def random_rational_function_fp2(
         rf = RationalFunction(tuple(num), tuple(den))
         if _proportional(rf.numerator, rf.denominator):
             continue
-        _, traces = _norm_one_traces(rf, probe, e, p)
+        _, traces = _norm_one_traces([rf], probe, e, p)
         if len(set(traces.tolist())) >= 2:
             return rf
+
+
+@lru_cache(maxsize=64)
+def _probe(g: tuple[int, int], e: int, p: int) -> np.ndarray:
+    """g^0, ..., g^6 as a read-only (2, 7) pair array."""
+    probe = _powers(g, 7, e, p)
+    probe.flags.writeable = False
+    return probe
 
 
 def _nonzero_fp2(rng: random.Random, ext: QuadExtension) -> Fp2Elem:

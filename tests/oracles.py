@@ -1,5 +1,7 @@
 """Step-by-step reference implementations that the array paths are tested against."""
 
+from typing import Iterator
+
 from mobiusdyn.arith_fn import MultiplicativeCharacter, unit_circle
 from mobiusdyn.char_sums import RationalFunction
 from mobiusdyn.field_arith import Fp2Elem, FpElem, discrete_index
@@ -130,6 +132,25 @@ def eval_spectral(form: SpectralForm, n: int) -> FpElem:
     if val.c1:
         raise ArithmeticError("closed-form value left the base field; invalid form")
     return val.c0
+
+
+def spectral_orbit(form: SpectralForm) -> Iterator[FpElem | None]:
+    """Stream xi_0, xi_1, ... from the closed form with one Fp2Elem multiplication per step.
+
+    Yields None at indices where the projective orbit is at infinity.
+    """
+    step = form.theta * form.theta
+    cur = form.ext.one
+    while True:
+        den = cur + form.gamma
+        if not den:
+            yield None
+        else:
+            val = form.alpha + form.beta * den.inv()
+            if val.c1:
+                raise ArithmeticError("closed-form value left the base field; invalid form")
+            yield val.c0
+        cur = cur * step
 
 
 def chi_value(chi: MultiplicativeCharacter, x: FpElem | Fp2Elem) -> complex:

@@ -401,7 +401,7 @@ def test_weil_fp_poles_are_skipped():
     m = PrimeModulus(101)
     g = (m.elem(0), m.elem(1))  # g(X) = X, one root
     rf = RationalFunction((), g)
-    r = weil_sum_fp(rf, PSI101)
+    r = weil_sum_fp([rf], PSI101)[0]
     assert r.value == pytest.approx(100)
     assert r.term_count == 100
 
@@ -411,7 +411,7 @@ def test_weil_fp_gauss_sum_is_exactly_sqrt_p():
         m = PrimeModulus(p)
         psi = AdditiveCharacter(m.one)
         rf = RationalFunction((m.elem(0), m.elem(0), m.elem(1)), (m.one,))  # X^2
-        r = weil_sum_fp(rf, psi)
+        r = weil_sum_fp([rf], psi)[0]
         assert r.abs_value == pytest.approx(math.sqrt(p), rel=1e-12)
 
 
@@ -419,7 +419,7 @@ def test_weil_fp_with_character_gauss_sum():
     m = PrimeModulus(101)
     chi = MultiplicativeCharacter(primitive_root(m), 100, 1)
     rf = RationalFunction((m.elem(0), m.elem(1)), (m.one,))  # X
-    r = weil_sum_fp(rf, PSI101, chi)
+    r = weil_sum_fp([rf], PSI101, chi)[0]
     assert r.abs_value == pytest.approx(math.sqrt(101), rel=1e-12)
     assert r.ratio == pytest.approx(1.0, rel=1e-12)
 
@@ -429,7 +429,7 @@ def test_weil_fp_kloosterman_under_classical_bound():
     m = PrimeModulus(293)
     psi = AdditiveCharacter(m.one)
     rf = RationalFunction((m.one, m.elem(0), m.one), (m.elem(0), m.one))  # (1 + X^2)/X
-    r = weil_sum_fp(rf, psi)
+    r = weil_sum_fp([rf], psi)[0]
     assert r.abs_value <= 2 * math.sqrt(293) + 1e-9
     assert r.ratio <= 1.0 + 1e-12  # bound uses max degree 2
 
@@ -445,7 +445,7 @@ def test_weil_fp_random_grid_ratios():
     for _ in range(40):
         rf = random_rational_function_fp(rng, m, 3)
         for c in (None, chi):
-            r = weil_sum_fp(rf, psi, c)
+            r = weil_sum_fp([rf], psi, c)[0]
             worst = max(worst, r.ratio)
     assert worst <= 10.0
 
@@ -457,7 +457,7 @@ def test_weil_norm_one_group_size_exhaustive():
     gen = norm_group_generator(ext)
     psi = AdditiveCharacter(m.one)
     rf = RationalFunction((), (ext.one,))  # h = 0: counts the group
-    r = weil_sum_fp2_norm_one(rf, psi, None, gen)
+    r = weil_sum_fp2_norm_one([rf], psi, None, gen)[0]
     assert r.term_count == 14
     assert r.value == pytest.approx(14)
     brute = {
@@ -480,7 +480,7 @@ def test_weil_norm_one_trace_twist_ratios():
     chi = MultiplicativeCharacter(gen, 102, 1)
     rf = RationalFunction((ext.zero, ext.one), (ext.one,))  # X
     for c in (None, chi):
-        r = weil_sum_fp2_norm_one(rf, psi, c, gen)
+        r = weil_sum_fp2_norm_one([rf], psi, c, gen)[0]
         assert r.ratio <= 10.0
 
 
@@ -563,9 +563,9 @@ def test_weil_fp_matches_per_term_definition():
         rfs = [roots, zero] + [random_rational_function_fp(rng, m, 3) for _ in range(6)]
         for rf in rfs:
             for chi in chis:
-                _assert_matches(weil_sum_fp(rf, psi, chi), _weil_fp_oracle(rf, psi, chi))
-        assert weil_sum_fp(roots, psi).term_count == p - 2
-        assert weil_sum_fp(zero, psi, chis[1]).term_count == p - 3
+                _assert_matches(weil_sum_fp([rf], psi, chi)[0], _weil_fp_oracle(rf, psi, chi))
+        assert weil_sum_fp([roots], psi)[0].term_count == p - 2
+        assert weil_sum_fp([zero], psi, chis[1])[0].term_count == p - 3
 
 
 def test_weil_fp2_matches_per_term_definition():
@@ -595,8 +595,63 @@ def test_weil_fp2_matches_per_term_definition():
         rfs = [roots, zero] + [random_rational_function_fp2(rng, ext, gen, 3) for _ in range(6)]
         for rf in rfs:
             for chi in chis:
-                _assert_matches(weil_sum_fp2_norm_one(rf, psi, chi, gen), _weil_fp2_oracle(rf, psi, chi, gen))
-        assert weil_sum_fp2_norm_one(zero, psi, None, gen).term_count == p - 1
+                _assert_matches(weil_sum_fp2_norm_one([rf], psi, chi, gen)[0], _weil_fp2_oracle(rf, psi, chi, gen))
+        assert weil_sum_fp2_norm_one([zero], psi, None, gen)[0].term_count == p - 1
+
+
+def test_weil_batches_match_per_term_oracles_and_one_function_batches(monkeypatch):
+    # degrees 0-3 padded together, a zero numerator, and a row with no live terms:
+    # X^3 - X vanishes on all of F_3, X^4 - 1 on the whole norm-one group of F_9
+    from mobiusdyn import char_sums
+    from mobiusdyn.sampling import random_rational_function_fp, random_rational_function_fp2
+
+    rng = random.Random(29)
+    for p in (3, 101):
+        m = PrimeModulus(p)
+        psi = AdditiveCharacter(m.elem(rng.randrange(1, p)))
+        chi = MultiplicativeCharacter(primitive_root(m), p - 1, 1)
+        rfs = [
+            RationalFunction((m.elem(2),), (m.elem(-1),)),  # degree 0
+            RationalFunction((), (m.one, m.one)),  # h = 0 over X + 1
+            RationalFunction((m.one,), (m.elem(0), m.elem(-1), m.elem(0), m.one)),  # 1/(X^3 - X)
+            RationalFunction((m.one, m.elem(0), m.one), (m.elem(0), m.one)),  # (1 + X^2)/X
+        ] + [random_rational_function_fp(rng, m, 3) for _ in range(4)]
+        for c in (None, chi):
+            batch = weil_sum_fp(rfs, psi, c)
+            assert len(batch) == len(rfs)
+            for rf, report in zip(rfs, batch):
+                _assert_matches(report, _weil_fp_oracle(rf, psi, c))
+                assert report == weil_sum_fp([rf], psi, c)[0]
+            if p == 3:
+                assert batch[2].term_count == 0 and batch[2].value == 0
+            with monkeypatch.context() as mp:  # three functions per array pass
+                mp.setattr(char_sums, "_WEIL_PASS", 3 * p)
+                assert weil_sum_fp(rfs, psi, c) == batch
+
+        ext = _first_irreducible_extension(m)
+        gen = norm_group_generator(ext)
+        psi2 = AdditiveCharacter(m.elem(rng.randrange(1, p)))
+        chi2 = MultiplicativeCharacter(gen, p + 1, 1)
+        root = gen**3
+        g_coeffs = (root, -(root + ext.one), ext.one)  # (X - gen^3)(X - 1)
+        rfs2 = [
+            RationalFunction((ext.elem(2, 1),), (ext.elem(1, 1),)),  # degree 0
+            RationalFunction((), g_coeffs),  # h = 0
+            RationalFunction((ext.one,), (-ext.one, ext.zero, ext.zero, ext.zero, ext.one)),  # 1/(X^4 - 1)
+            RationalFunction((ext.zero, ext.one), (ext.one,)),  # X
+        ] + [random_rational_function_fp2(rng, ext, gen, 3) for _ in range(4)]
+        for c in (None, chi2):
+            batch = weil_sum_fp2_norm_one(rfs2, psi2, c, gen)
+            assert len(batch) == len(rfs2)
+            for rf, report in zip(rfs2, batch):
+                _assert_matches(report, _weil_fp2_oracle(rf, psi2, c, gen))
+                assert report == weil_sum_fp2_norm_one([rf], psi2, c, gen)[0]
+            if p == 3:
+                assert batch[2].term_count == 0 and batch[2].value == 0
+            with monkeypatch.context() as mp:
+                mp.setattr(char_sums, "_WEIL_PASS", 3 * (p + 1))
+                assert weil_sum_fp2_norm_one(rfs2, psi2, c, gen) == batch
+    assert weil_sum_fp([], psi) == [] and weil_sum_fp2_norm_one([], psi2, None, gen) == []
 
 
 def test_weil_kernels_at_their_caps():
@@ -607,7 +662,7 @@ def test_weil_kernels_at_their_caps():
     psi = AdditiveCharacter(m.elem(12345))
     chi = MultiplicativeCharacter(primitive_root(m), m.p - 1, 7)
     rf = random_rational_function_fp(rng, m, 3)
-    _assert_matches(weil_sum_fp(rf, psi, chi), _weil_fp_oracle(rf, psi, chi))  # ~2 s of oracle
+    _assert_matches(weil_sum_fp([rf], psi, chi)[0], _weil_fp_oracle(rf, psi, chi))  # ~2 s of oracle
     m2 = PrimeModulus(2999)
     ext = _first_irreducible_extension(m2)
     gen = norm_group_generator(ext)
@@ -615,50 +670,50 @@ def test_weil_kernels_at_their_caps():
     chi2 = MultiplicativeCharacter(gen, m2.p + 1, 11)
     rf2 = random_rational_function_fp2(rng, ext, gen, 3)
     for c in (None, chi2):
-        _assert_matches(weil_sum_fp2_norm_one(rf2, psi2, c, gen), _weil_fp2_oracle(rf2, psi2, c, gen))
+        _assert_matches(weil_sum_fp2_norm_one([rf2], psi2, c, gen)[0], _weil_fp2_oracle(rf2, psi2, c, gen))
     # just above each cap (100003 and 3001 are the next primes) the guard fires
     big = PrimeModulus(100003)
     with pytest.raises(RangeGuard):
-        weil_sum_fp(RationalFunction((big.one,), (big.one,)), AdditiveCharacter(big.one))
+        weil_sum_fp([RationalFunction((big.one,), (big.one,))], AdditiveCharacter(big.one))
     big2 = PrimeModulus(3001)
     ext2 = _first_irreducible_extension(big2)
     with pytest.raises(RangeGuard):
-        weil_sum_fp2_norm_one(RationalFunction((ext2.one,), (ext2.one,)), AdditiveCharacter(big2.one))
+        weil_sum_fp2_norm_one([RationalFunction((ext2.one,), (ext2.one,))], AdditiveCharacter(big2.one))
 
 
 def test_weil_kernels_reject_bad_characters_and_generators():
     m = PrimeModulus(101)
     rf = RationalFunction((m.one,), (m.elem(0), m.one))
     with pytest.raises(ValueError):
-        weil_sum_fp(rf, AdditiveCharacter(m.elem(0)))
+        weil_sum_fp([rf], AdditiveCharacter(m.elem(0)))
     with pytest.raises(ValueError):
-        weil_sum_fp(rf, PSI101, MultiplicativeCharacter(primitive_root(m), 50, 1))
+        weil_sum_fp([rf], PSI101, MultiplicativeCharacter(primitive_root(m), 50, 1))
     with pytest.raises(ValueError):
-        weil_sum_fp(rf, PSI101, MultiplicativeCharacter(m.one, 100, 1))
+        weil_sum_fp([rf], PSI101, MultiplicativeCharacter(m.one, 100, 1))
     with pytest.raises(ValueError):  # 4 = 2^2 has order 50, not 100
-        weil_sum_fp(rf, PSI101, MultiplicativeCharacter(m.elem(4), 100, 1))
+        weil_sum_fp([rf], PSI101, MultiplicativeCharacter(m.elem(4), 100, 1))
     ext = _first_irreducible_extension(m)
     gen = norm_group_generator(ext)
     rf2 = RationalFunction((ext.one,), (ext.zero, ext.one))
     with pytest.raises(ValueError):
-        weil_sum_fp2_norm_one(rf2, PSI101, MultiplicativeCharacter(gen, 101, 1), gen)
+        weil_sum_fp2_norm_one([rf2], PSI101, MultiplicativeCharacter(gen, 101, 1), gen)
     with pytest.raises(AssertionError):  # 2*Z has norm 4, so (2*Z)^(p + 1) = 4
-        weil_sum_fp2_norm_one(rf2, PSI101, None, ext.elem(0, 2))
+        weil_sum_fp2_norm_one([rf2], PSI101, None, ext.elem(0, 2))
     with pytest.raises(ValueError, match="order below"):  # gen^2 has order 51: each power would count twice
-        weil_sum_fp2_norm_one(rf2, PSI101, None, gen**2)
+        weil_sum_fp2_norm_one([rf2], PSI101, None, gen**2)
     e = next(e for e in range(3, m.p - 2) if e != ext.e.value and QuadExtension(m, m.elem(e)).is_irreducible)
     with pytest.raises(ValueError):  # generator from a different extension
-        weil_sum_fp2_norm_one(rf2, PSI101, None, norm_group_generator(QuadExtension(m, m.elem(e))))
+        weil_sum_fp2_norm_one([rf2], PSI101, None, norm_group_generator(QuadExtension(m, m.elem(e))))
 
 
 def test_weil_fp_rejects_coefficients_from_another_field():
     m, other = PrimeModulus(101), PrimeModulus(199)
     psi = AdditiveCharacter(other.one)
     with pytest.raises(ModulusMismatch):
-        weil_sum_fp(RationalFunction((m.one,), (m.elem(0), m.one)), psi)
+        weil_sum_fp([RationalFunction((m.one,), (m.elem(0), m.one))], psi)
     rf = RationalFunction((other.one,), (other.elem(0), other.one))
     with pytest.raises(ModulusMismatch):  # chi generator from F_101
-        weil_sum_fp(rf, psi, MultiplicativeCharacter(primitive_root(m), 198, 1))
+        weil_sum_fp([rf], psi, MultiplicativeCharacter(primitive_root(m), 198, 1))
 
 
 def test_default_scan_grid_produces_sixty_reports():

@@ -219,20 +219,105 @@ def test_verify_spectral_shipped_config_passes(tmp_path):
 
 def test_verify_three_way_steps_the_map_itself():
     # a table entry that disagrees with the map is a mismatch: the map view
-    # is stepped by `apply`, not read from the table built from the lift
+    # is stepped on its own, not read from the table built from the lift
     import dataclasses
 
     from mobiusdyn.cli_runner import verify_three_way
     from mobiusdyn.field_arith import PrimeModulus
-    from mobiusdyn.mobius_dynamics import MobiusMatrix, period
+    from mobiusdyn.mobius_dynamics import MobiusMatrix, period, spectral_form
 
     m = PrimeModulus(101)
-    traj = period(MobiusMatrix(*(m.elem(x) for x in (27, 39, 5, 11))), m.elem(55))
-    assert verify_three_way(traj, traj.period) == {"mismatches": 0}
+    matrix, xi0 = MobiusMatrix(*(m.elem(x) for x in (27, 39, 5, 11))), m.elem(55)
+    traj, form = period(matrix, xi0), spectral_form(matrix, xi0)
+    assert verify_three_way(traj, form, traj.period) == {"mismatches": 0}
     table = traj.orbit_table.copy()
     table[7] = (table[7] + 1) % 101
     bad = dataclasses.replace(traj, orbit_table=table)
-    assert verify_three_way(bad, traj.period) == {"mismatches": 1}
+    assert verify_three_way(bad, form, traj.period) == {"mismatches": 1}
+
+
+def test_verify_three_way_holds_the_map_to_the_closed_form():
+    # a wrong gamma moves every closed-form value; shifting alpha by 1 keeps the
+    # values in F_p but off by one, and by Z moves them out of F_p
+    import dataclasses
+
+    from mobiusdyn.cli_runner import verify_three_way
+    from mobiusdyn.field_arith import PrimeModulus
+    from mobiusdyn.mobius_dynamics import MobiusMatrix, period, spectral_form
+
+    m = PrimeModulus(1009)
+    matrix, xi0 = MobiusMatrix(*(m.elem(x) for x in (590, 448, 600, 406))), m.elem(50)
+    traj, form = period(matrix, xi0), spectral_form(matrix, xi0)
+    window = 300
+    assert verify_three_way(traj, form, window) == {"mismatches": 0}
+    ext = form.ext
+    for wrong in (
+        dataclasses.replace(form, gamma=form.gamma + ext.one),
+        dataclasses.replace(form, alpha=form.alpha + ext.one),
+        dataclasses.replace(form, alpha=form.alpha + ext.elem(0, 1)),
+    ):
+        assert verify_three_way(traj, wrong, window) == {"mismatches": window}
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_verify_three_way_agrees_with_object_views_exhaustive(p):
+    # every SL2 matrix with c != 0 and distinct roots, one seed per orbit that is
+    # not a fixed point, pole orbits included: the int check counts exactly the
+    # indices where `apply`, `linear_lift` and the oracle's `spectral_orbit` disagree
+    import itertools
+
+    from oracles import spectral_orbit
+
+    from mobiusdyn.cli_runner import verify_three_way
+    from mobiusdyn.field_arith import PrimeModulus
+    from mobiusdyn.mobius_dynamics import (
+        DegenerateSpectral,
+        MobiusMatrix,
+        apply,
+        linear_lift,
+        period,
+        spectral_form,
+    )
+
+    m = PrimeModulus(p)
+    checked = with_mismatches = 0
+    for a, c, d in itertools.product(range(p), range(1, p), range(p)):
+        if (a + d) % p in (2, p - 2):
+            continue
+        matrix = MobiusMatrix(*(m.elem(x) for x in (a, (a * d - 1) * pow(c, -1, p), c, d)))
+        seen = set()
+        for x0 in range(p):
+            if x0 in seen:
+                continue
+            traj = period(matrix, m.elem(x0))
+            seen.update(traj.orbit_table.tolist())
+            try:
+                form = spectral_form(matrix, traj.seed)
+            except DegenerateSpectral:
+                continue
+            lift = itertools.islice(linear_lift(matrix, traj.seed), 1, None)
+            closed = itertools.islice(spectral_orbit(form), 1, None)
+            x, expected = traj.seed, 0
+            for raw, (u, v), s in zip(traj.orbit_table.tolist(), lift, closed):
+                x = apply(matrix, x)
+                expected += not v or s is None or u != x * v or s != x or raw != x.value
+            got = verify_three_way(traj, form, traj.period)["mismatches"]
+            assert got == expected
+            assert (expected == 0) == traj.pole_free
+            checked += 1
+            with_mismatches += expected > 0
+    assert checked and with_mismatches
+
+
+@pytest.mark.parametrize("seed", ["23", "79"])
+def test_verify_spectral_fixed_point_seed_exits_2_and_names_seed(tmp_path, capsys, seed):
+    # 23 and 79 = (1 +- 45)/2 mod 101 (45^2 = 5) are the fixed points of x -> (2x + 1)/(x + 1)
+    code, outdir = run(tmp_path, "verify-spectral", {"p": "101", "matrix": ["2", "1", "1", "1"], "seed": seed})
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'seed'" in err
+    assert "Traceback" not in err
+    assert not (outdir / "verify_spectral.json").exists()
 
 
 def test_mu_cache_roundtrip(tmp_path):

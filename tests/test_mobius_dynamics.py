@@ -26,10 +26,9 @@ from mobiusdyn.mobius_dynamics import (
     normalize_to_sl2,
     period,
     spectral_form,
-    spectral_orbit,
 )
 from mobiusdyn.sampling import random_admissible_instance, random_sl2
-from oracles import SpectralPole, apply_projective, eval_spectral, orbit_walk
+from oracles import SpectralPole, apply_projective, eval_spectral, orbit_walk, spectral_orbit
 
 M5 = PrimeModulus(5)
 M7 = PrimeModulus(7)

@@ -91,7 +91,7 @@ def test_random_fp2_rational_function_rejects_constant_trace():
     ext = QuadExtension(m, m.elem(1))
     gen = norm_group_generator(ext)
     degenerate = RationalFunction((ext.elem(-3), ext.zero, ext.elem(3)), (ext.zero, ext.one))
-    flat = weil_sum_fp2_norm_one(degenerate, AdditiveCharacter(m.one), None, gen)
+    flat = weil_sum_fp2_norm_one([degenerate], AdditiveCharacter(m.one), None, gen)[0]
     assert flat.term_count == 102 and flat.value == 102
     # dg, dh, then g's coefficient pairs low to high, then h's
     script = [1, 2, 0, 0, 1, 0, 98, 0, 0, 0, 3, 0]
