@@ -170,6 +170,13 @@ def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown {where} field {names}; allowed: {', '.join(sorted(allowed))}")
 
 
+def _reject_unread(cfg: dict, keys: tuple, when: str) -> None:
+    """A key the chosen branch never reads would be ignored: refuse it instead."""
+    for key in keys:
+        if key in cfg:
+            raise ConfigError(f"field '{key}' is read {when}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One run's validated configuration: the raw JSON object plus its bytes.
@@ -297,14 +304,19 @@ def cmd_verify_spectral(cfg: dict, outdir: Path, config_blob: bytes) -> int:
     if window_cap < 1:
         raise ConfigError("field 'window' must be >= 1")
     if "matrix" in cfg:
+        _reject_unread(cfg, ("samples", "rng_seed"), "only when field 'matrix' is absent")
         matrix = _parse_matrix(cfg, modulus, need_distinct_roots=True)
         xi0 = _parse_seed(cfg, modulus)
         try:
             form = spectral_form(matrix, xi0)
         except DegenerateSpectral as exc:
             raise ConfigError(f"field 'seed': {exc}") from None
-        instances = [(period(matrix, xi0), form)]
+        traj = period(matrix, xi0)
+        if not traj.pole_free:
+            raise ConfigError("field 'seed': the orbit passes through the pole; pick another seed")
+        instances = [(traj, form)]
     else:
+        _reject_unread(cfg, ("seed",), "only with field 'matrix'")
         samples = _as_int(cfg, "samples", 50)
         if samples < 1:
             raise ConfigError("field 'samples' must be >= 1")
@@ -315,25 +327,11 @@ def cmd_verify_spectral(cfg: dict, outdir: Path, config_blob: bytes) -> int:
     mismatches = 0
     periods_checked = []
     for traj, form in instances:
-        matrix, xi0 = traj.matrix, traj.seed
-        if not traj.pole_free:
-            raise ConfigError("configured seed orbit passes through the pole; pick another seed")
         window = min(traj.period, window_cap)
         report = verify_three_way(traj, form, window)
         mismatches += report["mismatches"]
-        periods_checked.append(
-            {
-                "a": matrix.entries()[0],
-                "b": matrix.entries()[1],
-                "c": matrix.entries()[2],
-                "d": matrix.entries()[3],
-                "xi0": xi0.value,
-                "period": traj.period,
-                "theta_sq_order": traj.theta_sq_order,
-                "window": window,
-                "mismatches": report["mismatches"],
-            }
-        )
+        row = dict(zip("abcd", traj.matrix.entries()), xi0=traj.seed.value, period=traj.period, window=window)
+        periods_checked.append(dict(row, theta_sq_order=traj.theta_sq_order, mismatches=report["mismatches"]))
     body = {
         "schema_version": 1,
         "p": modulus.p,
@@ -358,18 +356,15 @@ def verify_three_way(traj: Trajectory, form: SpectralForm, window: int) -> dict:
     - the map: x -> (a*x + b) * (c*x + d)^-1, with the pole sent to a/c;
     - the lift: (u, v) -> (a*u + b*v, c*u + d*v);
     - the closed form of `form`: cur = theta^(2n) by one pair product per
-      step, and alpha + beta/den with den = cur + gamma inverted through its
-      conjugate and norm.
-    Index n is a mismatch unless den != 0, the closed form lies in F_p and
-    equals x_n, u_n = x_n * v_n (so v_n != 0, as (u_n, v_n) != (0, 0)), and
-    orbit-table entry n - 1 equals x_n: the table, built from the lift by
+      step, read through `form.evaluate`.
+    Index n is a mismatch unless the closed form is defined there, lies in
+    F_p and equals x_n, u_n = x_n * v_n (so v_n != 0, as (u_n, v_n) != (0, 0)),
+    and orbit-table entry n - 1 equals x_n: the table, built from the lift by
     doubling, is held to the map.
     """
     a, b, c, d = traj.matrix.entries()
     p = traj.matrix.p
-    e = form.ext.e.value
-    alpha, beta, gamma, theta = ((z.c0.value, z.c1.value) for z in (form.alpha, form.beta, form.gamma, form.theta))
-    step = _mul_pairs(theta, theta, e, p)
+    step = _mul_pairs(form.theta, form.theta, form.e, p)
     pole_image = a * pow(c, -1, p) % p
     x = u = traj.seed.value
     v, cur = 1, (1, 0)
@@ -378,15 +373,9 @@ def verify_three_way(traj: Trajectory, form: SpectralForm, window: int) -> dict:
         den = (c * x + d) % p
         x = (a * x + b) * pow(den, -1, p) % p if den else pole_image
         u, v = (a * u + b * v) % p, (c * u + d * v) % p
-        cur = _mul_pairs(cur, step, e, p)
-        g0, g1 = (cur[0] + gamma[0]) % p, (cur[1] + gamma[1]) % p
-        norm = (g0 * g0 + e * g0 * g1 + g1 * g1) % p
-        if not norm:
-            mismatches += 1
-            continue
-        inv = pow(norm, -1, p)
-        s0, s1 = _mul_pairs(beta, ((g0 + e * g1) * inv % p, -g1 * inv % p), e, p)  # beta * conj(den) / Nm(den)
-        if (s1 + alpha[1]) % p or (s0 + alpha[0]) % p != x or u != x * v % p or raw != x:
+        cur = _mul_pairs(cur, step, form.e, p)
+        val = form.evaluate(cur)
+        if val is None or val != (x, 0) or u != x * v % p or raw != x:
             mismatches += 1
     return {"mismatches": mismatches}
 
@@ -399,18 +388,19 @@ def cmd_sum_scan(cfg: dict, outdir: Path, config_blob: bytes, mu_cache: str | No
     kinds = cfg.get("kinds", ["twisted"])
     if not isinstance(kinds, list) or not all(k in ("twisted", "correlation", "single") for k in kinds):
         raise ConfigError("field 'kinds' must be a list drawn from twisted/correlation/single")
-    for key, readers in (("n_schedule", "twisted"), ("frequencies", "twisted"), ("points", "correlation/single")):
-        if key in cfg and not any(k in readers.split("/") for k in kinds):
-            raise ConfigError(f"field '{key}' is read only when field 'kinds' lists {readers}, got {kinds}")
+    for keys, readers in ((("n_schedule", "frequencies"), "twisted"), (("points",), "correlation/single")):
+        if not any(k in readers.split("/") for k in kinds):
+            _reject_unread(cfg, keys, f"only when field 'kinds' lists {readers}, got {kinds}")
     psi = AdditiveCharacter(modulus.elem(_as_int(cfg, "psi_u", 1)))
     if not psi.is_nontrivial:
         raise ConfigError("field 'psi_u' must be nonzero")
 
     # one orbit build per scan: the points read the whole period, twisted its prefix
-    traj = period(matrix, xi0) if "correlation" in kinds or "single" in kinds else None
+    points = _require(cfg, "points") if "correlation" in kinds or "single" in kinds else None
+    traj = period(matrix, xi0) if points is not None else None
     jobs = []
     if "twisted" in kinds:
-        schedule = _as_int_list(cfg, "n_schedule", [])
+        schedule = _as_int_list(cfg, "n_schedule")
         frequencies = _as_int_list(cfg, "frequencies", [1])
         if any(n < 1 for n in schedule) or schedule != sorted(schedule):
             raise ConfigError("field 'n_schedule' must be ascending with every checkpoint >= 1")
@@ -421,7 +411,7 @@ def cmd_sum_scan(cfg: dict, outdir: Path, config_blob: bytes, mu_cache: str | No
             chars = [AdditiveCharacter(modulus.elem(u)) for u in frequencies]
             jobs.append(lambda: twisted_sum_schedule(matrix, xi0, chars, schedule, table, traj))
     if traj is not None:
-        for point in cfg.get("points", []):
+        for point in points:
             if not isinstance(point, dict):
                 raise ConfigError(f"scan points must be objects, got {point!r}")
             _reject_unknown(point, _POINT_KEYS, "scan point")
@@ -546,6 +536,8 @@ def cmd_bsz_report(cfg: dict, outdir: Path, config_blob: bytes, mu_cache: str | 
     f_kind = cfg.get("f", "psi_xi")
     if nu_kind not in ("mobius", "one") or f_kind not in ("psi_xi", "one"):
         raise ConfigError("fields 'nu' in {mobius,one} and 'f' in {psi_xi,one}")
+    if f_kind == "one":
+        _reject_unread(cfg, ("psi_u",), "only when field 'f' is psi_xi")
 
     traj = period(matrix, xi0)
     if f_kind == "psi_xi":

@@ -340,6 +340,16 @@ def _mul_pairs(a, b, e: int, p: int):
     return (a[0] * b[0] - cross) % p, (a[0] * b[1] + a[1] * b[0] + e * cross) % p
 
 
+def _inv_pair(z: tuple[int, int], e: int, p: int) -> tuple[int, int] | None:
+    """1/z on a raw int pair through its conjugate (z0 + e*z1, -z1) and norm; None when the norm is 0."""
+    z0, z1 = z
+    norm = (z0 * z0 + e * z0 * z1 + z1 * z1) % p
+    if not norm:
+        return None
+    inv = pow(norm, -1, p)
+    return (z0 + e * z1) * inv % p, -z1 * inv % p
+
+
 def _pow_pairs(z: tuple[int, int], n: int, e: int, p: int) -> tuple[int, int]:
     """(z0 + z1*Z)^n for n >= 0 by square-and-multiply on raw int pairs."""
     out = (1, 0)

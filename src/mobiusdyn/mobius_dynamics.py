@@ -10,11 +10,13 @@ Z^2 - e*Z + 1 both follow the projective indexing, so the verification
 helpers prefer seeds whose orbit avoids the pole, where all three views
 agree index by index.
 
-`apply` is the definition of the map, one step at a time; the step-by-step
-projective map and closed-form evaluation live with the test oracles.  The
-orbit table every sum reads is not stepped: `_orbit_prefix` fills the linear
-lift on int64 arrays by doubling until the lift returns to the seed, drops
-the infinity index and inverts the v_n in blocks, so one period of t entries
+`apply` is the definition of the map, one step at a time; the projective
+map, the linear lift and the closed form on Fp2Elem objects, all stepped, live
+with the test oracles.  `spectral_form` solves the closed form on raw (c0, c1)
+int pairs, and `SpectralForm.evaluate` is its one evaluator.  The orbit table
+every sum reads is not stepped: `_orbit_prefix` fills the linear lift on
+int64 arrays by doubling until the lift returns to the seed, drops the
+infinity index and inverts the v_n in blocks, so one period of t entries
 costs about twenty array operations per entry (~0.1 us per entry at p ~ 1e7
 on one core of a 2-CPU x86 machine), with a peak of about 16 bytes per entry.
 It never needs ord(theta^2); `period` computes that order for the record and
@@ -25,16 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
-from typing import Iterator
 
 import numpy as np
 
 from .field_arith import (
     _BLOCK,
     _inv_mod,
+    _inv_pair,
+    _mul_pairs,
     _residues,
-    Fp2Elem,
     FpElem,
     QuadExtension,
     char_poly_roots,
@@ -99,7 +100,7 @@ class MobiusMatrix:
     def theta_sq_order(self) -> int:
         """ord(theta^2) for a root theta of Z^2 - e*Z + 1; needs distinct roots."""
         theta, _ = char_poly_roots(self.extension)
-        return mult_order(theta * theta)
+        return mult_order(theta**2)
 
     @cached_property
     def pole(self) -> FpElem:
@@ -246,69 +247,64 @@ def period(matrix: MobiusMatrix, xi0: FpElem) -> Trajectory:
     return Trajectory(matrix, xi0, int(table.size), pole_hit, t_ord, table)
 
 
-def linear_lift(matrix: MobiusMatrix, xi0: FpElem) -> Iterator[tuple[FpElem, FpElem]]:
-    """Yield (u_n, v_n) for n = 0, 1, 2, ...: (u_{n+1}, v_{n+1})^T = A (u_n, v_n)^T.
-
-    Initial values are (u_0, v_0) = (xi_0, 1), so xi_n = u_n / v_n as long as
-    v_n != 0; v_n = 0 marks the projective orbit sitting at infinity.  The
-    matrix rule is the normative definition; since det A = 1, both sequences
-    also satisfy the scalar recurrence w_{n+2} = e*w_{n+1} - w_n.
-    """
-    a, b, c, d = matrix.a, matrix.b, matrix.c, matrix.d
-    u, v = xi0, matrix.modulus.one
-    while True:
-        yield u, v
-        u, v = a * u + b * v, c * u + d * v
-
-
 @dataclass(frozen=True)
 class SpectralForm:
-    """Closed form xi_n = alpha + beta/(theta^(2n) + gamma) for one orbit."""
+    """Closed form xi_n = alpha + beta/(theta^(2n) + gamma) for one orbit.
 
-    alpha: Fp2Elem
-    beta: Fp2Elem
-    gamma: Fp2Elem
-    theta: Fp2Elem
+    alpha, beta, gamma and theta are raw int pairs (c0, c1), standing for
+    c0 + c1*Z in F_p[Z]/(Z^2 - e*Z + 1) with e the trace of the matrix.
+    """
 
-    @property
-    def ext(self) -> QuadExtension:
-        return self.theta.ext
+    alpha: tuple[int, int]
+    beta: tuple[int, int]
+    gamma: tuple[int, int]
+    theta: tuple[int, int]
+    e: int
+    p: int
+
+    def evaluate(self, cur: tuple[int, int]) -> tuple[int, int] | None:
+        """alpha + beta/(cur + gamma) for cur = theta^(2n); None when cur + gamma has norm 0."""
+        den = _inv_pair((cur[0] + self.gamma[0], cur[1] + self.gamma[1]), self.e, self.p)
+        if den is None:
+            return None
+        s0, s1 = _mul_pairs(self.beta, den, self.e, self.p)
+        return (s0 + self.alpha[0]) % self.p, (s1 + self.alpha[1]) % self.p
 
 
 def spectral_form(matrix: MobiusMatrix, xi0: FpElem) -> SpectralForm:
-    """Solve for (alpha, beta, gamma) from the linear lift of the orbit.
+    """Solve for (alpha, beta, gamma) from the linear lift of the orbit, on int pairs.
 
     Writing u_n = P*theta^n + Q*theta^-n and v_n = R*theta^n + S*theta^-n,
-    the coefficients come from 2x2 solves against (u_0, u_1) and (v_0, v_1),
-    the first two items of linear_lift; then alpha = P/R, gamma = S/R,
-    beta = (Q*R - P*S)/R^2.  R = 0 (the ratio is affine in theta^(2n)) and
+    the 2x2 solves against (u_0, u_1) = (x0, a*x0 + b) and
+    (v_0, v_1) = (1, c*x0 + d) give P*D = u_1 - x0/theta, R*D = W and
+    S = 1 - R, with D = theta - 1/theta and W = v_1 - 1/theta.  So
+    alpha = P/R = (u_1 - x0/theta)/W, gamma = S/R = D/W - 1 and
+    beta = (Q*R - P*S)/R^2 = (x0 - alpha)*D/W, with W inverted through its
+    conjugate and norm.  R = 0 (the ratio is affine in theta^(2n)) and
     beta = 0 (the seed is a fixed point) fall outside the normal form and
-    raise DegenerateSpectral.
+    raise DegenerateSpectral.  The form is checked against the lift at
+    n = 0, 1, 2.
     """
-    ext = matrix.extension
-    theta, theta_inv = char_poly_roots(ext)
-    lift = [(ext.embed(u), ext.embed(v)) for u, v in islice(linear_lift(matrix, xi0), 3)]
-    (u0, v0), (u1, v1) = lift[:2]
-    dinv = (theta - theta_inv).inv()
-    p_coef = (u1 - u0 * theta_inv) * dinv
-    q_coef = u0 - p_coef
-    r_coef = (v1 - v0 * theta_inv) * dinv
-    s_coef = v0 - r_coef
-    if not r_coef:
+    theta, (i0, i1) = ((z.c0.value, z.c1.value) for z in char_poly_roots(matrix.extension))
+    e, p = matrix.trace.value, matrix.p
+    a, b, c, d = matrix.entries()
+    x0 = xi0.value
+    u1, v1 = (a * x0 + b) % p, (c * x0 + d) % p
+    w = ((v1 - i0) % p, -i1 % p)
+    if w == (0, 0):
         raise DegenerateSpectral("v_n has no theta^n component; xi_n is affine in theta^(2n)")
-    rinv = r_coef.inv()
-    alpha = p_coef * rinv
-    gamma = s_coef * rinv
-    beta = (q_coef * r_coef - p_coef * s_coef) * rinv * rinv
-    if not beta:
+    winv = _inv_pair(w, e, p)
+    rinv = _mul_pairs((theta[0] - i0, theta[1] - i1), winv, e, p)
+    alpha = _mul_pairs((u1 - x0 * i0, -x0 * i1), winv, e, p)
+    beta = _mul_pairs((x0 - alpha[0], -alpha[1]), rinv, e, p)
+    if beta == (0, 0):
         raise DegenerateSpectral("seed is a fixed point; the closed form degenerates to a constant")
-    form = SpectralForm(alpha, beta, gamma, theta)
-    step = theta * theta
-    cur = ext.one
-    for u, v in lift:
+    form = SpectralForm(alpha, beta, ((rinv[0] - 1) % p, rinv[1]), theta, e, p)
+    step, cur = _mul_pairs(theta, theta, e, p), (1, 0)
+    for u, v in ((x0, 1), (u1, v1), ((a * u1 + b * v1) % p, (c * u1 + d * v1) % p)):
         if v:
-            den = cur + gamma
-            if (alpha + beta * den.inv()) * v != u:
+            val = form.evaluate(cur)
+            if val is None or val[1] or val[0] * v % p != u:
                 raise AssertionError("closed form disagrees with the linear lift")
-        cur = cur * step
+        cur = _mul_pairs(cur, step, e, p)
     return form

@@ -1,11 +1,18 @@
-"""Step-by-step reference implementations that the array paths are tested against."""
+"""Step-by-step reference implementations that the array and int-pair paths are tested against.
 
+The closed form is solved and evaluated here on Fp2Elem objects, independently
+of the raw int pairs that `mobius_dynamics.spectral_form` works on: the
+object solve is the oracle for that solve, and `eval_spectral` and
+`spectral_orbit` rebuild Fp2Elems from a form's pairs.
+"""
+
+from itertools import islice
 from typing import Iterator
 
 from mobiusdyn.arith_fn import MultiplicativeCharacter, unit_circle
 from mobiusdyn.char_sums import RationalFunction
-from mobiusdyn.field_arith import Fp2Elem, FpElem, discrete_index
-from mobiusdyn.mobius_dynamics import MobiusMatrix, SpectralForm, apply
+from mobiusdyn.field_arith import Fp2Elem, FpElem, PrimeModulus, QuadExtension, char_poly_roots, discrete_index
+from mobiusdyn.mobius_dynamics import DegenerateSpectral, MobiusMatrix, SpectralForm, apply
 
 
 _ORACLE_PRIME_BOUND = 1000
@@ -117,6 +124,65 @@ def apply_projective(matrix: MobiusMatrix, x: FpElem | None) -> FpElem | None:
     return (matrix.a * x + matrix.b) / den
 
 
+def linear_lift(matrix: MobiusMatrix, xi0: FpElem) -> Iterator[tuple[FpElem, FpElem]]:
+    """Yield (u_n, v_n) for n = 0, 1, 2, ...: (u_{n+1}, v_{n+1})^T = A (u_n, v_n)^T.
+
+    Initial values are (u_0, v_0) = (xi_0, 1), so xi_n = u_n / v_n as long as
+    v_n != 0; v_n = 0 marks the projective orbit sitting at infinity.  The
+    matrix rule is the normative definition; since det A = 1, both sequences
+    also satisfy the scalar recurrence w_{n+2} = e*w_{n+1} - w_n.
+    """
+    a, b, c, d = matrix.a, matrix.b, matrix.c, matrix.d
+    u, v = xi0, matrix.modulus.one
+    while True:
+        yield u, v
+        u, v = a * u + b * v, c * u + d * v
+
+
+def spectral_solve_objects(matrix: MobiusMatrix, xi0: FpElem) -> tuple[Fp2Elem, Fp2Elem, Fp2Elem, Fp2Elem]:
+    """(alpha, beta, gamma, theta) of the closed form, solved on Fp2Elem objects from linear_lift.
+
+    Writing u_n = P*theta^n + Q*theta^-n and v_n = R*theta^n + S*theta^-n,
+    the coefficients come from 2x2 solves against (u_0, u_1) and (v_0, v_1);
+    then alpha = P/R, gamma = S/R, beta = (Q*R - P*S)/R^2.  R = 0 and
+    beta = 0 raise DegenerateSpectral; a form that misses the lift at
+    n = 0, 1, 2 raises AssertionError.
+    """
+    ext = matrix.extension
+    theta, theta_inv = char_poly_roots(ext)
+    lift = [(ext.embed(u), ext.embed(v)) for u, v in islice(linear_lift(matrix, xi0), 3)]
+    (u0, v0), (u1, v1) = lift[:2]
+    dinv = (theta - theta_inv).inv()
+    p_coef = (u1 - u0 * theta_inv) * dinv
+    q_coef = u0 - p_coef
+    r_coef = (v1 - v0 * theta_inv) * dinv
+    s_coef = v0 - r_coef
+    if not r_coef:
+        raise DegenerateSpectral("v_n has no theta^n component; xi_n is affine in theta^(2n)")
+    rinv = r_coef.inv()
+    alpha = p_coef * rinv
+    gamma = s_coef * rinv
+    beta = (q_coef * r_coef - p_coef * s_coef) * rinv * rinv
+    if not beta:
+        raise DegenerateSpectral("seed is a fixed point; the closed form degenerates to a constant")
+    step = theta * theta
+    cur = ext.one
+    for u, v in lift:
+        if v:
+            den = cur + gamma
+            if (alpha + beta * den.inv()) * v != u:
+                raise AssertionError("closed form disagrees with the linear lift")
+        cur = cur * step
+    return alpha, beta, gamma, theta
+
+
+def form_elems(form: SpectralForm) -> tuple[QuadExtension, Fp2Elem, Fp2Elem, Fp2Elem, Fp2Elem]:
+    """The extension and (alpha, beta, gamma, theta) of a form, rebuilt as Fp2Elem objects."""
+    modulus = PrimeModulus(form.p)
+    ext = QuadExtension(modulus, modulus.elem(form.e))
+    return (ext, *(ext.elem(*z) for z in (form.alpha, form.beta, form.gamma, form.theta)))
+
+
 class SpectralPole(ArithmeticError):
     """theta^(2n) = -gamma: the projective orbit is at infinity at this index."""
 
@@ -125,10 +191,11 @@ def eval_spectral(form: SpectralForm, n: int) -> FpElem:
     """xi_n from the closed form; raises SpectralPole when theta^(2n) = -gamma."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    den = form.theta ** (2 * n) + form.gamma
+    _, alpha, beta, gamma, theta = form_elems(form)
+    den = theta ** (2 * n) + gamma
     if not den:
         raise SpectralPole(f"projective orbit is at infinity at index {n}")
-    val = form.alpha + form.beta * den.inv()
+    val = alpha + beta * den.inv()
     if val.c1:
         raise ArithmeticError("closed-form value left the base field; invalid form")
     return val.c0
@@ -139,14 +206,15 @@ def spectral_orbit(form: SpectralForm) -> Iterator[FpElem | None]:
 
     Yields None at indices where the projective orbit is at infinity.
     """
-    step = form.theta * form.theta
-    cur = form.ext.one
+    ext, alpha, beta, gamma, theta = form_elems(form)
+    step = theta * theta
+    cur = ext.one
     while True:
-        den = cur + form.gamma
+        den = cur + gamma
         if not den:
             yield None
         else:
-            val = form.alpha + form.beta * den.inv()
+            val = alpha + beta * den.inv()
             if val.c1:
                 raise ArithmeticError("closed-form value left the base field; invalid form")
             yield val.c0

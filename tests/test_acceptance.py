@@ -48,7 +48,6 @@ from mobiusdyn.field_arith import (
 from mobiusdyn.mobius_dynamics import (
     MobiusMatrix,
     apply,
-    linear_lift,
     period,
 )
 from mobiusdyn.sampling import (
@@ -56,7 +55,7 @@ from mobiusdyn.sampling import (
     random_rational_function_fp,
     random_rational_function_fp2,
 )
-from oracles import decimated_oracle, mobius_oracle, spectral_orbit
+from oracles import decimated_oracle, linear_lift, mobius_oracle, spectral_orbit
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

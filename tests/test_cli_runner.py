@@ -250,11 +250,11 @@ def test_verify_three_way_holds_the_map_to_the_closed_form():
     traj, form = period(matrix, xi0), spectral_form(matrix, xi0)
     window = 300
     assert verify_three_way(traj, form, window) == {"mismatches": 0}
-    ext = form.ext
+    (a0, a1), (g0, g1) = form.alpha, form.gamma
     for wrong in (
-        dataclasses.replace(form, gamma=form.gamma + ext.one),
-        dataclasses.replace(form, alpha=form.alpha + ext.one),
-        dataclasses.replace(form, alpha=form.alpha + ext.elem(0, 1)),
+        dataclasses.replace(form, gamma=((g0 + 1) % 1009, g1)),
+        dataclasses.replace(form, alpha=((a0 + 1) % 1009, a1)),
+        dataclasses.replace(form, alpha=(a0, (a1 + 1) % 1009)),
     ):
         assert verify_three_way(traj, wrong, window) == {"mismatches": window}
 
@@ -266,7 +266,7 @@ def test_verify_three_way_agrees_with_object_views_exhaustive(p):
     # indices where `apply`, `linear_lift` and the oracle's `spectral_orbit` disagree
     import itertools
 
-    from oracles import spectral_orbit
+    from oracles import linear_lift, spectral_orbit
 
     from mobiusdyn.cli_runner import verify_three_way
     from mobiusdyn.field_arith import PrimeModulus
@@ -274,7 +274,6 @@ def test_verify_three_way_agrees_with_object_views_exhaustive(p):
         DegenerateSpectral,
         MobiusMatrix,
         apply,
-        linear_lift,
         period,
         spectral_form,
     )
@@ -307,6 +306,35 @@ def test_verify_three_way_agrees_with_object_views_exhaustive(p):
             checked += 1
             with_mismatches += expected > 0
     assert checked and with_mismatches
+
+
+def test_verify_spectral_path_does_no_object_arithmetic(monkeypatch):
+    # sampling an instance and checking it three ways runs on raw ints and int pairs:
+    # an Fp2Elem product or inverse anywhere on the path fails this test
+    import random
+
+    from mobiusdyn.cli_runner import verify_three_way
+    from mobiusdyn.field_arith import Fp2Elem, PrimeModulus
+    from mobiusdyn.sampling import random_admissible_instance
+
+    def refuse(*args):
+        raise AssertionError("object arithmetic on the verify-spectral path")
+
+    monkeypatch.setattr(Fp2Elem, "__mul__", refuse)
+    monkeypatch.setattr(Fp2Elem, "inv", refuse)
+    _, _, traj, form = random_admissible_instance(random.Random(3), PrimeModulus(101))
+    assert verify_three_way(traj, form, traj.period) == {"mismatches": 0}
+
+
+def test_verify_spectral_shipped_config_output_is_pinned(tmp_path):
+    # the sampler's RNG order and every recorded field: the digest of verify_spectral.json
+    import hashlib
+
+    config, outdir = CONFIG_DIR / "verify_spectral_p101.json", tmp_path / "vs"
+    code = main(["verify-spectral", "--config", str(config), "--out", str(outdir)])
+    assert code == EXIT_OK
+    digest = hashlib.sha256((outdir / "verify_spectral.json").read_bytes()).hexdigest()
+    assert digest == "2541ac23a40f27b08ecbff51bbc05c826dfd6c65c8701722d92ad000e2f61168"
 
 
 @pytest.mark.parametrize("seed", ["23", "79"])
@@ -477,6 +505,8 @@ SCAN_BASE = {"p": "101", "matrix": ["27", "39", "5", "11"], "seed": "55"}
         ("weil-check", {"functions_per_prime": "2"}, {"max_degree": "0"}, "'max_degree'"),
         ("weil-check", {}, {"functions_per_prime": "-2"}, "'functions_per_prime'"),
         ("verify-spectral", SCAN_BASE, {"window": "-5"}, "'window'"),
+        # seed 4 has period 50 and its orbit passes through the pole
+        ("verify-spectral", SCAN_BASE, {"seed": "4"}, "'seed'"),
     ],
     ids=[
         "bsz-alpha-0.7",
@@ -496,6 +526,7 @@ SCAN_BASE = {"p": "101", "matrix": ["27", "39", "5", "11"], "seed": "55"}
         "weil-max-degree-0",
         "weil-negative-count",
         "spectral-negative-window",
+        "spectral-pole-orbit-seed",
     ],
 )
 def test_parameter_errors_exit_2_and_name_the_field(tmp_path, capsys, command, base, change, field):
@@ -508,7 +539,7 @@ def test_parameter_errors_exit_2_and_name_the_field(tmp_path, capsys, command, b
 
 
 def test_exact_fields_take_true_ints_and_decimal_strings(tmp_path):
-    body = {**BSZ_BASE, "n": 2000, "psi_u": "+1", "nu": "one", "f": "one"}
+    body = {**BSZ_BASE, "n": 2000, "psi_u": "+1", "nu": "one", "f": "psi_xi"}
     code, outdir = run(tmp_path, "bsz-report", body)
     assert code == EXIT_OK
     assert json.loads((outdir / "bsz_report.json").read_text())["params"]["n"] == 2000
@@ -525,7 +556,7 @@ def test_threads_is_validated_but_changes_nothing(tmp_path):
     assert (out1 / "sum_scan.csv").read_bytes() == (out3 / "sum_scan.csv").read_bytes()
 
 
-# --- unknown keys are refused, not ignored --------------------------------------------
+# --- unknown keys, and keys the chosen branch never reads or needs, exit 2 ------------
 
 
 @pytest.mark.parametrize(
@@ -542,8 +573,30 @@ def test_threads_is_validated_but_changes_nothing(tmp_path):
         ("verify-spectral", {**SCAN_BASE, "windw": "10"}, "'windw'"),
         ("weil-check", {"functions_per_prime": "2", "prime": ["101"]}, "'prime'"),
         ("mobius-check", {"limit": "10", "rng_seed": "1"}, "'rng_seed'"),
+        ("verify-spectral", {**SCAN_BASE, "samples": "5"}, "'samples'"),
+        ("verify-spectral", {**SCAN_BASE, "rng_seed": "2"}, "'rng_seed'"),
+        ("verify-spectral", {"p": "101", "samples": "5", "seed": "55"}, "'seed'"),
+        ("bsz-report", {**BSZ_BASE, "nu": "one", "f": "one", "psi_u": "1"}, "'psi_u'"),
+        ("sum-scan", SCAN_BASE, "'n_schedule'"),
+        ("sum-scan", {**SCAN_BASE, "kinds": ["twisted", "single"], "n_schedule": ["100"]}, "'points'"),
+        ("sum-scan", {**SCAN_BASE, "kinds": ["correlation"]}, "'points'"),
     ],
-    ids=["scan-misspelled", "scan-foreign", "scan-point", "bsz", "spectral", "weil", "mobius"],
+    ids=[
+        "scan-misspelled",
+        "scan-foreign",
+        "scan-point",
+        "bsz",
+        "spectral",
+        "weil",
+        "mobius",
+        "spectral-matrix-samples",
+        "spectral-matrix-rng_seed",
+        "spectral-sampled-seed",
+        "bsz-f-one-psi_u",
+        "scan-twisted-no-schedule",
+        "scan-single-no-points",
+        "scan-correlation-no-points",
+    ],
 )
 def test_unknown_keys_exit_2_and_name_the_key(tmp_path, capsys, command, body, key):
     code, outdir = run(tmp_path, command, body)

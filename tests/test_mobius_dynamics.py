@@ -22,13 +22,20 @@ from mobiusdyn.mobius_dynamics import (
     SingularMatrix,
     _orbit_prefix,
     apply,
-    linear_lift,
     normalize_to_sl2,
     period,
     spectral_form,
 )
 from mobiusdyn.sampling import random_admissible_instance, random_sl2
-from oracles import SpectralPole, apply_projective, eval_spectral, orbit_walk, spectral_orbit
+from oracles import (
+    SpectralPole,
+    apply_projective,
+    eval_spectral,
+    linear_lift,
+    orbit_walk,
+    spectral_orbit,
+    spectral_solve_objects,
+)
 
 M5 = PrimeModulus(5)
 M7 = PrimeModulus(7)
@@ -413,11 +420,10 @@ def test_recurrence_satisfies_minus_sign_scalar_rule():
 
 def test_spectral_form_worked_example():
     form = spectral_form(INVOLUTION, M5.elem(1))
-    ext = INVOLUTION.extension
-    assert form.theta == ext.elem(2, 0)
-    assert form.alpha == ext.elem(2, 0)
-    assert form.beta == ext.elem(2, 0)
-    assert form.gamma == ext.elem(2, 0)
+    assert form.theta == (2, 0)
+    assert form.alpha == (2, 0)
+    assert form.beta == (2, 0)
+    assert form.gamma == (2, 0)
 
 
 def test_spectral_consistency_at_zero():
@@ -457,6 +463,31 @@ def test_spectral_orbit_streaming_agrees_with_eval():
 def test_spectral_rejects_fixed_points():
     with pytest.raises(DegenerateSpectral):
         spectral_form(INVOLUTION, M5.elem(2))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_spectral_form_matches_object_solve_exhaustive(p):
+    # every SL2 matrix with c != 0 and distinct roots, every seed: the int-pair
+    # solve returns the object solve's four pairs, and is degenerate exactly where it is
+    m = PrimeModulus(p)
+    solved = degenerate = 0
+    for a, c, d in itertools.product(range(p), range(1, p), range(p)):
+        if (a + d) % p in (2, p - 2):
+            continue
+        A = mat(m, a, (a * d - 1) * pow(c, -1, p), c, d)
+        for x0 in range(p):
+            try:
+                want = tuple((z.c0.value, z.c1.value) for z in spectral_solve_objects(A, m.elem(x0)))
+            except DegenerateSpectral:
+                with pytest.raises(DegenerateSpectral):
+                    spectral_form(A, m.elem(x0))
+                degenerate += 1
+                continue
+            form = spectral_form(A, m.elem(x0))
+            assert (form.alpha, form.beta, form.gamma, form.theta) == want
+            assert (form.e, form.p) == ((a + d) % p, p)
+            solved += 1
+    assert solved and degenerate
 
 
 def test_spectral_pole_raises():

@@ -30,7 +30,7 @@ def test_admissible_instance_is_pole_free_and_nondegenerate():
         A, xi0, traj, form = random_admissible_instance(rng, m)
         assert traj.pole_free
         assert traj.period > 1
-        assert form.beta
+        assert form.beta != (0, 0)
 
 
 def test_sampling_is_deterministic():
