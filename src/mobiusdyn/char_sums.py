@@ -19,9 +19,10 @@ Trajectory; the twisted schedule takes (matrix, xi0) and builds only the
 orbit prefix it needs, unless it is handed a Trajectory.
 The exhaustive Weil kernels follow the same pattern over all of F_p or the
 norm-one group: exact int64 phase numerators, then one fsum per component.
-Each takes a batch of rational functions over one field, builds its group
-(generator powers from field_arith._powers) once per batch, and evaluates
-the functions in 2-D array passes before summing each row on its own.
+Each builds its group once per batch of functions as the powers of a
+generator (field_arith._powers), so the chi index of an element is its
+exponent, its column; 2-D array passes evaluate the functions and each row is
+summed on its own.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ from .field_arith import (
     Fp2Elem,
     FpElem,
     ModulusMismatch,
+    NotInGroup,
     QuadExtension,
     ReducibleExtension,
-    discrete_index,
     norm_group_generator,
 )
 from .mobius_dynamics import MobiusMatrix, Trajectory, _orbit_prefix
@@ -462,12 +463,13 @@ def weil_sum_fp(
     chi = None means no multiplicative twist (the x = 0 term is included);
     a given chi must be a character of the full group F_p^* and contributes
     nothing at x = 0.  Reference bound: max(deg g, deg h) * sqrt(p).
-    The index table of chi is built once per call.  Each array pass takes a
+    Under chi, x runs over g^0, ..., g^(p-2) for the generator g of chi, so
+    ind(x) is the column.  Each array pass takes a
     slice of the functions, at least one and at most _WEIL_PASS // p:
     one 2-D Horner pass gives h and g of every function at every x on int64
     arrays (exact for p <= _WEIL_FP_LIMIT), one _inv_mod inverts every live
     g(x), and one _angles call gives the phases u*h(x)/g(x) mod p, plus
-    multiplier*ind(x) mod p - 1 under chi.  Each function's terms then go
+    multiplier*i mod p - 1 under chi.  Each function's terms then go
     into their own fsum, so its report does not depend on the rest of rfs.
     """
     if not psi.is_nontrivial:
@@ -485,14 +487,9 @@ def weil_sum_fp(
     if chi is not None:
         if chi.order != p - 1:
             raise ValueError("chi must be a character of the full group F_p^*")
-        g = int(chi.generator)
-        if g <= 1:
-            raise ValueError("chi generator must generate F_p^*")
-        ind = np.full(p, -1, dtype=np.int64)  # ind[g^i] = i; ind[0] stays -1
-        ind[_powers((g, 0), p - 1, 0, p)[0]] = np.arange(p - 1)
-        if (ind[1:] < 0).any():
+        x = _powers((chi.generator.value, 0), p - 1, 0, p)[0]  # x[i] = g^i, so ind(x[i]) = i
+        if not np.array_equal(np.sort(x), np.arange(1, p)):
             raise ValueError("chi generator does not have order p - 1")
-        x = x[1:]  # chi(0) = 0
     out = []
     for rows in _passes(rfs, x.size):
         den = _horner_fp([rf.denominator for rf in rows], x, p)
@@ -500,7 +497,7 @@ def weil_sum_fp(
         num = _horner_fp([rf.numerator for rf in rows], x, p)
         angle = _angles(num[live] * _inv_mod(den[live], p) % p, p, psi.u.value)
         if chi is not None:
-            angle += _angles(ind[x][np.nonzero(live)[1]], p - 1, chi.multiplier % (p - 1))
+            angle += _angles(np.nonzero(live)[1], p - 1, chi.multiplier % (p - 1))
         out += _weil_reports("weil_fp", angle, live, p, rows, psi, chi)
     return out
 
@@ -534,17 +531,10 @@ def weil_sum_fp2_norm_one(
     if not ext.is_irreducible:
         raise ReducibleExtension("norm-one sums need an irreducible extension")
     gen = generator if generator is not None else norm_group_generator(ext)
-    given = chain([gen], *(chain(rf.numerator, rf.denominator) for rf in rfs))
+    given = chain([gen], [chi.generator] if chi else [], *(chain(rf.numerator, rf.denominator) for rf in rfs))
     if any(c.ext != ext for c in given):
         raise ModulusMismatch("generator and coefficients must lie in one quadratic extension")
     t = p + 1
-    chi_shift = 0
-    if chi is not None:
-        if chi.order != t:
-            raise ValueError("chi must be a character of the norm-one group (order p + 1)")
-        chi_shift = chi.multiplier * (
-            1 if chi.generator == gen else discrete_index(gen, chi.generator, t)
-        )
     e = ext.e.value
     g = (gen.c0.value, gen.c1.value)
     z = _powers(g, t, e, p)  # z[:, i] = gen^i
@@ -552,6 +542,14 @@ def weil_sum_fp2_norm_one(
         raise AssertionError("generator does not have order p + 1")
     if np.unique(z[0] * p + z[1]).size != t:
         raise ValueError("generator has order below p + 1")
+    chi_shift = 0
+    if chi is not None:  # chi.generator = gen^j, so its index of gen^i is i * j^-1 mod t
+        if chi.order != t:
+            raise ValueError("chi must be a character of the norm-one group (order p + 1)")
+        j = np.flatnonzero((z[0] == chi.generator.c0.value) & (z[1] == chi.generator.c1.value))
+        if not j.size or math.gcd(int(j[0]), t) != 1:
+            raise NotInGroup(f"{gen!r} is not a power of {chi.generator!r}")
+        chi_shift = chi.multiplier * pow(int(j[0]), -1, t)
     out = []
     for rows in _passes(rfs, t):
         live, trace = _norm_one_traces(rows, z, e, p)

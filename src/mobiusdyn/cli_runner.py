@@ -47,6 +47,8 @@ from .arith_fn import (
 )
 from .bsz_harness import MemoryGuard, decomposition_report, theorem_conditions
 from .char_sums import (
+    _WEIL_FP2_LIMIT,
+    _WEIL_FP_LIMIT,
     CSV_HEADER,
     RangeGuard,
     SumReport,
@@ -66,7 +68,6 @@ from .field_arith import (
     RepeatedRoot,
     norm_group_generator,
     primitive_root,
-    sqrt_mod,
 )
 from .mobius_dynamics import (
     DegenerateSpectral,
@@ -248,7 +249,7 @@ def _parse_matrix(cfg: dict, modulus: PrimeModulus, need_distinct_roots: bool) -
         raise ConfigError(f"field 'matrix': {exc}") from None
     if need_distinct_roots:
         try:
-            matrix.extension
+            matrix.roots
         except RepeatedRoot as exc:
             raise ConfigError(f"field 'matrix': {exc}") from None
     return matrix
@@ -397,6 +398,8 @@ def cmd_sum_scan(cfg: dict, outdir: Path, config_blob: bytes, mu_cache: str | No
 
     # one orbit build per scan: the points read the whole period, twisted its prefix
     points = _require(cfg, "points") if "correlation" in kinds or "single" in kinds else None
+    if "points" in cfg and not isinstance(points, list):  # present only when the kinds read it
+        raise ConfigError(f"field 'points' must be a list of scan points, got {points!r}")
     traj = period(matrix, xi0) if points is not None else None
     jobs = []
     if "twisted" in kinds:
@@ -455,12 +458,15 @@ def cmd_weil_check(cfg: dict, outdir: Path, config_blob: bytes) -> int:
     max_degree = _as_int(cfg, "max_degree", 3)
     if per_prime < 1 or max_degree < 1:
         raise ConfigError("fields 'functions_per_prime' and 'max_degree' must be >= 1")
+    caps = {"primes": _WEIL_FP_LIMIT, "norm_one_primes": _WEIL_FP2_LIMIT}
     for key, values in (("primes", primes), ("norm_one_primes", norm_one_primes)):
         for i, p in enumerate(values):
             try:
                 PrimeModulus(p)
             except ValueError as exc:
                 raise ConfigError(f"field '{key}[{i}]': {exc}") from None
+            if p > caps[key]:  # before a generator search factorises p - 1 or p + 1
+                raise RangeGuard(f"field '{key}[{i}]': exhaustive sums are capped at p <= {caps[key]}, got {p}")
 
     reports = [r for p in primes for r in _weil_fp_batch(p, per_prime, rng_seed, max_degree)]
     reports += [r for p in norm_one_primes for r in _weil_fp2_batch(p, per_prime, rng_seed, max_degree)]
@@ -512,9 +518,9 @@ def _first_irreducible_extension(modulus: PrimeModulus) -> QuadExtension:
     for e in range(modulus.p):
         if e in (2, modulus.p - 2):
             continue
-        disc = modulus.elem(e * e - 4)
-        if sqrt_mod(disc) is None:
-            return QuadExtension(modulus, modulus.elem(e))
+        ext = QuadExtension(modulus, modulus.elem(e))
+        if ext.is_irreducible:
+            return ext
     raise AssertionError("no irreducible quadratic found; p is not an odd prime?")
 
 

@@ -5,18 +5,18 @@ F_{p^2}, so the distinguished root theta is literally the class of Z when the
 polynomial is irreducible.  When it splits, every quantity of interest lives
 in the c1 = 0 subring and the same code degrades gracefully to F_p.
 
-Group-theoretic utilities (orders, generators, discrete logs, square roots)
-are tuned for desk-scale moduli: multiplicative orders come from trial-division
-factorisation of p - 1 and p + 1, discrete logs from baby-step/giant-step.
+FpElem and Fp2Elem objects are the config and coefficient types and what the
+test oracles step with.  The group routines (square roots, roots, orders) run
+on raw ints and (c0, c1) int pairs, F_p elements being the pairs (x, 0);
+orders come from trial-division factorisation of p - 1 or p + 1.
 All canonical choices (square roots, primitive roots, root ordering) take the
 smallest representative so that downstream outputs are reproducible.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -179,16 +179,15 @@ class FpElem:
         return f"FpElem({self.value} mod {self.p})"
 
 
-def sqrt_mod(a: FpElem) -> FpElem | None:
-    """Canonical square root (the smaller of the two), or None for non-residues.
+def sqrt_mod(n: int, p: int) -> int | None:
+    """Canonical square root of n mod p (the smaller of the two), or None for non-residues.
 
     Tonelli-Shanks with the smallest quadratic non-residue as the auxiliary
     element, so the answer is deterministic.
     """
-    p = a.p
-    n = a.value
+    n %= p
     if n == 0:
-        return a
+        return 0
     if pow(n, (p - 1) // 2, p) != 1:
         return None
     if p % 4 == 3:
@@ -213,7 +212,7 @@ def sqrt_mod(a: FpElem) -> FpElem | None:
             c = b * b % p
             t = t * c % p
             m = i
-    return FpElem(min(r, p - r), a.modulus)
+    return min(r, p - r)
 
 
 @dataclass(frozen=True)
@@ -244,7 +243,8 @@ class QuadExtension:
 
     @cached_property
     def is_irreducible(self) -> bool:
-        return sqrt_mod(self.discriminant) is None
+        """Euler's criterion: the discriminant is a non-residue."""
+        return pow(self.discriminant.value, (self.p - 1) // 2, self.p) != 1
 
     def elem(self, c0: int | FpElem, c1: int | FpElem = 0) -> "Fp2Elem":
         if isinstance(c0, int):
@@ -447,62 +447,36 @@ class Fp2Elem:
         return f"Fp2Elem({self.c0.value} + {self.c1.value}*Z mod {self.p})"
 
 
-def char_poly_roots(ext: QuadExtension) -> tuple[Fp2Elem, Fp2Elem]:
-    """Both roots (theta, theta^-1) of Z^2 - e*Z + 1 inside the quotient ring.
+def char_poly_roots(e: int, p: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Both roots (theta, theta^-1) of Z^2 - e*Z + 1 as pairs in F_p[Z]/(Z^2 - e*Z + 1).
 
-    In the irreducible case theta is the class of Z itself; in the split case
-    both roots sit in F_p (c1 = 0).  Ties break to the lexicographically
-    smaller (c1, c0) pair so the choice is reproducible.
+    In the irreducible case theta is the class of Z itself, (0, 1); in the
+    split case both roots sit in F_p (c1 = 0) and theta is the smaller one,
+    so the choice is reproducible.  Raises RepeatedRoot when e = +-2.
     """
-    r = sqrt_mod(ext.discriminant)
+    e %= p
+    disc = (e * e - 4) % p
+    if not disc:
+        raise RepeatedRoot(f"Z^2 - {e}*Z + 1 has a double root mod {p}")
+    r = sqrt_mod(disc, p)
     if r is None:
-        return ext.elem(0, 1), ext.elem(ext.e, ext.modulus.elem(-1))
-    half = ext.modulus.elem(2).inv()
-    r1 = (ext.e - r) * half
-    r2 = (ext.e + r) * half
-    if r2.value < r1.value:
-        r1, r2 = r2, r1
-    return ext.embed(r1), ext.embed(r2)
+        return (0, 1), (e, p - 1)
+    half = (p + 1) // 2
+    r1, r2 = sorted(((e - r) * half % p, (e + r) * half % p))
+    return (r1, 0), (r2, 0)
 
 
-def _merged_factors(p: int, *ns: int) -> dict[int, int]:
-    fac: dict[int, int] = {}
-    for n in ns:
-        for q, k in _factorize_cached(n).items():
-            fac[q] = fac.get(q, 0) + k
-    return fac
+def mult_order(z: tuple[int, int], e: int, p: int, n: int) -> int:
+    """Least t dividing n with z^t = (1, 0) for z in F_p[Z]/(Z^2 - e*Z + 1); x in F_p is (x, 0).
 
-
-def mult_order(z: FpElem | Fp2Elem) -> int:
-    """Least t >= 1 with z^t = 1.
-
-    The ambient group order is p - 1 for F_p, p + 1 for norm-one elements of
-    an irreducible extension, and p^2 - 1 otherwise; orders descend through
-    the trial-division factorisation of that bound.  Powers are taken on raw
-    ints, or on raw (c0, c1) int pairs in the extension.
+    Descends from n through its factorisation; raises ZeroElement when z^n != (1, 0).
     """
-    if not z:
-        raise ZeroElement("0 has no multiplicative order")
-    p = z.p
-    if isinstance(z, FpElem):
-        one, power = 1, partial(pow, z.value, mod=p)
-        fac = _factorize_cached(p - 1)
-        t = p - 1
-    else:
-        if not z.norm():
-            raise ZeroElement("zero divisor has no multiplicative order")
-        one, power = (1, 0), partial(_pow_pairs, (z.c0.value, z.c1.value), e=z.ext.e.value, p=p)
-        if z.ext.is_irreducible and z.norm().value == 1:
-            fac = _factorize_cached(p + 1)
-            t = p + 1
-        else:
-            fac = _merged_factors(p, p - 1, p + 1)
-            t = p * p - 1
-    for q in fac:
-        while t % q == 0 and power(t // q) == one:
+    if _pow_pairs(z, n, e, p) != (1, 0):
+        raise ZeroElement(f"{z} mod {p} has no order dividing {n}")
+    t = n
+    for q in _factorize_cached(n):
+        while t % q == 0 and _pow_pairs(z, t // q, e, p) == (1, 0):
             t //= q
-    if power(t) != one:
-        raise ZeroElement(f"{z!r} does not lie in the expected ambient group")
     return t
 
 
@@ -522,41 +496,14 @@ def norm_group_generator(ext: QuadExtension) -> Fp2Elem:
 
     Candidates are w^(p-1) for w scanned in lexicographic (c1, c0) order
     starting at Z; by Hilbert 90 this map is onto the norm-one group, so the
-    scan terminates, and it is deterministic.
+    scan terminates, and it is deterministic.  Powers are taken on int pairs.
     """
     if not ext.is_irreducible:
         raise ReducibleExtension(f"{ext!r} splits; its norm-one set is not a (p+1)-group")
-    p = ext.p
-    target = p + 1
+    p, e = ext.p, ext.e.value
     for c1 in range(1, p):
         for c0 in range(p):
-            z = ext.elem(c0, c1) ** (p - 1)
-            if mult_order(z) == target:
-                return z
+            z = _pow_pairs((c0, c1), p - 1, e, p)
+            if mult_order(z, e, p, p + 1) == p + 1:
+                return ext.elem(*z)
     raise AssertionError("norm-one group exhausted without finding a generator")
-
-
-def discrete_index(x: FpElem | Fp2Elem, g: FpElem | Fp2Elem, order: int) -> int:
-    """The unique i in [0, order) with g^i = x, by baby-step/giant-step.
-
-    Intended for desk-scale groups (order up to ~10^12 in principle, ~10^6
-    in practice); raises NotInGroup when x is outside <g>.
-    """
-    if order < 1:
-        raise ValueError("order must be positive")
-    m = math.isqrt(order - 1) + 1
-    baby: dict[object, int] = {}
-    cur = x.modulus.one if isinstance(x, FpElem) else x.ext.one
-    for j in range(m):
-        baby.setdefault(cur, j)
-        cur = cur * g
-    giant = (g**m).inv()
-    cur = x
-    for i in range(m):
-        j = baby.get(cur)
-        if j is not None:
-            ind = (i * m + j) % order
-            if g**ind == x:
-                return ind
-        cur = cur * giant
-    raise NotInGroup(f"{x!r} is not a power of {g!r}")

@@ -10,17 +10,18 @@ Z^2 - e*Z + 1 both follow the projective indexing, so the verification
 helpers prefer seeds whose orbit avoids the pole, where all three views
 agree index by index.
 
-`apply` is the definition of the map, one step at a time; the projective
-map, the linear lift and the closed form on Fp2Elem objects, all stepped, live
-with the test oracles.  `spectral_form` solves the closed form on raw (c0, c1)
-int pairs, and `SpectralForm.evaluate` is its one evaluator.  The orbit table
-every sum reads is not stepped: `_orbit_prefix` fills the linear lift on
-int64 arrays by doubling until the lift returns to the seed, drops the
-infinity index and inverts the v_n in blocks, so one period of t entries
-costs about twenty array operations per entry (~0.1 us per entry at p ~ 1e7
-on one core of a 2-CPU x86 machine), with a peak of about 16 bytes per entry.
-It never needs ord(theta^2); `period` computes that order for the record and
-as a cross-check of the closure.
+`apply` is the definition of the map, one step at a time; the projective map,
+the linear lift and the closed form on Fp2Elem objects, all stepped, live with
+the test oracles.  `MobiusMatrix.roots` solves Z^2 - e*Z + 1 once per matrix,
+on raw (c0, c1) int pairs, for ord(theta^2) and for `spectral_form`, which
+solves the closed form on int pairs; `SpectralForm.evaluate` is its one
+evaluator.  The orbit table every sum reads is not stepped: `_orbit_prefix`
+fills the linear lift on int64 arrays by doubling until the lift returns to
+the seed, drops the infinity index and inverts the v_n in blocks, so one
+period of t entries costs about twenty array operations per entry (~0.1 us per
+entry at p ~ 1e7 on one core of a 2-CPU x86 machine), with a peak of about 16
+bytes per entry.  It never needs ord(theta^2); `period` computes that order
+for the record and as a cross-check of the closure.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .field_arith import (
     _mul_pairs,
     _residues,
     FpElem,
-    QuadExtension,
     char_poly_roots,
     mult_order,
     sqrt_mod,
@@ -92,15 +92,15 @@ class MobiusMatrix:
         return self.a + self.d
 
     @cached_property
-    def extension(self) -> QuadExtension:
-        """F_p[Z]/(Z^2 - e*Z + 1) for e = a + d; raises RepeatedRoot when e = +-2."""
-        return QuadExtension(self.modulus, self.trace)
+    def roots(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """(theta, theta^-1) of Z^2 - e*Z + 1 for e = a + d, as int pairs; RepeatedRoot when e = +-2."""
+        return char_poly_roots(self.trace.value, self.p)
 
     @cached_property
     def theta_sq_order(self) -> int:
-        """ord(theta^2) for a root theta of Z^2 - e*Z + 1; needs distinct roots."""
-        theta, _ = char_poly_roots(self.extension)
-        return mult_order(theta**2)
+        """ord(theta^2), which divides p + 1 when theta lies outside F_p and p - 1 otherwise."""
+        theta, e, p = self.roots[0], self.trace.value, self.p
+        return mult_order(_mul_pairs(theta, theta, e, p), e, p, p + 1 if theta[1] else p - 1)
 
     @cached_property
     def pole(self) -> FpElem:
@@ -128,9 +128,10 @@ def normalize_to_sl2(a: FpElem, b: FpElem, c: FpElem, d: FpElem) -> MobiusMatrix
         raise InvalidMatrix("lower-left entry must be nonzero")
     if det.value == 1:
         return MobiusMatrix(a, b, c, d)
-    lam = sqrt_mod(det.inv())
-    if lam is None:
+    root = sqrt_mod(det.inv().value, a.p)
+    if root is None:
         raise NonSquareDeterminant(f"det^-1 = {det.inv().value} is not a square mod {a.p}")
+    lam = a.modulus.elem(root)
     return MobiusMatrix(lam * a, lam * b, lam * c, lam * d)
 
 
@@ -285,7 +286,7 @@ def spectral_form(matrix: MobiusMatrix, xi0: FpElem) -> SpectralForm:
     raise DegenerateSpectral.  The form is checked against the lift at
     n = 0, 1, 2.
     """
-    theta, (i0, i1) = ((z.c0.value, z.c1.value) for z in char_poly_roots(matrix.extension))
+    theta, (i0, i1) = matrix.roots
     e, p = matrix.trace.value, matrix.p
     a, b, c, d = matrix.entries()
     x0 = xi0.value

@@ -2,16 +2,20 @@
 
 The closed form is solved and evaluated here on Fp2Elem objects, independently
 of the raw int pairs that `mobius_dynamics.spectral_form` works on: the
-object solve is the oracle for that solve, and `eval_spectral` and
-`spectral_orbit` rebuild Fp2Elems from a form's pairs.
+object solve is the oracle for that solve (both start from the roots in
+`MobiusMatrix.roots`), and `eval_spectral` and `spectral_orbit` rebuild
+Fp2Elems from a form's pairs.  `chi_value` reads a character through
+`discrete_index`, a baby-step/giant-step discrete log; the Weil kernels take
+the index from the exponent of a generator power instead.
 """
 
+import math
 from itertools import islice
 from typing import Iterator
 
 from mobiusdyn.arith_fn import MultiplicativeCharacter, unit_circle
 from mobiusdyn.char_sums import RationalFunction
-from mobiusdyn.field_arith import Fp2Elem, FpElem, PrimeModulus, QuadExtension, char_poly_roots, discrete_index
+from mobiusdyn.field_arith import Fp2Elem, FpElem, NotInGroup, PrimeModulus, QuadExtension
 from mobiusdyn.mobius_dynamics import DegenerateSpectral, MobiusMatrix, SpectralForm, apply
 
 
@@ -148,8 +152,8 @@ def spectral_solve_objects(matrix: MobiusMatrix, xi0: FpElem) -> tuple[Fp2Elem, 
     beta = 0 raise DegenerateSpectral; a form that misses the lift at
     n = 0, 1, 2 raises AssertionError.
     """
-    ext = matrix.extension
-    theta, theta_inv = char_poly_roots(ext)
+    ext = QuadExtension(matrix.modulus, matrix.trace)
+    theta, theta_inv = (ext.elem(*z) for z in matrix.roots)
     lift = [(ext.embed(u), ext.embed(v)) for u, v in islice(linear_lift(matrix, xi0), 3)]
     (u0, v0), (u1, v1) = lift[:2]
     dinv = (theta - theta_inv).inv()
@@ -219,6 +223,32 @@ def spectral_orbit(form: SpectralForm) -> Iterator[FpElem | None]:
                 raise ArithmeticError("closed-form value left the base field; invalid form")
             yield val.c0
         cur = cur * step
+
+
+def discrete_index(x: FpElem | Fp2Elem, g: FpElem | Fp2Elem, order: int) -> int:
+    """The unique i in [0, order) with g^i = x, by baby-step/giant-step.
+
+    Intended for desk-scale groups (order up to ~10^12 in principle, ~10^6
+    in practice); raises NotInGroup when x is outside <g>.
+    """
+    if order < 1:
+        raise ValueError("order must be positive")
+    m = math.isqrt(order - 1) + 1
+    baby: dict[object, int] = {}
+    cur = x.modulus.one if isinstance(x, FpElem) else x.ext.one
+    for j in range(m):
+        baby.setdefault(cur, j)
+        cur = cur * g
+    giant = (g**m).inv()
+    cur = x
+    for i in range(m):
+        j = baby.get(cur)
+        if j is not None:
+            ind = (i * m + j) % order
+            if g**ind == x:
+                return ind
+        cur = cur * giant
+    raise NotInGroup(f"{x!r} is not a power of {g!r}")
 
 
 def chi_value(chi: MultiplicativeCharacter, x: FpElem | Fp2Elem) -> complex:

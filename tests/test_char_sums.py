@@ -28,6 +28,7 @@ from mobiusdyn.char_sums import (
 from mobiusdyn.cli_runner import _first_irreducible_extension
 from mobiusdyn.field_arith import (
     ModulusMismatch,
+    NotInGroup,
     PrimeModulus,
     QuadExtension,
     mult_order,
@@ -548,7 +549,7 @@ def test_weil_fp_matches_per_term_definition():
     for p in (101, 293):
         m = PrimeModulus(p)
         g = primitive_root(m)
-        other = next(m.elem(x) for x in range(g.value + 1, p) if mult_order(m.elem(x)) == p - 1)
+        other = next(m.elem(x) for x in range(g.value + 1, p) if mult_order((x, 0), 0, p, p - 1) == p - 1)
         psi = AdditiveCharacter(m.elem(rng.randrange(1, p)))
         chis = [
             None,
@@ -582,7 +583,7 @@ def test_weil_fp2_matches_per_term_definition():
         chis = [
             None,
             MultiplicativeCharacter(gen, p + 1, 1),
-            MultiplicativeCharacter(other, p + 1, 3),  # discrete_index path
+            MultiplicativeCharacter(other, p + 1, 3),  # index shift from the exponent of other
             MultiplicativeCharacter(gen, p + 1, 2**62 + 1),  # multiplier * index overflows int64
         ]
         # g(X) = (X - gen^3)(X - 1) vanishes at two group elements; h = 0 counts the rest
@@ -692,11 +693,17 @@ def test_weil_kernels_reject_bad_characters_and_generators():
         weil_sum_fp([rf], PSI101, MultiplicativeCharacter(m.one, 100, 1))
     with pytest.raises(ValueError):  # 4 = 2^2 has order 50, not 100
         weil_sum_fp([rf], PSI101, MultiplicativeCharacter(m.elem(4), 100, 1))
+    m3 = PrimeModulus(3)
+    with pytest.raises(ValueError):  # the powers 1, 0 of 0 are distinct but 0 is not a unit
+        weil_sum_fp([RationalFunction((m3.one,), (m3.one,))], AdditiveCharacter(m3.one), MultiplicativeCharacter(m3.zero, 2, 1))
     ext = _first_irreducible_extension(m)
     gen = norm_group_generator(ext)
     rf2 = RationalFunction((ext.one,), (ext.zero, ext.one))
     with pytest.raises(ValueError):
         weil_sum_fp2_norm_one([rf2], PSI101, MultiplicativeCharacter(gen, 101, 1), gen)
+    for bad in (gen**2, ext.elem(0, 2)):  # order (p + 1)/2; norm 4, so outside the group
+        with pytest.raises(NotInGroup):
+            weil_sum_fp2_norm_one([rf2], PSI101, MultiplicativeCharacter(bad, 102, 1), gen)
     with pytest.raises(AssertionError):  # 2*Z has norm 4, so (2*Z)^(p + 1) = 4
         weil_sum_fp2_norm_one([rf2], PSI101, None, ext.elem(0, 2))
     with pytest.raises(ValueError, match="order below"):  # gen^2 has order 51: each power would count twice

@@ -164,6 +164,12 @@ def test_empty_schedule_gives_header_only_csv(tmp_path):
     assert content.startswith("sum_kind,")
 
 
+def test_empty_points_list_gives_header_only_csv(tmp_path):
+    code, outdir = run(tmp_path, "sum-scan", {**SCAN_BASE, "kinds": ["single"], "points": []})
+    assert code == EXIT_OK
+    assert (outdir / "sum_scan.csv").read_text().count("\n") == 1
+
+
 def test_manifest_covers_outputs(tmp_path):
     import hashlib
 
@@ -326,6 +332,27 @@ def test_verify_spectral_path_does_no_object_arithmetic(monkeypatch):
     assert verify_three_way(traj, form, traj.period) == {"mismatches": 0}
 
 
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("verify-spectral", "verify_spectral_p101.json"),
+        ("sum-scan", "sum_scan_p10007.json"),
+        ("sum-scan", "corr_scan_p1009.json"),
+        ("bsz-report", "bsz_report_p1009.json"),
+    ],
+)
+def test_period_and_spectral_paths_build_no_fp2_elements(tmp_path, monkeypatch, command, name):
+    # roots, ord(theta^2) and the closed form are solved on int pairs: building an Fp2Elem fails the run
+    from mobiusdyn.field_arith import Fp2Elem
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fp2Elem built on a period or spectral path")
+
+    monkeypatch.setattr(Fp2Elem, "__init__", refuse)
+    code = main([command, "--config", str(CONFIG_DIR / name), "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+
+
 def test_verify_spectral_shipped_config_output_is_pinned(tmp_path):
     # the sampler's RNG order and every recorded field: the digest of verify_spectral.json
     import hashlib
@@ -418,6 +445,31 @@ def test_weil_check_fills_h_on_the_chi_rows_only(tmp_path):
     assert [r["h"] for r in rows] == ["", "1"] * 4
 
 
+@pytest.mark.parametrize(
+    "body, field",
+    [
+        ({"primes": ["1000000000000007243"]}, "'primes[0]'"),  # (p - 1)/2 is prime
+        ({"norm_one_primes": ["1000000000000001323"]}, "'norm_one_primes[0]'"),  # (p + 1)/4 is prime
+    ],
+    ids=["primes", "norm_one_primes"],
+)
+def test_weil_check_caps_are_checked_before_any_generator(tmp_path, capsys, monkeypatch, body, field):
+    # a generator search would factorise p - 1 or p + 1 first; the cap must refuse the prime before that
+    from mobiusdyn import cli_runner
+
+    def refuse(*args):
+        raise AssertionError("generator searched for a prime over the cap")
+
+    monkeypatch.setattr(cli_runner, "primitive_root", refuse)
+    monkeypatch.setattr(cli_runner, "norm_group_generator", refuse)
+    code, outdir = run(tmp_path, "weil-check", {"functions_per_prime": "2", **body})
+    err = capsys.readouterr().err
+    assert code == EXIT_RESOURCE
+    assert field in err
+    assert "Traceback" not in err
+    assert not outdir.exists()
+
+
 def test_interrupted_mu_cache_write_keeps_the_old_table(tmp_path, monkeypatch):
     import mobiusdyn.arith_fn as af
 
@@ -498,6 +550,9 @@ SCAN_BASE = {"p": "101", "matrix": ["27", "39", "5", "11"], "seed": "55"}
         ("sum-scan", SCAN_BASE, {"n_schedule": ["100", 50.5]}, "'n_schedule[1]'"),
         ("sum-scan", SCAN_BASE, {"n_schedule": ["500", "100"]}, "'n_schedule'"),
         ("sum-scan", SCAN_BASE, {"n_schedule": ["100"], "psi_u": True}, "'psi_u'"),
+        ("sum-scan", SCAN_BASE, {"kinds": ["single"], "points": None}, "'points'"),
+        ("sum-scan", SCAN_BASE, {"kinds": ["single"], "points": 5}, "'points'"),
+        ("sum-scan", SCAN_BASE, {"kinds": ["single"], "points": {"kind": "single", "u": "1", "m": "1"}}, "'points'"),
         ("sum-scan", {**SCAN_BASE, "seed": 55.0}, {"n_schedule": ["100"]}, "'seed'"),
         ("verify-spectral", {**SCAN_BASE, "matrix": ["27", "39", "5", False]}, {}, "'matrix[3]'"),
         ("weil-check", {"functions_per_prime": "2"}, {"primes": ["101", "91"]}, "'primes[1]'"),
@@ -519,6 +574,9 @@ SCAN_BASE = {"p": "101", "matrix": ["27", "39", "5", "11"], "seed": "55"}
         "scan-schedule-float",
         "scan-schedule-descending",
         "scan-psi_u-bool",
+        "scan-points-null",
+        "scan-points-int",
+        "scan-points-object",
         "scan-seed-float",
         "spectral-matrix-bool",
         "weil-composite-prime",

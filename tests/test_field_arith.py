@@ -19,7 +19,6 @@ from mobiusdyn.field_arith import (
     ZeroElement,
     ZeroInverse,
     char_poly_roots,
-    discrete_index,
     factorize,
     is_prime,
     mult_order,
@@ -27,6 +26,7 @@ from mobiusdyn.field_arith import (
     primitive_root,
     sqrt_mod,
 )
+from oracles import discrete_index
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 53, 61, 71, 83, 97, 101]
 
@@ -159,8 +159,8 @@ def test_arithmetic_at_64bit_scale():
             assert (a * a.inv()).value == 1
             assert ((a + b) - b) == a
             assert (a * b) * b.inv() == a
-            r = sqrt_mod(a * a)
-            assert r is not None and r * r == a * a
+            r = sqrt_mod((a * a).value, p)
+            assert r is not None and r * r % p == (a * a).value
             assert (a ** (p - 1)).value == 1
 
 
@@ -168,22 +168,20 @@ def test_arithmetic_at_64bit_scale():
 
 
 def test_sqrt_examples():
-    m7 = PrimeModulus(7)
-    assert sqrt_mod(m7.elem(0)) == m7.elem(0)
-    assert sqrt_mod(m7.elem(4)) == m7.elem(2)  # canonical: smaller root
-    m5 = PrimeModulus(5)
-    assert sqrt_mod(m5.elem(3)) is None  # squares mod 5 are {0, 1, 4}
+    assert sqrt_mod(0, 7) == 0
+    assert sqrt_mod(4, 7) == 2  # canonical: smaller root
+    assert sqrt_mod(3, 5) is None  # squares mod 5 are {0, 1, 4}
 
 
 @given(fp_elems())
 def test_sqrt_roundtrip(a):
-    r = sqrt_mod(a)
+    r = sqrt_mod(a.value, a.p)
     if r is None:
         # exhaustive confirmation that a is not a square
         assert all((a.modulus.elem(x) ** 2) != a for x in range(a.p))
     else:
-        assert r * r == a
-        assert r.value <= a.p - r.value
+        assert r * r % a.p == a.value
+        assert r <= a.p - r
 
 
 # --- quadratic extension -----------------------------------------------------
@@ -258,16 +256,14 @@ def test_conjugate_is_frobenius(z):
 
 
 def test_char_poly_roots_split_example():
-    m = PrimeModulus(5)
-    ext = QuadExtension(m, m.elem(0))
-    theta, other = char_poly_roots(ext)
-    assert theta == ext.elem(2, 0)  # 2^2 = 4 = -1
-    assert other == ext.elem(3, 0)
+    theta, other = char_poly_roots(0, 5)
+    assert theta == (2, 0)  # 2^2 = 4 = -1
+    assert other == (3, 0)
 
 
 @given(extensions())
 def test_char_poly_roots_properties(ext):
-    theta, other = char_poly_roots(ext)
+    theta, other = (ext.elem(*z) for z in char_poly_roots(ext.e.value, ext.p))
     assert theta * other == ext.one
     assert theta + other == ext.embed(ext.e)
     # substitute into Z^2 - e*Z + 1
@@ -280,23 +276,29 @@ def test_char_poly_roots_properties(ext):
 # --- orders, generators, indices ---------------------------------------------
 
 
+def _pair(z):
+    """(pair, e): an FpElem as (x, 0), an Fp2Elem as (c0, c1) with its trace coefficient."""
+    if isinstance(z, FpElem):
+        return (z.value, 0), 0
+    return (z.c0.value, z.c1.value), z.ext.e.value
+
+
 def test_mult_order_examples():
-    m = PrimeModulus(7)
-    assert mult_order(m.elem(1)) == 1
-    assert mult_order(m.elem(6)) == 2  # -1
-    assert mult_order(m.elem(3)) == 6
+    assert mult_order((1, 0), 0, 7, 6) == 1
+    assert mult_order((6, 0), 0, 7, 6) == 2  # -1
+    assert mult_order((3, 0), 0, 7, 6) == 6
     with pytest.raises(ZeroElement):
-        mult_order(m.elem(0))
+        mult_order((0, 0), 0, 7, 6)
 
 
 @given(st.one_of(fp_elems(nonzero=True), fp2_elems(nonzero=True, irreducible=True)))
 def test_mult_order_is_minimal(z):
-    t = mult_order(z)
+    ambient = z.p - 1 if isinstance(z, FpElem) else (z.p + 1 if z.norm().value == 1 else z.p**2 - 1)
+    t = mult_order(*_pair(z), z.p, ambient)
     one = z.modulus.one if isinstance(z, FpElem) else z.ext.one
     assert z**t == one
     for q in factorize(t):
         assert z ** (t // q) != one
-    ambient = z.p - 1 if isinstance(z, FpElem) else (z.p + 1 if z.norm().value == 1 else z.p**2 - 1)
     assert ambient % t == 0
 
 
@@ -308,7 +310,7 @@ def test_primitive_root_examples():
 @given(moduli)
 def test_primitive_root_property(m):
     g = primitive_root(m)
-    assert mult_order(g) == m.p - 1
+    assert mult_order(*_pair(g), m.p, m.p - 1) == m.p - 1
     for q in factorize(m.p - 1):
         assert (g ** ((m.p - 1) // q)).value != 1
 
@@ -323,7 +325,7 @@ def test_norm_group_small_case():
     assert len(norm_one) == 4
     g = norm_group_generator(ext)
     assert g.norm().value == 1
-    assert mult_order(g) == 4
+    assert mult_order(*_pair(g), 3, 4) == 4
     assert {g**k for k in range(4)} == set(norm_one)
 
 
@@ -331,7 +333,7 @@ def test_norm_group_small_case():
 def test_norm_group_generator_property(ext):
     g = norm_group_generator(ext)
     assert g.norm().value == 1
-    assert mult_order(g) == ext.p + 1
+    assert mult_order(*_pair(g), ext.p, ext.p + 1) == ext.p + 1
 
 
 def test_norm_group_generator_needs_irreducible():

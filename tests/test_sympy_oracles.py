@@ -10,14 +10,19 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from mobiusdyn.arith_fn import mobius_by_spf, mobius_sieve, primes_in  # noqa: E402
+from mobiusdyn.cli_runner import _first_irreducible_extension  # noqa: E402
 from mobiusdyn.field_arith import (  # noqa: E402
     PrimeModulus,
-    discrete_index,
+    QuadExtension,
     factorize,
     is_prime,
     mult_order,
+    norm_group_generator,
     primitive_root,
+    sqrt_mod,
 )
+from mobiusdyn.sampling import random_sl2  # noqa: E402
+from oracles import discrete_index  # noqa: E402
 
 # 561 is a Carmichael number, 3215031751 a strong pseudoprime to bases 2, 3, 5 and 7
 SPECIAL = [561, 3215031751, 2**31 - 1, 10**9 + 7, 2**61 - 2, 2**61, 2**61 - 1, (2**31 - 1) * (2**31 + 11)]
@@ -74,7 +79,7 @@ def test_mult_order_and_primitive_root_match_sympy():
         modulus = PrimeModulus(p)
         assert primitive_root(modulus).value == sympy.primitive_root(p), p
         for x in [1, p - 1] + [rng.randrange(1, p) for _ in range(5)]:
-            assert mult_order(modulus.elem(x)) == sympy.n_order(x, p), (x, p)
+            assert mult_order((x, 0), 0, p, p - 1) == sympy.n_order(x, p), (x, p)
 
 
 def test_discrete_index_matches_sympy():
@@ -86,7 +91,56 @@ def test_discrete_index_matches_sympy():
             assert discrete_index(modulus.elem(x), g, p - 1) == sympy.discrete_log(p, x, g.value), (x, p)
         # a generator of a proper subgroup: indices live modulo its order
         h = g**6
-        order = mult_order(h)
+        order = mult_order((h.value, 0), 0, p, p - 1)
         for i in [0, 1, order - 1] + [rng.randrange(order) for _ in range(10)]:
             x = h**i
             assert discrete_index(x, h, order) == sympy.discrete_log(p, x.value, h.value) % order
+
+
+# p = 1 mod 8 with 2^16, 2^20, 2^23 and 2^5 dividing p - 1 (the Tonelli-Shanks loop), and p = 3 mod 4
+SQRT_PRIMES = [65537, 7340033, 998244353, 1000033, 10007, 1000003, 2**31 - 1]
+
+
+@pytest.mark.parametrize("p", SQRT_PRIMES)
+def test_sqrt_mod_matches_sympy(p):
+    rng = random.Random(p)
+    samples = [0, 1, p - 1] + [rng.randrange(p) for _ in range(200)]
+    samples += [rng.randrange(p) ** 2 % p for _ in range(200)]  # residues, so most roots are not None
+    for n in samples:
+        roots = sympy.sqrt_mod(n, p, all_roots=True)
+        assert sqrt_mod(n, p) == (min(roots) if roots else None), (n, p)
+
+
+def test_theta_sq_order_matches_sympy():
+    # split case: n_order of theta^2 in F_p; irreducible case: divides p + 1 and no prime factor can be removed
+    rng = random.Random(103)
+    p = 1000003
+    modulus = PrimeModulus(p)
+    kinds = set()
+    for _ in range(40):
+        A = random_sl2(rng, modulus)
+        t = A.theta_sq_order
+        theta, _ = A.roots
+        ext = QuadExtension(modulus, A.trace)
+        z = ext.elem(*theta) ** 2
+        kinds.add(bool(theta[1]))
+        if not theta[1]:
+            assert t == sympy.n_order(z.c0.value, p), A
+            continue
+        assert (p + 1) % t == 0 and z**t == ext.one, A
+        for q in sympy.factorint(t):
+            assert z ** (t // q) != ext.one, (A, q)
+    assert kinds == {False, True}
+
+
+# the canonical generators, pinned so a change in the candidate scan shows: p: (e, (c0, c1))
+NORM_GROUP_GENERATORS = {101: (1, (81, 12)), 199: (0, (87, 118)), 293: (1, (43, 83)), 2999: (0, (82, 486))}
+
+
+@pytest.mark.parametrize("p", sorted(NORM_GROUP_GENERATORS))
+def test_norm_group_generator_is_pinned(p):
+    e, pair = NORM_GROUP_GENERATORS[p]
+    ext = _first_irreducible_extension(PrimeModulus(p))
+    assert ext.e.value == e
+    g = norm_group_generator(ext)
+    assert (g.c0.value, g.c1.value) == pair
