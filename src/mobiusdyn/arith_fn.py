@@ -1,11 +1,13 @@
-"""Arithmetic functions and characters.
+"""Arithmetic functions and additive characters.
 
 The Mobius function comes in two forms: a segmented sign-flip and product
 sieve (the tables every sum reads) and a chunked smallest-prime-factor
 recurrence that shares no code with it (`mobius-check` compares the two).
-Characters carry their phases as exact integer fractions that are reduced
-mod 1 in integer arithmetic before any transcendental call, so a sum of 10^9
-unit-circle terms accumulates no phase drift beyond per-term epsilon.
+Additive characters carry their phases as exact integer fractions that are
+reduced mod 1 in integer arithmetic before any transcendental call, so a sum
+of 10^9 unit-circle terms accumulates no phase drift beyond per-term epsilon.
+A multiplicative character is no object here: the Weil kernels take it as
+the multiplier h of their group's own generator (see char_sums).
 Mobius tables persist through `_atomic_write`, which the CLI uses for its
 artifacts as well.
 """
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .field_arith import Fp2Elem, FpElem
+from .field_arith import FpElem
 
 
 class TableTooSmall(ValueError):
@@ -229,15 +231,3 @@ class AdditiveCharacter:
         if x.modulus != self.u.modulus:
             raise ValueError("argument lives in a different field")
         return unit_circle(self.u.value * x.value, self.p)
-
-
-@dataclass(frozen=True)
-class MultiplicativeCharacter:
-    """x -> e(multiplier * ind(x)/order) on the cyclic group spanned by `generator`.
-
-    A description only: the Weil kernels evaluate it on whole groups at once.
-    """
-
-    generator: FpElem | Fp2Elem
-    order: int
-    multiplier: int

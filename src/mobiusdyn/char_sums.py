@@ -19,10 +19,13 @@ Trajectory; the twisted schedule takes (matrix, xi0) and builds only the
 orbit prefix it needs, unless it is handed a Trajectory.
 The exhaustive Weil kernels follow the same pattern over all of F_p or the
 norm-one group: exact int64 phase numerators, then one fsum per component.
-Each builds its group once per batch of functions as the powers of a
-generator (field_arith._powers), so the chi index of an element is its
-exponent, its column; 2-D array passes evaluate the functions and each row is
-summed on its own.
+Their rational functions hold raw int coefficients (int pairs over the
+extension).  Each kernel builds its group once per batch of functions as the
+powers of its own canonical generator g (field_arith.primitive_root or
+norm_group_generator, through field_arith._powers), so a multiplicative
+character is just its multiplier h, chi(g^i) = e(h*i/|G|), and i is the
+column; 2-D array passes evaluate the functions and each row is summed on its
+own.
 """
 
 from __future__ import annotations
@@ -34,26 +37,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith_fn import (
-    _TWO_PI,
-    AdditiveCharacter,
-    MobiusTable,
-    MultiplicativeCharacter,
-    TableTooSmall,
-)
+from .arith_fn import _TWO_PI, AdditiveCharacter, MobiusTable, TableTooSmall
 from .field_arith import (
     _BLOCK,
     _inv_mod,
     _mul_pairs,
     _powers,
     _residues,
-    Fp2Elem,
     FpElem,
     ModulusMismatch,
-    NotInGroup,
-    QuadExtension,
-    ReducibleExtension,
     norm_group_generator,
+    primitive_root,
 )
 from .mobius_dynamics import MobiusMatrix, Trajectory, _orbit_prefix
 from .mobius_dynamics import period  # noqa: F401  unused here; perfbench's tracer test reads char_sums.period
@@ -337,42 +331,34 @@ def single_sum(
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """h(X)/g(X) with coefficients low-to-high over F_p or its quadratic extension.
+    """h(X)/g(X) with coefficients low to high, over F_p or over F_p[Z]/(Z^2 - e*Z + 1).
 
-    Trailing zero coefficients are trimmed so leading coefficients are
-    nonzero; the zero numerator is allowed and has degree 0 by convention.
+    Over F_p (e is None) the coefficients are ints; over the extension they
+    are (c0, c1) int pairs.  They are reduced mod p and trailing zeros are
+    trimmed, so leading coefficients are nonzero; the zero numerator is
+    allowed and has degree 0 by convention.
     """
 
     numerator: tuple
     denominator: tuple
+    p: int
+    e: int | None = None
 
     def __post_init__(self):
-        num = _trim(self.numerator)
-        den = _trim(self.denominator)
-        if not den:
+        p, e = self.p, self.e
+        if e is not None:
+            object.__setattr__(self, "e", int(e) % p)
+        for name in ("numerator", "denominator"):
+            coeffs = [int(c) % p if e is None else (int(c[0]) % p, int(c[1]) % p) for c in getattr(self, name)]
+            while coeffs and coeffs[-1] in (0, (0, 0)):
+                coeffs.pop()
+            object.__setattr__(self, name, tuple(coeffs))
+        if not self.denominator:
             raise ValueError("denominator is identically zero")
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
 
     @property
-    def deg_num(self) -> int:
-        return max(len(self.numerator) - 1, 0)
-
-    @property
-    def deg_den(self) -> int:
-        return len(self.denominator) - 1
-
-    @property
-    def max_degree(self) -> int:
-        return max(self.deg_num, self.deg_den)
-
-
-def _trim(coeffs) -> tuple:
-    coeffs = tuple(coeffs)
-    n = len(coeffs)
-    while n and not coeffs[n - 1]:
-        n -= 1
-    return coeffs[:n]
+    def max_degree(self) -> int:  # max(deg h, deg g); the denominator is never empty
+        return max(len(self.numerator), len(self.denominator)) - 1
 
 
 _WEIL_FP_LIMIT = 10**5
@@ -382,17 +368,15 @@ _WEIL_FP2_LIMIT = 3000
 _WEIL_PASS = 1 << 12
 
 
-def _coefficient_rows(polys: Sequence[tuple], value) -> np.ndarray:
-    """(len(polys), width) int64 array of value(c) per coefficient, low to high, zero-padded on the high side."""
-    out = np.zeros((len(polys), max(map(len, polys), default=0)), dtype=np.int64)
-    for row, coeffs in zip(out, polys):
-        row[: len(coeffs)] = [value(c) for c in coeffs]
-    return out
+def _coefficient_rows(polys: Sequence[tuple], zero) -> np.ndarray:
+    """polys as one int64 array of rows, low to high, padded with zero (0 or (0, 0)) on the high side."""
+    width = max(map(len, polys), default=0)
+    return np.array([(*c, *(zero,) * (width - len(c))) for c in polys], dtype=np.int64)
 
 
 def _horner_fp(polys: Sequence[tuple], x: np.ndarray, p: int) -> np.ndarray:
     """Row r: the F_p polynomial polys[r] at every entry of x."""
-    coeffs = _coefficient_rows(polys, int)
+    coeffs = _coefficient_rows(polys, 0)
     acc = np.zeros((len(polys), x.size), dtype=np.int64)
     for j in range(coeffs.shape[1] - 1, -1, -1):
         acc = (acc * x + coeffs[:, j, None]) % p
@@ -401,13 +385,12 @@ def _horner_fp(polys: Sequence[tuple], x: np.ndarray, p: int) -> np.ndarray:
 
 def _horner_fp2(polys: Sequence[tuple], z: np.ndarray, e: int, p: int):
     """Row r of each coordinate: the F_{p^2} polynomial polys[r] at every pair (z0, z1) of z."""
-    c0 = _coefficient_rows(polys, lambda c: c.c0.value)
-    c1 = _coefficient_rows(polys, lambda c: c.c1.value)
+    coeffs = _coefficient_rows(polys, (0, 0))
     zero = np.zeros((len(polys), z.shape[1]), dtype=np.int64)
     acc = (zero, zero)
-    for j in range(c0.shape[1] - 1, -1, -1):
+    for j in range(coeffs.shape[1] - 1, -1, -1):
         a0, a1 = _mul_pairs(acc, z, e, p)
-        acc = ((a0 + c0[:, j, None]) % p, (a1 + c1[:, j, None]) % p)
+        acc = ((a0 + coeffs[:, j, 0, None]) % p, (a1 + coeffs[:, j, 1, None]) % p)
     return acc
 
 
@@ -434,15 +417,15 @@ def _passes(rfs: list, points: int):
     return (rfs[i : i + step] for i in range(0, len(rfs), step))
 
 
-def _weil_reports(kind: str, angle: np.ndarray, live: np.ndarray, p: int, rfs, psi, chi) -> list[SumReport]:
+def _weil_reports(kind: str, angle: np.ndarray, live: np.ndarray, p: int, rfs, psi, h) -> list[SumReport]:
     """One report per row of live: its live terms e^(i angle), taken from angle in row-major order.
 
     Each row gets its own _weighted_sum, so a report does not depend on the
-    other functions of its pass.  Reference bound max(deg g, deg h) * sqrt(p).
+    other functions of its pass.  Reference bound max(deg num, deg den) * sqrt(p).
     """
     params = {"u": psi.u.value}
-    if chi is not None:
-        params["h"] = chi.multiplier
+    if h is not None:
+        params["h"] = h
     cos, sin = np.cos(angle), np.sin(angle)
     ends = np.cumsum(live.sum(axis=1)).tolist()
     out = []
@@ -452,109 +435,75 @@ def _weil_reports(kind: str, angle: np.ndarray, live: np.ndarray, p: int, rfs, p
     return out
 
 
-def weil_sum_fp(
-    rfs: Sequence[RationalFunction],
-    psi: AdditiveCharacter,
-    chi: MultiplicativeCharacter | None = None,
-) -> list[SumReport]:
+def weil_sum_fp(rfs: Sequence[RationalFunction], psi: AdditiveCharacter, h: int | None = None) -> list[SumReport]:
     """Exhaustive hybrid sums over F_p, one report per function, in order.
 
-    For each h/g of rfs: the sum of psi(h(x)/g(x)) chi(x) where g(x) != 0.
-    chi = None means no multiplicative twist (the x = 0 term is included);
-    a given chi must be a character of the full group F_p^* and contributes
-    nothing at x = 0.  Reference bound: max(deg g, deg h) * sqrt(p).
-    Under chi, x runs over g^0, ..., g^(p-2) for the generator g of chi, so
-    ind(x) is the column.  Each array pass takes a
-    slice of the functions, at least one and at most _WEIL_PASS // p:
-    one 2-D Horner pass gives h and g of every function at every x on int64
-    arrays (exact for p <= _WEIL_FP_LIMIT), one _inv_mod inverts every live
-    g(x), and one _angles call gives the phases u*h(x)/g(x) mod p, plus
-    multiplier*i mod p - 1 under chi.  Each function's terms then go
-    into their own fsum, so its report does not depend on the rest of rfs.
+    For each f = num/den of rfs, all over F_p for the p of psi (ModulusMismatch
+    otherwise): the sum of psi(f(x)) chi(x) over the x with den(x) != 0.
+    h = None means no twist (x = 0 included); otherwise chi(g^i) = e(h*i/(p - 1))
+    for g = primitive_root(p), x runs over g^0, ..., g^(p-2) and i is the
+    column.  Reference bound: max(deg num, deg den) * sqrt(p).  Each array
+    pass takes a slice of at least one and at most _WEIL_PASS // p functions:
+    one 2-D Horner pass per side on int64 arrays (exact for
+    p <= _WEIL_FP_LIMIT), one _inv_mod for every live den(x), one _angles
+    call for the phases u*f(x) mod p (plus h*i mod p - 1 under chi).  Each
+    function's terms go into their own fsum, so its report does not depend
+    on the rest of rfs.
     """
     if not psi.is_nontrivial:
         raise ValueError("psi must be a nontrivial additive character")
     p = psi.p
+    rfs = list(rfs)
+    if any((rf.p, rf.e) != (p, None) for rf in rfs):
+        raise ModulusMismatch(f"every function must be over F_{p}, the field of psi")
     if p > _WEIL_FP_LIMIT:
         raise RangeGuard(f"exhaustive sum capped at p <= {_WEIL_FP_LIMIT}")
-    rfs = list(rfs)
-    given = [c for rf in rfs for c in (*rf.numerator, *rf.denominator)]
-    if chi is not None:
-        given.append(chi.generator)
-    if any(getattr(c, "modulus", None) != psi.u.modulus for c in given):
-        raise ModulusMismatch("coefficients and chi generator must lie in the field of psi")
-    x = np.arange(p, dtype=np.int64)
-    if chi is not None:
-        if chi.order != p - 1:
-            raise ValueError("chi must be a character of the full group F_p^*")
-        x = _powers((chi.generator.value, 0), p - 1, 0, p)[0]  # x[i] = g^i, so ind(x[i]) = i
-        if not np.array_equal(np.sort(x), np.arange(1, p)):
-            raise ValueError("chi generator does not have order p - 1")
+    if h is None:
+        x = np.arange(p, dtype=np.int64)
+    else:
+        x = _powers((primitive_root(p), 0), p - 1, 0, p)[0]  # x[i] = g^i
     out = []
     for rows in _passes(rfs, x.size):
         den = _horner_fp([rf.denominator for rf in rows], x, p)
         live = den != 0
         num = _horner_fp([rf.numerator for rf in rows], x, p)
         angle = _angles(num[live] * _inv_mod(den[live], p) % p, p, psi.u.value)
-        if chi is not None:
-            angle += _angles(np.nonzero(live)[1], p - 1, chi.multiplier % (p - 1))
-        out += _weil_reports("weil_fp", angle, live, p, rows, psi, chi)
+        if h is not None:
+            angle += _angles(np.nonzero(live)[1], p - 1, h % (p - 1))
+        out += _weil_reports("weil_fp", angle, live, p, rows, psi, h)
     return out
 
 
 def weil_sum_fp2_norm_one(
-    rfs: Sequence[RationalFunction],
-    psi: AdditiveCharacter,
-    chi: MultiplicativeCharacter | None = None,
-    generator: Fp2Elem | None = None,
+    rfs: Sequence[RationalFunction], psi: AdditiveCharacter, h: int | None = None
 ) -> list[SumReport]:
     """Hybrid sums over the norm-one subgroup of an irreducible quadratic extension.
 
-    For each h/g of rfs, in order: the sum over {z : Nm(z) = 1, g(z) != 0}
-    of psi(Tr(h(z)/g(z))) chi(z).  The group has p + 1 elements and is
-    enumerated as powers of its canonical generator, ascending in the
-    exponent.  Bound: max(deg g, deg h) * sqrt(p).  The group is the
-    (2, p + 1) int64 pair array of _powers, built and checked once per call,
-    so a given generator must have order exactly p + 1.  Each array pass
-    takes a slice of the functions, as in weil_sum_fp, and gets its traces
-    from one _norm_one_traces call.  All functions share one extension.
+    For each f = num/den of rfs, in order: the sum over {z : Nm(z) = 1,
+    den(z) != 0} of psi(Tr(f(z))) chi(z).  All functions share one extension
+    F_p[Z]/(Z^2 - e*Z + 1) with the p of psi (ModulusMismatch otherwise).
+    The group is the (2, p + 1) pair array of _powers, z_i = g^i for
+    g = norm_group_generator(e, p), built once per call.  h = None means no
+    twist; otherwise chi(g^i) = e(h*i/(p + 1)).  Bound and array passes as
+    in weil_sum_fp, with the traces from one _norm_one_traces call per pass.
     """
     if not psi.is_nontrivial:
         raise ValueError("psi must be a nontrivial additive character")
     rfs = list(rfs)
     if not rfs:
         return []
-    ext: QuadExtension = rfs[0].denominator[0].ext
-    p = ext.p
+    p, e = psi.p, rfs[0].e
+    if e is None or any((rf.p, rf.e) != (p, e) for rf in rfs):
+        raise ModulusMismatch(f"every function must be over one quadratic extension of F_{p}, the field of psi")
     if p > _WEIL_FP2_LIMIT:
         raise RangeGuard(f"norm-one enumeration capped at p <= {_WEIL_FP2_LIMIT}")
-    if not ext.is_irreducible:
-        raise ReducibleExtension("norm-one sums need an irreducible extension")
-    gen = generator if generator is not None else norm_group_generator(ext)
-    given = chain([gen], [chi.generator] if chi else [], *(chain(rf.numerator, rf.denominator) for rf in rfs))
-    if any(c.ext != ext for c in given):
-        raise ModulusMismatch("generator and coefficients must lie in one quadratic extension")
     t = p + 1
-    e = ext.e.value
-    g = (gen.c0.value, gen.c1.value)
-    z = _powers(g, t, e, p)  # z[:, i] = gen^i
-    if _mul_pairs(z[:, -1], g, e, p) != (1, 0):
-        raise AssertionError("generator does not have order p + 1")
-    if np.unique(z[0] * p + z[1]).size != t:
-        raise ValueError("generator has order below p + 1")
-    chi_shift = 0
-    if chi is not None:  # chi.generator = gen^j, so its index of gen^i is i * j^-1 mod t
-        if chi.order != t:
-            raise ValueError("chi must be a character of the norm-one group (order p + 1)")
-        j = np.flatnonzero((z[0] == chi.generator.c0.value) & (z[1] == chi.generator.c1.value))
-        if not j.size or math.gcd(int(j[0]), t) != 1:
-            raise NotInGroup(f"{gen!r} is not a power of {chi.generator!r}")
-        chi_shift = chi.multiplier * pow(int(j[0]), -1, t)
+    z = _powers(norm_group_generator(e, p), t, e, p)  # z[:, i] = g^i
     out = []
     for rows in _passes(rfs, t):
         live, trace = _norm_one_traces(rows, z, e, p)
         angle = _angles(trace, p, psi.u.value)
-        if chi is not None:
-            angle += _angles(np.nonzero(live)[1], t, chi_shift % t)
-        out += _weil_reports("weil_fp2_norm1", angle, live, p, rows, psi, chi)
+        if h is not None:
+            angle += _angles(np.nonzero(live)[1], t, h % t)
+        out += _weil_reports("weil_fp2_norm1", angle, live, p, rows, psi, h)
     return out

@@ -40,7 +40,6 @@ from .arith_fn import (
     AdditiveCharacter,
     LimitOverflow,
     MobiusTable,
-    MultiplicativeCharacter,
     TableTooSmall,
     mobius_by_spf,
     mobius_sieve,
@@ -60,15 +59,7 @@ from .char_sums import (
     weil_sum_fp,
     weil_sum_fp2_norm_one,
 )
-from .field_arith import (
-    _mul_pairs,
-    FpElem,
-    PrimeModulus,
-    QuadExtension,
-    RepeatedRoot,
-    norm_group_generator,
-    primitive_root,
-)
+from .field_arith import _mul_pairs, FpElem, PrimeModulus, RepeatedRoot, sqrt_mod
 from .mobius_dynamics import (
     DegenerateSpectral,
     InvalidMatrix,
@@ -488,40 +479,28 @@ def cmd_weil_check(cfg: dict, outdir: Path, config_blob: bytes) -> int:
 
 
 def _weil_fp_batch(p: int, count: int, rng_seed: int, max_degree: int) -> list[SumReport]:
-    modulus = PrimeModulus(p)
     # string seeds hash stably across processes; tuple seeds do not
     rng = random.Random(f"{rng_seed}:fp:{p}")
-    psi = AdditiveCharacter(modulus.one)
-    chi = MultiplicativeCharacter(primitive_root(modulus), p - 1, 1)
-    rfs = [random_rational_function_fp(rng, modulus, max_degree) for _ in range(count)]
-    return _interleave(weil_sum_fp(rfs, psi), weil_sum_fp(rfs, psi, chi))
+    rfs = [random_rational_function_fp(rng, p, max_degree) for _ in range(count)]
+    return _interleave(weil_sum_fp, rfs, p)
 
 
 def _weil_fp2_batch(p: int, count: int, rng_seed: int, max_degree: int) -> list[SumReport]:
-    modulus = PrimeModulus(p)
     rng = random.Random(f"{rng_seed}:fp2:{p}")
-    ext = _first_irreducible_extension(modulus)
-    gen = norm_group_generator(ext)
-    psi = AdditiveCharacter(modulus.one)
-    chi = MultiplicativeCharacter(gen, p + 1, 1)
-    rfs = [random_rational_function_fp2(rng, ext, gen, max_degree) for _ in range(count)]
-    return _interleave(weil_sum_fp2_norm_one(rfs, psi, None, gen), weil_sum_fp2_norm_one(rfs, psi, chi, gen))
+    e = _first_irreducible_extension(p)
+    rfs = [random_rational_function_fp2(rng, e, p, max_degree) for _ in range(count)]
+    return _interleave(weil_sum_fp2_norm_one, rfs, p)
 
 
-def _interleave(plain: list[SumReport], twisted: list[SumReport]) -> list[SumReport]:
-    """plain[0], twisted[0], plain[1], twisted[1], ...: each function's rows stay together."""
-    return [r for pair in zip(plain, twisted) for r in pair]
+def _interleave(kernel, rfs: list, p: int) -> list[SumReport]:
+    """Each function's plain row, then its row under chi(g^i) = e(i/|G|) (h = 1): a function's rows stay together."""
+    psi = AdditiveCharacter(PrimeModulus(p).one)
+    return [r for pair in zip(kernel(rfs, psi), kernel(rfs, psi, 1)) for r in pair]
 
 
-def _first_irreducible_extension(modulus: PrimeModulus) -> QuadExtension:
-    """Deterministic choice: smallest e >= 0 with e^2 - 4 a non-residue."""
-    for e in range(modulus.p):
-        if e in (2, modulus.p - 2):
-            continue
-        ext = QuadExtension(modulus, modulus.elem(e))
-        if ext.is_irreducible:
-            return ext
-    raise AssertionError("no irreducible quadratic found; p is not an odd prime?")
+def _first_irreducible_extension(p: int) -> int:
+    """The smallest e >= 0 with e^2 - 4 a non-residue mod p; e = +-2 is skipped, as sqrt_mod(0, p) = 0."""
+    return next(e for e in range(p) if sqrt_mod(e * e - 4, p) is None)
 
 
 def cmd_bsz_report(cfg: dict, outdir: Path, config_blob: bytes, mu_cache: str | None) -> int:
@@ -578,7 +557,7 @@ def cmd_mobius_check(cfg: dict, outdir: Path, config_blob: bytes) -> int:
     if limit < 1:
         raise ConfigError("field 'limit' must be >= 1")
     if limit > 10**7:
-        raise ConfigError("exhaustive oracle mode capped at limit <= 10**7")
+        raise RangeGuard(f"field 'limit': exhaustive oracle mode capped at limit <= 10**7, got {limit}")
     sieve = mobius_sieve(limit).values
     oracle = mobius_by_spf(limit)
     mismatches = (np.flatnonzero(sieve[1:] != oracle[1:])[:10] + 1).tolist()

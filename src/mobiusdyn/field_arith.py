@@ -5,10 +5,12 @@ F_{p^2}, so the distinguished root theta is literally the class of Z when the
 polynomial is irreducible.  When it splits, every quantity of interest lives
 in the c1 = 0 subring and the same code degrades gracefully to F_p.
 
-FpElem and Fp2Elem objects are the config and coefficient types and what the
-test oracles step with.  The group routines (square roots, roots, orders) run
-on raw ints and (c0, c1) int pairs, F_p elements being the pairs (x, 0);
-orders come from trial-division factorisation of p - 1 or p + 1.
+FpElem is the config type (matrix entries, seeds, characters).  Everything
+past the config boundary runs on raw ints and (c0, c1) int pairs, F_p
+elements being the pairs (x, 0): square roots, roots, orders and the group
+generators the Weil kernels enumerate.  Orders come from trial-division
+factorisation of p - 1 or p + 1.  The object extension (QuadExtension,
+Fp2Elem) lives in tests/oracles.py as the per-step oracle.
 All canonical choices (square roots, primitive roots, root ordering) take the
 smallest representative so that downstream outputs are reproducible.
 """
@@ -16,7 +18,7 @@ smallest representative so that downstream outputs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,10 +41,6 @@ class RepeatedRoot(ValueError):
 
 class ReducibleExtension(ValueError):
     """Operation requires Z^2 - e*Z + 1 to be irreducible over F_p."""
-
-
-class NotInGroup(ValueError):
-    """Element is not in the cyclic group spanned by the given generator."""
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -172,9 +170,6 @@ class FpElem:
     def __bool__(self) -> bool:
         return self.value != 0
 
-    def __int__(self) -> int:
-        return self.value
-
     def __repr__(self):
         return f"FpElem({self.value} mod {self.p})"
 
@@ -213,59 +208,6 @@ def sqrt_mod(n: int, p: int) -> int | None:
             t = t * c % p
             m = i
     return min(r, p - r)
-
-
-@dataclass(frozen=True)
-class QuadExtension:
-    """The quotient ring F_p[Z]/(Z^2 - e*Z + 1).
-
-    A field exactly when e^2 - 4 is a non-residue; the repeated-root case
-    e = +-2 is rejected outright because none of the downstream formulas
-    survive it.
-    """
-
-    modulus: PrimeModulus
-    e: FpElem
-
-    def __post_init__(self):
-        if self.e.modulus != self.modulus:
-            raise ModulusMismatch("trace coefficient lives in a different field")
-        if not self.discriminant:
-            raise RepeatedRoot(f"Z^2 - {self.e.value}*Z + 1 has a double root mod {self.p}")
-
-    @property
-    def p(self) -> int:
-        return self.modulus.p
-
-    @property
-    def discriminant(self) -> FpElem:
-        return self.e * self.e - self.modulus.elem(4)
-
-    @cached_property
-    def is_irreducible(self) -> bool:
-        """Euler's criterion: the discriminant is a non-residue."""
-        return pow(self.discriminant.value, (self.p - 1) // 2, self.p) != 1
-
-    def elem(self, c0: int | FpElem, c1: int | FpElem = 0) -> "Fp2Elem":
-        if isinstance(c0, int):
-            c0 = self.modulus.elem(c0)
-        if isinstance(c1, int):
-            c1 = self.modulus.elem(c1)
-        return Fp2Elem(c0, c1, self)
-
-    def embed(self, a: FpElem) -> "Fp2Elem":
-        return Fp2Elem(a, self.modulus.zero, self)
-
-    @property
-    def zero(self) -> "Fp2Elem":
-        return self.elem(0, 0)
-
-    @property
-    def one(self) -> "Fp2Elem":
-        return self.elem(1, 0)
-
-    def __repr__(self):
-        return f"QuadExtension(Z^2 - {self.e.value}*Z + 1 mod {self.p})"
 
 
 _INT64_EXACT = 1 << 31  # below this, a*x + b*y of residues stays exact in int64
@@ -377,76 +319,6 @@ def _powers(g: tuple[int, int], n: int, e: int, p: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Fp2Elem:
-    """c0 + c1*Z in F_p[Z]/(Z^2 - e*Z + 1); reduction Z^2 -> e*Z - 1 is canonical."""
-
-    c0: FpElem
-    c1: FpElem
-    ext: QuadExtension
-
-    @property
-    def p(self) -> int:
-        return self.ext.p
-
-    def _same_ring(self, other: "Fp2Elem"):
-        if self.ext != other.ext:
-            raise ModulusMismatch("operands belong to different quadratic extensions")
-
-    def __add__(self, other: "Fp2Elem") -> "Fp2Elem":
-        self._same_ring(other)
-        return Fp2Elem(self.c0 + other.c0, self.c1 + other.c1, self.ext)
-
-    def __sub__(self, other: "Fp2Elem") -> "Fp2Elem":
-        self._same_ring(other)
-        return Fp2Elem(self.c0 - other.c0, self.c1 - other.c1, self.ext)
-
-    def __neg__(self) -> "Fp2Elem":
-        return Fp2Elem(-self.c0, -self.c1, self.ext)
-
-    def __mul__(self, other: "Fp2Elem") -> "Fp2Elem":
-        self._same_ring(other)
-        a = (self.c0.value, self.c1.value)
-        c0, c1 = _mul_pairs(a, (other.c0.value, other.c1.value), self.ext.e.value, self.p)
-        m = self.ext.modulus
-        return Fp2Elem(FpElem(c0, m), FpElem(c1, m), self.ext)
-
-    def conj(self) -> "Fp2Elem":
-        """Frobenius image z^p, i.e. the substitution Z -> e - Z."""
-        return Fp2Elem(self.c0 + self.ext.e * self.c1, -self.c1, self.ext)
-
-    def trace(self) -> FpElem:
-        return self.c0 + self.c0 + self.ext.e * self.c1
-
-    def norm(self) -> FpElem:
-        return self.c0 * self.c0 + self.ext.e * self.c0 * self.c1 + self.c1 * self.c1
-
-    def inv(self) -> "Fp2Elem":
-        nm = self.norm()
-        if not nm:
-            if not self:
-                raise ZeroInverse(f"0 has no inverse in {self.ext!r}")
-            raise ZeroInverse(f"{self!r} is a zero divisor (norm 0) and has no inverse")
-        ninv = nm.inv()
-        cj = self.conj()
-        return Fp2Elem(cj.c0 * ninv, cj.c1 * ninv, self.ext)
-
-    def __truediv__(self, other: "Fp2Elem") -> "Fp2Elem":
-        self._same_ring(other)
-        return self * other.inv()
-
-    def __pow__(self, n: int) -> "Fp2Elem":
-        if n < 0:
-            return self.inv() ** (-n)
-        return self.ext.elem(*_pow_pairs((self.c0.value, self.c1.value), n, self.ext.e.value, self.p))
-
-    def __bool__(self) -> bool:
-        return bool(self.c0) or bool(self.c1)
-
-    def __repr__(self):
-        return f"Fp2Elem({self.c0.value} + {self.c1.value}*Z mod {self.p})"
-
-
 def char_poly_roots(e: int, p: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """Both roots (theta, theta^-1) of Z^2 - e*Z + 1 as pairs in F_p[Z]/(Z^2 - e*Z + 1).
 
@@ -480,30 +352,29 @@ def mult_order(z: tuple[int, int], e: int, p: int, n: int) -> int:
     return t
 
 
-def primitive_root(modulus: PrimeModulus) -> FpElem:
+def primitive_root(p: int) -> int:
     """Smallest g >= 2 generating F_p^* (deterministic choice)."""
-    p = modulus.p
     exps = [(p - 1) // q for q in _factorize_cached(p - 1)]
     g = 2
-    while True:
-        if all(pow(g, k, p) != 1 for k in exps):
-            return modulus.elem(g)
+    while not all(pow(g, k, p) != 1 for k in exps):
         g += 1
+    return g
 
 
-def norm_group_generator(ext: QuadExtension) -> Fp2Elem:
-    """A generator of the order-(p+1) group of norm-one elements.
+def norm_group_generator(e: int, p: int) -> tuple[int, int]:
+    """A generator of the order-(p+1) group of norm-one elements of F_p[Z]/(Z^2 - e*Z + 1).
 
     Candidates are w^(p-1) for w scanned in lexicographic (c1, c0) order
     starting at Z; by Hilbert 90 this map is onto the norm-one group, so the
-    scan terminates, and it is deterministic.  Powers are taken on int pairs.
+    scan terminates, and it is deterministic.  Raises ReducibleExtension
+    unless e^2 - 4 is a non-residue mod p (a double root, e = +-2, included).
     """
-    if not ext.is_irreducible:
-        raise ReducibleExtension(f"{ext!r} splits; its norm-one set is not a (p+1)-group")
-    p, e = ext.p, ext.e.value
+    e %= p
+    if sqrt_mod(e * e - 4, p) is not None:
+        raise ReducibleExtension(f"Z^2 - {e}*Z + 1 splits mod {p}; its norm-one set is not a (p+1)-group")
     for c1 in range(1, p):
         for c0 in range(p):
             z = _pow_pairs((c0, c1), p - 1, e, p)
             if mult_order(z, e, p, p + 1) == p + 1:
-                return ext.elem(*z)
+                return z
     raise AssertionError("norm-one group exhausted without finding a generator")

@@ -6,7 +6,8 @@ the ones every verification layer can handle: distinct characteristic roots,
 a seed that is not a fixed point, a closed form in normal position, and an
 orbit that never visits the pole, so the scalar, linear-lift and closed-form
 views agree index by index.  Random rational functions feed the Weil-sum
-scans; F_{p^2} draws are probed with the kernel's own _norm_one_traces.
+scans; they draw raw int coefficients (int pairs over F_{p^2}), and F_{p^2}
+draws are probed with the kernel's own _norm_one_traces.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .char_sums import RationalFunction, _norm_one_traces
-from .field_arith import _powers, Fp2Elem, FpElem, PrimeModulus, QuadExtension
+from .field_arith import _inv_pair, _mul_pairs, _powers, FpElem, PrimeModulus, norm_group_generator
 from .mobius_dynamics import (
     DegenerateSpectral,
     MobiusMatrix,
@@ -70,86 +71,77 @@ def random_admissible_instance(
             return matrix, xi0, traj, form
 
 
-def random_rational_function_fp(
-    rng: random.Random,
-    modulus: PrimeModulus,
-    max_degree: int = 3,
-) -> RationalFunction:
+def random_rational_function_fp(rng: random.Random, p: int, max_degree: int = 3) -> RationalFunction:
     """Random h/g over F_p with max(deg g, deg h) >= 1 and h not proportional to g.
 
     Proportional h = lambda*g makes the additive phase constant and the
     square-root bound vacuous, so such draws are rejected.
     """
-    p = modulus.p
     while True:
         dg = rng.randrange(max_degree + 1)
         dh = rng.randrange(max_degree + 1)
         if max(dg, dh) == 0:
             continue
-        den = [modulus.elem(rng.randrange(p)) for _ in range(dg)]
-        den.append(modulus.elem(rng.randrange(1, p)))
-        num = [modulus.elem(rng.randrange(p)) for _ in range(dh)]
-        num.append(modulus.elem(rng.randrange(1, p)))
-        rf = RationalFunction(tuple(num), tuple(den))
-        if not _proportional(rf.numerator, rf.denominator):
+        den = [rng.randrange(p) for _ in range(dg)] + [rng.randrange(1, p)]
+        num = [rng.randrange(p) for _ in range(dh)] + [rng.randrange(1, p)]
+        rf = RationalFunction(tuple(num), tuple(den), p)
+        if not _proportional(rf):
             return rf
 
 
-def random_rational_function_fp2(
-    rng: random.Random,
-    ext: QuadExtension,
-    group_generator: Fp2Elem,
-    max_degree: int = 3,
-) -> RationalFunction:
-    """Random h/g over F_{p^2} whose trace phase actually varies on the norm-one group.
+def random_rational_function_fp2(rng: random.Random, e: int, p: int, max_degree: int = 3) -> RationalFunction:
+    """Random h/g over F_p[Z]/(Z^2 - e*Z + 1) whose trace phase actually varies on the norm-one group.
 
-    Rejects draws where Tr(h(z)/g(z)) is constant on the probe z = gen^0..gen^6
-    off the poles (for example h/g = z0*(X^2-1)/X with z0 in F_p), since
-    those degenerate sums escape any square-root bound.  ext is irreducible.
-    The probe is built once per (generator, p) and read by the norm-one
-    kernel's own _norm_one_traces, as a batch of one function.
+    Rejects draws where Tr(h(z)/g(z)) is constant on the probe z = g^0..g^6
+    (g = norm_group_generator(e, p)) off the poles, for example
+    h/g = z0*(X^2-1)/X with z0 in F_p, since those degenerate sums escape any
+    square-root bound.  The extension must be irreducible.  The probe is
+    built once per (e, p) and read by the norm-one kernel's own
+    _norm_one_traces, as a batch of one function.
     """
-    p = ext.p
-    e = ext.e.value
-    probe = _probe((group_generator.c0.value, group_generator.c1.value), e, p)
+    probe = _probe(e % p, p)
     while True:
         dg = rng.randrange(max_degree + 1)
         dh = rng.randrange(max_degree + 1)
         if max(dg, dh) == 0:
             continue
-        den = [ext.elem(rng.randrange(p), rng.randrange(p)) for _ in range(dg)]
-        den.append(_nonzero_fp2(rng, ext))
-        num = [ext.elem(rng.randrange(p), rng.randrange(p)) for _ in range(dh)]
-        num.append(_nonzero_fp2(rng, ext))
-        rf = RationalFunction(tuple(num), tuple(den))
-        if _proportional(rf.numerator, rf.denominator):
+        den = [(rng.randrange(p), rng.randrange(p)) for _ in range(dg)] + [_nonzero_pair(rng, p)]
+        num = [(rng.randrange(p), rng.randrange(p)) for _ in range(dh)] + [_nonzero_pair(rng, p)]
+        rf = RationalFunction(tuple(num), tuple(den), p, e)
+        if _proportional(rf):
             continue
-        _, traces = _norm_one_traces([rf], probe, e, p)
+        _, traces = _norm_one_traces([rf], probe, rf.e, p)
         if len(set(traces.tolist())) >= 2:
             return rf
 
 
 @lru_cache(maxsize=64)
-def _probe(g: tuple[int, int], e: int, p: int) -> np.ndarray:
-    """g^0, ..., g^6 as a read-only (2, 7) pair array."""
-    probe = _powers(g, 7, e, p)
+def _probe(e: int, p: int) -> np.ndarray:
+    """g^0, ..., g^6 for g = norm_group_generator(e, p), as a read-only (2, 7) pair array."""
+    probe = _powers(norm_group_generator(e, p), 7, e, p)
     probe.flags.writeable = False
     return probe
 
 
-def _nonzero_fp2(rng: random.Random, ext: QuadExtension) -> Fp2Elem:
-    p = ext.p
+def _nonzero_pair(rng: random.Random, p: int) -> tuple[int, int]:
     while True:
-        z = ext.elem(rng.randrange(p), rng.randrange(p))
-        if z:
+        z = (rng.randrange(p), rng.randrange(p))
+        if z != (0, 0):
             return z
 
 
-def _proportional(num: tuple, den: tuple) -> bool:
-    """True when h = lambda * g for some field scalar lambda (h = 0 counts)."""
+def _proportional(rf: RationalFunction) -> bool:
+    """True when h = lambda * g for some field scalar lambda (h = 0 counts).
+
+    Runs on int pairs; an F_p coefficient c is the pair (c, 0), whose products do not depend on e.
+    """
+    num, den = rf.numerator, rf.denominator
     if not num:
         return True
     if len(num) != len(den):
         return False
-    lam = num[-1] * den[-1].inv()
-    return all(c == lam * d for c, d in zip(num, den))
+    e, p = rf.e or 0, rf.p
+    if rf.e is None:
+        num, den = ([(c, 0) for c in poly] for poly in (num, den))
+    lam = _mul_pairs(num[-1], _inv_pair(den[-1], e, p), e, p)
+    return all(c == _mul_pairs(lam, d, e, p) for c, d in zip(num, den))

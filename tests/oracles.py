@@ -1,22 +1,163 @@
 """Step-by-step reference implementations that the array and int-pair paths are tested against.
 
-The closed form is solved and evaluated here on Fp2Elem objects, independently
-of the raw int pairs that `mobius_dynamics.spectral_form` works on: the
-object solve is the oracle for that solve (both start from the roots in
-`MobiusMatrix.roots`), and `eval_spectral` and `spectral_orbit` rebuild
-Fp2Elems from a form's pairs.  `chi_value` reads a character through
-`discrete_index`, a baby-step/giant-step discrete log; the Weil kernels take
-the index from the exponent of a generator power instead.
+`QuadExtension` and `Fp2Elem` step F_p[Z]/(Z^2 - e*Z + 1) one object at a
+time, apart from the raw int pairs of `src/`.  The closed form is solved on
+them as the oracle for `mobius_dynamics.spectral_form` (both start from
+`MobiusMatrix.roots`); `eval_spectral` and `spectral_orbit` rebuild Fp2Elems
+from a form's pairs, and `value_at` lifts an int-coefficient RationalFunction
+to them.  A `MultiplicativeCharacter` names its generator and `chi_value`
+reads it through `discrete_index`, a baby-step/giant-step discrete log; the
+Weil kernels take a multiplier of their own generator instead.
 """
 
 import math
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Iterator
 
-from mobiusdyn.arith_fn import MultiplicativeCharacter, unit_circle
+from mobiusdyn.arith_fn import unit_circle
 from mobiusdyn.char_sums import RationalFunction
-from mobiusdyn.field_arith import Fp2Elem, FpElem, NotInGroup, PrimeModulus, QuadExtension
+from mobiusdyn.field_arith import (
+    _mul_pairs,
+    _pow_pairs,
+    FpElem,
+    ModulusMismatch,
+    PrimeModulus,
+    RepeatedRoot,
+    ZeroInverse,
+)
 from mobiusdyn.mobius_dynamics import DegenerateSpectral, MobiusMatrix, SpectralForm, apply
+
+
+
+class NotInGroup(ValueError):
+    """Element is not in the cyclic group spanned by the given generator."""
+
+
+@dataclass(frozen=True)
+class QuadExtension:
+    """The quotient ring F_p[Z]/(Z^2 - e*Z + 1).
+
+    A field exactly when e^2 - 4 is a non-residue; the repeated-root case
+    e = +-2 is rejected outright because none of the downstream formulas
+    survive it.
+    """
+
+    modulus: PrimeModulus
+    e: FpElem
+
+    def __post_init__(self):
+        if self.e.modulus != self.modulus:
+            raise ModulusMismatch("trace coefficient lives in a different field")
+        if not self.e * self.e - self.modulus.elem(4):
+            raise RepeatedRoot(f"Z^2 - {self.e.value}*Z + 1 has a double root mod {self.p}")
+
+    @property
+    def p(self) -> int:
+        return self.modulus.p
+
+    @cached_property
+    def is_irreducible(self) -> bool:
+        """Euler's criterion: the discriminant e^2 - 4 is a non-residue."""
+        return pow(self.e.value**2 - 4, (self.p - 1) // 2, self.p) != 1
+
+    def elem(self, c0: int | FpElem, c1: int | FpElem = 0) -> "Fp2Elem":
+        if isinstance(c0, int):
+            c0 = self.modulus.elem(c0)
+        if isinstance(c1, int):
+            c1 = self.modulus.elem(c1)
+        return Fp2Elem(c0, c1, self)
+
+    def embed(self, a: FpElem) -> "Fp2Elem":
+        return Fp2Elem(a, self.modulus.zero, self)
+
+    @property
+    def zero(self) -> "Fp2Elem":
+        return self.elem(0, 0)
+
+    @property
+    def one(self) -> "Fp2Elem":
+        return self.elem(1, 0)
+
+    def __repr__(self):
+        return f"QuadExtension(Z^2 - {self.e.value}*Z + 1 mod {self.p})"
+
+
+@dataclass(frozen=True)
+class Fp2Elem:
+    """c0 + c1*Z in F_p[Z]/(Z^2 - e*Z + 1); reduction Z^2 -> e*Z - 1 is canonical."""
+
+    c0: FpElem
+    c1: FpElem
+    ext: QuadExtension
+
+    @property
+    def p(self) -> int:
+        return self.ext.p
+
+    @property
+    def pair(self) -> tuple[int, int]:
+        return self.c0.value, self.c1.value
+
+    def _same_ring(self, other: "Fp2Elem"):
+        if self.ext != other.ext:
+            raise ModulusMismatch("operands belong to different quadratic extensions")
+
+    def __add__(self, other: "Fp2Elem") -> "Fp2Elem":
+        self._same_ring(other)
+        return Fp2Elem(self.c0 + other.c0, self.c1 + other.c1, self.ext)
+
+    def __sub__(self, other: "Fp2Elem") -> "Fp2Elem":
+        self._same_ring(other)
+        return Fp2Elem(self.c0 - other.c0, self.c1 - other.c1, self.ext)
+
+    def __neg__(self) -> "Fp2Elem":
+        return Fp2Elem(-self.c0, -self.c1, self.ext)
+
+    def __mul__(self, other: "Fp2Elem") -> "Fp2Elem":
+        self._same_ring(other)
+        return self.ext.elem(*_mul_pairs(self.pair, other.pair, self.ext.e.value, self.p))
+
+    def conj(self) -> "Fp2Elem":
+        """Frobenius image z^p, i.e. the substitution Z -> e - Z."""
+        return Fp2Elem(self.c0 + self.ext.e * self.c1, -self.c1, self.ext)
+
+    def trace(self) -> FpElem:
+        return self.c0 + self.c0 + self.ext.e * self.c1
+
+    def norm(self) -> FpElem:
+        return self.c0 * self.c0 + self.ext.e * self.c0 * self.c1 + self.c1 * self.c1
+
+    def inv(self) -> "Fp2Elem":
+        nm = self.norm()
+        if not nm:
+            if not self:
+                raise ZeroInverse(f"0 has no inverse in {self.ext!r}")
+            raise ZeroInverse(f"{self!r} is a zero divisor (norm 0) and has no inverse")
+        ninv = nm.inv()
+        cj = self.conj()
+        return Fp2Elem(cj.c0 * ninv, cj.c1 * ninv, self.ext)
+
+    def __pow__(self, n: int) -> "Fp2Elem":
+        if n < 0:
+            return self.inv() ** (-n)
+        return self.ext.elem(*_pow_pairs(self.pair, n, self.ext.e.value, self.p))
+
+    def __bool__(self) -> bool:
+        return bool(self.c0) or bool(self.c1)
+
+    def __repr__(self):
+        return f"Fp2Elem({self.c0.value} + {self.c1.value}*Z mod {self.p})"
+
+
+@dataclass(frozen=True)
+class MultiplicativeCharacter:
+    """x -> e(multiplier * ind(x)/order) on the cyclic group spanned by `generator`."""
+
+    generator: FpElem | Fp2Elem
+    order: int
+    multiplier: int
 
 
 _ORACLE_PRIME_BOUND = 1000
@@ -265,10 +406,18 @@ def _horner(coeffs, x):
 
 
 def value_at(rf: RationalFunction, x: FpElem | Fp2Elem) -> FpElem | Fp2Elem | None:
-    """h(x)/g(x) on field elements, or None at poles (g(x) = 0)."""
-    den = _horner(rf.denominator, x)
+    """h(x)/g(x) on field elements, or None at poles (g(x) = 0).
+
+    The int (or int-pair) coefficients of rf are lifted to the field of x first.
+    """
+    if x.p != rf.p or (rf.e is not None and x.ext.e.value != rf.e):
+        raise ModulusMismatch(f"{x!r} is not over the field of the function (p = {rf.p}, e = {rf.e})")
+    field = x.ext if isinstance(x, Fp2Elem) else x.modulus
+    lift = (lambda c: field.elem(*c)) if rf.e is not None else field.elem  # noqa: E731
+    num = [lift(c) for c in rf.numerator]
+    den = _horner([lift(c) for c in rf.denominator], x)
     if not den:
         return None
-    if not rf.numerator:
+    if not num:
         return den - den  # zero of the matching field
-    return _horner(rf.numerator, x) * den.inv()
+    return _horner(num, x) * den.inv()

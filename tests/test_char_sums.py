@@ -5,12 +5,7 @@ import random
 
 import pytest
 
-from mobiusdyn.arith_fn import (
-    AdditiveCharacter,
-    MultiplicativeCharacter,
-    mobius_sieve,
-    unit_circle,
-)
+from mobiusdyn.arith_fn import AdditiveCharacter, mobius_sieve, unit_circle
 from mobiusdyn.char_sums import (
     CSV_HEADER,
     BadIndices,
@@ -28,15 +23,24 @@ from mobiusdyn.char_sums import (
 from mobiusdyn.cli_runner import _first_irreducible_extension
 from mobiusdyn.field_arith import (
     ModulusMismatch,
-    NotInGroup,
     PrimeModulus,
-    QuadExtension,
+    ReducibleExtension,
     mult_order,
     norm_group_generator,
     primitive_root,
+    sqrt_mod,
 )
 from mobiusdyn.mobius_dynamics import MobiusMatrix, apply, period
-from oracles import chi_value, decimated_oracle, orbit_oracle, twisted_oracle, value_at
+from oracles import (
+    MultiplicativeCharacter,
+    QuadExtension,
+    chi_value,
+    decimated_oracle,
+    discrete_index,
+    orbit_oracle,
+    twisted_oracle,
+    value_at,
+)
 
 M101 = PrimeModulus(101)
 A101 = MobiusMatrix(M101.elem(27), M101.elem(39), M101.elem(5), M101.elem(11))
@@ -399,9 +403,7 @@ def test_completion_identity_reconstructs_incomplete(traj101):
 
 def test_weil_fp_poles_are_skipped():
     # h = 0 with no twist counts the non-poles of g
-    m = PrimeModulus(101)
-    g = (m.elem(0), m.elem(1))  # g(X) = X, one root
-    rf = RationalFunction((), g)
+    rf = RationalFunction((), (0, 1), 101)  # g(X) = X, one root
     r = weil_sum_fp([rf], PSI101)[0]
     assert r.value == pytest.approx(100)
     assert r.term_count == 100
@@ -411,16 +413,14 @@ def test_weil_fp_gauss_sum_is_exactly_sqrt_p():
     for p in (101, 199, 293):
         m = PrimeModulus(p)
         psi = AdditiveCharacter(m.one)
-        rf = RationalFunction((m.elem(0), m.elem(0), m.elem(1)), (m.one,))  # X^2
+        rf = RationalFunction((0, 0, 1), (1,), p)  # X^2
         r = weil_sum_fp([rf], psi)[0]
         assert r.abs_value == pytest.approx(math.sqrt(p), rel=1e-12)
 
 
 def test_weil_fp_with_character_gauss_sum():
-    m = PrimeModulus(101)
-    chi = MultiplicativeCharacter(primitive_root(m), 100, 1)
-    rf = RationalFunction((m.elem(0), m.elem(1)), (m.one,))  # X
-    r = weil_sum_fp([rf], PSI101, chi)[0]
+    rf = RationalFunction((0, 1), (1,), 101)  # X
+    r = weil_sum_fp([rf], PSI101, 1)[0]  # chi(g^i) = e(i/100) for g = primitive_root(101)
     assert r.abs_value == pytest.approx(math.sqrt(101), rel=1e-12)
     assert r.ratio == pytest.approx(1.0, rel=1e-12)
 
@@ -429,7 +429,7 @@ def test_weil_fp_kloosterman_under_classical_bound():
     # h/g = X + 1/X has |sum| <= 2 sqrt(p) (poles removed)
     m = PrimeModulus(293)
     psi = AdditiveCharacter(m.one)
-    rf = RationalFunction((m.one, m.elem(0), m.one), (m.elem(0), m.one))  # (1 + X^2)/X
+    rf = RationalFunction((1, 0, 1), (0, 1), 293)  # (1 + X^2)/X
     r = weil_sum_fp([rf], psi)[0]
     assert r.abs_value <= 2 * math.sqrt(293) + 1e-9
     assert r.ratio <= 1.0 + 1e-12  # bound uses max degree 2
@@ -439,14 +439,12 @@ def test_weil_fp_random_grid_ratios():
     from mobiusdyn.sampling import random_rational_function_fp
 
     rng = random.Random(5)
-    m = PrimeModulus(293)
-    psi = AdditiveCharacter(m.one)
-    chi = MultiplicativeCharacter(primitive_root(m), 292, 1)
+    psi = AdditiveCharacter(PrimeModulus(293).one)
     worst = 0.0
     for _ in range(40):
-        rf = random_rational_function_fp(rng, m, 3)
-        for c in (None, chi):
-            r = weil_sum_fp([rf], psi, c)[0]
+        rf = random_rational_function_fp(rng, 293, 3)
+        for h in (None, 1):
+            r = weil_sum_fp([rf], psi, h)[0]
             worst = max(worst, r.ratio)
     assert worst <= 10.0
 
@@ -455,10 +453,10 @@ def test_weil_norm_one_group_size_exhaustive():
     # p = 13: enumeration hits exactly p + 1 = 14 elements, all of norm one
     m = PrimeModulus(13)
     ext = QuadExtension(m, m.elem(5))
-    gen = norm_group_generator(ext)
+    gen = ext.elem(*norm_group_generator(5, 13))
     psi = AdditiveCharacter(m.one)
-    rf = RationalFunction((), (ext.one,))  # h = 0: counts the group
-    r = weil_sum_fp2_norm_one([rf], psi, None, gen)[0]
+    rf = RationalFunction((), ((1, 0),), 13, 5)  # h = 0: counts the group
+    r = weil_sum_fp2_norm_one([rf], psi)[0]
     assert r.term_count == 14
     assert r.value == pytest.approx(14)
     brute = {
@@ -468,20 +466,17 @@ def test_weil_norm_one_group_size_exhaustive():
         if ext.elem(a, b).norm().value == 1
     }
     assert len(brute) == 14
-    powers = {((z := gen**k).c0.value, z.c1.value) for k in range(14)}
+    powers = {(gen**k).pair for k in range(14)}
     assert powers == brute
 
 
 def test_weil_norm_one_trace_twist_ratios():
     m = PrimeModulus(101)
-    ext = QuadExtension(m, m.elem(1))
-    assert ext.is_irreducible
-    gen = norm_group_generator(ext)
+    assert QuadExtension(m, m.elem(1)).is_irreducible
     psi = AdditiveCharacter(m.one)
-    chi = MultiplicativeCharacter(gen, 102, 1)
-    rf = RationalFunction((ext.zero, ext.one), (ext.one,))  # X
-    for c in (None, chi):
-        r = weil_sum_fp2_norm_one([rf], psi, c, gen)[0]
+    rf = RationalFunction(((0, 0), (1, 0)), ((1, 0),), 101, 1)  # X
+    for h in (None, 1):
+        r = weil_sum_fp2_norm_one([rf], psi, h)[0]
         assert r.ratio <= 10.0
 
 
@@ -499,6 +494,18 @@ def _check_chi_values(chi):
     values = _chi_values(chi)
     assert len(values) == chi.order
     assert all(abs(v - chi_value(chi, x)) < 1e-12 for x, v in values.items())
+
+
+def _kernel_h(chi, g):
+    """The multiplier a kernel whose generator is g takes for chi, or None.
+
+    chi.generator = g^j, so chi(g^i) = e(multiplier * j^-1 * i / order): the
+    kernel gets multiplier * j^-1, congruent to it mod the order.
+    """
+    if chi is None:
+        return None
+    j = discrete_index(chi.generator, g, chi.order)
+    return chi.multiplier * pow(j, -1, chi.order)
 
 
 def _weil_fp_oracle(rf, psi, chi=None):
@@ -542,13 +549,20 @@ def _assert_matches(report, oracle):
     assert abs(report.value - value) < 1e-9
 
 
+def _norm_one_setup(m):
+    """(e, ext, gen): the weil-check extension of F_p and its kernel's generator as an Fp2Elem."""
+    e = _first_irreducible_extension(m.p)
+    ext = QuadExtension(m, m.elem(e))
+    return e, ext, ext.elem(*norm_group_generator(e, m.p))
+
+
 def test_weil_fp_matches_per_term_definition():
     from mobiusdyn.sampling import random_rational_function_fp
 
     rng = random.Random(17)
     for p in (101, 293):
         m = PrimeModulus(p)
-        g = primitive_root(m)
+        g = m.elem(primitive_root(p))
         other = next(m.elem(x) for x in range(g.value + 1, p) if mult_order((x, 0), 0, p, p - 1) == p - 1)
         psi = AdditiveCharacter(m.elem(rng.randrange(1, p)))
         chis = [
@@ -557,16 +571,16 @@ def test_weil_fp_matches_per_term_definition():
             MultiplicativeCharacter(other, p - 1, 5),
             MultiplicativeCharacter(g, p - 1, 2**62 + 3),  # multiplier * index overflows int64
         ]
-        roots = RationalFunction((m.one,), (m.elem(-6), m.elem(1), m.one))  # 1/((X - 2)(X + 3))
-        zero = RationalFunction((), (m.elem(-4), m.elem(0), m.one))  # h = 0 over X^2 - 4
+        roots = RationalFunction((1,), (-6, 1, 1), p)  # 1/((X - 2)(X + 3))
+        zero = RationalFunction((), (-4, 0, 1), p)  # h = 0 over X^2 - 4
         for chi in chis[1:]:
             _check_chi_values(chi)
-        rfs = [roots, zero] + [random_rational_function_fp(rng, m, 3) for _ in range(6)]
+        rfs = [roots, zero] + [random_rational_function_fp(rng, p, 3) for _ in range(6)]
         for rf in rfs:
             for chi in chis:
-                _assert_matches(weil_sum_fp([rf], psi, chi)[0], _weil_fp_oracle(rf, psi, chi))
+                _assert_matches(weil_sum_fp([rf], psi, _kernel_h(chi, g))[0], _weil_fp_oracle(rf, psi, chi))
         assert weil_sum_fp([roots], psi)[0].term_count == p - 2
-        assert weil_sum_fp([zero], psi, chis[1])[0].term_count == p - 3
+        assert weil_sum_fp([zero], psi, 1)[0].term_count == p - 3
 
 
 def test_weil_fp2_matches_per_term_definition():
@@ -575,8 +589,7 @@ def test_weil_fp2_matches_per_term_definition():
     rng = random.Random(19)
     for p in (101, 199):
         m = PrimeModulus(p)
-        ext = _first_irreducible_extension(m)
-        gen = norm_group_generator(ext)
+        e, ext, gen = _norm_one_setup(m)
         other = gen**5 if math.gcd(5, p + 1) == 1 else gen**7  # another generator
         assert other != gen
         psi = AdditiveCharacter(m.elem(rng.randrange(1, p)))
@@ -588,16 +601,17 @@ def test_weil_fp2_matches_per_term_definition():
         ]
         # g(X) = (X - gen^3)(X - 1) vanishes at two group elements; h = 0 counts the rest
         root = gen**3
-        g_coeffs = (root, -(root + ext.one), ext.one)
-        roots = RationalFunction((ext.elem(2, 1),), g_coeffs)
-        zero = RationalFunction((), g_coeffs)
+        g_coeffs = tuple(c.pair for c in (root, -(root + ext.one), ext.one))
+        roots = RationalFunction(((2, 1),), g_coeffs, p, e)
+        zero = RationalFunction((), g_coeffs, p, e)
         for chi in chis[1:]:
             _check_chi_values(chi)
-        rfs = [roots, zero] + [random_rational_function_fp2(rng, ext, gen, 3) for _ in range(6)]
+        rfs = [roots, zero] + [random_rational_function_fp2(rng, e, p, 3) for _ in range(6)]
         for rf in rfs:
             for chi in chis:
-                _assert_matches(weil_sum_fp2_norm_one([rf], psi, chi, gen)[0], _weil_fp2_oracle(rf, psi, chi, gen))
-        assert weil_sum_fp2_norm_one([zero], psi, None, gen)[0].term_count == p - 1
+                report = weil_sum_fp2_norm_one([rf], psi, _kernel_h(chi, gen))[0]
+                _assert_matches(report, _weil_fp2_oracle(rf, psi, chi, gen))
+        assert weil_sum_fp2_norm_one([zero], psi)[0].term_count == p - 1
 
 
 def test_weil_batches_match_per_term_oracles_and_one_function_batches(monkeypatch):
@@ -610,49 +624,50 @@ def test_weil_batches_match_per_term_oracles_and_one_function_batches(monkeypatc
     for p in (3, 101):
         m = PrimeModulus(p)
         psi = AdditiveCharacter(m.elem(rng.randrange(1, p)))
-        chi = MultiplicativeCharacter(primitive_root(m), p - 1, 1)
+        chi = MultiplicativeCharacter(m.elem(primitive_root(p)), p - 1, 1)
         rfs = [
-            RationalFunction((m.elem(2),), (m.elem(-1),)),  # degree 0
-            RationalFunction((), (m.one, m.one)),  # h = 0 over X + 1
-            RationalFunction((m.one,), (m.elem(0), m.elem(-1), m.elem(0), m.one)),  # 1/(X^3 - X)
-            RationalFunction((m.one, m.elem(0), m.one), (m.elem(0), m.one)),  # (1 + X^2)/X
-        ] + [random_rational_function_fp(rng, m, 3) for _ in range(4)]
+            RationalFunction((2,), (-1,), p),  # degree 0
+            RationalFunction((), (1, 1), p),  # h = 0 over X + 1
+            RationalFunction((1,), (0, -1, 0, 1), p),  # 1/(X^3 - X)
+            RationalFunction((1, 0, 1), (0, 1), p),  # (1 + X^2)/X
+        ] + [random_rational_function_fp(rng, p, 3) for _ in range(4)]
         for c in (None, chi):
-            batch = weil_sum_fp(rfs, psi, c)
+            h = _kernel_h(c, chi.generator)
+            batch = weil_sum_fp(rfs, psi, h)
             assert len(batch) == len(rfs)
             for rf, report in zip(rfs, batch):
                 _assert_matches(report, _weil_fp_oracle(rf, psi, c))
-                assert report == weil_sum_fp([rf], psi, c)[0]
+                assert report == weil_sum_fp([rf], psi, h)[0]
             if p == 3:
                 assert batch[2].term_count == 0 and batch[2].value == 0
             with monkeypatch.context() as mp:  # three functions per array pass
                 mp.setattr(char_sums, "_WEIL_PASS", 3 * p)
-                assert weil_sum_fp(rfs, psi, c) == batch
+                assert weil_sum_fp(rfs, psi, h) == batch
 
-        ext = _first_irreducible_extension(m)
-        gen = norm_group_generator(ext)
+        e, ext, gen = _norm_one_setup(m)
         psi2 = AdditiveCharacter(m.elem(rng.randrange(1, p)))
         chi2 = MultiplicativeCharacter(gen, p + 1, 1)
         root = gen**3
-        g_coeffs = (root, -(root + ext.one), ext.one)  # (X - gen^3)(X - 1)
+        g_coeffs = tuple(c.pair for c in (root, -(root + ext.one), ext.one))  # (X - gen^3)(X - 1)
         rfs2 = [
-            RationalFunction((ext.elem(2, 1),), (ext.elem(1, 1),)),  # degree 0
-            RationalFunction((), g_coeffs),  # h = 0
-            RationalFunction((ext.one,), (-ext.one, ext.zero, ext.zero, ext.zero, ext.one)),  # 1/(X^4 - 1)
-            RationalFunction((ext.zero, ext.one), (ext.one,)),  # X
-        ] + [random_rational_function_fp2(rng, ext, gen, 3) for _ in range(4)]
+            RationalFunction(((2, 1),), ((1, 1),), p, e),  # degree 0
+            RationalFunction((), g_coeffs, p, e),  # h = 0
+            RationalFunction(((1, 0),), ((-1, 0), (0, 0), (0, 0), (0, 0), (1, 0)), p, e),  # 1/(X^4 - 1)
+            RationalFunction(((0, 0), (1, 0)), ((1, 0),), p, e),  # X
+        ] + [random_rational_function_fp2(rng, e, p, 3) for _ in range(4)]
         for c in (None, chi2):
-            batch = weil_sum_fp2_norm_one(rfs2, psi2, c, gen)
+            h = _kernel_h(c, gen)
+            batch = weil_sum_fp2_norm_one(rfs2, psi2, h)
             assert len(batch) == len(rfs2)
             for rf, report in zip(rfs2, batch):
                 _assert_matches(report, _weil_fp2_oracle(rf, psi2, c, gen))
-                assert report == weil_sum_fp2_norm_one([rf], psi2, c, gen)[0]
+                assert report == weil_sum_fp2_norm_one([rf], psi2, h)[0]
             if p == 3:
                 assert batch[2].term_count == 0 and batch[2].value == 0
             with monkeypatch.context() as mp:
                 mp.setattr(char_sums, "_WEIL_PASS", 3 * (p + 1))
-                assert weil_sum_fp2_norm_one(rfs2, psi2, c, gen) == batch
-    assert weil_sum_fp([], psi) == [] and weil_sum_fp2_norm_one([], psi2, None, gen) == []
+                assert weil_sum_fp2_norm_one(rfs2, psi2, h) == batch
+    assert weil_sum_fp([], psi) == [] and weil_sum_fp2_norm_one([], psi2) == []
 
 
 def test_weil_kernels_at_their_caps():
@@ -661,66 +676,60 @@ def test_weil_kernels_at_their_caps():
     rng = random.Random(23)
     m = PrimeModulus(99991)
     psi = AdditiveCharacter(m.elem(12345))
-    chi = MultiplicativeCharacter(primitive_root(m), m.p - 1, 7)
-    rf = random_rational_function_fp(rng, m, 3)
-    _assert_matches(weil_sum_fp([rf], psi, chi)[0], _weil_fp_oracle(rf, psi, chi))  # ~2 s of oracle
+    chi = MultiplicativeCharacter(m.elem(primitive_root(m.p)), m.p - 1, 7)
+    rf = random_rational_function_fp(rng, m.p, 3)
+    _assert_matches(weil_sum_fp([rf], psi, 7)[0], _weil_fp_oracle(rf, psi, chi))  # ~2 s of oracle
     m2 = PrimeModulus(2999)
-    ext = _first_irreducible_extension(m2)
-    gen = norm_group_generator(ext)
+    e, _, gen = _norm_one_setup(m2)
     psi2 = AdditiveCharacter(m2.elem(777))
     chi2 = MultiplicativeCharacter(gen, m2.p + 1, 11)
-    rf2 = random_rational_function_fp2(rng, ext, gen, 3)
-    for c in (None, chi2):
-        _assert_matches(weil_sum_fp2_norm_one([rf2], psi2, c, gen)[0], _weil_fp2_oracle(rf2, psi2, c, gen))
+    rf2 = random_rational_function_fp2(rng, e, m2.p, 3)
+    for c, h in ((None, None), (chi2, 11)):
+        _assert_matches(weil_sum_fp2_norm_one([rf2], psi2, h)[0], _weil_fp2_oracle(rf2, psi2, c, gen))
     # just above each cap (100003 and 3001 are the next primes) the guard fires
     big = PrimeModulus(100003)
     with pytest.raises(RangeGuard):
-        weil_sum_fp([RationalFunction((big.one,), (big.one,))], AdditiveCharacter(big.one))
+        weil_sum_fp([RationalFunction((1,), (1,), big.p)], AdditiveCharacter(big.one))
     big2 = PrimeModulus(3001)
-    ext2 = _first_irreducible_extension(big2)
+    rf_big2 = RationalFunction(((1, 0),), ((1, 0),), big2.p, _first_irreducible_extension(big2.p))
     with pytest.raises(RangeGuard):
-        weil_sum_fp2_norm_one([RationalFunction((ext2.one,), (ext2.one,))], AdditiveCharacter(big2.one))
+        weil_sum_fp2_norm_one([rf_big2], AdditiveCharacter(big2.one))
 
 
 def test_weil_kernels_reject_bad_characters_and_generators():
-    m = PrimeModulus(101)
-    rf = RationalFunction((m.one,), (m.elem(0), m.one))
+    # chi is a multiplier of the kernel's own generator, so only psi can be refused
+    trivial = AdditiveCharacter(M101.elem(0))
     with pytest.raises(ValueError):
-        weil_sum_fp([rf], AdditiveCharacter(m.elem(0)))
+        weil_sum_fp([RationalFunction((1,), (0, 1), 101)], trivial)
     with pytest.raises(ValueError):
-        weil_sum_fp([rf], PSI101, MultiplicativeCharacter(primitive_root(m), 50, 1))
-    with pytest.raises(ValueError):
-        weil_sum_fp([rf], PSI101, MultiplicativeCharacter(m.one, 100, 1))
-    with pytest.raises(ValueError):  # 4 = 2^2 has order 50, not 100
-        weil_sum_fp([rf], PSI101, MultiplicativeCharacter(m.elem(4), 100, 1))
-    m3 = PrimeModulus(3)
-    with pytest.raises(ValueError):  # the powers 1, 0 of 0 are distinct but 0 is not a unit
-        weil_sum_fp([RationalFunction((m3.one,), (m3.one,))], AdditiveCharacter(m3.one), MultiplicativeCharacter(m3.zero, 2, 1))
-    ext = _first_irreducible_extension(m)
-    gen = norm_group_generator(ext)
-    rf2 = RationalFunction((ext.one,), (ext.zero, ext.one))
-    with pytest.raises(ValueError):
-        weil_sum_fp2_norm_one([rf2], PSI101, MultiplicativeCharacter(gen, 101, 1), gen)
-    for bad in (gen**2, ext.elem(0, 2)):  # order (p + 1)/2; norm 4, so outside the group
-        with pytest.raises(NotInGroup):
-            weil_sum_fp2_norm_one([rf2], PSI101, MultiplicativeCharacter(bad, 102, 1), gen)
-    with pytest.raises(AssertionError):  # 2*Z has norm 4, so (2*Z)^(p + 1) = 4
-        weil_sum_fp2_norm_one([rf2], PSI101, None, ext.elem(0, 2))
-    with pytest.raises(ValueError, match="order below"):  # gen^2 has order 51: each power would count twice
-        weil_sum_fp2_norm_one([rf2], PSI101, None, gen**2)
-    e = next(e for e in range(3, m.p - 2) if e != ext.e.value and QuadExtension(m, m.elem(e)).is_irreducible)
-    with pytest.raises(ValueError):  # generator from a different extension
-        weil_sum_fp2_norm_one([rf2], PSI101, None, norm_group_generator(QuadExtension(m, m.elem(e))))
+        weil_sum_fp2_norm_one([RationalFunction(((1, 0),), ((0, 0), (1, 0)), 101, 1)], trivial)
+
+
+def test_weil_norm_one_kernel_refuses_a_split_extension():
+    # e = 0 splits mod 101 (-1 is a square there, so -4 is too); e = 2 and e = -2 have a double root
+    for e in (0, 2, 99):
+        assert sqrt_mod(e * e - 4, 101) is not None
+        with pytest.raises(ReducibleExtension):
+            norm_group_generator(e, 101)
+        with pytest.raises(ReducibleExtension):
+            weil_sum_fp2_norm_one([RationalFunction(((1, 0),), ((0, 0), (1, 0)), 101, e)], PSI101)
 
 
 def test_weil_fp_rejects_coefficients_from_another_field():
-    m, other = PrimeModulus(101), PrimeModulus(199)
-    psi = AdditiveCharacter(other.one)
+    psi199 = AdditiveCharacter(PrimeModulus(199).one)
     with pytest.raises(ModulusMismatch):
-        weil_sum_fp([RationalFunction((m.one,), (m.elem(0), m.one))], psi)
-    rf = RationalFunction((other.one,), (other.elem(0), other.one))
-    with pytest.raises(ModulusMismatch):  # chi generator from F_101
-        weil_sum_fp([rf], psi, MultiplicativeCharacter(primitive_root(m), 198, 1))
+        weil_sum_fp([RationalFunction((1,), (0, 1), 101)], psi199)
+    assert QuadExtension(M101, M101.elem(1)).is_irreducible
+    over_ext = RationalFunction(((1, 0),), ((0, 0), (1, 0)), 101, 1)  # 1/X over F_101[Z]/(Z^2 - Z + 1)
+    with pytest.raises(ModulusMismatch):  # psi from F_199
+        weil_sum_fp2_norm_one([over_ext], psi199)
+    e2 = next(e for e in range(2, 101) if sqrt_mod(e * e - 4, 101) is None)
+    with pytest.raises(ModulusMismatch):  # two extensions in one batch
+        weil_sum_fp2_norm_one([over_ext, RationalFunction(((1, 0),), ((0, 0), (1, 0)), 101, e2)], PSI101)
+    with pytest.raises(ModulusMismatch):  # an F_p function in the norm-one kernel
+        weil_sum_fp2_norm_one([RationalFunction((1,), (0, 1), 101)], PSI101)
+    with pytest.raises(ModulusMismatch):  # an extension function in the F_p kernel
+        weil_sum_fp([over_ext], PSI101)
 
 
 def test_default_scan_grid_produces_sixty_reports():

@@ -112,6 +112,15 @@ def test_resource_guard_exit_code(tmp_path):
     assert code == EXIT_RESOURCE
 
 
+def test_mobius_check_above_its_cap_is_a_resource_guard_naming_the_field(tmp_path, capsys):
+    code, outdir = run(tmp_path, "mobius-check", {"limit": "10000001"})
+    err = capsys.readouterr().err
+    assert code == EXIT_RESOURCE
+    assert "'limit'" in err and "10**7" in err
+    assert "Traceback" not in err
+    assert not outdir.exists()
+
+
 def test_mobius_check_small_pass(tmp_path):
     code, outdir = run(tmp_path, "mobius-check", {"limit": "10"})
     assert code == EXIT_OK
@@ -314,13 +323,39 @@ def test_verify_three_way_agrees_with_object_views_exhaustive(p):
     assert checked and with_mismatches
 
 
+def assert_no_loaded_module_binds_the_object_extension():
+    import sys
+
+    loaded = [name for name in sys.modules if name == "mobiusdyn" or name.startswith("mobiusdyn.")]
+    assert "mobiusdyn.cli_runner" in loaded
+    for name in loaded:
+        for banned in ("Fp2Elem", "QuadExtension", "MultiplicativeCharacter"):
+            assert not hasattr(sys.modules[name], banned), (name, banned)
+
+
+def test_no_module_binds_the_object_extension():
+    # every CLI path runs on raw ints and int pairs: the object extension and characters are test oracles
+    import importlib
+    import pkgutil
+
+    import mobiusdyn
+
+    names = [f"mobiusdyn.{m.name}" for m in pkgutil.iter_modules(mobiusdyn.__path__)]
+    assert "mobiusdyn.cli_runner" in names and "mobiusdyn.char_sums" in names
+    for name in ["mobiusdyn"] + names:
+        importlib.import_module(name)
+    assert_no_loaded_module_binds_the_object_extension()
+
+
 def test_verify_spectral_path_does_no_object_arithmetic(monkeypatch):
     # sampling an instance and checking it three ways runs on raw ints and int pairs:
     # an Fp2Elem product or inverse anywhere on the path fails this test
     import random
 
+    from oracles import Fp2Elem
+
     from mobiusdyn.cli_runner import verify_three_way
-    from mobiusdyn.field_arith import Fp2Elem, PrimeModulus
+    from mobiusdyn.field_arith import PrimeModulus
     from mobiusdyn.sampling import random_admissible_instance
 
     def refuse(*args):
@@ -330,6 +365,7 @@ def test_verify_spectral_path_does_no_object_arithmetic(monkeypatch):
     monkeypatch.setattr(Fp2Elem, "inv", refuse)
     _, _, traj, form = random_admissible_instance(random.Random(3), PrimeModulus(101))
     assert verify_three_way(traj, form, traj.period) == {"mismatches": 0}
+    assert_no_loaded_module_binds_the_object_extension()
 
 
 @pytest.mark.parametrize(
@@ -343,7 +379,7 @@ def test_verify_spectral_path_does_no_object_arithmetic(monkeypatch):
 )
 def test_period_and_spectral_paths_build_no_fp2_elements(tmp_path, monkeypatch, command, name):
     # roots, ord(theta^2) and the closed form are solved on int pairs: building an Fp2Elem fails the run
-    from mobiusdyn.field_arith import Fp2Elem
+    from oracles import Fp2Elem
 
     def refuse(*args, **kwargs):
         raise AssertionError("Fp2Elem built on a period or spectral path")
@@ -351,6 +387,7 @@ def test_period_and_spectral_paths_build_no_fp2_elements(tmp_path, monkeypatch, 
     monkeypatch.setattr(Fp2Elem, "__init__", refuse)
     code = main([command, "--config", str(CONFIG_DIR / name), "--out", str(tmp_path / "out")])
     assert code == EXIT_OK
+    assert_no_loaded_module_binds_the_object_extension()
 
 
 def test_verify_spectral_shipped_config_output_is_pinned(tmp_path):
@@ -362,6 +399,21 @@ def test_verify_spectral_shipped_config_output_is_pinned(tmp_path):
     assert code == EXIT_OK
     digest = hashlib.sha256((outdir / "verify_spectral.json").read_bytes()).hexdigest()
     assert digest == "2541ac23a40f27b08ecbff51bbc05c826dfd6c65c8701722d92ad000e2f61168"
+
+
+def test_weil_check_shipped_rng_stream_is_pinned(tmp_path):
+    # the samplers' RNG order and the exact columns of every row; the float columns can
+    # differ in the last bits between platforms' cos/sin, so they are left out of the digest
+    import hashlib
+
+    config, outdir = CONFIG_DIR / "weil_check_small.json", tmp_path / "wc"
+    assert main(["weil-check", "--config", str(config), "--out", str(outdir)]) == EXIT_OK
+    with open(outdir / "weil_check.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1000
+    text = "\n".join(",".join(r[k] for k in ("sum_kind", "p", "u", "h", "N")) for r in rows)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "2350da367a7fa76f1b20373d30b0faf944245733710d5562323f612573fc953f"
 
 
 @pytest.mark.parametrize("seed", ["23", "79"])
@@ -455,13 +507,14 @@ def test_weil_check_fills_h_on_the_chi_rows_only(tmp_path):
 )
 def test_weil_check_caps_are_checked_before_any_generator(tmp_path, capsys, monkeypatch, body, field):
     # a generator search would factorise p - 1 or p + 1 first; the cap must refuse the prime before that
-    from mobiusdyn import cli_runner
+    from mobiusdyn import char_sums, sampling
 
     def refuse(*args):
         raise AssertionError("generator searched for a prime over the cap")
 
-    monkeypatch.setattr(cli_runner, "primitive_root", refuse)
-    monkeypatch.setattr(cli_runner, "norm_group_generator", refuse)
+    monkeypatch.setattr(char_sums, "primitive_root", refuse)
+    monkeypatch.setattr(char_sums, "norm_group_generator", refuse)
+    monkeypatch.setattr(sampling, "norm_group_generator", refuse)
     code, outdir = run(tmp_path, "weil-check", {"functions_per_prime": "2", **body})
     err = capsys.readouterr().err
     assert code == EXIT_RESOURCE

@@ -8,7 +8,6 @@ from hypothesis import assume, given, strategies as st
 
 from mobiusdyn.field_arith import (
     PrimeModulus,
-    QuadExtension,
     RepeatedRoot,
     char_poly_roots,
     is_prime,
@@ -29,6 +28,7 @@ from mobiusdyn.mobius_dynamics import (
 )
 from mobiusdyn.sampling import random_admissible_instance, random_sl2
 from oracles import (
+    QuadExtension,
     SpectralPole,
     apply_projective,
     eval_spectral,
@@ -360,7 +360,7 @@ def test_builder_matches_walker_on_trace_zero(A, x):
 def _split_matrix(p, m):
     """x -> -1/(x + e) with e = theta + 1/theta, theta of order m in F_p^*, via normalize_to_sl2."""
     modulus = PrimeModulus(p)
-    theta = pow(primitive_root(modulus).value, (p - 1) // m, p)
+    theta = pow(primitive_root(p), (p - 1) // m, p)
     e = (theta + pow(theta, p - 2, p)) % p
     el = modulus.elem
     return normalize_to_sl2(el(0), el(-2), el(2), el(2 * e)), theta

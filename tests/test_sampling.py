@@ -2,14 +2,14 @@
 
 import random
 
-from mobiusdyn.field_arith import PrimeModulus
+from mobiusdyn.field_arith import PrimeModulus, norm_group_generator
 from mobiusdyn.sampling import (
     random_admissible_instance,
     random_rational_function_fp,
     random_rational_function_fp2,
     random_sl2,
 )
-from oracles import value_at
+from oracles import QuadExtension, value_at
 
 
 def test_random_sl2_contract():
@@ -43,9 +43,8 @@ def test_sampling_is_deterministic():
 
 def test_random_rational_function_shape():
     rng = random.Random(3)
-    m = PrimeModulus(101)
     for _ in range(50):
-        rf = random_rational_function_fp(rng, m, 3)
+        rf = random_rational_function_fp(rng, 101, 3)
         assert rf.max_degree >= 1
         assert rf.max_degree <= 3
         assert rf.denominator[-1]
@@ -54,12 +53,10 @@ def test_random_rational_function_shape():
 def test_random_fp2_rational_function_trace_varies():
     rng = random.Random(4)
     m = PrimeModulus(101)
-    from mobiusdyn.field_arith import QuadExtension, norm_group_generator
-
     ext = QuadExtension(m, m.elem(1))
-    gen = norm_group_generator(ext)
+    gen = ext.elem(*norm_group_generator(1, 101))
     for _ in range(10):
-        rf = random_rational_function_fp2(rng, ext, gen, 3)
+        rf = random_rational_function_fp2(rng, 1, 101, 3)
         traces = set()
         z = ext.one
         for _ in range(20):
@@ -85,18 +82,23 @@ def test_random_fp2_rational_function_rejects_constant_trace():
     # first draw: h/g = 3*(X^2 - 1)/X, which is 3*(z - conj z) on Nm(z) = 1, so its trace is 0
     from mobiusdyn.arith_fn import AdditiveCharacter
     from mobiusdyn.char_sums import RationalFunction, weil_sum_fp2_norm_one
-    from mobiusdyn.field_arith import QuadExtension, norm_group_generator
 
-    m = PrimeModulus(101)
-    ext = QuadExtension(m, m.elem(1))
-    gen = norm_group_generator(ext)
-    degenerate = RationalFunction((ext.elem(-3), ext.zero, ext.elem(3)), (ext.zero, ext.one))
-    flat = weil_sum_fp2_norm_one([degenerate], AdditiveCharacter(m.one), None, gen)[0]
+    degenerate = RationalFunction(((-3, 0), (0, 0), (3, 0)), ((0, 0), (1, 0)), 101, 1)
+    flat = weil_sum_fp2_norm_one([degenerate], AdditiveCharacter(PrimeModulus(101).one))[0]
     assert flat.term_count == 102 and flat.value == 102
     # dg, dh, then g's coefficient pairs low to high, then h's
     script = [1, 2, 0, 0, 1, 0, 98, 0, 0, 0, 3, 0]
     rng = _Scripted(script, 7)
-    got = random_rational_function_fp2(rng, ext, gen, 3)
+    got = random_rational_function_fp2(rng, 1, 101, 3)
     assert not rng.script
     assert got != degenerate
-    assert got == random_rational_function_fp2(random.Random(7), ext, gen, 3)
+    assert got == random_rational_function_fp2(random.Random(7), 1, 101, 3)
+
+
+def test_samplers_first_draws_are_pinned():
+    # the RNG streams of weil-check's first F_p and norm-one batches at p = 101 (e = 1)
+    rf = random_rational_function_fp(random.Random("1:fp:101"), 101, 3)
+    assert (rf.numerator, rf.denominator, rf.p, rf.e) == ((33,), (26, 80), 101, None)
+    rf2 = random_rational_function_fp2(random.Random("1:fp2:101"), 1, 101, 3)
+    assert (rf2.numerator, rf2.denominator) == (((87, 10), (44, 17)), ((43, 25), (9, 81)))
+    assert (rf2.p, rf2.e) == (101, 1)

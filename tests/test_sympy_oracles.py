@@ -13,7 +13,6 @@ from mobiusdyn.arith_fn import mobius_by_spf, mobius_sieve, primes_in  # noqa: E
 from mobiusdyn.cli_runner import _first_irreducible_extension  # noqa: E402
 from mobiusdyn.field_arith import (  # noqa: E402
     PrimeModulus,
-    QuadExtension,
     factorize,
     is_prime,
     mult_order,
@@ -22,7 +21,7 @@ from mobiusdyn.field_arith import (  # noqa: E402
     sqrt_mod,
 )
 from mobiusdyn.sampling import random_sl2  # noqa: E402
-from oracles import discrete_index  # noqa: E402
+from oracles import QuadExtension, discrete_index  # noqa: E402
 
 # 561 is a Carmichael number, 3215031751 a strong pseudoprime to bases 2, 3, 5 and 7
 SPECIAL = [561, 3215031751, 2**31 - 1, 10**9 + 7, 2**61 - 2, 2**61, 2**61 - 1, (2**31 - 1) * (2**31 + 11)]
@@ -76,8 +75,7 @@ def test_mult_order_and_primitive_root_match_sympy():
     rng = random.Random(83)
     primes = [p for p in range(3, 2000) if sympy.isprime(p)] + [10007, 99991, 10**9 + 7, 2**31 - 1]
     for p in primes:
-        modulus = PrimeModulus(p)
-        assert primitive_root(modulus).value == sympy.primitive_root(p), p
+        assert primitive_root(p) == sympy.primitive_root(p), p
         for x in [1, p - 1] + [rng.randrange(1, p) for _ in range(5)]:
             assert mult_order((x, 0), 0, p, p - 1) == sympy.n_order(x, p), (x, p)
 
@@ -86,7 +84,7 @@ def test_discrete_index_matches_sympy():
     rng = random.Random(89)
     for p in (101, 1009, 10007, 99991, 1000003):
         modulus = PrimeModulus(p)
-        g = primitive_root(modulus)
+        g = modulus.elem(primitive_root(p))
         for x in [1, p - 1] + [rng.randrange(1, p) for _ in range(20)]:
             assert discrete_index(modulus.elem(x), g, p - 1) == sympy.discrete_log(p, x, g.value), (x, p)
         # a generator of a proper subgroup: indices live modulo its order
@@ -140,7 +138,5 @@ NORM_GROUP_GENERATORS = {101: (1, (81, 12)), 199: (0, (87, 118)), 293: (1, (43, 
 @pytest.mark.parametrize("p", sorted(NORM_GROUP_GENERATORS))
 def test_norm_group_generator_is_pinned(p):
     e, pair = NORM_GROUP_GENERATORS[p]
-    ext = _first_irreducible_extension(PrimeModulus(p))
-    assert ext.e.value == e
-    g = norm_group_generator(ext)
-    assert (g.c0.value, g.c1.value) == pair
+    assert _first_irreducible_extension(p) == e
+    assert norm_group_generator(e, p) == pair
