@@ -10,7 +10,7 @@ import argparse
 import math
 import random
 
-from mobiusdyn.arith_fn import AdditiveCharacter, mobius_sieve
+from mobiusdyn.arith_fn import mobius_sieve
 from mobiusdyn.char_sums import twisted_sum_schedule
 from mobiusdyn.field_arith import PrimeModulus
 from mobiusdyn.mobius_dynamics import DegenerateSpectral, period, spectral_form
@@ -50,9 +50,8 @@ def main():
 
     if args.twisted_demo and found:
         matrix, xi0, traj = max(found, key=lambda item: item[2].period)
-        psi = AdditiveCharacter(modulus.one)
         table = mobius_sieve(10**5)
-        reports = twisted_sum_schedule(matrix, xi0, psi, [10**3, 10**4, 10**5], table)
+        reports = twisted_sum_schedule(matrix, xi0, [1], [10**3, 10**4, 10**5], table)
         for r in reports:
             print(f"N={r.term_count}: |S|/N = {r.ratio:.6f}")
         print(f"period {traj.period}, sqrt-envelope check {math.sqrt(10**5) / 10**5:.6f}")

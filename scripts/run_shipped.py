@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
-"""Run every shipped config end to end into out/<config-name>/.
+"""Run every shipped config end to end into OUT_ROOT/<config-name>/.
 
-A convenience wrapper over the CLI; exits nonzero if any run does.
+Usage: run_shipped.py [OUT_ROOT]   (default: out/ at the repository root)
+
+A convenience wrapper over the CLI; exits nonzero if any run does.  Two runs
+into different roots, then compare_outputs.py on the two roots, check that
+every artifact is byte-identical.
 """
 
 import pathlib
@@ -23,7 +27,7 @@ SHIPPED = [
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def run_all(out_root=None, config_root=None, threads=1):
+def run_all(out_root=None, config_root=None):
     out_root = pathlib.Path(out_root) if out_root else REPO_ROOT / "out"
     config_root = pathlib.Path(config_root) if config_root else REPO_ROOT / "configs"
     worst = 0
@@ -32,12 +36,13 @@ def run_all(out_root=None, config_root=None, threads=1):
         config = str(config_root / name)
         print(f"== {command} {config} -> {outdir}")
         start = time.perf_counter()
-        code = main([command, "--config", config, "--out", str(outdir), "--threads", str(threads)])
+        code = main([command, "--config", config, "--out", str(outdir)])
         print(f"   exit {code} ({time.perf_counter() - start:.2f} s)")
         worst = max(worst, code)
     return worst
 
 
 if __name__ == "__main__":
-    threads = int(sys.argv[1]) if len(sys.argv) > 1 else 1
-    sys.exit(run_all(threads=threads))
+    if len(sys.argv) > 2:
+        sys.exit("usage: run_shipped.py [OUT_ROOT]")
+    sys.exit(run_all(sys.argv[1] if len(sys.argv) > 1 else None))

@@ -1,15 +1,13 @@
-"""Arithmetic functions and additive characters.
+"""Arithmetic functions: the Mobius function and the primes.
 
 The Mobius function comes in two forms: a segmented sign-flip and product
-sieve (the tables every sum reads) and a chunked smallest-prime-factor
-recurrence that shares no code with it (`mobius-check` compares the two).
-Additive characters carry their phases as exact integer fractions that are
-reduced mod 1 in integer arithmetic before any transcendental call, so a sum
-of 10^9 unit-circle terms accumulates no phase drift beyond per-term epsilon.
-A multiplicative character is no object here: the Weil kernels take it as
-the multiplier h of their group's own generator (see char_sums).
-Mobius tables persist through `_atomic_write`, which the CLI uses for its
-artifacts as well.
+sieve (the tables every sum reads, up to _SIEVE_LIMIT) and a chunked
+smallest-prime-factor recurrence that shares no code with it (`mobius-check`
+compares the two).  No character is an object here: the sum kernels in
+char_sums take an additive character psi_u(x) = e(u*x/p) as the int u, and
+a multiplicative character as the multiplier h of their group's own
+generator.  Mobius tables persist through `_atomic_write`, which the CLI
+uses for its artifacts as well.
 """
 
 from __future__ import annotations
@@ -24,8 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .field_arith import FpElem
-
 
 class TableTooSmall(ValueError):
     """A sum asked for mu(n) beyond the table limit."""
@@ -33,19 +29,6 @@ class TableTooSmall(ValueError):
 
 class LimitOverflow(ValueError):
     """Requested sieve limit exceeds the supported range."""
-
-
-_TWO_PI = 2.0 * math.pi
-
-
-def unit_circle(num: int, den: int) -> complex:
-    """exp(2*pi*i*num/den), with the phase reduced mod 1 exactly in integers."""
-    if den == 0:
-        raise ZeroDivisionError("phase denominator is zero")
-    if den < 0:
-        raise ValueError("phase denominator must be positive")
-    frac = (num % den) / den
-    return complex(math.cos(_TWO_PI * frac), math.sin(_TWO_PI * frac))
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -141,6 +124,7 @@ class MobiusTable:
 
 
 _SEGMENT = 1 << 18
+_SIEVE_LIMIT = 10**9  # the CLI checks each field that sizes a sieve against it
 
 
 def mobius_sieve(limit: int) -> MobiusTable:
@@ -151,8 +135,8 @@ def mobius_sieve(limit: int) -> MobiusTable:
     prime divisors.  A squarefree n whose product falls short of n has
     exactly one prime factor above sqrt(limit), which flips the sign once more.
     """
-    if not 1 <= limit <= 10**9:
-        raise LimitOverflow("sieve limit must be in [1, 10**9]")
+    if not 1 <= limit <= _SIEVE_LIMIT:
+        raise LimitOverflow(f"sieve limit must be in [1, {_SIEVE_LIMIT}]")
     base = primes_up_to(math.isqrt(limit))
     mu = np.zeros(limit + 1, dtype=np.int8)
     for lo in range(1, limit + 1, _SEGMENT):
@@ -212,22 +196,3 @@ def mobius_by_spf(limit: int) -> np.ndarray:
         lo = hi
     return mu
 
-
-@dataclass(frozen=True)
-class AdditiveCharacter:
-    """psi_u : x -> e(u*x/p) on F_p; nontrivial exactly when u != 0."""
-
-    u: FpElem
-
-    @property
-    def p(self) -> int:
-        return self.u.p
-
-    @property
-    def is_nontrivial(self) -> bool:
-        return bool(self.u)
-
-    def __call__(self, x: FpElem) -> complex:
-        if x.modulus != self.u.modulus:
-            raise ValueError("argument lives in a different field")
-        return unit_circle(self.u.value * x.value, self.p)

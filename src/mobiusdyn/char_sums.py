@@ -5,6 +5,11 @@ bound it is measured against (square-root-of-p type, with the implied
 constant set to 1 and natural log), and the empirical ratio.  Bounds are
 recorded, never asserted here; the safety envelopes live in the test suite.
 
+Every kernel takes an additive character psi_u(x) = e(u*x/p) as its int
+frequency u (a list of them for the twisted schedule), reduces it mod p once
+and refuses u = 0 mod p with a ValueError.  The Weil kernels take p from
+their functions' shared field.
+
 The trajectory kernels rest on one periodic reduction.  An orbit has period
 t <= p + 1, so every term is the phase of one of the orbit-table entries
 xi_1, ..., xi_t (xi_t = xi_0), and xi_{kn} is entry (k*n - 1) mod t.  A sum
@@ -37,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith_fn import _TWO_PI, AdditiveCharacter, MobiusTable, TableTooSmall
+from .arith_fn import MobiusTable, TableTooSmall
 from .field_arith import (
     _BLOCK,
     _inv_mod,
@@ -68,6 +73,16 @@ class ZeroFrequency(ValueError):
 class RangeGuard(ValueError):
     """Requested modulus exceeds the brute-force enumeration caps."""
 
+
+def _nonzero_mod(u: int, p: int) -> int:
+    """u mod p, the frequency of psi_u(x) = e(u*x/p); refuses the trivial character u = 0 mod p."""
+    u %= p
+    if not u:
+        raise ValueError("psi_u must be a nontrivial additive character: u = 0 mod p")
+    return u
+
+
+_TWO_PI = 2.0 * math.pi
 
 _CSV_FIELDS = ("sum_kind", "p", "a", "b", "c", "d", "xi0", "u", "v", "k", "m", "h", "N", "re", "im", "abs", "bound", "ratio")
 
@@ -134,7 +149,7 @@ def _matrix_params(matrix: MobiusMatrix, xi0: FpElem) -> dict:
 
 
 def _angles(nums: np.ndarray, den: int, coef: int = 1) -> np.ndarray:
-    """2*pi*(coef*num mod den)/den per entry, the angle unit_circle would use.
+    """2*pi*(coef*num mod den)/den per entry: the angle of e(coef*num/den).
 
     Each numerator is reduced as an exact integer before the division; the
     entries go through in blocks, so Python-int temporaries stay small.
@@ -189,27 +204,26 @@ def _add_residue_counts(counts: np.ndarray, mu: np.ndarray, start: int) -> None:
 def twisted_sum_schedule(
     matrix: MobiusMatrix,
     xi0: FpElem,
-    psi: AdditiveCharacter | Sequence[AdditiveCharacter],
+    frequencies: Sequence[int],
     n_schedule: Sequence[int],
     mu_table: MobiusTable,
     traj: Trajectory | None = None,
 ) -> list[SumReport]:
     """The twisted sum at each checkpoint N of an ascending schedule.
 
-    S(N) = sum_r c_r(N) psi(xi_{r+1}), where c_r(N) is the sum of mu(n) over
-    n <= N with n - 1 = r mod t and t is the period (or max N when the orbit
-    is longer).  The counts are exact integers that grow checkpoint by
+    S(N) = sum_r c_r(N) psi_u(xi_{r+1}), where c_r(N) is the sum of mu(n)
+    over n <= N with n - 1 = r mod t and t is the period (or max N when the
+    orbit is longer).  The counts are exact integers that grow checkpoint by
     checkpoint, so every prefix report equals a standalone run at that N.
-    psi may be one character or several: the orbit prefix and the counts do
-    not depend on it and are built once, and the reports come character by
-    character, each over the whole schedule.  A given traj of the same
-    (matrix, xi0) supplies the prefix from its table; without one only the
-    first max N terms of the orbit are built, so a twisted-only scan needs
-    neither the full period nor ord(theta^2).
+    Each frequency u of frequencies is taken mod p and must be nonzero there.
+    The orbit prefix and the counts do not depend on u and are built once;
+    the reports come frequency by frequency, each over the whole schedule.
+    A given traj of the same (matrix, xi0) supplies the prefix from its
+    table; without one only the first max N terms of the orbit are built, so
+    a twisted-only scan needs neither the full period nor ord(theta^2).
     """
-    chars = [psi] if isinstance(psi, AdditiveCharacter) else list(psi)
-    if not all(c.is_nontrivial for c in chars):
-        raise ValueError("psi must be a nontrivial additive character")
+    p = matrix.p
+    freqs = [_nonzero_mod(u, p) for u in frequencies]
     if any(n < 1 for n in n_schedule):
         raise ValueError("every checkpoint must be >= 1")
     if list(n_schedule) != sorted(n_schedule):
@@ -219,32 +233,29 @@ def twisted_sum_schedule(
         raise TableTooSmall(f"need mu up to {n_max}, table holds {mu_table.limit}")
     if not n_schedule:
         return []
-    p = matrix.p
     if traj is None:
         table = _orbit_prefix(matrix, xi0, n_max)
     elif traj.matrix != matrix or traj.seed != xi0:
         raise ValueError("supplied trajectory belongs to a different instance")
     else:
         table = traj.orbit_table[:n_max]
-    angles = [_angles(table, p, c.u.value) for c in chars]
+    angles = [_angles(table, p, u) for u in freqs]
     counts = np.zeros(table.size, dtype=np.int64)
     done = 0
-    values = []  # values[i][k]: checkpoint i, character k
+    values = []  # values[i][k]: checkpoint i, frequency k
     for n in n_schedule:
         _add_residue_counts(counts, mu_table.values[done + 1 : n + 1], done)
         done = n
         values.append([_weighted_sum(counts, np.cos(angle), np.sin(angle)) for angle in angles])
     params = _matrix_params(matrix, xi0)
     return [
-        SumReport("twisted", row[k], n, p, None, dict(params, u=c.u.value))
-        for k, c in enumerate(chars)
+        SumReport("twisted", row[k], n, p, None, dict(params, u=u))
+        for k, u in enumerate(freqs)
         for n, row in zip(n_schedule, values)
     ]
 
 
-def _decimated_phases(
-    traj: Trajectory, psi: AdditiveCharacter, terms: Sequence[tuple[int, int]], n_terms: int
-) -> np.ndarray:
+def _decimated_phases(traj: Trajectory, psi_u: int, terms: Sequence[tuple[int, int]], n_terms: int) -> np.ndarray:
     """Phase numerators psi_u * sum_j c_j * xi_{s_j n} mod p for n = 1..N.
 
     terms holds the (c_j, s_j) pairs.  xi_{sn} is orbit-table entry
@@ -258,7 +269,7 @@ def _decimated_phases(
     n = np.arange(1, n_terms + 1, dtype=np.int64)
     acc = np.zeros(n_terms, dtype=table.dtype)
     for coef, step in terms:
-        c = psi.u.value * coef % p
+        c = psi_u * coef % p
         if c:
             idx = n * (step % t)
             idx %= t
@@ -277,52 +288,42 @@ def _histogram_sum(phases: np.ndarray, p: int) -> complex:
     return _weighted_sum(counts, np.cos(angle), np.sin(angle))
 
 
-def correlation_sum(
-    traj: Trajectory,
-    psi: AdditiveCharacter,
-    u: FpElem,
-    v: FpElem,
-    k: int,
-    m: int,
-    n_terms: int,
-) -> SumReport:
-    """sum_{n <= N} psi(u*xi_{kn} + v*xi_{mn}) along traj, with reference bound m*sqrt(p)*log(p)."""
-    if not (u or v):
+def correlation_sum(traj: Trajectory, psi_u: int, u: int, v: int, k: int, m: int, n_terms: int) -> SumReport:
+    """sum_{n <= N} psi_u(u*xi_{kn} + v*xi_{mn}) along traj, with reference bound m*sqrt(p)*log(p).
+
+    psi_u, u and v are ints taken mod p; the report records u and v mod p.
+    """
+    p = traj.matrix.p
+    uv, vv = u % p, v % p
+    if not (uv or vv):
         raise BothFrequenciesZero("need (u, v) != (0, 0)")
     if not (0 <= k < m):
         raise BadIndices(f"need 0 <= k < m, got k={k}, m={m}")
-    if not psi.is_nontrivial:
-        raise ValueError("psi must be a nontrivial additive character")
+    psi_u = _nonzero_mod(psi_u, p)
     if n_terms > traj.period:
         raise ValueError(f"N = {n_terms} exceeds the period t = {traj.period}")
-    p = traj.matrix.p
-    uv, vv = u.value, v.value
-    value = _histogram_sum(_decimated_phases(traj, psi, [(uv, k), (vv, m)], n_terms), p)
+    value = _histogram_sum(_decimated_phases(traj, psi_u, [(uv, k), (vv, m)], n_terms), p)
     bound = m * math.sqrt(p) * math.log(p)
     params = _matrix_params(traj.matrix, traj.seed)
     params.update(u=uv, v=vv, k=k, m=m)
     return SumReport("correlation", value, n_terms, p, bound, params)
 
 
-def single_sum(
-    traj: Trajectory,
-    psi: AdditiveCharacter,
-    u: FpElem,
-    m: int,
-    n_terms: int,
-) -> SumReport:
-    """sum_{n <= N} psi(u*xi_{mn}) along traj, with reference bound gcd(m, t)*sqrt(p)*log(p)."""
-    if not u:
+def single_sum(traj: Trajectory, psi_u: int, u: int, m: int, n_terms: int) -> SumReport:
+    """sum_{n <= N} psi_u(u*xi_{mn}) along traj, with reference bound gcd(m, t)*sqrt(p)*log(p).
+
+    psi_u and u are ints taken mod p; the report records u mod p.
+    """
+    p = traj.matrix.p
+    uv = u % p
+    if not uv:
         raise ZeroFrequency("u must be nonzero")
     if m < 1:
         raise BadIndices("m must be >= 1")
-    if not psi.is_nontrivial:
-        raise ValueError("psi must be a nontrivial additive character")
+    psi_u = _nonzero_mod(psi_u, p)
     if n_terms > traj.period:
         raise ValueError(f"N = {n_terms} exceeds the period t = {traj.period}")
-    p = traj.matrix.p
-    uv = u.value
-    value = _histogram_sum(_decimated_phases(traj, psi, [(uv, m)], n_terms), p)
+    value = _histogram_sum(_decimated_phases(traj, psi_u, [(uv, m)], n_terms), p)
     bound = math.gcd(m, traj.period) * math.sqrt(p) * math.log(p)
     params = _matrix_params(traj.matrix, traj.seed)
     params.update(u=uv, m=m)
@@ -417,13 +418,13 @@ def _passes(rfs: list, points: int):
     return (rfs[i : i + step] for i in range(0, len(rfs), step))
 
 
-def _weil_reports(kind: str, angle: np.ndarray, live: np.ndarray, p: int, rfs, psi, h) -> list[SumReport]:
+def _weil_reports(kind: str, angle: np.ndarray, live: np.ndarray, p: int, rfs, u: int, h) -> list[SumReport]:
     """One report per row of live: its live terms e^(i angle), taken from angle in row-major order.
 
     Each row gets its own _weighted_sum, so a report does not depend on the
     other functions of its pass.  Reference bound max(deg num, deg den) * sqrt(p).
     """
-    params = {"u": psi.u.value}
+    params = {"u": u}
     if h is not None:
         params["h"] = h
     cos, sin = np.cos(angle), np.sin(angle)
@@ -435,11 +436,12 @@ def _weil_reports(kind: str, angle: np.ndarray, live: np.ndarray, p: int, rfs, p
     return out
 
 
-def weil_sum_fp(rfs: Sequence[RationalFunction], psi: AdditiveCharacter, h: int | None = None) -> list[SumReport]:
+def weil_sum_fp(rfs: Sequence[RationalFunction], u: int, h: int | None = None) -> list[SumReport]:
     """Exhaustive hybrid sums over F_p, one report per function, in order.
 
-    For each f = num/den of rfs, all over F_p for the p of psi (ModulusMismatch
-    otherwise): the sum of psi(f(x)) chi(x) over the x with den(x) != 0.
+    For each f = num/den of rfs, all over one F_p (ModulusMismatch otherwise):
+    the sum of psi_u(f(x)) chi(x) over the x with den(x) != 0, with u taken
+    mod p and nonzero there; an empty rfs gives [].
     h = None means no twist (x = 0 included); otherwise chi(g^i) = e(h*i/(p - 1))
     for g = primitive_root(p), x runs over g^0, ..., g^(p-2) and i is the
     column.  Reference bound: max(deg num, deg den) * sqrt(p).  Each array
@@ -450,12 +452,13 @@ def weil_sum_fp(rfs: Sequence[RationalFunction], psi: AdditiveCharacter, h: int 
     function's terms go into their own fsum, so its report does not depend
     on the rest of rfs.
     """
-    if not psi.is_nontrivial:
-        raise ValueError("psi must be a nontrivial additive character")
-    p = psi.p
     rfs = list(rfs)
+    if not rfs:
+        return []
+    p = rfs[0].p
     if any((rf.p, rf.e) != (p, None) for rf in rfs):
-        raise ModulusMismatch(f"every function must be over F_{p}, the field of psi")
+        raise ModulusMismatch(f"every function must be over F_{p}, the field of the first")
+    u = _nonzero_mod(u, p)
     if p > _WEIL_FP_LIMIT:
         raise RangeGuard(f"exhaustive sum capped at p <= {_WEIL_FP_LIMIT}")
     if h is None:
@@ -467,34 +470,32 @@ def weil_sum_fp(rfs: Sequence[RationalFunction], psi: AdditiveCharacter, h: int 
         den = _horner_fp([rf.denominator for rf in rows], x, p)
         live = den != 0
         num = _horner_fp([rf.numerator for rf in rows], x, p)
-        angle = _angles(num[live] * _inv_mod(den[live], p) % p, p, psi.u.value)
+        angle = _angles(num[live] * _inv_mod(den[live], p) % p, p, u)
         if h is not None:
             angle += _angles(np.nonzero(live)[1], p - 1, h % (p - 1))
-        out += _weil_reports("weil_fp", angle, live, p, rows, psi, h)
+        out += _weil_reports("weil_fp", angle, live, p, rows, u, h)
     return out
 
 
-def weil_sum_fp2_norm_one(
-    rfs: Sequence[RationalFunction], psi: AdditiveCharacter, h: int | None = None
-) -> list[SumReport]:
+def weil_sum_fp2_norm_one(rfs: Sequence[RationalFunction], u: int, h: int | None = None) -> list[SumReport]:
     """Hybrid sums over the norm-one subgroup of an irreducible quadratic extension.
 
     For each f = num/den of rfs, in order: the sum over {z : Nm(z) = 1,
-    den(z) != 0} of psi(Tr(f(z))) chi(z).  All functions share one extension
-    F_p[Z]/(Z^2 - e*Z + 1) with the p of psi (ModulusMismatch otherwise).
+    den(z) != 0} of psi_u(Tr(f(z))) chi(z).  All functions share one extension
+    F_p[Z]/(Z^2 - e*Z + 1) (ModulusMismatch otherwise), and u is taken mod p
+    and nonzero there; an empty rfs gives [].
     The group is the (2, p + 1) pair array of _powers, z_i = g^i for
     g = norm_group_generator(e, p), built once per call.  h = None means no
     twist; otherwise chi(g^i) = e(h*i/(p + 1)).  Bound and array passes as
     in weil_sum_fp, with the traces from one _norm_one_traces call per pass.
     """
-    if not psi.is_nontrivial:
-        raise ValueError("psi must be a nontrivial additive character")
     rfs = list(rfs)
     if not rfs:
         return []
-    p, e = psi.p, rfs[0].e
+    p, e = rfs[0].p, rfs[0].e
     if e is None or any((rf.p, rf.e) != (p, e) for rf in rfs):
-        raise ModulusMismatch(f"every function must be over one quadratic extension of F_{p}, the field of psi")
+        raise ModulusMismatch(f"every function must be over one quadratic extension of F_{p}, that of the first")
+    u = _nonzero_mod(u, p)
     if p > _WEIL_FP2_LIMIT:
         raise RangeGuard(f"norm-one enumeration capped at p <= {_WEIL_FP2_LIMIT}")
     t = p + 1
@@ -502,8 +503,8 @@ def weil_sum_fp2_norm_one(
     out = []
     for rows in _passes(rfs, t):
         live, trace = _norm_one_traces(rows, z, e, p)
-        angle = _angles(trace, p, psi.u.value)
+        angle = _angles(trace, p, u)
         if h is not None:
             angle += _angles(np.nonzero(live)[1], t, h % t)
-        out += _weil_reports("weil_fp2_norm1", angle, live, p, rows, psi, h)
+        out += _weil_reports("weil_fp2_norm1", angle, live, p, rows, u, h)
     return out

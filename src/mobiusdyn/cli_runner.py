@@ -36,8 +36,8 @@ import numpy as np
 
 from . import __version__
 from .arith_fn import (
+    _SIEVE_LIMIT,
     _atomic_write,
-    AdditiveCharacter,
     LimitOverflow,
     MobiusTable,
     TableTooSmall,
@@ -383,9 +383,19 @@ def cmd_sum_scan(cfg: dict, outdir: Path, config_blob: bytes, mu_cache: str | No
     for keys, readers in ((("n_schedule", "frequencies"), "twisted"), (("points",), "correlation/single")):
         if not any(k in readers.split("/") for k in kinds):
             _reject_unread(cfg, keys, f"only when field 'kinds' lists {readers}, got {kinds}")
-    psi = AdditiveCharacter(modulus.elem(_as_int(cfg, "psi_u", 1)))
-    if not psi.is_nontrivial:
+    p = modulus.p
+    psi_u = _as_int(cfg, "psi_u", 1)
+    if psi_u % p == 0:
         raise ConfigError("field 'psi_u' must be nonzero")
+    if "twisted" in kinds:
+        schedule = _as_int_list(cfg, "n_schedule")
+        frequencies = _as_int_list(cfg, "frequencies", [1])
+        if any(n < 1 for n in schedule) or schedule != sorted(schedule):
+            raise ConfigError("field 'n_schedule' must be ascending with every checkpoint >= 1")
+        if schedule and schedule[-1] > _SIEVE_LIMIT:
+            raise RangeGuard(f"field 'n_schedule': the Mobius sieve stops at {_SIEVE_LIMIT}, got {schedule[-1]}")
+        if any(u % p == 0 for u in frequencies):
+            raise ConfigError("field 'frequencies': twisted-sum frequencies must be nonzero")
 
     # one orbit build per scan: the points read the whole period, twisted its prefix
     points = _require(cfg, "points") if "correlation" in kinds or "single" in kinds else None
@@ -393,17 +403,9 @@ def cmd_sum_scan(cfg: dict, outdir: Path, config_blob: bytes, mu_cache: str | No
         raise ConfigError(f"field 'points' must be a list of scan points, got {points!r}")
     traj = period(matrix, xi0) if points is not None else None
     jobs = []
-    if "twisted" in kinds:
-        schedule = _as_int_list(cfg, "n_schedule")
-        frequencies = _as_int_list(cfg, "frequencies", [1])
-        if any(n < 1 for n in schedule) or schedule != sorted(schedule):
-            raise ConfigError("field 'n_schedule' must be ascending with every checkpoint >= 1")
-        if any(u % modulus.p == 0 for u in frequencies):
-            raise ConfigError("field 'frequencies': twisted-sum frequencies must be nonzero")
-        if schedule:
-            table = _load_or_build_mu(max(schedule), mu_cache)
-            chars = [AdditiveCharacter(modulus.elem(u)) for u in frequencies]
-            jobs.append(lambda: twisted_sum_schedule(matrix, xi0, chars, schedule, table, traj))
+    if "twisted" in kinds and schedule:
+        table = _load_or_build_mu(schedule[-1], mu_cache)
+        jobs.append(lambda: twisted_sum_schedule(matrix, xi0, frequencies, schedule, table, traj))
     if traj is not None:
         for point in points:
             if not isinstance(point, dict):
@@ -416,24 +418,24 @@ def cmd_sum_scan(cfg: dict, outdir: Path, config_blob: bytes, mu_cache: str | No
             if n < 1:
                 raise ConfigError(f"scan point field 'n' must be >= 1, got {n}")
             n = min(n, traj.period)
-            u = modulus.elem(_as_int(point, "u"))
+            u = _as_int(point, "u")
             m = _as_int(point, "m")
             if kind == "correlation":
-                v = modulus.elem(_as_int(point, "v"))
+                v = _as_int(point, "v")
                 k = _as_int(point, "k")
                 if not 0 <= k < m:
                     raise ConfigError(f"scan point fields 'k' and 'm' need 0 <= k < m, got k={k}, m={m}")
-                if not (u or v):
+                if u % p == 0 and v % p == 0:
                     raise ConfigError("scan point fields 'u' and 'v' must not both be 0 mod p")
                 jobs.append(
-                    lambda u=u, v=v, k=k, m=m, n=n: [correlation_sum(traj, psi, u, v, k, m, n)]
+                    lambda u=u, v=v, k=k, m=m, n=n: [correlation_sum(traj, psi_u, u, v, k, m, n)]
                 )
             else:
                 if m < 1:
                     raise ConfigError(f"scan point field 'm' must be >= 1, got {m}")
-                if not u:
+                if u % p == 0:
                     raise ConfigError("scan point field 'u' must be nonzero mod p")
-                jobs.append(lambda u=u, m=m, n=n: [single_sum(traj, psi, u, m, n)])
+                jobs.append(lambda u=u, m=m, n=n: [single_sum(traj, psi_u, u, m, n)])
 
     rows = [report.csv_row() for job in jobs for report in job()]
     _write_outputs(outdir, {"sum_scan.csv": _csv_bytes(rows)}, config_blob)
@@ -482,20 +484,22 @@ def _weil_fp_batch(p: int, count: int, rng_seed: int, max_degree: int) -> list[S
     # string seeds hash stably across processes; tuple seeds do not
     rng = random.Random(f"{rng_seed}:fp:{p}")
     rfs = [random_rational_function_fp(rng, p, max_degree) for _ in range(count)]
-    return _interleave(weil_sum_fp, rfs, p)
+    return _interleave(weil_sum_fp, rfs)
 
 
 def _weil_fp2_batch(p: int, count: int, rng_seed: int, max_degree: int) -> list[SumReport]:
     rng = random.Random(f"{rng_seed}:fp2:{p}")
     e = _first_irreducible_extension(p)
     rfs = [random_rational_function_fp2(rng, e, p, max_degree) for _ in range(count)]
-    return _interleave(weil_sum_fp2_norm_one, rfs, p)
+    return _interleave(weil_sum_fp2_norm_one, rfs)
 
 
-def _interleave(kernel, rfs: list, p: int) -> list[SumReport]:
-    """Each function's plain row, then its row under chi(g^i) = e(i/|G|) (h = 1): a function's rows stay together."""
-    psi = AdditiveCharacter(PrimeModulus(p).one)
-    return [r for pair in zip(kernel(rfs, psi), kernel(rfs, psi, 1)) for r in pair]
+def _interleave(kernel, rfs: list) -> list[SumReport]:
+    """Each function's plain row, then its row under chi(g^i) = e(i/|G|) (h = 1), both with psi_1.
+
+    A function's two rows stay together.
+    """
+    return [r for pair in zip(kernel(rfs, 1), kernel(rfs, 1, 1)) for r in pair]
 
 
 def _first_irreducible_extension(p: int) -> int:
@@ -521,6 +525,8 @@ def cmd_bsz_report(cfg: dict, outdir: Path, config_blob: bytes, mu_cache: str | 
     f_kind = cfg.get("f", "psi_xi")
     if nu_kind not in ("mobius", "one") or f_kind not in ("psi_xi", "one"):
         raise ConfigError("fields 'nu' in {mobius,one} and 'f' in {psi_xi,one}")
+    if nu_kind == "mobius" and n > _SIEVE_LIMIT:
+        raise RangeGuard(f"field 'n': the Mobius sieve stops at {_SIEVE_LIMIT}, got {n}")
     if f_kind == "one":
         _reject_unread(cfg, ("psi_u",), "only when field 'f' is psi_xi")
 

@@ -7,7 +7,9 @@ them as the oracle for `mobius_dynamics.spectral_form` (both start from
 from a form's pairs, and `value_at` lifts an int-coefficient RationalFunction
 to them.  A `MultiplicativeCharacter` names its generator and `chi_value`
 reads it through `discrete_index`, a baby-step/giant-step discrete log; the
-Weil kernels take a multiplier of their own generator instead.
+Weil kernels take a multiplier of their own generator instead.  Likewise an
+`AdditiveCharacter` evaluates psi_u(x) = e(u*x/p) one field element at a
+time through `unit_circle`, while the kernels take the int u.
 """
 
 import math
@@ -16,7 +18,6 @@ from functools import cached_property
 from itertools import islice
 from typing import Iterator
 
-from mobiusdyn.arith_fn import unit_circle
 from mobiusdyn.char_sums import RationalFunction
 from mobiusdyn.field_arith import (
     _mul_pairs,
@@ -158,6 +159,39 @@ class MultiplicativeCharacter:
     generator: FpElem | Fp2Elem
     order: int
     multiplier: int
+
+
+_TWO_PI = 2.0 * math.pi
+
+
+def unit_circle(num: int, den: int) -> complex:
+    """exp(2*pi*i*num/den), with the phase reduced mod 1 exactly in integers."""
+    if den == 0:
+        raise ZeroDivisionError("phase denominator is zero")
+    if den < 0:
+        raise ValueError("phase denominator must be positive")
+    frac = (num % den) / den
+    return complex(math.cos(_TWO_PI * frac), math.sin(_TWO_PI * frac))
+
+
+@dataclass(frozen=True)
+class AdditiveCharacter:
+    """psi_u : x -> e(u*x/p) on F_p; nontrivial exactly when u != 0."""
+
+    u: FpElem
+
+    @property
+    def p(self) -> int:
+        return self.u.p
+
+    @property
+    def is_nontrivial(self) -> bool:
+        return bool(self.u)
+
+    def __call__(self, x: FpElem) -> complex:
+        if x.modulus != self.u.modulus:
+            raise ValueError("argument lives in a different field")
+        return unit_circle(self.u.value * x.value, self.p)
 
 
 _ORACLE_PRIME_BOUND = 1000

@@ -17,11 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mobiusdyn.arith_fn import (
-    AdditiveCharacter,
-    mobius_sieve,
-    unit_circle,
-)
+from mobiusdyn.arith_fn import mobius_sieve
 from mobiusdyn.bsz_harness import (
     decomposition_report,
     distinct_products_check,
@@ -49,7 +45,7 @@ from mobiusdyn.sampling import (
     random_rational_function_fp,
     random_rational_function_fp2,
 )
-from oracles import decimated_oracle, linear_lift, mobius_oracle, spectral_orbit
+from oracles import AdditiveCharacter, decimated_oracle, linear_lift, mobius_oracle, spectral_orbit, unit_circle
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -155,26 +151,22 @@ def test_criterion_4_weil_envelope():
     start = time.monotonic()
     worst_fp = 0.0
     for p in (101, 199, 293):
-        modulus = PrimeModulus(p)
         rng = random.Random(f"weil:{p}")
-        psi = AdditiveCharacter(modulus.one)
         for _ in range(100):
             rf = random_rational_function_fp(rng, p, 3)
             for h in (None, 1):  # chi(g^i) = e(i/(p - 1)) for g = primitive_root(p)
-                ratio = weil_sum_fp([rf], psi, h)[0].ratio
+                ratio = weil_sum_fp([rf], 1, h)[0].ratio
                 assert ratio <= 10.0
                 worst_fp = max(worst_fp, ratio)
     worst_norm_one = 0.0
     for p in (101, 199):
-        modulus = PrimeModulus(p)
         rng = random.Random(f"weil2:{p}")
         # the smallest e != +-2 with e^2 - 4 a non-residue (Euler's criterion)
         e = next(e for e in range(p) if e not in (2, p - 2) and pow(e * e - 4, (p - 1) // 2, p) == p - 1)
-        psi = AdditiveCharacter(modulus.one)
         for _ in range(100):
             rf = random_rational_function_fp2(rng, e, p, 3)
             for h in (None, 1):  # chi(g^i) = e(i/(p + 1)) for g = norm_group_generator(e, p)
-                ratio = weil_sum_fp2_norm_one([rf], psi, h)[0].ratio
+                ratio = weil_sum_fp2_norm_one([rf], 1, h)[0].ratio
                 assert ratio <= 10.0
                 worst_norm_one = max(worst_norm_one, ratio)
     elapsed = time.monotonic() - start
@@ -190,7 +182,6 @@ def test_criterion_5_correlation_envelope():
     modulus, matrix, xi0 = _pinned(CORR_P, CORR_MATRIX, CORR_XI0)
     traj = period(matrix, xi0)
     assert traj.period > math.sqrt(CORR_P)
-    psi = AdditiveCharacter(modulus.one)
     t = traj.period
     ratios = []
     corr_points = [
@@ -199,12 +190,12 @@ def test_criterion_5_correlation_envelope():
         (2, 9, 1, 3), (5, 5, 0, 4), (1, 2, 3, 7), (6, 1, 0, 5),
     ]
     for u, v, k, m in corr_points:
-        r = correlation_sum(traj, psi, modulus.elem(u), modulus.elem(v), k, m, t)
+        r = correlation_sum(traj, 1, u, v, k, m, t)
         assert r.abs_value <= 10.0 * r.reference_bound
         ratios.append(r.ratio)
     single_points = [(1, 1), (2, 2), (5, 3), (1, 5), (9, 101), (3, 10), (4, 15), (1, 7)]
     for u, m in single_points:
-        r = single_sum(traj, psi, modulus.elem(u), m, t)
+        r = single_sum(traj, 1, u, m, t)
         assert r.abs_value <= 10.0 * r.reference_bound
         ratios.append(r.ratio)
     elapsed = time.monotonic() - start
@@ -229,7 +220,7 @@ def test_criterion_6_completion_identity():
     for n_terms in (1, 10, t // 2, t - 1, t):
         kernel = [sum(unit_circle(-h * n, t) for n in range(1, n_terms + 1)) for h in range(t)]
         recon = sum(completes[h] * kernel[h] for h in range(t)) / t
-        direct = correlation_sum(traj, psi, u, v, 0, 1, n_terms).value
+        direct = correlation_sum(traj, psi.u.value, u.value, v.value, 0, 1, n_terms).value
         worst = max(worst, abs(recon - direct))
     elapsed = time.monotonic() - start
     assert worst < 1e-8
@@ -276,9 +267,8 @@ def test_criterion_9_disjointness_trend():
     modulus, matrix, xi0 = _pinned(SHIPPED_P, SHIPPED_MATRIX, SHIPPED_XI0)
     traj = period(matrix, xi0)
     assert traj.period >= SHIPPED_P**0.55
-    psi = AdditiveCharacter(modulus.one)
     table = mobius_sieve(10**5)
-    reports = twisted_sum_schedule(matrix, xi0, psi, [10**3, 10**4, 10**5], table)
+    reports = twisted_sum_schedule(matrix, xi0, [1], [10**3, 10**4, 10**5], table)
     trend = {r.term_count: r.ratio for r in reports}
     elapsed = time.monotonic() - start
     assert trend[10**5] < 0.05

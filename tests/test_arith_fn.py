@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mobiusdyn.arith_fn import (
-    AdditiveCharacter,
     LimitOverflow,
     MobiusTable,
     TableTooSmall,
@@ -15,10 +14,16 @@ from mobiusdyn.arith_fn import (
     mobius_sieve,
     primes_in,
     primes_up_to,
-    unit_circle,
 )
 from mobiusdyn.field_arith import PrimeModulus, norm_group_generator, primitive_root
-from oracles import MultiplicativeCharacter, QuadExtension, chi_value, mobius_oracle
+from oracles import (
+    AdditiveCharacter,
+    MultiplicativeCharacter,
+    QuadExtension,
+    chi_value,
+    mobius_oracle,
+    unit_circle,
+)
 
 
 # --- unit circle ---------------------------------------------------------------

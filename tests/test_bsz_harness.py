@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from mobiusdyn.arith_fn import AdditiveCharacter, mobius_sieve, primes_up_to
+from mobiusdyn.arith_fn import mobius_sieve, primes_up_to
 from mobiusdyn.bsz_harness import (
     BszParams,
     CollisionFound,
@@ -23,6 +23,7 @@ from mobiusdyn.bsz_harness import (
 from mobiusdyn.field_arith import PrimeModulus
 from mobiusdyn.mobius_dynamics import MobiusMatrix, apply, period
 from mobiusdyn.sampling import random_sl2
+from oracles import AdditiveCharacter
 
 TOY = BszParams(alpha=1.0, n=10**4, j0=3.0, j1=5.0)  # R_j = 2^j, blocks j = 3, 4, 5
 ONE = np.ones(1, dtype=complex)  # F = 1: one period of length 1

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from mobiusdyn.arith_fn import AdditiveCharacter, mobius_sieve, unit_circle
+from mobiusdyn.arith_fn import mobius_sieve
 from mobiusdyn.char_sums import (
     CSV_HEADER,
     BadIndices,
@@ -32,6 +32,7 @@ from mobiusdyn.field_arith import (
 )
 from mobiusdyn.mobius_dynamics import MobiusMatrix, apply, period
 from oracles import (
+    AdditiveCharacter,
     MultiplicativeCharacter,
     QuadExtension,
     chi_value,
@@ -39,6 +40,7 @@ from oracles import (
     discrete_index,
     orbit_oracle,
     twisted_oracle,
+    unit_circle,
     value_at,
 )
 
@@ -84,15 +86,15 @@ def test_report_csv_row_layout():
 
 
 def test_twisted_single_term(mu_table):
-    r = twisted_sum_schedule(A101, XI101, PSI101, [1], mu_table)[0]
+    r = twisted_sum_schedule(A101, XI101, [PSI101.u.value], [1], mu_table)[0]
     assert abs(r.abs_value - 1.0) < 1e-15
     assert abs(r.value - PSI101(apply(A101, XI101))) < 1e-15
 
 
 def test_twisted_skips_square_factors(mu_table):
     # mu(4) = 0, so N = 4 equals the N = 3 partial sum
-    r3 = twisted_sum_schedule(A101, XI101, PSI101, [3], mu_table)[0]
-    r4 = twisted_sum_schedule(A101, XI101, PSI101, [4], mu_table)[0]
+    r3 = twisted_sum_schedule(A101, XI101, [1], [3], mu_table)[0]
+    r4 = twisted_sum_schedule(A101, XI101, [1], [4], mu_table)[0]
     assert r3.value == r4.value
 
 
@@ -102,9 +104,8 @@ def test_twisted_against_direct_resummation(mu_table):
     m = PrimeModulus(10007)
     A = MobiusMatrix(m.elem(614), m.elem(6938), m.elem(1409), m.elem(7104))
     xi0 = m.elem(6851)
-    psi = AdditiveCharacter(m.one)
     n_terms = 10**4
-    r = twisted_sum_schedule(A, xi0, psi, [n_terms], mu_table)[0]
+    r = twisted_sum_schedule(A, xi0, [1], [n_terms], mu_table)[0]
     expected = 0.0 + 0.0j
     x = xi0
     for n in range(1, n_terms + 1):
@@ -118,35 +119,38 @@ def test_twisted_against_direct_resummation(mu_table):
 
 
 def test_twisted_schedule_matches_standalone(mu_table):
-    reports = twisted_sum_schedule(A101, XI101, PSI101, [10, 100, 1000], mu_table)
+    reports = twisted_sum_schedule(A101, XI101, [1], [10, 100, 1000], mu_table)
     for r in reports:
-        solo = twisted_sum_schedule(A101, XI101, PSI101, [r.term_count], mu_table)[0]
+        solo = twisted_sum_schedule(A101, XI101, [1], [r.term_count], mu_table)[0]
         assert r.value == solo.value
 
 
 def test_twisted_schedule_shares_one_pass_across_characters(mu_table):
     # several characters in one call: the same values as one call per
     # character, character by character, each over the whole schedule
-    chars = [AdditiveCharacter(M101.elem(u)) for u in (1, 3, 100)]
+    frequencies = [1, 3, 100]
     schedule = [10, 100, 1000, 5000]
-    shared = twisted_sum_schedule(A101, XI101, chars, schedule, mu_table)
-    separate = [r for psi in chars for r in twisted_sum_schedule(A101, XI101, psi, schedule, mu_table)]
+    shared = twisted_sum_schedule(A101, XI101, frequencies, schedule, mu_table)
+    separate = [r for u in frequencies for r in twisted_sum_schedule(A101, XI101, [u], schedule, mu_table)]
     assert [r.csv_row() for r in shared] == [r.csv_row() for r in separate]
     assert [(r.params["u"], r.term_count) for r in shared] == [(u, n) for u in (1, 3, 100) for n in schedule]
+    # frequencies outside [0, p) are taken mod p, and their reports record the residue
+    unreduced = twisted_sum_schedule(A101, XI101, [102, -98, -1], schedule, mu_table)
+    assert [r.csv_row() for r in unreduced] == [r.csv_row() for r in shared]
     with pytest.raises(ValueError):
-        twisted_sum_schedule(A101, XI101, [PSI101, AdditiveCharacter(M101.elem(0))], schedule, mu_table)
+        twisted_sum_schedule(A101, XI101, [1, 0], schedule, mu_table)
 
 
 def test_twisted_schedule_reads_a_given_trajectory(mu_table, traj101):
     # the table of a full period gives the same reports as the prefix built for max N
-    chars = [AdditiveCharacter(M101.elem(u)) for u in (1, 77)]
+    frequencies = [1, 77]
     for schedule in ([3, 40], [10, 100, 1000]):
-        built = twisted_sum_schedule(A101, XI101, chars, schedule, mu_table)
-        given = twisted_sum_schedule(A101, XI101, chars, schedule, mu_table, traj101)
+        built = twisted_sum_schedule(A101, XI101, frequencies, schedule, mu_table)
+        given = twisted_sum_schedule(A101, XI101, frequencies, schedule, mu_table, traj101)
         assert [r.csv_row() for r in given] == [r.csv_row() for r in built]
     other = period(A101, M101.elem(56))
     with pytest.raises(ValueError, match="different instance"):
-        twisted_sum_schedule(A101, XI101, PSI101, [10], mu_table, other)
+        twisted_sum_schedule(A101, XI101, [1], [10], mu_table, other)
 
 
 def test_twisted_prefix_needs_no_multiplicative_order(mu_table, monkeypatch):
@@ -160,45 +164,49 @@ def test_twisted_prefix_needs_no_multiplicative_order(mu_table, monkeypatch):
     A = MobiusMatrix(m.zero, m.elem(-1), m.one, m.elem(3))
     xi0 = m.elem(5)
     psi = AdditiveCharacter(m.elem(2**61 + 3))
-    r = twisted_sum_schedule(A, xi0, psi, [1000], mu_table)[0]
+    r = twisted_sum_schedule(A, xi0, [psi.u.value], [1000], mu_table)[0]
     assert abs(r.value - twisted_oracle(A, xi0, psi, 1000, mu_table)) < 1e-9
 
 
 def test_twisted_validation(mu_table):
-    with pytest.raises(ValueError):
-        twisted_sum_schedule(A101, XI101, AdditiveCharacter(M101.elem(0)), [5], mu_table)
+    for trivial in (0, 101, -202):
+        with pytest.raises(ValueError):
+            twisted_sum_schedule(A101, XI101, [trivial], [5], mu_table)
     from mobiusdyn.arith_fn import TableTooSmall
 
     with pytest.raises(TableTooSmall):
-        twisted_sum_schedule(A101, XI101, PSI101, [mu_table.limit + 1], mu_table)
+        twisted_sum_schedule(A101, XI101, [1], [mu_table.limit + 1], mu_table)
 
 
 # --- correlation and single sums ------------------------------------------------------
 
 
 def test_correlation_single_term(traj101):
-    r = correlation_sum(traj101, PSI101, M101.elem(1), M101.elem(2), 0, 1, 1)
+    r = correlation_sum(traj101, 1, 1, 2, 0, 1, 1)
     assert abs(r.abs_value - 1.0) < 1e-15
 
 
 def test_correlation_validation(traj101):
     with pytest.raises(BothFrequenciesZero):
-        correlation_sum(traj101, PSI101, M101.elem(0), M101.elem(0), 0, 1, 5)
+        correlation_sum(traj101, 1, 0, 0, 0, 1, 5)
+    with pytest.raises(BothFrequenciesZero):  # (u, v) = (0, 0) mod p
+        correlation_sum(traj101, 1, 101, -101, 0, 1, 5)
     with pytest.raises(BadIndices):
-        correlation_sum(traj101, PSI101, M101.elem(1), M101.elem(1), 2, 1, 5)
+        correlation_sum(traj101, 1, 1, 1, 2, 1, 5)
     with pytest.raises(ValueError):
-        correlation_sum(traj101, PSI101, M101.elem(1), M101.elem(1), 0, 1, traj101.period + 1)
+        correlation_sum(traj101, 1, 1, 1, 0, 1, traj101.period + 1)
+    with pytest.raises(ValueError):  # psi_u trivial: u = 0 mod p
+        correlation_sum(traj101, 101, 1, 1, 0, 1, 5)
 
 
 def test_correlation_u_zero_collapses_to_single(traj101):
-    v = M101.elem(3)
-    q = correlation_sum(traj101, PSI101, M101.elem(0), v, 0, 2, 40)
-    r = single_sum(traj101, PSI101, v, 2, 40)
+    q = correlation_sum(traj101, 1, 0, 3, 0, 2, 40)
+    r = single_sum(traj101, 1, 3, 2, 40)
     assert abs(q.value - r.value) < 1e-12
 
 
 def test_correlation_reference_bound(traj101):
-    r = correlation_sum(traj101, PSI101, M101.elem(1), M101.elem(2), 1, 4, 30)
+    r = correlation_sum(traj101, 1, 1, 2, 1, 4, 30)
     assert r.reference_bound == pytest.approx(4 * math.sqrt(101) * math.log(101))
 
 
@@ -207,7 +215,7 @@ def test_correlation_periodicity_offset(traj101):
     # [t+1, 2t]: shifting the window by the period changes nothing
     t = traj101.period
     u, v = M101.elem(2), M101.elem(7)
-    full = correlation_sum(traj101, PSI101, u, v, 1, 3, t)
+    full = correlation_sum(traj101, PSI101.u.value, u.value, v.value, 1, 3, t)
     vals = [XI101]
     x = XI101
     for _ in range(2 * 3 * t):
@@ -220,16 +228,14 @@ def test_correlation_periodicity_offset(traj101):
 
 
 def test_conjugate_frequency_conjugates_value(traj101):
-    u, v = M101.elem(4), M101.elem(9)
-    plus = correlation_sum(traj101, PSI101, u, v, 0, 1, 51)
-    psi_minus = AdditiveCharacter(M101.elem(-1))
-    minus = correlation_sum(traj101, psi_minus, u, v, 0, 1, 51)
+    plus = correlation_sum(traj101, 1, 4, 9, 0, 1, 51)
+    minus = correlation_sum(traj101, -1, 4, 9, 0, 1, 51)
     assert abs(plus.value - minus.value.conjugate()) < 1e-12
 
 
 def test_single_sum_constant_when_m_equals_period(traj101):
     t = traj101.period
-    r = single_sum(traj101, PSI101, M101.elem(7), t, t)
+    r = single_sum(traj101, PSI101.u.value, 7, t, t)
     expected = t * PSI101(M101.elem(7 * XI101.value))
     assert abs(r.value - expected) < 1e-9
     assert abs(r.abs_value - t) < 1e-9
@@ -240,8 +246,8 @@ def test_single_sum_shift_by_period_invariant(traj101):
     # m and m + t sample identical trajectory values
     t = traj101.period
     for m_step in (1, 2, 5):
-        a = single_sum(traj101, PSI101, M101.elem(3), m_step, 40)
-        b = single_sum(traj101, PSI101, M101.elem(3), m_step + t, 40)
+        a = single_sum(traj101, 1, 3, m_step, 40)
+        b = single_sum(traj101, 1, 3, m_step + t, 40)
         assert abs(a.value - b.value) < 1e-9
         # the bounds differ (gcd changes); only the values coincide
         assert a.term_count == b.term_count
@@ -249,9 +255,13 @@ def test_single_sum_shift_by_period_invariant(traj101):
 
 def test_single_sum_validation(traj101):
     with pytest.raises(ZeroFrequency):
-        single_sum(traj101, PSI101, M101.elem(0), 1, 5)
+        single_sum(traj101, 1, 0, 1, 5)
+    with pytest.raises(ZeroFrequency):  # u = 0 mod p
+        single_sum(traj101, 1, 202, 1, 5)
     with pytest.raises(BadIndices):
-        single_sum(traj101, PSI101, M101.elem(1), 0, 5)
+        single_sum(traj101, 1, 1, 0, 5)
+    with pytest.raises(ValueError):  # psi_u trivial: u = 0 mod p
+        single_sum(traj101, -101, 1, 1, 5)
 
 
 def test_decimation_through_pole_matches_direct_stepping():
@@ -267,7 +277,7 @@ def test_decimation_through_pole_matches_direct_stepping():
             break
     xi0 = A.pole
     psi = AdditiveCharacter(m.one)
-    got = single_sum(traj, psi, m.one, 3, 10)
+    got = single_sum(traj, psi.u.value, 1, 3, 10)
     vals = []
     x = xi0
     for _ in range(30):
@@ -277,7 +287,7 @@ def test_decimation_through_pole_matches_direct_stepping():
     assert abs(got.value - expected) < 1e-12
     # correlation: xi_{kn} at k = 0 is the seed itself, which is the pole here
     for u, v, k, m_step, n_terms in ((1, 1, 0, 1, 10), (2, 7, 1, 3, 10), (5, 3, 2, 3, traj.period)):
-        got = correlation_sum(traj, psi, m.elem(u), m.elem(v), k, m_step, n_terms)
+        got = correlation_sum(traj, psi.u.value, u, v, k, m_step, n_terms)
         expected = decimated_oracle(A, xi0, psi, [(u, k), (v, m_step)], n_terms)
         assert abs(got.value - expected) < 1e-9
 
@@ -311,7 +321,7 @@ def test_twisted_matches_per_term_definition(mu_table):
         t = traj.period
         # N < t, N = t, a few periods plus a partial row, with a repeated checkpoint
         schedule = [max(1, t // 3), t, t, 3 * t + 2, 4 * t + t // 2]
-        reports = twisted_sum_schedule(A, xi0, psi, schedule, mu_table)
+        reports = twisted_sum_schedule(A, xi0, [psi.u.value], schedule, mu_table)
         assert [r.term_count for r in reports] == schedule
         assert reports[1].value == reports[2].value
         oracle = orbit_oracle(A, xi0, schedule[-1])
@@ -330,11 +340,11 @@ def test_decimated_sums_match_per_term_definition():
         v = v or 1
         n_short = max(1, t // 2)
         for k, m_step, n_terms in ((0, 1, n_short), (0, 3, t), (1, 2, n_short), (2, 5, t)):
-            got = correlation_sum(traj, psi, modulus.elem(u), modulus.elem(v), k, m_step, n_terms)
+            got = correlation_sum(traj, psi.u.value, u, v, k, m_step, n_terms)
             expected = decimated_oracle(A, xi0, psi, [(u, k), (v, m_step)], n_terms)
             assert abs(got.value - expected) < 1e-9
         for m_step in (1, 3):
-            got = single_sum(traj, psi, modulus.elem(v), m_step, n_short)
+            got = single_sum(traj, psi.u.value, v, m_step, n_short)
             assert abs(got.value - decimated_oracle(A, xi0, psi, [(v, m_step)], n_short)) < 1e-9
 
 
@@ -345,10 +355,10 @@ def test_decimation_beyond_the_period_matches_per_term_definition():
         t = traj.period
         psi = AdditiveCharacter(modulus.one)
         for k, m_step in ((1, t + 3), (t, 2 * t + 1)):
-            got = correlation_sum(traj, psi, modulus.elem(2), modulus.elem(9), k, m_step, t)
+            got = correlation_sum(traj, psi.u.value, 2, 9, k, m_step, t)
             expected = decimated_oracle(A, xi0, psi, [(2, k), (9, m_step)], t)
             assert abs(got.value - expected) < 1e-9
-        got = single_sum(traj, psi, modulus.elem(4), t + 1, t)
+        got = single_sum(traj, psi.u.value, 4, t + 1, t)
         assert abs(got.value - decimated_oracle(A, xi0, psi, [(4, t + 1)], t)) < 1e-9
 
 
@@ -367,11 +377,11 @@ def test_large_modulus_matches_per_term_definition(mu_table):
         traj = period(A, xi0)
         assert traj.period == expected_period
         t = traj.period
-        r = twisted_sum_schedule(A, xi0, psi, [1000], mu_table)[0]
+        r = twisted_sum_schedule(A, xi0, [psi.u.value], [1000], mu_table)[0]
         assert abs(r.value - twisted_oracle(A, xi0, psi, 1000, mu_table)) < 1e-9
-        got = correlation_sum(traj, psi, u, v, 1, 2, t)
+        got = correlation_sum(traj, psi.u.value, u.value, v.value, 1, 2, t)
         assert abs(got.value - decimated_oracle(A, xi0, psi, [(u.value, 1), (v.value, 2)], t)) < 1e-9
-        got = single_sum(traj, psi, u, 1, t)
+        got = single_sum(traj, psi.u.value, u.value, 1, t)
         assert abs(got.value - decimated_oracle(A, xi0, psi, [(u.value, 1)], t)) < 1e-9
 
 
@@ -381,7 +391,7 @@ def test_large_modulus_matches_per_term_definition(mu_table):
 def test_complete_h_zero_equals_full_period_correlation(traj101):
     u, v = M101.elem(1), M101.elem(2)
     c = decimated_oracle(A101, XI101, PSI101, [(u.value, 0), (v.value, 1)], traj101.period, 0, traj101.period)
-    q = correlation_sum(traj101, PSI101, u, v, 0, 1, traj101.period)
+    q = correlation_sum(traj101, PSI101.u.value, u.value, v.value, 0, 1, traj101.period)
     assert abs(c - q.value) < 1e-12
 
 
@@ -394,7 +404,7 @@ def test_completion_identity_reconstructs_incomplete(traj101):
     for n_terms in (1, 17, 34, t):
         kernel = [sum(unit_circle(-h * n, t) for n in range(1, n_terms + 1)) for h in range(t)]
         recon = sum(completes[h] * kernel[h] for h in range(t)) / t
-        direct = correlation_sum(traj101, PSI101, u, v, 0, 1, n_terms).value
+        direct = correlation_sum(traj101, PSI101.u.value, u.value, v.value, 0, 1, n_terms).value
         assert abs(recon - direct) < 1e-8
 
 
@@ -404,33 +414,29 @@ def test_completion_identity_reconstructs_incomplete(traj101):
 def test_weil_fp_poles_are_skipped():
     # h = 0 with no twist counts the non-poles of g
     rf = RationalFunction((), (0, 1), 101)  # g(X) = X, one root
-    r = weil_sum_fp([rf], PSI101)[0]
+    r = weil_sum_fp([rf], 1)[0]
     assert r.value == pytest.approx(100)
     assert r.term_count == 100
 
 
 def test_weil_fp_gauss_sum_is_exactly_sqrt_p():
     for p in (101, 199, 293):
-        m = PrimeModulus(p)
-        psi = AdditiveCharacter(m.one)
         rf = RationalFunction((0, 0, 1), (1,), p)  # X^2
-        r = weil_sum_fp([rf], psi)[0]
+        r = weil_sum_fp([rf], 1)[0]
         assert r.abs_value == pytest.approx(math.sqrt(p), rel=1e-12)
 
 
 def test_weil_fp_with_character_gauss_sum():
     rf = RationalFunction((0, 1), (1,), 101)  # X
-    r = weil_sum_fp([rf], PSI101, 1)[0]  # chi(g^i) = e(i/100) for g = primitive_root(101)
+    r = weil_sum_fp([rf], 1, 1)[0]  # chi(g^i) = e(i/100) for g = primitive_root(101)
     assert r.abs_value == pytest.approx(math.sqrt(101), rel=1e-12)
     assert r.ratio == pytest.approx(1.0, rel=1e-12)
 
 
 def test_weil_fp_kloosterman_under_classical_bound():
     # h/g = X + 1/X has |sum| <= 2 sqrt(p) (poles removed)
-    m = PrimeModulus(293)
-    psi = AdditiveCharacter(m.one)
     rf = RationalFunction((1, 0, 1), (0, 1), 293)  # (1 + X^2)/X
-    r = weil_sum_fp([rf], psi)[0]
+    r = weil_sum_fp([rf], 1)[0]
     assert r.abs_value <= 2 * math.sqrt(293) + 1e-9
     assert r.ratio <= 1.0 + 1e-12  # bound uses max degree 2
 
@@ -439,12 +445,11 @@ def test_weil_fp_random_grid_ratios():
     from mobiusdyn.sampling import random_rational_function_fp
 
     rng = random.Random(5)
-    psi = AdditiveCharacter(PrimeModulus(293).one)
     worst = 0.0
     for _ in range(40):
         rf = random_rational_function_fp(rng, 293, 3)
         for h in (None, 1):
-            r = weil_sum_fp([rf], psi, h)[0]
+            r = weil_sum_fp([rf], 1, h)[0]
             worst = max(worst, r.ratio)
     assert worst <= 10.0
 
@@ -454,9 +459,8 @@ def test_weil_norm_one_group_size_exhaustive():
     m = PrimeModulus(13)
     ext = QuadExtension(m, m.elem(5))
     gen = ext.elem(*norm_group_generator(5, 13))
-    psi = AdditiveCharacter(m.one)
     rf = RationalFunction((), ((1, 0),), 13, 5)  # h = 0: counts the group
-    r = weil_sum_fp2_norm_one([rf], psi)[0]
+    r = weil_sum_fp2_norm_one([rf], 1)[0]
     assert r.term_count == 14
     assert r.value == pytest.approx(14)
     brute = {
@@ -473,10 +477,9 @@ def test_weil_norm_one_group_size_exhaustive():
 def test_weil_norm_one_trace_twist_ratios():
     m = PrimeModulus(101)
     assert QuadExtension(m, m.elem(1)).is_irreducible
-    psi = AdditiveCharacter(m.one)
     rf = RationalFunction(((0, 0), (1, 0)), ((1, 0),), 101, 1)  # X
     for h in (None, 1):
-        r = weil_sum_fp2_norm_one([rf], psi, h)[0]
+        r = weil_sum_fp2_norm_one([rf], 1, h)[0]
         assert r.ratio <= 10.0
 
 
@@ -578,9 +581,9 @@ def test_weil_fp_matches_per_term_definition():
         rfs = [roots, zero] + [random_rational_function_fp(rng, p, 3) for _ in range(6)]
         for rf in rfs:
             for chi in chis:
-                _assert_matches(weil_sum_fp([rf], psi, _kernel_h(chi, g))[0], _weil_fp_oracle(rf, psi, chi))
-        assert weil_sum_fp([roots], psi)[0].term_count == p - 2
-        assert weil_sum_fp([zero], psi, 1)[0].term_count == p - 3
+                _assert_matches(weil_sum_fp([rf], psi.u.value, _kernel_h(chi, g))[0], _weil_fp_oracle(rf, psi, chi))
+        assert weil_sum_fp([roots], psi.u.value)[0].term_count == p - 2
+        assert weil_sum_fp([zero], psi.u.value, 1)[0].term_count == p - 3
 
 
 def test_weil_fp2_matches_per_term_definition():
@@ -609,9 +612,9 @@ def test_weil_fp2_matches_per_term_definition():
         rfs = [roots, zero] + [random_rational_function_fp2(rng, e, p, 3) for _ in range(6)]
         for rf in rfs:
             for chi in chis:
-                report = weil_sum_fp2_norm_one([rf], psi, _kernel_h(chi, gen))[0]
+                report = weil_sum_fp2_norm_one([rf], psi.u.value, _kernel_h(chi, gen))[0]
                 _assert_matches(report, _weil_fp2_oracle(rf, psi, chi, gen))
-        assert weil_sum_fp2_norm_one([zero], psi)[0].term_count == p - 1
+        assert weil_sum_fp2_norm_one([zero], psi.u.value)[0].term_count == p - 1
 
 
 def test_weil_batches_match_per_term_oracles_and_one_function_batches(monkeypatch):
@@ -633,16 +636,16 @@ def test_weil_batches_match_per_term_oracles_and_one_function_batches(monkeypatc
         ] + [random_rational_function_fp(rng, p, 3) for _ in range(4)]
         for c in (None, chi):
             h = _kernel_h(c, chi.generator)
-            batch = weil_sum_fp(rfs, psi, h)
+            batch = weil_sum_fp(rfs, psi.u.value, h)
             assert len(batch) == len(rfs)
             for rf, report in zip(rfs, batch):
                 _assert_matches(report, _weil_fp_oracle(rf, psi, c))
-                assert report == weil_sum_fp([rf], psi, h)[0]
+                assert report == weil_sum_fp([rf], psi.u.value, h)[0]
             if p == 3:
                 assert batch[2].term_count == 0 and batch[2].value == 0
             with monkeypatch.context() as mp:  # three functions per array pass
                 mp.setattr(char_sums, "_WEIL_PASS", 3 * p)
-                assert weil_sum_fp(rfs, psi, h) == batch
+                assert weil_sum_fp(rfs, psi.u.value, h) == batch
 
         e, ext, gen = _norm_one_setup(m)
         psi2 = AdditiveCharacter(m.elem(rng.randrange(1, p)))
@@ -657,17 +660,17 @@ def test_weil_batches_match_per_term_oracles_and_one_function_batches(monkeypatc
         ] + [random_rational_function_fp2(rng, e, p, 3) for _ in range(4)]
         for c in (None, chi2):
             h = _kernel_h(c, gen)
-            batch = weil_sum_fp2_norm_one(rfs2, psi2, h)
+            batch = weil_sum_fp2_norm_one(rfs2, psi2.u.value, h)
             assert len(batch) == len(rfs2)
             for rf, report in zip(rfs2, batch):
                 _assert_matches(report, _weil_fp2_oracle(rf, psi2, c, gen))
-                assert report == weil_sum_fp2_norm_one([rf], psi2, h)[0]
+                assert report == weil_sum_fp2_norm_one([rf], psi2.u.value, h)[0]
             if p == 3:
                 assert batch[2].term_count == 0 and batch[2].value == 0
             with monkeypatch.context() as mp:
                 mp.setattr(char_sums, "_WEIL_PASS", 3 * (p + 1))
-                assert weil_sum_fp2_norm_one(rfs2, psi2, h) == batch
-    assert weil_sum_fp([], psi) == [] and weil_sum_fp2_norm_one([], psi2) == []
+                assert weil_sum_fp2_norm_one(rfs2, psi2.u.value, h) == batch
+    assert weil_sum_fp([], psi.u.value) == [] and weil_sum_fp2_norm_one([], psi2.u.value) == []
 
 
 def test_weil_kernels_at_their_caps():
@@ -678,31 +681,31 @@ def test_weil_kernels_at_their_caps():
     psi = AdditiveCharacter(m.elem(12345))
     chi = MultiplicativeCharacter(m.elem(primitive_root(m.p)), m.p - 1, 7)
     rf = random_rational_function_fp(rng, m.p, 3)
-    _assert_matches(weil_sum_fp([rf], psi, 7)[0], _weil_fp_oracle(rf, psi, chi))  # ~2 s of oracle
+    _assert_matches(weil_sum_fp([rf], psi.u.value, 7)[0], _weil_fp_oracle(rf, psi, chi))  # ~2 s of oracle
     m2 = PrimeModulus(2999)
     e, _, gen = _norm_one_setup(m2)
     psi2 = AdditiveCharacter(m2.elem(777))
     chi2 = MultiplicativeCharacter(gen, m2.p + 1, 11)
     rf2 = random_rational_function_fp2(rng, e, m2.p, 3)
     for c, h in ((None, None), (chi2, 11)):
-        _assert_matches(weil_sum_fp2_norm_one([rf2], psi2, h)[0], _weil_fp2_oracle(rf2, psi2, c, gen))
+        _assert_matches(weil_sum_fp2_norm_one([rf2], psi2.u.value, h)[0], _weil_fp2_oracle(rf2, psi2, c, gen))
     # just above each cap (100003 and 3001 are the next primes) the guard fires
     big = PrimeModulus(100003)
     with pytest.raises(RangeGuard):
-        weil_sum_fp([RationalFunction((1,), (1,), big.p)], AdditiveCharacter(big.one))
+        weil_sum_fp([RationalFunction((1,), (1,), big.p)], 1)
     big2 = PrimeModulus(3001)
     rf_big2 = RationalFunction(((1, 0),), ((1, 0),), big2.p, _first_irreducible_extension(big2.p))
     with pytest.raises(RangeGuard):
-        weil_sum_fp2_norm_one([rf_big2], AdditiveCharacter(big2.one))
+        weil_sum_fp2_norm_one([rf_big2], 1)
 
 
 def test_weil_kernels_reject_bad_characters_and_generators():
-    # chi is a multiplier of the kernel's own generator, so only psi can be refused
-    trivial = AdditiveCharacter(M101.elem(0))
-    with pytest.raises(ValueError):
-        weil_sum_fp([RationalFunction((1,), (0, 1), 101)], trivial)
-    with pytest.raises(ValueError):
-        weil_sum_fp2_norm_one([RationalFunction(((1, 0),), ((0, 0), (1, 0)), 101, 1)], trivial)
+    # chi is a multiplier of the kernel's own generator, so only psi can be refused: u = 0 mod p
+    for trivial in (0, 101, -101):
+        with pytest.raises(ValueError):
+            weil_sum_fp([RationalFunction((1,), (0, 1), 101)], trivial)
+        with pytest.raises(ValueError):
+            weil_sum_fp2_norm_one([RationalFunction(((1, 0),), ((0, 0), (1, 0)), 101, 1)], trivial)
 
 
 def test_weil_norm_one_kernel_refuses_a_split_extension():
@@ -712,24 +715,25 @@ def test_weil_norm_one_kernel_refuses_a_split_extension():
         with pytest.raises(ReducibleExtension):
             norm_group_generator(e, 101)
         with pytest.raises(ReducibleExtension):
-            weil_sum_fp2_norm_one([RationalFunction(((1, 0),), ((0, 0), (1, 0)), 101, e)], PSI101)
+            weil_sum_fp2_norm_one([RationalFunction(((1, 0),), ((0, 0), (1, 0)), 101, e)], 1)
 
 
 def test_weil_fp_rejects_coefficients_from_another_field():
-    psi199 = AdditiveCharacter(PrimeModulus(199).one)
-    with pytest.raises(ModulusMismatch):
-        weil_sum_fp([RationalFunction((1,), (0, 1), 101)], psi199)
+    # p is the functions' shared field: a batch over two fields is refused
+    with pytest.raises(ModulusMismatch):  # F_101 and F_199
+        weil_sum_fp([RationalFunction((1,), (0, 1), 101), RationalFunction((1,), (0, 1), 199)], 1)
     assert QuadExtension(M101, M101.elem(1)).is_irreducible
     over_ext = RationalFunction(((1, 0),), ((0, 0), (1, 0)), 101, 1)  # 1/X over F_101[Z]/(Z^2 - Z + 1)
-    with pytest.raises(ModulusMismatch):  # psi from F_199
-        weil_sum_fp2_norm_one([over_ext], psi199)
+    over_199 = RationalFunction(((1, 0),), ((0, 0), (1, 0)), 199, _first_irreducible_extension(199))
+    with pytest.raises(ModulusMismatch):  # extensions of F_101 and of F_199
+        weil_sum_fp2_norm_one([over_ext, over_199], 1)
     e2 = next(e for e in range(2, 101) if sqrt_mod(e * e - 4, 101) is None)
     with pytest.raises(ModulusMismatch):  # two extensions in one batch
-        weil_sum_fp2_norm_one([over_ext, RationalFunction(((1, 0),), ((0, 0), (1, 0)), 101, e2)], PSI101)
+        weil_sum_fp2_norm_one([over_ext, RationalFunction(((1, 0),), ((0, 0), (1, 0)), 101, e2)], 1)
     with pytest.raises(ModulusMismatch):  # an F_p function in the norm-one kernel
-        weil_sum_fp2_norm_one([RationalFunction((1,), (0, 1), 101)], PSI101)
+        weil_sum_fp2_norm_one([RationalFunction((1,), (0, 1), 101)], 1)
     with pytest.raises(ModulusMismatch):  # an extension function in the F_p kernel
-        weil_sum_fp([over_ext], PSI101)
+        weil_sum_fp([over_ext], 1)
 
 
 def test_default_scan_grid_produces_sixty_reports():
@@ -740,13 +744,10 @@ def test_default_scan_grid_produces_sixty_reports():
     for p in (101, 199, 293):
         modulus = PrimeModulus(p)
         rng = random.Random(f"scan:{p}")
-        psi = AdditiveCharacter(modulus.one)
         for _ in range(5):
             matrix, xi0, traj, _form = random_admissible_instance(rng, modulus)
             for u, v in ((1, 1), (1, 2), (3, 5), (0, 1)):
-                reports.append(
-                    correlation_sum(traj, psi, modulus.elem(u), modulus.elem(v), 0, 1, traj.period)
-                )
+                reports.append(correlation_sum(traj, 1, u, v, 0, 1, traj.period))
     ratios = [r.ratio for r in reports]
     assert len(reports) == 60
     assert all(math.isfinite(r) for r in ratios)

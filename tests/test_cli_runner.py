@@ -112,11 +112,38 @@ def test_resource_guard_exit_code(tmp_path):
     assert code == EXIT_RESOURCE
 
 
-def test_mobius_check_above_its_cap_is_a_resource_guard_naming_the_field(tmp_path, capsys):
-    code, outdir = run(tmp_path, "mobius-check", {"limit": "10000001"})
+@pytest.mark.parametrize(
+    "command, body, field, cap",
+    [
+        ("mobius-check", {"limit": "10000001"}, "'limit'", "10**7"),
+        (
+            "sum-scan",
+            {"p": "101", "matrix": ["27", "39", "5", "11"], "seed": "55", "n_schedule": ["100", "1000000001"]},
+            "'n_schedule'",
+            "1000000000",
+        ),
+        (
+            "bsz-report",
+            {"p": "101", "matrix": ["27", "39", "5", "11"], "seed": "55", "alpha": "0.25", "n": "1000000001"},
+            "'n'",
+            "1000000000",
+        ),
+    ],
+    ids=["mobius-check-limit", "sum-scan-n_schedule", "bsz-report-n"],
+)
+def test_caps_are_resource_guards_naming_the_field(tmp_path, capsys, monkeypatch, command, body, field, cap):
+    # each cap is checked next to its field, before any orbit build, mu-cache read or sieve
+    from mobiusdyn import cli_runner
+
+    def refuse(*args):
+        raise AssertionError("work started on a field above its cap")
+
+    for name in ("period", "_load_or_build_mu", "mobius_sieve", "mobius_by_spf"):
+        monkeypatch.setattr(cli_runner, name, refuse)
+    code, outdir = run(tmp_path, command, body, extra=("--mu-cache", str(tmp_path / "mu.bin")))
     err = capsys.readouterr().err
     assert code == EXIT_RESOURCE
-    assert "'limit'" in err and "10**7" in err
+    assert field in err and cap in err
     assert "Traceback" not in err
     assert not outdir.exists()
 
@@ -329,12 +356,13 @@ def assert_no_loaded_module_binds_the_object_extension():
     loaded = [name for name in sys.modules if name == "mobiusdyn" or name.startswith("mobiusdyn.")]
     assert "mobiusdyn.cli_runner" in loaded
     for name in loaded:
-        for banned in ("Fp2Elem", "QuadExtension", "MultiplicativeCharacter"):
+        for banned in ("Fp2Elem", "QuadExtension", "MultiplicativeCharacter", "AdditiveCharacter", "unit_circle"):
             assert not hasattr(sys.modules[name], banned), (name, banned)
 
 
 def test_no_module_binds_the_object_extension():
-    # every CLI path runs on raw ints and int pairs: the object extension and characters are test oracles
+    # every CLI path runs on raw ints and int pairs: the object extension, the characters and
+    # unit_circle are test oracles
     import importlib
     import pkgutil
 
@@ -647,6 +675,21 @@ def test_parameter_errors_exit_2_and_name_the_field(tmp_path, capsys, command, b
     assert field in err
     assert "Traceback" not in err
     assert not outdir.exists() or not any(outdir.iterdir())
+
+
+def test_frequencies_and_points_outside_the_field_print_their_residues(tmp_path):
+    # the kernels take psi_u, the twisted frequencies and the point coefficients mod p
+    def scan(psi_u, frequencies, u, v):
+        points = [{"kind": "correlation", "u": u, "v": v, "k": "0", "m": "2"}, {"kind": "single", "u": u, "m": "3"}]
+        body = {**SCAN_BASE, "kinds": ["twisted", "correlation", "single"], "n_schedule": ["10", "100"]}
+        body.update(psi_u=psi_u, frequencies=frequencies, points=points)
+        code, outdir = run(tmp_path, "sum-scan", body, out_name=f"out-{psi_u}-{u}")
+        assert code == EXIT_OK
+        return (outdir / "sum_scan.csv").read_bytes()
+
+    reduced = scan("1", ["100", "1"], "100", "2")
+    assert scan("102", ["-1", "102"], "-1", "103") == reduced
+    assert b",100,2,0,2," in reduced  # the correlation row records u = 100, v = 2
 
 
 def test_exact_fields_take_true_ints_and_decimal_strings(tmp_path):
