@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .arith_fn import LimitOverflow, primes_in
-from .char_sums import _add_residue_counts, _fsum, _weighted_sum
+from .char_sums import _add_residue_counts, _fsum, _fsums, _weighted_sum
 
 
 class CollisionFound(AssertionError):
@@ -221,11 +221,12 @@ def wj_sums(
     The inner sum depends on m only through m mod t: when Q_j has more
     members than there are residues, W_j = sum_s count_j(s) |inner(s)| over
     the residues s that occur.  Residues are reduced before multiplying, so
-    the gathered indices (m mod t)(r mod t) stay exact in int64.
+    the gathered indices (m mod t)(r mod t) stay exact in int64.  Each W_j is
+    the exactly rounded sum of its terms, all blocks in one segmented _fsums.
     """
     _check_bounded(nu, phase)
     t = phase.size
-    out: list[float] = []
+    terms = []  # terms[j]: count_j(s) |inner(s)| for each residue s of block j
     for block, qset in zip(blocks, sets):
         primes = np.asarray(block.primes, dtype=np.int64)
         if primes.size and primes.max() >= nu.size:
@@ -246,8 +247,8 @@ def wj_sums(
             idx -= 1
             idx %= t
             inner[i : i + chunk.size] = np.abs((phase[idx] * weights).sum(axis=1))
-        out.append(_fsum(inner, counts))
-    return out
+        terms.append(counts * inner)
+    return _fsums(np.concatenate([np.empty(0), *terms]), [len(w) for w in terms])
 
 
 @dataclass
@@ -267,7 +268,7 @@ class BszDecomposition:
 
     @property
     def sum_w(self) -> float:
-        return math.fsum(self.w_values)
+        return _fsum(np.array(self.w_values, dtype=np.float64))
 
     def to_dict(self) -> dict:
         return {
@@ -307,7 +308,8 @@ def decomposition_report(
     nu and phase are as in wj_sums, with nu covering 0..N; period is the
     orbit period recorded in the report.  The left side is
     sum_s c_s F(s + 1) with the exact integer residue counts
-    c_s = sum_{n <= N, n - 1 = s mod t} nu(n) and one fsum per component.
+    c_s = sum_{n <= N, n - 1 = s mod t} nu(n) and one exactly rounded sum per
+    component.
     quotient = |sum_{n' <= N} nu(n')F(n')| / (sum_j W_j + alpha*N); it is
     reported as data, not compared against any constant.
     """
@@ -321,7 +323,7 @@ def decomposition_report(
     counts = np.zeros(phase.size, dtype=np.int64)
     _add_residue_counts(counts, nu[1 : n + 1], 0)
     lhs = _weighted_sum(counts, phase.real, phase.imag)
-    denom = math.fsum(w_values) + alpha * n
+    denom = _fsum(np.array(w_values, dtype=np.float64)) + alpha * n
     quotient = abs(lhs) / denom if denom > 0 else math.inf
     rows = [
         {

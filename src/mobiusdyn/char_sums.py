@@ -16,20 +16,23 @@ xi_1, ..., xi_t (xi_t = xi_0), and xi_{kn} is entry (k*n - 1) mod t.  A sum
 is then exact integer weights times at most t fixed phases: Mobius residue
 counts for the twisted sum, the histogram of the F_p arguments for the
 correlation and single sums.  Phases are reduced as exact integers before
-any cos/sin, and each component is one exactly rounded math.fsum, so results
-do not depend on summation order or thread count.  The table follows the
-extended scalar map, so orbits through the pole take the same path.
+any cos/sin, and each component is one exactly rounded sum (_fsum, which
+returns math.fsum's float bit for bit by layered splitting on numpy arrays),
+so results do not depend on summation order or thread count.  The table
+follows the extended scalar map, so orbits through the pole take the same
+path.
 The correlation and single sums read matrix, seed, period and table from one
 Trajectory; the twisted schedule takes (matrix, xi0) and builds only the
 orbit prefix it needs, unless it is handed a Trajectory.
 The exhaustive Weil kernels follow the same pattern over all of F_p or the
-norm-one group: exact int64 phase numerators, then one fsum per component.
+norm-one group: exact int64 phase numerators, then one exactly rounded sum
+per function and component (_fsums, segmented over a whole array pass).
 Their rational functions hold raw int coefficients (int pairs over the
 extension).  Each kernel builds its group once per batch of functions as the
 powers of its own canonical generator g (field_arith.primitive_root or
 norm_group_generator, through field_arith._powers), so a multiplicative
 character is just its multiplier h, chi(g^i) = e(h*i/|G|), and i is the
-column; 2-D array passes evaluate the functions and each row is summed on its
+column; 2-D array passes evaluate the functions, and each row's sum is its
 own.
 """
 
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -160,14 +162,78 @@ def _angles(nums: np.ndarray, den: int, coef: int = 1) -> np.ndarray:
     return _TWO_PI * frac
 
 
-def _fsum(values: np.ndarray, weights=1) -> float:
-    """math.fsum of weights * values, formed and handed over one block at a time.
+_ONE = 1 << 1074  # exact totals are ints in units of 2^-1074, the least subnormal
 
-    No full-length product array is held; weights broadcast against values.
+
+def _exact_totals(x: np.ndarray, starts: np.ndarray, bits: int) -> list[int]:
+    """Exact sums of the segments of x that begin at starts, as ints in units of 2^-1074.
+
+    starts ascend and lie below x.size; each segment runs to the next start
+    (the last to the end of x) and has fewer than 2^bits terms.
+    Layered splitting (Rump, Ogita and Oishi, Accurate floating-point
+    summation I, 2008): with 2^e > max|x|, sigma = 2^(e + bits + 1) makes
+    q = (sigma + x) - sigma a multiple of the unit 2^(e + bits - 52), and
+    x - q exact and at most one unit.  Every partial sum of q is then a
+    multiple of the unit below 2^52 units, so np.add.reduceat adds each
+    segment's q exactly, in any order; the residuals go round again, with
+    2^e one unit, until none is left.  x is overwritten.  A nonfinite term,
+    or one of magnitude 2^(1022 - bits) or more (sigma would overflow),
+    raises ValueError.
+    """
+    totals = [0] * starts.size
+    top = max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)))
+    if not top:
+        return totals
+    if not top < math.ldexp(1.0, 1022 - bits):  # also refuses inf and nan
+        raise ValueError(f"exact sum needs every term finite and below 2**{1022 - bits} in magnitude")
+    e = math.frexp(top)[1]
+    q = np.empty_like(x)
+    while True:
+        unit = max(e + bits - 52, -1074)
+        sigma = math.ldexp(1.0, e + bits + 1)
+        np.add(x, sigma, out=q)
+        q -= sigma
+        x -= q
+        sums = np.ldexp(np.add.reduceat(q, starts), -unit).astype(np.int64).tolist()
+        for i, s in enumerate(sums):
+            totals[i] += s << (unit + 1074)
+        if not x.any():
+            return totals
+        e = unit + 1
+
+
+_FIRST = np.zeros(1, dtype=np.int64)  # the one start of an unsegmented sum
+
+
+def _fsums(x: np.ndarray, lengths: Sequence[int]) -> list[float]:
+    """math.fsum of each consecutive segment of x with the given lengths, bit for bit.
+
+    lengths sum to x.size, and an empty segment sums to 0.0; x is
+    overwritten.  Each exact total is rounded once, by int true division,
+    so a zero total is +0.0.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    live = np.flatnonzero(lengths)  # np.add.reduceat would give an empty segment x[start]
+    starts = (np.cumsum(lengths) - lengths)[live]
+    out = [0.0] * lengths.size
+    totals = _exact_totals(x, starts, int(lengths.max(initial=0)).bit_length())
+    for i, total in zip(live.tolist(), totals):
+        out[i] = total / _ONE
+    return out
+
+
+def _fsum(values: np.ndarray, weights=1) -> float:
+    """math.fsum of weights * values, bit for bit: the exactly rounded sum of the rounded products.
+
+    The products are formed and summed one _BLOCK at a time, so no
+    full-length temporary is held; weights broadcast against values.
     """
     w = np.broadcast_to(weights, values.shape)
-    blocks = ((w[i : i + _BLOCK] * values[i : i + _BLOCK]).tolist() for i in range(0, values.size, _BLOCK))
-    return math.fsum(chain.from_iterable(blocks))
+    total = 0
+    for i in range(0, values.size, _BLOCK):
+        block = w[i : i + _BLOCK] * values[i : i + _BLOCK]
+        total += _exact_totals(block, _FIRST, block.size.bit_length())[0]
+    return total / _ONE
 
 
 def _unit(angle: np.ndarray) -> np.ndarray:
@@ -179,7 +245,7 @@ def _unit(angle: np.ndarray) -> np.ndarray:
 
 
 def _weighted_sum(weights, cos: np.ndarray, sin: np.ndarray) -> complex:
-    """sum_r weights[r] * (cos[r] + i sin[r]) with one exactly rounded fsum per component."""
+    """sum_r weights[r] * (cos[r] + i sin[r]) with one exactly rounded _fsum per component."""
     return complex(_fsum(cos, weights), _fsum(sin, weights))
 
 
@@ -239,14 +305,14 @@ def twisted_sum_schedule(
         raise ValueError("supplied trajectory belongs to a different instance")
     else:
         table = traj.orbit_table[:n_max]
-    angles = [_angles(table, p, u) for u in freqs]
+    trig = [(np.cos(angle), np.sin(angle)) for angle in (_angles(table, p, u) for u in freqs)]
     counts = np.zeros(table.size, dtype=np.int64)
     done = 0
     values = []  # values[i][k]: checkpoint i, frequency k
     for n in n_schedule:
         _add_residue_counts(counts, mu_table.values[done + 1 : n + 1], done)
         done = n
-        values.append([_weighted_sum(counts, np.cos(angle), np.sin(angle)) for angle in angles])
+        values.append([_weighted_sum(counts, cos, sin) for cos, sin in trig])
     params = _matrix_params(matrix, xi0)
     return [
         SumReport("twisted", row[k], n, p, None, dict(params, u=u))
@@ -259,25 +325,30 @@ def _decimated_phases(traj: Trajectory, psi_u: int, terms: Sequence[tuple[int, i
     """Phase numerators psi_u * sum_j c_j * xi_{s_j n} mod p for n = 1..N.
 
     terms holds the (c_j, s_j) pairs.  xi_{sn} is orbit-table entry
-    (s*n - 1) mod t for every orbit, pole or not; the index -1 (s*n = 0 mod t)
-    is the last entry, xi_t = xi_0.  (s mod t)*n < t^2 stays inside int64
-    for every period whose table fits in memory.
+    (s*n - 1) mod t for every orbit, pole or not, so each term's indices are
+    one strided arange, reduced mod t unless s = 1 (N <= t); s = 0 mod t is
+    the constant index -1, the last entry xi_t = xi_0.  (s mod t)*N <= t^2
+    stays inside int64 for every period whose table fits in memory.
     """
     p = traj.matrix.p
     table = _residues(traj.orbit_table, p)
     t = table.size
-    n = np.arange(1, n_terms + 1, dtype=np.int64)
     acc = np.zeros(n_terms, dtype=table.dtype)
     for coef, step in terms:
         c = psi_u * coef % p
-        if c:
-            idx = n * (step % t)
-            idx %= t
-            idx -= 1
+        if not c:
+            continue
+        s = step % t
+        if not s:
+            acc += c * table[-1] % p
+        else:
+            idx = np.arange(s - 1, s * n_terms, s)
+            if s > 1:
+                idx %= t
             vals = table[idx]
             vals *= c
             acc += vals
-            acc %= p
+        acc %= p
     return acc
 
 
@@ -421,19 +492,19 @@ def _passes(rfs: list, points: int):
 def _weil_reports(kind: str, angle: np.ndarray, live: np.ndarray, p: int, rfs, u: int, h) -> list[SumReport]:
     """One report per row of live: its live terms e^(i angle), taken from angle in row-major order.
 
-    Each row gets its own _weighted_sum, so a report does not depend on the
-    other functions of its pass.  Reference bound max(deg num, deg den) * sqrt(p).
+    Each row's components are its own exactly rounded sums (one segmented
+    _fsums call per component over the whole pass), so a report does not
+    depend on the other functions of its pass.  Reference bound
+    max(deg num, deg den) * sqrt(p).
     """
     params = {"u": u}
     if h is not None:
         params["h"] = h
-    cos, sin = np.cos(angle), np.sin(angle)
-    ends = np.cumsum(live.sum(axis=1)).tolist()
-    out = []
-    for rf, lo, hi in zip(rfs, [0] + ends, ends):
-        value = _weighted_sum(1, cos[lo:hi], sin[lo:hi])
-        out.append(SumReport(kind, value, hi - lo, p, rf.max_degree * math.sqrt(p), dict(params)))
-    return out
+    lengths = live.sum(axis=1)
+    rows = zip(rfs, lengths.tolist(), _fsums(np.cos(angle), lengths), _fsums(np.sin(angle), lengths))
+    return [
+        SumReport(kind, complex(re, im), n, p, rf.max_degree * math.sqrt(p), dict(params)) for rf, n, re, im in rows
+    ]
 
 
 def weil_sum_fp(rfs: Sequence[RationalFunction], u: int, h: int | None = None) -> list[SumReport]:
@@ -449,8 +520,8 @@ def weil_sum_fp(rfs: Sequence[RationalFunction], u: int, h: int | None = None) -
     one 2-D Horner pass per side on int64 arrays (exact for
     p <= _WEIL_FP_LIMIT), one _inv_mod for every live den(x), one _angles
     call for the phases u*f(x) mod p (plus h*i mod p - 1 under chi).  Each
-    function's terms go into their own fsum, so its report does not depend
-    on the rest of rfs.
+    function's terms go into their own exactly rounded sums, so its report
+    does not depend on the rest of rfs.
     """
     rfs = list(rfs)
     if not rfs:

@@ -20,12 +20,18 @@ error, 3 resource guard.
 
 from __future__ import annotations
 
+import os
+
+# No path in this package calls BLAS: with one thread, numpy's bundled OpenBLAS
+# starts no thread pool when numpy is first imported (below), which took ~70 ms
+# of every run's start-up on a 2-CPU host.  It must be set before that import.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import argparse
 import datetime
 import hashlib
 import json
 import math
-import os
 import random
 import re
 import sys

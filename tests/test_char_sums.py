@@ -3,8 +3,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from mobiusdyn import char_sums
 from mobiusdyn.arith_fn import mobius_sieve
 from mobiusdyn.char_sums import (
     CSV_HEADER,
@@ -14,6 +17,8 @@ from mobiusdyn.char_sums import (
     RationalFunction,
     SumReport,
     ZeroFrequency,
+    _fsum,
+    _fsums,
     correlation_sum,
     single_sum,
     twisted_sum_schedule,
@@ -80,6 +85,84 @@ def test_report_csv_row_layout():
     assert cells[12] == "10"     # N
     assert cells[16] == ""       # bound unset
     assert float(cells[17]) == abs(complex(1.0, -2.0)) / 10
+
+
+# --- exact summation -----------------------------------------------------------------
+# math.fsum is the oracle.  "+ 0.0" pins the sign of a zero total to +0.0, which is
+# what Python 3.11's math.fsum returns and what _fsum returns on every version.
+
+
+def _spread(top: int):
+    """m * 2^e with |m| < 2^53 and e from -1074 up: every binade below 2^top, subnormals included."""
+    return st.builds(math.ldexp, st.integers(-(2**53) + 1, 2**53 - 1), st.integers(-1074, top - 53))
+
+
+def _terms(top: int):
+    """Terms below 2^top: spread exponents, hypothesis' own floats (edge values), and the extremes."""
+    edge = math.nextafter(math.ldexp(1.0, top), 0.0)
+    bounded = st.floats(-edge, edge, allow_nan=False)
+    return st.one_of(_spread(top), bounded, st.sampled_from([0.0, -0.0, 5e-324, -5e-324, edge, -edge]))
+
+
+def _same(got: float, want: float) -> None:
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (got, want)
+
+
+# at most 63 terms in a block: bit_length 6, so the limit is 2^(1022 - 6)
+@settings(max_examples=300)
+@given(xs=st.lists(_terms(1016), max_size=63), block=st.sampled_from([1, 2, 5, 1 << 14]))
+@example(xs=[], block=1 << 14)
+@example(xs=[-0.0, -0.0], block=1)
+@example(xs=[1.0, 1e100, 1.0, -1e100], block=2)
+def test_fsum_matches_math_fsum_bit_for_bit(xs, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(char_sums, "_BLOCK", block)  # several blocks share one exact total
+        _same(_fsum(np.array(xs, dtype=np.float64)), math.fsum(xs) + 0.0)
+        cancelled = xs + [-x for x in reversed(xs)]
+        _same(_fsum(np.array(cancelled, dtype=np.float64)), 0.0)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.tuples(_terms(990), st.integers(-(2**20), 2**20)), max_size=40),
+    st.integers(-(2**20), 2**20),
+)
+def test_fsum_of_int_weighted_terms_matches_math_fsum(pairs, scalar):
+    values = np.array([v for v, _ in pairs], dtype=np.float64)
+    weights = np.array([w for _, w in pairs], dtype=np.int64)
+    for w in (weights, scalar):  # an array of counts, and one int broadcast over all terms
+        products = (np.broadcast_to(w, values.shape) * values).tolist()
+        _same(_fsum(values, w), math.fsum(products) + 0.0)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(_terms(1018), max_size=8), max_size=8))
+@example([])
+@example([[], [1.0], [], [2.0, -2.0], []])  # empty first, inner and last segments
+@example([[1.0, 2.0], [3.0]])  # the last segment ends the array
+@example([[-0.0], [5e-324, -5e-324]])
+def test_segmented_fsums_match_math_fsum_per_segment(segments):
+    # np.add.reduceat alone gets empty segments wrong: it returns x[start] for them
+    flat = np.array([x for seg in segments for x in seg], dtype=np.float64)
+    got = _fsums(flat, [len(seg) for seg in segments])
+    assert len(got) == len(segments)
+    for total, seg in zip(got, segments):
+        _same(total, math.fsum(seg) + 0.0)
+
+
+def test_exact_sums_refuse_terms_beyond_their_limit():
+    # segments of at most 2^b - 1 terms take terms below 2^(1022 - b)
+    top = math.ldexp(1.0, 1021)  # the limit for one term, b = 1
+    below = math.nextafter(top, 0.0)
+    _same(_fsum(np.array([below])), below)
+    assert _fsums(np.array([below, -below]), [1, 1]) == [below, -below]
+    for bad in (top, -top, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            _fsum(np.array([bad]))
+        with pytest.raises(ValueError):
+            _fsums(np.array([1.0, bad]), [1, 1])
+    with pytest.raises(ValueError):  # two terms, b = 2: the limit is 2^1020
+        _fsum(np.array([below, 1.0]))
 
 
 # --- twisted sums -------------------------------------------------------------------

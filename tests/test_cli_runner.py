@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,8 @@ from mobiusdyn.cli_runner import (
     main,
 )
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def write_cfg(tmp_path, name, body):
@@ -811,3 +815,18 @@ def test_mixed_scan_builds_the_orbit_once(tmp_path, monkeypatch):
     twisted_rows = (out_twisted / "sum_scan.csv").read_text().splitlines()
     assert mixed_rows[: len(twisted_rows)] == twisted_rows
     assert [row.split(",")[0] for row in mixed_rows[len(twisted_rows) :]] == ["single"]
+
+
+# --- process start-up ------------------------------------------------------------------
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+def test_cli_child_runs_one_os_thread():
+    # no path calls BLAS, so importing the CLI must not leave numpy's OpenBLAS thread pool running;
+    # the variables that would cap that pool from outside are cleared, so the module has to do it
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = "import os, mobiusdyn.cli_runner; print(len(os.listdir('/proc/self/task')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
