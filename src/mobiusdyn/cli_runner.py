@@ -1,18 +1,17 @@
-"""Reproducible experiment driver.
+"""Reproducible experiment driver: five commands, one JSON config per run.
 
-One JSON config per run; exact quantities (primes, matrix entries, seeds,
-checkpoints) are decimal strings so no float literal can corrupt them.  Every
-command writes its artifacts plus a manifest with per-output checksums; files
-land via write-to-temp plus atomic rename, so failures leave nothing partial
-behind.  Identical configs produce byte-identical CSV/JSON.  Every command
-runs in one thread: `--threads` and the config field `threads` are still
-accepted and validated (>= 1) so existing command lines and configs keep
-working, but they change nothing.  A thread pool over the grid points was
-measured slower than one thread, since the kernels hold the interpreter lock.
-
-Exact fields also accept a JSON integer, but never a float or a boolean.  A
-bad or out-of-range field exits 2 and names the field; so does a key the
-command does not read, which is most often a misspelling.
+A run is parse -> compute -> write.  `SCHEMAS[command]` (and `POINT_SCHEMAS`
+for sum-scan points) is the one place the config rules live: each field's
+parser, default and the branch that reads it.  `parse_fields` refuses every
+config error before any work starts: a key the command does not read (most
+often a misspelling) or the chosen branch never reads, a bad or out-of-range
+field, or a `command` that is not the subcommand all exit 2 naming the field;
+a field over its cap exits 3.  Exact fields take decimal strings or JSON
+integers, never a float or a boolean.  The handler in `COMMANDS` then computes
+the artifacts, and `main` writes each atomically plus a manifest of checksums,
+so a failed run leaves nothing partial; identical configs give byte-identical
+CSV/JSON.  Runs use one thread: `--threads` and `threads` are validated
+(>= 1) for existing command lines and configs but change nothing.
 
 Exit codes: 0 success, 1 mathematical mismatch, 2 configuration or usage
 error, 3 resource guard.
@@ -35,7 +34,8 @@ import math
 import random
 import re
 import sys
-from dataclasses import dataclass, field
+from collections import ChainMap
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -78,11 +78,7 @@ from .mobius_dynamics import (
     period,
     spectral_form,
 )
-from .sampling import (
-    random_admissible_instance,
-    random_rational_function_fp,
-    random_rational_function_fp2,
-)
+from .sampling import random_admissible_instance, random_rational_function_fp, random_rational_function_fp2
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -96,16 +92,14 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"missing config field '{key}'")
-    return cfg[key]
-
-
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
-def _exact_int(raw, name: str) -> int:
+# Field parsers take (raw, name, cfg), where cfg holds the fields parsed so far,
+# and return the value or raise naming the field.
+
+
+def _exact_int(raw, name: str, cfg=None) -> int:
     """A decimal string or a true JSON integer; floats and booleans are refused."""
     if isinstance(raw, str) and _DECIMAL.fullmatch(raw):
         return int(raw, 10)
@@ -114,163 +108,257 @@ def _exact_int(raw, name: str) -> int:
     raise ConfigError(f"field '{name}' must be a decimal string or an integer, got {raw!r}")
 
 
-def _as_int(cfg: dict, key: str, default=None) -> int:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing config field '{key}'")
-        return default
-    return _exact_int(cfg[key], key)
-
-
-def _as_float(cfg: dict, key: str, default=None) -> float:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing config field '{key}'")
-        return default
-    raw = cfg[key]
+def _finite(raw, name: str, cfg) -> float:
     try:
         value = float(raw)
     except (TypeError, ValueError):
         value = math.nan
     if isinstance(raw, bool) or not math.isfinite(value):
-        raise ConfigError(f"field '{key}' is not a finite number: {raw!r}")
+        raise ConfigError(f"field '{name}' is not a finite number: {raw!r}")
     return value
 
 
-def _as_int_list(cfg: dict, key: str, default=None) -> list[int]:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing config field '{key}'")
-        return default
-    raw = cfg[key]
-    if not isinstance(raw, list):
-        raise ConfigError(f"field '{key}' must be a list")
-    return [_exact_int(item, f"{key}[{i}]") for i, item in enumerate(raw)]
+def _one_of(*choices: str):
+    def parse(raw, name: str, cfg) -> str:
+        if not (isinstance(raw, str) and raw in choices):
+            raise ConfigError(f"field '{name}' must be one of {', '.join(choices)}, got {raw!r}")
+        return raw
+
+    return parse
 
 
-# the fields each command reads; `command` and `threads` are allowed everywhere
-_COMMAND_KEYS = {
-    "verify-spectral": {"p", "matrix", "seed", "samples", "window", "rng_seed"},
-    "sum-scan": {"p", "matrix", "seed", "kinds", "psi_u", "n_schedule", "frequencies", "points"},
-    "weil-check": {"primes", "norm_one_primes", "functions_per_prime", "rng_seed", "max_degree"},
-    "bsz-report": {"p", "matrix", "seed", "n", "alpha", "epsilon", "nu", "f", "psi_u"},
-    "mobius-check": {"limit"},
-}
-_COMMON_KEYS = {"command", "threads"}
-_POINT_KEYS = {"kind", "u", "v", "k", "m", "n"}
+def _list_of(item):
+    def parse(raw, name: str, cfg) -> list:
+        if not isinstance(raw, list):
+            raise ConfigError(f"field '{name}' must be a list, got {raw!r}")
+        return [item(value, f"{name}[{i}]", cfg) for i, value in enumerate(raw)]
+
+    return parse
 
 
-def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
-    """A key nobody reads is a typo: refuse it rather than run without it."""
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        names = ", ".join(f"'{k}'" for k in unknown)
-        raise ConfigError(f"unknown {where} field {names}; allowed: {', '.join(sorted(allowed))}")
+def _checked(parse, ok, problem: str, error=ConfigError):
+    """`parse`, then `error` unless ok(value, cfg); `problem` is formatted with the field's name and value."""
+
+    def check(raw, name: str, cfg):
+        value = parse(raw, name, cfg)
+        if not ok(value, cfg):
+            raise error(problem.format(name=name, value=value, cfg=cfg))
+        return value
+
+    return check
 
 
-def _reject_unread(cfg: dict, keys: tuple, when: str) -> None:
-    """A key the chosen branch never reads would be ignored: refuse it instead."""
-    for key in keys:
-        if key in cfg:
-            raise ConfigError(f"field '{key}' is read {when}")
+def _at_least(lo: int):
+    return _checked(_exact_int, lambda value, cfg: value >= lo, f"field '{{name}}' must be >= {lo}, got {{value}}")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One run's validated configuration: the raw JSON object plus its bytes.
-
-    Exact fields arrive as decimal strings; command handlers pull and check
-    what they need through the typed accessors, so a bad field fails with its
-    name in the message.  The original bytes feed the manifest hash.
-    """
-
-    command: str
-    raw: dict
-    blob: bytes
-
-    @classmethod
-    def load(cls, command: str, path: str | Path) -> "ExperimentConfig":
-        try:
-            with open(path, "rb") as fh:
-                blob = fh.read()
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except OSError as exc:
-            raise ConfigError(f"config file unreadable: {exc}") from None
-        try:
-            raw = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        _reject_unknown(raw, _COMMAND_KEYS[command] | _COMMON_KEYS, f"{command} config")
-        return cls(command, raw, blob)
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record written atomically alongside every run's outputs."""
-
-    tool_version: str
-    config_sha256: str
-    created_utc: str
-    outputs: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "tool_version": self.tool_version,
-            "config_sha256": self.config_sha256,
-            "created_utc": self.created_utc,
-            "outputs": dict(sorted(self.outputs.items())),
-        }
-
-
-def _parse_modulus(cfg: dict) -> PrimeModulus:
-    p = _as_int(cfg, "p")
+def _modulus(raw, name: str, cfg) -> PrimeModulus:
+    p = _exact_int(raw, name)
     try:
         return PrimeModulus(p)
     except ValueError as exc:
-        raise ConfigError(f"field 'p': {exc}") from None
+        raise ConfigError(f"field '{name}': {exc}") from None
 
 
-def _parse_matrix(cfg: dict, modulus: PrimeModulus, need_distinct_roots: bool) -> MobiusMatrix:
-    raw = _require(cfg, "matrix")
+def _weil_prime(cap: int):
+    # checked before a generator search factorises p - 1 or p + 1
+    problem = f"field '{{name}}': exhaustive sums are capped at p <= {cap}, got {{value}}"
+    return _checked(lambda raw, name, cfg: _modulus(raw, name, cfg).p, lambda p, cfg: p <= cap, problem, RangeGuard)
+
+
+def _matrix(raw, name: str, cfg) -> MobiusMatrix:
+    """Four exact entries, normalised into SL2 over F_p; the roots must be distinct."""
     if not (isinstance(raw, list) and len(raw) == 4):
-        raise ConfigError("field 'matrix' must be a list [a, b, c, d]")
-    vals = _as_int_list({"matrix": raw}, "matrix")
-    a, b, c, d = (modulus.elem(v) for v in vals)
+        raise ConfigError(f"field '{name}' must be a list [a, b, c, d]")
+    entries = [cfg["p"].elem(_exact_int(value, f"{name}[{i}]")) for i, value in enumerate(raw)]
     try:
-        matrix = normalize_to_sl2(a, b, c, d)
-    except (SingularMatrix, NonSquareDeterminant, InvalidMatrix) as exc:
-        raise ConfigError(f"field 'matrix': {exc}") from None
-    if need_distinct_roots:
-        try:
-            matrix.roots
-        except RepeatedRoot as exc:
-            raise ConfigError(f"field 'matrix': {exc}") from None
+        matrix = normalize_to_sl2(*entries)
+        matrix.roots
+    except (SingularMatrix, NonSquareDeterminant, InvalidMatrix, RepeatedRoot) as exc:
+        raise ConfigError(f"field '{name}': {exc}") from None
     return matrix
 
 
-def _parse_seed(cfg: dict, modulus: PrimeModulus) -> FpElem:
-    return modulus.elem(_as_int(cfg, "seed"))
+def _seed(raw, name: str, cfg) -> FpElem:
+    return cfg["p"].elem(_exact_int(raw, name))
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _residue(raw, name: str, cfg) -> int:
+    return _exact_int(raw, name) % cfg["p"].p
+
+
+def _points(raw, name: str, cfg) -> list[dict]:
+    """Scan points, each checked against the sub-schema of its kind."""
+    if not isinstance(raw, list):
+        raise ConfigError(f"field '{name}' must be a list of scan points, got {raw!r}")
+    points = []
+    for i, point in enumerate(raw):
+        kind = point.get("kind") if isinstance(point, dict) else None
+        if kind not in POINT_SCHEMAS or kind not in cfg["kinds"]:
+            raise ConfigError(f"field '{name}[{i}]' needs a 'kind' listed in field 'kinds', got {point!r}")
+        points.append(parse_fields(POINT_SCHEMAS[kind], point, "scan point", cfg))
+    return points
+
+
+def _schedule(raw, name: str, cfg) -> list[int]:
+    schedule = _list_of(_exact_int)(raw, name, cfg)
+    if any(n < 1 for n in schedule) or schedule != sorted(schedule):
+        raise ConfigError(f"field '{name}' must be ascending with every checkpoint >= 1")
+    if schedule and schedule[-1] > _SIEVE_LIMIT:
+        raise RangeGuard(f"field '{name}': the Mobius sieve stops at {_SIEVE_LIMIT}, got {schedule[-1]}")
+    return schedule
+
+
+# Each command's fields in reading order: (parser, default) or (parser, default,
+# read_when, text).  A parser does the type check, the range check (exit 2) and
+# the cap (RangeGuard, exit 3).  When read_when(cfg) is false the chosen branch
+# never reads the field, and `text` says when it does.
+REQUIRED = object()
+_NONZERO = _checked(_residue, lambda u, cfg: u != 0, "field '{name}' must be nonzero mod p")
+_SIEVED = _checked(
+    _at_least(1),
+    lambda n, cfg: cfg["nu"] == "one" or n <= _SIEVE_LIMIT,
+    f"field '{{name}}': the Mobius sieve stops at {_SIEVE_LIMIT}, got {{value}}",
+    RangeGuard,
+)
+_ORACLE_LIMIT = _checked(
+    _at_least(1),
+    lambda n, cfg: n <= 10**7,
+    "field '{name}': exhaustive oracle mode capped at limit <= 10**7, got {value}",
+    RangeGuard,
+)
+_ALPHA = _checked(_finite, lambda a, cfg: 0 < a < 0.5, "field '{name}' must lie in (0, 1/2), got {value}")
+_ABOVE_K = _checked(
+    _exact_int, lambda m, cfg: m > cfg["k"], "scan point fields 'k' and 'm' need 0 <= k < m, got k={cfg[k]}, m={value}"
+)
+_TWISTED = (lambda cfg: "twisted" in cfg["kinds"], "only when field 'kinds' lists twisted")
+_DECIMATED = (lambda cfg: {"correlation", "single"} & set(cfg["kinds"]), "only when field 'kinds' lists correlation/single")
+_SAMPLED = (lambda cfg: cfg["matrix"] is None, "only when field 'matrix' is absent")
+_INSTANCE = {"p": (_modulus, REQUIRED), "matrix": (_matrix, REQUIRED), "seed": (_seed, REQUIRED)}
+
+SCHEMAS = {
+    command: {"command": (_one_of(command), command), **fields, "threads": (_at_least(1), 1)}
+    for command, fields in {
+        "verify-spectral": {
+            "p": (_modulus, REQUIRED),
+            "matrix": (_matrix, None),
+            "seed": (_seed, REQUIRED, lambda cfg: cfg["matrix"] is not None, "only with field 'matrix'"),
+            "samples": (_at_least(1), 50, *_SAMPLED),
+            "window": (_at_least(1), 2000),
+            "rng_seed": (_exact_int, 1, *_SAMPLED),
+        },
+        "sum-scan": {
+            **_INSTANCE,
+            "kinds": (_list_of(_one_of("twisted", "correlation", "single")), ("twisted",)),
+            "psi_u": (_NONZERO, 1),  # checked on a twisted-only scan too, though its rows do not read it
+            "n_schedule": (_schedule, REQUIRED, *_TWISTED),
+            "frequencies": (_list_of(_NONZERO), (1,), *_TWISTED),
+            "points": (_points, REQUIRED, *_DECIMATED),
+        },
+        "weil-check": {
+            "primes": (_list_of(_weil_prime(_WEIL_FP_LIMIT)), (101, 199, 293)),
+            "norm_one_primes": (_list_of(_weil_prime(_WEIL_FP2_LIMIT)), ()),
+            "functions_per_prime": (_at_least(1), 100),
+            "rng_seed": (_exact_int, 1),
+            "max_degree": (_at_least(1), 3),
+        },
+        "bsz-report": {
+            **_INSTANCE,
+            "nu": (_one_of("mobius", "one"), "mobius"),
+            "f": (_one_of("psi_xi", "one"), "psi_xi"),
+            "n": (_SIEVED, REQUIRED),
+            "alpha": (_ALPHA, REQUIRED),
+            "epsilon": (_checked(_finite, lambda e, cfg: e > 0, "field '{name}' must be > 0, got {value}"), 0.1),
+            "psi_u": (_NONZERO, 1, lambda cfg: cfg["f"] == "psi_xi", "only when field 'f' is psi_xi"),
+        },
+        "mobius-check": {"limit": (_ORACLE_LIMIT, REQUIRED)},
+    }.items()
+}
+
+# A scan point's sub-schema, by kind; n defaults to the full period and is cut to it.
+POINT_SCHEMAS = {
+    "correlation": {
+        "kind": (_one_of("correlation"), REQUIRED),
+        "u": (_residue, REQUIRED),
+        "v": (
+            _checked(_residue, lambda v, cfg: cfg["u"] or v, "scan point fields 'u' and 'v' must not both be 0 mod p"),
+            REQUIRED,
+        ),
+        "k": (_at_least(0), REQUIRED),
+        "m": (_ABOVE_K, REQUIRED),
+        "n": (_at_least(1), None),
+    },
+    "single": {
+        "kind": (_one_of("single"), REQUIRED),
+        "u": (_NONZERO, REQUIRED),
+        "m": (_at_least(1), REQUIRED),
+        "n": (_at_least(1), None),
+    },
+}
+
+
+def parse_fields(schema: dict, raw: dict, where: str, cfg: Mapping | None = None) -> dict:
+    """Check `raw` against `schema`; return the fields the chosen branch reads, defaults filled in.
+
+    A key outside the schema is refused first, then the fields go in table
+    order: a key whose read-when rule is false is refused, an absent field
+    takes its default, and a present one goes through its parser, which sees
+    the fields parsed so far over `cfg` (the enclosing config, for scan
+    points).  A field required only on some branch is reported missing after
+    the walk, so an unread key later in the table is named first.
+    """
+    unknown = sorted(set(raw) - set(schema))
+    if unknown:
+        names = ", ".join(f"'{k}'" for k in unknown)
+        raise ConfigError(f"unknown {where} field {names}; allowed: {', '.join(sorted(schema))}")
+    out: dict = {}
+    seen = ChainMap(out, cfg or {})
+    missing = []
+    for name, (parse, default, *read_when) in schema.items():
+        if read_when and not read_when[0](seen):
+            if name in raw:
+                raise ConfigError(f"field '{name}' is read {read_when[1]}")
+        elif name in raw:
+            out[name] = parse(raw[name], name, seen)
+        elif default is not REQUIRED:
+            out[name] = default
+        elif read_when:
+            missing.append(name)
+        else:
+            raise ConfigError(f"missing {where} field '{name}'")
+    if missing:
+        raise ConfigError(f"missing {where} field '{missing[0]}'")
+    return out
+
+
+def _load_config(path: str) -> tuple[bytes, dict]:
+    """The config's bytes (they feed the manifest hash) and its JSON object."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"config file unreadable: {exc}") from None
+    try:
+        raw = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
+    return blob, raw
 
 
 def _write_outputs(outdir: Path, outputs: dict[str, bytes], config_blob: bytes) -> None:
     """Write every artifact atomically, then the manifest covering them all."""
     for name, data in outputs.items():
         _atomic_write(outdir / name, data)
-    manifest = RunManifest(
-        tool_version=__version__,
-        config_sha256=_sha256(config_blob),
-        created_utc=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        outputs={name: _sha256(data) for name, data in outputs.items()},
-    )
-    _atomic_write(outdir / "manifest.json", _json_bytes(manifest.to_dict()))
+    manifest = {
+        "schema_version": 1,
+        "tool_version": __version__,
+        "config_sha256": hashlib.sha256(config_blob).hexdigest(),
+        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "outputs": {name: hashlib.sha256(data).hexdigest() for name, data in sorted(outputs.items())},
+    }
+    _atomic_write(outdir / "manifest.json", _json_bytes(manifest))
 
 
 def _json_bytes(obj) -> bytes:
@@ -295,16 +383,15 @@ def _load_or_build_mu(limit: int, cache: str | None) -> MobiusTable:
     return table
 
 
-def cmd_verify_spectral(cfg: dict, outdir: Path, config_blob: bytes) -> int:
-    """Three-way orbit equivalence: map iteration vs linear lift vs closed form."""
-    modulus = _parse_modulus(cfg)
-    window_cap = _as_int(cfg, "window", 2000)
-    if window_cap < 1:
-        raise ConfigError("field 'window' must be >= 1")
-    if "matrix" in cfg:
-        _reject_unread(cfg, ("samples", "rng_seed"), "only when field 'matrix' is absent")
-        matrix = _parse_matrix(cfg, modulus, need_distinct_roots=True)
-        xi0 = _parse_seed(cfg, modulus)
+# Every handler takes the parsed config and the --mu-cache path, and returns
+# its exit code and its artifacts by file name; main writes them.
+
+
+def cmd_verify_spectral(cfg: dict, mu_cache: str | None) -> tuple[int, dict[str, bytes]]:
+    """three-way orbit equivalence suite: map iteration vs linear lift vs closed form"""
+    modulus, matrix = cfg["p"], cfg["matrix"]
+    if matrix is not None:
+        xi0 = cfg["seed"]
         try:
             form = spectral_form(matrix, xi0)
         except DegenerateSpectral as exc:
@@ -314,18 +401,14 @@ def cmd_verify_spectral(cfg: dict, outdir: Path, config_blob: bytes) -> int:
             raise ConfigError("field 'seed': the orbit passes through the pole; pick another seed")
         instances = [(traj, form)]
     else:
-        _reject_unread(cfg, ("seed",), "only with field 'matrix'")
-        samples = _as_int(cfg, "samples", 50)
-        if samples < 1:
-            raise ConfigError("field 'samples' must be >= 1")
-        rng = random.Random(_as_int(cfg, "rng_seed", 1))
+        rng = random.Random(cfg["rng_seed"])
         # one orbit table alive at a time
-        instances = (random_admissible_instance(rng, modulus)[2:] for _ in range(samples))
+        instances = (random_admissible_instance(rng, modulus)[2:] for _ in range(cfg["samples"]))
 
     mismatches = 0
     periods_checked = []
     for traj, form in instances:
-        window = min(traj.period, window_cap)
+        window = min(traj.period, cfg["window"])
         report = verify_three_way(traj, form, window)
         mismatches += report["mismatches"]
         row = dict(zip("abcd", traj.matrix.entries()), xi0=traj.seed.value, period=traj.period, window=window)
@@ -335,16 +418,11 @@ def cmd_verify_spectral(cfg: dict, outdir: Path, config_blob: bytes) -> int:
         "p": modulus.p,
         "instances": periods_checked,
         "total_mismatches": mismatches,
-        "period_divides_order": all(
-            row["theta_sq_order"] % row["period"] == 0 for row in periods_checked
-        ),
-        "period_equality_rate": (
-            sum(1 for row in periods_checked if row["period"] == row["theta_sq_order"])
-            / len(periods_checked)
-        ),
+        "period_divides_order": all(row["theta_sq_order"] % row["period"] == 0 for row in periods_checked),
+        "period_equality_rate": sum(row["period"] == row["theta_sq_order"] for row in periods_checked)
+        / len(periods_checked),
     }
-    _write_outputs(outdir, {"verify_spectral.json": _json_bytes(body)}, config_blob)
-    return EXIT_OK if mismatches == 0 else EXIT_MISMATCH
+    return (EXIT_OK if mismatches == 0 else EXIT_MISMATCH), {"verify_spectral.json": _json_bytes(body)}
 
 
 def verify_three_way(traj: Trajectory, form: SpectralForm, window: int) -> dict:
@@ -378,97 +456,29 @@ def verify_three_way(traj: Trajectory, form: SpectralForm, window: int) -> dict:
     return {"mismatches": mismatches}
 
 
-def cmd_sum_scan(cfg: dict, outdir: Path, config_blob: bytes, mu_cache: str | None) -> int:
-    """CSV of twisted / correlation / single sums over the configured grid."""
-    modulus = _parse_modulus(cfg)
-    matrix = _parse_matrix(cfg, modulus, need_distinct_roots=True)
-    xi0 = _parse_seed(cfg, modulus)
-    kinds = cfg.get("kinds", ["twisted"])
-    if not isinstance(kinds, list) or not all(k in ("twisted", "correlation", "single") for k in kinds):
-        raise ConfigError("field 'kinds' must be a list drawn from twisted/correlation/single")
-    for keys, readers in ((("n_schedule", "frequencies"), "twisted"), (("points",), "correlation/single")):
-        if not any(k in readers.split("/") for k in kinds):
-            _reject_unread(cfg, keys, f"only when field 'kinds' lists {readers}, got {kinds}")
-    p = modulus.p
-    psi_u = _as_int(cfg, "psi_u", 1)
-    if psi_u % p == 0:
-        raise ConfigError("field 'psi_u' must be nonzero")
-    if "twisted" in kinds:
-        schedule = _as_int_list(cfg, "n_schedule")
-        frequencies = _as_int_list(cfg, "frequencies", [1])
-        if any(n < 1 for n in schedule) or schedule != sorted(schedule):
-            raise ConfigError("field 'n_schedule' must be ascending with every checkpoint >= 1")
-        if schedule and schedule[-1] > _SIEVE_LIMIT:
-            raise RangeGuard(f"field 'n_schedule': the Mobius sieve stops at {_SIEVE_LIMIT}, got {schedule[-1]}")
-        if any(u % p == 0 for u in frequencies):
-            raise ConfigError("field 'frequencies': twisted-sum frequencies must be nonzero")
-
+def cmd_sum_scan(cfg: dict, mu_cache: str | None) -> tuple[int, dict[str, bytes]]:
+    """trajectory sum scan to CSV: twisted, correlation and single sums over the configured grid"""
+    matrix, xi0, schedule, points = cfg["matrix"], cfg["seed"], cfg.get("n_schedule"), cfg.get("points")
     # one orbit build per scan: the points read the whole period, twisted its prefix
-    points = _require(cfg, "points") if "correlation" in kinds or "single" in kinds else None
-    if "points" in cfg and not isinstance(points, list):  # present only when the kinds read it
-        raise ConfigError(f"field 'points' must be a list of scan points, got {points!r}")
     traj = period(matrix, xi0) if points is not None else None
-    jobs = []
-    if "twisted" in kinds and schedule:
+    reports = []
+    if schedule:
         table = _load_or_build_mu(schedule[-1], mu_cache)
-        jobs.append(lambda: twisted_sum_schedule(matrix, xi0, frequencies, schedule, table, traj))
-    if traj is not None:
-        for point in points:
-            if not isinstance(point, dict):
-                raise ConfigError(f"scan points must be objects, got {point!r}")
-            _reject_unknown(point, _POINT_KEYS, "scan point")
-            kind = point.get("kind")
-            if kind not in ("correlation", "single") or kind not in kinds:
-                raise ConfigError(f"scan point with unusable kind: {point!r}")
-            n = _as_int(point, "n", traj.period)
-            if n < 1:
-                raise ConfigError(f"scan point field 'n' must be >= 1, got {n}")
-            n = min(n, traj.period)
-            u = _as_int(point, "u")
-            m = _as_int(point, "m")
-            if kind == "correlation":
-                v = _as_int(point, "v")
-                k = _as_int(point, "k")
-                if not 0 <= k < m:
-                    raise ConfigError(f"scan point fields 'k' and 'm' need 0 <= k < m, got k={k}, m={m}")
-                if u % p == 0 and v % p == 0:
-                    raise ConfigError("scan point fields 'u' and 'v' must not both be 0 mod p")
-                jobs.append(
-                    lambda u=u, v=v, k=k, m=m, n=n: [correlation_sum(traj, psi_u, u, v, k, m, n)]
-                )
-            else:
-                if m < 1:
-                    raise ConfigError(f"scan point field 'm' must be >= 1, got {m}")
-                if u % p == 0:
-                    raise ConfigError("scan point field 'u' must be nonzero mod p")
-                jobs.append(lambda u=u, m=m, n=n: [single_sum(traj, psi_u, u, m, n)])
-
-    rows = [report.csv_row() for job in jobs for report in job()]
-    _write_outputs(outdir, {"sum_scan.csv": _csv_bytes(rows)}, config_blob)
-    return EXIT_OK
+        reports += twisted_sum_schedule(matrix, xi0, cfg["frequencies"], schedule, table, traj)
+    for point in points or ():
+        n = min(point["n"] or traj.period, traj.period)
+        if point["kind"] == "correlation":
+            reports.append(correlation_sum(traj, cfg["psi_u"], point["u"], point["v"], point["k"], point["m"], n))
+        else:
+            reports.append(single_sum(traj, cfg["psi_u"], point["u"], point["m"], n))
+    return EXIT_OK, {"sum_scan.csv": _csv_bytes([report.csv_row() for report in reports])}
 
 
-def cmd_weil_check(cfg: dict, outdir: Path, config_blob: bytes) -> int:
-    """Ratio table for the exhaustive square-root-bound sums on a random grid."""
-    primes = _as_int_list(cfg, "primes", [101, 199, 293])
-    norm_one_primes = _as_int_list(cfg, "norm_one_primes", [])
-    per_prime = _as_int(cfg, "functions_per_prime", 100)
-    rng_seed = _as_int(cfg, "rng_seed", 1)
-    max_degree = _as_int(cfg, "max_degree", 3)
-    if per_prime < 1 or max_degree < 1:
-        raise ConfigError("fields 'functions_per_prime' and 'max_degree' must be >= 1")
-    caps = {"primes": _WEIL_FP_LIMIT, "norm_one_primes": _WEIL_FP2_LIMIT}
-    for key, values in (("primes", primes), ("norm_one_primes", norm_one_primes)):
-        for i, p in enumerate(values):
-            try:
-                PrimeModulus(p)
-            except ValueError as exc:
-                raise ConfigError(f"field '{key}[{i}]': {exc}") from None
-            if p > caps[key]:  # before a generator search factorises p - 1 or p + 1
-                raise RangeGuard(f"field '{key}[{i}]': exhaustive sums are capped at p <= {caps[key]}, got {p}")
-
-    reports = [r for p in primes for r in _weil_fp_batch(p, per_prime, rng_seed, max_degree)]
-    reports += [r for p in norm_one_primes for r in _weil_fp2_batch(p, per_prime, rng_seed, max_degree)]
+def cmd_weil_check(cfg: dict, mu_cache: str | None) -> tuple[int, dict[str, bytes]]:
+    """square-root-bound ratio scan to CSV: exhaustive Weil sums on a random grid"""
+    grid = cfg["functions_per_prime"], cfg["rng_seed"], cfg["max_degree"]
+    reports = [r for p in cfg["primes"] for r in _weil_fp_batch(p, *grid)]
+    reports += [r for p in cfg["norm_one_primes"] for r in _weil_fp2_batch(p, *grid)]
     rows = [r.csv_row() for r in reports]
     finite = [r.ratio for r in reports if math.isfinite(r.ratio)]
     summary = {
@@ -478,12 +488,8 @@ def cmd_weil_check(cfg: dict, outdir: Path, config_blob: bytes) -> int:
         "envelope": WEIL_RATIO_ENVELOPE,
         "within_envelope": all(r <= WEIL_RATIO_ENVELOPE for r in finite),
     }
-    _write_outputs(
-        outdir,
-        {"weil_check.csv": _csv_bytes(rows), "weil_check_summary.json": _json_bytes(summary)},
-        config_blob,
-    )
-    return EXIT_OK if summary["within_envelope"] else EXIT_MISMATCH
+    outputs = {"weil_check.csv": _csv_bytes(rows), "weil_check_summary.json": _json_bytes(summary)}
+    return (EXIT_OK if summary["within_envelope"] else EXIT_MISMATCH), outputs
 
 
 def _weil_fp_batch(p: int, count: int, rng_seed: int, max_degree: int) -> list[SumReport]:
@@ -513,120 +519,71 @@ def _first_irreducible_extension(p: int) -> int:
     return next(e for e in range(p) if sqrt_mod(e * e - 4, p) is None)
 
 
-def cmd_bsz_report(cfg: dict, outdir: Path, config_blob: bytes, mu_cache: str | None) -> int:
-    """JSON decomposition ledger plus the admissibility-condition block."""
-    modulus = _parse_modulus(cfg)
-    matrix = _parse_matrix(cfg, modulus, need_distinct_roots=True)
-    xi0 = _parse_seed(cfg, modulus)
-    n = _as_int(cfg, "n")
-    if n < 1:
-        raise ConfigError(f"field 'n' must be >= 1, got {n}")
-    alpha = _as_float(cfg, "alpha")
-    if not 0.0 < alpha < 0.5:
-        raise ConfigError(f"field 'alpha' must lie in (0, 1/2), got {alpha}")
-    epsilon = _as_float(cfg, "epsilon", 0.1)
-    if epsilon <= 0.0:
-        raise ConfigError(f"field 'epsilon' must be > 0, got {epsilon}")
-    nu_kind = cfg.get("nu", "mobius")
-    f_kind = cfg.get("f", "psi_xi")
-    if nu_kind not in ("mobius", "one") or f_kind not in ("psi_xi", "one"):
-        raise ConfigError("fields 'nu' in {mobius,one} and 'f' in {psi_xi,one}")
-    if nu_kind == "mobius" and n > _SIEVE_LIMIT:
-        raise RangeGuard(f"field 'n': the Mobius sieve stops at {_SIEVE_LIMIT}, got {n}")
-    if f_kind == "one":
-        _reject_unread(cfg, ("psi_u",), "only when field 'f' is psi_xi")
-
+def cmd_bsz_report(cfg: dict, mu_cache: str | None) -> tuple[int, dict[str, bytes]]:
+    """sieve-block decomposition report to JSON, with the admissibility-condition block"""
+    modulus, matrix, xi0, n, alpha = cfg["p"], cfg["matrix"], cfg["seed"], cfg["n"], cfg["alpha"]
     traj = period(matrix, xi0)
-    if f_kind == "psi_xi":
-        psi_u = _as_int(cfg, "psi_u", 1) % modulus.p
-        if not psi_u:
-            raise ConfigError("field 'psi_u' must be nonzero")
-        phase = _unit(_angles(traj.orbit_table, modulus.p, psi_u))  # F(n) = phase[(n - 1) % t]
+    if cfg["f"] == "psi_xi":
+        phase = _unit(_angles(traj.orbit_table, modulus.p, cfg["psi_u"]))  # F(n) = phase[(n - 1) % t]
     else:
         phase = np.ones(1, dtype=complex)
-    if nu_kind == "mobius":
+    if cfg["nu"] == "mobius":
         nu = _load_or_build_mu(n, mu_cache).values[: n + 1]
     else:
         nu = np.ones(n + 1, dtype=np.int8)
 
     decomposition = decomposition_report(nu, phase, n, alpha, traj.period)
-    conditions = theorem_conditions(alpha, n, modulus.p, traj.period, epsilon)
-    body = decomposition.to_dict()
-    body["conditions"] = conditions.to_dict()
-    body["matrix"] = list(matrix.entries())
-    body["xi0"] = xi0.value
-    body["p"] = modulus.p
-    _write_outputs(outdir, {"bsz_report.json": _json_bytes(body)}, config_blob)
-    return EXIT_OK
+    conditions = theorem_conditions(alpha, n, modulus.p, traj.period, cfg["epsilon"])
+    body = dict(decomposition.to_dict(), conditions=conditions.to_dict(), matrix=list(matrix.entries()))
+    body.update(xi0=xi0.value, p=modulus.p)
+    return EXIT_OK, {"bsz_report.json": _json_bytes(body)}
 
 
-def cmd_mobius_check(cfg: dict, outdir: Path, config_blob: bytes) -> int:
-    """Compare the sieve table with the smallest-prime-factor oracle for every n <= limit.
+def cmd_mobius_check(cfg: dict, mu_cache: str | None) -> tuple[int, dict[str, bytes]]:
+    """sieve vs smallest-prime-factor oracle for every n <= limit
 
     Reports the first ten n where they differ, in ascending order.
     """
-    limit = _as_int(cfg, "limit")
-    if limit < 1:
-        raise ConfigError("field 'limit' must be >= 1")
-    if limit > 10**7:
-        raise RangeGuard(f"field 'limit': exhaustive oracle mode capped at limit <= 10**7, got {limit}")
+    limit = cfg["limit"]
     sieve = mobius_sieve(limit).values
     oracle = mobius_by_spf(limit)
     mismatches = (np.flatnonzero(sieve[1:] != oracle[1:])[:10] + 1).tolist()
-    body = {
-        "schema_version": 1,
-        "limit": limit,
-        "mismatches": mismatches,
-        "ok": not mismatches,
-    }
-    _write_outputs(outdir, {"mobius_check.json": _json_bytes(body)}, config_blob)
-    return EXIT_OK if not mismatches else EXIT_MISMATCH
+    body = {"schema_version": 1, "limit": limit, "mismatches": mismatches, "ok": not mismatches}
+    return (EXIT_OK if not mismatches else EXIT_MISMATCH), {"mobius_check.json": _json_bytes(body)}
+
+
+COMMANDS = {
+    "verify-spectral": cmd_verify_spectral,
+    "sum-scan": cmd_sum_scan,
+    "weil-check": cmd_weil_check,
+    "bsz-report": cmd_bsz_report,
+    "mobius-check": cmd_mobius_check,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mobiusdyn",
-        description="Reproducible experiments for fractional-linear dynamics over F_p",
-    )
+    description = "Reproducible experiments for fractional-linear dynamics over F_p"
+    parser = argparse.ArgumentParser(prog="mobiusdyn", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("verify-spectral", "three-way orbit equivalence suite"),
-        ("sum-scan", "trajectory sum scan to CSV"),
-        ("weil-check", "square-root-bound ratio scan to CSV"),
-        ("bsz-report", "sieve-block decomposition report to JSON"),
-        ("mobius-check", "sieve vs smallest-prime-factor oracle"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
+    for name, handler in COMMANDS.items():
+        cmd = sub.add_parser(name, help=handler.__doc__.splitlines()[0])
         cmd.add_argument("--config", required=True, help="path to the JSON run config")
         cmd.add_argument("--out", required=True, help="output directory")
         cmd.add_argument("--mu-cache", default=None, help="optional Mobius table cache file")
-        cmd.add_argument(
-            "--threads", type=int, default=None, help="accepted for compatibility (>= 1); runs use one thread"
-        )
+        cmd.add_argument("--threads", type=int, help="accepted for compatibility (>= 1); runs use one thread")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = ExperimentConfig.load(args.command, args.config)
-        cfg, config_blob = config.raw, config.blob
-        # accepted for compatibility and validated, but every command runs in one thread
-        threads = args.threads if args.threads is not None else _as_int(cfg, "threads", 1)
-        if threads < 1:
-            raise ConfigError("threads must be >= 1")
-        outdir = Path(args.out)
-        if args.command == "verify-spectral":
-            return cmd_verify_spectral(cfg, outdir, config_blob)
-        if args.command == "sum-scan":
-            return cmd_sum_scan(cfg, outdir, config_blob, args.mu_cache)
-        if args.command == "weil-check":
-            return cmd_weil_check(cfg, outdir, config_blob)
-        if args.command == "bsz-report":
-            return cmd_bsz_report(cfg, outdir, config_blob, args.mu_cache)
-        if args.command == "mobius-check":
-            return cmd_mobius_check(cfg, outdir, config_blob)
-        raise ConfigError(f"unknown command {args.command!r}")
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError(f"option '--threads' must be >= 1, got {args.threads}")
+        blob, raw = _load_config(args.config)
+        cfg = parse_fields(SCHEMAS[args.command], raw, f"{args.command} config")
+        code, outputs = COMMANDS[args.command](cfg, args.mu_cache)
+        _write_outputs(Path(args.out), outputs, blob)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

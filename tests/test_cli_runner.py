@@ -2,18 +2,23 @@
 
 import csv
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mobiusdyn.cli_runner import (
     EXIT_CONFIG,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_RESOURCE,
+    POINT_SCHEMAS,
+    SCHEMAS,
     main,
 )
 
@@ -32,6 +37,27 @@ def run(tmp_path, command, cfg_body, out_name="out", extra=()):
     outdir = tmp_path / out_name
     code = main([command, "--config", cfg, "--out", str(outdir), *extra])
     return code, outdir
+
+
+@pytest.fixture
+def refuse_work(monkeypatch):
+    """Every orbit build, mu-cache read, sieve, sampler and Weil batch raises: config checks must come first."""
+    from mobiusdyn import cli_runner
+
+    def refuse(*args):
+        raise AssertionError("work started before every config field was checked")
+
+    for name in (
+        "period",
+        "spectral_form",
+        "random_admissible_instance",
+        "_load_or_build_mu",
+        "mobius_sieve",
+        "mobius_by_spf",
+        "_weil_fp_batch",
+        "_weil_fp2_batch",
+    ):
+        monkeypatch.setattr(cli_runner, name, refuse)
 
 
 # --- validation and exit codes --------------------------------------------------
@@ -135,15 +161,8 @@ def test_resource_guard_exit_code(tmp_path):
     ],
     ids=["mobius-check-limit", "sum-scan-n_schedule", "bsz-report-n"],
 )
-def test_caps_are_resource_guards_naming_the_field(tmp_path, capsys, monkeypatch, command, body, field, cap):
+def test_caps_are_resource_guards_naming_the_field(tmp_path, capsys, refuse_work, command, body, field, cap):
     # each cap is checked next to its field, before any orbit build, mu-cache read or sieve
-    from mobiusdyn import cli_runner
-
-    def refuse(*args):
-        raise AssertionError("work started on a field above its cap")
-
-    for name in ("period", "_load_or_build_mu", "mobius_sieve", "mobius_by_spf"):
-        monkeypatch.setattr(cli_runner, name, refuse)
     code, outdir = run(tmp_path, command, body, extra=("--mu-cache", str(tmp_path / "mu.bin")))
     err = capsys.readouterr().err
     assert code == EXIT_RESOURCE
@@ -647,6 +666,7 @@ SCAN_BASE = {"p": "101", "matrix": ["27", "39", "5", "11"], "seed": "55"}
         ("verify-spectral", SCAN_BASE, {"window": "-5"}, "'window'"),
         # seed 4 has period 50 and its orbit passes through the pole
         ("verify-spectral", SCAN_BASE, {"seed": "4"}, "'seed'"),
+        ("sum-scan", SCAN_BASE, {"n_schedule": ["100"], "command": "bsz-report"}, "'command'"),
     ],
     ids=[
         "bsz-alpha-0.7",
@@ -670,6 +690,7 @@ SCAN_BASE = {"p": "101", "matrix": ["27", "39", "5", "11"], "seed": "55"}
         "weil-negative-count",
         "spectral-negative-window",
         "spectral-pole-orbit-seed",
+        "scan-command-mismatch",
     ],
 )
 def test_parameter_errors_exit_2_and_name_the_field(tmp_path, capsys, command, base, change, field):
@@ -703,12 +724,18 @@ def test_exact_fields_take_true_ints_and_decimal_strings(tmp_path):
     assert json.loads((outdir / "bsz_report.json").read_text())["params"]["n"] == 2000
 
 
-def test_threads_is_validated_but_changes_nothing(tmp_path):
+def test_threads_is_validated_but_changes_nothing(tmp_path, capsys):
     cfg = {**SCAN_BASE, "kinds": ["twisted"], "frequencies": ["1", "3"], "n_schedule": ["50", "500"]}
     code, _ = run(tmp_path, "sum-scan", cfg, out_name="t0", extra=["--threads", "0"])
     assert code == EXIT_CONFIG
     code, _ = run(tmp_path, "sum-scan", {**cfg, "threads": "0"}, out_name="t0cfg")
     assert code == EXIT_CONFIG
+    # the config field is checked even when --threads is given: an exact field takes no float or bool
+    for bad in (1.5, True):
+        capsys.readouterr()
+        code, _ = run(tmp_path, "sum-scan", {**cfg, "threads": bad}, out_name="tbad", extra=["--threads", "1"])
+        assert code == EXIT_CONFIG
+        assert "'threads'" in capsys.readouterr().err
     _, out1 = run(tmp_path, "sum-scan", cfg, out_name="t1", extra=["--threads", "1"])
     _, out3 = run(tmp_path, "sum-scan", cfg, out_name="t3", extra=["--threads", "3"])
     assert (out1 / "sum_scan.csv").read_bytes() == (out3 / "sum_scan.csv").read_bytes()
@@ -738,6 +765,16 @@ def test_threads_is_validated_but_changes_nothing(tmp_path):
         ("sum-scan", SCAN_BASE, "'n_schedule'"),
         ("sum-scan", {**SCAN_BASE, "kinds": ["twisted", "single"], "n_schedule": ["100"]}, "'points'"),
         ("sum-scan", {**SCAN_BASE, "kinds": ["correlation"]}, "'points'"),
+        (
+            "sum-scan",
+            {**SCAN_BASE, "kinds": ["single"], "points": [{"kind": "single", "u": "1", "m": "1", "v": "7"}]},
+            "'v'",
+        ),
+        (
+            "sum-scan",
+            {**SCAN_BASE, "kinds": ["single"], "points": [{"kind": "single", "u": "1", "m": "1", "k": "0"}]},
+            "'k'",
+        ),
     ],
     ids=[
         "scan-misspelled",
@@ -754,6 +791,8 @@ def test_threads_is_validated_but_changes_nothing(tmp_path):
         "scan-twisted-no-schedule",
         "scan-single-no-points",
         "scan-correlation-no-points",
+        "scan-single-point-v",
+        "scan-single-point-k",
     ],
 )
 def test_unknown_keys_exit_2_and_name_the_key(tmp_path, capsys, command, body, key):
@@ -784,6 +823,201 @@ def test_scan_fields_unread_by_kinds_exit_2(tmp_path, capsys, body, key):
     assert key in err and "'kinds'" in err
     assert "Traceback" not in err
     assert not outdir.exists()
+
+
+# --- every config error is refused before any work starts ----------------------------
+
+
+_POINT = {"u": "1", "v": "1", "k": "0", "m": "1"}
+
+
+@pytest.mark.parametrize(
+    "command, body, field",
+    [
+        ("bsz-report", {**BSZ_BASE, "psi_u": "0"}, "'psi_u'"),
+        (
+            "sum-scan",
+            {
+                **SCAN_BASE,
+                "kinds": ["twisted", "single"],
+                "n_schedule": ["100"],
+                "points": [{"kind": "single", "u": "1", "m": "1"}, {"kind": "single", "u": "101", "m": "1"}],
+            },
+            "'u'",
+        ),
+        (
+            "sum-scan",
+            {**SCAN_BASE, "kinds": ["correlation"], "points": [{"kind": "correlation", **_POINT, "n": "0"}]},
+            "'n'",
+        ),
+        ("verify-spectral", {**SCAN_BASE, "window": "0"}, "'window'"),
+        ("weil-check", {"primes": ["101", "91"]}, "'primes[1]'"),
+    ],
+    ids=["bsz-psi_u-zero", "scan-single-point-u-zero", "scan-correlation-point-n-zero", "spectral-window", "weil-prime"],
+)
+def test_config_errors_are_refused_before_any_work(tmp_path, capsys, refuse_work, command, body, field):
+    code, outdir = run(tmp_path, command, body, extra=("--mu-cache", str(tmp_path / "mu.bin")))
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert field in err
+    assert "Traceback" not in err
+    assert not outdir.exists()
+
+
+# --- the schema walk: every field of every command refuses bad input by name ----------
+
+_VS = {"command": "verify-spectral", **SCAN_BASE, "window": "10", "threads": "1"}
+_VS_SAMPLED = {"command": "verify-spectral", "p": "101", "samples": "1", "rng_seed": "1", "window": "10"}
+_TWISTED = {
+    "command": "sum-scan",
+    **SCAN_BASE,
+    "kinds": ["twisted"],
+    "psi_u": "1",
+    "n_schedule": ["10"],
+    "frequencies": ["1"],
+    "threads": "1",
+}
+_CORR_POINT = {"kind": "correlation", "u": "101", "v": "2", "k": "0", "m": "2", "n": "5"}
+_SINGLE_POINT = {"kind": "single", "u": "1", "m": "1", "n": "5"}
+_SINGLES = {"command": "sum-scan", **SCAN_BASE, "kinds": ["single"], "points": [_SINGLE_POINT]}
+_WEIL = {
+    "command": "weil-check",
+    "primes": ["101"],
+    "norm_one_primes": ["13"],
+    "functions_per_prime": "1",
+    "rng_seed": "1",
+    "max_degree": "1",
+    "threads": "1",
+}
+_BSZ = {"command": "bsz-report", **BSZ_BASE, "nu": "mobius", "f": "psi_xi", "epsilon": "0.1", "psi_u": "1", "threads": "1"}
+_MOBIUS = {"command": "mobius-check", "limit": "10", "threads": "1"}
+_NO_PSI_U = {k: v for k, v in _BSZ.items() if k != "psi_u"}
+
+# (command or point kind, field): (a valid config holding the field, values out of its range with
+# their exit codes, a config whose chosen branch does not read the field or None).  A field with
+# no out-of-range value lists none: seeds, rng seeds and a correlation point's u (its v is
+# nonzero) take every integer.
+SCHEMA_CASES = {
+    ("verify-spectral", "command"): (_VS, [("sum-scan", 2)], None),
+    ("verify-spectral", "p"): (_VS, [("91", 2), ("2", 2)], None),
+    ("verify-spectral", "matrix"): (_VS, [(["1", "2", "2", "4"], 2), (["1", "0", "1", "1"], 2), (["1", "2"], 2)], None),
+    ("verify-spectral", "seed"): (_VS, [], _VS_SAMPLED),
+    ("verify-spectral", "samples"): (_VS_SAMPLED, [("0", 2)], _VS),
+    ("verify-spectral", "window"): (_VS, [("0", 2)], None),
+    ("verify-spectral", "rng_seed"): (_VS_SAMPLED, [], _VS),
+    ("verify-spectral", "threads"): (_VS, [("0", 2)], None),
+    ("sum-scan", "command"): (_TWISTED, [("bsz-report", 2)], None),
+    ("sum-scan", "p"): (_TWISTED, [("1", 2), ("9223372036854775837", 2)], None),
+    ("sum-scan", "matrix"): (_TWISTED, [(["1", "2", "2", "4"], 2), (["1", "0", "0", "1"], 2)], None),
+    ("sum-scan", "seed"): (_TWISTED, [], None),
+    ("sum-scan", "kinds"): (_TWISTED, [(["twisted", "weil"], 2)], None),
+    ("sum-scan", "psi_u"): (_TWISTED, [("0", 2), ("-101", 2)], None),
+    ("sum-scan", "n_schedule"): (_TWISTED, [(["0"], 2), (["100", "10"], 2), (["1000000001"], 3)], _SINGLES),
+    ("sum-scan", "frequencies"): (_TWISTED, [(["1", "0"], 2), (["202"], 2)], _SINGLES),
+    ("sum-scan", "points"): (_SINGLES, [([_CORR_POINT], 2)], _TWISTED),
+    ("sum-scan", "threads"): (_TWISTED, [("-1", 2)], None),
+    ("weil-check", "command"): (_WEIL, [("weil", 2)], None),
+    ("weil-check", "primes"): (_WEIL, [(["91"], 2), (["1000000000000007243"], 3)], None),
+    ("weil-check", "norm_one_primes"): (_WEIL, [(["1"], 2), (["1000000000000001323"], 3)], None),
+    ("weil-check", "functions_per_prime"): (_WEIL, [("0", 2)], None),
+    ("weil-check", "rng_seed"): (_WEIL, [], None),
+    ("weil-check", "max_degree"): (_WEIL, [("0", 2)], None),
+    ("weil-check", "threads"): (_WEIL, [("0", 2)], None),
+    ("bsz-report", "command"): (_BSZ, [("mobius-check", 2)], None),
+    ("bsz-report", "p"): (_BSZ, [("100", 2)], None),
+    ("bsz-report", "matrix"): (_BSZ, [(["0", "1", "0", "1"], 2)], None),
+    ("bsz-report", "seed"): (_BSZ, [], None),
+    ("bsz-report", "nu"): (_BSZ, [("mu", 2)], None),
+    ("bsz-report", "f"): (_BSZ, [("psi", 2)], None),
+    ("bsz-report", "n"): (_BSZ, [("0", 2), ("1000000001", 3)], None),
+    ("bsz-report", "alpha"): (_BSZ, [("0.5", 2), ("0", 2), ("nan", 2), ("1e400", 2)], None),
+    ("bsz-report", "epsilon"): (_BSZ, [("0", 2), (-1, 2)], None),
+    ("bsz-report", "psi_u"): (_BSZ, [("0", 2), ("101", 2)], {**_NO_PSI_U, "f": "one"}),
+    ("bsz-report", "threads"): (_BSZ, [("0", 2)], None),
+    ("mobius-check", "command"): (_MOBIUS, [("verify-spectral", 2)], None),
+    ("mobius-check", "limit"): (_MOBIUS, [("0", 2), ("10000001", 3)], None),
+    ("mobius-check", "threads"): (_MOBIUS, [("0", 2)], None),
+    ("correlation", "kind"): (_CORR_POINT, [("single", 2), ("twisted", 2)], None),
+    ("correlation", "u"): (_CORR_POINT, [], None),
+    ("correlation", "v"): (_CORR_POINT, [("0", 2), ("-101", 2)], None),
+    ("correlation", "k"): (_CORR_POINT, [("-1", 2), ("2", 2)], None),
+    ("correlation", "m"): (_CORR_POINT, [("0", 2)], None),
+    ("correlation", "n"): (_CORR_POINT, [("0", 2)], None),
+    ("single", "kind"): (_SINGLE_POINT, [("correlation", 2)], None),
+    ("single", "u"): (_SINGLE_POINT, [("0", 2), ("202", 2)], None),
+    ("single", "m"): (_SINGLE_POINT, [("0", 2)], None),
+    ("single", "n"): (_SINGLE_POINT, [("-5", 2)], None),
+}
+_FLOAT_FIELDS = {"alpha", "epsilon"}
+_WORDS = {"twisted", "correlation", "single", "mobius", "one", "psi_xi", *SCHEMAS}
+
+
+def test_schema_cases_cover_every_field():
+    fields = {(command, name) for command, schema in SCHEMAS.items() for name in schema}
+    fields |= {(kind, name) for kind, schema in POINT_SCHEMAS.items() for name in schema}
+    assert set(SCHEMA_CASES) == fields
+
+
+def _config(owner: str, point_or_config: dict) -> tuple[str, dict]:
+    """The command and the full config: a point goes into a sum-scan of its own kind."""
+    if owner in POINT_SCHEMAS:
+        return "sum-scan", {**SCAN_BASE, "kinds": [owner], "points": [point_or_config]}
+    return owner, point_or_config
+
+
+def _float_text(s: str) -> bool:
+    try:
+        return math.isfinite(float(s))
+    except ValueError:
+        return False
+
+
+_NOT_A_NUMBER = st.text(max_size=8).filter(
+    lambda s: not re.fullmatch(r"[+-]?[0-9]+", s) and not _float_text(s) and s not in _WORDS
+)
+
+
+@pytest.mark.parametrize("owner, field", sorted(SCHEMA_CASES), ids=lambda v: v)
+@settings(max_examples=5, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    number=st.floats(allow_nan=True, allow_infinity=True),
+    flag=st.booleans(),
+    text=_NOT_A_NUMBER,
+    edit=st.tuples(st.integers(0, 30), st.sampled_from("abcdefghijklmnopqrstuvwxyz_"), st.sampled_from("dis")),
+)
+def test_schema_walk_every_bad_field_exits_by_name(tmp_path, capsys, refuse_work, owner, field, number, flag, text, edit):
+    # a float where an int is exact, a bool, a non-decimal string (each whole and as a list entry),
+    # every out-of-range value, a misspelled key and a key the chosen branch does not read
+    base, out_of_range, unread = SCHEMA_CASES[(owner, field)]
+    valid = base[field]
+
+    def check(body, expect_code, name):
+        command, cfg = _config(owner, body)
+        capsys.readouterr()
+        code, outdir = run(tmp_path, command, cfg)
+        err = capsys.readouterr().err
+        assert code == expect_code, (body, err)
+        assert re.search(rf"'{re.escape(name)}(\[\d+\])?'", err), (body, err)
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
+    bad = [flag, text] + ([] if field in _FLOAT_FIELDS else [number])
+    for value in bad:
+        check({**base, field: value}, EXIT_CONFIG, field)
+        if isinstance(valid, list):  # the same value as the last list entry
+            check({**base, field: valid[:-1] + [value]}, EXIT_CONFIG, field)
+    for value, code in out_of_range:
+        check({**base, field: value}, code, field)
+    i, letter, how = edit  # delete, insert or substitute one letter
+    i %= len(field) + 1
+    typo = field[:i] + (letter if how in "is" else "") + field[i + (how in "ds") :]
+    if typo in (POINT_SCHEMAS.get(owner) or SCHEMAS[owner]):  # an edit that spells another field
+        typo = field + "_"
+    misspelled = {(typo if k == field else k): v for k, v in base.items()}
+    # a point without its kind cannot pick its sub-schema, so the missing kind is what gets named
+    check(misspelled, EXIT_CONFIG, field if field == "kind" else typo)
+    if unread is not None:
+        check({**unread, field: valid}, EXIT_CONFIG, field)
 
 
 # --- one orbit build per scan ----------------------------------------------------------
