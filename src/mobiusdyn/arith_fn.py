@@ -1,18 +1,23 @@
 """Arithmetic functions: the Mobius function and the primes.
 
-The Mobius function comes in two forms: a segmented sign-flip and product
-sieve (the tables every sum reads, up to _SIEVE_LIMIT) and a chunked
+The Mobius function comes in two forms: a segmented signed-product sieve
+(the tables every sum reads, up to _SIEVE_LIMIT) and a chunked
 smallest-prime-factor recurrence that shares no code with it (`mobius-check`
-compares the two).  No character is an object here: the sum kernels in
-char_sums take an additive character psi_u(x) = e(u*x/p) as the int u, and
-a multiplicative character as the multiplier h of their group's own
-generator.  Mobius tables persist through `_atomic_write`, which the CLI
-uses for its artifacts as well.
+compares the two).  The sieve keeps one int32 array per segment of
+9 * 30030 integers, holding for each n the product of -q over its sieving
+primes q (0 once some q^2 divides n); the primes up to 13 come from a
+pre-sieved wheel pattern of period 2*3*5*7*11*13 = 30030.
+
+No character is an object here: the sum kernels in char_sums take an
+additive character psi_u(x) = e(u*x/p) as the int u, and a multiplicative
+character as the multiplier h of their group's own generator.  Mobius tables
+persist through `_atomic_write`, which the CLI uses for its artifacts as well.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import os
 import struct
@@ -123,39 +128,82 @@ class MobiusTable:
         return cls(limit, values)
 
 
-_SEGMENT = 1 << 18
+_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
+_WHEEL = math.prod(_WHEEL_PRIMES)
+_SEGMENT = 9 * _WHEEL  # 270,270: near 2**18, and every segment starts on the wheel
 _SIEVE_LIMIT = 10**9  # the CLI checks each field that sizes a sieve against it
 
 
-def mobius_sieve(limit: int) -> MobiusTable:
-    """Exact mu(1..limit) by a segmented multiplicative sieve.
+@functools.cache  # built on the first sieve, not at import: commands that never sieve skip it
+def _wheel_pattern() -> np.ndarray:
+    """The signed products of the wheel primes dividing n = 1 .. 2 * _WHEEL, as read-only int16.
 
-    Per segment: flip the sign once for every prime divisor q <= sqrt(limit),
-    zero out multiples of q^2, and multiply q into the product of the small
-    prime divisors.  A squarefree n whose product falls short of n has
-    exactly one prime factor above sqrt(limit), which flips the sign once more.
+    Entry i is the product of -q over the primes q <= 13 that divide i + 1, so
+    any run of up to _WHEEL consecutive n starting at n = lo is the slice from
+    (lo - 1) % _WHEEL.
+    """
+    pattern = np.ones(2 * _WHEEL, dtype=np.int16)  # |entry| <= 30030 < 2**15
+    for q in _WHEEL_PRIMES:
+        pattern[q - 1 :: q] *= -q
+    pattern.flags.writeable = False
+    return pattern
+
+
+def _mobius_segment(out, n, primes, pr) -> None:
+    """Write mu(n) into out (int8) for the consecutive integers n (int32), n[0] >= 1.
+
+    primes is every prime <= sqrt(n[-1]) in ascending order, as an int64
+    array.  pr is an int32 scratch buffer of the same length as out; n is only
+    read.  pr becomes the signed product: the wheel pattern puts in -q for
+    every prime q <= 13 dividing n, each larger sieving prime multiplies its
+    multiples by -q, and the multiples of every q^2 are set to 0.  So sign(pr)
+    is (-1)^(number of sieving primes dividing n) and |pr| <= n < 2**31 is
+    their product; a squarefree n with |pr| < n has one more prime factor,
+    above sqrt(n[-1]), which negates the sign once more: out is multiplied by
+    1 - 2 * [|pr| < n], computed in pr.
+    """
+    lo, length = int(n[0]), len(out)
+    offset, wheel = (lo - 1) % _WHEEL, _wheel_pattern()
+    for k in range(0, length, _WHEEL):
+        chunk = pr[k : k + _WHEEL]
+        chunk[:] = wheel[offset : offset + len(chunk)]
+    big = primes[len(_WHEEL_PRIMES) :]
+    for q, start in zip(big.tolist(), ((-lo) % big).tolist()):
+        pr[start::q] *= -q
+    squares = primes * primes
+    starts = (-lo) % squares
+    hit = starts < length
+    for qq, start in zip(squares[hit].tolist(), starts[hit].tolist()):
+        pr[start::qq] = 0
+    np.sign(pr, out=out, casting="unsafe")
+    np.abs(pr, out=pr)
+    np.less(pr, n, out=pr)  # 1 where a prime factor above the sieving primes is left
+    pr *= -2
+    pr += 1
+    out *= pr
+
+
+def mobius_sieve(limit: int) -> MobiusTable:
+    """Exact mu(1..limit) by a segmented signed-product sieve.
+
+    Segments of _SEGMENT = 9 * 30030 integers each hold one int32 array of
+    signed products (see `_mobius_segment`): the primes 2..13 come from a
+    pre-sieved wheel pattern of period 30030, and every other prime
+    q <= sqrt(limit) takes one strided pass, plus one for q^2 while q^2 has a
+    multiple in the segment.  The product and n buffers are allocated once,
+    and n is advanced by the segment length.
     """
     if not 1 <= limit <= _SIEVE_LIMIT:
         raise LimitOverflow(f"sieve limit must be in [1, {_SIEVE_LIMIT}]")
-    base = primes_up_to(math.isqrt(limit))
+    primes = np.array(primes_up_to(math.isqrt(limit)), dtype=np.int64)
+    length = min(_SEGMENT, limit)
+    pr = np.empty(length, dtype=np.int32)  # |pr| <= n <= 10**9 < 2**31
+    n = np.arange(1, length + 1, dtype=np.int32)
     mu = np.zeros(limit + 1, dtype=np.int8)
-    for lo in range(1, limit + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT, limit + 1)
-        seg = mu[lo:hi]
-        seg[:] = 1
-        prod = np.ones(hi - lo, dtype=np.int32)  # divides n <= 10**9 < 2**31
-        for q in base:
-            start = ((lo + q - 1) // q) * q
-            if start >= hi:
-                continue
-            seg[start - lo :: q] *= -1
-            prod[start - lo :: q] *= q
-            qq = q * q
-            start = ((lo + qq - 1) // qq) * qq
-            if start < hi:
-                seg[start - lo :: qq] = 0
-        big = prod < np.arange(lo, hi, dtype=np.int32)
-        seg[big] = -seg[big]
+    for lo in range(1, limit + 1, length):
+        m = min(length, limit + 1 - lo)
+        _mobius_segment(mu[lo : lo + m], n[:m], primes, pr[:m])
+        n += length
     return MobiusTable(limit, mu)
 
 

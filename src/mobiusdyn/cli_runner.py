@@ -93,6 +93,7 @@ class ConfigError(ValueError):
 
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
+_DECIMAL_FLOAT = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 # Field parsers take (raw, name, cfg), where cfg holds the fields parsed so far,
@@ -109,11 +110,14 @@ def _exact_int(raw, name: str, cfg=None) -> int:
 
 
 def _finite(raw, name: str, cfg) -> float:
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        value = math.nan
-    if isinstance(raw, bool) or not math.isfinite(value):
+    """A JSON number or an ASCII decimal-float string, finite; booleans are refused."""
+    value = math.nan
+    if (isinstance(raw, str) and _DECIMAL_FLOAT.fullmatch(raw)) or type(raw) in (int, float):
+        try:
+            value = float(raw)
+        except OverflowError:  # a JSON integer beyond the float range
+            pass
+    if not math.isfinite(value):
         raise ConfigError(f"field '{name}' is not a finite number: {raw!r}")
     return value
 

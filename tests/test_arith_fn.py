@@ -86,17 +86,26 @@ def test_sieve_matches_oracle_to_ten_thousand():
 
 
 def test_sieve_segment_boundaries():
-    # force multiple segments with a temporarily tiny segment size
+    # force multiple segments with a temporarily smaller segment size; 30029 and 30031
+    # are not multiples of the 30030-periodic wheel, so segments start at many offsets
     import mobiusdyn.arith_fn as af
 
-    old = af._SEGMENT
-    af._SEGMENT = 1000
-    try:
-        seg = mobius_sieve(5000)
-    finally:
-        af._SEGMENT = old
-    ref = mobius_sieve(5000)
-    assert np.array_equal(seg.values, ref.values)
+    for segment, limit in [(1000, 5000), (30029, 100_003), (30031, 100_003)]:
+        old = af._SEGMENT
+        af._SEGMENT = segment
+        try:
+            seg = mobius_sieve(limit)
+        finally:
+            af._SEGMENT = old
+        ref = mobius_sieve(limit)
+        assert np.array_equal(seg.values, ref.values), segment
+        assert np.array_equal(seg.values, mobius_by_spf(limit)), segment
+
+
+def test_sieve_matches_spf_at_every_small_limit():
+    # below each wheel prime, and around 169 = 13^2, the largest wheel square
+    for limit in range(1, 401):
+        assert np.array_equal(mobius_sieve(limit).values, mobius_by_spf(limit)), limit
 
 
 def test_mobius_divisor_sum_identity():

@@ -930,8 +930,12 @@ SCHEMA_CASES = {
     ("bsz-report", "nu"): (_BSZ, [("mu", 2)], None),
     ("bsz-report", "f"): (_BSZ, [("psi", 2)], None),
     ("bsz-report", "n"): (_BSZ, [("0", 2), ("1000000001", 3)], None),
-    ("bsz-report", "alpha"): (_BSZ, [("0.5", 2), ("0", 2), ("nan", 2), ("1e400", 2)], None),
-    ("bsz-report", "epsilon"): (_BSZ, [("0", 2), (-1, 2)], None),
+    ("bsz-report", "alpha"): (
+        _BSZ,
+        [("0.5", 2), ("0", 2), ("nan", 2), ("1e400", 2), (10**400, 2), (" 0.25 ", 2), ("0.2_5", 2), ("\u0660.25", 2)],
+        None,
+    ),
+    ("bsz-report", "epsilon"): (_BSZ, [("0", 2), (-1, 2), ("0.1\n", 2), ("1_0", 2), ("\u0661", 2), ("\uff11", 2)], None),
     ("bsz-report", "psi_u"): (_BSZ, [("0", 2), ("101", 2)], {**_NO_PSI_U, "f": "one"}),
     ("bsz-report", "threads"): (_BSZ, [("0", 2)], None),
     ("mobius-check", "command"): (_MOBIUS, [("verify-spectral", 2)], None),
@@ -966,10 +970,8 @@ def _config(owner: str, point_or_config: dict) -> tuple[str, dict]:
 
 
 def _float_text(s: str) -> bool:
-    try:
-        return math.isfinite(float(s))
-    except ValueError:
-        return False
+    """Whether a float field takes s: an ASCII decimal float, finite."""
+    return bool(re.fullmatch(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?", s)) and math.isfinite(float(s))
 
 
 _NOT_A_NUMBER = st.text(max_size=8).filter(

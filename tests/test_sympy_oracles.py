@@ -3,13 +3,22 @@
 Skipped when sympy is not installed; it is listed in the `test` extra.
 """
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from mobiusdyn.arith_fn import mobius_by_spf, mobius_sieve, primes_in  # noqa: E402
+from mobiusdyn.arith_fn import (  # noqa: E402
+    _SEGMENT,
+    _mobius_segment,
+    mobius_by_spf,
+    mobius_sieve,
+    primes_in,
+    primes_up_to,
+)
 from mobiusdyn.cli_runner import _first_irreducible_extension  # noqa: E402
 from mobiusdyn.field_arith import (  # noqa: E402
     PrimeModulus,
@@ -69,6 +78,20 @@ def test_primes_in_matches_sympy_near_cap():
     windows = [(10**9 - width, 10**9 + 1), (999 * 10**6, 999 * 10**6 + width), (lo, lo + width)]
     for lo, hi in windows:
         assert primes_in(lo, hi).tolist() == list(sympy.primerange(lo, hi)), (lo, hi)
+
+
+def test_mobius_segment_matches_sympy_near_cap():
+    # one sieve segment ending at the 1e9 cap and one at a random start, without a 1 GB table;
+    # there the signed products |pr| <= n come closest to the int32 limit
+    rng = random.Random(103)
+    for lo in (10**9 + 1 - _SEGMENT, rng.randrange(10**8, 10**9 + 1 - _SEGMENT)):
+        hi = lo + _SEGMENT
+        out = np.empty(_SEGMENT, dtype=np.int8)
+        primes = np.array(primes_up_to(math.isqrt(hi - 1)), dtype=np.int64)
+        _mobius_segment(out, np.arange(lo, hi, dtype=np.int32), primes, np.empty(_SEGMENT, dtype=np.int32))
+        samples = [rng.randrange(lo, hi) for _ in range(2000)] + list(range(hi - 200, hi))
+        for n in samples:
+            assert int(out[n - lo]) == int(sympy.mobius(n)), n
 
 
 def test_mult_order_and_primitive_root_match_sympy():
