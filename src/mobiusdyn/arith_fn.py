@@ -52,19 +52,27 @@ _PRIMES_RANGE_MAX = 10**9
 
 
 def primes_in(lo: float, hi: float) -> np.ndarray:
-    """Ascending primes in the half-open real interval [lo, hi) as int64; segmented sieve."""
+    """Ascending primes in the half-open real interval [lo, hi) as int64.
+
+    A segmented sieve over the odd numbers only, flags[k] standing for
+    base + 2k with base the first odd integer >= lo; 2 is added when lo <= 2.
+    """
     if hi > _PRIMES_RANGE_MAX + 1:
         raise LimitOverflow(f"prime enumeration capped at {_PRIMES_RANGE_MAX}")
     lo_i = max(2, math.ceil(lo))
     hi_i = math.ceil(hi)
     if hi_i <= lo_i:
         return np.empty(0, dtype=np.int64)
-    flags = np.ones(hi_i - lo_i, dtype=bool)
-    for q in primes_up_to(math.isqrt(hi_i - 1)):
-        start = max(q * q, ((lo_i + q - 1) // q) * q)
+    base = lo_i | 1
+    flags = np.ones((hi_i - base + 1) // 2, dtype=bool)
+    for q in primes_up_to(math.isqrt(hi_i - 1))[1:]:
+        start = max(q * q, ((base + q - 1) // q) * q)
+        if start % 2 == 0:  # odd q: the next multiple is odd
+            start += q
         if start < hi_i:
-            flags[start - lo_i :: q] = False
-    return np.flatnonzero(flags) + lo_i
+            flags[(start - base) // 2 :: q] = False
+    odd = np.flatnonzero(flags) * 2 + base
+    return np.concatenate(([2], odd)) if lo_i == 2 else odd
 
 
 def _atomic_write(path: Path, *chunks) -> None:

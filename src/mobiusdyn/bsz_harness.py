@@ -162,10 +162,15 @@ def distinct_products_check(
 ) -> DistinctProductsReport:
     """Verify the products m*r are pairwise distinct, all <= n, and count them.
 
-    A bitmap over 0..n records every product seen; the products of one chunk
-    of a block are sorted to catch a repeat inside the chunk.
+    Every product is marked in a bitmap over 0..n.  The bitmap then holds one
+    mark per distinct product and the total counts every product, so the two
+    counts agree exactly when no product repeats, inside a chunk, a block or
+    across blocks.  Only when they differ are the products sorted, to name
+    the smallest repeated one.  A collision is reported before the budget
+    sum #P_j #Q_j <= n is checked.
     """
     seen = np.zeros(n + 1, dtype=bool)
+    pairs = []
     total = 0
     for block, qset in zip(blocks, sets):
         primes = np.asarray(block.primes, dtype=np.int64)
@@ -178,15 +183,13 @@ def distinct_products_check(
         if m_hi * r_hi > n:
             raise AssertionError(f"product {m_hi}*{r_hi} exceeds N = {n}")
         for _, chunk in _chunks(members, primes.size):
-            prods = np.sort(np.multiply.outer(chunk, primes), axis=None)
-            repeat = np.flatnonzero(prods[1:] == prods[:-1])
-            if repeat.size:
-                raise CollisionFound(f"product {prods[repeat[0]]} produced twice")
-            again = seen[prods]
-            if again.any():
-                raise CollisionFound(f"product {prods[again.argmax()]} produced twice")
-            seen[prods] = True
+            seen[np.multiply.outer(chunk, primes)] = True
+        pairs.append((members, primes))
         total += primes.size * members.size
+    if np.count_nonzero(seen) != total:
+        prods = np.sort(np.concatenate([np.multiply.outer(m, r).ravel() for m, r in pairs]))
+        repeat = prods[1:][prods[1:] == prods[:-1]]
+        raise CollisionFound(f"product {repeat[0]} produced twice")
     report = DistinctProductsReport(total, n, 0)
     if not report.within_budget:
         raise AssertionError(f"sum #P_j #Q_j = {total} exceeds N = {n}")
@@ -221,8 +224,10 @@ def wj_sums(
     The inner sum depends on m only through m mod t: when Q_j has more
     members than there are residues, W_j = sum_s count_j(s) |inner(s)| over
     the residues s that occur.  Residues are reduced before multiplying, so
-    the gathered indices (m mod t)(r mod t) stay exact in int64.  Each W_j is
-    the exactly rounded sum of its terms, all blocks in one segmented _fsums.
+    the gathered indices (m mod t)(r mod t) stay exact in int64; the index
+    (mr - 1) mod t is formed as idx - (idx // t) t, the same integer as
+    idx % t.  Each W_j is the exactly rounded sum of its terms, all blocks in
+    one segmented _fsums.
     """
     _check_bounded(nu, phase)
     t = phase.size
@@ -245,7 +250,7 @@ def wj_sums(
         for i, chunk in _chunks(m_res, r_res.size):
             idx = np.multiply.outer(chunk, r_res)
             idx -= 1
-            idx %= t
+            idx -= idx // t * t  # idx %= t, but numpy's int64 floor division by a scalar is faster
             inner[i : i + chunk.size] = np.abs((phase[idx] * weights).sum(axis=1))
         terms.append(counts * inner)
     return _fsums(np.concatenate([np.empty(0), *terms]), [len(w) for w in terms])

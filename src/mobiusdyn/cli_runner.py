@@ -219,10 +219,10 @@ def _schedule(raw, name: str, cfg) -> list[int]:
 # never reads the field, and `text` says when it does.
 REQUIRED = object()
 _NONZERO = _checked(_residue, lambda u, cfg: u != 0, "field '{name}' must be nonzero mod p")
-_SIEVED = _checked(
+_SIEVED = _checked(  # nu = one allocates n + 1 entries and the product audit an (n + 1)-byte bitmap too
     _at_least(1),
-    lambda n, cfg: cfg["nu"] == "one" or n <= _SIEVE_LIMIT,
-    f"field '{{name}}': the Mobius sieve stops at {_SIEVE_LIMIT}, got {{value}}",
+    lambda n, cfg: n <= _SIEVE_LIMIT,
+    f"field '{{name}}': the Mobius sieve and the product bitmap stop at {_SIEVE_LIMIT}, got {{value}}",
     RangeGuard,
 )
 _ORACLE_LIMIT = _checked(

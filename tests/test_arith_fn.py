@@ -199,6 +199,18 @@ def test_primes_in_matches_trial_division():
     assert sorted(listed) == primes_up_to(10**5 - 1)
 
 
+def test_primes_in_every_small_range():
+    # the odd-only sieve's edges: lo of 0, 1 or 2, even and odd lo, hi = lo + 1
+    small = primes_up_to(300)
+    for lo in range(300):
+        for hi in range(lo + 1, 301):
+            got = primes_in(lo, hi)
+            assert got.dtype == np.int64
+            assert got.tolist() == [q for q in small if lo <= q < hi], (lo, hi)
+    for lo, hi in [(-3.5, 2.5), (1.5, 2.0), (1.99, 3.01), (2.01, 3.0), (2.5, 7.5), (8.9, 9.1), (96.2, 101.0)]:
+        assert primes_in(lo, hi).tolist() == [q for q in small if lo <= q < hi], (lo, hi)
+
+
 def test_primes_in_range_guard():
     with pytest.raises(LimitOverflow):
         primes_in(0, 2e9)

@@ -218,6 +218,24 @@ def test_distinct_products_collision_between_chunks_of_one_block():
         distinct_products_check([PrimeBlock(3, (2,))], [SieveSet(3, members)], 10**6)
 
 
+def test_distinct_products_names_the_smallest_repeat():
+    # 7*11 repeats in the first block and 3*5 in the second: the audit names 15
+    blocks = [PrimeBlock(3, (7, 11)), PrimeBlock(4, (3, 5))]
+    sets = [SieveSet(3, (1, 7, 11)), SieveSet(4, (3, 5))]
+    with pytest.raises(CollisionFound, match="product 15 produced"):
+        distinct_products_check(blocks, sets, 1000)
+
+
+def test_distinct_products_collision_only_in_the_last_block():
+    # forty blocks with the odd products 1, 3, ..., 79, then a block whose 3*13 repeats block 19's 39*1
+    blocks = [PrimeBlock(j, (2 * j + 1,)) for j in range(40)] + [PrimeBlock(40, (3,))]
+    sets = [SieveSet(j, (1,)) for j in range(40)]
+    with pytest.raises(CollisionFound, match="product 39 produced"):
+        distinct_products_check(blocks, sets + [SieveSet(40, (2, 13))], 1000)
+    report = distinct_products_check(blocks, sets + [SieveSet(40, (2, 50))], 1000)
+    assert report.total_products == 42
+
+
 def test_distinct_products_product_above_n():
     blocks = [PrimeBlock(3, (11, 13))]
     sets = [SieveSet(3, (1, 7))]
@@ -305,6 +323,29 @@ def test_wj_against_naive_double_loop():
             naive += abs(inner)
         assert got == pytest.approx(naive, abs=1e-9)
         assert got >= 0.0
+
+
+@pytest.mark.parametrize("t", [7, 505, 65537])
+def test_wj_equals_the_modulo_expression_bit_for_bit(t):
+    # idx - (idx // t) t must gather the very entries (m r - 1) % t does, so every W_j keeps its bits
+    rng = np.random.default_rng(t)
+    phase = np.exp(2j * np.pi * rng.random(t))
+    params = make_params(0.2, 3 * 10**4)
+    blocks = prime_blocks(params)
+    sets = sieve_sets(params, blocks)
+    nu = mobius_sieve(params.n).values
+    w = wj_sums(nu, phase, blocks, sets)
+    assert len(w) == len(blocks) > 10
+    for block, qset, got in zip(blocks, sets, w):
+        r = block.primes[nu[block.primes] != 0]
+        weights = nu[r].astype(np.float64)
+        m, counts = qset.members, 1
+        if m.size > t:  # grouped by m mod t, as wj_sums does
+            counts = np.bincount(m % t, minlength=t)
+            m = np.flatnonzero(counts)
+            counts = counts[m]
+        terms = counts * np.abs((phase[(np.multiply.outer(m, r) - 1) % t] * weights).sum(axis=1))
+        assert got == math.fsum(terms)
 
 
 # --- decomposition report -----------------------------------------------------------

@@ -158,8 +158,21 @@ def test_resource_guard_exit_code(tmp_path):
             "'n'",
             "1000000000",
         ),
+        (
+            "bsz-report",
+            {
+                "p": "101",
+                "matrix": ["27", "39", "5", "11"],
+                "seed": "55",
+                "alpha": "0.25",
+                "n": "1000000000000",
+                "nu": "one",
+            },
+            "'n'",
+            "1000000000",
+        ),
     ],
-    ids=["mobius-check-limit", "sum-scan-n_schedule", "bsz-report-n"],
+    ids=["mobius-check-limit", "sum-scan-n_schedule", "bsz-report-n", "bsz-report-n-nu-one"],
 )
 def test_caps_are_resource_guards_naming_the_field(tmp_path, capsys, refuse_work, command, body, field, cap):
     # each cap is checked next to its field, before any orbit build, mu-cache read or sieve
