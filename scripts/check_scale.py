@@ -3,15 +3,22 @@
 
 Usage: PYTHONPATH=src python scripts/check_scale.py
 
-Each configs/scale/<name>.json runs through the CLI (its "command" field
-names the subcommand) into a temporary directory.  Every file pinned under
-configs/scale/expected/<name>/ must then match the new output byte for byte.
-When the bytes differ, the two files are compared value by value: ints,
-strings and booleans exactly, floats within 1e-9 relative.  A config whose
-values all agree that way is reported as drift (last-bit differences, such as
-cos/sin results that differ between machines); any other difference, a
-missing file or a nonzero exit is a wrong answer.  Exits 1 if any config is
-wrong, else 0.
+Each configs/scale/<name>.json runs as one child process,
+`python -m mobiusdyn.cli_runner <command> --config <name>.json --out <tmp>`
+(its "command" field names the subcommand), under the PYTHONPATH given, so
+another checkout's src/ can be measured against the same pins.  Every file
+pinned under configs/scale/expected/<name>/ must then match the new output
+byte for byte.  When the bytes differ, the two files are compared value by
+value: ints, strings and booleans exactly, floats within 1e-9 relative.  A
+config whose values all agree that way is reported as drift (last-bit
+differences, such as cos/sin results that differ between machines); any
+other difference, a missing file or a nonzero exit is a wrong answer.  Each
+line gives the verdict, the child's wall time and its peak RSS (ru_maxrss
+from os.wait4, in MiB).  Exits 1 if any config is wrong, else 0.
+
+A spawned child's ru_maxrss also counts this process's own peak at the
+spawn, so this script imports neither numpy nor mobiusdyn: its ~10 MiB sits
+below every child's reading.
 
 The pinned files are the outputs of the tree before the change they guard,
 without manifest.json, which holds a timestamp.
@@ -21,12 +28,11 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
 import sys
 import tempfile
 import time
-
-from mobiusdyn.cli_runner import main
 
 SCALE = pathlib.Path(__file__).resolve().parent.parent / "configs" / "scale"
 REL_TOL = 1e-9
@@ -61,17 +67,24 @@ def _values(path: pathlib.Path):
     return [[_cell(c) for c in row] for row in csv.reader(io.StringIO(path.read_text()))]
 
 
-def check(config: pathlib.Path, outdir: pathlib.Path) -> str:
-    """'identical', 'drift' or 'wrong: <why>' for one scale config."""
-    command = json.loads(config.read_text())["command"]
-    code = main([command, "--config", str(config), "--out", str(outdir)])
+def run_child(command: str, config: pathlib.Path, outdir: pathlib.Path) -> tuple[int, float, float]:
+    """Exit code, wall seconds and peak RSS (MiB) of one CLI child."""
+    argv = [sys.executable, "-m", "mobiusdyn.cli_runner", command, "--config", str(config), "--out", str(outdir)]
+    start = time.perf_counter()
+    pid = os.posix_spawn(sys.executable, argv, os.environ)
+    _, status, usage = os.wait4(pid, 0)
+    return os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss / 1024
+
+
+def verdict(code: int, config: pathlib.Path, outdir: pathlib.Path) -> str:
+    """'identical', 'drift' or 'wrong: <why>' for one scale config's run."""
     if code != 0:
         return f"wrong: exit {code}"
     expected = SCALE / "expected" / config.stem
     pinned = sorted(p for p in expected.iterdir() if p.is_file()) if expected.is_dir() else []
     if not pinned:
         return f"wrong: nothing pinned under {expected}"
-    verdict = "identical"
+    result = "identical"
     for old in pinned:
         new = outdir / old.name
         if not new.is_file():
@@ -80,18 +93,19 @@ def check(config: pathlib.Path, outdir: pathlib.Path) -> str:
             continue
         if not _close(_values(old), _values(new)):
             return f"wrong: {old.name} differs beyond {REL_TOL:g} relative"
-        verdict = "drift"
-    return verdict
+        result = "drift"
+    return result
 
 
 def run_all() -> int:
     wrong = 0
     with tempfile.TemporaryDirectory() as tmp:
         for config in sorted(SCALE.glob("*.json")):
-            start = time.perf_counter()
-            verdict = check(config, pathlib.Path(tmp) / config.stem)
-            print(f"{config.stem}: {verdict} ({time.perf_counter() - start:.2f} s)")
-            wrong += verdict.startswith("wrong")
+            outdir = pathlib.Path(tmp) / config.stem
+            code, wall, rss = run_child(json.loads(config.read_text())["command"], config, outdir)
+            result = verdict(code, config, outdir)
+            print(f"{config.stem}: {result} ({wall:.2f} s, {rss:.1f} MiB peak RSS)", flush=True)
+            wrong += result.startswith("wrong")
     return 1 if wrong else 0
 
 

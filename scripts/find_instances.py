@@ -10,7 +10,7 @@ import argparse
 import math
 import random
 
-from mobiusdyn.arith_fn import mobius_sieve
+from mobiusdyn.arith_fn import mobius_segments
 from mobiusdyn.char_sums import twisted_sum_schedule
 from mobiusdyn.field_arith import PrimeModulus
 from mobiusdyn.mobius_dynamics import DegenerateSpectral, period, spectral_form
@@ -50,8 +50,7 @@ def main():
 
     if args.twisted_demo and found:
         matrix, xi0, traj = max(found, key=lambda item: item[2].period)
-        table = mobius_sieve(10**5)
-        reports = twisted_sum_schedule(matrix, xi0, [1], [10**3, 10**4, 10**5], table)
+        reports = twisted_sum_schedule(matrix, xi0, [1], [10**3, 10**4, 10**5], mobius_segments(10**5))
         for r in reports:
             print(f"N={r.term_count}: |S|/N = {r.ratio:.6f}")
         print(f"period {traj.period}, sqrt-envelope check {math.sqrt(10**5) / 10**5:.6f}")

@@ -1,12 +1,16 @@
 """Arithmetic functions: the Mobius function and the primes.
 
 The Mobius function comes in two forms: a segmented signed-product sieve
-(the tables every sum reads, up to _SIEVE_LIMIT) and a chunked
-smallest-prime-factor recurrence that shares no code with it (`mobius-check`
-compares the two).  The sieve keeps one int32 array per segment of
-9 * 30030 integers, holding for each n the product of -q over its sieving
-primes q (0 once some q^2 divides n); the primes up to 13 come from a
-pre-sieved wheel pattern of period 2*3*5*7*11*13 = 30030.
+(up to _SIEVE_LIMIT) and a chunked smallest-prime-factor recurrence that
+shares no code with it (`mobius-check` compares the two).  The sieve keeps
+one int32 array per segment of 9 * 30030 integers, holding for each n the
+product of -q over its sieving primes q (0 once some q^2 divides n); the
+primes up to 13 come from a pre-sieved wheel pattern of period
+2*3*5*7*11*13 = 30030.  `mobius_segments` hands out mu segment by segment,
+so a sum can fold each one in as it arrives and never hold mu(1..N);
+`mobius_sieve` concatenates them into the dense table that `bsz-report`,
+`mobius-check` and the mu-cache file use.  A saved table is read back whole
+(`MobiusTable.load`) or slice by slice (`MobiusTable.slices`).
 
 No character is an object here: the sum kernels in char_sums take an
 additive character psi_u(x) = e(u*x/p) as the int u, and a multiplicative
@@ -22,6 +26,7 @@ import math
 import os
 import struct
 import tempfile
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,6 +107,7 @@ class MobiusTable:
 
     _MAGIC = b"MUTB"
     _VERSION = 1
+    _HEADER = 16  # bytes: magic, u32 version, u64 limit
 
     def mu(self, n: int) -> int:
         if not 1 <= n <= self.limit:
@@ -113,27 +119,66 @@ class MobiusTable:
         header = self._MAGIC + struct.pack("<IQ", self._VERSION, self.limit)
         _atomic_write(Path(path), header, self.values[1:])
 
+
+    @classmethod
+    def _limit(cls, fh) -> int:
+        """The limit in the header of the open table file fh, held to the file size; fh is left after the header."""
+        magic = fh.read(4)
+        if magic != cls._MAGIC:
+            raise ValueError(f"not a Mobius table file (magic {magic!r})")
+        header = fh.read(12)
+        if len(header) != 12:
+            raise ValueError("truncated Mobius table header")
+        version, limit = struct.unpack("<IQ", header)
+        if version != cls._VERSION:
+            raise ValueError(f"unsupported table version {version}")
+        stored = os.fstat(fh.fileno()).st_size - cls._HEADER
+        if stored != limit:
+            raise ValueError(f"Mobius table header promises {limit} values, the file holds {stored}")
+        return limit
+
     @classmethod
     def load(cls, path) -> "MobiusTable":
         with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != cls._MAGIC:
-                raise ValueError(f"not a Mobius table file (magic {magic!r})")
-            header = fh.read(12)
-            if len(header) != 12:
-                raise ValueError("truncated Mobius table header")
-            version, limit = struct.unpack("<IQ", header)
-            if version != cls._VERSION:
-                raise ValueError(f"unsupported table version {version}")
-            stored = os.fstat(fh.fileno()).st_size - 16
-            if stored != limit:
-                raise ValueError(f"Mobius table header promises {limit} values, the file holds {stored}")
-            body = np.frombuffer(fh.read(limit), dtype=np.int8)
-        if limit and (body.min() < -1 or body.max() > 1):
-            raise ValueError("Mobius table holds values outside {-1, 0, 1}")
+            limit = cls._limit(fh)
+            body = _mu_values(fh.read(limit))
         values = np.zeros(limit + 1, dtype=np.int8)
         values[1:] = body
         return cls(limit, values)
+
+    @classmethod
+    def slices(cls, path, limit: int) -> Iterator[tuple[int, np.ndarray]]:
+        """mu(1..limit) from a saved table as (start, values) pairs of _SEGMENT values at most, in order.
+
+        The header is checked on the call, and TableTooSmall raised when the
+        file holds fewer than limit values; each slice is read and checked
+        (ValueError outside {-1, 0, 1}) only when it is drawn.  No file stays
+        open between draws.
+        """
+        with open(path, "rb") as fh:
+            stored = cls._limit(fh)
+        if stored < limit:
+            raise TableTooSmall(f"need mu up to {limit}, table holds {stored}")
+        return _file_slices(path, limit)
+
+
+def _mu_values(data: bytes) -> np.ndarray:
+    """The stored bytes as a read-only int8 array, refused unless every value lies in {-1, 0, 1}."""
+    body = np.frombuffer(data, dtype=np.int8)
+    if body.size and (body.min() < -1 or body.max() > 1):
+        raise ValueError("Mobius table holds values outside {-1, 0, 1}")
+    return body
+
+
+def _file_slices(path, limit: int) -> Iterator[tuple[int, np.ndarray]]:
+    for lo in range(1, limit + 1, _SEGMENT):
+        m = min(_SEGMENT, limit + 1 - lo)
+        with open(path, "rb") as fh:
+            fh.seek(MobiusTable._HEADER + lo - 1)
+            data = fh.read(m)
+        if len(data) != m:
+            raise ValueError(f"Mobius table file ends before mu({lo + len(data)})")
+        yield lo, _mu_values(data)
 
 
 _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -191,27 +236,43 @@ def _mobius_segment(out, n, primes, pr) -> None:
     out *= pr
 
 
-def mobius_sieve(limit: int) -> MobiusTable:
-    """Exact mu(1..limit) by a segmented signed-product sieve.
+def mobius_segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Exact mu(1..limit) by a segmented signed-product sieve, as (start, segment) pairs in order.
 
-    Segments of _SEGMENT = 9 * 30030 integers each hold one int32 array of
-    signed products (see `_mobius_segment`): the primes 2..13 come from a
-    pre-sieved wheel pattern of period 30030, and every other prime
-    q <= sqrt(limit) takes one strided pass, plus one for q^2 while q^2 has a
-    multiple in the segment.  The product and n buffers are allocated once,
-    and n is advanced by the segment length.
+    segment is a new int8 array holding mu(start), mu(start + 1), ...; the
+    first starts at 1, each next one where the last ended, and the last ends
+    at limit.  Segments of _SEGMENT = 9 * 30030 integers each come from one
+    int32 array of signed products (see `_mobius_segment`): the primes 2..13
+    come from a pre-sieved wheel pattern of period 30030, and every other
+    prime q <= sqrt(limit) takes one strided pass, plus one for q^2 while q^2
+    has a multiple in the segment.  The limit is checked on the call; each
+    segment is sieved when it is drawn, with the product and n buffers
+    allocated once and n advanced by the segment length.
     """
     if not 1 <= limit <= _SIEVE_LIMIT:
         raise LimitOverflow(f"sieve limit must be in [1, {_SIEVE_LIMIT}]")
+    return _sieve_segments(limit)
+
+
+def _sieve_segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
     primes = np.array(primes_up_to(math.isqrt(limit)), dtype=np.int64)
     length = min(_SEGMENT, limit)
     pr = np.empty(length, dtype=np.int32)  # |pr| <= n <= 10**9 < 2**31
     n = np.arange(1, length + 1, dtype=np.int32)
-    mu = np.zeros(limit + 1, dtype=np.int8)
     for lo in range(1, limit + 1, length):
         m = min(length, limit + 1 - lo)
-        _mobius_segment(mu[lo : lo + m], n[:m], primes, pr[:m])
+        mu = np.empty(m, dtype=np.int8)
+        _mobius_segment(mu, n[:m], primes, pr[:m])
+        yield lo, mu
         n += length
+
+
+def mobius_sieve(limit: int) -> MobiusTable:
+    """Exact mu(1..limit) as one dense table: the `mobius_segments` of limit, concatenated."""
+    segments = mobius_segments(limit)
+    mu = np.zeros(limit + 1, dtype=np.int8)
+    for lo, segment in segments:
+        mu[lo : lo + segment.size] = segment
     return MobiusTable(limit, mu)
 
 

@@ -23,7 +23,10 @@ follows the extended scalar map, so orbits through the pole take the same
 path.
 The correlation and single sums read matrix, seed, period and table from one
 Trajectory; the twisted schedule takes (matrix, xi0) and builds only the
-orbit prefix it needs, unless it is handed a Trajectory.
+orbit prefix it needs, unless it is handed a Trajectory.  It takes mu as a
+table or as a stream of segments (arith_fn.mobius_segments), folding each
+segment into its residue counts as it arrives, so a streamed scan never
+holds mu(1..N).
 The exhaustive Weil kernels follow the same pattern over all of F_p or the
 norm-one group: exact int64 phase numerators, then one exactly rounded sum
 per function and component (_fsums, segmented over a whole array pass).
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -272,7 +275,7 @@ def twisted_sum_schedule(
     xi0: FpElem,
     frequencies: Sequence[int],
     n_schedule: Sequence[int],
-    mu_table: MobiusTable,
+    mu: MobiusTable | Iterable[tuple[int, np.ndarray]],
     traj: Trajectory | None = None,
 ) -> list[SumReport]:
     """The twisted sum at each checkpoint N of an ascending schedule.
@@ -281,6 +284,12 @@ def twisted_sum_schedule(
     over n <= N with n - 1 = r mod t and t is the period (or max N when the
     orbit is longer).  The counts are exact integers that grow checkpoint by
     checkpoint, so every prefix report equals a standalone run at that N.
+    mu is a MobiusTable covering max N, or mu(1..) as (start, segment) pairs
+    in order, each starting where the last ended, such as
+    arith_fn.mobius_segments(max N) or MobiusTable.slices: each segment is
+    folded into the counts as it arrives, split at the checkpoints inside
+    it, and the pairs are drawn only up to max N, so mu(1..N) is never held
+    whole.  Pairs that stop short raise TableTooSmall.
     Each frequency u of frequencies is taken mod p and must be nonzero there.
     The orbit prefix and the counts do not depend on u and are built once;
     the reports come frequency by frequency, each over the whole schedule.
@@ -295,8 +304,10 @@ def twisted_sum_schedule(
     if list(n_schedule) != sorted(n_schedule):
         raise ValueError("n_schedule must be ascending")
     n_max = max(n_schedule, default=0)
-    if n_max > mu_table.limit:
-        raise TableTooSmall(f"need mu up to {n_max}, table holds {mu_table.limit}")
+    if isinstance(mu, MobiusTable):
+        if n_max > mu.limit:
+            raise TableTooSmall(f"need mu up to {n_max}, table holds {mu.limit}")
+        mu = [(1, mu.values[1 : n_max + 1])]
     if not n_schedule:
         return []
     if traj is None:
@@ -307,12 +318,23 @@ def twisted_sum_schedule(
         table = traj.orbit_table[:n_max]
     trig = [(np.cos(angle), np.sin(angle)) for angle in (_angles(table, p, u) for u in freqs)]
     counts = np.zeros(table.size, dtype=np.int64)
-    done = 0
+    done = 0  # counts hold mu(1..done)
     values = []  # values[i][k]: checkpoint i, frequency k
-    for n in n_schedule:
-        _add_residue_counts(counts, mu_table.values[done + 1 : n + 1], done)
-        done = n
-        values.append([_weighted_sum(counts, cos, sin) for cos, sin in trig])
+    for start, segment in mu:
+        if start != done + 1:
+            raise ValueError(f"a mu segment starts at {start}, not at {done + 1}")
+        end = done + segment.size
+        while len(values) < len(n_schedule) and n_schedule[len(values)] <= end:
+            n = n_schedule[len(values)]  # the next checkpoint falls in this segment
+            _add_residue_counts(counts, segment[done + 1 - start : n + 1 - start], done)
+            done = n
+            values.append([_weighted_sum(counts, cos, sin) for cos, sin in trig])
+        if len(values) == len(n_schedule):
+            break
+        _add_residue_counts(counts, segment[done + 1 - start :], done)
+        done = end
+    if len(values) < len(n_schedule):
+        raise TableTooSmall(f"need mu up to {n_max}, the segments stop at {done}")
     params = _matrix_params(matrix, xi0)
     return [
         SumReport("twisted", row[k], n, p, None, dict(params, u=u))

@@ -28,7 +28,6 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse
 import datetime
-import hashlib
 import json
 import math
 import random
@@ -48,6 +47,7 @@ from .arith_fn import (
     MobiusTable,
     TableTooSmall,
     mobius_by_spf,
+    mobius_segments,
     mobius_sieve,
 )
 from .bsz_harness import MemoryGuard, decomposition_report, theorem_conditions
@@ -353,6 +353,8 @@ def _load_config(path: str) -> tuple[bytes, dict]:
 
 def _write_outputs(outdir: Path, outputs: dict[str, bytes], config_blob: bytes) -> None:
     """Write every artifact atomically, then the manifest covering them all."""
+    import hashlib  # here, not at the top: it loads OpenSSL, ~3.6 MB resident for the whole run
+
     for name, data in outputs.items():
         _atomic_write(outdir / name, data)
     manifest = {
@@ -385,6 +387,32 @@ def _load_or_build_mu(limit: int, cache: str | None) -> MobiusTable:
     if cache:
         table.save(cache)
     return table
+
+
+def _twisted_mu(limit: int, cache: str | None):
+    """mu(1..limit) for `twisted_sum_schedule`, held whole only when a cache has to be built.
+
+    Without a cache the segments are sieved as the sum draws them; a cache
+    that covers limit is read slice by slice, a bad slice failing as a
+    mu-cache error when it is reached.  A missing or too-short cache goes
+    through `_load_or_build_mu`: built whole and saved.
+    """
+    if not cache:
+        return mobius_segments(limit)
+    try:
+        return _cache_slices(MobiusTable.slices(cache, limit))
+    except (FileNotFoundError, TableTooSmall):
+        return _load_or_build_mu(limit, cache)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"mu-cache file unusable: {exc}") from None
+
+
+def _cache_slices(slices):
+    """The slices as they come, a read or check failure reported as a mu-cache error."""
+    try:
+        yield from slices
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"mu-cache file unusable: {exc}") from None
 
 
 # Every handler takes the parsed config and the --mu-cache path, and returns
@@ -467,8 +495,8 @@ def cmd_sum_scan(cfg: dict, mu_cache: str | None) -> tuple[int, dict[str, bytes]
     traj = period(matrix, xi0) if points is not None else None
     reports = []
     if schedule:
-        table = _load_or_build_mu(schedule[-1], mu_cache)
-        reports += twisted_sum_schedule(matrix, xi0, cfg["frequencies"], schedule, table, traj)
+        mu = _twisted_mu(schedule[-1], mu_cache)
+        reports += twisted_sum_schedule(matrix, xi0, cfg["frequencies"], schedule, mu, traj)
     for point in points or ():
         n = min(point["n"] or traj.period, traj.period)
         if point["kind"] == "correlation":

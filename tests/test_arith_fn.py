@@ -11,6 +11,7 @@ from mobiusdyn.arith_fn import (
     MobiusTable,
     TableTooSmall,
     mobius_by_spf,
+    mobius_segments,
     mobius_sieve,
     primes_in,
     primes_up_to,
@@ -100,6 +101,62 @@ def test_sieve_segment_boundaries():
         ref = mobius_sieve(limit)
         assert np.array_equal(seg.values, ref.values), segment
         assert np.array_equal(seg.values, mobius_by_spf(limit)), segment
+
+
+def _drawn(segments):
+    """The (start, segment) pairs of a stream, each checked to follow on from the last."""
+    pairs, done = [], 0
+    for start, segment in segments:
+        assert start == done + 1 and segment.dtype == np.int8 and segment.size
+        pairs.append((start, segment))
+        done += segment.size
+    return pairs
+
+
+@pytest.mark.parametrize("segment", [64, 1000, 30031])
+def test_segment_stream_concatenates_to_the_table(monkeypatch, segment):
+    # limits at and next to the segment edges; 30031 is not a multiple of the 30030-periodic wheel
+    import mobiusdyn.arith_fn as af
+
+    limits = [1, 2, segment - 1, segment, segment + 1] + [k * segment + d for k in (2, 3) for d in (-1, 0, 1)]
+    tables = {limit: mobius_sieve(limit).values for limit in limits}
+    monkeypatch.setattr(af, "_SEGMENT", segment)
+    for limit in limits:
+        pairs = _drawn(mobius_segments(limit))
+        assert sum(s.size for _, s in pairs) == limit
+        assert all(s.size == segment for _, s in pairs[:-1])
+        stream = np.concatenate([s for _, s in pairs])
+        assert np.array_equal(stream, tables[limit][1:]), limit
+        assert np.array_equal(stream, mobius_by_spf(limit)[1:]), limit
+        assert np.array_equal(mobius_sieve(limit).values, tables[limit]), limit
+
+
+def test_segment_stream_checks_its_limit_on_the_call():
+    for limit in (0, 10**9 + 1):
+        with pytest.raises(LimitOverflow):
+            mobius_segments(limit)
+
+
+def test_table_slices_read_a_saved_table_in_order(tmp_path, monkeypatch):
+    import mobiusdyn.arith_fn as af
+
+    path = tmp_path / "mu.bin"
+    mobius_sieve(1000).save(path)
+    values = MobiusTable.load(path).values
+    monkeypatch.setattr(af, "_SEGMENT", 64)
+    for limit in (1, 63, 64, 65, 640, 1000):
+        pairs = _drawn(MobiusTable.slices(path, limit))
+        assert np.array_equal(np.concatenate([s for _, s in pairs]), values[1 : limit + 1]), limit
+    with pytest.raises(TableTooSmall):
+        MobiusTable.slices(path, 1001)
+    # a bad value is found when its slice is drawn, not before
+    data = bytearray(path.read_bytes())
+    data[16 + 200] = 2
+    path.write_bytes(bytes(data))
+    slices = MobiusTable.slices(path, 1000)
+    assert [next(slices)[0] for _ in range(3)] == [1, 65, 129]
+    with pytest.raises(ValueError, match="outside"):
+        next(slices)  # mu(201) lies in the slice from 193
 
 
 def test_sieve_matches_spf_at_every_small_limit():

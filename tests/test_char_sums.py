@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mobiusdyn import char_sums
-from mobiusdyn.arith_fn import mobius_sieve
+from mobiusdyn.arith_fn import TableTooSmall, mobius_segments, mobius_sieve
 from mobiusdyn.char_sums import (
     CSV_HEADER,
     BadIndices,
@@ -259,6 +259,51 @@ def test_twisted_validation(mu_table):
 
     with pytest.raises(TableTooSmall):
         twisted_sum_schedule(A101, XI101, [1], [mu_table.limit + 1], mu_table)
+
+
+def _rows(reports):
+    return [(r.value, r.term_count, r.params) for r in reports]
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [[1], [1, 1], [63], [64], [65], [1, 63, 64, 64, 65, 127, 128, 129], [50, 128, 128, 300, 640, 641], [3000]],
+)
+def test_twisted_streamed_equals_table_fed(mu_table, monkeypatch, schedule):
+    # 64-term segments put checkpoints at, just before and just after segment edges;
+    # the counts are exact integers, so the values must agree bit for bit
+    import mobiusdyn.arith_fn as af
+
+    monkeypatch.setattr(af, "_SEGMENT", 64)
+    frequencies = [1, 77]
+    fed = twisted_sum_schedule(A101, XI101, frequencies, schedule, mu_table)
+    streamed = twisted_sum_schedule(A101, XI101, frequencies, schedule, mobius_segments(schedule[-1]))
+    assert _rows(streamed) == _rows(fed)
+
+
+def test_twisted_stream_in_one_segment_and_beyond_max_n(mu_table):
+    # one segment of the real size covers N = 5000; a longer stream is drawn only up to max N
+    schedule = [10, 100, 5000]
+    fed = twisted_sum_schedule(A101, XI101, [1, 3], schedule, mu_table)
+    assert len(list(mobius_segments(5000))) == 1
+    assert _rows(twisted_sum_schedule(A101, XI101, [1, 3], schedule, mobius_segments(5000))) == _rows(fed)
+    drawn = []
+
+    def slices():
+        for lo in range(1, mu_table.limit + 1, 64):
+            drawn.append(lo)
+            yield lo, mu_table.values[lo : lo + 64]
+
+    assert _rows(twisted_sum_schedule(A101, XI101, [1, 3], schedule, slices())) == _rows(fed)
+    assert drawn[-1] == 4993  # the slice holding mu(5000)
+
+
+def test_twisted_stream_that_stops_short_or_skips(mu_table):
+    with pytest.raises(TableTooSmall):
+        twisted_sum_schedule(A101, XI101, [1], [10, 200], mobius_segments(199))
+    gap = [(1, mu_table.values[1:65]), (66, mu_table.values[66:130])]
+    with pytest.raises(ValueError, match="starts at 66"):
+        twisted_sum_schedule(A101, XI101, [1], [100], gap)
 
 
 # --- correlation and single sums ------------------------------------------------------

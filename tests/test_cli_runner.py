@@ -52,6 +52,8 @@ def refuse_work(monkeypatch):
         "spectral_form",
         "random_admissible_instance",
         "_load_or_build_mu",
+        "_twisted_mu",
+        "mobius_segments",
         "mobius_sieve",
         "mobius_by_spf",
         "_weil_fp_batch",
@@ -1033,6 +1035,79 @@ def test_schema_walk_every_bad_field_exits_by_name(tmp_path, capsys, refuse_work
     check(misspelled, EXIT_CONFIG, field if field == "kind" else typo)
     if unread is not None:
         check({**unread, field: valid}, EXIT_CONFIG, field)
+
+
+# --- sum-scan streams mu ----------------------------------------------------------------
+
+STREAM_SCAN = {**SCAN_BASE, "kinds": ["twisted"], "frequencies": ["1", "3"], "n_schedule": ["1", "63", "64", "200", "500"]}
+
+
+@pytest.fixture
+def small_segments(monkeypatch):
+    """64-value sieve segments and cache slices, so a short scan spans several."""
+    from mobiusdyn import arith_fn
+
+    monkeypatch.setattr(arith_fn, "_SEGMENT", 64)
+
+
+def _no_whole_table(monkeypatch):
+    from mobiusdyn import arith_fn, cli_runner
+
+    def refuse(*args):
+        raise AssertionError("a whole Mobius table was built or loaded")
+
+    for owner in (arith_fn, cli_runner):
+        monkeypatch.setattr(owner, "mobius_sieve", refuse)
+    monkeypatch.setattr(cli_runner, "_load_or_build_mu", refuse)
+    monkeypatch.setattr(arith_fn.MobiusTable, "load", classmethod(refuse))
+
+
+def test_sum_scan_without_a_cache_builds_no_table(tmp_path, monkeypatch, small_segments):
+    code, built = run(tmp_path, "sum-scan", STREAM_SCAN, out_name="built")
+    assert code == EXIT_OK
+    _no_whole_table(monkeypatch)
+    code, streamed = run(tmp_path, "sum-scan", STREAM_SCAN, out_name="streamed")
+    assert code == EXIT_OK
+    assert (streamed / "sum_scan.csv").read_bytes() == (built / "sum_scan.csv").read_bytes()
+
+
+def test_sum_scan_reads_a_covering_cache_in_slices(tmp_path, monkeypatch, small_segments):
+    from mobiusdyn.arith_fn import mobius_sieve
+
+    code, plain = run(tmp_path, "sum-scan", STREAM_SCAN, out_name="plain")
+    assert code == EXIT_OK
+    cache = tmp_path / "mu.bin"
+    mobius_sieve(1000).save(cache)
+    before = cache.read_bytes()
+    _no_whole_table(monkeypatch)
+    code, cached = run(tmp_path, "sum-scan", STREAM_SCAN, out_name="cached", extra=["--mu-cache", str(cache)])
+    assert code == EXIT_OK
+    assert (cached / "sum_scan.csv").read_bytes() == (plain / "sum_scan.csv").read_bytes()
+    assert cache.read_bytes() == before
+
+
+def test_bad_value_in_a_later_cache_slice_is_config_error(tmp_path, capsys, small_segments):
+    from mobiusdyn.arith_fn import mobius_sieve
+
+    cache = tmp_path / "mu.bin"
+    mobius_sieve(1000).save(cache)
+    data = bytearray(cache.read_bytes())
+    data[16 + 300] = 2  # mu(301), in the fifth 64-value slice
+    cache.write_bytes(bytes(data))
+    code, outdir = run(tmp_path, "sum-scan", STREAM_SCAN, extra=["--mu-cache", str(cache)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "mu-cache" in err and "Traceback" not in err
+    assert not (outdir / "sum_scan.csv").exists()
+
+
+def test_cli_import_leaves_hashlib_for_the_manifest():
+    # hashlib loads OpenSSL (~3.6 MB resident), so only _write_outputs imports it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = "import sys, mobiusdyn.cli_runner; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # --- one orbit build per scan ----------------------------------------------------------
