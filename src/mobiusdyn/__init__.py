@@ -2,8 +2,8 @@
 sums they generate.
 
 Layout mirrors the pipeline: exact field arithmetic (`field_arith`), the
-dynamical system itself (`mobius_dynamics`), arithmetic functions and
-characters (`arith_fn`), the sum kernels with their reference bounds
+dynamical system itself (`mobius_dynamics`), the Mobius function and the
+primes (`arith_fn`), the sum kernels with their reference bounds
 (`char_sums`), the sieve-block machinery for correlations with bounded
 multiplicative functions (`bsz_harness`), and a reproducible experiment
 driver (`cli_runner`).

@@ -21,17 +21,24 @@ same reduction as the twisted-sum kernel.
 
 Inequalities with unspecified constants are evaluated with the constant set
 to 1 and reported as two-sided numbers, never hard-asserted.
+
+The two reports are the JSON objects `bsz_report.json` holds, built once:
+`decomposition_report` returns {schema_version, params, rows, aggregates},
+one row per block and the left side, sum W_j, quotient and product counts in
+aggregates; `theorem_conditions` returns {alpha, n, p, t, epsilon, rho,
+alpha_range_empty, conditions}, one {name, lhs, rhs, holds, log_scale} per
+inequality.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .arith_fn import LimitOverflow, primes_in
+from .arith_fn import primes_in
 from .char_sums import _add_residue_counts, _fsum, _fsums, _weighted_sum
 
 
@@ -43,8 +50,7 @@ class MemoryGuard(ValueError):
     """Sieve-set range exceeds the desk-scale memory budget."""
 
 
-_SIEVE_LIMIT = 10**8
-_PRIME_LIMIT = 10**9
+_SIEVE_SET_LIMIT = 10**8  # the largest M_j whose exclusion array sieve_sets allocates
 _GATHER = 1 << 16  # entries per gathered chunk of products
 
 
@@ -101,16 +107,13 @@ def prime_blocks(params: BszParams) -> list[PrimeBlock]:
     """Materialise the blocks whose sieve sets can be nonempty.
 
     Blocks with R_{j+1} > N have M_j < 1, hence empty Q_j and zero
-    contribution everywhere, so enumeration stops there.  Raises
-    LimitOverflow if a needed block would require primes beyond 10^9.
+    contribution everywhere, so enumeration stops there.
     """
     blocks: list[PrimeBlock] = []
     for j in params.j_range:
         hi = params.r(j + 1)
         if hi > params.n:
             break
-        if hi > _PRIME_LIMIT:
-            raise LimitOverflow(f"block {j} needs primes beyond {_PRIME_LIMIT}")
         blocks.append(PrimeBlock(j, primes_in(params.r(j), hi)))
     return blocks
 
@@ -124,13 +127,12 @@ def sieve_sets(params: BszParams, blocks: Sequence[PrimeBlock]) -> list[SieveSet
     if not blocks:
         return []
     m_max = math.floor(params.m(blocks[0].j))
-    if m_max > _SIEVE_LIMIT:
-        raise MemoryGuard(f"sieve range {m_max} exceeds {_SIEVE_LIMIT}")
+    if m_max > _SIEVE_SET_LIMIT:
+        raise MemoryGuard(f"sieve range {m_max} exceeds {_SIEVE_SET_LIMIT}")
     excluded = np.zeros(m_max + 1, dtype=bool)
     out: list[SieveSet] = []
     for block in blocks:
-        primes = np.asarray(block.primes, dtype=np.int64)
-        for r in primes[primes <= m_max]:
+        for r in block.primes[block.primes <= m_max]:
             excluded[r::r] = True
         m_j = math.floor(params.m(block.j))
         out.append(SieveSet(block.j, np.flatnonzero(~excluded[1 : m_j + 1]) + 1))
@@ -139,15 +141,9 @@ def sieve_sets(params: BszParams, blocks: Sequence[PrimeBlock]) -> list[SieveSet
 
 @dataclass(frozen=True)
 class DistinctProductsReport:
-    """Exact-integer audit of the products m*r across the whole schedule."""
+    """Exact-integer audit of the products m*r across the whole schedule: all distinct, all <= N."""
 
     total_products: int
-    n: int
-    collisions: int
-
-    @property
-    def within_budget(self) -> bool:
-        return self.total_products <= self.n
 
 
 def _chunks(rows: np.ndarray, width: int):
@@ -173,8 +169,7 @@ def distinct_products_check(
     pairs = []
     total = 0
     for block, qset in zip(blocks, sets):
-        primes = np.asarray(block.primes, dtype=np.int64)
-        members = np.asarray(qset.members, dtype=np.int64)
+        primes, members = block.primes, qset.members
         if not (primes.size and members.size):
             continue
         if min(primes.min(), members.min()) < 0:
@@ -190,10 +185,9 @@ def distinct_products_check(
         prods = np.sort(np.concatenate([np.multiply.outer(m, r).ravel() for m, r in pairs]))
         repeat = prods[1:][prods[1:] == prods[:-1]]
         raise CollisionFound(f"product {repeat[0]} produced twice")
-    report = DistinctProductsReport(total, n, 0)
-    if not report.within_budget:
+    if total > n:
         raise AssertionError(f"sum #P_j #Q_j = {total} exceeds N = {n}")
-    return report
+    return DistinctProductsReport(total)
 
 
 def _check_bounded(nu: np.ndarray, phase: np.ndarray) -> None:
@@ -233,14 +227,14 @@ def wj_sums(
     t = phase.size
     terms = []  # terms[j]: count_j(s) |inner(s)| for each residue s of block j
     for block, qset in zip(blocks, sets):
-        primes = np.asarray(block.primes, dtype=np.int64)
+        primes = block.primes
         if primes.size and primes.max() >= nu.size:
             raise ValueError(f"nu covers 0..{nu.size - 1}, block {block.j} needs {primes.max()}")
         nu_r = nu[primes]
         live = nu_r != 0
         r_res = primes[live] % t
         weights = nu_r[live].astype(np.float64)
-        m_res = np.asarray(qset.members, dtype=np.int64) % t
+        m_res = qset.members % t
         counts = 1
         if m_res.size > t:
             counts = np.bincount(m_res, minlength=t)
@@ -256,58 +250,9 @@ def wj_sums(
     return _fsums(np.concatenate([np.empty(0), *terms]), [len(w) for w in terms])
 
 
-@dataclass
-class BszDecomposition:
-    """Full ledger for one (nu, F, N, alpha) instance."""
-
-    params: BszParams
-    period: int
-    blocks: list[PrimeBlock]
-    sets: list[SieveSet]
-    w_values: list[float]
-    lhs: complex
-    products: DistinctProductsReport
-    sum_block_sizes: int
-    quotient: float
-    rows: list[dict] = field(default_factory=list)
-
-    @property
-    def sum_w(self) -> float:
-        return _fsum(np.array(self.w_values, dtype=np.float64))
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "params": {
-                "alpha": self.params.alpha,
-                "n": self.params.n,
-                "j0": self.params.j0,
-                "j1": self.params.j1,
-                "period": self.period,
-            },
-            "rows": self.rows,
-            "aggregates": {
-                "lhs_re": self.lhs.real,
-                "lhs_im": self.lhs.imag,
-                "lhs_abs": abs(self.lhs),
-                "sum_w": self.sum_w,
-                "alpha_n": self.params.alpha * self.params.n,
-                "quotient": self.quotient,
-                "sum_pq": self.products.total_products,
-                "sum_p": self.sum_block_sizes,
-                "collisions": self.products.collisions,
-                "materialised_blocks": len(self.blocks),
-            },
-        }
 
 
-def decomposition_report(
-    nu: np.ndarray,
-    phase: np.ndarray,
-    n: int,
-    alpha: float,
-    period: int,
-) -> BszDecomposition:
+def decomposition_report(nu: np.ndarray, phase: np.ndarray, n: int, alpha: float, period: int) -> dict:
     """Compute the left side, every W_j, and the empirical decomposition quotient.
 
     nu and phase are as in wj_sums, with nu covering 0..N; period is the
@@ -316,7 +261,8 @@ def decomposition_report(
     c_s = sum_{n <= N, n - 1 = s mod t} nu(n) and one exactly rounded sum per
     component.
     quotient = |sum_{n' <= N} nu(n')F(n')| / (sum_j W_j + alpha*N); it is
-    reported as data, not compared against any constant.
+    reported as data, not compared against any constant.  collisions is
+    always 0: a repeated product raises CollisionFound instead.
     """
     params = make_params(alpha, n)
     if nu.size <= n:
@@ -328,8 +274,8 @@ def decomposition_report(
     counts = np.zeros(phase.size, dtype=np.int64)
     _add_residue_counts(counts, nu[1 : n + 1], 0)
     lhs = _weighted_sum(counts, phase.real, phase.imag)
-    denom = _fsum(np.array(w_values, dtype=np.float64)) + alpha * n
-    quotient = abs(lhs) / denom if denom > 0 else math.inf
+    sum_w = _fsum(np.array(w_values, dtype=np.float64))
+    denom = sum_w + alpha * n
     rows = [
         {
             "j": block.j,
@@ -341,80 +287,33 @@ def decomposition_report(
         }
         for block, qset, w in zip(blocks, sets, w_values)
     ]
-    return BszDecomposition(
-        params=params,
-        period=period,
-        blocks=blocks,
-        sets=sets,
-        w_values=w_values,
-        lhs=lhs,
-        products=products,
-        sum_block_sizes=sum(len(b.primes) for b in blocks),
-        quotient=quotient,
-        rows=rows,
-    )
+    return {
+        "schema_version": 1,
+        "params": {"alpha": alpha, "n": n, "j0": params.j0, "j1": params.j1, "period": period},
+        "rows": rows,
+        "aggregates": {
+            "lhs_re": lhs.real,
+            "lhs_im": lhs.imag,
+            "lhs_abs": abs(lhs),
+            "sum_w": sum_w,
+            "alpha_n": alpha * n,
+            "quotient": abs(lhs) / denom if denom > 0 else math.inf,
+            "sum_pq": products.total_products,
+            "sum_p": sum(len(b.primes) for b in blocks),
+            "collisions": 0,
+            "materialised_blocks": len(blocks),
+        },
+    }
 
 
-@dataclass(frozen=True)
-class ConditionRow:
-    """One inequality with both sides evaluated (implied constant 1)."""
-
-    name: str
-    lhs: float
-    rhs: float
-    holds: bool
-    log_scale: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "log_scale": self.log_scale,
-        }
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """All hypothesis inequalities for one (alpha, N, p, t, epsilon) instance.
+def theorem_conditions(alpha: float, n: int, p: int, t: int, epsilon: float) -> dict:
+    """Evaluate the admissibility inequalities numerically, constants set to 1.
 
     rho is instantiated as sqrt(p)*log(p)/t, the concrete admissible choice.
     Conditions whose right side overflows a double are compared in log scale.
     alpha_range_empty records that no alpha <= 1 satisfies the lower bound at
     this p, which is the normal situation at desk scale.
     """
-
-    alpha: float
-    n: int
-    p: int
-    t: int
-    epsilon: float
-    rho: float
-    conditions: tuple[ConditionRow, ...]
-    alpha_range_empty: bool
-
-    def condition(self, name: str) -> ConditionRow:
-        for row in self.conditions:
-            if row.name == name:
-                return row
-        raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "n": self.n,
-            "p": self.p,
-            "t": self.t,
-            "epsilon": self.epsilon,
-            "rho": self.rho,
-            "alpha_range_empty": self.alpha_range_empty,
-            "conditions": [row.to_dict() for row in self.conditions],
-        }
-
-
-def theorem_conditions(alpha: float, n: int, p: int, t: int, epsilon: float) -> ConditionReport:
-    """Evaluate the admissibility inequalities numerically, constants set to 1."""
     if min(alpha, epsilon) <= 0 or min(n, t) <= 0 or p < 3:
         raise ValueError("need alpha, epsilon, n, t positive and p >= 3")
     log_p = math.log(p)
@@ -422,30 +321,29 @@ def theorem_conditions(alpha: float, n: int, p: int, t: int, epsilon: float) -> 
     inv_alpha = 1.0 / alpha
     log_inv_alpha6 = math.log(inv_alpha) ** 6  # even power: fine on either side of 1
     rho = math.sqrt(p) * log_p / t
-
-    rows = [
-        ConditionRow("t_large", float(t), p ** (0.5 + epsilon), t >= p ** (0.5 + epsilon)),
-    ]
+    t_floor = p ** (0.5 + epsilon)
     # alpha >= 3 * (log log p)^6 / (epsilon * log p)
     alpha_floor = 3.0 * loglog_p**6 / (epsilon * log_p)
-    rows.append(ConditionRow("alpha_floor", alpha, alpha_floor, alpha >= alpha_floor))
     # N >= sqrt(p) * exp(5/alpha * log(1/alpha)^6) * log(p), compared in logs
     log_n_floor = 0.5 * log_p + 5.0 * inv_alpha * log_inv_alpha6 + loglog_p
-    rows.append(ConditionRow("n_floor", math.log(n), log_n_floor, math.log(n) >= log_n_floor, log_scale=True))
     # alpha^-2 * exp(2/alpha * log(1/alpha)^6) <= 1/rho, in logs
     log_lhs = 2.0 * math.log(inv_alpha) + 2.0 * inv_alpha * log_inv_alpha6
-    rows.append(ConditionRow("rho_capacity", log_lhs, -math.log(rho), log_lhs <= -math.log(rho), log_scale=True))
     # N >= t * rho * exp(4/alpha * log(1/alpha)^6), in logs
     log_rhs = math.log(t * rho) + 4.0 * inv_alpha * log_inv_alpha6
-    rows.append(ConditionRow("length_capacity", math.log(n), log_rhs, math.log(n) >= log_rhs, log_scale=True))
-
-    return ConditionReport(
-        alpha=alpha,
-        n=n,
-        p=p,
-        t=t,
-        epsilon=epsilon,
-        rho=rho,
-        conditions=tuple(rows),
-        alpha_range_empty=alpha_floor > 1.0,
-    )
+    rows = [  # name, lhs, rhs, holds, log_scale
+        ("t_large", float(t), t_floor, t >= t_floor, False),
+        ("alpha_floor", alpha, alpha_floor, alpha >= alpha_floor, False),
+        ("n_floor", math.log(n), log_n_floor, math.log(n) >= log_n_floor, True),
+        ("rho_capacity", log_lhs, -math.log(rho), log_lhs <= -math.log(rho), True),
+        ("length_capacity", math.log(n), log_rhs, math.log(n) >= log_rhs, True),
+    ]
+    return {
+        "alpha": alpha,
+        "n": n,
+        "p": p,
+        "t": t,
+        "epsilon": epsilon,
+        "rho": rho,
+        "alpha_range_empty": alpha_floor > 1.0,
+        "conditions": [dict(zip(("name", "lhs", "rhs", "holds", "log_scale"), row)) for row in rows],
+    }

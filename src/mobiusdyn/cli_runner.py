@@ -383,6 +383,7 @@ def _load_or_build_mu(limit: int, cache: str | None) -> MobiusTable:
             raise ConfigError(f"mu-cache file unusable: {exc}") from None
         if table.limit >= limit:
             return table
+        del table  # too short: not held while the new one is sieved
     table = mobius_sieve(limit)
     if cache:
         table.save(cache)
@@ -566,8 +567,7 @@ def cmd_bsz_report(cfg: dict, mu_cache: str | None) -> tuple[int, dict[str, byte
 
     decomposition = decomposition_report(nu, phase, n, alpha, traj.period)
     conditions = theorem_conditions(alpha, n, modulus.p, traj.period, cfg["epsilon"])
-    body = dict(decomposition.to_dict(), conditions=conditions.to_dict(), matrix=list(matrix.entries()))
-    body.update(xi0=xi0.value, p=modulus.p)
+    body = dict(decomposition, conditions=conditions, matrix=list(matrix.entries()), xi0=xi0.value, p=modulus.p)
     return EXIT_OK, {"bsz_report.json": _json_bytes(body)}
 
 

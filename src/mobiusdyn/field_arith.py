@@ -5,7 +5,7 @@ F_{p^2}, so the distinguished root theta is literally the class of Z when the
 polynomial is irreducible.  When it splits, every quantity of interest lives
 in the c1 = 0 subring and the same code degrades gracefully to F_p.
 
-FpElem is the config type (matrix entries, seeds, characters).  Everything
+FpElem is the config type (matrix entries and seeds).  Everything
 past the config boundary runs on raw ints and (c0, c1) int pairs, F_p
 elements being the pairs (x, 0): square roots, roots, orders and the group
 generators the Weil kernels enumerate.  Orders come from trial-division

@@ -10,9 +10,9 @@ Z^2 - e*Z + 1 both follow the projective indexing, so the verification
 helpers prefer seeds whose orbit avoids the pole, where all three views
 agree index by index.
 
-`apply` is the definition of the map, one step at a time; the projective map,
-the linear lift and the closed form on Fp2Elem objects, all stepped, live with
-the test oracles.  `MobiusMatrix.roots` solves Z^2 - e*Z + 1 once per matrix,
+The map stepped one point at a time (`apply`), the projective map, the
+linear lift and the closed form on Fp2Elem objects live with the test
+oracles.  `MobiusMatrix.roots` solves Z^2 - e*Z + 1 once per matrix,
 on raw (c0, c1) int pairs, for ord(theta^2) and for `spectral_form`, which
 solves the closed form on int pairs; `SpectralForm.evaluate` is its one
 evaluator.  The orbit table every sum reads is not stepped: `_orbit_prefix`
@@ -133,14 +133,6 @@ def normalize_to_sl2(a: FpElem, b: FpElem, c: FpElem, d: FpElem) -> MobiusMatrix
         raise NonSquareDeterminant(f"det^-1 = {det.inv().value} is not a square mod {a.p}")
     lam = a.modulus.elem(root)
     return MobiusMatrix(lam * a, lam * b, lam * c, lam * d)
-
-
-def apply(matrix: MobiusMatrix, x: FpElem) -> FpElem:
-    """One step of the extended map: (a*x + b)/(c*x + d), with the pole sent to a/c."""
-    den = matrix.c * x + matrix.d
-    if not den:
-        return matrix.a / matrix.c
-    return (matrix.a * x + matrix.b) / den
 
 
 def _orbit_prefix(matrix: MobiusMatrix, xi0: FpElem, limit: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Step-by-step reference implementations that the array and int-pair paths are tested against.
 
+`apply` steps the extended map one FpElem at a time (`orbit_oracle` iterates
+it), and `apply_projective` and `linear_lift` step the projective views.
 `QuadExtension` and `Fp2Elem` step F_p[Z]/(Z^2 - e*Z + 1) one object at a
 time, apart from the raw int pairs of `src/`.  The closed form is solved on
 them as the oracle for `mobius_dynamics.spectral_form` (both start from
@@ -28,7 +30,7 @@ from mobiusdyn.field_arith import (
     RepeatedRoot,
     ZeroInverse,
 )
-from mobiusdyn.mobius_dynamics import DegenerateSpectral, MobiusMatrix, SpectralForm, apply
+from mobiusdyn.mobius_dynamics import DegenerateSpectral, MobiusMatrix, SpectralForm
 
 
 
@@ -291,6 +293,14 @@ def twisted_oracle(matrix, xi0, psi, n_terms, mu_table) -> complex:
     """sum_{n <= N} mu(n) psi(xi_n), one term at a time."""
     vals = orbit_oracle(matrix, xi0, n_terms)
     return sum(mu_table.mu(n) * psi(vals[n]) for n in range(1, n_terms + 1))
+
+
+def apply(matrix: MobiusMatrix, x: FpElem) -> FpElem:
+    """One step of the extended map: (a*x + b)/(c*x + d), with the pole sent to a/c."""
+    den = matrix.c * x + matrix.d
+    if not den:
+        return matrix.a / matrix.c
+    return (matrix.a * x + matrix.b) / den
 
 
 def apply_projective(matrix: MobiusMatrix, x: FpElem | None) -> FpElem | None:

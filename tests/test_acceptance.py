@@ -35,17 +35,13 @@ from mobiusdyn.char_sums import (
 )
 from mobiusdyn.cli_runner import main
 from mobiusdyn.field_arith import PrimeModulus
-from mobiusdyn.mobius_dynamics import (
-    MobiusMatrix,
-    apply,
-    period,
-)
+from mobiusdyn.mobius_dynamics import MobiusMatrix, period
 from mobiusdyn.sampling import (
     random_admissible_instance,
     random_rational_function_fp,
     random_rational_function_fp2,
 )
-from oracles import AdditiveCharacter, decimated_oracle, linear_lift, mobius_oracle, spectral_orbit, unit_circle
+from oracles import AdditiveCharacter, apply, decimated_oracle, linear_lift, mobius_oracle, spectral_orbit, unit_circle
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -238,8 +234,7 @@ def test_criterion_7_bsz_combinatorics():
         params = make_params(alpha, n)
         blocks = prime_blocks(params)
         sets = sieve_sets(params, blocks)
-        report = distinct_products_check(blocks, sets, n)
-        assert report.collisions == 0
+        report = distinct_products_check(blocks, sets, n)  # raises CollisionFound on a repeated product
         assert report.total_products <= n
         if alpha == 0.2:
             assert report.total_products > 0  # the schedule is nontrivial here
@@ -257,8 +252,8 @@ def test_criterion_8_bsz_sanity_all_ones():
     w = wj_sums(nu, phase, blocks, sets)
     for block, qset, wj in zip(blocks, sets, w):
         assert wj == float(len(block.primes) * len(qset.members))
-    lhs = decomposition_report(nu, phase, n, 0.2, period=1).lhs
-    assert lhs.real == float(n) and lhs.imag == 0.0
+    agg = decomposition_report(nu, phase, n, 0.2, period=1)["aggregates"]
+    assert agg["lhs_re"] == float(n) and agg["lhs_im"] == 0.0
     print(f"\nPASS criterion 8: nu = F = 1 gives LHS = N and W_j = #P_j * #Q_j exactly")
 
 

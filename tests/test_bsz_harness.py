@@ -10,6 +10,7 @@ from mobiusdyn.arith_fn import mobius_sieve, primes_up_to
 from mobiusdyn.bsz_harness import (
     BszParams,
     CollisionFound,
+    DistinctProductsReport,
     PrimeBlock,
     SieveSet,
     distinct_products_check,
@@ -21,9 +22,9 @@ from mobiusdyn.bsz_harness import (
     wj_sums,
 )
 from mobiusdyn.field_arith import PrimeModulus
-from mobiusdyn.mobius_dynamics import MobiusMatrix, apply, period
+from mobiusdyn.mobius_dynamics import MobiusMatrix, period
 from mobiusdyn.sampling import random_sl2
-from oracles import AdditiveCharacter
+from oracles import AdditiveCharacter, apply
 
 TOY = BszParams(alpha=1.0, n=10**4, j0=3.0, j1=5.0)  # R_j = 2^j, blocks j = 3, 4, 5
 ONE = np.ones(1, dtype=complex)  # F = 1: one period of length 1
@@ -32,6 +33,16 @@ ONE = np.ones(1, dtype=complex)  # F = 1: one period of length 1
 def ones(n):
     """nu = 1 on 0..n."""
     return np.ones(n + 1, dtype=np.int8)
+
+
+def i64(*values):
+    """A toy block's primes or sieve set's members, int64 as prime_blocks and sieve_sets give them."""
+    return np.array(values, dtype=np.int64)
+
+
+def conditions(rep):
+    """The condition rows of a theorem_conditions report, by name."""
+    return {r["name"]: r for r in rep["conditions"]}
 
 
 # --- parameters -----------------------------------------------------------------
@@ -101,7 +112,7 @@ def test_empty_blocks_are_legal():
     from mobiusdyn.bsz_harness import PrimeBlock
 
     assert primes_in(114, 127).tolist() == []
-    blocks = [PrimeBlock(3, ())]
+    blocks = [PrimeBlock(3, primes_in(114, 127))]
     sets = sieve_sets(TOY, blocks)
     assert sets[0].members[:5].tolist() == [1, 2, 3, 4, 5]  # nothing excluded
     report = distinct_products_check(blocks, sets, TOY.n)
@@ -179,15 +190,13 @@ def test_blocks_and_sets_stay_int64_arrays_at_benchmark_size():
 
 
 def test_distinct_products_empty():
-    report = distinct_products_check([], [], 10**4)
-    assert (report.total_products, report.n, report.collisions) == (0, 10**4, 0)
+    assert distinct_products_check([], [], 10**4) == DistinctProductsReport(0)
 
 
 def test_distinct_products_toy():
     blocks = prime_blocks(TOY)
     sets = sieve_sets(TOY, blocks)
-    report = distinct_products_check(blocks, sets, TOY.n)
-    assert report.collisions == 0
+    report = distinct_products_check(blocks, sets, TOY.n)  # no CollisionFound: every product is distinct
     assert report.total_products == sum(
         len(b.primes) * len(s.members) for b, s in zip(blocks, sets)
     )
@@ -196,16 +205,16 @@ def test_distinct_products_toy():
 
 def test_distinct_products_collision_across_blocks():
     # 3*5 in the first block and 5*3 in the second
-    blocks = [PrimeBlock(3, (3,)), PrimeBlock(4, (5,))]
-    sets = [SieveSet(3, (1, 5)), SieveSet(4, (2, 3))]
+    blocks = [PrimeBlock(3, i64(3)), PrimeBlock(4, i64(5))]
+    sets = [SieveSet(3, i64(1, 5)), SieveSet(4, i64(2, 3))]
     with pytest.raises(CollisionFound, match="product 15"):
         distinct_products_check(blocks, sets, 100)
 
 
 def test_distinct_products_collision_within_block():
     # 2*3 = 3*2 inside one block whose sieve set keeps a multiple of its primes
-    blocks = [PrimeBlock(3, (2, 3))]
-    sets = [SieveSet(3, (1, 2, 3))]
+    blocks = [PrimeBlock(3, i64(2, 3))]
+    sets = [SieveSet(3, i64(1, 2, 3))]
     with pytest.raises(CollisionFound, match="product 6"):
         distinct_products_check(blocks, sets, 100)
 
@@ -213,32 +222,32 @@ def test_distinct_products_collision_within_block():
 def test_distinct_products_collision_between_chunks_of_one_block():
     # one prime and more members than one gathered chunk holds: the repeat
     # lands in a later chunk than its first occurrence
-    members = tuple(range(1, 70001)) + (5,)
+    members = i64(*range(1, 70001), 5)
     with pytest.raises(CollisionFound, match="product 10"):
-        distinct_products_check([PrimeBlock(3, (2,))], [SieveSet(3, members)], 10**6)
+        distinct_products_check([PrimeBlock(3, i64(2))], [SieveSet(3, members)], 10**6)
 
 
 def test_distinct_products_names_the_smallest_repeat():
     # 7*11 repeats in the first block and 3*5 in the second: the audit names 15
-    blocks = [PrimeBlock(3, (7, 11)), PrimeBlock(4, (3, 5))]
-    sets = [SieveSet(3, (1, 7, 11)), SieveSet(4, (3, 5))]
+    blocks = [PrimeBlock(3, i64(7, 11)), PrimeBlock(4, i64(3, 5))]
+    sets = [SieveSet(3, i64(1, 7, 11)), SieveSet(4, i64(3, 5))]
     with pytest.raises(CollisionFound, match="product 15 produced"):
         distinct_products_check(blocks, sets, 1000)
 
 
 def test_distinct_products_collision_only_in_the_last_block():
     # forty blocks with the odd products 1, 3, ..., 79, then a block whose 3*13 repeats block 19's 39*1
-    blocks = [PrimeBlock(j, (2 * j + 1,)) for j in range(40)] + [PrimeBlock(40, (3,))]
-    sets = [SieveSet(j, (1,)) for j in range(40)]
+    blocks = [PrimeBlock(j, i64(2 * j + 1)) for j in range(40)] + [PrimeBlock(40, i64(3))]
+    sets = [SieveSet(j, i64(1)) for j in range(40)]
     with pytest.raises(CollisionFound, match="product 39 produced"):
-        distinct_products_check(blocks, sets + [SieveSet(40, (2, 13))], 1000)
-    report = distinct_products_check(blocks, sets + [SieveSet(40, (2, 50))], 1000)
+        distinct_products_check(blocks, sets + [SieveSet(40, i64(2, 13))], 1000)
+    report = distinct_products_check(blocks, sets + [SieveSet(40, i64(2, 50))], 1000)
     assert report.total_products == 42
 
 
 def test_distinct_products_product_above_n():
-    blocks = [PrimeBlock(3, (11, 13))]
-    sets = [SieveSet(3, (1, 7))]
+    blocks = [PrimeBlock(3, i64(11, 13))]
+    sets = [SieveSet(3, i64(1, 7))]
     with pytest.raises(AssertionError, match=r"product 7\*13 exceeds N = 90") as info:
         distinct_products_check(blocks, sets, 90)
     assert not isinstance(info.value, CollisionFound)
@@ -246,8 +255,8 @@ def test_distinct_products_product_above_n():
 
 def test_distinct_products_total_above_n():
     # products 0 and 1 are distinct and <= N = 1, but there are two of them
-    blocks = [PrimeBlock(3, (1,))]
-    sets = [SieveSet(3, (0, 1))]
+    blocks = [PrimeBlock(3, i64(1))]
+    sets = [SieveSet(3, i64(0, 1))]
     with pytest.raises(AssertionError, match="sum #P_j #Q_j = 2 exceeds N = 1") as info:
         distinct_products_check(blocks, sets, 1)
     assert not isinstance(info.value, CollisionFound)
@@ -257,8 +266,8 @@ def test_distinct_products_total_above_n():
 
 
 def test_wj_empty_block_gives_zero():
-    blocks = [PrimeBlock(3, ())]
-    sets = [SieveSet(3, (1, 2, 3))]
+    blocks = [PrimeBlock(3, i64())]
+    sets = [SieveSet(3, i64(1, 2, 3))]
     w = wj_sums(ones(3), ONE, blocks, sets)
     assert w == [0.0]
 
@@ -353,24 +362,54 @@ def test_wj_equals_the_modulo_expression_bit_for_bit(t):
 
 def test_decomposition_all_ones_lhs_is_n():
     report = decomposition_report(ones(10**4), ONE, 10**4, 0.2, period=1)
-    assert report.lhs == pytest.approx(10**4)
-    for row, block, qset in zip(report.rows, report.blocks, report.sets):
+    agg = report["aggregates"]
+    assert complex(agg["lhs_re"], agg["lhs_im"]) == pytest.approx(10**4)
+    assert report["rows"]
+    for row in report["rows"]:
         assert row["w"] == pytest.approx(row["p_count"] * row["q_count"])
-    assert report.products.collisions == 0
-    assert report.products.total_products <= 10**4
+    assert agg["collisions"] == 0
+    assert agg["sum_pq"] <= 10**4
 
 
 def test_decomposition_reproducible():
     mu = mobius_sieve(2000)
     rep1 = decomposition_report(mu.values, ONE, 2000, 0.25, period=7)
     rep2 = decomposition_report(mu.values, ONE, 2000, 0.25, period=7)
-    assert rep1.to_dict() == rep2.to_dict()
+    assert rep1 == rep2
 
 
 def test_decomposition_quotient_definition():
     report = decomposition_report(ones(5000), ONE, 5000, 0.3, period=1)
-    denom = sum(report.w_values) + 0.3 * 5000
-    assert report.quotient == pytest.approx(abs(report.lhs) / denom)
+    agg = report["aggregates"]
+    denom = sum(row["w"] for row in report["rows"]) + 0.3 * 5000
+    assert agg["quotient"] == pytest.approx(agg["lhs_abs"] / denom)
+
+
+def test_decomposition_report_fields_match_the_stages():
+    # the report's params, rows and aggregates against prime_blocks, sieve_sets, wj_sums and the product audit
+    n, alpha = 3 * 10**4, 0.2
+    nu = mobius_sieve(n).values
+    phase = np.exp(2j * np.pi * np.arange(7) / 7)
+    report = decomposition_report(nu, phase, n, alpha, period=7)
+    params = make_params(alpha, n)
+    blocks = prime_blocks(params)
+    sets = sieve_sets(params, blocks)
+    w = wj_sums(nu, phase, blocks, sets)
+    assert report["schema_version"] == 1
+    assert report["params"] == {"alpha": alpha, "n": n, "j0": params.j0, "j1": params.j1, "period": 7}
+    assert report["rows"] == [
+        {"j": b.j, "r_j": params.r(b.j), "m_j": params.m(b.j), "p_count": b.primes.size, "q_count": q.members.size, "w": wj}
+        for b, q, wj in zip(blocks, sets, w)
+    ]
+    agg = report["aggregates"]
+    lhs = complex(agg["lhs_re"], agg["lhs_im"])
+    assert agg["lhs_abs"] == abs(lhs)
+    assert agg["sum_w"] == math.fsum(w)
+    assert agg["alpha_n"] == alpha * n
+    assert agg["quotient"] == abs(lhs) / (math.fsum(w) + alpha * n)
+    assert agg["sum_pq"] == distinct_products_check(blocks, sets, n).total_products
+    assert agg["sum_p"] == sum(b.primes.size for b in blocks)
+    assert agg["materialised_blocks"] == len(blocks) > 10
 
 
 # --- arrays against the per-term definition --------------------------------------------
@@ -437,17 +476,23 @@ def test_arrays_match_per_term_definition(orbit, nu_kind):
         phase_list = _stepped_phases(A, xi0, t, 3)
     nu = mobius_sieve(n).values if nu_kind == "mobius" else ones(n)
     report = decomposition_report(nu, np.array(phase_list), n, alpha, period=t)
+    params = make_params(alpha, n)
+    blocks = prime_blocks(params)
+    sets = sieve_sets(params, blocks)
     # both W_j paths run: blocks with more members than residues are grouped by m mod t
-    q_sizes = [len(q.members) for q in report.sets]
+    q_sizes = [len(q.members) for q in sets]
     assert max(q_sizes) > t and min(q_sizes) <= t
-    expected = _wj_oracle(nu, phase_list, report.blocks, report.sets)
-    for got, want, block, qset in zip(report.w_values, expected, report.blocks, report.sets):
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
+    assert [row["q_count"] for row in report["rows"]] == q_sizes
+    expected = _wj_oracle(nu, phase_list, blocks, sets)
+    for row, want, block, qset in zip(report["rows"], expected, blocks, sets, strict=True):
+        assert row["w"] == pytest.approx(want, rel=1e-12, abs=1e-9)
         if orbit == "one" and nu_kind == "one":
-            assert got == float(len(block.primes) * len(qset.members))
-    assert abs(report.lhs - _lhs_oracle(nu, phase_list, n)) < 1e-8
+            assert row["w"] == float(len(block.primes) * len(qset.members))
+    agg = report["aggregates"]
+    lhs = complex(agg["lhs_re"], agg["lhs_im"])
+    assert abs(lhs - _lhs_oracle(nu, phase_list, n)) < 1e-8
     if orbit == "one" and nu_kind == "one":
-        assert report.lhs == complex(n, 0)
+        assert lhs == complex(n, 0)
 
 
 def test_wj_grouped_path_matches_oracle_on_one_block():
@@ -455,8 +500,8 @@ def test_wj_grouped_path_matches_oracle_on_one_block():
     A, xi0, t = _pole_orbit()
     phase_list = _stepped_phases(A, xi0, t, 1)
     mu = mobius_sieve(5000)
-    blocks = [PrimeBlock(9, (2, 3, 5, 7))]
-    sets = [SieveSet(9, tuple(range(1, 601)))]
+    blocks = [PrimeBlock(9, i64(2, 3, 5, 7))]
+    sets = [SieveSet(9, np.arange(1, 601))]
     assert len(sets[0].members) > t
     got = wj_sums(mu.values, np.array(phase_list), blocks, sets)
     assert got[0] == pytest.approx(_wj_oracle(mu.values, phase_list, blocks, sets)[0], rel=1e-12)
@@ -480,45 +525,60 @@ def test_theorem_conditions_examples():
     # p = 1e6, eps = 0.1: the alpha floor evaluates above 1, so the admissible
     # range is empty at desk scale
     rep = theorem_conditions(0.2, 10**5, 10**6, 10**3, 0.1)
-    floor = rep.condition("alpha_floor")
-    assert floor.rhs == pytest.approx(3 * math.log(math.log(10**6)) ** 6 / (0.1 * math.log(10**6)))
-    assert floor.rhs > 1
-    assert rep.alpha_range_empty
-    assert not floor.holds
+    floor = conditions(rep)["alpha_floor"]
+    assert floor["rhs"] == pytest.approx(3 * math.log(math.log(10**6)) ** 6 / (0.1 * math.log(10**6)))
+    assert floor["rhs"] > 1
+    assert rep["alpha_range_empty"] is True
+    assert floor["holds"] is False
 
 
 def test_theorem_conditions_t_equals_p():
     for eps in (0.1, 0.3, 0.5):
         rep = theorem_conditions(0.2, 10**5, 10**6, 10**6, eps)
-        assert rep.condition("t_large").holds  # t = p >= p^(1/2+eps) for eps <= 1/2
+        assert conditions(rep)["t_large"]["holds"]  # t = p >= p^(1/2+eps) for eps <= 1/2
 
 
 def test_theorem_conditions_n_monotone():
-    base = theorem_conditions(0.2, 10**4, 1009, 505, 0.1)
-    bigger = theorem_conditions(0.2, 10**9, 1009, 505, 0.1)
-    n_floor = base.condition("n_floor")
-    assert bigger.condition("n_floor").lhs > n_floor.lhs
-    assert bigger.condition("n_floor").rhs == pytest.approx(n_floor.rhs)
-    if n_floor.holds:
-        assert bigger.condition("n_floor").holds
+    n_floor = conditions(theorem_conditions(0.2, 10**4, 1009, 505, 0.1))["n_floor"]
+    bigger = conditions(theorem_conditions(0.2, 10**9, 1009, 505, 0.1))["n_floor"]
+    assert bigger["lhs"] > n_floor["lhs"]
+    assert bigger["rhs"] == pytest.approx(n_floor["rhs"])
+    if n_floor["holds"]:
+        assert bigger["holds"]
 
 
 def test_theorem_conditions_rho_value():
     rep = theorem_conditions(0.2, 10**5, 1009, 505, 0.1)
-    assert rep.rho == pytest.approx(math.sqrt(1009) * math.log(1009) / 505)
+    assert rep["rho"] == pytest.approx(math.sqrt(1009) * math.log(1009) / 505)
 
 
 def test_theorem_conditions_log_scale_rows():
     alpha, n, p, t, eps = 0.2, 10**5, 1009, 505, 0.1
     rep = theorem_conditions(alpha, n, p, t, eps)
-    rho = rep.rho
+    rho = rep["rho"]
     shared = math.log(1 / alpha) ** 6 / alpha
-    row = rep.condition("n_floor")
-    assert row.log_scale
-    assert row.lhs == pytest.approx(math.log(n))
-    assert row.rhs == pytest.approx(0.5 * math.log(p) + 5 * shared + math.log(math.log(p)))
-    row = rep.condition("rho_capacity")
-    assert row.lhs == pytest.approx(math.log(alpha**-2) + 2 * shared)
-    assert row.rhs == pytest.approx(math.log(1 / rho))
-    row = rep.condition("length_capacity")
-    assert row.rhs == pytest.approx(math.log(t * rho) + 4 * shared)
+    rows = conditions(rep)
+    row = rows["n_floor"]
+    assert row["log_scale"]
+    assert row["lhs"] == pytest.approx(math.log(n))
+    assert row["rhs"] == pytest.approx(0.5 * math.log(p) + 5 * shared + math.log(math.log(p)))
+    row = rows["rho_capacity"]
+    assert row["lhs"] == pytest.approx(math.log(alpha**-2) + 2 * shared)
+    assert row["rhs"] == pytest.approx(math.log(1 / rho))
+    row = rows["length_capacity"]
+    assert row["rhs"] == pytest.approx(math.log(t * rho) + 4 * shared)
+
+
+def test_theorem_conditions_report_layout():
+    # the fields bsz_report.json holds, rows in order; holds agrees with each row's own sides
+    alpha, n, p, t, eps = 0.2, 10**5, 1009, 505, 0.1
+    rep = theorem_conditions(alpha, n, p, t, eps)
+    assert rep.keys() == {"alpha", "n", "p", "t", "epsilon", "rho", "alpha_range_empty", "conditions"}
+    assert (rep["alpha"], rep["n"], rep["p"], rep["t"], rep["epsilon"]) == (alpha, n, p, t, eps)
+    names = [row["name"] for row in rep["conditions"]]
+    assert names == ["t_large", "alpha_floor", "n_floor", "rho_capacity", "length_capacity"]
+    for row in rep["conditions"]:
+        assert row.keys() == {"name", "lhs", "rhs", "holds", "log_scale"}
+        assert row["log_scale"] is (row["name"] not in ("t_large", "alpha_floor"))
+        assert row["holds"] is ((row["lhs"] <= row["rhs"]) if row["name"] == "rho_capacity" else (row["lhs"] >= row["rhs"]))
+    assert conditions(rep)["t_large"]["lhs"] == float(t)

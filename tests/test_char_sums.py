@@ -35,11 +35,12 @@ from mobiusdyn.field_arith import (
     primitive_root,
     sqrt_mod,
 )
-from mobiusdyn.mobius_dynamics import MobiusMatrix, apply, period
+from mobiusdyn.mobius_dynamics import MobiusMatrix, period
 from oracles import (
     AdditiveCharacter,
     MultiplicativeCharacter,
     QuadExtension,
+    apply,
     chi_value,
     decimated_oracle,
     discrete_index,

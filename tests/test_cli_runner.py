@@ -346,14 +346,13 @@ def test_verify_three_way_agrees_with_object_views_exhaustive(p):
     # indices where `apply`, `linear_lift` and the oracle's `spectral_orbit` disagree
     import itertools
 
-    from oracles import linear_lift, spectral_orbit
+    from oracles import apply, linear_lift, spectral_orbit
 
     from mobiusdyn.cli_runner import verify_three_way
     from mobiusdyn.field_arith import PrimeModulus
     from mobiusdyn.mobius_dynamics import (
         DegenerateSpectral,
         MobiusMatrix,
-        apply,
         period,
         spectral_form,
     )
@@ -509,6 +508,32 @@ def test_mu_cache_roundtrip(tmp_path):
     code, out2 = run(tmp_path, "sum-scan", cfg, out_name="c2", extra=["--mu-cache", str(cache)])
     assert code == EXIT_OK
     assert (out1 / "sum_scan.csv").read_bytes() == (out2 / "sum_scan.csv").read_bytes()
+
+
+def test_short_mu_cache_is_not_held_while_the_table_is_rebuilt(tmp_path):
+    # a cache too short for the run is replaced; its table must be gone before the new one is sieved
+    import tracemalloc
+
+    from mobiusdyn.arith_fn import mobius_sieve
+    from mobiusdyn.cli_runner import _load_or_build_mu
+
+    limit = 2 * 10**6
+    short = tmp_path / "short.bin"
+    mobius_sieve(limit // 2).save(short)
+    peaks = []
+    for cache in (short, tmp_path / "absent.bin"):
+        tracemalloc.start()
+        try:
+            table = _load_or_build_mu(limit, str(cache))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert table.limit == limit
+        del table
+    assert short.stat().st_size == 16 + limit  # the short cache was rebuilt in place
+    assert short.read_bytes() == (tmp_path / "absent.bin").read_bytes()
+    assert peaks[1] > limit
+    assert peaks[0] - peaks[1] <= limit // 4, peaks
 
 
 def test_corrupt_mu_cache_is_config_error(tmp_path):

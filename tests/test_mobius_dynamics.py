@@ -21,7 +21,6 @@ from mobiusdyn.mobius_dynamics import (
     NonSquareDeterminant,
     SingularMatrix,
     _orbit_prefix,
-    apply,
     normalize_to_sl2,
     period,
     spectral_form,
@@ -30,6 +29,7 @@ from mobiusdyn.sampling import random_admissible_instance, random_sl2
 from oracles import (
     QuadExtension,
     SpectralPole,
+    apply,
     apply_projective,
     eval_spectral,
     linear_lift,
