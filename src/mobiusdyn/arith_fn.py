@@ -8,9 +8,10 @@ product of -q over its sieving primes q (0 once some q^2 divides n); the
 primes up to 13 come from a pre-sieved wheel pattern of period
 2*3*5*7*11*13 = 30030.  `mobius_segments` hands out mu segment by segment,
 so a sum can fold each one in as it arrives and never hold mu(1..N);
-`mobius_sieve` concatenates them into the dense table that `bsz-report`,
-`mobius-check` and the mu-cache file use.  A saved table is read back whole
-(`MobiusTable.load`) or slice by slice (`MobiusTable.slices`).
+`mobius_sieve` concatenates them into the dense table that `mobius-check`
+and the mu-cache file use.  A saved table is read back whole
+(`MobiusTable.load`) or slice by slice (`MobiusTable.slices`, the way the
+CLI reads a cache).
 
 No character is an object here: the sum kernels in char_sums take an
 additive character psi_u(x) = e(u*x/p) as the int u, and a multiplicative

@@ -13,11 +13,11 @@ Q_j and contribute nothing to any sum or cardinality count, so block
 materialisation stops at the last j with R_{j+1} <= N; for realistic alpha
 the nominal upper end j1 sits astronomically beyond that point.
 
-nu arrives as an integer array indexed by n and F as the phases of one
-period, F(n) = phase[(n - 1) % t].  So the inner sum depends on m only
-through m mod t, every W_j is a batch of numpy gathers, and the left side is
-the integer residue counts of nu over the period weighted by the phases, the
-same reduction as the twisted-sum kernel.
+F arrives as the phases of one period, F(n) = phase[(n - 1) % t], and nu
+as (start, segment) pairs, as the twisted-sum kernel takes mu.  nu = mu and
+nu = 1 are +-1 with one sign on every prime, so W_j never reads nu and is a
+batch of numpy gathers; the left side folds the segments into integer
+residue counts over the period, weighted by the phases.
 
 Inequalities with unspecified constants are evaluated with the constant set
 to 1 and reported as two-sided numbers, never hard-asserted.
@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .arith_fn import primes_in
-from .char_sums import _add_residue_counts, _fsum, _fsums, _weighted_sum
+from .char_sums import _add_residue_counts, _fsum, _fsums, _prefix_segments, _weighted_sum
 
 
 class CollisionFound(AssertionError):
@@ -190,31 +190,23 @@ def distinct_products_check(
     return DistinctProductsReport(total)
 
 
-def _check_bounded(nu: np.ndarray, phase: np.ndarray) -> None:
-    """|nu| <= 1 and |F| <= 1 on every entry, the hypothesis of the criterion."""
-    if not np.issubdtype(nu.dtype, np.integer):
-        raise TypeError(f"nu must be an integer array, got {nu.dtype}")
+def _check_phase(phase: np.ndarray) -> None:
+    """|F| <= 1 on every entry of one nonempty period, the criterion's hypothesis on F."""
     if phase.ndim != 1 or phase.size == 0:
         raise ValueError("the phase array must be one nonempty period")
-    if nu.size and (nu.min() < -1 or nu.max() > 1):
-        bad = int(np.flatnonzero(np.abs(nu.astype(np.int64)) > 1)[0])
-        raise ValueError(f"|nu({bad})| = {abs(int(nu[bad]))} exceeds 1")
     size = np.abs(phase)
     if size.max() > 1.0 + 1e-9:
         bad = int(size.argmax())
         raise ValueError(f"|F({bad + 1})| = {size[bad]} exceeds 1")
 
 
-def wj_sums(
-    nu: np.ndarray,
-    phase: np.ndarray,
-    blocks: Sequence[PrimeBlock],
-    sets: Sequence[SieveSet],
-) -> list[float]:
+def wj_sums(phase: np.ndarray, blocks: Sequence[PrimeBlock], sets: Sequence[SieveSet]) -> list[float]:
     """W_j = sum_{m in Q_j} |sum_{r in P_j} nu(r) F(m r)| for each block.
 
-    nu[n] is nu(n); F(n) = phase[(n - 1) % t] with t = len(phase).  Both
-    must be bounded by 1 in absolute value, which is checked on every entry.
+    nu must be +-1 with one sign on every prime, as mu and 1 are: then the
+    inner sum is +-sum_r F(mr), whose rounded value only changes sign, so nu
+    is not read.  F(n) = phase[(n - 1) % t] with t = len(phase) and |F| <= 1,
+    which is checked on every entry.
     The inner sum depends on m only through m mod t: when Q_j has more
     members than there are residues, W_j = sum_s count_j(s) |inner(s)| over
     the residues s that occur.  Residues are reduced before multiplying, so
@@ -223,17 +215,11 @@ def wj_sums(
     idx % t.  Each W_j is the exactly rounded sum of its terms, all blocks in
     one segmented _fsums.
     """
-    _check_bounded(nu, phase)
+    _check_phase(phase)
     t = phase.size
     terms = []  # terms[j]: count_j(s) |inner(s)| for each residue s of block j
     for block, qset in zip(blocks, sets):
-        primes = block.primes
-        if primes.size and primes.max() >= nu.size:
-            raise ValueError(f"nu covers 0..{nu.size - 1}, block {block.j} needs {primes.max()}")
-        nu_r = nu[primes]
-        live = nu_r != 0
-        r_res = primes[live] % t
-        weights = nu_r[live].astype(np.float64)
+        r_res = block.primes % t
         m_res = qset.members % t
         counts = 1
         if m_res.size > t:
@@ -245,19 +231,21 @@ def wj_sums(
             idx = np.multiply.outer(chunk, r_res)
             idx -= 1
             idx -= idx // t * t  # idx %= t, but numpy's int64 floor division by a scalar is faster
-            inner[i : i + chunk.size] = np.abs((phase[idx] * weights).sum(axis=1))
+            inner[i : i + chunk.size] = np.abs(phase[idx].sum(axis=1))
         terms.append(counts * inner)
     return _fsums(np.concatenate([np.empty(0), *terms]), [len(w) for w in terms])
 
 
-
-
-def decomposition_report(nu: np.ndarray, phase: np.ndarray, n: int, alpha: float, period: int) -> dict:
+def decomposition_report(
+    nu: Iterable[tuple[int, np.ndarray]], phase: np.ndarray, n: int, alpha: float, period: int
+) -> dict:
     """Compute the left side, every W_j, and the empirical decomposition quotient.
 
-    nu and phase are as in wj_sums, with nu covering 0..N; period is the
-    orbit period recorded in the report.  The left side is
-    sum_s c_s F(s + 1) with the exact integer residue counts
+    nu is nu(1..) as (start, segment) pairs, read up to N as
+    twisted_sum_schedule reads mu, and each segment is refused unless it lies
+    in {-1, 0, 1}; it must also meet wj_sums' rule on the primes.  phase is
+    as in wj_sums; period is the orbit period recorded in the report.  The
+    left side is sum_s c_s F(s + 1) with the exact integer residue counts
     c_s = sum_{n <= N, n - 1 = s mod t} nu(n) and one exactly rounded sum per
     component.
     quotient = |sum_{n' <= N} nu(n')F(n')| / (sum_j W_j + alpha*N); it is
@@ -265,15 +253,18 @@ def decomposition_report(nu: np.ndarray, phase: np.ndarray, n: int, alpha: float
     always 0: a repeated product raises CollisionFound instead.
     """
     params = make_params(alpha, n)
-    if nu.size <= n:
-        raise ValueError(f"nu covers 0..{nu.size - 1}, the left side needs 0..{n}")
+    _check_phase(phase)
+    counts = np.zeros(phase.size, dtype=np.int64)
+    for start, segment in _prefix_segments(nu, n):
+        if segment.size and (segment.min() < -1 or segment.max() > 1):
+            bad = int(np.flatnonzero(np.abs(segment.astype(np.int64)) > 1)[0])
+            raise ValueError(f"|nu({start + bad})| = {abs(int(segment[bad]))} exceeds 1")
+        _add_residue_counts(counts, segment, start - 1)
+    lhs = _weighted_sum(counts, phase.real, phase.imag)
     blocks = prime_blocks(params)
     sets = sieve_sets(params, blocks)
-    w_values = wj_sums(nu, phase, blocks, sets)
+    w_values = wj_sums(phase, blocks, sets)
     products = distinct_products_check(blocks, sets, n)
-    counts = np.zeros(phase.size, dtype=np.int64)
-    _add_residue_counts(counts, nu[1 : n + 1], 0)
-    lhs = _weighted_sum(counts, phase.real, phase.imag)
     sum_w = _fsum(np.array(w_values, dtype=np.float64))
     denom = sum_w + alpha * n
     rows = [

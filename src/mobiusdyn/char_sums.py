@@ -23,10 +23,9 @@ follows the extended scalar map, so orbits through the pole take the same
 path.
 The correlation and single sums read matrix, seed, period and table from one
 Trajectory; the twisted schedule takes (matrix, xi0) and builds only the
-orbit prefix it needs, unless it is handed a Trajectory.  It takes mu as a
-table or as a stream of segments (arith_fn.mobius_segments), folding each
-segment into its residue counts as it arrives, so a streamed scan never
-holds mu(1..N).
+orbit prefix it needs, unless it is handed a Trajectory.  It takes mu as
+(start, segment) pairs, read through `_prefix_segments` (as bsz_harness
+reads nu) and folded into its residue counts as they arrive.
 The exhaustive Weil kernels follow the same pattern over all of F_p or the
 norm-one group: exact int64 phase numerators, then one exactly rounded sum
 per function and component (_fsums, segmented over a whole array pass).
@@ -43,11 +42,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .arith_fn import MobiusTable, TableTooSmall
+from .arith_fn import TableTooSmall
 from .field_arith import (
     _BLOCK,
     _inv_mod,
@@ -270,12 +269,29 @@ def _add_residue_counts(counts: np.ndarray, mu: np.ndarray, start: int) -> None:
     counts[: tail.size] += tail
 
 
+def _prefix_segments(pairs: Iterable[tuple[int, np.ndarray]], n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, segment) pairs of f(1), f(2), ... cut at f(n), drawn no further.
+
+    A pair not starting where the last ended raises ValueError, a stream that ends before n TableTooSmall.
+    """
+    done = 0
+    for start, segment in pairs:
+        if start != done + 1:
+            raise ValueError(f"a segment starts at {start}, not at {done + 1}")
+        segment = segment[: n + 1 - start]
+        yield start, segment
+        done += segment.size
+        if done == n:
+            return
+    raise TableTooSmall(f"need values up to {n}, the segments stop at {done}")
+
+
 def twisted_sum_schedule(
     matrix: MobiusMatrix,
     xi0: FpElem,
     frequencies: Sequence[int],
     n_schedule: Sequence[int],
-    mu: MobiusTable | Iterable[tuple[int, np.ndarray]],
+    mu: Iterable[tuple[int, np.ndarray]],
     traj: Trajectory | None = None,
 ) -> list[SumReport]:
     """The twisted sum at each checkpoint N of an ascending schedule.
@@ -284,12 +300,12 @@ def twisted_sum_schedule(
     over n <= N with n - 1 = r mod t and t is the period (or max N when the
     orbit is longer).  The counts are exact integers that grow checkpoint by
     checkpoint, so every prefix report equals a standalone run at that N.
-    mu is a MobiusTable covering max N, or mu(1..) as (start, segment) pairs
-    in order, each starting where the last ended, such as
-    arith_fn.mobius_segments(max N) or MobiusTable.slices: each segment is
-    folded into the counts as it arrives, split at the checkpoints inside
-    it, and the pairs are drawn only up to max N, so mu(1..N) is never held
-    whole.  Pairs that stop short raise TableTooSmall.
+    mu is mu(1..) as (start, segment) pairs in order, each starting where
+    the last ended, such as arith_fn.mobius_segments(max N) or
+    MobiusTable.slices: each segment is folded into the counts as it
+    arrives, split at the checkpoints inside it, and the pairs are drawn
+    only up to max N, so mu(1..N) is never held whole.  Pairs that stop
+    short raise TableTooSmall.
     Each frequency u of frequencies is taken mod p and must be nonzero there.
     The orbit prefix and the counts do not depend on u and are built once;
     the reports come frequency by frequency, each over the whole schedule.
@@ -303,13 +319,9 @@ def twisted_sum_schedule(
         raise ValueError("every checkpoint must be >= 1")
     if list(n_schedule) != sorted(n_schedule):
         raise ValueError("n_schedule must be ascending")
-    n_max = max(n_schedule, default=0)
-    if isinstance(mu, MobiusTable):
-        if n_max > mu.limit:
-            raise TableTooSmall(f"need mu up to {n_max}, table holds {mu.limit}")
-        mu = [(1, mu.values[1 : n_max + 1])]
     if not n_schedule:
         return []
+    n_max = n_schedule[-1]
     if traj is None:
         table = _orbit_prefix(matrix, xi0, n_max)
     elif traj.matrix != matrix or traj.seed != xi0:
@@ -320,21 +332,15 @@ def twisted_sum_schedule(
     counts = np.zeros(table.size, dtype=np.int64)
     done = 0  # counts hold mu(1..done)
     values = []  # values[i][k]: checkpoint i, frequency k
-    for start, segment in mu:
-        if start != done + 1:
-            raise ValueError(f"a mu segment starts at {start}, not at {done + 1}")
+    for start, segment in _prefix_segments(mu, n_max):
         end = done + segment.size
         while len(values) < len(n_schedule) and n_schedule[len(values)] <= end:
             n = n_schedule[len(values)]  # the next checkpoint falls in this segment
             _add_residue_counts(counts, segment[done + 1 - start : n + 1 - start], done)
             done = n
             values.append([_weighted_sum(counts, cos, sin) for cos, sin in trig])
-        if len(values) == len(n_schedule):
-            break
         _add_residue_counts(counts, segment[done + 1 - start :], done)
         done = end
-    if len(values) < len(n_schedule):
-        raise TableTooSmall(f"need mu up to {n_max}, the segments stop at {done}")
     params = _matrix_params(matrix, xi0)
     return [
         SumReport("twisted", row[k], n, p, None, dict(params, u=u))

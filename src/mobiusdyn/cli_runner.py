@@ -41,6 +41,7 @@ import numpy as np
 
 from . import __version__
 from .arith_fn import (
+    _SEGMENT,
     _SIEVE_LIMIT,
     _atomic_write,
     LimitOverflow,
@@ -219,7 +220,7 @@ def _schedule(raw, name: str, cfg) -> list[int]:
 # never reads the field, and `text` says when it does.
 REQUIRED = object()
 _NONZERO = _checked(_residue, lambda u, cfg: u != 0, "field '{name}' must be nonzero mod p")
-_SIEVED = _checked(  # nu = one allocates n + 1 entries and the product audit an (n + 1)-byte bitmap too
+_SIEVED = _checked(  # the product audit allocates an (n + 1)-byte bitmap, for nu = one too
     _at_least(1),
     lambda n, cfg: n <= _SIEVE_LIMIT,
     f"field '{{name}}': the Mobius sieve and the product bitmap stop at {_SIEVE_LIMIT}, got {{value}}",
@@ -375,37 +376,25 @@ def _csv_bytes(rows: list[str]) -> bytes:
     return ("\n".join([CSV_HEADER] + rows) + "\n").encode("utf-8")
 
 
-def _load_or_build_mu(limit: int, cache: str | None) -> MobiusTable:
-    if cache and os.path.exists(cache):
-        try:
-            table = MobiusTable.load(cache)
-        except (ValueError, OSError) as exc:
-            raise ConfigError(f"mu-cache file unusable: {exc}") from None
-        if table.limit >= limit:
-            return table
-        del table  # too short: not held while the new one is sieved
-    table = mobius_sieve(limit)
-    if cache:
-        table.save(cache)
-    return table
+def _mu_stream(limit: int, cache: str | None):
+    """mu(1..limit) as (start, int8 segment) pairs, for every command that reads mu.
 
-
-def _twisted_mu(limit: int, cache: str | None):
-    """mu(1..limit) for `twisted_sum_schedule`, held whole only when a cache has to be built.
-
-    Without a cache the segments are sieved as the sum draws them; a cache
+    Without a cache the segments are sieved as they are drawn.  A cache
     that covers limit is read slice by slice, a bad slice failing as a
-    mu-cache error when it is reached.  A missing or too-short cache goes
-    through `_load_or_build_mu`: built whole and saved.
+    mu-cache error when it is reached; a missing or too-short one (only its
+    header is read) is replaced by `mobius_sieve(limit)`, saved, as one pair.
     """
     if not cache:
         return mobius_segments(limit)
     try:
         return _cache_slices(MobiusTable.slices(cache, limit))
     except (FileNotFoundError, TableTooSmall):
-        return _load_or_build_mu(limit, cache)
+        pass
     except (ValueError, OSError) as exc:
         raise ConfigError(f"mu-cache file unusable: {exc}") from None
+    table = mobius_sieve(limit)
+    table.save(cache)
+    return [(1, table.values[1:])]
 
 
 def _cache_slices(slices):
@@ -496,7 +485,7 @@ def cmd_sum_scan(cfg: dict, mu_cache: str | None) -> tuple[int, dict[str, bytes]
     traj = period(matrix, xi0) if points is not None else None
     reports = []
     if schedule:
-        mu = _twisted_mu(schedule[-1], mu_cache)
+        mu = _mu_stream(schedule[-1], mu_cache)
         reports += twisted_sum_schedule(matrix, xi0, cfg["frequencies"], schedule, mu, traj)
     for point in points or ():
         n = min(point["n"] or traj.period, traj.period)
@@ -561,9 +550,10 @@ def cmd_bsz_report(cfg: dict, mu_cache: str | None) -> tuple[int, dict[str, byte
     else:
         phase = np.ones(1, dtype=complex)
     if cfg["nu"] == "mobius":
-        nu = _load_or_build_mu(n, mu_cache).values[: n + 1]
-    else:
-        nu = np.ones(n + 1, dtype=np.int8)
+        nu = _mu_stream(n, mu_cache)
+    else:  # one segment-long run of ones, handed out once per segment
+        ones = np.ones(min(n, _SEGMENT), dtype=np.int8)
+        nu = ((lo, ones[: n + 1 - lo]) for lo in range(1, n + 1, ones.size))
 
     decomposition = decomposition_report(nu, phase, n, alpha, traj.period)
     conditions = theorem_conditions(alpha, n, modulus.p, traj.period, cfg["epsilon"])

@@ -295,6 +295,11 @@ def twisted_oracle(matrix, xi0, psi, n_terms, mu_table) -> complex:
     return sum(mu_table.mu(n) * psi(vals[n]) for n in range(1, n_terms + 1))
 
 
+def whole(table):
+    """A MobiusTable as a mu stream: the one (start, values) pair holding mu(1..limit)."""
+    return [(1, table.values[1:])]
+
+
 def apply(matrix: MobiusMatrix, x: FpElem) -> FpElem:
     """One step of the extended map: (a*x + b)/(c*x + d), with the pole sent to a/c."""
     den = matrix.c * x + matrix.d

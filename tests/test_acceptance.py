@@ -41,7 +41,16 @@ from mobiusdyn.sampling import (
     random_rational_function_fp,
     random_rational_function_fp2,
 )
-from oracles import AdditiveCharacter, apply, decimated_oracle, linear_lift, mobius_oracle, spectral_orbit, unit_circle
+from oracles import (
+    AdditiveCharacter,
+    apply,
+    decimated_oracle,
+    linear_lift,
+    mobius_oracle,
+    spectral_orbit,
+    unit_circle,
+    whole,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -248,11 +257,11 @@ def test_criterion_8_bsz_sanity_all_ones():
     params = make_params(0.2, n)
     blocks = prime_blocks(params)
     sets = sieve_sets(params, blocks)
-    nu, phase = np.ones(n + 1, dtype=np.int8), np.ones(1, dtype=complex)
-    w = wj_sums(nu, phase, blocks, sets)
+    phase = np.ones(1, dtype=complex)
+    w = wj_sums(phase, blocks, sets)
     for block, qset, wj in zip(blocks, sets, w):
         assert wj == float(len(block.primes) * len(qset.members))
-    agg = decomposition_report(nu, phase, n, 0.2, period=1)["aggregates"]
+    agg = decomposition_report([(1, np.ones(n, dtype=np.int8))], phase, n, 0.2, period=1)["aggregates"]
     assert agg["lhs_re"] == float(n) and agg["lhs_im"] == 0.0
     print(f"\nPASS criterion 8: nu = F = 1 gives LHS = N and W_j = #P_j * #Q_j exactly")
 
@@ -263,7 +272,7 @@ def test_criterion_9_disjointness_trend():
     traj = period(matrix, xi0)
     assert traj.period >= SHIPPED_P**0.55
     table = mobius_sieve(10**5)
-    reports = twisted_sum_schedule(matrix, xi0, [1], [10**3, 10**4, 10**5], table)
+    reports = twisted_sum_schedule(matrix, xi0, [1], [10**3, 10**4, 10**5], whole(table))
     trend = {r.term_count: r.ratio for r in reports}
     elapsed = time.monotonic() - start
     assert trend[10**5] < 0.05

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from mobiusdyn.arith_fn import mobius_sieve, primes_up_to
+from mobiusdyn.arith_fn import TableTooSmall, mobius_sieve, primes_up_to
 from mobiusdyn.bsz_harness import (
     BszParams,
     CollisionFound,
@@ -24,15 +24,15 @@ from mobiusdyn.bsz_harness import (
 from mobiusdyn.field_arith import PrimeModulus
 from mobiusdyn.mobius_dynamics import MobiusMatrix, period
 from mobiusdyn.sampling import random_sl2
-from oracles import AdditiveCharacter, apply
+from oracles import AdditiveCharacter, apply, whole
 
 TOY = BszParams(alpha=1.0, n=10**4, j0=3.0, j1=5.0)  # R_j = 2^j, blocks j = 3, 4, 5
 ONE = np.ones(1, dtype=complex)  # F = 1: one period of length 1
 
 
 def ones(n):
-    """nu = 1 on 0..n."""
-    return np.ones(n + 1, dtype=np.int8)
+    """nu = 1 on 1..n, as the one (start, values) pair of a stream."""
+    return [(1, np.ones(n, dtype=np.int8))]
 
 
 def i64(*values):
@@ -268,14 +268,14 @@ def test_distinct_products_total_above_n():
 def test_wj_empty_block_gives_zero():
     blocks = [PrimeBlock(3, i64())]
     sets = [SieveSet(3, i64(1, 2, 3))]
-    w = wj_sums(ones(3), ONE, blocks, sets)
+    w = wj_sums(ONE, blocks, sets)
     assert w == [0.0]
 
 
 def test_wj_all_ones_counts_products():
     blocks = prime_blocks(TOY)
     sets = sieve_sets(TOY, blocks)
-    w = wj_sums(ones(TOY.n), ONE, blocks, sets)
+    w = wj_sums(ONE, blocks, sets)
     assert w == [float(len(b.primes) * len(s.members)) for b, s in zip(blocks, sets)]
 
 
@@ -283,23 +283,17 @@ def test_wj_bound_check_rejects_oversized_handles():
     blocks = prime_blocks(TOY)
     sets = sieve_sets(TOY, blocks)
     with pytest.raises(ValueError):
-        wj_sums(np.full(TOY.n + 1, 2, dtype=np.int8), ONE, blocks, sets)
-    with pytest.raises(ValueError):
-        wj_sums(ones(TOY.n), np.array([-1.5 + 0j]), blocks, sets)
+        wj_sums(np.array([-1.5 + 0j]), blocks, sets)
 
 
 def test_wj_bound_check_covers_every_entry():
     # the offending values sit far beyond the first 64 evaluations
     blocks = prime_blocks(TOY)
     sets = sieve_sets(TOY, blocks)
-    nu = ones(TOY.n)
-    nu[TOY.n] = -2
-    with pytest.raises(ValueError, match="nu"):
-        wj_sums(nu, ONE, blocks, sets)
     phase = np.ones(1000, dtype=complex)
     phase[999] = 1.01
     with pytest.raises(ValueError, match="F"):
-        wj_sums(ones(TOY.n), phase, blocks, sets)
+        wj_sums(phase, blocks, sets)
 
 
 def test_wj_against_naive_double_loop():
@@ -322,7 +316,7 @@ def test_wj_against_naive_double_loop():
     params = make_params(0.2, 10**4)
     blocks = prime_blocks(params)
     sets = sieve_sets(params, blocks)
-    w = wj_sums(mu.values, np.array(phase), blocks, sets)
+    w = wj_sums(np.array(phase), blocks, sets)
     for block, qset, got in zip(blocks, sets, w):
         naive = 0.0
         for mm in qset.members:
@@ -343,12 +337,11 @@ def test_wj_equals_the_modulo_expression_bit_for_bit(t):
     blocks = prime_blocks(params)
     sets = sieve_sets(params, blocks)
     nu = mobius_sieve(params.n).values
-    w = wj_sums(nu, phase, blocks, sets)
+    w = wj_sums(phase, blocks, sets)
     assert len(w) == len(blocks) > 10
     for block, qset, got in zip(blocks, sets, w):
-        r = block.primes[nu[block.primes] != 0]
-        weights = nu[r].astype(np.float64)
-        m, counts = qset.members, 1
+        r, m, counts = block.primes, qset.members, 1
+        weights = nu[r].astype(np.float64)  # mu(r) = -1 on every prime, which wj_sums leaves out
         if m.size > t:  # grouped by m mod t, as wj_sums does
             counts = np.bincount(m % t, minlength=t)
             m = np.flatnonzero(counts)
@@ -373,8 +366,8 @@ def test_decomposition_all_ones_lhs_is_n():
 
 def test_decomposition_reproducible():
     mu = mobius_sieve(2000)
-    rep1 = decomposition_report(mu.values, ONE, 2000, 0.25, period=7)
-    rep2 = decomposition_report(mu.values, ONE, 2000, 0.25, period=7)
+    rep1 = decomposition_report(whole(mu), ONE, 2000, 0.25, period=7)
+    rep2 = decomposition_report(whole(mu), ONE, 2000, 0.25, period=7)
     assert rep1 == rep2
 
 
@@ -388,13 +381,12 @@ def test_decomposition_quotient_definition():
 def test_decomposition_report_fields_match_the_stages():
     # the report's params, rows and aggregates against prime_blocks, sieve_sets, wj_sums and the product audit
     n, alpha = 3 * 10**4, 0.2
-    nu = mobius_sieve(n).values
     phase = np.exp(2j * np.pi * np.arange(7) / 7)
-    report = decomposition_report(nu, phase, n, alpha, period=7)
+    report = decomposition_report(whole(mobius_sieve(n)), phase, n, alpha, period=7)
     params = make_params(alpha, n)
     blocks = prime_blocks(params)
     sets = sieve_sets(params, blocks)
-    w = wj_sums(nu, phase, blocks, sets)
+    w = wj_sums(phase, blocks, sets)
     assert report["schema_version"] == 1
     assert report["params"] == {"alpha": alpha, "n": n, "j0": params.j0, "j1": params.j1, "period": 7}
     assert report["rows"] == [
@@ -474,8 +466,8 @@ def test_arrays_match_per_term_definition(orbit, nu_kind):
     else:
         A, xi0, t = _pole_orbit() if orbit == "pole" else _pole_free_orbit()
         phase_list = _stepped_phases(A, xi0, t, 3)
-    nu = mobius_sieve(n).values if nu_kind == "mobius" else ones(n)
-    report = decomposition_report(nu, np.array(phase_list), n, alpha, period=t)
+    nu = mobius_sieve(n).values if nu_kind == "mobius" else np.ones(n + 1, dtype=np.int8)
+    report = decomposition_report([(1, nu[1:])], np.array(phase_list), n, alpha, period=t)
     params = make_params(alpha, n)
     blocks = prime_blocks(params)
     sets = sieve_sets(params, blocks)
@@ -503,19 +495,37 @@ def test_wj_grouped_path_matches_oracle_on_one_block():
     blocks = [PrimeBlock(9, i64(2, 3, 5, 7))]
     sets = [SieveSet(9, np.arange(1, 601))]
     assert len(sets[0].members) > t
-    got = wj_sums(mu.values, np.array(phase_list), blocks, sets)
+    got = wj_sums(np.array(phase_list), blocks, sets)
     assert got[0] == pytest.approx(_wj_oracle(mu.values, phase_list, blocks, sets)[0], rel=1e-12)
 
 
 def test_harness_rejects_short_or_non_integer_nu():
-    with pytest.raises(ValueError):
+    with pytest.raises(TableTooSmall):
         decomposition_report(ones(999), ONE, 1000, 0.2, period=1)
-    blocks = prime_blocks(TOY)
-    sets = sieve_sets(TOY, blocks)
-    with pytest.raises(ValueError):
-        wj_sums(ones(50), ONE, blocks, sets)  # the blocks reach r = 61
     with pytest.raises(TypeError):
-        wj_sums(np.ones(TOY.n + 1), ONE, blocks, sets)
+        decomposition_report([(1, np.ones(1000))], ONE, 1000, 0.2, period=1)
+
+
+def _segments(values, size):
+    """values[1:] as (start, values) pairs of size entries each, so values[k] is nu(k)."""
+    return [(lo, values[lo : lo + size]) for lo in range(1, values.size, size)]
+
+
+def test_decomposition_report_refuses_a_short_stream_a_gap_or_a_bad_value():
+    nu = mobius_sieve(2000).values
+    want = decomposition_report(whole(mobius_sieve(2000)), ONE, 2000, 0.25, period=1)
+    assert decomposition_report(_segments(nu, 64), ONE, 2000, 0.25, period=1) == want
+    assert decomposition_report(_segments(mobius_sieve(5000).values, 64), ONE, 2000, 0.25, period=1) == want
+    with pytest.raises(TableTooSmall):
+        decomposition_report(_segments(nu[:1999], 64), ONE, 2000, 0.25, period=1)
+    gap = _segments(nu, 64)
+    del gap[5]
+    with pytest.raises(ValueError, match="starts at 385, not at 321"):
+        decomposition_report(gap, ONE, 2000, 0.25, period=1)
+    bad = nu.copy()
+    bad[1500] = 2  # in a later segment than the first
+    with pytest.raises(ValueError, match=r"\|nu\(1500\)\| = 2"):
+        decomposition_report(_segments(bad, 64), ONE, 2000, 0.25, period=1)
 
 
 # --- conditions ---------------------------------------------------------------------

@@ -48,6 +48,7 @@ from oracles import (
     twisted_oracle,
     unit_circle,
     value_at,
+    whole,
 )
 
 M101 = PrimeModulus(101)
@@ -170,15 +171,15 @@ def test_exact_sums_refuse_terms_beyond_their_limit():
 
 
 def test_twisted_single_term(mu_table):
-    r = twisted_sum_schedule(A101, XI101, [PSI101.u.value], [1], mu_table)[0]
+    r = twisted_sum_schedule(A101, XI101, [PSI101.u.value], [1], whole(mu_table))[0]
     assert abs(r.abs_value - 1.0) < 1e-15
     assert abs(r.value - PSI101(apply(A101, XI101))) < 1e-15
 
 
 def test_twisted_skips_square_factors(mu_table):
     # mu(4) = 0, so N = 4 equals the N = 3 partial sum
-    r3 = twisted_sum_schedule(A101, XI101, [1], [3], mu_table)[0]
-    r4 = twisted_sum_schedule(A101, XI101, [1], [4], mu_table)[0]
+    r3 = twisted_sum_schedule(A101, XI101, [1], [3], whole(mu_table))[0]
+    r4 = twisted_sum_schedule(A101, XI101, [1], [4], whole(mu_table))[0]
     assert r3.value == r4.value
 
 
@@ -189,7 +190,7 @@ def test_twisted_against_direct_resummation(mu_table):
     A = MobiusMatrix(m.elem(614), m.elem(6938), m.elem(1409), m.elem(7104))
     xi0 = m.elem(6851)
     n_terms = 10**4
-    r = twisted_sum_schedule(A, xi0, [1], [n_terms], mu_table)[0]
+    r = twisted_sum_schedule(A, xi0, [1], [n_terms], whole(mu_table))[0]
     expected = 0.0 + 0.0j
     x = xi0
     for n in range(1, n_terms + 1):
@@ -203,9 +204,9 @@ def test_twisted_against_direct_resummation(mu_table):
 
 
 def test_twisted_schedule_matches_standalone(mu_table):
-    reports = twisted_sum_schedule(A101, XI101, [1], [10, 100, 1000], mu_table)
+    reports = twisted_sum_schedule(A101, XI101, [1], [10, 100, 1000], whole(mu_table))
     for r in reports:
-        solo = twisted_sum_schedule(A101, XI101, [1], [r.term_count], mu_table)[0]
+        solo = twisted_sum_schedule(A101, XI101, [1], [r.term_count], whole(mu_table))[0]
         assert r.value == solo.value
 
 
@@ -214,27 +215,27 @@ def test_twisted_schedule_shares_one_pass_across_characters(mu_table):
     # character, character by character, each over the whole schedule
     frequencies = [1, 3, 100]
     schedule = [10, 100, 1000, 5000]
-    shared = twisted_sum_schedule(A101, XI101, frequencies, schedule, mu_table)
-    separate = [r for u in frequencies for r in twisted_sum_schedule(A101, XI101, [u], schedule, mu_table)]
+    shared = twisted_sum_schedule(A101, XI101, frequencies, schedule, whole(mu_table))
+    separate = [r for u in frequencies for r in twisted_sum_schedule(A101, XI101, [u], schedule, whole(mu_table))]
     assert [r.csv_row() for r in shared] == [r.csv_row() for r in separate]
     assert [(r.params["u"], r.term_count) for r in shared] == [(u, n) for u in (1, 3, 100) for n in schedule]
     # frequencies outside [0, p) are taken mod p, and their reports record the residue
-    unreduced = twisted_sum_schedule(A101, XI101, [102, -98, -1], schedule, mu_table)
+    unreduced = twisted_sum_schedule(A101, XI101, [102, -98, -1], schedule, whole(mu_table))
     assert [r.csv_row() for r in unreduced] == [r.csv_row() for r in shared]
     with pytest.raises(ValueError):
-        twisted_sum_schedule(A101, XI101, [1, 0], schedule, mu_table)
+        twisted_sum_schedule(A101, XI101, [1, 0], schedule, whole(mu_table))
 
 
 def test_twisted_schedule_reads_a_given_trajectory(mu_table, traj101):
     # the table of a full period gives the same reports as the prefix built for max N
     frequencies = [1, 77]
     for schedule in ([3, 40], [10, 100, 1000]):
-        built = twisted_sum_schedule(A101, XI101, frequencies, schedule, mu_table)
-        given = twisted_sum_schedule(A101, XI101, frequencies, schedule, mu_table, traj101)
+        built = twisted_sum_schedule(A101, XI101, frequencies, schedule, whole(mu_table))
+        given = twisted_sum_schedule(A101, XI101, frequencies, schedule, whole(mu_table), traj101)
         assert [r.csv_row() for r in given] == [r.csv_row() for r in built]
     other = period(A101, M101.elem(56))
     with pytest.raises(ValueError, match="different instance"):
-        twisted_sum_schedule(A101, XI101, [1], [10], mu_table, other)
+        twisted_sum_schedule(A101, XI101, [1], [10], whole(mu_table), other)
 
 
 def test_twisted_prefix_needs_no_multiplicative_order(mu_table, monkeypatch):
@@ -248,18 +249,18 @@ def test_twisted_prefix_needs_no_multiplicative_order(mu_table, monkeypatch):
     A = MobiusMatrix(m.zero, m.elem(-1), m.one, m.elem(3))
     xi0 = m.elem(5)
     psi = AdditiveCharacter(m.elem(2**61 + 3))
-    r = twisted_sum_schedule(A, xi0, [psi.u.value], [1000], mu_table)[0]
+    r = twisted_sum_schedule(A, xi0, [psi.u.value], [1000], whole(mu_table))[0]
     assert abs(r.value - twisted_oracle(A, xi0, psi, 1000, mu_table)) < 1e-9
 
 
 def test_twisted_validation(mu_table):
     for trivial in (0, 101, -202):
         with pytest.raises(ValueError):
-            twisted_sum_schedule(A101, XI101, [trivial], [5], mu_table)
+            twisted_sum_schedule(A101, XI101, [trivial], [5], whole(mu_table))
     from mobiusdyn.arith_fn import TableTooSmall
 
     with pytest.raises(TableTooSmall):
-        twisted_sum_schedule(A101, XI101, [1], [mu_table.limit + 1], mu_table)
+        twisted_sum_schedule(A101, XI101, [1], [mu_table.limit + 1], whole(mu_table))
 
 
 def _rows(reports):
@@ -277,7 +278,7 @@ def test_twisted_streamed_equals_table_fed(mu_table, monkeypatch, schedule):
 
     monkeypatch.setattr(af, "_SEGMENT", 64)
     frequencies = [1, 77]
-    fed = twisted_sum_schedule(A101, XI101, frequencies, schedule, mu_table)
+    fed = twisted_sum_schedule(A101, XI101, frequencies, schedule, whole(mu_table))
     streamed = twisted_sum_schedule(A101, XI101, frequencies, schedule, mobius_segments(schedule[-1]))
     assert _rows(streamed) == _rows(fed)
 
@@ -285,7 +286,7 @@ def test_twisted_streamed_equals_table_fed(mu_table, monkeypatch, schedule):
 def test_twisted_stream_in_one_segment_and_beyond_max_n(mu_table):
     # one segment of the real size covers N = 5000; a longer stream is drawn only up to max N
     schedule = [10, 100, 5000]
-    fed = twisted_sum_schedule(A101, XI101, [1, 3], schedule, mu_table)
+    fed = twisted_sum_schedule(A101, XI101, [1, 3], schedule, whole(mu_table))
     assert len(list(mobius_segments(5000))) == 1
     assert _rows(twisted_sum_schedule(A101, XI101, [1, 3], schedule, mobius_segments(5000))) == _rows(fed)
     drawn = []
@@ -450,7 +451,7 @@ def test_twisted_matches_per_term_definition(mu_table):
         t = traj.period
         # N < t, N = t, a few periods plus a partial row, with a repeated checkpoint
         schedule = [max(1, t // 3), t, t, 3 * t + 2, 4 * t + t // 2]
-        reports = twisted_sum_schedule(A, xi0, [psi.u.value], schedule, mu_table)
+        reports = twisted_sum_schedule(A, xi0, [psi.u.value], schedule, whole(mu_table))
         assert [r.term_count for r in reports] == schedule
         assert reports[1].value == reports[2].value
         oracle = orbit_oracle(A, xi0, schedule[-1])
@@ -506,7 +507,7 @@ def test_large_modulus_matches_per_term_definition(mu_table):
         traj = period(A, xi0)
         assert traj.period == expected_period
         t = traj.period
-        r = twisted_sum_schedule(A, xi0, [psi.u.value], [1000], mu_table)[0]
+        r = twisted_sum_schedule(A, xi0, [psi.u.value], [1000], whole(mu_table))[0]
         assert abs(r.value - twisted_oracle(A, xi0, psi, 1000, mu_table)) < 1e-9
         got = correlation_sum(traj, psi.u.value, u.value, v.value, 1, 2, t)
         assert abs(got.value - decimated_oracle(A, xi0, psi, [(u.value, 1), (v.value, 2)], t)) < 1e-9

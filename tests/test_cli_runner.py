@@ -51,8 +51,7 @@ def refuse_work(monkeypatch):
         "period",
         "spectral_form",
         "random_admissible_instance",
-        "_load_or_build_mu",
-        "_twisted_mu",
+        "_mu_stream",
         "mobius_segments",
         "mobius_sieve",
         "mobius_by_spf",
@@ -515,7 +514,7 @@ def test_short_mu_cache_is_not_held_while_the_table_is_rebuilt(tmp_path):
     import tracemalloc
 
     from mobiusdyn.arith_fn import mobius_sieve
-    from mobiusdyn.cli_runner import _load_or_build_mu
+    from mobiusdyn.cli_runner import _mu_stream
 
     limit = 2 * 10**6
     short = tmp_path / "short.bin"
@@ -524,12 +523,13 @@ def test_short_mu_cache_is_not_held_while_the_table_is_rebuilt(tmp_path):
     for cache in (short, tmp_path / "absent.bin"):
         tracemalloc.start()
         try:
-            table = _load_or_build_mu(limit, str(cache))
+            pairs = _mu_stream(limit, str(cache))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert table.limit == limit
-        del table
+        [(start, values)] = pairs
+        assert start == 1 and values.size == limit
+        del pairs, values
     assert short.stat().st_size == 16 + limit  # the short cache was rebuilt in place
     assert short.read_bytes() == (tmp_path / "absent.bin").read_bytes()
     assert peaks[1] > limit
@@ -549,6 +549,32 @@ def test_corrupt_mu_cache_is_config_error(tmp_path):
     }
     code, _ = run(tmp_path, "sum-scan", cfg, extra=["--mu-cache", str(cache)])
     assert code == EXIT_CONFIG
+    code, outdir = run(tmp_path, "bsz-report", BSZ_BASE, out_name="bsz", extra=["--mu-cache", str(cache)])
+    assert code == EXIT_CONFIG
+    assert not (outdir / "bsz_report.json").exists()
+    assert cache.read_bytes() == b"garbage bytes here"
+
+
+@pytest.mark.parametrize("command", ["sum-scan", "bsz-report"])
+def test_short_mu_cache_with_a_bad_body_is_rebuilt(tmp_path, command):
+    # only the header of a too-short cache is read, so a bad value in its body is never seen: the file is replaced
+    from mobiusdyn.arith_fn import mobius_sieve
+
+    cache = tmp_path / "mu.bin"
+    mobius_sieve(1000).save(cache)
+    data = bytearray(cache.read_bytes())
+    data[16 + 500] = 2  # mu(501)
+    cache.write_bytes(bytes(data))
+    body = BSZ_BASE if command == "bsz-report" else {**SCAN_BASE, "kinds": ["twisted"], "n_schedule": ["2000"]}
+    code, cached = run(tmp_path, command, body, out_name="cached", extra=["--mu-cache", str(cache)])
+    assert code == EXIT_OK
+    fresh = tmp_path / "fresh.bin"
+    mobius_sieve(2000).save(fresh)
+    assert cache.read_bytes() == fresh.read_bytes()
+    code, plain = run(tmp_path, command, body, out_name="plain")
+    assert code == EXIT_OK
+    name = "bsz_report.json" if command == "bsz-report" else "sum_scan.csv"
+    assert (cached / name).read_bytes() == (plain / name).read_bytes()
 
 
 def test_bsz_report_sanity_modes(tmp_path):
@@ -1083,8 +1109,16 @@ def _no_whole_table(monkeypatch):
 
     for owner in (arith_fn, cli_runner):
         monkeypatch.setattr(owner, "mobius_sieve", refuse)
-    monkeypatch.setattr(cli_runner, "_load_or_build_mu", refuse)
     monkeypatch.setattr(arith_fn.MobiusTable, "load", classmethod(refuse))
+    streamed = cli_runner._mu_stream
+
+    def segments_only(limit, cache):
+        for start, segment in streamed(limit, cache):
+            if segment.size > arith_fn._SEGMENT:
+                refuse()
+            yield start, segment
+
+    monkeypatch.setattr(cli_runner, "_mu_stream", segments_only)
 
 
 def test_sum_scan_without_a_cache_builds_no_table(tmp_path, monkeypatch, small_segments):
@@ -1124,6 +1158,50 @@ def test_bad_value_in_a_later_cache_slice_is_config_error(tmp_path, capsys, smal
     err = capsys.readouterr().err
     assert "mu-cache" in err and "Traceback" not in err
     assert not (outdir / "sum_scan.csv").exists()
+
+
+# --- bsz-report reads mu through the same stream ----------------------------------------
+
+
+def test_bsz_rows_do_not_depend_on_nu(tmp_path):
+    # mu and 1 are +-1 with one sign on every prime, so every W_j row is the same; only the left side differs
+    code, mobius = run(tmp_path, "bsz-report", {**BSZ_BASE, "nu": "mobius"}, out_name="mobius")
+    assert code == EXIT_OK
+    code, one = run(tmp_path, "bsz-report", {**BSZ_BASE, "nu": "one"}, out_name="one")
+    assert code == EXIT_OK
+    rows = [json.loads((outdir / "bsz_report.json").read_text())["rows"] for outdir in (mobius, one)]
+    assert rows[0] == rows[1] and rows[0]
+
+
+def test_bsz_report_bytes_with_a_cache_of_n_of_2n_and_without(tmp_path, small_segments):
+    from mobiusdyn.arith_fn import mobius_sieve
+
+    n = int(BSZ_BASE["n"])
+    code, plain = run(tmp_path, "bsz-report", BSZ_BASE, out_name="plain")
+    assert code == EXIT_OK
+    want = (plain / "bsz_report.json").read_bytes()
+    for limit in (n, 2 * n):
+        cache = tmp_path / f"mu{limit}.bin"
+        mobius_sieve(limit).save(cache)
+        code, cached = run(tmp_path, "bsz-report", BSZ_BASE, out_name=f"cached{limit}", extra=["--mu-cache", str(cache)])
+        assert code == EXIT_OK
+        assert (cached / "bsz_report.json").read_bytes() == want
+
+
+@pytest.mark.parametrize("nu", ["mobius", "one"])
+def test_bsz_report_builds_no_table(tmp_path, monkeypatch, small_segments, nu):
+    # a covering cache is read in slices, and nu = one needs no mu at all
+    from mobiusdyn.arith_fn import mobius_sieve
+
+    body = {**BSZ_BASE, "nu": nu}
+    code, built = run(tmp_path, "bsz-report", body, out_name="built")
+    assert code == EXIT_OK
+    cache = tmp_path / "mu.bin"
+    mobius_sieve(4000).save(cache)
+    _no_whole_table(monkeypatch)
+    code, streamed = run(tmp_path, "bsz-report", body, out_name="streamed", extra=["--mu-cache", str(cache)])
+    assert code == EXIT_OK
+    assert (streamed / "bsz_report.json").read_bytes() == (built / "bsz_report.json").read_bytes()
 
 
 def test_cli_import_leaves_hashlib_for_the_manifest():
