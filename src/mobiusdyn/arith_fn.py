@@ -42,43 +42,31 @@ class LimitOverflow(ValueError):
     """Requested sieve limit exceeds the supported range."""
 
 
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n via a dense boolean sieve."""
-    if n < 2:
-        return []
-    flags = np.ones(n + 1, dtype=bool)
-    flags[:2] = False
-    for q in range(2, math.isqrt(n) + 1):
-        if flags[q]:
-            flags[q * q :: q] = False
-    return np.flatnonzero(flags).tolist()
-
-
-_PRIMES_RANGE_MAX = 10**9
-
-
 def primes_in(lo: float, hi: float) -> np.ndarray:
-    """Ascending primes in the half-open real interval [lo, hi) as int64.
+    """Ascending primes in the half-open real interval [lo, hi) as int64."""
+    if hi > _SIEVE_LIMIT + 1:
+        raise LimitOverflow(f"prime enumeration capped at {_SIEVE_LIMIT}")
+    return _primes(math.ceil(lo), math.ceil(hi))
 
-    A segmented sieve over the odd numbers only, flags[k] standing for
-    base + 2k with base the first odd integer >= lo; 2 is added when lo <= 2.
+
+def _primes(lo: int, hi: int) -> np.ndarray:
+    """Ascending primes in [lo, hi) as int64, by a sieve over the odd numbers only (plus 2 when lo <= 2).
+
+    flags[k] stands for base + 2k, base the first odd integer >= max(lo, 2); the sieving primes come from itself.
     """
-    if hi > _PRIMES_RANGE_MAX + 1:
-        raise LimitOverflow(f"prime enumeration capped at {_PRIMES_RANGE_MAX}")
-    lo_i = max(2, math.ceil(lo))
-    hi_i = math.ceil(hi)
-    if hi_i <= lo_i:
+    lo = max(2, lo)
+    if hi <= lo:
         return np.empty(0, dtype=np.int64)
-    base = lo_i | 1
-    flags = np.ones((hi_i - base + 1) // 2, dtype=bool)
-    for q in primes_up_to(math.isqrt(hi_i - 1))[1:]:
+    base = lo | 1
+    flags = np.ones((hi - base + 1) // 2, dtype=bool)
+    for q in _primes(3, math.isqrt(hi - 1) + 1).tolist():
         start = max(q * q, ((base + q - 1) // q) * q)
         if start % 2 == 0:  # odd q: the next multiple is odd
             start += q
-        if start < hi_i:
+        if start < hi:
             flags[(start - base) // 2 :: q] = False
     odd = np.flatnonzero(flags) * 2 + base
-    return np.concatenate(([2], odd)) if lo_i == 2 else odd
+    return np.concatenate(([2], odd)) if lo == 2 else odd
 
 
 def _atomic_write(path: Path, *chunks) -> None:
@@ -110,16 +98,10 @@ class MobiusTable:
     _VERSION = 1
     _HEADER = 16  # bytes: magic, u32 version, u64 limit
 
-    def mu(self, n: int) -> int:
-        if not 1 <= n <= self.limit:
-            raise TableTooSmall(f"mu({n}) outside table limit {self.limit}")
-        return int(self.values[n])
-
     def save(self, path) -> None:
         """Flat binary: magic, u32 version, u64 limit, then limit signed bytes, written atomically."""
         header = self._MAGIC + struct.pack("<IQ", self._VERSION, self.limit)
         _atomic_write(Path(path), header, self.values[1:])
-
 
     @classmethod
     def _limit(cls, fh) -> int:
@@ -256,7 +238,7 @@ def mobius_segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
 
 
 def _sieve_segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
-    primes = np.array(primes_up_to(math.isqrt(limit)), dtype=np.int64)
+    primes = _primes(2, math.isqrt(limit) + 1)
     length = min(_SEGMENT, limit)
     pr = np.empty(length, dtype=np.int32)  # |pr| <= n <= 10**9 < 2**31
     n = np.arange(1, length + 1, dtype=np.int32)

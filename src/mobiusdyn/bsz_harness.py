@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .arith_fn import primes_in
-from .char_sums import _add_residue_counts, _fsum, _fsums, _prefix_segments, _weighted_sum
+from .char_sums import _add_residue_counts, _fsum, _fsums, _prefix_segments, _slices, _weighted_sum
 
 
 class CollisionFound(AssertionError):
@@ -95,14 +95,6 @@ class PrimeBlock:
     primes: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class SieveSet:
-    """Ascending m <= M_j with no prime factor in the union of blocks up to j, as int64."""
-
-    j: int
-    members: np.ndarray
-
-
 def prime_blocks(params: BszParams) -> list[PrimeBlock]:
     """Materialise the blocks whose sieve sets can be nonempty.
 
@@ -118,8 +110,8 @@ def prime_blocks(params: BszParams) -> list[PrimeBlock]:
     return blocks
 
 
-def sieve_sets(params: BszParams, blocks: Sequence[PrimeBlock]) -> list[SieveSet]:
-    """Q_j for each block, excluding multiples of every prime seen in blocks <= j.
+def sieve_sets(params: BszParams, blocks: Sequence[PrimeBlock]) -> list[np.ndarray]:
+    """Q_j for each block, in the order of blocks: ascending int64 m <= M_j with no prime factor in blocks <= j.
 
     One boolean exclusion array up to the largest M_j, marked cumulatively
     block by block and snapshotted after each block's primes are added.
@@ -130,12 +122,12 @@ def sieve_sets(params: BszParams, blocks: Sequence[PrimeBlock]) -> list[SieveSet
     if m_max > _SIEVE_SET_LIMIT:
         raise MemoryGuard(f"sieve range {m_max} exceeds {_SIEVE_SET_LIMIT}")
     excluded = np.zeros(m_max + 1, dtype=bool)
-    out: list[SieveSet] = []
+    out = []
     for block in blocks:
         for r in block.primes[block.primes <= m_max]:
             excluded[r::r] = True
         m_j = math.floor(params.m(block.j))
-        out.append(SieveSet(block.j, np.flatnonzero(~excluded[1 : m_j + 1]) + 1))
+        out.append(np.flatnonzero(~excluded[1 : m_j + 1]) + 1)
     return out
 
 
@@ -146,15 +138,8 @@ class DistinctProductsReport:
     total_products: int
 
 
-def _chunks(rows: np.ndarray, width: int):
-    """(start, slice) pairs covering rows, each slice about _GATHER // width long."""
-    step = max(1, _GATHER // max(width, 1))
-    for i in range(0, rows.size, step):
-        yield i, rows[i : i + step]
-
-
 def distinct_products_check(
-    blocks: Sequence[PrimeBlock], sets: Sequence[SieveSet], n: int
+    blocks: Sequence[PrimeBlock], sets: Sequence[np.ndarray], n: int
 ) -> DistinctProductsReport:
     """Verify the products m*r are pairwise distinct, all <= n, and count them.
 
@@ -168,8 +153,8 @@ def distinct_products_check(
     seen = np.zeros(n + 1, dtype=bool)
     pairs = []
     total = 0
-    for block, qset in zip(blocks, sets):
-        primes, members = block.primes, qset.members
+    for block, members in zip(blocks, sets):
+        primes = block.primes
         if not (primes.size and members.size):
             continue
         if min(primes.min(), members.min()) < 0:
@@ -177,7 +162,7 @@ def distinct_products_check(
         m_hi, r_hi = int(members.max()), int(primes.max())
         if m_hi * r_hi > n:
             raise AssertionError(f"product {m_hi}*{r_hi} exceeds N = {n}")
-        for _, chunk in _chunks(members, primes.size):
+        for _, chunk in _slices(members, primes.size, _GATHER):
             seen[np.multiply.outer(chunk, primes)] = True
         pairs.append((members, primes))
         total += primes.size * members.size
@@ -200,7 +185,7 @@ def _check_phase(phase: np.ndarray) -> None:
         raise ValueError(f"|F({bad + 1})| = {size[bad]} exceeds 1")
 
 
-def wj_sums(phase: np.ndarray, blocks: Sequence[PrimeBlock], sets: Sequence[SieveSet]) -> list[float]:
+def wj_sums(phase: np.ndarray, blocks: Sequence[PrimeBlock], sets: Sequence[np.ndarray]) -> list[float]:
     """W_j = sum_{m in Q_j} |sum_{r in P_j} nu(r) F(m r)| for each block.
 
     nu must be +-1 with one sign on every prime, as mu and 1 are: then the
@@ -218,16 +203,16 @@ def wj_sums(phase: np.ndarray, blocks: Sequence[PrimeBlock], sets: Sequence[Siev
     _check_phase(phase)
     t = phase.size
     terms = []  # terms[j]: count_j(s) |inner(s)| for each residue s of block j
-    for block, qset in zip(blocks, sets):
+    for block, members in zip(blocks, sets):
         r_res = block.primes % t
-        m_res = qset.members % t
+        m_res = members % t
         counts = 1
         if m_res.size > t:
             counts = np.bincount(m_res, minlength=t)
             m_res = np.flatnonzero(counts)
             counts = counts[m_res]
         inner = np.empty(m_res.size)
-        for i, chunk in _chunks(m_res, r_res.size):
+        for i, chunk in _slices(m_res, r_res.size, _GATHER):
             idx = np.multiply.outer(chunk, r_res)
             idx -= 1
             idx -= idx // t * t  # idx %= t, but numpy's int64 floor division by a scalar is faster
@@ -273,10 +258,10 @@ def decomposition_report(
             "r_j": params.r(block.j),
             "m_j": params.m(block.j),
             "p_count": len(block.primes),
-            "q_count": len(qset.members),
+            "q_count": len(members),
             "w": w,
         }
-        for block, qset, w in zip(blocks, sets, w_values)
+        for block, members, w in zip(blocks, sets, w_values)
     ]
     return {
         "schema_version": 1,

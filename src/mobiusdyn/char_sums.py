@@ -251,6 +251,12 @@ def _weighted_sum(weights, cos: np.ndarray, sin: np.ndarray) -> complex:
     return complex(_fsum(cos, weights), _fsum(sin, weights))
 
 
+def _slices(seq, width: int, budget: int):
+    """(start, slice) pairs covering seq, max(1, budget // width) items of width entries each: ~budget a pass."""
+    step = max(1, budget // max(width, 1))
+    return ((i, seq[i : i + step]) for i in range(0, len(seq), step))
+
+
 def _add_residue_counts(counts: np.ndarray, mu: np.ndarray, start: int) -> None:
     """counts[(start + i) mod t] += mu[i] for every i, with t = len(counts).
 
@@ -380,11 +386,20 @@ def _decimated_phases(traj: Trajectory, psi_u: int, terms: Sequence[tuple[int, i
     return acc
 
 
-def _histogram_sum(phases: np.ndarray, p: int) -> complex:
-    """sum_n e(phases[n]/p) through the integer histogram of the phases."""
-    values, counts = np.unique(phases, return_counts=True)
-    angle = _angles(values, p)
-    return _weighted_sum(counts, np.cos(angle), np.sin(angle))
+def _decimated_report(kind: str, traj: Trajectory, psi_u: int, terms, n_terms: int, factor: int, **params) -> SumReport:
+    """sum_{n <= N} psi_u(sum_j c_j * xi_{s_j n}) for N <= t through the integer histogram of its phases.
+
+    The reference bound is factor * sqrt(p) * log(p); params join the matrix and seed in the report.
+    """
+    p = traj.matrix.p
+    psi_u = _nonzero_mod(psi_u, p)
+    if n_terms > traj.period:
+        raise ValueError(f"N = {n_terms} exceeds the period t = {traj.period}")
+    phases, counts = np.unique(_decimated_phases(traj, psi_u, terms, n_terms), return_counts=True)
+    angle = _angles(phases, p)
+    value = _weighted_sum(counts, np.cos(angle), np.sin(angle))
+    bound = factor * math.sqrt(p) * math.log(p)
+    return SumReport(kind, value, n_terms, p, bound, dict(_matrix_params(traj.matrix, traj.seed), **params))
 
 
 def correlation_sum(traj: Trajectory, psi_u: int, u: int, v: int, k: int, m: int, n_terms: int) -> SumReport:
@@ -398,14 +413,7 @@ def correlation_sum(traj: Trajectory, psi_u: int, u: int, v: int, k: int, m: int
         raise BothFrequenciesZero("need (u, v) != (0, 0)")
     if not (0 <= k < m):
         raise BadIndices(f"need 0 <= k < m, got k={k}, m={m}")
-    psi_u = _nonzero_mod(psi_u, p)
-    if n_terms > traj.period:
-        raise ValueError(f"N = {n_terms} exceeds the period t = {traj.period}")
-    value = _histogram_sum(_decimated_phases(traj, psi_u, [(uv, k), (vv, m)], n_terms), p)
-    bound = m * math.sqrt(p) * math.log(p)
-    params = _matrix_params(traj.matrix, traj.seed)
-    params.update(u=uv, v=vv, k=k, m=m)
-    return SumReport("correlation", value, n_terms, p, bound, params)
+    return _decimated_report("correlation", traj, psi_u, [(uv, k), (vv, m)], n_terms, m, u=uv, v=vv, k=k, m=m)
 
 
 def single_sum(traj: Trajectory, psi_u: int, u: int, m: int, n_terms: int) -> SumReport:
@@ -413,20 +421,12 @@ def single_sum(traj: Trajectory, psi_u: int, u: int, m: int, n_terms: int) -> Su
 
     psi_u and u are ints taken mod p; the report records u mod p.
     """
-    p = traj.matrix.p
-    uv = u % p
+    uv = u % traj.matrix.p
     if not uv:
         raise ZeroFrequency("u must be nonzero")
     if m < 1:
         raise BadIndices("m must be >= 1")
-    psi_u = _nonzero_mod(psi_u, p)
-    if n_terms > traj.period:
-        raise ValueError(f"N = {n_terms} exceeds the period t = {traj.period}")
-    value = _histogram_sum(_decimated_phases(traj, psi_u, [(uv, m)], n_terms), p)
-    bound = math.gcd(m, traj.period) * math.sqrt(p) * math.log(p)
-    params = _matrix_params(traj.matrix, traj.seed)
-    params.update(u=uv, m=m)
-    return SumReport("single", value, n_terms, p, bound, params)
+    return _decimated_report("single", traj, psi_u, [(uv, m)], n_terms, math.gcd(m, traj.period), u=uv, m=m)
 
 
 @dataclass(frozen=True)
@@ -511,12 +511,6 @@ def _norm_one_traces(rfs: Sequence[RationalFunction], z: np.ndarray, e: int, p: 
     return live, (2 * h0 + e * h1) % p  # Tr(c0 + c1*Z) = 2*c0 + e*c1
 
 
-def _passes(rfs: list, points: int):
-    """rfs in consecutive slices of at most _WEIL_PASS // points functions (at least one)."""
-    step = max(1, _WEIL_PASS // points)
-    return (rfs[i : i + step] for i in range(0, len(rfs), step))
-
-
 def _weil_reports(kind: str, angle: np.ndarray, live: np.ndarray, p: int, rfs, u: int, h) -> list[SumReport]:
     """One report per row of live: its live terms e^(i angle), taken from angle in row-major order.
 
@@ -565,7 +559,7 @@ def weil_sum_fp(rfs: Sequence[RationalFunction], u: int, h: int | None = None) -
     else:
         x = _powers((primitive_root(p), 0), p - 1, 0, p)[0]  # x[i] = g^i
     out = []
-    for rows in _passes(rfs, x.size):
+    for _, rows in _slices(rfs, x.size, _WEIL_PASS):
         den = _horner_fp([rf.denominator for rf in rows], x, p)
         live = den != 0
         num = _horner_fp([rf.numerator for rf in rows], x, p)
@@ -600,7 +594,7 @@ def weil_sum_fp2_norm_one(rfs: Sequence[RationalFunction], u: int, h: int | None
     t = p + 1
     z = _powers(norm_group_generator(e, p), t, e, p)  # z[:, i] = g^i
     out = []
-    for rows in _passes(rfs, t):
+    for _, rows in _slices(rfs, t, _WEIL_PASS):
         live, trace = _norm_one_traces(rows, z, e, p)
         angle = _angles(trace, p, u)
         if h is not None:

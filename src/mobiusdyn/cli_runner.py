@@ -104,7 +104,10 @@ _DECIMAL_FLOAT = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)
 def _exact_int(raw, name: str, cfg=None) -> int:
     """A decimal string or a true JSON integer; floats and booleans are refused."""
     if isinstance(raw, str) and _DECIMAL.fullmatch(raw):
-        return int(raw, 10)
+        try:
+            return int(raw, 10)
+        except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+            raise ConfigError(f"field '{name}' has {len(raw)} characters, too many digits") from None
     if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
     raise ConfigError(f"field '{name}' must be a decimal string or an integer, got {raw!r}")
@@ -339,25 +342,28 @@ def parse_fields(schema: dict, raw: dict, where: str, cfg: Mapping | None = None
 def _load_config(path: str) -> tuple[bytes, dict]:
     """The config's bytes (they feed the manifest hash) and its JSON object."""
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
+        blob = Path(path).read_bytes()
+        raw = json.loads(blob.decode("utf-8"))  # ValueError also covers an integer of too many digits
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"config file unreadable: {exc}") from None
-    try:
-        raw = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     return blob, raw
 
 
+def _out_dir(raw: str) -> Path:
+    """The --out path, refused unless it or its nearest existing ancestor is a directory; nothing is created."""
+    path = Path(raw)
+    found = next((probe for probe in (path, *path.parents) if probe.exists()), path)
+    if not found.is_dir():
+        raise ConfigError(f"option '--out': {found} is not a directory")
+    return path
+
+
 def _write_outputs(outdir: Path, outputs: dict[str, bytes], config_blob: bytes) -> None:
-    """Write every artifact atomically, then the manifest covering them all."""
+    """Write every artifact atomically, then the manifest covering them all; a failed write names --out."""
     import hashlib  # here, not at the top: it loads OpenSSL, ~3.6 MB resident for the whole run
 
-    for name, data in outputs.items():
-        _atomic_write(outdir / name, data)
     manifest = {
         "schema_version": 1,
         "tool_version": __version__,
@@ -365,7 +371,11 @@ def _write_outputs(outdir: Path, outputs: dict[str, bytes], config_blob: bytes) 
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": {name: hashlib.sha256(data).hexdigest() for name, data in sorted(outputs.items())},
     }
-    _atomic_write(outdir / "manifest.json", _json_bytes(manifest))
+    try:
+        for name, data in {**outputs, "manifest.json": _json_bytes(manifest)}.items():
+            _atomic_write(outdir / name, data)
+    except OSError as exc:
+        raise ConfigError(f"option '--out': cannot write the outputs: {exc}") from None
 
 
 def _json_bytes(obj) -> bytes:
@@ -601,10 +611,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.threads is not None and args.threads < 1:
             raise ConfigError(f"option '--threads' must be >= 1, got {args.threads}")
+        outdir = _out_dir(args.out)
         blob, raw = _load_config(args.config)
         cfg = parse_fields(SCHEMAS[args.command], raw, f"{args.command} config")
         code, outputs = COMMANDS[args.command](cfg, args.mu_cache)
-        _write_outputs(Path(args.out), outputs, blob)
+        _write_outputs(outdir, outputs, blob)
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

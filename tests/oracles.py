@@ -292,7 +292,7 @@ def decimated_oracle(matrix, xi0, psi, terms, n_terms, h=None, t=None) -> comple
 def twisted_oracle(matrix, xi0, psi, n_terms, mu_table) -> complex:
     """sum_{n <= N} mu(n) psi(xi_n), one term at a time."""
     vals = orbit_oracle(matrix, xi0, n_terms)
-    return sum(mu_table.mu(n) * psi(vals[n]) for n in range(1, n_terms + 1))
+    return sum(int(mu_table.values[n]) * psi(vals[n]) for n in range(1, n_terms + 1))
 
 
 def whole(table):

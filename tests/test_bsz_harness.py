@@ -6,13 +6,12 @@ import random
 import numpy as np
 import pytest
 
-from mobiusdyn.arith_fn import TableTooSmall, mobius_sieve, primes_up_to
+from mobiusdyn.arith_fn import TableTooSmall, mobius_sieve
 from mobiusdyn.bsz_harness import (
     BszParams,
     CollisionFound,
     DistinctProductsReport,
     PrimeBlock,
-    SieveSet,
     distinct_products_check,
     decomposition_report,
     make_params,
@@ -24,7 +23,7 @@ from mobiusdyn.bsz_harness import (
 from mobiusdyn.field_arith import PrimeModulus
 from mobiusdyn.mobius_dynamics import MobiusMatrix, period
 from mobiusdyn.sampling import random_sl2
-from oracles import AdditiveCharacter, apply, whole
+from oracles import _ORACLE_PRIMES, AdditiveCharacter, apply, whole
 
 TOY = BszParams(alpha=1.0, n=10**4, j0=3.0, j1=5.0)  # R_j = 2^j, blocks j = 3, 4, 5
 ONE = np.ones(1, dtype=complex)  # F = 1: one period of length 1
@@ -102,7 +101,7 @@ def test_blocks_disjoint_and_cover():
         overlap = seen.intersection(b.primes)
         assert not overlap
         seen.update(b.primes)
-    assert seen == set(primes_up_to(63)) - set(primes_up_to(7))
+    assert seen == {q for q in _ORACLE_PRIMES if 7 < q <= 63}
 
 
 def test_empty_blocks_are_legal():
@@ -114,7 +113,7 @@ def test_empty_blocks_are_legal():
     assert primes_in(114, 127).tolist() == []
     blocks = [PrimeBlock(3, primes_in(114, 127))]
     sets = sieve_sets(TOY, blocks)
-    assert sets[0].members[:5].tolist() == [1, 2, 3, 4, 5]  # nothing excluded
+    assert sets[0][:5].tolist() == [1, 2, 3, 4, 5]  # nothing excluded
     report = distinct_products_check(blocks, sets, TOY.n)
     assert report.total_products == 0
 
@@ -143,8 +142,8 @@ def test_sieve_sets_toy_against_trial_division():
         expected = [
             m for m in range(1, m_j + 1) if all(m % r for r in union)
         ]
-        assert qset.members.tolist() == expected
-        assert 1 in qset.members
+        assert qset.tolist() == expected
+        assert 1 in qset
 
 
 def test_sieve_sets_first_block_excludes_only_its_primes():
@@ -152,7 +151,7 @@ def test_sieve_sets_first_block_excludes_only_its_primes():
     sets = sieve_sets(TOY, blocks[:1])
     m_3 = math.floor(TOY.m(3))
     expected = [m for m in range(1, m_3 + 1) if m % 11 and m % 13]
-    assert sets[0].members.tolist() == expected
+    assert sets[0].tolist() == expected
 
 
 def test_sieve_sets_toy_instance_alpha_point_two():
@@ -164,7 +163,7 @@ def test_sieve_sets_toy_instance_alpha_point_two():
         union.update(block.primes)
         m_j = math.floor(params.m(block.j))
         expected = [m for m in range(1, m_j + 1) if all(m % r for r in union)]
-        assert qset.members.tolist() == expected
+        assert qset.tolist() == expected
 
 
 def test_blocks_and_sets_stay_int64_arrays_at_benchmark_size():
@@ -179,10 +178,10 @@ def test_blocks_and_sets_stay_int64_arrays_at_benchmark_size():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    for seq in [b.primes for b in blocks] + [q.members for q in sets]:
+    for seq in [b.primes for b in blocks] + sets:
         assert isinstance(seq, np.ndarray) and seq.dtype == np.int64
     assert sum(b.primes.size for b in blocks) == 265588
-    assert sum(q.members.size for q in sets) == 349821
+    assert sum(q.size for q in sets) == 349821
     assert peak < 8 * 2**20, peak
 
 
@@ -198,7 +197,7 @@ def test_distinct_products_toy():
     sets = sieve_sets(TOY, blocks)
     report = distinct_products_check(blocks, sets, TOY.n)  # no CollisionFound: every product is distinct
     assert report.total_products == sum(
-        len(b.primes) * len(s.members) for b, s in zip(blocks, sets)
+        len(b.primes) * len(s) for b, s in zip(blocks, sets)
     )
     assert report.total_products <= TOY.n
 
@@ -206,7 +205,7 @@ def test_distinct_products_toy():
 def test_distinct_products_collision_across_blocks():
     # 3*5 in the first block and 5*3 in the second
     blocks = [PrimeBlock(3, i64(3)), PrimeBlock(4, i64(5))]
-    sets = [SieveSet(3, i64(1, 5)), SieveSet(4, i64(2, 3))]
+    sets = [i64(1, 5), i64(2, 3)]
     with pytest.raises(CollisionFound, match="product 15"):
         distinct_products_check(blocks, sets, 100)
 
@@ -214,7 +213,7 @@ def test_distinct_products_collision_across_blocks():
 def test_distinct_products_collision_within_block():
     # 2*3 = 3*2 inside one block whose sieve set keeps a multiple of its primes
     blocks = [PrimeBlock(3, i64(2, 3))]
-    sets = [SieveSet(3, i64(1, 2, 3))]
+    sets = [i64(1, 2, 3)]
     with pytest.raises(CollisionFound, match="product 6"):
         distinct_products_check(blocks, sets, 100)
 
@@ -224,13 +223,13 @@ def test_distinct_products_collision_between_chunks_of_one_block():
     # lands in a later chunk than its first occurrence
     members = i64(*range(1, 70001), 5)
     with pytest.raises(CollisionFound, match="product 10"):
-        distinct_products_check([PrimeBlock(3, i64(2))], [SieveSet(3, members)], 10**6)
+        distinct_products_check([PrimeBlock(3, i64(2))], [members], 10**6)
 
 
 def test_distinct_products_names_the_smallest_repeat():
     # 7*11 repeats in the first block and 3*5 in the second: the audit names 15
     blocks = [PrimeBlock(3, i64(7, 11)), PrimeBlock(4, i64(3, 5))]
-    sets = [SieveSet(3, i64(1, 7, 11)), SieveSet(4, i64(3, 5))]
+    sets = [i64(1, 7, 11), i64(3, 5)]
     with pytest.raises(CollisionFound, match="product 15 produced"):
         distinct_products_check(blocks, sets, 1000)
 
@@ -238,16 +237,16 @@ def test_distinct_products_names_the_smallest_repeat():
 def test_distinct_products_collision_only_in_the_last_block():
     # forty blocks with the odd products 1, 3, ..., 79, then a block whose 3*13 repeats block 19's 39*1
     blocks = [PrimeBlock(j, i64(2 * j + 1)) for j in range(40)] + [PrimeBlock(40, i64(3))]
-    sets = [SieveSet(j, i64(1)) for j in range(40)]
+    sets = [i64(1) for _ in range(40)]
     with pytest.raises(CollisionFound, match="product 39 produced"):
-        distinct_products_check(blocks, sets + [SieveSet(40, i64(2, 13))], 1000)
-    report = distinct_products_check(blocks, sets + [SieveSet(40, i64(2, 50))], 1000)
+        distinct_products_check(blocks, sets + [i64(2, 13)], 1000)
+    report = distinct_products_check(blocks, sets + [i64(2, 50)], 1000)
     assert report.total_products == 42
 
 
 def test_distinct_products_product_above_n():
     blocks = [PrimeBlock(3, i64(11, 13))]
-    sets = [SieveSet(3, i64(1, 7))]
+    sets = [i64(1, 7)]
     with pytest.raises(AssertionError, match=r"product 7\*13 exceeds N = 90") as info:
         distinct_products_check(blocks, sets, 90)
     assert not isinstance(info.value, CollisionFound)
@@ -256,7 +255,7 @@ def test_distinct_products_product_above_n():
 def test_distinct_products_total_above_n():
     # products 0 and 1 are distinct and <= N = 1, but there are two of them
     blocks = [PrimeBlock(3, i64(1))]
-    sets = [SieveSet(3, i64(0, 1))]
+    sets = [i64(0, 1)]
     with pytest.raises(AssertionError, match="sum #P_j #Q_j = 2 exceeds N = 1") as info:
         distinct_products_check(blocks, sets, 1)
     assert not isinstance(info.value, CollisionFound)
@@ -267,7 +266,7 @@ def test_distinct_products_total_above_n():
 
 def test_wj_empty_block_gives_zero():
     blocks = [PrimeBlock(3, i64())]
-    sets = [SieveSet(3, i64(1, 2, 3))]
+    sets = [i64(1, 2, 3)]
     w = wj_sums(ONE, blocks, sets)
     assert w == [0.0]
 
@@ -276,7 +275,7 @@ def test_wj_all_ones_counts_products():
     blocks = prime_blocks(TOY)
     sets = sieve_sets(TOY, blocks)
     w = wj_sums(ONE, blocks, sets)
-    assert w == [float(len(b.primes) * len(s.members)) for b, s in zip(blocks, sets)]
+    assert w == [float(len(b.primes) * len(s)) for b, s in zip(blocks, sets)]
 
 
 def test_wj_bound_check_rejects_oversized_handles():
@@ -311,7 +310,7 @@ def test_wj_against_naive_double_loop():
         return phase[(n - 1) % t]
 
     def nu_handle(n):
-        return float(mu.mu(n))
+        return float(mu.values[n])
 
     params = make_params(0.2, 10**4)
     blocks = prime_blocks(params)
@@ -319,7 +318,7 @@ def test_wj_against_naive_double_loop():
     w = wj_sums(np.array(phase), blocks, sets)
     for block, qset, got in zip(blocks, sets, w):
         naive = 0.0
-        for mm in qset.members:
+        for mm in qset:
             inner = 0.0 + 0.0j
             for r in block.primes:
                 inner += nu_handle(r) * f_handle(mm * r)
@@ -340,7 +339,7 @@ def test_wj_equals_the_modulo_expression_bit_for_bit(t):
     w = wj_sums(phase, blocks, sets)
     assert len(w) == len(blocks) > 10
     for block, qset, got in zip(blocks, sets, w):
-        r, m, counts = block.primes, qset.members, 1
+        r, m, counts = block.primes, qset, 1
         weights = nu[r].astype(np.float64)  # mu(r) = -1 on every prime, which wj_sums leaves out
         if m.size > t:  # grouped by m mod t, as wj_sums does
             counts = np.bincount(m % t, minlength=t)
@@ -390,7 +389,7 @@ def test_decomposition_report_fields_match_the_stages():
     assert report["schema_version"] == 1
     assert report["params"] == {"alpha": alpha, "n": n, "j0": params.j0, "j1": params.j1, "period": 7}
     assert report["rows"] == [
-        {"j": b.j, "r_j": params.r(b.j), "m_j": params.m(b.j), "p_count": b.primes.size, "q_count": q.members.size, "w": wj}
+        {"j": b.j, "r_j": params.r(b.j), "m_j": params.m(b.j), "p_count": b.primes.size, "q_count": q.size, "w": wj}
         for b, q, wj in zip(blocks, sets, w)
     ]
     agg = report["aggregates"]
@@ -413,7 +412,7 @@ def _wj_oracle(nu, phase, blocks, sets):
     out = []
     for block, qset in zip(blocks, sets):
         total = 0.0
-        for m in qset.members:
+        for m in qset:
             inner = 0j
             for r in block.primes:
                 inner += int(nu[r]) * phase[(m * r - 1) % t]
@@ -472,14 +471,14 @@ def test_arrays_match_per_term_definition(orbit, nu_kind):
     blocks = prime_blocks(params)
     sets = sieve_sets(params, blocks)
     # both W_j paths run: blocks with more members than residues are grouped by m mod t
-    q_sizes = [len(q.members) for q in sets]
+    q_sizes = [len(q) for q in sets]
     assert max(q_sizes) > t and min(q_sizes) <= t
     assert [row["q_count"] for row in report["rows"]] == q_sizes
     expected = _wj_oracle(nu, phase_list, blocks, sets)
     for row, want, block, qset in zip(report["rows"], expected, blocks, sets, strict=True):
         assert row["w"] == pytest.approx(want, rel=1e-12, abs=1e-9)
         if orbit == "one" and nu_kind == "one":
-            assert row["w"] == float(len(block.primes) * len(qset.members))
+            assert row["w"] == float(len(block.primes) * len(qset))
     agg = report["aggregates"]
     lhs = complex(agg["lhs_re"], agg["lhs_im"])
     assert abs(lhs - _lhs_oracle(nu, phase_list, n)) < 1e-8
@@ -493,8 +492,8 @@ def test_wj_grouped_path_matches_oracle_on_one_block():
     phase_list = _stepped_phases(A, xi0, t, 1)
     mu = mobius_sieve(5000)
     blocks = [PrimeBlock(9, i64(2, 3, 5, 7))]
-    sets = [SieveSet(9, np.arange(1, 601))]
-    assert len(sets[0].members) > t
+    sets = [np.arange(1, 601)]
+    assert len(sets[0]) > t
     got = wj_sums(np.array(phase_list), blocks, sets)
     assert got[0] == pytest.approx(_wj_oracle(mu.values, phase_list, blocks, sets)[0], rel=1e-12)
 

@@ -1,5 +1,6 @@
 """Sum kernels vs independent oracles: re-summation, DFT completion, exhaustion."""
 
+import itertools
 import math
 import random
 
@@ -195,7 +196,7 @@ def test_twisted_against_direct_resummation(mu_table):
     x = xi0
     for n in range(1, n_terms + 1):
         x = apply(A, x)
-        mu_n = mu_table.mu(n)
+        mu_n = int(mu_table.values[n])
         if mu_n:
             expected += mu_n * unit_circle(x.value, m.p)
     assert abs(r.value - expected) <= 1e-9
@@ -335,6 +336,43 @@ def test_correlation_u_zero_collapses_to_single(traj101):
     assert abs(q.value - r.value) < 1e-12
 
 
+def _every_orbit(p):
+    """(matrix, seed, traj) for one seed of every orbit of every SL2 matrix with c != 0 and distinct roots mod p."""
+    modulus = PrimeModulus(p)
+    for a, c, d in itertools.product(range(p), range(1, p), range(p)):
+        if (a + d) % p in (2, p - 2):
+            continue
+        A = MobiusMatrix(*(modulus.elem(x) for x in (a, (a * d - 1) * pow(c, -1, p), c, d)))
+        seen = set()
+        for x in range(p):
+            if x not in seen:
+                traj = period(A, modulus.elem(x))
+                seen.update(traj.orbit_table.tolist())
+                yield A, modulus.elem(x), traj
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_single_sum_is_correlation_with_u_zero_bit_for_bit_exhaustive(p):
+    # single(u, m) and correlation(0, u, 0, m) share one tail, so their values agree bit for bit
+    poles = 0
+    for i, (A, xi0, traj) in enumerate(_every_orbit(p)):
+        poles += not traj.pole_free
+        t = traj.period
+        psi_u, u, m, n = ((1, 1, 1, t), (2, p - 1, 2, max(1, t - 1)), (p - 1, 3, t + 1, t))[i % 3]
+        single = single_sum(traj, psi_u, u, m, n)
+        assert single.value == correlation_sum(traj, psi_u, 0, u, 0, m, n).value, (A, xi0, psi_u, u, m, n)
+    assert poles > 0
+
+
+def test_single_sum_is_correlation_with_u_zero_bit_for_bit_near_1e4():
+    modulus = PrimeModulus(10007)
+    A = MobiusMatrix(modulus.elem(2), modulus.elem(1), modulus.elem(1), modulus.elem(1))
+    traj = period(A, modulus.elem(3))
+    assert traj.period > 1000
+    for u, m in ((1, 1), (5, 2), (10006, 7)):
+        assert single_sum(traj, 3, u, m, traj.period).value == correlation_sum(traj, 3, 0, u, 0, m, traj.period).value
+
+
 def test_correlation_reference_bound(traj101):
     r = correlation_sum(traj101, 1, 1, 2, 1, 4, 30)
     assert r.reference_bound == pytest.approx(4 * math.sqrt(101) * math.log(101))
@@ -456,7 +494,7 @@ def test_twisted_matches_per_term_definition(mu_table):
         assert reports[1].value == reports[2].value
         oracle = orbit_oracle(A, xi0, schedule[-1])
         for r in reports:
-            expected = sum(mu_table.mu(n) * psi(oracle[n]) for n in range(1, r.term_count + 1))
+            expected = sum(int(mu_table.values[n]) * psi(oracle[n]) for n in range(1, r.term_count + 1))
             assert abs(r.value - expected) < 1e-9
 
 

@@ -1,6 +1,7 @@
 """Config validation, exit codes, manifests, and output determinism."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -20,7 +21,9 @@ from mobiusdyn.cli_runner import (
     POINT_SCHEMAS,
     SCHEMAS,
     main,
+    parse_fields,
 )
+from mobiusdyn.field_arith import PrimeModulus
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -930,6 +933,53 @@ def test_config_errors_are_refused_before_any_work(tmp_path, capsys, refuse_work
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("where", ["file", "under-a-file"])
+def test_unusable_out_exits_2_before_any_work(tmp_path, capsys, refuse_work, where):
+    # a regular file, or a path below one: refused at the start, nothing is created
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    out = blocker if where == "file" else blocker / "out"
+    cfg = write_cfg(tmp_path, "bsz.json", {"command": "bsz-report", **BSZ_BASE})
+    code = main(["bsz-report", "--config", cfg, "--out", str(out), "--mu-cache", str(tmp_path / "mu.bin")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "'--out'" in err and "Traceback" not in err
+    assert blocker.read_text() == "not a directory"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["blocker", "bsz.json"]
+
+
+def test_out_write_failure_exits_2_naming_out(tmp_path, capsys, monkeypatch):
+    from mobiusdyn import cli_runner
+
+    def refuse(path, *chunks):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(cli_runner, "_atomic_write", refuse)
+    code, _ = run(tmp_path, "mobius-check", {"limit": "10"})
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "'--out'" in err and "Permission denied" in err
+
+
+def test_integers_beyond_the_digit_limit_exit_2(tmp_path, capsys):
+    # int() converts at most sys.get_int_max_str_digits() digits (4300 by default): a decimal
+    # string that long names its field, and a bare JSON integer that long makes the config
+    # unreadable, as JSON nested past the recursion limit does
+    digits = "1" * 5000
+    as_string = write_cfg(tmp_path, "string.json", {"command": "mobius-check", "limit": digits})
+    as_int = tmp_path / "int.json"
+    as_int.write_text('{"command": "mobius-check", "limit": ' + digits + "}", encoding="utf-8")
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    unreadable = "config file unreadable"
+    for cfg, says in ((as_string, "field 'limit' has 5000"), (str(as_int), unreadable), (str(nested), unreadable)):
+        code = main(["mobius-check", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, cfg
+        assert says in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
 # --- the schema walk: every field of every command refuses bad input by name ----------
 
 _VS = {"command": "verify-spectral", **SCAN_BASE, "window": "10", "threads": "1"}
@@ -1257,3 +1307,36 @@ def test_cli_child_runs_one_os_thread():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1"
+
+
+# --- every shipped config, and factorisation at the top of the modulus range ----------------
+
+
+@pytest.mark.parametrize(
+    "path", sorted([*CONFIG_DIR.glob("*.json"), *CONFIG_DIR.glob("scale/*.json")]), ids=lambda path: path.name
+)
+def test_every_shipped_config_parses(path):
+    # the scale tier only runs in scripts/check_scale.py, so a schema change must be caught here
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    cfg = parse_fields(SCHEMAS[raw["command"]], raw, f"{raw['command']} config")
+    assert cfg["command"] == raw["command"]
+
+
+def test_period_three_orbit_at_a_62_bit_prime_runs_in_seconds(tmp_path):
+    # p + 1 = 2 * 3 * 768614336404564603: trial division toward its square root never finished
+    from mobiusdyn.mobius_dynamics import normalize_to_sl2
+    from oracles import AdditiveCharacter, decimated_oracle
+
+    p = 4611686018427387617
+    body = {"command": "sum-scan", "p": str(p), "matrix": ["0", "-1", "1", "1"], "seed": "5", "kinds": ["single"]}
+    cfg = write_cfg(tmp_path, "big.json", {**body, "points": [{"kind": "single", "u": "1", "m": "1"}]})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "mobiusdyn.cli_runner", "sum-scan", "--config", cfg, "--out", str(tmp_path / "out")]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=5)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    (row,) = csv.DictReader(io.StringIO((tmp_path / "out" / "sum_scan.csv").read_text()))
+    assert row["N"] == "3"
+    modulus = PrimeModulus(p)
+    matrix = normalize_to_sl2(*(modulus.elem(x) for x in (0, -1, 1, 1)))
+    want = decimated_oracle(matrix, modulus.elem(5), AdditiveCharacter(modulus.one), [(1, 1)], 3)
+    assert abs(complex(float(row["re"]), float(row["im"])) - want) < 1e-12

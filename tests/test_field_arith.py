@@ -342,6 +342,42 @@ def test_norm_group_generator_needs_irreducible():
         norm_group_generator(0, 5)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_orders_and_generators_by_brute_force_at_every_small_prime(p):
+    # mult_order, primitive_root and norm_group_generator against their definitions, stepped one product at a time
+    def mul(a, b, e):
+        return (a[0] * b[0] - a[1] * b[1]) % p, (a[0] * b[1] + a[1] * b[0] + e * a[1] * b[1]) % p
+
+    def order(z, e):
+        w, k = z, 1
+        while w != (1, 0):
+            w, k = mul(w, z, e), k + 1
+            if k > p * p:
+                return None
+        return k
+
+    assert primitive_root(p) == next(g for g in range(2, p) if order((g, 0), 0) == p - 1)
+    for e in range(p):
+        if (e * e - 4) % p == 0:
+            continue
+        irreducible = sqrt_mod(e * e - 4, p) is None
+        orders = {}
+        for z in ((c0, c1) for c1 in range(p) for c0 in range(p)):
+            k = orders[z] = order(z, e)
+            for n in (p - 1, p + 1, p * p - 1):
+                if k is not None and n % k == 0:
+                    assert mult_order(z, e, p, n) == k, (z, e, n)
+        if irreducible:
+            candidates = []
+            for c1 in range(1, p):
+                for c0 in range(p):
+                    w = (1, 0)
+                    for _ in range(p - 1):
+                        w = mul(w, (c0, c1), e)
+                    candidates.append(w)
+            assert norm_group_generator(e, p) == next(w for w in candidates if orders[w] == p + 1)
+
+
 def test_discrete_index_examples():
     m = PrimeModulus(7)
     g = m.elem(3)

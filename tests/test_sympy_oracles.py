@@ -3,8 +3,10 @@
 Skipped when sympy is not installed; it is listed in the `test` extra.
 """
 
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from mobiusdyn.arith_fn import (  # noqa: E402
     mobius_by_spf,
     mobius_sieve,
     primes_in,
-    primes_up_to,
 )
 from mobiusdyn.cli_runner import _first_irreducible_extension  # noqa: E402
 from mobiusdyn.field_arith import (  # noqa: E402
@@ -45,10 +46,27 @@ def test_is_prime_matches_sympy():
 
 
 def test_factorize_matches_sympy():
-    # trial division: every sample's second-largest prime factor stays below ~1e6
+    # every n below 3000, random n below 1e10, and a few near 2^61
     rng = random.Random(73)
     samples = list(range(1, 3000)) + [rng.randrange(1, 10**10) for _ in range(200)]
     samples += [2**61 - 2, 2**61, 10**9 + 6, 10**9 + 8, (2**31 - 1) * 6]
+    for n in samples:
+        assert factorize(n) == sympy.factorint(n), n
+
+
+def test_factorize_matches_sympy_below_2_63():
+    # rho splits what trial division leaves: random n, semiprimes of two ~2^31 primes, prime powers,
+    # p +- 1 of every scale-tier prime, and p + 1 = 2 * 3 * 768614336404564603 at p = 4611686018427387617
+    rng = random.Random(107)
+    samples = [rng.randrange(1, 2**63) for _ in range(120)]
+    halves = [sympy.nextprime(rng.randrange(2**30, 2**31)) for _ in range(12)]
+    samples += [q * r for q, r in zip(halves[::2], halves[1::2])]
+    samples += [q**k for q in (2, 3, 1031, 65537, 2**31 - 1, 3037000493) for k in range(1, 64) if q**k < 2**63]
+    scale = Path(__file__).resolve().parent.parent / "configs" / "scale"
+    configs = [json.loads(path.read_text()) for path in scale.glob("*.json")]
+    primes = {int(cfg["p"]) for cfg in configs if "p" in cfg}
+    assert len(primes) >= 6
+    samples += [p + s for p in primes | {4611686018427387617} for s in (-1, 1)]
     for n in samples:
         assert factorize(n) == sympy.factorint(n), n
 
@@ -59,7 +77,7 @@ def test_mobius_sieve_matches_sympy():
     rng = random.Random(79)
     samples = [rng.randrange(1, limit + 1) for _ in range(3000)] + [1, 2, limit - 1, limit]
     for n in samples:
-        assert table.mu(n) == int(sympy.mobius(n)), n
+        assert table.values[n] == int(sympy.mobius(n)), n
 
 
 def test_spf_oracle_matches_sympy():
@@ -87,7 +105,7 @@ def test_mobius_segment_matches_sympy_near_cap():
     for lo in (10**9 + 1 - _SEGMENT, rng.randrange(10**8, 10**9 + 1 - _SEGMENT)):
         hi = lo + _SEGMENT
         out = np.empty(_SEGMENT, dtype=np.int8)
-        primes = np.array(primes_up_to(math.isqrt(hi - 1)), dtype=np.int64)
+        primes = np.array(list(sympy.primerange(2, math.isqrt(hi - 1) + 1)), dtype=np.int64)
         _mobius_segment(out, np.arange(lo, hi, dtype=np.int32), primes, np.empty(_SEGMENT, dtype=np.int32))
         samples = [rng.randrange(lo, hi) for _ in range(2000)] + list(range(hi - 200, hi))
         for n in samples:
