@@ -34,18 +34,14 @@ from pathlib import Path
 import numpy as np
 
 
-class TableTooSmall(ValueError):
-    """A sum asked for mu(n) beyond the table limit."""
-
-
-class LimitOverflow(ValueError):
-    """Requested sieve limit exceeds the supported range."""
+class ResourceGuard(ValueError):
+    """A run asked for more than a cap allows: a sieve, table or enumeration past its limit (CLI exit 3)."""
 
 
 def primes_in(lo: float, hi: float) -> np.ndarray:
     """Ascending primes in the half-open real interval [lo, hi) as int64."""
     if hi > _SIEVE_LIMIT + 1:
-        raise LimitOverflow(f"prime enumeration capped at {_SIEVE_LIMIT}")
+        raise ResourceGuard(f"prime enumeration capped at {_SIEVE_LIMIT}")
     return _primes(math.ceil(lo), math.ceil(hi))
 
 
@@ -133,7 +129,7 @@ class MobiusTable:
     def slices(cls, path, limit: int) -> Iterator[tuple[int, np.ndarray]]:
         """mu(1..limit) from a saved table as (start, values) pairs of _SEGMENT values at most, in order.
 
-        The header is checked on the call, and TableTooSmall raised when the
+        The header is checked on the call, and ResourceGuard raised when the
         file holds fewer than limit values; each slice is read and checked
         (ValueError outside {-1, 0, 1}) only when it is drawn.  No file stays
         open between draws.
@@ -141,7 +137,7 @@ class MobiusTable:
         with open(path, "rb") as fh:
             stored = cls._limit(fh)
         if stored < limit:
-            raise TableTooSmall(f"need mu up to {limit}, table holds {stored}")
+            raise ResourceGuard(f"need mu up to {limit}, table holds {stored}")
         return _file_slices(path, limit)
 
 
@@ -233,7 +229,7 @@ def mobius_segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
     allocated once and n advanced by the segment length.
     """
     if not 1 <= limit <= _SIEVE_LIMIT:
-        raise LimitOverflow(f"sieve limit must be in [1, {_SIEVE_LIMIT}]")
+        raise ResourceGuard(f"sieve limit must be in [1, {_SIEVE_LIMIT}]")
     return _sieve_segments(limit)
 
 

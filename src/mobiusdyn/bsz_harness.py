@@ -38,16 +38,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arith_fn import primes_in
+from .arith_fn import ResourceGuard, primes_in
 from .char_sums import _add_residue_counts, _fsum, _fsums, _prefix_segments, _slices, _weighted_sum
-
-
-class CollisionFound(AssertionError):
-    """Two block products m*r coincide; indicates an implementation bug."""
-
-
-class MemoryGuard(ValueError):
-    """Sieve-set range exceeds the desk-scale memory budget."""
 
 
 _SIEVE_SET_LIMIT = 10**8  # the largest M_j whose exclusion array sieve_sets allocates
@@ -64,7 +56,10 @@ class BszParams:
     j1: float
 
     def r(self, j: int) -> float:
-        return (1.0 + self.alpha) ** j
+        try:
+            return (1.0 + self.alpha) ** j
+        except OverflowError:  # past the double range (alpha near 0): no block reaches N
+            return math.inf
 
     def m(self, j: int) -> float:
         return self.n / self.r(j + 1)
@@ -110,17 +105,31 @@ def prime_blocks(params: BszParams) -> list[PrimeBlock]:
     return blocks
 
 
+def sieve_range(params: BszParams) -> int:
+    """The largest M_j, rounded down, over the blocks prime_blocks materialises; 0 when it materialises none.
+
+    That is M_j at the first j of the range, the length of the exclusion
+    array sieve_sets allocates; ResourceGuard when it exceeds _SIEVE_SET_LIMIT.
+    """
+    j = params.j_range.start
+    if not params.j_range or params.r(j + 1) > params.n:
+        return 0
+    m_max = math.floor(params.m(j))
+    if m_max > _SIEVE_SET_LIMIT:
+        raise ResourceGuard(f"sieve range {m_max} exceeds {_SIEVE_SET_LIMIT}")
+    return m_max
+
+
 def sieve_sets(params: BszParams, blocks: Sequence[PrimeBlock]) -> list[np.ndarray]:
     """Q_j for each block, in the order of blocks: ascending int64 m <= M_j with no prime factor in blocks <= j.
 
-    One boolean exclusion array up to the largest M_j, marked cumulatively
-    block by block and snapshotted after each block's primes are added.
+    blocks is prime_blocks(params) or a prefix of it.  One boolean exclusion
+    array up to the largest M_j (sieve_range), marked cumulatively block by
+    block and snapshotted after each block's primes are added.
     """
     if not blocks:
         return []
-    m_max = math.floor(params.m(blocks[0].j))
-    if m_max > _SIEVE_SET_LIMIT:
-        raise MemoryGuard(f"sieve range {m_max} exceeds {_SIEVE_SET_LIMIT}")
+    m_max = sieve_range(params)
     excluded = np.zeros(m_max + 1, dtype=bool)
     out = []
     for block in blocks:
@@ -169,7 +178,7 @@ def distinct_products_check(
     if np.count_nonzero(seen) != total:
         prods = np.sort(np.concatenate([np.multiply.outer(m, r).ravel() for m, r in pairs]))
         repeat = prods[1:][prods[1:] == prods[:-1]]
-        raise CollisionFound(f"product {repeat[0]} produced twice")
+        raise AssertionError(f"product {repeat[0]} produced twice")
     if total > n:
         raise AssertionError(f"sum #P_j #Q_j = {total} exceeds N = {n}")
     return DistinctProductsReport(total)
@@ -235,7 +244,7 @@ def decomposition_report(
     component.
     quotient = |sum_{n' <= N} nu(n')F(n')| / (sum_j W_j + alpha*N); it is
     reported as data, not compared against any constant.  collisions is
-    always 0: a repeated product raises CollisionFound instead.
+    always 0: a repeated product raises AssertionError instead.
     """
     params = make_params(alpha, n)
     _check_phase(phase)

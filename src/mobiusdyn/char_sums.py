@@ -46,7 +46,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .arith_fn import TableTooSmall
+from .arith_fn import ResourceGuard
 from .field_arith import (
     _BLOCK,
     _inv_mod,
@@ -54,28 +54,11 @@ from .field_arith import (
     _powers,
     _residues,
     FpElem,
-    ModulusMismatch,
     norm_group_generator,
     primitive_root,
 )
 from .mobius_dynamics import MobiusMatrix, Trajectory, _orbit_prefix
 from .mobius_dynamics import period  # noqa: F401  unused here; perfbench's tracer test reads char_sums.period
-
-
-class BothFrequenciesZero(ValueError):
-    """(u, v) = (0, 0) makes the two-term sum trivial."""
-
-
-class BadIndices(ValueError):
-    """Decimation indices must satisfy 0 <= k < m."""
-
-
-class ZeroFrequency(ValueError):
-    """The single-term sum needs u != 0."""
-
-
-class RangeGuard(ValueError):
-    """Requested modulus exceeds the brute-force enumeration caps."""
 
 
 def _nonzero_mod(u: int, p: int) -> int:
@@ -278,7 +261,7 @@ def _add_residue_counts(counts: np.ndarray, mu: np.ndarray, start: int) -> None:
 def _prefix_segments(pairs: Iterable[tuple[int, np.ndarray]], n: int) -> Iterator[tuple[int, np.ndarray]]:
     """(start, segment) pairs of f(1), f(2), ... cut at f(n), drawn no further.
 
-    A pair not starting where the last ended raises ValueError, a stream that ends before n TableTooSmall.
+    A pair not starting where the last ended raises ValueError, a stream that ends before n ResourceGuard.
     """
     done = 0
     for start, segment in pairs:
@@ -289,7 +272,7 @@ def _prefix_segments(pairs: Iterable[tuple[int, np.ndarray]], n: int) -> Iterato
         done += segment.size
         if done == n:
             return
-    raise TableTooSmall(f"need values up to {n}, the segments stop at {done}")
+    raise ResourceGuard(f"need values up to {n}, the segments stop at {done}")
 
 
 def twisted_sum_schedule(
@@ -311,13 +294,14 @@ def twisted_sum_schedule(
     MobiusTable.slices: each segment is folded into the counts as it
     arrives, split at the checkpoints inside it, and the pairs are drawn
     only up to max N, so mu(1..N) is never held whole.  Pairs that stop
-    short raise TableTooSmall.
+    short raise ResourceGuard.
     Each frequency u of frequencies is taken mod p and must be nonzero there.
     The orbit prefix and the counts do not depend on u and are built once;
     the reports come frequency by frequency, each over the whole schedule.
     A given traj of the same (matrix, xi0) supplies the prefix from its
     table; without one only the first max N terms of the orbit are built, so
-    a twisted-only scan needs neither the full period nor ord(theta^2).
+    a twisted-only scan needs neither the full period nor, while max N stays
+    inside the orbit-table budget, ord(theta^2).
     """
     p = matrix.p
     freqs = [_nonzero_mod(u, p) for u in frequencies]
@@ -410,9 +394,9 @@ def correlation_sum(traj: Trajectory, psi_u: int, u: int, v: int, k: int, m: int
     p = traj.matrix.p
     uv, vv = u % p, v % p
     if not (uv or vv):
-        raise BothFrequenciesZero("need (u, v) != (0, 0)")
+        raise ValueError("need (u, v) != (0, 0)")
     if not (0 <= k < m):
-        raise BadIndices(f"need 0 <= k < m, got k={k}, m={m}")
+        raise ValueError(f"need 0 <= k < m, got k={k}, m={m}")
     return _decimated_report("correlation", traj, psi_u, [(uv, k), (vv, m)], n_terms, m, u=uv, v=vv, k=k, m=m)
 
 
@@ -423,9 +407,9 @@ def single_sum(traj: Trajectory, psi_u: int, u: int, m: int, n_terms: int) -> Su
     """
     uv = u % traj.matrix.p
     if not uv:
-        raise ZeroFrequency("u must be nonzero")
+        raise ValueError("u must be nonzero")
     if m < 1:
-        raise BadIndices("m must be >= 1")
+        raise ValueError("m must be >= 1")
     return _decimated_report("single", traj, psi_u, [(uv, m)], n_terms, math.gcd(m, traj.period), u=uv, m=m)
 
 
@@ -532,7 +516,7 @@ def _weil_reports(kind: str, angle: np.ndarray, live: np.ndarray, p: int, rfs, u
 def weil_sum_fp(rfs: Sequence[RationalFunction], u: int, h: int | None = None) -> list[SumReport]:
     """Exhaustive hybrid sums over F_p, one report per function, in order.
 
-    For each f = num/den of rfs, all over one F_p (ModulusMismatch otherwise):
+    For each f = num/den of rfs, all over one F_p (ValueError otherwise):
     the sum of psi_u(f(x)) chi(x) over the x with den(x) != 0, with u taken
     mod p and nonzero there; an empty rfs gives [].
     h = None means no twist (x = 0 included); otherwise chi(g^i) = e(h*i/(p - 1))
@@ -550,10 +534,10 @@ def weil_sum_fp(rfs: Sequence[RationalFunction], u: int, h: int | None = None) -
         return []
     p = rfs[0].p
     if any((rf.p, rf.e) != (p, None) for rf in rfs):
-        raise ModulusMismatch(f"every function must be over F_{p}, the field of the first")
+        raise ValueError(f"every function must be over F_{p}, the field of the first")
     u = _nonzero_mod(u, p)
     if p > _WEIL_FP_LIMIT:
-        raise RangeGuard(f"exhaustive sum capped at p <= {_WEIL_FP_LIMIT}")
+        raise ResourceGuard(f"exhaustive sum capped at p <= {_WEIL_FP_LIMIT}")
     if h is None:
         x = np.arange(p, dtype=np.int64)
     else:
@@ -575,8 +559,8 @@ def weil_sum_fp2_norm_one(rfs: Sequence[RationalFunction], u: int, h: int | None
 
     For each f = num/den of rfs, in order: the sum over {z : Nm(z) = 1,
     den(z) != 0} of psi_u(Tr(f(z))) chi(z).  All functions share one extension
-    F_p[Z]/(Z^2 - e*Z + 1) (ModulusMismatch otherwise), and u is taken mod p
-    and nonzero there; an empty rfs gives [].
+    F_p[Z]/(Z^2 - e*Z + 1) (ValueError otherwise, as for a reducible one),
+    and u is taken mod p and nonzero there; an empty rfs gives [].
     The group is the (2, p + 1) pair array of _powers, z_i = g^i for
     g = norm_group_generator(e, p), built once per call.  h = None means no
     twist; otherwise chi(g^i) = e(h*i/(p + 1)).  Bound and array passes as
@@ -587,10 +571,10 @@ def weil_sum_fp2_norm_one(rfs: Sequence[RationalFunction], u: int, h: int | None
         return []
     p, e = rfs[0].p, rfs[0].e
     if e is None or any((rf.p, rf.e) != (p, e) for rf in rfs):
-        raise ModulusMismatch(f"every function must be over one quadratic extension of F_{p}, that of the first")
+        raise ValueError(f"every function must be over one quadratic extension of F_{p}, that of the first")
     u = _nonzero_mod(u, p)
     if p > _WEIL_FP2_LIMIT:
-        raise RangeGuard(f"norm-one enumeration capped at p <= {_WEIL_FP2_LIMIT}")
+        raise ResourceGuard(f"norm-one enumeration capped at p <= {_WEIL_FP2_LIMIT}")
     t = p + 1
     z = _powers(norm_group_generator(e, p), t, e, p)  # z[:, i] = g^i
     out = []

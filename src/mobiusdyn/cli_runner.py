@@ -44,19 +44,17 @@ from .arith_fn import (
     _SEGMENT,
     _SIEVE_LIMIT,
     _atomic_write,
-    LimitOverflow,
     MobiusTable,
-    TableTooSmall,
+    ResourceGuard,
     mobius_by_spf,
     mobius_segments,
     mobius_sieve,
 )
-from .bsz_harness import MemoryGuard, decomposition_report, theorem_conditions
+from .bsz_harness import decomposition_report, make_params, sieve_range, theorem_conditions
 from .char_sums import (
     _WEIL_FP2_LIMIT,
     _WEIL_FP_LIMIT,
     CSV_HEADER,
-    RangeGuard,
     SumReport,
     _angles,
     _unit,
@@ -71,8 +69,6 @@ from .mobius_dynamics import (
     DegenerateSpectral,
     InvalidMatrix,
     MobiusMatrix,
-    NonSquareDeterminant,
-    SingularMatrix,
     SpectralForm,
     Trajectory,
     normalize_to_sl2,
@@ -171,7 +167,7 @@ def _modulus(raw, name: str, cfg) -> PrimeModulus:
 def _weil_prime(cap: int):
     # checked before a generator search factorises p - 1 or p + 1
     problem = f"field '{{name}}': exhaustive sums are capped at p <= {cap}, got {{value}}"
-    return _checked(lambda raw, name, cfg: _modulus(raw, name, cfg).p, lambda p, cfg: p <= cap, problem, RangeGuard)
+    return _checked(lambda raw, name, cfg: _modulus(raw, name, cfg).p, lambda p, cfg: p <= cap, problem, ResourceGuard)
 
 
 def _matrix(raw, name: str, cfg) -> MobiusMatrix:
@@ -182,7 +178,7 @@ def _matrix(raw, name: str, cfg) -> MobiusMatrix:
     try:
         matrix = normalize_to_sl2(*entries)
         matrix.roots
-    except (SingularMatrix, NonSquareDeterminant, InvalidMatrix, RepeatedRoot) as exc:
+    except (InvalidMatrix, RepeatedRoot) as exc:
         raise ConfigError(f"field '{name}': {exc}") from None
     return matrix
 
@@ -213,13 +209,25 @@ def _schedule(raw, name: str, cfg) -> list[int]:
     if any(n < 1 for n in schedule) or schedule != sorted(schedule):
         raise ConfigError(f"field '{name}' must be ascending with every checkpoint >= 1")
     if schedule and schedule[-1] > _SIEVE_LIMIT:
-        raise RangeGuard(f"field '{name}': the Mobius sieve stops at {_SIEVE_LIMIT}, got {schedule[-1]}")
+        raise ResourceGuard(f"field '{name}': the Mobius sieve stops at {_SIEVE_LIMIT}, got {schedule[-1]}")
     return schedule
+
+
+def _alpha(raw, name: str, cfg) -> float:
+    """alpha in (0, 1/2), whose sieve sets at field 'n' stay inside their cap (sieve_range)."""
+    alpha = _finite(raw, name, cfg)
+    if not 0 < alpha < 0.5:
+        raise ConfigError(f"field '{name}' must lie in (0, 1/2), got {alpha}")
+    try:
+        sieve_range(make_params(alpha, cfg["n"]))
+    except ResourceGuard as exc:
+        raise ResourceGuard(f"fields 'n' and '{name}': {exc}") from None
+    return alpha
 
 
 # Each command's fields in reading order: (parser, default) or (parser, default,
 # read_when, text).  A parser does the type check, the range check (exit 2) and
-# the cap (RangeGuard, exit 3).  When read_when(cfg) is false the chosen branch
+# the cap (ResourceGuard, exit 3).  When read_when(cfg) is false the chosen branch
 # never reads the field, and `text` says when it does.
 REQUIRED = object()
 _NONZERO = _checked(_residue, lambda u, cfg: u != 0, "field '{name}' must be nonzero mod p")
@@ -227,15 +235,14 @@ _SIEVED = _checked(  # the product audit allocates an (n + 1)-byte bitmap, for n
     _at_least(1),
     lambda n, cfg: n <= _SIEVE_LIMIT,
     f"field '{{name}}': the Mobius sieve and the product bitmap stop at {_SIEVE_LIMIT}, got {{value}}",
-    RangeGuard,
+    ResourceGuard,
 )
 _ORACLE_LIMIT = _checked(
     _at_least(1),
     lambda n, cfg: n <= 10**7,
     "field '{name}': exhaustive oracle mode capped at limit <= 10**7, got {value}",
-    RangeGuard,
+    ResourceGuard,
 )
-_ALPHA = _checked(_finite, lambda a, cfg: 0 < a < 0.5, "field '{name}' must lie in (0, 1/2), got {value}")
 _ABOVE_K = _checked(
     _exact_int, lambda m, cfg: m > cfg["k"], "scan point fields 'k' and 'm' need 0 <= k < m, got k={cfg[k]}, m={value}"
 )
@@ -275,7 +282,7 @@ SCHEMAS = {
             "nu": (_one_of("mobius", "one"), "mobius"),
             "f": (_one_of("psi_xi", "one"), "psi_xi"),
             "n": (_SIEVED, REQUIRED),
-            "alpha": (_ALPHA, REQUIRED),
+            "alpha": (_alpha, REQUIRED),
             "epsilon": (_checked(_finite, lambda e, cfg: e > 0, "field '{name}' must be > 0, got {value}"), 0.1),
             "psi_u": (_NONZERO, 1, lambda cfg: cfg["f"] == "psi_xi", "only when field 'f' is psi_xi"),
         },
@@ -398,7 +405,7 @@ def _mu_stream(limit: int, cache: str | None):
         return mobius_segments(limit)
     try:
         return _cache_slices(MobiusTable.slices(cache, limit))
-    except (FileNotFoundError, TableTooSmall):
+    except (FileNotFoundError, ResourceGuard):
         pass
     except (ValueError, OSError) as exc:
         raise ConfigError(f"mu-cache file unusable: {exc}") from None
@@ -620,7 +627,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (LimitOverflow, MemoryGuard, TableTooSmall, RangeGuard, MemoryError) as exc:
+    except (ResourceGuard, MemoryError) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except AssertionError as exc:

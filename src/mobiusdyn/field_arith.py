@@ -25,24 +25,8 @@ from functools import lru_cache
 import numpy as np
 
 
-class ModulusMismatch(ValueError):
-    """Operands belong to different prime fields."""
-
-
-class ZeroInverse(ZeroDivisionError):
-    """Inversion of zero (or of a zero divisor in a split quotient ring)."""
-
-
-class ZeroElement(ValueError):
-    """Multiplicative order requested for a non-unit."""
-
-
 class RepeatedRoot(ValueError):
     """Z^2 - e*Z + 1 has a double root (e = 2 or e = -2)."""
-
-
-class ReducibleExtension(ValueError):
-    """Operation requires Z^2 - e*Z + 1 to be irreducible over F_p."""
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -164,7 +148,7 @@ class FpElem:
 
     def _same_field(self, other: "FpElem"):
         if self.modulus != other.modulus:
-            raise ModulusMismatch(f"mixed moduli {self.p} and {other.p}")
+            raise ValueError(f"mixed moduli {self.p} and {other.p}")
 
     def __add__(self, other: "FpElem") -> "FpElem":
         self._same_field(other)
@@ -183,7 +167,7 @@ class FpElem:
 
     def inv(self) -> "FpElem":
         if self.value == 0:
-            raise ZeroInverse(f"0 has no inverse mod {self.p}")
+            raise ZeroDivisionError(f"0 has no inverse mod {self.p}")
         return FpElem(pow(self.value, self.p - 2, self.p), self.modulus)
 
     def __truediv__(self, other: "FpElem") -> "FpElem":
@@ -369,10 +353,10 @@ def char_poly_roots(e: int, p: int) -> tuple[tuple[int, int], tuple[int, int]]:
 def mult_order(z: tuple[int, int], e: int, p: int, n: int) -> int:
     """Least t dividing n with z^t = (1, 0) for z in F_p[Z]/(Z^2 - e*Z + 1); x in F_p is (x, 0).
 
-    Descends from n through its factorisation; raises ZeroElement when z^n != (1, 0).
+    Descends from n through its factorisation; raises ValueError when z^n != (1, 0).
     """
     if _pow_pairs(z, n, e, p) != (1, 0):
-        raise ZeroElement(f"{z} mod {p} has no order dividing {n}")
+        raise ValueError(f"{z} mod {p} has no order dividing {n}")
     t = n
     for q in _factorize_cached(n):
         while t % q == 0 and _pow_pairs(z, t // q, e, p) == (1, 0):
@@ -394,12 +378,12 @@ def norm_group_generator(e: int, p: int) -> tuple[int, int]:
 
     Candidates are w^(p-1) for w scanned in lexicographic (c1, c0) order
     starting at Z; by Hilbert 90 this map is onto the norm-one group, so the
-    scan terminates, and it is deterministic.  Raises ReducibleExtension
+    scan terminates, and it is deterministic.  Raises ValueError
     unless e^2 - 4 is a non-residue mod p (a double root, e = +-2, included).
     """
     e %= p
     if sqrt_mod(e * e - 4, p) is not None:
-        raise ReducibleExtension(f"Z^2 - {e}*Z + 1 splits mod {p}; its norm-one set is not a (p+1)-group")
+        raise ValueError(f"Z^2 - {e}*Z + 1 splits mod {p}; its norm-one set is not a (p+1)-group")
     for c1 in range(1, p):
         for c0 in range(p):
             z = _pow_pairs((c0, c1), p - 1, e, p)

@@ -20,8 +20,9 @@ fills the linear lift on int64 arrays by doubling until the lift returns to
 the seed, drops the infinity index and inverts the v_n in blocks, so one
 period of t entries costs about twenty array operations per entry (~0.1 us per
 entry at p ~ 1e7 on one core of a 2-CPU x86 machine), with a peak of about 16
-bytes per entry.  It never needs ord(theta^2); `period` computes that order
-for the record and as a cross-check of the closure.
+bytes per entry; it allocates at most 10^8 entries per array.  It needs
+ord(theta^2) only past that budget; `period` computes the order as its bound
+and as a cross-check of the closure.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .arith_fn import ResourceGuard
 from .field_arith import (
     _BLOCK,
     _inv_mod,
@@ -44,16 +46,8 @@ from .field_arith import (
 )
 
 
-class SingularMatrix(ValueError):
-    """a*d - b*c = 0: no fractional-linear map is induced."""
-
-
-class NonSquareDeterminant(ValueError):
-    """det^-1 is a non-residue, so no scalar rescaling lands in SL2(F_p)."""
-
-
 class InvalidMatrix(ValueError):
-    """Entries violate the det = 1 or c != 0 contract."""
+    """Entries give no SL2(F_p) matrix with c != 0: det = 0, det^-1 a non-residue, c = 0 or mixed fields."""
 
 
 class DegenerateSpectral(ValueError):
@@ -117,22 +111,25 @@ class MobiusMatrix:
 def normalize_to_sl2(a: FpElem, b: FpElem, c: FpElem, d: FpElem) -> MobiusMatrix:
     """Rescale (a, b, c, d) by the canonical lambda with lambda^2 = det^-1.
 
-    The induced map on F_p is unchanged.  Raises SingularMatrix when the
-    determinant vanishes and NonSquareDeterminant when no rescaling exists
-    (the caller must then supply another representative of the same map).
+    The induced map on F_p is unchanged.  Raises InvalidMatrix when the
+    determinant vanishes, when c = 0, and when no rescaling exists (the
+    caller must then supply another representative of the same map).
     """
     det = a * d - b * c
     if not det:
-        raise SingularMatrix("a*d - b*c = 0")
+        raise InvalidMatrix("a*d - b*c = 0")
     if not c:
         raise InvalidMatrix("lower-left entry must be nonzero")
     if det.value == 1:
         return MobiusMatrix(a, b, c, d)
     root = sqrt_mod(det.inv().value, a.p)
     if root is None:
-        raise NonSquareDeterminant(f"det^-1 = {det.inv().value} is not a square mod {a.p}")
+        raise InvalidMatrix(f"det^-1 = {det.inv().value} is not a square mod {a.p}")
     lam = a.modulus.elem(root)
     return MobiusMatrix(lam * a, lam * b, lam * c, lam * d)
+
+
+_TABLE_LIMIT = 10**8  # the most entries _orbit_prefix allocates per array: 0.8 GB each
 
 
 def _orbit_prefix(matrix: MobiusMatrix, xi0: FpElem, limit: int) -> np.ndarray:
@@ -143,11 +140,14 @@ def _orbit_prefix(matrix: MobiusMatrix, xi0: FpElem, limit: int) -> np.ndarray:
     projective orbit of the seed first returns to [x0 : 1] (u_n = x0*v_n) at
     n = ord(theta^2), which divides p - 1 or p + 1; so the arrays hold
     M = min(limit + 1, p + 1) entries, and M drops to that n in the block
-    that finds the return.  No order is computed, so a short prefix never
-    factorises p +- 1.  The projective orbit meets infinity (v_n = 0) at most
-    once; the extended map skips that index, so dropping it leaves the scalar
-    orbit, which first returns to xi_0 at the end (at n = 1 for a fixed
-    seed).  The v_n are inverted block by block of _BLOCK entries (_inv_mod:
+    that finds the return.  No order is computed while M + 1 fits in
+    _TABLE_LIMIT entries, so a short prefix never factorises p +- 1; past
+    it, M is first cut to the true return index (1 for a fixed seed, else
+    ord(theta^2)), and ResourceGuard is raised, before any allocation, when
+    M + 1 still exceeds it.  The projective orbit meets infinity (v_n = 0)
+    at most once; the extended map skips that index, so dropping it leaves
+    the scalar orbit, which first returns to xi_0 at the end (at n = 1 for a
+    fixed seed).  The v_n are inverted block by block of _BLOCK entries (_inv_mod:
     one Fermat power per block on lane products) and xi_n = u_n / v_n is
     written back into u.  u and v are int64; from p = 2^31 on, each block is
     taken to Python ints (_residues) for its products.  Cost: about twenty
@@ -160,6 +160,11 @@ def _orbit_prefix(matrix: MobiusMatrix, xi0: FpElem, limit: int) -> np.ndarray:
     p = matrix.p
     x0 = xi0.value
     size = min(limit + 1, p + 1)
+    if size + 1 > _TABLE_LIMIT:
+        fixed = (a * x0 + b - x0 * (c * x0 + d)) % p == 0
+        size = min(limit + 1, 1 if fixed else matrix.theta_sq_order)
+        if size + 1 > _TABLE_LIMIT:
+            raise ResourceGuard(f"orbit of {size} steps needs {size + 1} table entries, over the budget of {_TABLE_LIMIT}")
     u = np.empty(size + 1, dtype=np.int64)
     v = np.empty(size + 1, dtype=np.int64)
     u[0], v[0] = x0, 1
@@ -197,20 +202,26 @@ class Trajectory:
     """Period data of one orbit: the least t >= 1 with xi_t = xi_0.
 
     pole_hit is the index n in [0, t) with xi_n = -d/c when the orbit passes
-    through the pole, else None.  theta_sq_order is the multiplicative order
-    of theta^2, the projective cycle length for every non-fixed seed; a pole
-    visit makes the scalar period exactly one shorter.  orbit_table holds
-    xi_1, ..., xi_t as int64 (xi_t = xi_0), so xi_n is entry (n - 1) mod t;
-    it takes 8*t bytes, about 40 MB at t = 5e6, and building it peaks at
-    about twice that.
+    through the pole, else None.  orbit_table holds xi_1, ..., xi_t as int64
+    (xi_t = xi_0), so xi_n is entry (n - 1) mod t and t is its length; it
+    takes 8*t bytes, about 40 MB at t = 5e6, and building it peaks at about
+    twice that.  theta_sq_order is the matrix's ord(theta^2), the projective
+    cycle length for every non-fixed seed; a pole visit makes the scalar
+    period exactly one shorter.
     """
 
     matrix: MobiusMatrix
     seed: FpElem
-    period: int
     pole_hit: int | None
-    theta_sq_order: int
     orbit_table: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def period(self) -> int:
+        return self.orbit_table.size
+
+    @property
+    def theta_sq_order(self) -> int:
+        return self.matrix.theta_sq_order
 
     @property
     def pole_free(self) -> bool:
@@ -221,11 +232,11 @@ def period(matrix: MobiusMatrix, xi0: FpElem) -> Trajectory:
     """Build the orbit table of xi0 from the linear lift; requires distinct roots.
 
     The table runs to the first return to xi0, so the least period is its
-    length; ord(theta^2) is recorded, and a table that has not closed within
-    that many steps raises AssertionError.  The pole index is a scan of the
-    table.  At t = 5e6 (p = 10000019) this takes about 0.5 s on a
-    2-CPU x86 machine and 80 MB of peak memory, 40 MB of which stay as the
-    table.
+    length; a table that has not closed within ord(theta^2) steps raises
+    AssertionError, and one over _TABLE_LIMIT entries ResourceGuard before
+    it is allocated.  The pole index is a scan of the table.  At t = 5e6
+    (p = 10000019) this takes about 0.5 s on a 2-CPU x86 machine and 80 MB
+    of peak memory, 40 MB of which stay as the table.
     """
     t_ord = matrix.theta_sq_order
     table = _orbit_prefix(matrix, xi0, t_ord)
@@ -237,7 +248,7 @@ def period(matrix: MobiusMatrix, xi0: FpElem) -> Trajectory:
     else:
         hits = np.flatnonzero(table[:-1] == pole)
         pole_hit = int(hits[0]) + 1 if hits.size else None
-    return Trajectory(matrix, xi0, int(table.size), pole_hit, t_ord, table)
+    return Trajectory(matrix, xi0, pole_hit, table)
 
 
 @dataclass(frozen=True)

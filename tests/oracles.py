@@ -25,10 +25,8 @@ from mobiusdyn.field_arith import (
     _mul_pairs,
     _pow_pairs,
     FpElem,
-    ModulusMismatch,
     PrimeModulus,
     RepeatedRoot,
-    ZeroInverse,
 )
 from mobiusdyn.mobius_dynamics import DegenerateSpectral, MobiusMatrix, SpectralForm
 
@@ -52,7 +50,7 @@ class QuadExtension:
 
     def __post_init__(self):
         if self.e.modulus != self.modulus:
-            raise ModulusMismatch("trace coefficient lives in a different field")
+            raise ValueError("trace coefficient lives in a different field")
         if not self.e * self.e - self.modulus.elem(4):
             raise RepeatedRoot(f"Z^2 - {self.e.value}*Z + 1 has a double root mod {self.p}")
 
@@ -105,7 +103,7 @@ class Fp2Elem:
 
     def _same_ring(self, other: "Fp2Elem"):
         if self.ext != other.ext:
-            raise ModulusMismatch("operands belong to different quadratic extensions")
+            raise ValueError("operands belong to different quadratic extensions")
 
     def __add__(self, other: "Fp2Elem") -> "Fp2Elem":
         self._same_ring(other)
@@ -136,8 +134,8 @@ class Fp2Elem:
         nm = self.norm()
         if not nm:
             if not self:
-                raise ZeroInverse(f"0 has no inverse in {self.ext!r}")
-            raise ZeroInverse(f"{self!r} is a zero divisor (norm 0) and has no inverse")
+                raise ZeroDivisionError(f"0 has no inverse in {self.ext!r}")
+            raise ZeroDivisionError(f"{self!r} is a zero divisor (norm 0) and has no inverse")
         ninv = nm.inv()
         cj = self.conj()
         return Fp2Elem(cj.c0 * ninv, cj.c1 * ninv, self.ext)
@@ -460,7 +458,7 @@ def value_at(rf: RationalFunction, x: FpElem | Fp2Elem) -> FpElem | Fp2Elem | No
     The int (or int-pair) coefficients of rf are lifted to the field of x first.
     """
     if x.p != rf.p or (rf.e is not None and x.ext.e.value != rf.e):
-        raise ModulusMismatch(f"{x!r} is not over the field of the function (p = {rf.p}, e = {rf.e})")
+        raise ValueError(f"{x!r} is not over the field of the function (p = {rf.p}, e = {rf.e})")
     field = x.ext if isinstance(x, Fp2Elem) else x.modulus
     lift = (lambda c: field.elem(*c)) if rf.e is not None else field.elem  # noqa: E731
     num = [lift(c) for c in rf.numerator]

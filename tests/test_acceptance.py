@@ -243,7 +243,7 @@ def test_criterion_7_bsz_combinatorics():
         params = make_params(alpha, n)
         blocks = prime_blocks(params)
         sets = sieve_sets(params, blocks)
-        report = distinct_products_check(blocks, sets, n)  # raises CollisionFound on a repeated product
+        report = distinct_products_check(blocks, sets, n)  # raises AssertionError naming a repeated product
         assert report.total_products <= n
         if alpha == 0.2:
             assert report.total_products > 0  # the schedule is nontrivial here

@@ -6,16 +6,16 @@ import random
 import numpy as np
 import pytest
 
-from mobiusdyn.arith_fn import TableTooSmall, mobius_sieve
+from mobiusdyn.arith_fn import ResourceGuard, mobius_sieve
 from mobiusdyn.bsz_harness import (
     BszParams,
-    CollisionFound,
     DistinctProductsReport,
     PrimeBlock,
     distinct_products_check,
     decomposition_report,
     make_params,
     prime_blocks,
+    sieve_range,
     sieve_sets,
     theorem_conditions,
     wj_sums,
@@ -73,6 +73,16 @@ def test_r_j_monotone():
     p = make_params(0.2, 10**5)
     for j in range(0, 100):
         assert p.r(j + 1) > p.r(j)
+
+
+def test_r_j_past_the_double_range_materialises_no_block():
+    # alpha = 1e-5 puts j0 near 1.5e8, where (1 + alpha)^j overflows a double: R_j is inf, so no block
+    # reaches N, the sieve range is 0 and the report has no rows
+    params = make_params(1e-5, 1000)
+    assert params.r(params.j_range.start) == math.inf
+    assert prime_blocks(params) == [] and sieve_range(params) == 0
+    report = decomposition_report(ones(1000), ONE, 1000, 1e-5, period=1)
+    assert report["rows"] == [] and report["aggregates"]["lhs_re"] == 1000.0
 
 
 def test_j_range_endpoints_compared_as_reals():
@@ -195,7 +205,7 @@ def test_distinct_products_empty():
 def test_distinct_products_toy():
     blocks = prime_blocks(TOY)
     sets = sieve_sets(TOY, blocks)
-    report = distinct_products_check(blocks, sets, TOY.n)  # no CollisionFound: every product is distinct
+    report = distinct_products_check(blocks, sets, TOY.n)  # no collision: every product is distinct
     assert report.total_products == sum(
         len(b.primes) * len(s) for b, s in zip(blocks, sets)
     )
@@ -206,7 +216,7 @@ def test_distinct_products_collision_across_blocks():
     # 3*5 in the first block and 5*3 in the second
     blocks = [PrimeBlock(3, i64(3)), PrimeBlock(4, i64(5))]
     sets = [i64(1, 5), i64(2, 3)]
-    with pytest.raises(CollisionFound, match="product 15"):
+    with pytest.raises(AssertionError, match="product 15 produced twice"):
         distinct_products_check(blocks, sets, 100)
 
 
@@ -214,7 +224,7 @@ def test_distinct_products_collision_within_block():
     # 2*3 = 3*2 inside one block whose sieve set keeps a multiple of its primes
     blocks = [PrimeBlock(3, i64(2, 3))]
     sets = [i64(1, 2, 3)]
-    with pytest.raises(CollisionFound, match="product 6"):
+    with pytest.raises(AssertionError, match="product 6 produced twice"):
         distinct_products_check(blocks, sets, 100)
 
 
@@ -222,7 +232,7 @@ def test_distinct_products_collision_between_chunks_of_one_block():
     # one prime and more members than one gathered chunk holds: the repeat
     # lands in a later chunk than its first occurrence
     members = i64(*range(1, 70001), 5)
-    with pytest.raises(CollisionFound, match="product 10"):
+    with pytest.raises(AssertionError, match="product 10 produced twice"):
         distinct_products_check([PrimeBlock(3, i64(2))], [members], 10**6)
 
 
@@ -230,7 +240,7 @@ def test_distinct_products_names_the_smallest_repeat():
     # 7*11 repeats in the first block and 3*5 in the second: the audit names 15
     blocks = [PrimeBlock(3, i64(7, 11)), PrimeBlock(4, i64(3, 5))]
     sets = [i64(1, 7, 11), i64(3, 5)]
-    with pytest.raises(CollisionFound, match="product 15 produced"):
+    with pytest.raises(AssertionError, match="product 15 produced twice"):
         distinct_products_check(blocks, sets, 1000)
 
 
@@ -238,7 +248,7 @@ def test_distinct_products_collision_only_in_the_last_block():
     # forty blocks with the odd products 1, 3, ..., 79, then a block whose 3*13 repeats block 19's 39*1
     blocks = [PrimeBlock(j, i64(2 * j + 1)) for j in range(40)] + [PrimeBlock(40, i64(3))]
     sets = [i64(1) for _ in range(40)]
-    with pytest.raises(CollisionFound, match="product 39 produced"):
+    with pytest.raises(AssertionError, match="product 39 produced twice"):
         distinct_products_check(blocks, sets + [i64(2, 13)], 1000)
     report = distinct_products_check(blocks, sets + [i64(2, 50)], 1000)
     assert report.total_products == 42
@@ -249,7 +259,7 @@ def test_distinct_products_product_above_n():
     sets = [i64(1, 7)]
     with pytest.raises(AssertionError, match=r"product 7\*13 exceeds N = 90") as info:
         distinct_products_check(blocks, sets, 90)
-    assert not isinstance(info.value, CollisionFound)
+    assert "produced twice" not in str(info.value)  # not reported as a collision
 
 
 def test_distinct_products_total_above_n():
@@ -258,7 +268,7 @@ def test_distinct_products_total_above_n():
     sets = [i64(0, 1)]
     with pytest.raises(AssertionError, match="sum #P_j #Q_j = 2 exceeds N = 1") as info:
         distinct_products_check(blocks, sets, 1)
-    assert not isinstance(info.value, CollisionFound)
+    assert "produced twice" not in str(info.value)  # not reported as a collision
 
 
 # --- W_j sums ------------------------------------------------------------------------
@@ -499,7 +509,7 @@ def test_wj_grouped_path_matches_oracle_on_one_block():
 
 
 def test_harness_rejects_short_or_non_integer_nu():
-    with pytest.raises(TableTooSmall):
+    with pytest.raises(ResourceGuard, match="need values up to 1000, the segments stop at 999"):
         decomposition_report(ones(999), ONE, 1000, 0.2, period=1)
     with pytest.raises(TypeError):
         decomposition_report([(1, np.ones(1000))], ONE, 1000, 0.2, period=1)
@@ -515,7 +525,7 @@ def test_decomposition_report_refuses_a_short_stream_a_gap_or_a_bad_value():
     want = decomposition_report(whole(mobius_sieve(2000)), ONE, 2000, 0.25, period=1)
     assert decomposition_report(_segments(nu, 64), ONE, 2000, 0.25, period=1) == want
     assert decomposition_report(_segments(mobius_sieve(5000).values, 64), ONE, 2000, 0.25, period=1) == want
-    with pytest.raises(TableTooSmall):
+    with pytest.raises(ResourceGuard, match="need values up to 2000, the segments stop at 1998"):
         decomposition_report(_segments(nu[:1999], 64), ONE, 2000, 0.25, period=1)
     gap = _segments(nu, 64)
     del gap[5]

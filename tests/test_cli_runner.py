@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -175,17 +176,65 @@ def test_resource_guard_exit_code(tmp_path):
             "'n'",
             "1000000000",
         ),
+        ("weil-check", {"primes": ["101", "100003"]}, "'primes[1]'", "100000"),
+        ("weil-check", {"norm_one_primes": ["3001"]}, "'norm_one_primes[0]'", "3000"),
+        (  # M_j = 3e8 / 1.4^3 at the first block j = 2
+            "bsz-report",
+            {"p": "1009", "matrix": ["590", "448", "600", "406"], "seed": "50", "alpha": "0.4", "n": "300000000"},
+            "fields 'n' and 'alpha': sieve range 109329446",
+            "100000000",
+        ),
+        (  # one single-sum point needs the whole period, 2305843009213693809 steps; refused inside period()
+            "sum-scan",
+            {
+                "p": "4611686018427387617",
+                "matrix": ["0", "-1", "1", "3"],
+                "seed": "5",
+                "kinds": ["single"],
+                "points": [{"kind": "single", "u": "1", "m": "1", "n": "10"}],
+            },
+            "orbit of 2305843009213693809 steps",
+            "100000000",
+        ),
+        (
+            "bsz-report",
+            {"p": "2305843009213693951", "matrix": ["0", "-1", "1", "3"], "seed": "5", "alpha": "0.2", "n": "1000"},
+            "orbit of 128102389400760775 steps",
+            "100000000",
+        ),
+        ("verify-spectral", {"p": "2305843009213693951", "samples": "1"}, "orbit of ", "100000000"),
     ],
-    ids=["mobius-check-limit", "sum-scan-n_schedule", "bsz-report-n", "bsz-report-n-nu-one"],
+    ids=[
+        "mobius-check-limit",
+        "sum-scan-n_schedule",
+        "bsz-report-n",
+        "bsz-report-n-nu-one",
+        "weil-check-primes",
+        "weil-check-norm_one_primes",
+        "bsz-report-sieve-range",
+        "sum-scan-orbit-table",
+        "bsz-report-orbit-table",
+        "verify-spectral-orbit-table",
+    ],
 )
-def test_caps_are_resource_guards_naming_the_field(tmp_path, capsys, refuse_work, command, body, field, cap):
-    # each cap is checked next to its field, before any orbit build, mu-cache read or sieve
+def test_caps_are_resource_guards_naming_the_field(tmp_path, capsys, request, command, body, field, cap):
+    # each cap a config can reach exits 3 with no traceback and no --out: every config cap is checked
+    # next to its field, before any orbit build, mu-cache read or sieve; the orbit table, whose length
+    # only the matrix and seed give, is refused inside period() before it is allocated
+    table = "orbit" in field
+    if not table:
+        request.getfixturevalue("refuse_work")
+    start = time.perf_counter()
     code, outdir = run(tmp_path, command, body, extra=("--mu-cache", str(tmp_path / "mu.bin")))
     err = capsys.readouterr().err
     assert code == EXIT_RESOURCE
+    assert err.startswith("resource guard:")
     assert field in err and cap in err
     assert "Traceback" not in err
     assert not outdir.exists()
+    assert not (tmp_path / "mu.bin").exists()
+    if table:
+        assert time.perf_counter() - start < 5
 
 
 def test_mobius_check_small_pass(tmp_path):
@@ -615,6 +664,49 @@ def test_weil_check_fills_h_on_the_chi_rows_only(tmp_path):
     assert header == "sum_kind,p,a,b,c,d,xi0,u,v,k,m,h,N,re,im,abs,bound,ratio"
     assert [r["sum_kind"] for r in rows] == ["weil_fp"] * 4 + ["weil_fp2_norm1"] * 4
     assert [r["h"] for r in rows] == ["", "1"] * 4
+
+
+def test_sieve_range_cap_agrees_between_the_schema_and_sieve_sets(monkeypatch):
+    # one formula, bsz_harness.sieve_range: the schema refuses (alpha, n) exactly when sieve_sets would.
+    # With the cap cut to 500 the grid straddles it at desk cost; 0.45 and 0.49 have an empty j-range.
+    from mobiusdyn import bsz_harness
+    from mobiusdyn.arith_fn import ResourceGuard
+    from mobiusdyn.bsz_harness import make_params, prime_blocks, sieve_range, sieve_sets
+
+    base = {"command": "bsz-report", "p": "1009", "matrix": ["590", "448", "600", "406"], "seed": "50"}
+
+    def schema_refuses(alpha, n):
+        try:
+            parse_fields(SCHEMAS["bsz-report"], {**base, "alpha": alpha, "n": str(n)}, "bsz-report config")
+        except ResourceGuard as exc:
+            assert str(exc).startswith("fields 'n' and 'alpha': sieve range ")
+            return True
+        return False
+
+    def sieve_sets_refuses(alpha, n):
+        params = make_params(float(alpha), n)
+        try:
+            sieve_sets(params, prime_blocks(params))
+        except ResourceGuard:
+            return True
+        return False
+
+    # the repro at the real cap is refused; an empty j-range at the real cap runs
+    assert schema_refuses("0.4", 300000000)
+    assert not schema_refuses("0.49", 250000000)
+    assert sieve_range(make_params(0.49, 250000000)) == 0
+
+    monkeypatch.setattr(bsz_harness, "_SIEVE_SET_LIMIT", 500)
+    outcomes = set()
+    for alpha in ("0.2", "0.25", "0.3", "0.4", "0.42", "0.45", "0.49"):
+        params = make_params(float(alpha), 1)
+        j = params.j_range.start
+        edge = math.ceil(501 * params.r(j + 1))  # the least n whose floor(M_j) passes 500
+        for n in (1, 2, 10, edge - 2, edge - 1, edge, edge + 1, 2 * edge):
+            refused = schema_refuses(alpha, n)
+            assert refused == sieve_sets_refuses(alpha, n), (alpha, n)
+            outcomes.add((alpha in ("0.45", "0.49"), refused))
+    assert outcomes == {(False, False), (False, True), (True, False)}
 
 
 @pytest.mark.parametrize(

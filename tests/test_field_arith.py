@@ -10,12 +10,8 @@ from mobiusdyn.field_arith import (
     _powers,
     _residues,
     FpElem,
-    ModulusMismatch,
     PrimeModulus,
-    ReducibleExtension,
     RepeatedRoot,
-    ZeroElement,
-    ZeroInverse,
     char_poly_roots,
     factorize,
     is_prime,
@@ -106,7 +102,7 @@ def test_add_examples():
 
 
 def test_modulus_mismatch_raises():
-    with pytest.raises(ModulusMismatch):
+    with pytest.raises(ValueError, match="mixed moduli 5 and 7"):
         PrimeModulus(5).elem(1) + PrimeModulus(7).elem(1)
 
 
@@ -115,7 +111,7 @@ def test_inverse_examples():
     assert m.elem(1).inv() == m.elem(1)
     assert m.elem(3).inv() == m.elem(5)  # 3*5 = 15 = 2*7 + 1
     assert m.elem(6).inv() == m.elem(6)  # (-1)^2 = 1
-    with pytest.raises(ZeroInverse):
+    with pytest.raises(ZeroDivisionError, match="0 has no inverse mod 7"):
         m.elem(0).inv()
 
 
@@ -285,7 +281,7 @@ def test_mult_order_examples():
     assert mult_order((1, 0), 0, 7, 6) == 1
     assert mult_order((6, 0), 0, 7, 6) == 2  # -1
     assert mult_order((3, 0), 0, 7, 6) == 6
-    with pytest.raises(ZeroElement):
+    with pytest.raises(ValueError, match="has no order dividing 6"):
         mult_order((0, 0), 0, 7, 6)
 
 
@@ -338,7 +334,7 @@ def test_norm_group_generator_needs_irreducible():
     m = PrimeModulus(5)
     ext = QuadExtension(m, m.elem(0))  # splits: -1 = 2^2
     assert not ext.is_irreducible
-    with pytest.raises(ReducibleExtension):
+    with pytest.raises(ValueError, match="splits mod 5; its norm-one set is not a"):
         norm_group_generator(0, 5)
 
 

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from mobiusdyn.arith_fn import ResourceGuard
 from mobiusdyn.field_arith import (
     PrimeModulus,
     RepeatedRoot,
@@ -18,8 +19,6 @@ from mobiusdyn.mobius_dynamics import (
     DegenerateSpectral,
     InvalidMatrix,
     MobiusMatrix,
-    NonSquareDeterminant,
-    SingularMatrix,
     _orbit_prefix,
     normalize_to_sl2,
     period,
@@ -81,10 +80,10 @@ def test_normalize_scaling_example():
 
 
 def test_normalize_failure_cases():
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(InvalidMatrix, match=r"a\*d - b\*c = 0"):
         normalize_to_sl2(M5.elem(1), M5.elem(2), M5.elem(2), M5.elem(4))
     # det = 2 mod 5, inv(2) = 3 is a non-residue (squares mod 5: {1, 4})
-    with pytest.raises(NonSquareDeterminant):
+    with pytest.raises(InvalidMatrix, match=r"det\^-1 = 3 is not a square mod 5"):
         normalize_to_sl2(M5.elem(1), M5.elem(0), M5.elem(2), M5.elem(2))
 
 
@@ -98,7 +97,8 @@ def test_normalize_preserves_induced_map():
             continue
         try:
             scaled = normalize_to_sl2(a, b, c, d)
-        except NonSquareDeterminant:
+        except InvalidMatrix as exc:
+            assert "is not a square" in str(exc)
             continue
         for x in range(23):
             xe = m.elem(x)
@@ -261,6 +261,46 @@ def test_period_divides_order_random_sample():
                     break
             assert steps == traj.period
             assert traj.theta_sq_order % traj.period == 0
+
+
+def test_orbit_table_budget_refuses_exactly_past_its_cap(monkeypatch):
+    # the lift arrays hold one entry more than the steps they take, min(limit + 1, return index); with the
+    # budget cut to that, every prefix of every seed of one p = 101 matrix builds unchanged, one less refuses it
+    import mobiusdyn.mobius_dynamics as md
+
+    m = PrimeModulus(101)
+    A = normalize_to_sl2(*(m.elem(x) for x in (27, 39, 5, 11)))
+    for x in range(101):
+        want = orbit_walk(A, m.elem(x), 103)
+        back = 1 if want == [x] else A.theta_sq_order  # the index where the lift returns to [x : 1]
+        for limit in sorted({1, 5, max(len(want) - 1, 1), len(want), 200}):
+            steps = min(limit + 1, back)
+            monkeypatch.setattr(md, "_TABLE_LIMIT", steps + 1)
+            assert _orbit_prefix(A, m.elem(x), limit).tolist() == want[:limit], (x, limit)
+            monkeypatch.setattr(md, "_TABLE_LIMIT", steps)
+            expected = f"orbit of {steps} steps needs {steps + 1} table entries, over the budget of {steps}$"
+            with pytest.raises(ResourceGuard, match=expected):
+                _orbit_prefix(A, m.elem(x), limit)
+
+
+def test_orbit_table_budget_at_a_62_bit_prime():
+    # ord(theta^2) = 2305843009213693809 is refused before numpy is asked for the arrays; a period-3
+    # orbit, a fixed seed and a short orbit's prefix far past the budget still build
+    m = PrimeModulus(4611686018427387617)
+    xi0 = m.elem(5)
+    long = normalize_to_sl2(*(m.elem(x) for x in (0, -1, 1, 3)))
+    with pytest.raises(ResourceGuard, match="orbit of 2305843009213693809 steps needs 2305843009213693810 table"):
+        period(long, xi0)
+    with pytest.raises(ResourceGuard, match="orbit of 100000000 steps needs 100000001 table entries, over the budget"):
+        _orbit_prefix(long, xi0, 10**8 - 1)
+    assert _orbit_prefix(long, xi0, 4).tolist() == [x.value for x in walk(long, xi0, 4)]
+    short = normalize_to_sl2(*(m.elem(x) for x in (0, -1, 1, 1)))  # x -> -1/(x + 1), of order 3
+    traj = period(short, xi0)
+    assert traj.orbit_table.tolist() == [x.value for x in walk(short, xi0, 3)]
+    assert (traj.period, traj.theta_sq_order) == (3, 3)
+    assert _orbit_prefix(short, xi0, 10**12).tolist() == traj.orbit_table.tolist()
+    fixed = MobiusMatrix(m.elem(2), m.zero, m.one, m.elem(2).inv())  # x -> 2x/(x + 1/2) fixes 0
+    assert period(fixed, m.zero).orbit_table.tolist() == [0]
 
 
 def test_pole_orbit_shortens_scalar_period_by_one():
