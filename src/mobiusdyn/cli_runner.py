@@ -399,19 +399,23 @@ def _mu_stream(limit: int, cache: str | None):
     Without a cache the segments are sieved as they are drawn.  A cache
     that covers limit is read slice by slice, a bad slice failing as a
     mu-cache error when it is reached; a missing or too-short one (only its
-    header is read) is replaced by `mobius_sieve(limit)`, saved, as one pair.
+    header is read) is replaced by `mobius_sieve(limit)`, saved, as one pair
+    sieved on the first draw, so the orbit-table budget check comes first.
     """
     if not cache:
         return mobius_segments(limit)
     try:
         return _cache_slices(MobiusTable.slices(cache, limit))
     except (FileNotFoundError, ResourceGuard):
-        pass
+        return _rebuilt_cache(limit, cache)
     except (ValueError, OSError) as exc:
         raise ConfigError(f"mu-cache file unusable: {exc}") from None
+
+
+def _rebuilt_cache(limit: int, cache: str):
     table = mobius_sieve(limit)
     table.save(cache)
-    return [(1, table.values[1:])]
+    yield 1, table.values[1:]
 
 
 def _cache_slices(slices):

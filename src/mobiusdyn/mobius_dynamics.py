@@ -20,13 +20,14 @@ fills the linear lift on int64 arrays by doubling until the lift returns to
 the seed, drops the infinity index and inverts the v_n in blocks, so one
 period of t entries costs about twenty array operations per entry (~0.1 us per
 entry at p ~ 1e7 on one core of a 2-CPU x86 machine), with a peak of about 16
-bytes per entry; it allocates at most 10^8 entries per array.  It needs
-ord(theta^2) only past that budget; `period` computes the order as its bound
-and as a cross-check of the closure.
+bytes per entry; a table whose build would not fit in physical memory is
+refused before it is allocated.  It needs ord(theta^2) only past that budget;
+`period` computes the order as its bound and as a cross-check of the closure.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -129,7 +130,8 @@ def normalize_to_sl2(a: FpElem, b: FpElem, c: FpElem, d: FpElem) -> MobiusMatrix
     return MobiusMatrix(lam * a, lam * b, lam * c, lam * d)
 
 
-_TABLE_LIMIT = 10**8  # the most entries _orbit_prefix allocates per array: 0.8 GB each
+# the most table entries whose build (16 bytes each, 16.1 measured at 1e7) fits in physical memory
+_TABLE_LIMIT = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 16
 
 
 def _orbit_prefix(matrix: MobiusMatrix, xi0: FpElem, limit: int) -> np.ndarray:
@@ -140,11 +142,11 @@ def _orbit_prefix(matrix: MobiusMatrix, xi0: FpElem, limit: int) -> np.ndarray:
     projective orbit of the seed first returns to [x0 : 1] (u_n = x0*v_n) at
     n = ord(theta^2), which divides p - 1 or p + 1; so the arrays hold
     M = min(limit + 1, p + 1) entries, and M drops to that n in the block
-    that finds the return.  No order is computed while M + 1 fits in
-    _TABLE_LIMIT entries, so a short prefix never factorises p +- 1; past
-    it, M is first cut to the true return index (1 for a fixed seed, else
+    that finds the return.  No order is computed while min(limit, p + 1)
+    fits in _TABLE_LIMIT, so a short prefix never factorises p +- 1; past
+    it, p + 1 is replaced by the true return index (1 for a fixed seed, else
     ord(theta^2)), and ResourceGuard is raised, before any allocation, when
-    M + 1 still exceeds it.  The projective orbit meets infinity (v_n = 0)
+    the length still exceeds it.  The projective orbit meets infinity (v_n = 0)
     at most once; the extended map skips that index, so dropping it leaves
     the scalar orbit, which first returns to xi_0 at the end (at n = 1 for a
     fixed seed).  The v_n are inverted block by block of _BLOCK entries (_inv_mod:
@@ -159,12 +161,13 @@ def _orbit_prefix(matrix: MobiusMatrix, xi0: FpElem, limit: int) -> np.ndarray:
     a, b, c, d = matrix.entries()
     p = matrix.p
     x0 = xi0.value
-    size = min(limit + 1, p + 1)
-    if size + 1 > _TABLE_LIMIT:
+    back = p + 1  # a bound on the index where the lift returns to the seed
+    if min(limit, back) > _TABLE_LIMIT:
         fixed = (a * x0 + b - x0 * (c * x0 + d)) % p == 0
-        size = min(limit + 1, 1 if fixed else matrix.theta_sq_order)
-        if size + 1 > _TABLE_LIMIT:
-            raise ResourceGuard(f"orbit of {size} steps needs {size + 1} table entries, over the budget of {_TABLE_LIMIT}")
+        back = 1 if fixed else matrix.theta_sq_order
+        if min(limit, back) > _TABLE_LIMIT:
+            raise ResourceGuard(f"orbit of {min(limit, back)} steps exceeds the table budget of {_TABLE_LIMIT} entries")
+    size = min(limit + 1, back)
     u = np.empty(size + 1, dtype=np.int64)
     v = np.empty(size + 1, dtype=np.int64)
     u[0], v[0] = x0, 1

@@ -194,15 +194,28 @@ def test_resource_guard_exit_code(tmp_path):
                 "points": [{"kind": "single", "u": "1", "m": "1", "n": "10"}],
             },
             "orbit of 2305843009213693809 steps",
-            "100000000",
+            "1000000",
+        ),
+        (  # a twisted-only prefix is refused before the missing mu-cache is sieved
+            "sum-scan",
+            {
+                "p": "2305843009213693951",
+                "matrix": ["0", "-1", "1", "3"],
+                "seed": "5",
+                "kinds": ["twisted"],
+                "frequencies": ["1"],
+                "n_schedule": ["2000000"],
+            },
+            "orbit of 2000000 steps",
+            "1000000",
         ),
         (
             "bsz-report",
             {"p": "2305843009213693951", "matrix": ["0", "-1", "1", "3"], "seed": "5", "alpha": "0.2", "n": "1000"},
             "orbit of 128102389400760775 steps",
-            "100000000",
+            "1000000",
         ),
-        ("verify-spectral", {"p": "2305843009213693951", "samples": "1"}, "orbit of ", "100000000"),
+        ("verify-spectral", {"p": "2305843009213693951", "samples": "1"}, "orbit of ", "1000000"),
     ],
     ids=[
         "mobius-check-limit",
@@ -213,16 +226,22 @@ def test_resource_guard_exit_code(tmp_path):
         "weil-check-norm_one_primes",
         "bsz-report-sieve-range",
         "sum-scan-orbit-table",
+        "sum-scan-twisted-orbit-table",
         "bsz-report-orbit-table",
         "verify-spectral-orbit-table",
     ],
 )
-def test_caps_are_resource_guards_naming_the_field(tmp_path, capsys, request, command, body, field, cap):
+def test_caps_are_resource_guards_naming_the_field(tmp_path, capsys, monkeypatch, request, command, body, field, cap):
     # each cap a config can reach exits 3 with no traceback and no --out: every config cap is checked
     # next to its field, before any orbit build, mu-cache read or sieve; the orbit table, whose length
-    # only the matrix and seed give, is refused inside period() before it is allocated
+    # only the matrix and seed give, is refused before it is allocated and before mu is sieved, here
+    # under a budget of 1e6 entries in place of the machine's (physical memory / 16 bytes)
+    import mobiusdyn.mobius_dynamics as md
+
     table = "orbit" in field
-    if not table:
+    if table:
+        monkeypatch.setattr(md, "_TABLE_LIMIT", 10**6)
+    else:
         request.getfixturevalue("refuse_work")
     start = time.perf_counter()
     code, outdir = run(tmp_path, command, body, extra=("--mu-cache", str(tmp_path / "mu.bin")))
@@ -575,7 +594,7 @@ def test_short_mu_cache_is_not_held_while_the_table_is_rebuilt(tmp_path):
     for cache in (short, tmp_path / "absent.bin"):
         tracemalloc.start()
         try:
-            pairs = _mu_stream(limit, str(cache))
+            pairs = list(_mu_stream(limit, str(cache)))  # the rebuild runs on the first draw
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -264,8 +264,8 @@ def test_period_divides_order_random_sample():
 
 
 def test_orbit_table_budget_refuses_exactly_past_its_cap(monkeypatch):
-    # the lift arrays hold one entry more than the steps they take, min(limit + 1, return index); with the
-    # budget cut to that, every prefix of every seed of one p = 101 matrix builds unchanged, one less refuses it
+    # the budget bounds the steps asked for, min(limit, return index); with the budget cut to that, every
+    # prefix of every seed of one p = 101 matrix builds unchanged, and one less refuses it
     import mobiusdyn.mobius_dynamics as md
 
     m = PrimeModulus(101)
@@ -274,25 +274,28 @@ def test_orbit_table_budget_refuses_exactly_past_its_cap(monkeypatch):
         want = orbit_walk(A, m.elem(x), 103)
         back = 1 if want == [x] else A.theta_sq_order  # the index where the lift returns to [x : 1]
         for limit in sorted({1, 5, max(len(want) - 1, 1), len(want), 200}):
-            steps = min(limit + 1, back)
-            monkeypatch.setattr(md, "_TABLE_LIMIT", steps + 1)
-            assert _orbit_prefix(A, m.elem(x), limit).tolist() == want[:limit], (x, limit)
+            steps = min(limit, back)
             monkeypatch.setattr(md, "_TABLE_LIMIT", steps)
-            expected = f"orbit of {steps} steps needs {steps + 1} table entries, over the budget of {steps}$"
+            assert _orbit_prefix(A, m.elem(x), limit).tolist() == want[:limit], (x, limit)
+            monkeypatch.setattr(md, "_TABLE_LIMIT", steps - 1)
+            expected = f"orbit of {steps} steps exceeds the table budget of {steps - 1} entries$"
             with pytest.raises(ResourceGuard, match=expected):
                 _orbit_prefix(A, m.elem(x), limit)
 
 
 def test_orbit_table_budget_at_a_62_bit_prime():
-    # ord(theta^2) = 2305843009213693809 is refused before numpy is asked for the arrays; a period-3
+    # ord(theta^2) = 2305843009213693809 and a prefix one step past the budget are refused before numpy is asked for the arrays; a period-3
     # orbit, a fixed seed and a short orbit's prefix far past the budget still build
+    import mobiusdyn.mobius_dynamics as md
+
     m = PrimeModulus(4611686018427387617)
     xi0 = m.elem(5)
     long = normalize_to_sl2(*(m.elem(x) for x in (0, -1, 1, 3)))
-    with pytest.raises(ResourceGuard, match="orbit of 2305843009213693809 steps needs 2305843009213693810 table"):
+    with pytest.raises(ResourceGuard, match="orbit of 2305843009213693809 steps exceeds the table budget of "):
         period(long, xi0)
-    with pytest.raises(ResourceGuard, match="orbit of 100000000 steps needs 100000001 table entries, over the budget"):
-        _orbit_prefix(long, xi0, 10**8 - 1)
+    past = md._TABLE_LIMIT + 1
+    with pytest.raises(ResourceGuard, match=f"orbit of {past} steps exceeds the table budget of {past - 1} entries$"):
+        _orbit_prefix(long, xi0, past)
     assert _orbit_prefix(long, xi0, 4).tolist() == [x.value for x in walk(long, xi0, 4)]
     short = normalize_to_sl2(*(m.elem(x) for x in (0, -1, 1, 1)))  # x -> -1/(x + 1), of order 3
     traj = period(short, xi0)
