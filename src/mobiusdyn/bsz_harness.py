@@ -73,9 +73,12 @@ class BszParams:
 
 
 def make_params(alpha: float, n: int) -> BszParams:
-    """j0 = (log(1/alpha))^3/alpha, j1 = j0^2, natural logs."""
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
+    """j0 = (log(1/alpha))^3/alpha, j1 = j0^2, natural logs, for alpha in (0, 1/2) and above 2^-53.
+
+    From 2^-53 down, 1 + alpha rounds to 1.0, so every R_j would be 1.0 (and j1 can overflow).
+    """
+    if not 0.0 < alpha < 0.5 or 1.0 + alpha == 1.0:
+        raise ValueError(f"alpha must lie in (0, 1/2) with 1 + alpha > 1 as a double, got {alpha}")
     if n < 1:
         raise ValueError("n must be positive")
     j0 = math.log(1.0 / alpha) ** 3 / alpha
@@ -295,7 +298,8 @@ def theorem_conditions(alpha: float, n: int, p: int, t: int, epsilon: float) -> 
     """Evaluate the admissibility inequalities numerically, constants set to 1.
 
     rho is instantiated as sqrt(p)*log(p)/t, the concrete admissible choice.
-    Conditions whose right side overflows a double are compared in log scale.
+    Conditions whose right side overflows a double are compared in log scale,
+    t_large once p^(1/2 + epsilon) does: log t against (1/2 + epsilon) log p.
     alpha_range_empty records that no alpha <= 1 satisfies the lower bound at
     this p, which is the normal situation at desk scale.
     """
@@ -306,7 +310,10 @@ def theorem_conditions(alpha: float, n: int, p: int, t: int, epsilon: float) -> 
     inv_alpha = 1.0 / alpha
     log_inv_alpha6 = math.log(inv_alpha) ** 6  # even power: fine on either side of 1
     rho = math.sqrt(p) * log_p / t
-    t_floor = p ** (0.5 + epsilon)
+    try:  # t >= p^(1/2 + epsilon)
+        t_lhs, t_rhs, t_log = float(t), p ** (0.5 + epsilon), False
+    except OverflowError:
+        t_lhs, t_rhs, t_log = math.log(t), (0.5 + epsilon) * log_p, True
     # alpha >= 3 * (log log p)^6 / (epsilon * log p)
     alpha_floor = 3.0 * loglog_p**6 / (epsilon * log_p)
     # N >= sqrt(p) * exp(5/alpha * log(1/alpha)^6) * log(p), compared in logs
@@ -316,7 +323,7 @@ def theorem_conditions(alpha: float, n: int, p: int, t: int, epsilon: float) -> 
     # N >= t * rho * exp(4/alpha * log(1/alpha)^6), in logs
     log_rhs = math.log(t * rho) + 4.0 * inv_alpha * log_inv_alpha6
     rows = [  # name, lhs, rhs, holds, log_scale
-        ("t_large", float(t), t_floor, t >= t_floor, False),
+        ("t_large", t_lhs, t_rhs, t_lhs >= t_rhs, t_log),
         ("alpha_floor", alpha, alpha_floor, alpha >= alpha_floor, False),
         ("n_floor", math.log(n), log_n_floor, math.log(n) >= log_n_floor, True),
         ("rho_capacity", log_lhs, -math.log(rho), log_lhs <= -math.log(rho), True),

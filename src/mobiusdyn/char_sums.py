@@ -27,15 +27,15 @@ orbit prefix it needs, unless it is handed a Trajectory.  It takes mu as
 (start, segment) pairs, read through `_prefix_segments` (as bsz_harness
 reads nu) and folded into its residue counts as they arrive.
 The exhaustive Weil kernels follow the same pattern over all of F_p or the
-norm-one group: exact int64 phase numerators, then one exactly rounded sum
-per function and component (_fsums, segmented over a whole array pass).
-Their rational functions hold raw int coefficients (int pairs over the
-extension).  Each kernel builds its group once per batch of functions as the
-powers of its own canonical generator g (field_arith.primitive_root or
-norm_group_generator, through field_arith._powers), so a multiplicative
-character is just its multiplier h, chi(g^i) = e(h*i/|G|), and i is the
-column; 2-D array passes evaluate the functions, and each row's sum is its
-own.
+norm-one group, through one shared pass loop (_weil_sums): exact int64 phase
+numerators, then one exactly rounded sum per function and component (_fsums,
+segmented over a whole array pass).  Their rational functions hold raw int
+coefficients (int pairs over the extension).  Each kernel builds its group
+once per batch of functions as the powers of its own canonical generator g
+(field_arith.primitive_root or norm_group_generator, through
+field_arith._powers), so a multiplicative character is just its multiplier
+h, chi(g^i) = e(h*i/|G|), and i is the column; what differs per group is
+only the evaluator of a pass (_fp_values on ints, _norm_one_traces on pairs).
 """
 
 from __future__ import annotations
@@ -458,59 +458,78 @@ def _coefficient_rows(polys: Sequence[tuple], zero) -> np.ndarray:
     return np.array([(*c, *(zero,) * (width - len(c))) for c in polys], dtype=np.int64)
 
 
-def _horner_fp(polys: Sequence[tuple], x: np.ndarray, p: int) -> np.ndarray:
-    """Row r: the F_p polynomial polys[r] at every entry of x."""
-    coeffs = _coefficient_rows(polys, 0)
-    acc = np.zeros((len(polys), x.size), dtype=np.int64)
-    for j in range(coeffs.shape[1] - 1, -1, -1):
-        acc = (acc * x + coeffs[:, j, None]) % p
-    return acc
+def _norm_one_traces(rfs: Sequence[RationalFunction], z: np.ndarray):
+    """(live, traces): live[r, i] says g_r(z_i) != 0 for the pair array z, over the functions' (irreducible) extension.
 
-
-def _horner_fp2(polys: Sequence[tuple], z: np.ndarray, e: int, p: int):
-    """Row r of each coordinate: the F_{p^2} polynomial polys[r] at every pair (z0, z1) of z."""
-    coeffs = _coefficient_rows(polys, (0, 0))
-    zero = np.zeros((len(polys), z.shape[1]), dtype=np.int64)
-    acc = (zero, zero)
+    traces holds Tr(h_r(z_i)/g_r(z_i)) on the live entries in row-major order,
+    so row by row, ascending in i.  One 2-D Horner pass evaluates every
+    denominator and numerator at every z_i, and every live g_r(z_i) is
+    inverted in one _inv_mod call, through its conjugate and norm.
+    """
+    p, e, k = rfs[0].p, rfs[0].e, len(rfs)
+    coeffs = _coefficient_rows([rf.denominator for rf in rfs] + [rf.numerator for rf in rfs], (0, 0))
+    acc = (np.zeros((2 * k, z.shape[1]), dtype=np.int64),) * 2
     for j in range(coeffs.shape[1] - 1, -1, -1):
         a0, a1 = _mul_pairs(acc, z, e, p)
         acc = ((a0 + coeffs[:, j, 0, None]) % p, (a1 + coeffs[:, j, 1, None]) % p)
-    return acc
-
-
-def _norm_one_traces(rfs: Sequence[RationalFunction], z: np.ndarray, e: int, p: int):
-    """(live, traces): live[r, i] says g_r(z_i) != 0 for the pair array z (irreducible ext).
-
-    traces holds Tr(h_r(z_i)/g_r(z_i)) on the live entries in row-major order,
-    so row by row, ascending in i.  Every live g_r(z_i) is inverted in one
-    _inv_mod call, through its conjugate and norm.
-    """
-    d0, d1 = _horner_fp2([rf.denominator for rf in rfs], z, e, p)
+    (d0, h0), (d1, h1) = ((a[:k], a[k:]) for a in acc)
     live = (d0 != 0) | (d1 != 0)
     d0, d1 = d0[live], d1[live]
     norm_inv = _inv_mod((d0 * d0 + e * d0 * d1 + d1 * d1) % p, p)
     den_inv = ((d0 + e * d1) * norm_inv % p, -d1 * norm_inv % p)  # conj(g) / Nm(g)
-    h0, h1 = _horner_fp2([rf.numerator for rf in rfs], z, e, p)
     h0, h1 = _mul_pairs((h0[live], h1[live]), den_inv, e, p)
     return live, (2 * h0 + e * h1) % p  # Tr(c0 + c1*Z) = 2*c0 + e*c1
 
 
-def _weil_reports(kind: str, angle: np.ndarray, live: np.ndarray, p: int, rfs, u: int, h) -> list[SumReport]:
-    """One report per row of live: its live terms e^(i angle), taken from angle in row-major order.
+def _fp_values(rfs: Sequence[RationalFunction], x: np.ndarray):
+    """(live, values) over F_p: live[r, i] says den_r(x_i) != 0, values holds f_r(x_i) on the live entries, row-major.
 
-    Each row's components are its own exactly rounded sums (one segmented
-    _fsums call per component over the whole pass), so a report does not
-    depend on the other functions of its pass.  Reference bound
+    One 2-D Horner pass evaluates every denominator and numerator at every
+    x_i on int64 arrays (exact for p <= _WEIL_FP_LIMIT), and one _inv_mod
+    inverts every live den_r(x_i).
+    """
+    p, k = rfs[0].p, len(rfs)
+    coeffs = _coefficient_rows([rf.denominator for rf in rfs] + [rf.numerator for rf in rfs], 0)
+    acc = np.zeros((2 * k, x.size), dtype=np.int64)
+    for j in range(coeffs.shape[1] - 1, -1, -1):
+        acc = (acc * x + coeffs[:, j, None]) % p
+    den, num = acc[:k], acc[k:]
+    live = den != 0
+    return live, num[live] * _inv_mod(den[live], p) % p
+
+
+def _weil_sums(kind: str, rfs: list, u: int, h: int | None, cap: tuple[int, str], group, evaluate) -> list[SumReport]:
+    """The pass loop of both Weil kernels: one report per function of rfs (nonempty, one field), in order.
+
+    u is taken mod p and must be nonzero there.  cap = (limit, what): p above
+    limit raises ResourceGuard before group() builds the points, whose last
+    axis is the column i (z_i = g^i under chi, so |G| is its length).  Each
+    pass takes at least one and at most _WEIL_PASS // |G| functions, and
+    evaluate(rows, points) gives their (live, values), as _fp_values and
+    _norm_one_traces do.  One _angles call forms the phases u*value mod p,
+    plus h*i mod |G| when h is given, and each row's components are its own
+    exactly rounded sums (one segmented _fsums per component), so a report
+    does not depend on the rest of rfs.  Reference bound
     max(deg num, deg den) * sqrt(p).
     """
-    params = {"u": u}
-    if h is not None:
-        params["h"] = h
-    lengths = live.sum(axis=1)
-    rows = zip(rfs, lengths.tolist(), _fsums(np.cos(angle), lengths), _fsums(np.sin(angle), lengths))
-    return [
-        SumReport(kind, complex(re, im), n, p, rf.max_degree * math.sqrt(p), dict(params)) for rf, n, re, im in rows
-    ]
+    p = rfs[0].p
+    u = _nonzero_mod(u, p)
+    limit, what = cap
+    if p > limit:
+        raise ResourceGuard(f"{what} capped at p <= {limit}")
+    points = group()
+    size = points.shape[-1]
+    params = {"u": u} if h is None else {"u": u, "h": h}
+    out = []
+    for _, rows in _slices(rfs, size, _WEIL_PASS):
+        live, values = evaluate(rows, points)
+        angle = _angles(values, p, u)
+        if h is not None:
+            angle += _angles(np.nonzero(live)[1], size, h % size)
+        lengths = live.sum(axis=1)
+        for rf, n, re, im in zip(rows, lengths.tolist(), _fsums(np.cos(angle), lengths), _fsums(np.sin(angle), lengths)):
+            out.append(SumReport(kind, complex(re, im), n, p, rf.max_degree * math.sqrt(p), dict(params)))
+    return out
 
 
 def weil_sum_fp(rfs: Sequence[RationalFunction], u: int, h: int | None = None) -> list[SumReport]:
@@ -521,13 +540,7 @@ def weil_sum_fp(rfs: Sequence[RationalFunction], u: int, h: int | None = None) -
     mod p and nonzero there; an empty rfs gives [].
     h = None means no twist (x = 0 included); otherwise chi(g^i) = e(h*i/(p - 1))
     for g = primitive_root(p), x runs over g^0, ..., g^(p-2) and i is the
-    column.  Reference bound: max(deg num, deg den) * sqrt(p).  Each array
-    pass takes a slice of at least one and at most _WEIL_PASS // p functions:
-    one 2-D Horner pass per side on int64 arrays (exact for
-    p <= _WEIL_FP_LIMIT), one _inv_mod for every live den(x), one _angles
-    call for the phases u*f(x) mod p (plus h*i mod p - 1 under chi).  Each
-    function's terms go into their own exactly rounded sums, so its report
-    does not depend on the rest of rfs.
+    column.  Bound and array passes as in _weil_sums, the values from _fp_values.
     """
     rfs = list(rfs)
     if not rfs:
@@ -535,23 +548,11 @@ def weil_sum_fp(rfs: Sequence[RationalFunction], u: int, h: int | None = None) -
     p = rfs[0].p
     if any((rf.p, rf.e) != (p, None) for rf in rfs):
         raise ValueError(f"every function must be over F_{p}, the field of the first")
-    u = _nonzero_mod(u, p)
-    if p > _WEIL_FP_LIMIT:
-        raise ResourceGuard(f"exhaustive sum capped at p <= {_WEIL_FP_LIMIT}")
-    if h is None:
-        x = np.arange(p, dtype=np.int64)
-    else:
-        x = _powers((primitive_root(p), 0), p - 1, 0, p)[0]  # x[i] = g^i
-    out = []
-    for _, rows in _slices(rfs, x.size, _WEIL_PASS):
-        den = _horner_fp([rf.denominator for rf in rows], x, p)
-        live = den != 0
-        num = _horner_fp([rf.numerator for rf in rows], x, p)
-        angle = _angles(num[live] * _inv_mod(den[live], p) % p, p, u)
-        if h is not None:
-            angle += _angles(np.nonzero(live)[1], p - 1, h % (p - 1))
-        out += _weil_reports("weil_fp", angle, live, p, rows, u, h)
-    return out
+
+    def group():  # x[i] = g^i under chi
+        return np.arange(p, dtype=np.int64) if h is None else _powers((primitive_root(p), 0), p - 1, 0, p)[0]
+
+    return _weil_sums("weil_fp", rfs, u, h, (_WEIL_FP_LIMIT, "exhaustive sum"), group, _fp_values)
 
 
 def weil_sum_fp2_norm_one(rfs: Sequence[RationalFunction], u: int, h: int | None = None) -> list[SumReport]:
@@ -564,7 +565,7 @@ def weil_sum_fp2_norm_one(rfs: Sequence[RationalFunction], u: int, h: int | None
     The group is the (2, p + 1) pair array of _powers, z_i = g^i for
     g = norm_group_generator(e, p), built once per call.  h = None means no
     twist; otherwise chi(g^i) = e(h*i/(p + 1)).  Bound and array passes as
-    in weil_sum_fp, with the traces from one _norm_one_traces call per pass.
+    in _weil_sums, the traces from _norm_one_traces.
     """
     rfs = list(rfs)
     if not rfs:
@@ -572,16 +573,8 @@ def weil_sum_fp2_norm_one(rfs: Sequence[RationalFunction], u: int, h: int | None
     p, e = rfs[0].p, rfs[0].e
     if e is None or any((rf.p, rf.e) != (p, e) for rf in rfs):
         raise ValueError(f"every function must be over one quadratic extension of F_{p}, that of the first")
-    u = _nonzero_mod(u, p)
-    if p > _WEIL_FP2_LIMIT:
-        raise ResourceGuard(f"norm-one enumeration capped at p <= {_WEIL_FP2_LIMIT}")
-    t = p + 1
-    z = _powers(norm_group_generator(e, p), t, e, p)  # z[:, i] = g^i
-    out = []
-    for _, rows in _slices(rfs, t, _WEIL_PASS):
-        live, trace = _norm_one_traces(rows, z, e, p)
-        angle = _angles(trace, p, u)
-        if h is not None:
-            angle += _angles(np.nonzero(live)[1], t, h % t)
-        out += _weil_reports("weil_fp2_norm1", angle, live, p, rows, u, h)
-    return out
+
+    def group():
+        return _powers(norm_group_generator(e, p), p + 1, e, p)
+
+    return _weil_sums("weil_fp2_norm1", rfs, u, h, (_WEIL_FP2_LIMIT, "norm-one enumeration"), group, _norm_one_traces)

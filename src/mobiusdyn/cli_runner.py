@@ -37,6 +37,14 @@ from collections import ChainMap
 from collections.abc import Mapping
 from pathlib import Path
 
+try:  # the builtin sha256, as the stdlib's random takes it: hashlib loads OpenSSL, ~3 MB of every run's peak RSS
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 import numpy as np
 
 from . import __version__
@@ -198,7 +206,7 @@ def _points(raw, name: str, cfg) -> list[dict]:
     points = []
     for i, point in enumerate(raw):
         kind = point.get("kind") if isinstance(point, dict) else None
-        if kind not in POINT_SCHEMAS or kind not in cfg["kinds"]:
+        if not isinstance(kind, str) or kind not in POINT_SCHEMAS or kind not in cfg["kinds"]:
             raise ConfigError(f"field '{name}[{i}]' needs a 'kind' listed in field 'kinds', got {point!r}")
         points.append(parse_fields(POINT_SCHEMAS[kind], point, "scan point", cfg))
     return points
@@ -214,14 +222,14 @@ def _schedule(raw, name: str, cfg) -> list[int]:
 
 
 def _alpha(raw, name: str, cfg) -> float:
-    """alpha in (0, 1/2), whose sieve sets at field 'n' stay inside their cap (sieve_range)."""
+    """alpha as make_params takes it, whose sieve sets at field 'n' stay inside their cap (sieve_range)."""
     alpha = _finite(raw, name, cfg)
-    if not 0 < alpha < 0.5:
-        raise ConfigError(f"field '{name}' must lie in (0, 1/2), got {alpha}")
     try:
         sieve_range(make_params(alpha, cfg["n"]))
     except ResourceGuard as exc:
         raise ResourceGuard(f"fields 'n' and '{name}': {exc}") from None
+    except ValueError as exc:  # outside (0, 1/2), or 1 + alpha == 1.0
+        raise ConfigError(f"field '{name}': {exc}") from None
     return alpha
 
 
@@ -369,14 +377,12 @@ def _out_dir(raw: str) -> Path:
 
 def _write_outputs(outdir: Path, outputs: dict[str, bytes], config_blob: bytes) -> None:
     """Write every artifact atomically, then the manifest covering them all; a failed write names --out."""
-    import hashlib  # here, not at the top: it loads OpenSSL, ~3.6 MB resident for the whole run
-
     manifest = {
         "schema_version": 1,
         "tool_version": __version__,
-        "config_sha256": hashlib.sha256(config_blob).hexdigest(),
+        "config_sha256": sha256(config_blob).hexdigest(),
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "outputs": {name: hashlib.sha256(data).hexdigest() for name, data in sorted(outputs.items())},
+        "outputs": {name: sha256(data).hexdigest() for name, data in sorted(outputs.items())},
     }
     try:
         for name, data in {**outputs, "manifest.json": _json_bytes(manifest)}.items():

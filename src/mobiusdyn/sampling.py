@@ -6,8 +6,8 @@ the ones every verification layer can handle: distinct characteristic roots,
 a seed that is not a fixed point, a closed form in normal position, and an
 orbit that never visits the pole, so the scalar, linear-lift and closed-form
 views agree index by index.  Random rational functions feed the Weil-sum
-scans; they draw raw int coefficients (int pairs over F_{p^2}), and F_{p^2}
-draws are probed with the kernel's own _norm_one_traces.
+scans; they draw raw int coefficients (int pairs over F_{p^2}), and an F_{p^2}
+draw of constant trace (a proportional one too) fails its _norm_one_traces probe.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .char_sums import RationalFunction, _norm_one_traces
-from .field_arith import _inv_pair, _mul_pairs, _powers, FpElem, PrimeModulus, norm_group_generator
+from .field_arith import _powers, FpElem, PrimeModulus, norm_group_generator
 from .mobius_dynamics import (
     DegenerateSpectral,
     MobiusMatrix,
@@ -95,9 +95,10 @@ def random_rational_function_fp2(rng: random.Random, e: int, p: int, max_degree:
     Rejects draws where Tr(h(z)/g(z)) is constant on the probe z = g^0..g^6
     (g = norm_group_generator(e, p)) off the poles, for example
     h/g = z0*(X^2-1)/X with z0 in F_p, since those degenerate sums escape any
-    square-root bound.  The extension must be irreducible.  The probe is
-    built once per (e, p) and read by the norm-one kernel's own
-    _norm_one_traces, as a batch of one function.
+    square-root bound.  A proportional draw h = lambda*g is one of them: its
+    trace is Tr(lambda) at every probe point off the poles.  The extension
+    must be irreducible.  The probe is built once per (e, p) and read by the
+    norm-one kernel's own _norm_one_traces, as a batch of one function.
     """
     probe = _probe(e % p, p)
     while True:
@@ -108,9 +109,7 @@ def random_rational_function_fp2(rng: random.Random, e: int, p: int, max_degree:
         den = [(rng.randrange(p), rng.randrange(p)) for _ in range(dg)] + [_nonzero_pair(rng, p)]
         num = [(rng.randrange(p), rng.randrange(p)) for _ in range(dh)] + [_nonzero_pair(rng, p)]
         rf = RationalFunction(tuple(num), tuple(den), p, e)
-        if _proportional(rf):
-            continue
-        _, traces = _norm_one_traces([rf], probe, rf.e, p)
+        _, traces = _norm_one_traces([rf], probe)
         if len(set(traces.tolist())) >= 2:
             return rf
 
@@ -131,17 +130,11 @@ def _nonzero_pair(rng: random.Random, p: int) -> tuple[int, int]:
 
 
 def _proportional(rf: RationalFunction) -> bool:
-    """True when h = lambda * g for some field scalar lambda (h = 0 counts).
-
-    Runs on int pairs; an F_p coefficient c is the pair (c, 0), whose products do not depend on e.
-    """
-    num, den = rf.numerator, rf.denominator
+    """True when h = lambda * g over F_p for some scalar lambda (h = 0 counts)."""
+    num, den, p = rf.numerator, rf.denominator, rf.p
     if not num:
         return True
     if len(num) != len(den):
         return False
-    e, p = rf.e or 0, rf.p
-    if rf.e is None:
-        num, den = ([(c, 0) for c in poly] for poly in (num, den))
-    lam = _mul_pairs(num[-1], _inv_pair(den[-1], e, p), e, p)
-    return all(c == _mul_pairs(lam, d, e, p) for c, d in zip(num, den))
+    lam = num[-1] * pow(den[-1], -1, p) % p
+    return all(c == lam * d % p for c, d in zip(num, den))

@@ -67,6 +67,10 @@ def test_make_params_validation():
         make_params(0.5, 100)
     with pytest.raises(ValueError):
         make_params(0.2, 0)
+    for tiny in (2.0**-53, 1e-100, 1e-200):  # 1 + alpha == 1.0
+        with pytest.raises(ValueError, match="1 \\+ alpha > 1"):
+            make_params(tiny, 100)
+    assert make_params(2.0**-52, 100).j_range
 
 
 def test_r_j_monotone():
@@ -555,6 +559,14 @@ def test_theorem_conditions_t_equals_p():
     for eps in (0.1, 0.3, 0.5):
         rep = theorem_conditions(0.2, 10**5, 10**6, 10**6, eps)
         assert conditions(rep)["t_large"]["holds"]  # t = p >= p^(1/2+eps) for eps <= 1/2
+
+
+def test_theorem_conditions_t_large_in_logs_past_a_double():
+    # 1009^1000.5 overflows a double: the row compares log t with (1/2 + epsilon) log p
+    t_large = conditions(theorem_conditions(0.2, 20000, 1009, 505, 1000.0))["t_large"]
+    assert t_large["log_scale"] is True and t_large["holds"] is False
+    assert (t_large["lhs"], t_large["rhs"]) == (math.log(505), 1000.5 * math.log(1009))
+    assert conditions(theorem_conditions(0.2, 20000, 1009, 505, 100.0))["t_large"]["log_scale"] is False
 
 
 def test_theorem_conditions_n_monotone():

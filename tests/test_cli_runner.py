@@ -671,6 +671,29 @@ def test_bsz_report_sanity_modes(tmp_path):
     assert body["conditions"]["alpha_range_empty"] is True
 
 
+def test_bsz_alpha_at_the_double_limit(tmp_path, capsys):
+    # 2^-53 is the largest alpha with 1 + alpha == 1.0; at 2^-52 every R_j past j0 overflows to inf: no blocks
+    code, outdir = run(tmp_path, "bsz-report", {**BSZ_BASE, "alpha": repr(2.0**-53)}, out_name="refused")
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "'alpha'" in err and "Traceback" not in err
+    assert not outdir.exists()
+    code, outdir = run(tmp_path, "bsz-report", {**BSZ_BASE, "alpha": repr(2.0**-52)})
+    assert code == EXIT_OK
+    body = json.loads((outdir / "bsz_report.json").read_text())
+    assert body["rows"] == [] and body["aggregates"]["materialised_blocks"] == 0
+
+
+def test_bsz_large_epsilon_compares_t_large_in_logs(tmp_path):
+    # p^(1/2 + epsilon) overflows a double from epsilon ~102 at p = 1009
+    code, outdir = run(tmp_path, "bsz-report", {**_BSZ_1009, "epsilon": "1000"})
+    assert code == EXIT_OK
+    body = json.loads((outdir / "bsz_report.json").read_text())
+    row = body["conditions"]["conditions"][0]
+    assert row["name"] == "t_large" and row["log_scale"] is True and row["holds"] is False
+    assert row["rhs"] == 1000.5 * math.log(1009)
+
+
 def test_weil_check_fills_h_on_the_chi_rows_only(tmp_path):
     # every function gives two rows, without and with the character chi; the
     # h column holds chi's multiplier on the second and stays empty on the first
@@ -1009,6 +1032,7 @@ def test_scan_fields_unread_by_kinds_exit_2(tmp_path, capsys, body, key):
 
 
 _POINT = {"u": "1", "v": "1", "k": "0", "m": "1"}
+_BSZ_1009 = {"p": "1009", "matrix": ["590", "448", "600", "406"], "seed": "50", "alpha": "0.2", "n": "20000"}
 
 
 @pytest.mark.parametrize(
@@ -1032,8 +1056,25 @@ _POINT = {"u": "1", "v": "1", "k": "0", "m": "1"}
         ),
         ("verify-spectral", {**SCAN_BASE, "window": "0"}, "'window'"),
         ("weil-check", {"primes": ["101", "91"]}, "'primes[1]'"),
+        (
+            "sum-scan",
+            {**SCAN_BASE, "kinds": ["single"], "points": [{"kind": ["single"], "u": "1", "m": "1"}]},
+            "'points[0]'",
+        ),
+        # 1 + alpha == 1.0: every R_j = (1 + alpha)^j is 1.0, and at 1e-200 j1 = j0^2 overflows
+        ("bsz-report", {**_BSZ_1009, "alpha": "1e-100"}, "'alpha'"),
+        ("bsz-report", {**_BSZ_1009, "alpha": "1e-200"}, "'alpha'"),
     ],
-    ids=["bsz-psi_u-zero", "scan-single-point-u-zero", "scan-correlation-point-n-zero", "spectral-window", "weil-prime"],
+    ids=[
+        "bsz-psi_u-zero",
+        "scan-single-point-u-zero",
+        "scan-correlation-point-n-zero",
+        "spectral-window",
+        "weil-prime",
+        "scan-point-kind-a-list",
+        "bsz-alpha-1e-100",
+        "bsz-alpha-1e-200",
+    ],
 )
 def test_config_errors_are_refused_before_any_work(tmp_path, capsys, refuse_work, command, body, field):
     code, outdir = run(tmp_path, command, body, extra=("--mu-cache", str(tmp_path / "mu.bin")))
@@ -1215,8 +1256,9 @@ _NOT_A_NUMBER = st.text(max_size=8).filter(
     edit=st.tuples(st.integers(0, 30), st.sampled_from("abcdefghijklmnopqrstuvwxyz_"), st.sampled_from("dis")),
 )
 def test_schema_walk_every_bad_field_exits_by_name(tmp_path, capsys, refuse_work, owner, field, number, flag, text, edit):
-    # a float where an int is exact, a bool, a non-decimal string (each whole and as a list entry),
-    # every out-of-range value, a misspelled key and a key the chosen branch does not read
+    # a float where an int is exact, a bool, a non-decimal string, a JSON list and a JSON object (each
+    # whole and as a list entry), every out-of-range value, a misspelled key and a key the chosen branch
+    # does not read
     base, out_of_range, unread = SCHEMA_CASES[(owner, field)]
     valid = base[field]
 
@@ -1230,7 +1272,7 @@ def test_schema_walk_every_bad_field_exits_by_name(tmp_path, capsys, refuse_work
         assert "Traceback" not in err
         assert not outdir.exists()
 
-    bad = [flag, text] + ([] if field in _FLOAT_FIELDS else [number])
+    bad = [flag, text, [text], {text: flag}] + ([] if field in _FLOAT_FIELDS else [number])
     for value in bad:
         check({**base, field: value}, EXIT_CONFIG, field)
         if isinstance(valid, list):  # the same value as the last list entry
@@ -1366,12 +1408,31 @@ def test_bsz_report_builds_no_table(tmp_path, monkeypatch, small_segments, nu):
 
 
 def test_cli_import_leaves_hashlib_for_the_manifest():
-    # hashlib loads OpenSSL (~3.6 MB resident), so only _write_outputs imports it
+    # hashlib loads OpenSSL (~3 MB resident); the manifest takes its digests from the builtin sha256
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     code = "import sys, mobiusdyn.cli_runner; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_run_writes_its_manifest_without_openssl(tmp_path):
+    import hashlib
+
+    cfg = write_cfg(tmp_path, "mobius.json", {"command": "mobius-check", "limit": "100"})
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys; from mobiusdyn.cli_runner import main; "
+        f"print(main(['mobius-check', '--config', {cfg!r}, '--out', {str(out)!r}]), '_hashlib' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config_sha256"] == hashlib.sha256(Path(cfg).read_bytes()).hexdigest()
+    written = (out / "mobius_check.json").read_bytes()
+    assert manifest["outputs"] == {"mobius_check.json": hashlib.sha256(written).hexdigest()}
 
 
 # --- one orbit build per scan ----------------------------------------------------------

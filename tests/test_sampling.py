@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from mobiusdyn.field_arith import PrimeModulus, norm_group_generator
 from mobiusdyn.sampling import (
     random_admissible_instance,
@@ -92,6 +94,22 @@ def test_random_fp2_rational_function_rejects_constant_trace():
     assert not rng.script
     assert got != degenerate
     assert got == random_rational_function_fp2(random.Random(7), 1, 101, 3)
+    # h = Z*g for g = X + 1: f = Z off the pole z = -1, so the probe sees the constant trace Tr(Z) = e = 1
+    proportional = RationalFunction(((0, 1), (0, 1)), ((1, 0), (1, 0)), 101, 1)
+    flat = weil_sum_fp2_norm_one([proportional], 1)[0]
+    assert flat.term_count == 101 and abs(flat.value) == pytest.approx(101)
+    rng = _Scripted([1, 1, 1, 0, 1, 0, 0, 1, 0, 1], 7)
+    assert random_rational_function_fp2(rng, 1, 101, 3) == got
+    assert not rng.script
+
+
+def test_random_fp_rational_function_rejects_proportional():
+    # dg, dh, then g = 1 + X and h = 2 + 2X: h = 2g, a constant phase
+    rng = _Scripted([1, 1, 1, 1, 2, 2], 7)
+    got = random_rational_function_fp(rng, 101, 3)
+    assert not rng.script
+    assert got == random_rational_function_fp(random.Random(7), 101, 3)
+    assert (got.numerator, got.denominator) != ((2, 2), (1, 1))
 
 
 def test_samplers_first_draws_are_pinned():
