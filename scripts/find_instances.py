@@ -2,7 +2,8 @@
 """Search for trajectory instances to pin in shipped configs.
 
 Scans deterministic candidate matrices at a given prime and prints the ones
-whose scalar period clears the requested floor with a pole-free orbit, plus
+whose seed `admissible_instance` accepts (a closed form and a pole-free
+orbit) and whose scalar period lies in the requested range, plus
 a quick look at the twisted-sum decay for the strongest candidate.
 """
 
@@ -13,8 +14,8 @@ import random
 from mobiusdyn.arith_fn import mobius_segments
 from mobiusdyn.char_sums import twisted_sum_schedule
 from mobiusdyn.field_arith import PrimeModulus
-from mobiusdyn.mobius_dynamics import DegenerateSpectral, period, spectral_form
-from mobiusdyn.sampling import random_sl2
+from mobiusdyn.mobius_dynamics import DegenerateSpectral
+from mobiusdyn.sampling import admissible_instance, random_sl2
 
 
 def main():
@@ -33,12 +34,11 @@ def main():
     while len(found) < args.count:
         matrix = random_sl2(rng, modulus)
         xi0 = modulus.elem(rng.randrange(args.p))
-        traj = period(matrix, xi0)
-        if not traj.pole_free or not args.min_period <= traj.period <= args.max_period:
-            continue
         try:
-            spectral_form(matrix, xi0)
+            traj, _ = admissible_instance(matrix, xi0)
         except DegenerateSpectral:
+            continue
+        if not args.min_period <= traj.period <= args.max_period:
             continue
         found.append((matrix, xi0, traj))
         a, b, c, d = matrix.entries()

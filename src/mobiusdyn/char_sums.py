@@ -195,7 +195,8 @@ def _fsums(x: np.ndarray, lengths: Sequence[int]) -> list[float]:
 
     lengths sum to x.size, and an empty segment sums to 0.0; x is
     overwritten.  Each exact total is rounded once, by int true division,
-    so a zero total is +0.0.
+    so a zero total is +0.0.  With segments of fewer than 2^b terms every
+    term must lie below 2^(1022 - b) in magnitude, or ValueError is raised.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     live = np.flatnonzero(lengths)  # np.add.reduceat would give an empty segment x[start]
@@ -211,7 +212,9 @@ def _fsum(values: np.ndarray, weights=1) -> float:
     """math.fsum of weights * values, bit for bit: the exactly rounded sum of the rounded products.
 
     The products are formed and summed one _BLOCK at a time, so no
-    full-length temporary is held; weights broadcast against values.
+    full-length temporary is held; weights broadcast against values.  In a
+    block of fewer than 2^b products every product must lie below
+    2^(1022 - b) in magnitude, or ValueError is raised.
     """
     w = np.broadcast_to(weights, values.shape)
     total = 0

@@ -72,18 +72,14 @@ from .char_sums import (
     weil_sum_fp,
     weil_sum_fp2_norm_one,
 )
-from .field_arith import _mul_pairs, FpElem, PrimeModulus, RepeatedRoot, sqrt_mod
-from .mobius_dynamics import (
-    DegenerateSpectral,
-    InvalidMatrix,
-    MobiusMatrix,
-    SpectralForm,
-    Trajectory,
-    normalize_to_sl2,
-    period,
-    spectral_form,
+from .field_arith import FpElem, PrimeModulus, RepeatedRoot, sqrt_mod
+from .mobius_dynamics import DegenerateSpectral, InvalidMatrix, MobiusMatrix, normalize_to_sl2, period, verify_three_way
+from .sampling import (
+    admissible_instance,
+    random_admissible_instance,
+    random_rational_function_fp,
+    random_rational_function_fp2,
 )
-from .sampling import random_admissible_instance, random_rational_function_fp, random_rational_function_fp2
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -251,6 +247,15 @@ _ORACLE_LIMIT = _checked(
     "field '{name}': exhaustive oracle mode capped at limit <= 10**7, got {value}",
     ResourceGuard,
 )
+_EPSILON = _checked(  # t = 1 in the report: the two sides that move with epsilon do not read t
+    _checked(_finite, lambda e, cfg: e > 0, "field '{name}' must be > 0, got {value}"),
+    lambda e, cfg: all(
+        math.isfinite(row[side])
+        for row in theorem_conditions(cfg["alpha"], cfg["n"], cfg["p"].p, 1, e)["conditions"]
+        for side in ("lhs", "rhs")
+    ),
+    "field '{name}' overflows a side of the condition report at p = {cfg[p].p}, got {value}",
+)
 _ABOVE_K = _checked(
     _exact_int, lambda m, cfg: m > cfg["k"], "scan point fields 'k' and 'm' need 0 <= k < m, got k={cfg[k]}, m={value}"
 )
@@ -291,7 +296,7 @@ SCHEMAS = {
             "f": (_one_of("psi_xi", "one"), "psi_xi"),
             "n": (_SIEVED, REQUIRED),
             "alpha": (_alpha, REQUIRED),
-            "epsilon": (_checked(_finite, lambda e, cfg: e > 0, "field '{name}' must be > 0, got {value}"), 0.1),
+            "epsilon": (_EPSILON, 0.1),
             "psi_u": (_NONZERO, 1, lambda cfg: cfg["f"] == "psi_xi", "only when field 'f' is psi_xi"),
         },
         "mobius-check": {"limit": (_ORACLE_LIMIT, REQUIRED)},
@@ -440,69 +445,31 @@ def cmd_verify_spectral(cfg: dict, mu_cache: str | None) -> tuple[int, dict[str,
     """three-way orbit equivalence suite: map iteration vs linear lift vs closed form"""
     modulus, matrix = cfg["p"], cfg["matrix"]
     if matrix is not None:
-        xi0 = cfg["seed"]
         try:
-            form = spectral_form(matrix, xi0)
+            instances = [admissible_instance(matrix, cfg["seed"])]
         except DegenerateSpectral as exc:
             raise ConfigError(f"field 'seed': {exc}") from None
-        traj = period(matrix, xi0)
-        if not traj.pole_free:
-            raise ConfigError("field 'seed': the orbit passes through the pole; pick another seed")
-        instances = [(traj, form)]
     else:
         rng = random.Random(cfg["rng_seed"])
-        # one orbit table alive at a time
         instances = (random_admissible_instance(rng, modulus)[2:] for _ in range(cfg["samples"]))
 
-    mismatches = 0
-    periods_checked = []
+    rows = []
     for traj, form in instances:
         window = min(traj.period, cfg["window"])
-        report = verify_three_way(traj, form, window)
-        mismatches += report["mismatches"]
         row = dict(zip("abcd", traj.matrix.entries()), xi0=traj.seed.value, period=traj.period, window=window)
-        periods_checked.append(dict(row, theta_sq_order=traj.theta_sq_order, mismatches=report["mismatches"]))
+        row.update(theta_sq_order=traj.theta_sq_order, mismatches=verify_three_way(traj, form, window))
+        rows.append(row)
+        del traj, form  # one orbit table alive at a time: none is held while the next is drawn
+    mismatches = sum(row["mismatches"] for row in rows)
     body = {
         "schema_version": 1,
         "p": modulus.p,
-        "instances": periods_checked,
+        "instances": rows,
         "total_mismatches": mismatches,
-        "period_divides_order": all(row["theta_sq_order"] % row["period"] == 0 for row in periods_checked),
-        "period_equality_rate": sum(row["period"] == row["theta_sq_order"] for row in periods_checked)
-        / len(periods_checked),
+        "period_divides_order": all(row["theta_sq_order"] % row["period"] == 0 for row in rows),
+        "period_equality_rate": sum(row["period"] == row["theta_sq_order"] for row in rows) / len(rows),
     }
     return (EXIT_OK if mismatches == 0 else EXIT_MISMATCH), {"verify_spectral.json": _json_bytes(body)}
-
-
-def verify_three_way(traj: Trajectory, form: SpectralForm, window: int) -> dict:
-    """Compare the three orbit views for n = 1..window on a pole-free orbit, on raw ints mod p.
-
-    Each view is stepped on its own from the seed:
-    - the map: x -> (a*x + b) * (c*x + d)^-1, with the pole sent to a/c;
-    - the lift: (u, v) -> (a*u + b*v, c*u + d*v);
-    - the closed form of `form`: cur = theta^(2n) by one pair product per
-      step, read through `form.evaluate`.
-    Index n is a mismatch unless the closed form is defined there, lies in
-    F_p and equals x_n, u_n = x_n * v_n (so v_n != 0, as (u_n, v_n) != (0, 0)),
-    and orbit-table entry n - 1 equals x_n: the table, built from the lift by
-    doubling, is held to the map.
-    """
-    a, b, c, d = traj.matrix.entries()
-    p = traj.matrix.p
-    step = _mul_pairs(form.theta, form.theta, form.e, p)
-    pole_image = a * pow(c, -1, p) % p
-    x = u = traj.seed.value
-    v, cur = 1, (1, 0)
-    mismatches = 0
-    for raw in traj.orbit_table[:window].tolist():
-        den = (c * x + d) % p
-        x = (a * x + b) * pow(den, -1, p) % p if den else pole_image
-        u, v = (a * u + b * v) % p, (c * u + d * v) % p
-        cur = _mul_pairs(cur, step, form.e, p)
-        val = form.evaluate(cur)
-        if val is None or val != (x, 0) or u != x * v % p or raw != x:
-            mismatches += 1
-    return {"mismatches": mismatches}
 
 
 def cmd_sum_scan(cfg: dict, mu_cache: str | None) -> tuple[int, dict[str, bytes]]:

@@ -189,36 +189,30 @@ class FpElem:
 def sqrt_mod(n: int, p: int) -> int | None:
     """Canonical square root of n mod p (the smaller of the two), or None for non-residues.
 
-    Tonelli-Shanks with the smallest quadratic non-residue as the auxiliary
-    element, so the answer is deterministic.
+    Tonelli-Shanks with the smallest non-residue as the auxiliary element;
+    at p = 3 mod 4 (s = 1) its first guess n^((p+1)/4) is already the root.
     """
     n %= p
     if n == 0:
         return 0
     if pow(n, (p - 1) // 2, p) != 1:
         return None
-    if p % 4 == 3:
-        r = pow(n, (p + 1) // 4, p)
-    else:
-        q = p - 1
-        s = 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
-        m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-        while t != 1:
-            i, t2 = 0, t
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            r = r * b % p
-            c = b * b % p
-            t = t * c % p
-            m = i
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q * 2^s with q odd
+    q = (p - 1) >> s
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        r = r * b % p
+        c = b * b % p
+        t = t * c % p
+        m = i
     return min(r, p - r)
 
 

@@ -6,9 +6,9 @@ orbit can also be tracked on the projective line with an explicit point at
 infinity; the scalar view short-circuits the infinity step, which is why a
 pole visit shortens the scalar period by one relative to the projective one.
 The linear lift (u_n, v_n) and the closed form through the roots of
-Z^2 - e*Z + 1 both follow the projective indexing, so the verification
-helpers prefer seeds whose orbit avoids the pole, where all three views
-agree index by index.
+Z^2 - e*Z + 1 both follow the projective indexing, so `verify_three_way`,
+which steps the three views side by side, takes seeds whose orbit avoids the
+pole, where all three agree index by index.
 
 The map stepped one point at a time (`apply`), the projective map, the
 linear lift and the closed form on Fp2Elem objects live with the test
@@ -52,7 +52,7 @@ class InvalidMatrix(ValueError):
 
 
 class DegenerateSpectral(ValueError):
-    """Seed admits no alpha + beta/(theta^(2n) + gamma) normal form."""
+    """Seed the three orbit views cannot check: a fixed point or affine form (no closed form), or a pole orbit."""
 
 
 @dataclass(frozen=True)
@@ -112,17 +112,16 @@ class MobiusMatrix:
 def normalize_to_sl2(a: FpElem, b: FpElem, c: FpElem, d: FpElem) -> MobiusMatrix:
     """Rescale (a, b, c, d) by the canonical lambda with lambda^2 = det^-1.
 
-    The induced map on F_p is unchanged.  Raises InvalidMatrix when the
-    determinant vanishes, when c = 0, and when no rescaling exists (the
-    caller must then supply another representative of the same map).
+    The induced map on F_p is unchanged; det = 1 gives lambda = 1.  Raises
+    InvalidMatrix when the determinant vanishes, when c = 0, and when no
+    rescaling exists (the caller must then supply another representative of
+    the same map).
     """
     det = a * d - b * c
     if not det:
         raise InvalidMatrix("a*d - b*c = 0")
     if not c:
         raise InvalidMatrix("lower-left entry must be nonzero")
-    if det.value == 1:
-        return MobiusMatrix(a, b, c, d)
     root = sqrt_mod(det.inv().value, a.p)
     if root is None:
         raise InvalidMatrix(f"det^-1 = {det.inv().value} is not a square mod {a.p}")
@@ -315,3 +314,34 @@ def spectral_form(matrix: MobiusMatrix, xi0: FpElem) -> SpectralForm:
                 raise AssertionError("closed form disagrees with the linear lift")
         cur = _mul_pairs(cur, step, e, p)
     return form
+
+
+def verify_three_way(traj: Trajectory, form: SpectralForm, window: int) -> int:
+    """Mismatches between the three orbit views for n = 1..window on a pole-free orbit, on raw ints mod p.
+
+    Each view is stepped on its own from the seed:
+    - the map: x -> (a*x + b) * (c*x + d)^-1, with the pole sent to a/c;
+    - the lift: (u, v) -> (a*u + b*v, c*u + d*v);
+    - the closed form of `form`: cur = theta^(2n) by one pair product per
+      step, read through `form.evaluate`.
+    Index n is a mismatch unless the closed form is defined there, lies in
+    F_p and equals x_n, u_n = x_n * v_n (so v_n != 0, as (u_n, v_n) != (0, 0)),
+    and orbit-table entry n - 1 equals x_n: the table, built from the lift by
+    doubling, is held to the map.
+    """
+    a, b, c, d = traj.matrix.entries()
+    p = traj.matrix.p
+    step = _mul_pairs(form.theta, form.theta, form.e, p)
+    pole_image = a * pow(c, -1, p) % p
+    x = u = traj.seed.value
+    v, cur = 1, (1, 0)
+    mismatches = 0
+    for raw in traj.orbit_table[:window].tolist():
+        den = (c * x + d) % p
+        x = (a * x + b) * pow(den, -1, p) % p if den else pole_image
+        u, v = (a * u + b * v) % p, (c * u + d * v) % p
+        cur = _mul_pairs(cur, step, form.e, p)
+        val = form.evaluate(cur)
+        if val is None or val != (x, 0) or u != x * v % p or raw != x:
+            mismatches += 1
+    return mismatches

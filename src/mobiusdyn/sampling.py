@@ -1,13 +1,13 @@
 """Deterministic random instances for experiments and tests.
 
 Everything is driven by an explicit random.Random so that shipped configs and
-the acceptance suite reproduce bit-identically.  "Admissible" instances are
-the ones every verification layer can handle: distinct characteristic roots,
-a seed that is not a fixed point, a closed form in normal position, and an
-orbit that never visits the pole, so the scalar, linear-lift and closed-form
-views agree index by index.  Random rational functions feed the Weil-sum
-scans; they draw raw int coefficients (int pairs over F_{p^2}), and an F_{p^2}
-draw of constant trace (a proportional one too) fails its _norm_one_traces probe.
+the acceptance suite reproduce bit-identically.  `admissible_instance` admits
+the seeds every verification layer can handle, sampled or configured: distinct
+characteristic roots, a closed form in normal position (so no fixed point), and
+an orbit that never visits the pole, so the scalar, linear-lift and closed-form
+views agree index by index.  Random rational functions feed the Weil-sum scans;
+they draw raw int coefficients (int pairs over F_{p^2}), and an F_{p^2} draw of
+constant trace (a proportional one too) fails its _norm_one_traces probe.
 """
 
 from __future__ import annotations
@@ -19,14 +19,7 @@ import numpy as np
 
 from .char_sums import RationalFunction, _norm_one_traces
 from .field_arith import _powers, FpElem, PrimeModulus, norm_group_generator
-from .mobius_dynamics import (
-    DegenerateSpectral,
-    MobiusMatrix,
-    SpectralForm,
-    Trajectory,
-    period,
-    spectral_form,
-)
+from .mobius_dynamics import DegenerateSpectral, MobiusMatrix, SpectralForm, Trajectory, period, spectral_form
 
 
 def random_sl2(rng: random.Random, modulus: PrimeModulus) -> MobiusMatrix:
@@ -45,13 +38,26 @@ def random_sl2(rng: random.Random, modulus: PrimeModulus) -> MobiusMatrix:
             return matrix
 
 
+def admissible_instance(matrix: MobiusMatrix, xi0: FpElem) -> tuple[Trajectory, SpectralForm]:
+    """(orbit, closed form) of xi0, or DegenerateSpectral for a fixed seed, an affine form or a pole orbit.
+
+    The form comes first, so only a seed it accepts gets an orbit table; a
+    pole orbit's table dies with this frame.
+    """
+    form = spectral_form(matrix, xi0)
+    traj = period(matrix, xi0)
+    if not traj.pole_free:
+        raise DegenerateSpectral("the orbit passes through the pole; pick another seed")
+    return traj, form
+
+
 _SEED_TRIES = 12  # seeds per matrix before a fresh matrix is drawn
 
 
 def random_admissible_instance(
     rng: random.Random, modulus: PrimeModulus
 ) -> tuple[MobiusMatrix, FpElem, Trajectory, SpectralForm]:
-    """Draw (A, xi0) until the orbit is admissible; deterministic in rng.
+    """Draw (A, xi0) until admissible_instance accepts it; deterministic in rng.
 
     Matrices whose single projective cycle swallows the whole line leave no
     pole-free seeds, so after _SEED_TRIES failed seeds a fresh matrix is drawn.
@@ -61,14 +67,10 @@ def random_admissible_instance(
         matrix = random_sl2(rng, modulus)
         for _ in range(_SEED_TRIES):
             xi0 = modulus.elem(rng.randrange(p))
-            traj = period(matrix, xi0)
-            if traj.period == 1 or not traj.pole_free:
-                continue
             try:
-                form = spectral_form(matrix, xi0)
+                return (matrix, xi0, *admissible_instance(matrix, xi0))
             except DegenerateSpectral:
-                continue
-            return matrix, xi0, traj, form
+                pass
 
 
 def random_rational_function_fp(rng: random.Random, p: int, max_degree: int = 3) -> RationalFunction:

@@ -105,9 +105,10 @@ def _same(got: float, want: float) -> None:
     assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (got, want)
 
 
-# at most 63 terms in a block: bit_length 6, so the limit is 2^(1022 - 6)
+# at most 63 terms, and `cancelled` doubles them to 126 in one block: bit_length 7, so the limit is 2^(1022 - 7)
 @settings(max_examples=300)
-@given(xs=st.lists(_terms(1016), max_size=63), block=st.sampled_from([1, 2, 5, 1 << 14]))
+@given(xs=st.lists(_terms(1015), max_size=63), block=st.sampled_from([1, 2, 5, 1 << 14]))
+@example(xs=[math.nextafter(math.ldexp(1.0, 1015), 0.0)] * 63, block=1 << 14)  # the largest terms at the limit
 @example(xs=[], block=1 << 14)
 @example(xs=[-0.0, -0.0], block=1)
 @example(xs=[1.0, 1e100, 1.0, -1e100], block=2)
@@ -160,6 +161,8 @@ def test_exact_sums_refuse_terms_beyond_their_limit():
             _fsums(np.array([1.0, bad]), [1, 1])
     with pytest.raises(ValueError):  # two terms, b = 2: the limit is 2^1020
         _fsum(np.array([below, 1.0]))
+    with pytest.raises(ValueError):  # 68 terms, b = 7: 7.02e305 is above the limit 2^1015 ~ 3.5e305
+        _fsum(np.array([7.02e305] * 34 + [-7.02e305] * 34))
 
 
 # --- twisted sums -------------------------------------------------------------------

@@ -53,7 +53,7 @@ def refuse_work(monkeypatch):
 
     for name in (
         "period",
-        "spectral_form",
+        "admissible_instance",
         "random_admissible_instance",
         "_mu_stream",
         "mobius_segments",
@@ -372,18 +372,17 @@ def test_verify_three_way_steps_the_map_itself():
     # is stepped on its own, not read from the table built from the lift
     import dataclasses
 
-    from mobiusdyn.cli_runner import verify_three_way
     from mobiusdyn.field_arith import PrimeModulus
-    from mobiusdyn.mobius_dynamics import MobiusMatrix, period, spectral_form
+    from mobiusdyn.mobius_dynamics import MobiusMatrix, period, spectral_form, verify_three_way
 
     m = PrimeModulus(101)
     matrix, xi0 = MobiusMatrix(*(m.elem(x) for x in (27, 39, 5, 11))), m.elem(55)
     traj, form = period(matrix, xi0), spectral_form(matrix, xi0)
-    assert verify_three_way(traj, form, traj.period) == {"mismatches": 0}
+    assert verify_three_way(traj, form, traj.period) == 0
     table = traj.orbit_table.copy()
     table[7] = (table[7] + 1) % 101
     bad = dataclasses.replace(traj, orbit_table=table)
-    assert verify_three_way(bad, form, traj.period) == {"mismatches": 1}
+    assert verify_three_way(bad, form, traj.period) == 1
 
 
 def test_verify_three_way_holds_the_map_to_the_closed_form():
@@ -391,22 +390,21 @@ def test_verify_three_way_holds_the_map_to_the_closed_form():
     # values in F_p but off by one, and by Z moves them out of F_p
     import dataclasses
 
-    from mobiusdyn.cli_runner import verify_three_way
     from mobiusdyn.field_arith import PrimeModulus
-    from mobiusdyn.mobius_dynamics import MobiusMatrix, period, spectral_form
+    from mobiusdyn.mobius_dynamics import MobiusMatrix, period, spectral_form, verify_three_way
 
     m = PrimeModulus(1009)
     matrix, xi0 = MobiusMatrix(*(m.elem(x) for x in (590, 448, 600, 406))), m.elem(50)
     traj, form = period(matrix, xi0), spectral_form(matrix, xi0)
     window = 300
-    assert verify_three_way(traj, form, window) == {"mismatches": 0}
+    assert verify_three_way(traj, form, window) == 0
     (a0, a1), (g0, g1) = form.alpha, form.gamma
     for wrong in (
         dataclasses.replace(form, gamma=((g0 + 1) % 1009, g1)),
         dataclasses.replace(form, alpha=((a0 + 1) % 1009, a1)),
         dataclasses.replace(form, alpha=(a0, (a1 + 1) % 1009)),
     ):
-        assert verify_three_way(traj, wrong, window) == {"mismatches": window}
+        assert verify_three_way(traj, wrong, window) == window
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -418,13 +416,13 @@ def test_verify_three_way_agrees_with_object_views_exhaustive(p):
 
     from oracles import apply, linear_lift, spectral_orbit
 
-    from mobiusdyn.cli_runner import verify_three_way
     from mobiusdyn.field_arith import PrimeModulus
     from mobiusdyn.mobius_dynamics import (
         DegenerateSpectral,
         MobiusMatrix,
         period,
         spectral_form,
+        verify_three_way,
     )
 
     m = PrimeModulus(p)
@@ -449,7 +447,7 @@ def test_verify_three_way_agrees_with_object_views_exhaustive(p):
             for raw, (u, v), s in zip(traj.orbit_table.tolist(), lift, closed):
                 x = apply(matrix, x)
                 expected += not v or s is None or u != x * v or s != x or raw != x.value
-            got = verify_three_way(traj, form, traj.period)["mismatches"]
+            got = verify_three_way(traj, form, traj.period)
             assert got == expected
             assert (expected == 0) == traj.pole_free
             checked += 1
@@ -489,8 +487,8 @@ def test_verify_spectral_path_does_no_object_arithmetic(monkeypatch):
 
     from oracles import Fp2Elem
 
-    from mobiusdyn.cli_runner import verify_three_way
     from mobiusdyn.field_arith import PrimeModulus
+    from mobiusdyn.mobius_dynamics import verify_three_way
     from mobiusdyn.sampling import random_admissible_instance
 
     def refuse(*args):
@@ -499,7 +497,7 @@ def test_verify_spectral_path_does_no_object_arithmetic(monkeypatch):
     monkeypatch.setattr(Fp2Elem, "__mul__", refuse)
     monkeypatch.setattr(Fp2Elem, "inv", refuse)
     _, _, traj, form = random_admissible_instance(random.Random(3), PrimeModulus(101))
-    assert verify_three_way(traj, form, traj.period) == {"mismatches": 0}
+    assert verify_three_way(traj, form, traj.period) == 0
     assert_no_loaded_module_binds_the_object_extension()
 
 
@@ -560,6 +558,41 @@ def test_verify_spectral_fixed_point_seed_exits_2_and_names_seed(tmp_path, capsy
     assert "'seed'" in err
     assert "Traceback" not in err
     assert not (outdir / "verify_spectral.json").exists()
+
+
+@pytest.mark.parametrize(
+    "seed, reason",
+    [("23", "fixed point"), ("79", "affine in theta^(2n)"), ("100", "passes through the pole")],
+)
+def test_verify_spectral_inadmissible_seed_exits_2_with_its_reason(tmp_path, capsys, seed, reason):
+    # sampling.admissible_instance is the one rule: 23 and 79 have no closed form, 100 is the pole
+    code, outdir = run(tmp_path, "verify-spectral", {"p": "101", "matrix": ["2", "1", "1", "1"], "seed": seed})
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: field 'seed': ") and reason in err
+    assert not outdir.exists()
+
+
+def test_verify_spectral_holds_one_orbit_table_at_a_time(tmp_path, monkeypatch):
+    # every orbit build, accepted or not, finds each table built before it already freed
+    import weakref
+
+    from mobiusdyn import sampling
+
+    built, original = [], sampling.period
+
+    def period(matrix, xi0):
+        assert all(ref() is None for ref in built), "an earlier orbit table is still alive"
+        traj = original(matrix, xi0)
+        built.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(sampling, "period", period)
+    body = {"p": "1009", "samples": "5", "rng_seed": "1", "window": "50"}
+    code, outdir = run(tmp_path, "verify-spectral", body)
+    assert code == EXIT_OK
+    assert len(json.loads((outdir / "verify_spectral.json").read_text())["instances"]) == 5
+    assert len(built) >= 5
 
 
 def test_mu_cache_roundtrip(tmp_path):
@@ -692,6 +725,42 @@ def test_bsz_large_epsilon_compares_t_large_in_logs(tmp_path):
     row = body["conditions"]["conditions"][0]
     assert row["name"] == "t_large" and row["log_scale"] is True and row["holds"] is False
     assert row["rhs"] == 1000.5 * math.log(1009)
+
+
+@pytest.mark.parametrize("epsilon, side", [("1e308", "t_large"), ("1e-310", "alpha_floor")])
+def test_bsz_epsilon_that_overflows_a_condition_side_exits_2(tmp_path, capsys, refuse_work, epsilon, side):
+    # (1/2 + epsilon) log p and 3 (log log p)^6 / (epsilon log p) would be written as Infinity
+    from mobiusdyn.bsz_harness import theorem_conditions
+
+    rows = theorem_conditions(0.2, 20000, 1009, 1, float(epsilon))["conditions"]
+    assert [row["name"] for row in rows if not math.isfinite(row["rhs"])] == [side]
+    cache = tmp_path / "mu.bin"
+    code, outdir = run(tmp_path, "bsz-report", {**_BSZ_1009, "epsilon": epsilon}, extra=("--mu-cache", str(cache)))
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: field 'epsilon' overflows a side of the condition report at p = 1009")
+    assert not outdir.exists() and not cache.exists()
+
+
+def _strict_json(data: bytes):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(data, parse_constant=refuse)
+
+
+def test_every_json_artifact_is_strict_json(tmp_path):
+    # no Infinity or NaN in any artifact of a shipped config, or in any pinned scale output
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        command = json.loads(path.read_text())["command"]
+        assert main([command, "--config", str(path), "--out", str(tmp_path / path.stem)]) == EXIT_OK
+    shipped = sorted(tmp_path.glob("*/*.json"))
+    pinned = sorted(CONFIG_DIR.glob("scale/expected/*/*.json"))
+    assert len(shipped) == 10 and len(pinned) == 4  # six manifests; the two scans write CSV only
+    for path in shipped + pinned:
+        _strict_json(path.read_bytes())
+    with pytest.raises(ValueError):
+        _strict_json(b'{"rhs": Infinity}')
 
 
 def test_weil_check_fills_h_on_the_chi_rows_only(tmp_path):
@@ -1203,7 +1272,11 @@ SCHEMA_CASES = {
         [("0.5", 2), ("0", 2), ("nan", 2), ("1e400", 2), (10**400, 2), (" 0.25 ", 2), ("0.2_5", 2), ("\u0660.25", 2)],
         None,
     ),
-    ("bsz-report", "epsilon"): (_BSZ, [("0", 2), (-1, 2), ("0.1\n", 2), ("1_0", 2), ("\u0661", 2), ("\uff11", 2)], None),
+    ("bsz-report", "epsilon"): (
+        _BSZ,
+        [("0", 2), (-1, 2), ("0.1\n", 2), ("1_0", 2), ("\u0661", 2), ("\uff11", 2), ("1e308", 2), ("1e-310", 2)],
+        None,
+    ),
     ("bsz-report", "psi_u"): (_BSZ, [("0", 2), ("101", 2)], {**_NO_PSI_U, "f": "one"}),
     ("bsz-report", "threads"): (_BSZ, [("0", 2)], None),
     ("mobius-check", "command"): (_MOBIUS, [("verify-spectral", 2)], None),

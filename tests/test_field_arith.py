@@ -178,6 +178,31 @@ def test_sqrt_roundtrip(a):
         assert r <= a.p - r
 
 
+def test_sqrt_matches_brute_force_below_200():
+    # both residue classes mod 4: at p = 3 mod 4 Tonelli-Shanks has s = 1 and returns n^((p+1)/4)
+    primes = [p for p in range(3, 200) if is_prime(p)]
+    assert {p % 4 for p in primes} == {1, 3}
+    for p in primes:
+        for n in range(p):
+            roots = [x for x in range(p) if x * x % p == n]
+            assert sqrt_mod(n, p) == (roots[0] if roots else None), (n, p)
+
+
+@pytest.mark.parametrize(
+    "p, roots",
+    [
+        (4611686018427387847, {2: 59990918091964076, 3: None, 5: None, 7: 579595727848288311}),
+        (4611686018427387751, {2: 1640561804077683045, 3: None, 5: 1111591874474287041, 7: 682111229728952733}),
+        (2305843009213693967, {2: 45272681091486666, 3: 1128052370985140873, 5: None, 7: 1038896950433521450}),
+    ],
+)
+def test_sqrt_pinned_at_62_bit_primes_3_mod_4(p, roots):
+    assert p % 4 == 3 and p.bit_length() == 62 and is_prime(p)
+    for n, r in roots.items():
+        assert sqrt_mod(n, p) == r
+        assert r is None or (r * r % p == n and r <= p - r)
+
+
 # --- quadratic extension -----------------------------------------------------
 
 

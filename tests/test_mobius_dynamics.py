@@ -72,6 +72,15 @@ def test_normalize_identity_case():
     assert normalize_to_sl2(m.a, m.b, m.c, m.d) == m
 
 
+@pytest.mark.parametrize("p", [101, 103])  # 1 and 3 mod 4: sqrt_mod(1) = 1 on both Tonelli-Shanks shapes
+def test_normalize_keeps_every_det_one_matrix(p):
+    # det = 1 rescales by lambda = sqrt_mod(1) = 1, so the entries come back as they went in
+    rng = random.Random(p)
+    for _ in range(50):
+        m = random_sl2(rng, PrimeModulus(p))
+        assert normalize_to_sl2(m.a, m.b, m.c, m.d).entries() == m.entries()
+
+
 def test_normalize_scaling_example():
     # det = 4 mod 7, inv = 2, canonical sqrt(2) = 3, so (2,0,2,2) -> (6,0,6,6)
     out = normalize_to_sl2(M7.elem(2), M7.elem(0), M7.elem(2), M7.elem(2))

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from mobiusdyn.field_arith import PrimeModulus, norm_group_generator
+from mobiusdyn.mobius_dynamics import DegenerateSpectral, MobiusMatrix
 from mobiusdyn.sampling import (
+    admissible_instance,
     random_admissible_instance,
     random_rational_function_fp,
     random_rational_function_fp2,
@@ -33,6 +35,26 @@ def test_admissible_instance_is_pole_free_and_nondegenerate():
         assert traj.pole_free
         assert traj.period > 1
         assert form.beta != (0, 0)
+
+
+# x -> (2x + 1)/(x + 1) mod 101: theta = 24, theta^-1 = 80, fixed points 23 (eigenvalue theta) and
+# 79 (eigenvalue theta^-1, so v_n = 80^n and xi_n is affine in theta^(2n)), pole -d/c = 100
+@pytest.mark.parametrize(
+    "seed, reason",
+    [
+        (23, "seed is a fixed point; the closed form degenerates to a constant"),
+        (79, "v_n has no theta^n component; xi_n is affine in theta^(2n)"),
+        (100, "the orbit passes through the pole; pick another seed"),
+    ],
+)
+def test_admissible_instance_refuses_each_degenerate_seed(seed, reason):
+    m = PrimeModulus(101)
+    matrix = MobiusMatrix(*(m.elem(x) for x in (2, 1, 1, 1)))
+    with pytest.raises(DegenerateSpectral) as exc:
+        admissible_instance(matrix, m.elem(seed))
+    assert str(exc.value) == reason
+    traj, form = admissible_instance(matrix, m.elem(55))
+    assert traj.pole_free and traj.period > 1 and form.beta != (0, 0)
 
 
 def test_sampling_is_deterministic():
