@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Rerun every scale config and compare its outputs with the pinned ones.
 
-Usage: PYTHONPATH=src python scripts/check_scale.py
+Usage: PYTHONPATH=src python scripts/check_scale.py [NAME ...]
 
+With no NAME every config runs; otherwise only configs/scale/<NAME>.json for
+each NAME given (a config's file name without .json), in the order given.
 Each configs/scale/<name>.json runs as one child process,
 `python -m mobiusdyn.cli_runner <command> --config <name>.json --out <tmp>`
 (its "command" field names the subcommand), under the PYTHONPATH given, so
@@ -97,10 +99,10 @@ def verdict(code: int, config: pathlib.Path, outdir: pathlib.Path) -> str:
     return result
 
 
-def run_all() -> int:
+def run_all(configs: list[pathlib.Path]) -> int:
     wrong = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for config in sorted(SCALE.glob("*.json")):
+        for config in configs:
             outdir = pathlib.Path(tmp) / config.stem
             code, wall, rss = run_child(json.loads(config.read_text())["command"], config, outdir)
             result = verdict(code, config, outdir)
@@ -110,6 +112,8 @@ def run_all() -> int:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) > 1:
-        sys.exit("usage: check_scale.py")
-    sys.exit(run_all())
+    chosen = [SCALE / f"{name}.json" for name in sys.argv[1:]] or sorted(SCALE.glob("*.json"))
+    unknown = [config.stem for config in chosen if not config.is_file()]
+    if unknown:
+        sys.exit(f"usage: check_scale.py [NAME ...]; no scale config named {', '.join(unknown)}")
+    sys.exit(run_all(chosen))

@@ -39,7 +39,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .arith_fn import ResourceGuard, primes_in
-from .char_sums import _add_residue_counts, _fsum, _fsums, _prefix_segments, _slices, _weighted_sum
+from .char_sums import _add_residue_counts, _prefix_segments, _slices
+from .exact_sum import _fsum, _fsums, _weighted_sum
 
 
 _SIEVE_SET_LIMIT = 10**8  # the largest M_j whose exclusion array sieve_sets allocates

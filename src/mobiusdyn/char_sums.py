@@ -16,9 +16,14 @@ xi_1, ..., xi_t (xi_t = xi_0), and xi_{kn} is entry (k*n - 1) mod t.  A sum
 is then exact integer weights times at most t fixed phases: Mobius residue
 counts for the twisted sum, the histogram of the F_p arguments for the
 correlation and single sums.  Phases are reduced as exact integers before
-any cos/sin, and each component is one exactly rounded sum (_fsum, which
-returns math.fsum's float bit for bit by layered splitting on numpy arrays),
-so results do not depend on summation order or thread count.  The table
+any cos/sin, and each component is one exactly rounded sum (exact_sum,
+math.fsum's float bit for bit by layered splitting on numpy arrays), so
+results do not depend on summation order or thread count.  Beside the
+table a sum holds only its weights and block-long temporaries: one sorted
+array of N phase numerators for the correlation and single sums, the
+residue counts and an int32 snapshot of them per checkpoint for the twisted
+sum.  Their exact totals are taken block by block and added as ints before
+the one rounding, so the block size changes no bit.  The table
 follows the extended scalar map, so orbits through the pole take the same
 path.
 The correlation and single sums read matrix, seed, period and table from one
@@ -49,6 +54,7 @@ import numpy as np
 from .arith_fn import ResourceGuard
 from .field_arith import (
     _BLOCK,
+    _INT64_EXACT,
     _inv_mod,
     _mul_pairs,
     _powers,
@@ -57,6 +63,7 @@ from .field_arith import (
     norm_group_generator,
     primitive_root,
 )
+from .exact_sum import _ONE, _fsums, _product_total
 from .mobius_dynamics import MobiusMatrix, Trajectory, _orbit_prefix
 from .mobius_dynamics import period  # noqa: F401  unused here; perfbench's tracer test reads char_sums.period
 
@@ -147,94 +154,12 @@ def _angles(nums: np.ndarray, den: int, coef: int = 1) -> np.ndarray:
     return _TWO_PI * frac
 
 
-_ONE = 1 << 1074  # exact totals are ints in units of 2^-1074, the least subnormal
-
-
-def _exact_totals(x: np.ndarray, starts: np.ndarray, bits: int) -> list[int]:
-    """Exact sums of the segments of x that begin at starts, as ints in units of 2^-1074.
-
-    starts ascend and lie below x.size; each segment runs to the next start
-    (the last to the end of x) and has fewer than 2^bits terms.
-    Layered splitting (Rump, Ogita and Oishi, Accurate floating-point
-    summation I, 2008): with 2^e > max|x|, sigma = 2^(e + bits + 1) makes
-    q = (sigma + x) - sigma a multiple of the unit 2^(e + bits - 52), and
-    x - q exact and at most one unit.  Every partial sum of q is then a
-    multiple of the unit below 2^52 units, so np.add.reduceat adds each
-    segment's q exactly, in any order; the residuals go round again, with
-    2^e one unit, until none is left.  x is overwritten.  A nonfinite term,
-    or one of magnitude 2^(1022 - bits) or more (sigma would overflow),
-    raises ValueError.
-    """
-    totals = [0] * starts.size
-    top = max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)))
-    if not top:
-        return totals
-    if not top < math.ldexp(1.0, 1022 - bits):  # also refuses inf and nan
-        raise ValueError(f"exact sum needs every term finite and below 2**{1022 - bits} in magnitude")
-    e = math.frexp(top)[1]
-    q = np.empty_like(x)
-    while True:
-        unit = max(e + bits - 52, -1074)
-        sigma = math.ldexp(1.0, e + bits + 1)
-        np.add(x, sigma, out=q)
-        q -= sigma
-        x -= q
-        sums = np.ldexp(np.add.reduceat(q, starts), -unit).astype(np.int64).tolist()
-        for i, s in enumerate(sums):
-            totals[i] += s << (unit + 1074)
-        if not x.any():
-            return totals
-        e = unit + 1
-
-
-_FIRST = np.zeros(1, dtype=np.int64)  # the one start of an unsegmented sum
-
-
-def _fsums(x: np.ndarray, lengths: Sequence[int]) -> list[float]:
-    """math.fsum of each consecutive segment of x with the given lengths, bit for bit.
-
-    lengths sum to x.size, and an empty segment sums to 0.0; x is
-    overwritten.  Each exact total is rounded once, by int true division,
-    so a zero total is +0.0.  With segments of fewer than 2^b terms every
-    term must lie below 2^(1022 - b) in magnitude, or ValueError is raised.
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    live = np.flatnonzero(lengths)  # np.add.reduceat would give an empty segment x[start]
-    starts = (np.cumsum(lengths) - lengths)[live]
-    out = [0.0] * lengths.size
-    totals = _exact_totals(x, starts, int(lengths.max(initial=0)).bit_length())
-    for i, total in zip(live.tolist(), totals):
-        out[i] = total / _ONE
-    return out
-
-
-def _fsum(values: np.ndarray, weights=1) -> float:
-    """math.fsum of weights * values, bit for bit: the exactly rounded sum of the rounded products.
-
-    The products are formed and summed one _BLOCK at a time, so no
-    full-length temporary is held; weights broadcast against values.  In a
-    block of fewer than 2^b products every product must lie below
-    2^(1022 - b) in magnitude, or ValueError is raised.
-    """
-    w = np.broadcast_to(weights, values.shape)
-    total = 0
-    for i in range(0, values.size, _BLOCK):
-        block = w[i : i + _BLOCK] * values[i : i + _BLOCK]
-        total += _exact_totals(block, _FIRST, block.size.bit_length())[0]
-    return total / _ONE
-
-
 def _unit(angle: np.ndarray) -> np.ndarray:
     """e^(i angle) per entry, with the real part from np.cos and the imaginary from np.sin."""
     out = np.empty(angle.shape, dtype=complex)
     np.cos(angle, out=out.real)
     np.sin(angle, out=out.imag)
     return out
-
-
-def _weighted_sum(weights, cos: np.ndarray, sin: np.ndarray) -> complex:
-    """sum_r weights[r] * (cos[r] + i sin[r]) with one exactly rounded _fsum per component."""
-    return complex(_fsum(cos, weights), _fsum(sin, weights))
 
 
 def _slices(seq, width: int, budget: int):
@@ -278,6 +203,25 @@ def _prefix_segments(pairs: Iterable[tuple[int, np.ndarray]], n: int) -> Iterato
     raise ResourceGuard(f"need values up to {n}, the segments stop at {done}")
 
 
+def _twisted_pass(table: np.ndarray, p: int, freqs: Sequence[int], snapshots: list) -> list[list[complex]]:
+    """The twisted value of each snapshot of the residue counts at each frequency of freqs, row by row.
+
+    One pass over blocks of r: a block's cos and sin are computed once per
+    frequency and weighted by every snapshot; each value is the exact total
+    of its blocks (_product_total), rounded once.
+    """
+    totals = [[[0, 0] for _ in freqs] for _ in snapshots]
+    for lo in range(0, max(map(len, snapshots)), _BLOCK):
+        for k, u in enumerate(freqs):
+            angle = _angles(table[lo : lo + _BLOCK], p, u)
+            cos, sin = np.cos(angle), np.sin(angle)
+            for row, w in zip(totals, snapshots):
+                w = w[lo : lo + _BLOCK]
+                row[k][0] += _product_total(w, cos[: w.size])
+                row[k][1] += _product_total(w, sin[: w.size])
+    return [[complex(re / _ONE, im / _ONE) for re, im in row] for row in totals]
+
+
 def twisted_sum_schedule(
     matrix: MobiusMatrix,
     xi0: FpElem,
@@ -299,8 +243,14 @@ def twisted_sum_schedule(
     only up to max N, so mu(1..N) is never held whole.  Pairs that stop
     short raise ResourceGuard.
     Each frequency u of frequencies is taken mod p and must be nonzero there.
-    The orbit prefix and the counts do not depend on u and are built once;
-    the reports come frequency by frequency, each over the whole schedule.
+    The orbit prefix and the counts do not depend on u and are built once.
+    Each checkpoint keeps c_0, ..., c_{min(N, t) - 1} as an int32 snapshot
+    (|c_r| <= N <= 1e9, the sieve's cap), and one pass over blocks of r
+    (_twisted_pass) weights them all by each block's cos and sin, so no
+    trigonometry runs per checkpoint.
+    The snapshots go through a pass early rather than hold more than 16*t
+    bytes per frequency, what whole-prefix cos and sin arrays would take.
+    The reports come frequency by frequency, each over the whole schedule.
     A given traj of the same (matrix, xi0) supplies the prefix from its
     table; without one only the first max N terms of the orbit are built, so
     a twisted-only scan needs neither the full period nor, while max N stays
@@ -321,19 +271,23 @@ def twisted_sum_schedule(
         raise ValueError("supplied trajectory belongs to a different instance")
     else:
         table = traj.orbit_table[:n_max]
-    trig = [(np.cos(angle), np.sin(angle)) for angle in (_angles(table, p, u) for u in freqs)]
-    counts = np.zeros(table.size, dtype=np.int64)
-    done = 0  # counts hold mu(1..done)
-    values = []  # values[i][k]: checkpoint i, frequency k
+    t = table.size
+    counts = np.zeros(t, dtype=np.int64)
+    held, values = [], []  # snapshots not yet through a pass; values[i][k]: checkpoint i, frequency k
+    done = taken = 0  # counts hold mu(1..done); the checkpoints before taken are snapshotted
     for start, segment in _prefix_segments(mu, n_max):
         end = done + segment.size
-        while len(values) < len(n_schedule) and n_schedule[len(values)] <= end:
-            n = n_schedule[len(values)]  # the next checkpoint falls in this segment
+        while taken < len(n_schedule) and n_schedule[taken] <= end:
+            n = n_schedule[taken]  # the next checkpoint falls in this segment
             _add_residue_counts(counts, segment[done + 1 - start : n + 1 - start], done)
-            done = n
-            values.append([_weighted_sum(counts, cos, sin) for cos, sin in trig])
+            done, taken = n, taken + 1
+            if sum(map(len, held)) + min(n, t) > 4 * t * len(freqs):  # int32: 16*t bytes per frequency
+                values += _twisted_pass(table, p, freqs, held)
+                held = []
+            held.append(counts[: min(n, t)].astype(np.int32))
         _add_residue_counts(counts, segment[done + 1 - start :], done)
         done = end
+    values += _twisted_pass(table, p, freqs, held)
     params = _matrix_params(matrix, xi0)
     return [
         SumReport("twisted", row[k], n, p, None, dict(params, u=u))
@@ -343,50 +297,62 @@ def twisted_sum_schedule(
 
 
 def _decimated_phases(traj: Trajectory, psi_u: int, terms: Sequence[tuple[int, int]], n_terms: int) -> np.ndarray:
-    """Phase numerators psi_u * sum_j c_j * xi_{s_j n} mod p for n = 1..N.
+    """Phase numerators psi_u * sum_j c_j * xi_{s_j n} mod p for n = 1..N, int32 below p = 2^31, else int64.
 
     terms holds the (c_j, s_j) pairs.  xi_{sn} is orbit-table entry
-    (s*n - 1) mod t for every orbit, pole or not, so each term's indices are
-    one strided arange, reduced mod t unless s = 1 (N <= t); s = 0 mod t is
-    the constant index -1, the last entry xi_t = xi_0.  (s mod t)*N <= t^2
-    stays inside int64 for every period whose table fits in memory.
+    (s*n - 1) mod t for every orbit, pole or not (s = 0 mod t reads the last
+    entry, xi_t = xi_0).  The array is filled one _BLOCK of n at a time, and
+    nothing else N-long is built: per block and term the indices are
+    first + s*arange(B), with first reduced mod t as a Python int, so none
+    reaches t*B, reduced mod t only in a block that wraps (np.take's
+    mode="wrap" subtracts t in a loop, O(index/t) a read).  From p = 2^31 on
+    each block's products are taken on Python ints (_residues).
     """
     p = traj.matrix.p
-    table = _residues(traj.orbit_table, p)
+    table = traj.orbit_table
     t = table.size
-    acc = np.zeros(n_terms, dtype=table.dtype)
-    for coef, step in terms:
-        c = psi_u * coef % p
-        if not c:
-            continue
-        s = step % t
-        if not s:
-            acc += c * table[-1] % p
-        else:
-            idx = np.arange(s - 1, s * n_terms, s)
-            if s > 1:
+    live = [(psi_u * coef % p, step % t) for coef, step in terms if coef % p]  # psi_u is a unit mod p
+    out = np.empty(n_terms, dtype=np.int32 if p < _INT64_EXACT else np.int64)
+    for lo in range(0, n_terms, _BLOCK):
+        size = min(_BLOCK, n_terms - lo)
+        acc = 0
+        for c, s in live:
+            first = (s * (lo + 1) - 1) % t  # entry of xi_{s(lo + 1)}
+            idx = first + s * np.arange(size)
+            if first + s * (size - 1) >= t:
                 idx %= t
-            vals = table[idx]
-            vals *= c
-            acc += vals
-        acc %= p
-    return acc
+            acc = (acc + _residues(table[idx], p) * c) % p
+        out[lo : lo + size] = acc
+    return out
 
 
 def _decimated_report(kind: str, traj: Trajectory, psi_u: int, terms, n_terms: int, factor: int, **params) -> SumReport:
     """sum_{n <= N} psi_u(sum_j c_j * xi_{s_j n}) for N <= t through the integer histogram of its phases.
 
+    The phase array is sorted in place and read in blocks of about _BLOCK
+    entries, each cut at the end of a run of equal phases, so every count is
+    whole before it multiplies a cosine; the blocks' exact totals
+    (_product_total) are added, then rounded once.
     The reference bound is factor * sqrt(p) * log(p); params join the matrix and seed in the report.
     """
     p = traj.matrix.p
     psi_u = _nonzero_mod(psi_u, p)
     if n_terms > traj.period:
         raise ValueError(f"N = {n_terms} exceeds the period t = {traj.period}")
-    phases, counts = np.unique(_decimated_phases(traj, psi_u, terms, n_terms), return_counts=True)
-    angle = _angles(phases, p)
-    value = _weighted_sum(counts, np.cos(angle), np.sin(angle))
+    phases = _decimated_phases(traj, psi_u, terms, n_terms)
+    phases.sort()
+    re = im = lo = 0
+    while lo < phases.size:
+        block = phases[lo : lo + _BLOCK]
+        starts = np.flatnonzero(np.r_[True, block[1:] != block[:-1]])
+        hi = int(np.searchsorted(phases, block[-1], side="right"))  # the last run may reach past the block
+        angle, counts = _angles(block[starts], p), np.diff(starts, append=hi - lo)
+        re += _product_total(counts, np.cos(angle))
+        im += _product_total(counts, np.sin(angle))
+        lo = hi
     bound = factor * math.sqrt(p) * math.log(p)
-    return SumReport(kind, value, n_terms, p, bound, dict(_matrix_params(traj.matrix, traj.seed), **params))
+    params = dict(_matrix_params(traj.matrix, traj.seed), **params)
+    return SumReport(kind, complex(re / _ONE, im / _ONE), n_terms, p, bound, params)
 
 
 def correlation_sum(traj: Trajectory, psi_u: int, u: int, v: int, k: int, m: int, n_terms: int) -> SumReport:

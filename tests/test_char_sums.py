@@ -3,19 +3,18 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from mobiusdyn import char_sums
+from mobiusdyn import char_sums, exact_sum
 from mobiusdyn.arith_fn import ResourceGuard, mobius_segments, mobius_sieve
 from mobiusdyn.char_sums import (
     CSV_HEADER,
     RationalFunction,
     SumReport,
-    _fsum,
-    _fsums,
     correlation_sum,
     single_sum,
     twisted_sum_schedule,
@@ -23,6 +22,7 @@ from mobiusdyn.char_sums import (
     weil_sum_fp2_norm_one,
 )
 from mobiusdyn.cli_runner import _first_irreducible_extension
+from mobiusdyn.exact_sum import _fsum, _fsums
 from mobiusdyn.field_arith import (
     PrimeModulus,
     mult_order,
@@ -114,7 +114,7 @@ def _same(got: float, want: float) -> None:
 @example(xs=[1.0, 1e100, 1.0, -1e100], block=2)
 def test_fsum_matches_math_fsum_bit_for_bit(xs, block):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(char_sums, "_BLOCK", block)  # several blocks share one exact total
+        mp.setattr(exact_sum, "_BLOCK", block)  # several blocks share one exact total
         _same(_fsum(np.array(xs, dtype=np.float64)), math.fsum(xs) + 0.0)
         cancelled = xs + [-x for x in reversed(xs)]
         _same(_fsum(np.array(cancelled, dtype=np.float64)), 0.0)
@@ -547,6 +547,128 @@ def test_large_modulus_matches_per_term_definition(mu_table):
         assert abs(got.value - decimated_oracle(A, xi0, psi, [(u.value, 1), (v.value, 2)], t)) < 1e-9
         got = single_sum(traj, psi.u.value, u.value, 1, t)
         assert abs(got.value - decimated_oracle(A, xi0, psi, [(u.value, 1)], t)) < 1e-9
+
+
+# --- block size and memory ------------------------------------------------------------
+# Every phase's count, and every residue count, is a whole integer before it multiplies a
+# cosine, and the blocks' exact totals add up exactly: the block size can change no bit.
+
+_BLOCKS = (1, 2, 3, 5)
+
+
+def _trajectory_sums(traj, mu_table, i):
+    """Thunks for the correlation, single and twisted values of one instance, with parameters varied by i."""
+    A, xi0, t, p = traj.matrix, traj.seed, traj.period, traj.matrix.p
+    psi_u, n = 1 + i % (p - 1), max(1, t - i % 3)
+    schedule = [max(1, t // 2), t, t, 3 * t + 1]  # below, at, repeated and above t
+    return [
+        lambda: correlation_sum(traj, psi_u, i, 1 + i % (p - 1), 0, 1 + i % 3, n).value,  # k = 0: a constant term
+        lambda: correlation_sum(traj, psi_u, 1, p - 1, 1, 2 + i % 4, t).value,
+        lambda: single_sum(traj, psi_u, 1 + i % (p - 1), t, t).value,  # m = t: one run of t equal phases
+        lambda: single_sum(traj, psi_u, 1, 1 + i % 5, n).value,
+        lambda: [r.value for r in twisted_sum_schedule(A, xi0, [1, psi_u], schedule, whole(mu_table), traj)],
+    ]
+
+
+def _at_block(block, compute):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(char_sums, "_BLOCK", block)
+        return compute()
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_block_size_changes_no_bit_exhaustive(p, mu_table):
+    # every orbit of every matrix; the kind of sum (five) and the block size (four) rotate, so every pair occurs
+    poles = 0
+    for i, (A, xi0, traj) in enumerate(_every_orbit(p)):
+        poles += not traj.pole_free
+        block, compute = _BLOCKS[i % len(_BLOCKS)], _trajectory_sums(traj, mu_table, i)[i % 5]
+        assert _at_block(block, compute) == compute(), (A, xi0, block, i % 5)
+    assert poles > 0
+
+
+@settings(max_examples=25)
+@given(
+    p=st.sampled_from([997, 1009, 1013]),
+    entries=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6)),
+    seed=st.one_of(st.none(), st.integers(0, 10**6)),  # None: the orbit through the pole
+    block=st.sampled_from(_BLOCKS),
+    i=st.integers(0, 10**6),
+)
+def test_block_size_changes_no_bit_near_1e3(mu_table, p, entries, seed, block, i):
+    modulus = PrimeModulus(p)
+    a, c, d = entries[0] % p, 1 + entries[1] % (p - 1), entries[2] % p
+    assume((a + d) % p not in (2, p - 2))
+    A = MobiusMatrix(*(modulus.elem(x) for x in (a, (a * d - 1) * pow(c, -1, p), c, d)))
+    traj = period(A, A.pole if seed is None else modulus.elem(seed))
+    for compute in _trajectory_sums(traj, mu_table, i):
+        assert _at_block(block, compute) == compute()
+
+
+def test_twisted_snapshots_flush_without_changing_a_bit(mu_table, traj101, monkeypatch):
+    # ten checkpoints at or past t = 51 hold more than 16*t bytes per frequency of int32
+    # snapshots, so they go through several passes; each report must still equal a
+    # standalone run at its N, at every block size
+    frequencies = [1, 77]
+    schedule = [10, 51, 51, 60, 102, 500, 1000, 1001, 2000, 5000, 9999, 20000]
+    passes = []
+    one_pass = char_sums._twisted_pass
+    monkeypatch.setattr(char_sums, "_twisted_pass", lambda *args: passes.append(len(args[3])) or one_pass(*args))
+    reports = twisted_sum_schedule(A101, XI101, frequencies, schedule, whole(mu_table), traj101)
+    assert len(passes) > 1 and sum(passes) == len(schedule)
+    for block in _BLOCKS:
+        blocked = _at_block(block, lambda: twisted_sum_schedule(A101, XI101, frequencies, schedule, whole(mu_table)))
+        assert _rows(blocked) == _rows(reports)
+    solo = [twisted_sum_schedule(A101, XI101, [u], [n], whole(mu_table))[0] for u in frequencies for n in schedule]
+    assert _rows(solo) == _rows(reports)
+
+
+def _traced_peak(compute) -> int:
+    """Bytes traced by tracemalloc at the peak of compute(), above what was held on entry."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        compute()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def long_orbits():
+    """Orbits of ~1.5e5 steps under [[0, -1], [1, 3]] from seed 5 at p ~ 3e5: one pole-free, one through the pole."""
+    out = []
+    for p in (300023, 300043):
+        e = PrimeModulus(p).elem
+        out.append(period(MobiusMatrix(e(0), e(-1), e(1), e(3)), e(5)))
+    assert [traj.pole_free for traj in out] == [True, False]
+    assert all(traj.period > 150000 for traj in out)
+    return out
+
+
+def test_decimated_sums_hold_the_phases_plus_o_block(long_orbits):
+    # one int32 phase numerator a term, and block-long temporaries besides
+    for traj in long_orbits:
+        n = traj.period
+        bound = 4 * n + 128 * char_sums._BLOCK
+        for compute in (
+            lambda: correlation_sum(traj, 1, 3, 5, 1, 2, n),
+            lambda: correlation_sum(traj, 2, 1, 1, 0, 1, n),
+            lambda: single_sum(traj, 1, 1, 1, n),
+            lambda: single_sum(traj, 7, 5, 3, n),
+        ):
+            assert _traced_peak(compute) <= bound
+
+
+def test_twisted_prefix_holds_less_than_its_trigonometry():
+    # t = N: the prefix is the whole orbit table; whole-prefix cos and sin would take
+    # 16*N bytes per frequency, and the prefix, the counts and the snapshots take less
+    p, n = 2147483647, 150000
+    e = PrimeModulus(p).elem
+    A, xi0 = MobiusMatrix(e(0), e(-1), e(1), e(3)), e(5)
+    frequencies = [1, 2, 1000000007]
+    peak = _traced_peak(lambda: twisted_sum_schedule(A, xi0, frequencies, [1000, 10000, n], mobius_segments(n)))
+    assert peak < 16 * n * len(frequencies)
 
 
 # --- the completion identity ----------------------------------------------------------

@@ -756,7 +756,7 @@ def test_every_json_artifact_is_strict_json(tmp_path):
         assert main([command, "--config", str(path), "--out", str(tmp_path / path.stem)]) == EXIT_OK
     shipped = sorted(tmp_path.glob("*/*.json"))
     pinned = sorted(CONFIG_DIR.glob("scale/expected/*/*.json"))
-    assert len(shipped) == 10 and len(pinned) == 4  # six manifests; the two scans write CSV only
+    assert len(shipped) == 10 and len(pinned) == 5  # six manifests; the two scans write CSV only
     for path in shipped + pinned:
         _strict_json(path.read_bytes())
     with pytest.raises(ValueError):
