@@ -244,17 +244,16 @@ def twisted_sum_schedule(
     short raise ResourceGuard.
     Each frequency u of frequencies is taken mod p and must be nonzero there.
     The orbit prefix and the counts do not depend on u and are built once.
-    Each checkpoint keeps c_0, ..., c_{min(N, t) - 1} as an int32 snapshot
-    (|c_r| <= N <= 1e9, the sieve's cap), and one pass over blocks of r
-    (_twisted_pass) weights them all by each block's cos and sin, so no
-    trigonometry runs per checkpoint.
+    The counts are int32 (|c_r| <= N <= 1e9, the sieve's cap); each
+    checkpoint keeps a copy of c_0, ..., c_{min(N, t) - 1}, and one pass
+    over blocks of r (_twisted_pass) weights them all by each block's cos
+    and sin, so no trigonometry runs per checkpoint.
     The snapshots go through a pass early rather than hold more than 16*t
     bytes per frequency, what whole-prefix cos and sin arrays would take.
     The reports come frequency by frequency, each over the whole schedule.
     A given traj of the same (matrix, xi0) supplies the prefix from its
-    table; without one only the first max N terms of the orbit are built, so
-    a twisted-only scan needs neither the full period nor, while max N stays
-    inside the orbit-table budget, ord(theta^2).
+    table; without one only the first min(max N, t) terms of the orbit are
+    built, their number fixed by ord(theta^2) before the build.
     """
     p = matrix.p
     freqs = [_nonzero_mod(u, p) for u in frequencies]
@@ -272,7 +271,7 @@ def twisted_sum_schedule(
     else:
         table = traj.orbit_table[:n_max]
     t = table.size
-    counts = np.zeros(t, dtype=np.int64)
+    counts = np.zeros(t, dtype=np.int32)
     held, values = [], []  # snapshots not yet through a pass; values[i][k]: checkpoint i, frequency k
     done = taken = 0  # counts hold mu(1..done); the checkpoints before taken are snapshotted
     for start, segment in _prefix_segments(mu, n_max):
@@ -284,7 +283,7 @@ def twisted_sum_schedule(
             if sum(map(len, held)) + min(n, t) > 4 * t * len(freqs):  # int32: 16*t bytes per frequency
                 values += _twisted_pass(table, p, freqs, held)
                 held = []
-            held.append(counts[: min(n, t)].astype(np.int32))
+            held.append(counts[: min(n, t)].copy())
         _add_residue_counts(counts, segment[done + 1 - start :], done)
         done = end
     values += _twisted_pass(table, p, freqs, held)

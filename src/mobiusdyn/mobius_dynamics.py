@@ -16,13 +16,13 @@ oracles.  `MobiusMatrix.roots` solves Z^2 - e*Z + 1 once per matrix,
 on raw (c0, c1) int pairs, for ord(theta^2) and for `spectral_form`, which
 solves the closed form on int pairs; `SpectralForm.evaluate` is its one
 evaluator.  The orbit table every sum reads is not stepped: `_orbit_prefix`
-fills the linear lift on int64 arrays by doubling until the lift returns to
-the seed, drops the infinity index and inverts the v_n in blocks, so one
-period of t entries costs about twenty array operations per entry (~0.1 us per
-entry at p ~ 1e7 on one core of a 2-CPU x86 machine), with a peak of about 16
-bytes per entry; a table whose build would not fit in physical memory is
-refused before it is allocated.  It needs ord(theta^2) only past that budget;
-`period` computes the order as its bound and as a cross-check of the closure.
+fills the linear lift on int64 arrays by doubling up to the index where the
+lift returns to the seed, ord(theta^2) (1 for a fixed seed), which fixes the
+table's length before anything is allocated, drops the infinity index and
+inverts the v_n in blocks, so one period of t entries costs about twenty
+array operations per entry (~0.1 us per entry at p ~ 1e7 on one core of a
+2-CPU x86 machine), with a peak of about 16 bytes per entry; a table whose
+build would not fit in physical memory is refused before it is allocated.
 """
 
 from __future__ import annotations
@@ -134,54 +134,46 @@ _TABLE_LIMIT = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 16
 
 
 def _orbit_prefix(matrix: MobiusMatrix, xi0: FpElem, limit: int) -> np.ndarray:
-    """xi_1, ..., xi_L as int64 with L = min(period, limit), read off the linear lift.
+    """xi_1, ..., xi_L as int64 with L = min(period, limit), read off the linear lift; requires distinct roots.
 
-    (u_n, v_n) for n = 0, 1, ... fill two arrays by doubling:
-    (u, v)[k:2k] = A^k (u, v)[:k], with A^k squared on Python ints.  The
-    projective orbit of the seed first returns to [x0 : 1] (u_n = x0*v_n) at
-    n = ord(theta^2), which divides p - 1 or p + 1; so the arrays hold
-    M = min(limit + 1, p + 1) entries, and M drops to that n in the block
-    that finds the return.  No order is computed while min(limit, p + 1)
-    fits in _TABLE_LIMIT, so a short prefix never factorises p +- 1; past
-    it, p + 1 is replaced by the true return index (1 for a fixed seed, else
-    ord(theta^2)), and ResourceGuard is raised, before any allocation, when
-    the length still exceeds it.  The projective orbit meets infinity (v_n = 0)
-    at most once; the extended map skips that index, so dropping it leaves
-    the scalar orbit, which first returns to xi_0 at the end (at n = 1 for a
-    fixed seed).  The v_n are inverted block by block of _BLOCK entries (_inv_mod:
-    one Fermat power per block on lane products) and xi_n = u_n / v_n is
-    written back into u.  u and v are int64; from p = 2^31 on, each block is
-    taken to Python ints (_residues) for its products.  Cost: about twenty
-    array operations per entry; peak memory about 16*M bytes, the returned
-    table being the first 8*L of them.
+    The projective orbit of the seed returns to [x0 : 1] (u_n = x0*v_n)
+    first at n = back: 1 for a fixed seed, else ord(theta^2), which divides
+    p - 1 or p + 1 (RepeatedRoot when theta = theta^-1).  So the lift runs
+    M = min(limit + 1, back) steps, and ResourceGuard is raised, before any
+    allocation, when min(limit, back) exceeds _TABLE_LIMIT.  (u_n, v_n) for
+    n = 0..M fill two arrays by doubling: (u, v)[k:2k] = A^k (u, v)[:k],
+    with A^k squared on Python ints.  A lift run to M = back must be back at
+    [x0 : 1] there, else AssertionError.  The projective orbit meets infinity
+    (v_n = 0) at most once; the extended map skips that index, so dropping
+    it leaves the scalar orbit, which first returns to xi_0 at the end.  The
+    v_n are inverted block by block of _BLOCK entries (_inv_mod: one Fermat
+    power per block on lane products) and xi_n = u_n / v_n is written back
+    into u.  u and v are int64; from p = 2^31 on, each block is taken to
+    Python ints (_residues) for its products.  Cost: about twenty array
+    operations per entry; peak memory about 16*M bytes, the returned table
+    being the first 8*L of them.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     a, b, c, d = matrix.entries()
     p = matrix.p
     x0 = xi0.value
-    back = p + 1  # a bound on the index where the lift returns to the seed
+    back = matrix.theta_sq_order
+    if (a * x0 + b - x0 * (c * x0 + d)) % p == 0:
+        back = 1  # a fixed seed
     if min(limit, back) > _TABLE_LIMIT:
-        fixed = (a * x0 + b - x0 * (c * x0 + d)) % p == 0
-        back = 1 if fixed else matrix.theta_sq_order
-        if min(limit, back) > _TABLE_LIMIT:
-            raise ResourceGuard(f"orbit of {min(limit, back)} steps exceeds the table budget of {_TABLE_LIMIT} entries")
+        raise ResourceGuard(f"orbit of {min(limit, back)} steps exceeds the table budget of {_TABLE_LIMIT} entries")
     size = min(limit + 1, back)
     u = np.empty(size + 1, dtype=np.int64)
     v = np.empty(size + 1, dtype=np.int64)
     u[0], v[0] = x0, 1
     k, (a_k, b_k, c_k, d_k) = 1, (a, b, c, d)  # A^k
-    while k <= size:  # a return at n < k + m sets size below k + m and ends the loop
+    while k <= size:
         m = min(k, size + 1 - k)
         for i in range(0, m, _BLOCK):
             j = min(i + _BLOCK, m)
             u_blk, v_blk = _residues(u[i:j], p), _residues(v[i:j], p)
-            u_blk, v_blk = (a_k * u_blk + b_k * v_blk) % p, (c_k * u_blk + d_k * v_blk) % p
-            u[k + i : k + j], v[k + i : k + j] = u_blk, v_blk
-            back = u_blk == x0 * v_blk % p
-            if back.any():
-                size = k + i + int(back.argmax())
-                break
+            u[k + i : k + j], v[k + i : k + j] = (a_k * u_blk + b_k * v_blk) % p, (c_k * u_blk + d_k * v_blk) % p
         a_k, b_k, c_k, d_k = (
             (a_k * a_k + b_k * c_k) % p,
             (a_k * b_k + b_k * d_k) % p,
@@ -189,9 +181,11 @@ def _orbit_prefix(matrix: MobiusMatrix, xi0: FpElem, limit: int) -> np.ndarray:
             (c_k * b_k + d_k * d_k) % p,
         )
         k += m
+    if size == back and (int(u[size]) - x0 * int(v[size])) % p:
+        raise AssertionError("orbit did not close within ord(theta^2) steps")
     kept = 0  # u[:kept] holds the finite xi_n read so far; kept < i always
     for i in range(1, size + 1, _BLOCK):
-        j = min(i + _BLOCK, size + 1)  # entries past size are unwritten
+        j = min(i + _BLOCK, size + 1)
         v_blk = _residues(v[i:j], p)
         xi = (_residues(u[i:j], p) * _inv_mod(v_blk, p) % p)[v_blk != 0]
         u[kept : kept + xi.size] = xi
@@ -233,17 +227,14 @@ class Trajectory:
 def period(matrix: MobiusMatrix, xi0: FpElem) -> Trajectory:
     """Build the orbit table of xi0 from the linear lift; requires distinct roots.
 
-    The table runs to the first return to xi0, so the least period is its
-    length; a table that has not closed within ord(theta^2) steps raises
-    AssertionError, and one over _TABLE_LIMIT entries ResourceGuard before
-    it is allocated.  The pole index is a scan of the table.  At t = 5e6
-    (p = 10000019) this takes about 0.5 s on a 2-CPU x86 machine and 80 MB
-    of peak memory, 40 MB of which stay as the table.
+    The table is `_orbit_prefix` run to ord(theta^2), which checks that the
+    lift closes there, so the least period is its length; one over
+    _TABLE_LIMIT entries raises ResourceGuard before it is allocated.  The
+    pole index is a scan of the table.  At t = 5e6 (p = 10000019) this takes
+    about 0.25 s on a 2-CPU x86 machine and 80 MB of peak memory, 40 MB of
+    which stay as the table.
     """
-    t_ord = matrix.theta_sq_order
-    table = _orbit_prefix(matrix, xi0, t_ord)
-    if table[-1] != xi0.value:
-        raise AssertionError("orbit did not close within ord(theta^2) steps")
+    table = _orbit_prefix(matrix, xi0, matrix.theta_sq_order)
     pole = matrix.pole.value
     if xi0.value == pole:
         pole_hit = 0

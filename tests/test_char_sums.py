@@ -236,13 +236,8 @@ def test_twisted_schedule_reads_a_given_trajectory(mu_table, traj101):
         twisted_sum_schedule(A101, XI101, [1], [10], whole(mu_table), other)
 
 
-def test_twisted_prefix_needs_no_multiplicative_order(mu_table, monkeypatch):
-    # a short twisted scan at a 62-bit prime: the orbit prefix finds its own
-    # closure, so ord(theta^2), which needs p +- 1 factorised, is never asked for
-    def no_order(self):
-        raise AssertionError("theta_sq_order was computed")
-
-    monkeypatch.setattr(MobiusMatrix, "theta_sq_order", property(no_order))
+def test_twisted_prefix_at_a_62_bit_prime(mu_table):
+    # a short twisted scan whose table length comes from ord(theta^2), with p + 1 = 4q and q prime
     m = PrimeModulus(4611686018427420187)
     A = MobiusMatrix(m.zero, m.elem(-1), m.one, m.elem(3))
     xi0 = m.elem(5)

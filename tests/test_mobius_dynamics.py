@@ -2,12 +2,14 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from mobiusdyn.arith_fn import ResourceGuard
 from mobiusdyn.field_arith import (
+    _BLOCK,
     PrimeModulus,
     RepeatedRoot,
     char_poly_roots,
@@ -313,6 +315,39 @@ def test_orbit_table_budget_at_a_62_bit_prime():
     assert _orbit_prefix(short, xi0, 10**12).tolist() == traj.orbit_table.tolist()
     fixed = MobiusMatrix(m.elem(2), m.zero, m.one, m.elem(2).inv())  # x -> 2x/(x + 1/2) fixes 0
     assert period(fixed, m.zero).orbit_table.tolist() == [0]
+
+
+def test_orbit_prefix_far_past_the_period_holds_one_period():
+    # ord(theta^2) sizes the lift before the build: N = 1e6 >> t at p = 100003 takes two int64
+    # arrays of t + 1 entries and block-long temporaries, not N or p + 1 entries
+    m = PrimeModulus(100003)
+    xi0 = m.elem(5)
+    for entries, t in (((0, -1, 1, 1), 3), ((3, 5, 7, 12), 25000)):
+        A = MobiusMatrix(*(m.elem(x) for x in entries))
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            table = _orbit_prefix(A, xi0, 10**6)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert table.size == t and table[-1] == xi0.value
+        assert peak <= 16 * (t + 2) + 32 * _BLOCK, (entries, peak)
+
+
+@pytest.mark.parametrize("x, order", [(0, 50), (0, 52), (0, 77), (4, 50)])
+def test_a_wrong_order_fails_the_closure_check(monkeypatch, x, order):
+    # the lift must be back at [x0 : 1] at the index ord(theta^2) gives, here 51; seed 0 misses the
+    # pole, and seed 4 meets it, so its scalar period is 50, but its lift is not back at index 50
+    m = PrimeModulus(101)
+    A = normalize_to_sl2(*(m.elem(v) for v in (27, 39, 5, 11)))
+    assert A.theta_sq_order == 51
+    monkeypatch.setattr(MobiusMatrix, "theta_sq_order", property(lambda self: order))
+    xi0 = m.elem(x)
+    with pytest.raises(AssertionError, match="did not close"):
+        period(A, xi0)
+    with pytest.raises(AssertionError, match="did not close"):
+        _orbit_prefix(A, xi0, order)
 
 
 def test_pole_orbit_shortens_scalar_period_by_one():

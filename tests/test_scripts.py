@@ -42,3 +42,16 @@ def test_compare_outputs_ignores_only_the_manifest_timestamp(tmp_path):
     flipped = subprocess.run(script + [str(old), str(new)], capture_output=True, text=True, timeout=60)
     assert flipped.returncode == 1
     assert "bsz_report_p1009/bsz_report.json" in flipped.stdout
+
+
+def test_check_scale_names_an_unknown_config_and_imports_no_numpy():
+    # its children's RSS readings count its own peak, so it must import neither numpy nor mobiusdyn
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-X", "importtime", str(ROOT / "scripts" / "check_scale.py"), "no_such_config"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode != 0
+    lines = proc.stderr.splitlines()
+    assert "usage: check_scale.py [NAME ...]; no scale config named no_such_config" in lines
+    imported = {line.rsplit("|", 1)[1].strip().split(".")[0] for line in lines if line.startswith("import time:")}
+    assert "json" in imported
+    assert not imported & {"numpy", "mobiusdyn"}
