@@ -19,6 +19,12 @@ nu = 1 are +-1 with one sign on every prime, so W_j never reads nu and is a
 batch of numpy gathers; the left side folds the segments into integer
 residue counts over the period, weighted by the phases.
 
+The decomposition runs the stages as one loop over j: block j's primes, its
+sieve set cut from one exclusion array carried across blocks, its products
+marked in one audit bitmap over 0..N, then W_j, after which P_j and Q_j are
+dropped.  Only the bitmap (N + 1 bytes), the exclusion array (M_{j0} + 1
+bytes), the residue counts and a few numbers per block outlive a block.
+
 Inequalities with unspecified constants are evaluated with the constant set
 to 1 and reported as two-sided numbers, never hard-asserted.
 
@@ -33,7 +39,7 @@ inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -124,23 +130,31 @@ def sieve_range(params: BszParams) -> int:
     return m_max
 
 
-def sieve_sets(params: BszParams, blocks: Sequence[PrimeBlock]) -> list[np.ndarray]:
+def sieve_sets(
+    params: BszParams, blocks: Sequence[PrimeBlock], excluded: np.ndarray | None = None
+) -> list[np.ndarray]:
     """Q_j for each block, in the order of blocks: ascending int64 m <= M_j with no prime factor in blocks <= j.
 
-    blocks is prime_blocks(params) or a prefix of it.  One boolean exclusion
-    array up to the largest M_j (sieve_range), marked cumulatively block by
-    block and snapshotted after each block's primes are added.
+    One boolean exclusion array up to the largest M_j (sieve_range), marked
+    cumulatively block by block and read after each block's primes are
+    added.  Without excluded, blocks is prime_blocks(params) or a prefix of
+    it and the array is allocated here; given excluded, blocks continue the
+    blocks already marked in it, as decomposition_report passes them one at
+    a time.
     """
     if not blocks:
         return []
-    m_max = sieve_range(params)
-    excluded = np.zeros(m_max + 1, dtype=bool)
+    if excluded is None:
+        excluded = np.zeros(sieve_range(params) + 1, dtype=bool)
+    m_max = excluded.size - 1
     out = []
     for block in blocks:
         for r in block.primes[block.primes <= m_max]:
             excluded[r::r] = True
         m_j = math.floor(params.m(block.j))
-        out.append(np.flatnonzero(~excluded[1 : m_j + 1]) + 1)
+        q = np.flatnonzero(~excluded[1 : m_j + 1])
+        q += 1  # in place: no second |Q_j|-long temporary
+        out.append(q)
     return out
 
 
@@ -152,7 +166,7 @@ class DistinctProductsReport:
 
 
 def distinct_products_check(
-    blocks: Sequence[PrimeBlock], sets: Sequence[np.ndarray], n: int
+    blocks: Sequence[PrimeBlock], sets: Sequence[np.ndarray], n: int, seen: np.ndarray | None = None
 ) -> DistinctProductsReport:
     """Verify the products m*r are pairwise distinct, all <= n, and count them.
 
@@ -162,8 +176,14 @@ def distinct_products_check(
     across blocks.  Only when they differ are the products sorted, to name
     the smallest repeated one.  A collision is reported before the budget
     sum #P_j #Q_j <= n is checked.
+    Given seen, a bitmap over 0..n that earlier calls have marked, the
+    products are marked there and counted, factor and bound checks
+    included, but the bitmap is not counted: the caller compares it with
+    the summed totals once every block is in.
     """
-    seen = np.zeros(n + 1, dtype=bool)
+    carried = seen is not None
+    if not carried:
+        seen = np.zeros(n + 1, dtype=bool)
     pairs = []
     total = 0
     for block, members in zip(blocks, sets):
@@ -179,6 +199,8 @@ def distinct_products_check(
             seen[np.multiply.outer(chunk, primes)] = True
         pairs.append((members, primes))
         total += primes.size * members.size
+    if carried:
+        return DistinctProductsReport(total)
     if np.count_nonzero(seen) != total:
         prods = np.sort(np.concatenate([np.multiply.outer(m, r).ravel() for m, r in pairs]))
         repeat = prods[1:][prods[1:] == prods[:-1]]
@@ -198,8 +220,8 @@ def _check_phase(phase: np.ndarray) -> None:
         raise ValueError(f"|F({bad + 1})| = {size[bad]} exceeds 1")
 
 
-def wj_sums(phase: np.ndarray, blocks: Sequence[PrimeBlock], sets: Sequence[np.ndarray]) -> list[float]:
-    """W_j = sum_{m in Q_j} |sum_{r in P_j} nu(r) F(m r)| for each block.
+def wj_sums(phase: np.ndarray, pairs: Iterable[tuple[PrimeBlock, np.ndarray]]) -> list[float]:
+    """W_j = sum_{m in Q_j} |sum_{r in P_j} nu(r) F(m r)| for each pair (P_j, Q_j), in order.
 
     nu must be +-1 with one sign on every prime, as mu and 1 are: then the
     inner sum is +-sum_r F(mr), whose rounded value only changes sign, so nu
@@ -210,13 +232,17 @@ def wj_sums(phase: np.ndarray, blocks: Sequence[PrimeBlock], sets: Sequence[np.n
     the residues s that occur.  Residues are reduced before multiplying, so
     the gathered indices (m mod t)(r mod t) stay exact in int64; the index
     (mr - 1) mod t is formed as idx - (idx // t) t, the same integer as
-    idx % t.  Each W_j is the exactly rounded sum of its terms, all blocks in
-    one segmented _fsums.
+    idx % t.  pairs is read one pair at a time, so a generator can build each
+    block as it is needed.  Each W_j is the exactly rounded sum of its terms:
+    the buffered blocks' terms go through one segmented _fsums whenever they
+    pass _GATHER entries, and at the end.  A segment's sum does not depend on
+    the other segments, so where a flush falls moves no bit.
     """
     _check_phase(phase)
     t = phase.size
-    terms = []  # terms[j]: count_j(s) |inner(s)| for each residue s of block j
-    for block, members in zip(blocks, sets):
+    w: list[float] = []
+    terms = []  # count_j(s) |inner(s)| for each residue s, one array per buffered block
+    for block, members in pairs:
         r_res = block.primes % t
         m_res = members % t
         counts = 1
@@ -231,7 +257,10 @@ def wj_sums(phase: np.ndarray, blocks: Sequence[PrimeBlock], sets: Sequence[np.n
             idx -= idx // t * t  # idx %= t, but numpy's int64 floor division by a scalar is faster
             inner[i : i + chunk.size] = np.abs(phase[idx].sum(axis=1))
         terms.append(counts * inner)
-    return _fsums(np.concatenate([np.empty(0), *terms]), [len(w) for w in terms])
+        if sum(map(len, terms)) > _GATHER:
+            w += _fsums(np.concatenate(terms), [len(x) for x in terms])
+            terms = []
+    return w + _fsums(np.concatenate([np.empty(0), *terms]), [len(x) for x in terms])
 
 
 def decomposition_report(
@@ -249,33 +278,46 @@ def decomposition_report(
     quotient = |sum_{n' <= N} nu(n')F(n')| / (sum_j W_j + alpha*N); it is
     reported as data, not compared against any constant.  collisions is
     always 0: a repeated product raises AssertionError instead.
+    The blocks are built one at a time, by prime_blocks, sieve_sets and
+    distinct_products_check on one-block lists, as wj_sums reads them.  The
+    bitmap is counted once, after the last block; if it holds fewer marks
+    than there were products, or there were more than N, the schedule is
+    rebuilt and the batch audit raises, naming the smallest repeat.
     """
     params = make_params(alpha, n)
     _check_phase(phase)
-    counts = np.zeros(phase.size, dtype=np.int64)
+    counts = np.zeros(phase.size, dtype=np.int32)  # |c_s| <= N <= 1e9 < 2^31
     for start, segment in _prefix_segments(nu, n):
         if segment.size and (segment.min() < -1 or segment.max() > 1):
             bad = int(np.flatnonzero(np.abs(segment.astype(np.int64)) > 1)[0])
             raise ValueError(f"|nu({start + bad})| = {abs(int(segment[bad]))} exceeds 1")
         _add_residue_counts(counts, segment, start - 1)
     lhs = _weighted_sum(counts, phase.real, phase.imag)
-    blocks = prime_blocks(params)
-    sets = sieve_sets(params, blocks)
-    w_values = wj_sums(phase, blocks, sets)
-    products = distinct_products_check(blocks, sets, n)
+    excluded = np.zeros(sieve_range(params) + 1, dtype=bool)
+    seen = np.zeros(n + 1, dtype=bool)
+    rows = []
+    sum_pq = 0
+
+    def schedule():
+        nonlocal sum_pq
+        for j in params.j_range:
+            blocks = prime_blocks(replace(params, j0=j, j1=j))  # block j alone, none once R_{j+1} > N
+            if not blocks:
+                return
+            sets = sieve_sets(params, blocks, excluded)
+            sum_pq += distinct_products_check(blocks, sets, n, seen).total_products
+            p_count, q_count = blocks[0].primes.size, sets[0].size
+            rows.append({"j": j, "r_j": params.r(j), "m_j": params.m(j), "p_count": p_count, "q_count": q_count})
+            yield blocks[0], sets[0]
+
+    w_values = wj_sums(phase, schedule())
+    for row, w in zip(rows, w_values):
+        row["w"] = w
+    if np.count_nonzero(seen) != sum_pq or sum_pq > n:
+        blocks = prime_blocks(params)  # the same products again, audited whole: this raises
+        distinct_products_check(blocks, sieve_sets(params, blocks), n)
     sum_w = _fsum(np.array(w_values, dtype=np.float64))
     denom = sum_w + alpha * n
-    rows = [
-        {
-            "j": block.j,
-            "r_j": params.r(block.j),
-            "m_j": params.m(block.j),
-            "p_count": len(block.primes),
-            "q_count": len(members),
-            "w": w,
-        }
-        for block, members, w in zip(blocks, sets, w_values)
-    ]
     return {
         "schema_version": 1,
         "params": {"alpha": alpha, "n": n, "j0": params.j0, "j1": params.j1, "period": period},
@@ -287,10 +329,10 @@ def decomposition_report(
             "sum_w": sum_w,
             "alpha_n": alpha * n,
             "quotient": abs(lhs) / denom if denom > 0 else math.inf,
-            "sum_pq": products.total_products,
-            "sum_p": sum(len(b.primes) for b in blocks),
+            "sum_pq": sum_pq,
+            "sum_p": sum(row["p_count"] for row in rows),
             "collisions": 0,
-            "materialised_blocks": len(blocks),
+            "materialised_blocks": len(rows),
         },
     }
 

@@ -58,7 +58,6 @@ from .arith_fn import (
     mobius_segments,
     mobius_sieve,
 )
-from .bsz_harness import decomposition_report, make_params, sieve_range, theorem_conditions
 from .char_sums import (
     _WEIL_FP2_LIMIT,
     _WEIL_FP_LIMIT,
@@ -217,11 +216,26 @@ def _schedule(raw, name: str, cfg) -> list[int]:
     return schedule
 
 
+def _bsz():
+    """bsz_harness, imported on first use: bsz-report alone runs it, so no other command compiles it."""
+    from . import bsz_harness
+
+    return bsz_harness
+
+
+def __getattr__(name: str):
+    """cli_runner.decomposition_report, as bsz_harness binds it now (PEP 562)."""
+    if name == "decomposition_report":
+        return _bsz().decomposition_report
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _alpha(raw, name: str, cfg) -> float:
     """alpha as make_params takes it, whose sieve sets at field 'n' stay inside their cap (sieve_range)."""
     alpha = _finite(raw, name, cfg)
     try:
-        sieve_range(make_params(alpha, cfg["n"]))
+        bsz = _bsz()
+        bsz.sieve_range(bsz.make_params(alpha, cfg["n"]))
     except ResourceGuard as exc:
         raise ResourceGuard(f"fields 'n' and '{name}': {exc}") from None
     except ValueError as exc:  # outside (0, 1/2), or 1 + alpha == 1.0
@@ -251,7 +265,7 @@ _EPSILON = _checked(  # t = 1 in the report: the two sides that move with epsilo
     _checked(_finite, lambda e, cfg: e > 0, "field '{name}' must be > 0, got {value}"),
     lambda e, cfg: all(
         math.isfinite(row[side])
-        for row in theorem_conditions(cfg["alpha"], cfg["n"], cfg["p"].p, 1, e)["conditions"]
+        for row in _bsz().theorem_conditions(cfg["alpha"], cfg["n"], cfg["p"].p, 1, e)["conditions"]
         for side in ("lhs", "rhs")
     ),
     "field '{name}' overflows a side of the condition report at p = {cfg[p].p}, got {value}",
@@ -549,8 +563,9 @@ def cmd_bsz_report(cfg: dict, mu_cache: str | None) -> tuple[int, dict[str, byte
         ones = np.ones(min(n, _SEGMENT), dtype=np.int8)
         nu = ((lo, ones[: n + 1 - lo]) for lo in range(1, n + 1, ones.size))
 
-    decomposition = decomposition_report(nu, phase, n, alpha, traj.period)
-    conditions = theorem_conditions(alpha, n, modulus.p, traj.period, cfg["epsilon"])
+    bsz = _bsz()
+    decomposition = bsz.decomposition_report(nu, phase, n, alpha, traj.period)
+    conditions = bsz.theorem_conditions(alpha, n, modulus.p, traj.period, cfg["epsilon"])
     body = dict(decomposition, conditions=conditions, matrix=list(matrix.entries()), xi0=xi0.value, p=modulus.p)
     return EXIT_OK, {"bsz_report.json": _json_bytes(body)}
 

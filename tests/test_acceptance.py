@@ -258,7 +258,7 @@ def test_criterion_8_bsz_sanity_all_ones():
     blocks = prime_blocks(params)
     sets = sieve_sets(params, blocks)
     phase = np.ones(1, dtype=complex)
-    w = wj_sums(phase, blocks, sets)
+    w = wj_sums(phase, zip(blocks, sets))
     for block, qset, wj in zip(blocks, sets, w):
         assert wj == float(len(block.primes) * len(qset))
     agg = decomposition_report([(1, np.ones(n, dtype=np.int8))], phase, n, 0.2, period=1)["aggregates"]

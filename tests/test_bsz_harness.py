@@ -1,11 +1,14 @@
 """Parameter schedule, prime blocks, sieve sets, W_j sums, condition report."""
 
+import json
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mobiusdyn import bsz_harness
 from mobiusdyn.arith_fn import ResourceGuard, mobius_sieve
 from mobiusdyn.bsz_harness import (
     BszParams,
@@ -275,20 +278,39 @@ def test_distinct_products_total_above_n():
     assert "produced twice" not in str(info.value)  # not reported as a collision
 
 
+def test_decomposition_report_names_a_forced_collision_as_the_batch_audit_does(monkeypatch):
+    # 47 joins Q_22, so 47*59 and 47*61 repeat block 21's 59*47 and 61*47 (P_21 = {47, 53}, P_22 = {59, 61});
+    # each block's products are distinct, so only the count after the last block sees the repeat
+    n, alpha = 3 * 10**4, 0.2
+    real = bsz_harness.sieve_sets
+
+    def colliding(params, blocks, *carried):
+        return [np.append(q, 47) if b.j == 22 else q for b, q in zip(blocks, real(params, blocks, *carried))]
+
+    monkeypatch.setattr(bsz_harness, "sieve_sets", colliding)
+    params = make_params(alpha, n)
+    blocks = prime_blocks(params)
+    with pytest.raises(AssertionError) as batch:
+        distinct_products_check(blocks, colliding(params, blocks), n)
+    with pytest.raises(AssertionError) as streamed:
+        decomposition_report(whole(mobius_sieve(n)), ONE, n, alpha, period=1)
+    assert str(streamed.value) == str(batch.value) == "product 2773 produced twice"
+
+
 # --- W_j sums ------------------------------------------------------------------------
 
 
 def test_wj_empty_block_gives_zero():
     blocks = [PrimeBlock(3, i64())]
     sets = [i64(1, 2, 3)]
-    w = wj_sums(ONE, blocks, sets)
+    w = wj_sums(ONE, zip(blocks, sets))
     assert w == [0.0]
 
 
 def test_wj_all_ones_counts_products():
     blocks = prime_blocks(TOY)
     sets = sieve_sets(TOY, blocks)
-    w = wj_sums(ONE, blocks, sets)
+    w = wj_sums(ONE, zip(blocks, sets))
     assert w == [float(len(b.primes) * len(s)) for b, s in zip(blocks, sets)]
 
 
@@ -296,7 +318,7 @@ def test_wj_bound_check_rejects_oversized_handles():
     blocks = prime_blocks(TOY)
     sets = sieve_sets(TOY, blocks)
     with pytest.raises(ValueError):
-        wj_sums(np.array([-1.5 + 0j]), blocks, sets)
+        wj_sums(np.array([-1.5 + 0j]), zip(blocks, sets))
 
 
 def test_wj_bound_check_covers_every_entry():
@@ -306,7 +328,7 @@ def test_wj_bound_check_covers_every_entry():
     phase = np.ones(1000, dtype=complex)
     phase[999] = 1.01
     with pytest.raises(ValueError, match="F"):
-        wj_sums(phase, blocks, sets)
+        wj_sums(phase, zip(blocks, sets))
 
 
 def test_wj_against_naive_double_loop():
@@ -329,7 +351,7 @@ def test_wj_against_naive_double_loop():
     params = make_params(0.2, 10**4)
     blocks = prime_blocks(params)
     sets = sieve_sets(params, blocks)
-    w = wj_sums(np.array(phase), blocks, sets)
+    w = wj_sums(np.array(phase), zip(blocks, sets))
     for block, qset, got in zip(blocks, sets, w):
         naive = 0.0
         for mm in qset:
@@ -350,7 +372,7 @@ def test_wj_equals_the_modulo_expression_bit_for_bit(t):
     blocks = prime_blocks(params)
     sets = sieve_sets(params, blocks)
     nu = mobius_sieve(params.n).values
-    w = wj_sums(phase, blocks, sets)
+    w = wj_sums(phase, zip(blocks, sets))
     assert len(w) == len(blocks) > 10
     for block, qset, got in zip(blocks, sets, w):
         r, m, counts = block.primes, qset, 1
@@ -391,17 +413,16 @@ def test_decomposition_quotient_definition():
     assert agg["quotient"] == pytest.approx(agg["lhs_abs"] / denom)
 
 
-def test_decomposition_report_fields_match_the_stages():
-    # the report's params, rows and aggregates against prime_blocks, sieve_sets, wj_sums and the product audit
-    n, alpha = 3 * 10**4, 0.2
-    phase = np.exp(2j * np.pi * np.arange(7) / 7)
-    report = decomposition_report(whole(mobius_sieve(n)), phase, n, alpha, period=7)
+def _assert_report_matches_the_stages(n, alpha, phase):
+    """The report's params, rows and aggregates against the batch prime_blocks, sieve_sets, wj_sums and audit."""
+    t = phase.size
+    report = decomposition_report(whole(mobius_sieve(n)), phase, n, alpha, period=t)
     params = make_params(alpha, n)
     blocks = prime_blocks(params)
     sets = sieve_sets(params, blocks)
-    w = wj_sums(phase, blocks, sets)
+    w = wj_sums(phase, zip(blocks, sets))
     assert report["schema_version"] == 1
-    assert report["params"] == {"alpha": alpha, "n": n, "j0": params.j0, "j1": params.j1, "period": 7}
+    assert report["params"] == {"alpha": alpha, "n": n, "j0": params.j0, "j1": params.j1, "period": t}
     assert report["rows"] == [
         {"j": b.j, "r_j": params.r(b.j), "m_j": params.m(b.j), "p_count": b.primes.size, "q_count": q.size, "w": wj}
         for b, q, wj in zip(blocks, sets, w)
@@ -414,7 +435,66 @@ def test_decomposition_report_fields_match_the_stages():
     assert agg["quotient"] == abs(lhs) / (math.fsum(w) + alpha * n)
     assert agg["sum_pq"] == distinct_products_check(blocks, sets, n).total_products
     assert agg["sum_p"] == sum(b.primes.size for b in blocks)
-    assert agg["materialised_blocks"] == len(blocks) > 10
+    assert agg["materialised_blocks"] == len(blocks)
+    return report
+
+
+def test_decomposition_report_fields_match_the_stages():
+    report = _assert_report_matches_the_stages(3 * 10**4, 0.2, np.exp(2j * np.pi * np.arange(7) / 7))
+    assert report["aggregates"]["materialised_blocks"] > 10
+
+
+@settings(max_examples=40)
+@given(
+    alpha=st.floats(min_value=0.12, max_value=0.49),
+    n=st.integers(min_value=1, max_value=3 * 10**4),
+    t=st.integers(min_value=1, max_value=800),
+)
+def test_streamed_report_equals_the_batch_stages(alpha, n, t):
+    # one loop over the blocks gives what the whole-schedule passes give; below alpha ~0.15 few n reach a block
+    _assert_report_matches_the_stages(n, alpha, np.exp(2j * np.pi * np.random.default_rng(t).random(t)))
+
+
+def _p1009_phase():
+    """The phases e(xi_n / 1009) of one period of the shipped bsz config's orbit (t = 505)."""
+    m = PrimeModulus(1009)
+    traj = period(MobiusMatrix(m.elem(590), m.elem(448), m.elem(600), m.elem(406)), m.elem(50))
+    return np.exp(2j * np.pi * traj.orbit_table.astype(np.float64) / 1009)
+
+
+@pytest.mark.parametrize("gather", [1, 2, 3, 7])
+def test_report_bytes_do_not_depend_on_the_gather_size(monkeypatch, gather):
+    # _GATHER sets the audit and W_j chunks and when wj_sums flushes its buffered terms to _fsums
+    phase, n = _p1009_phase(), 3 * 10**4
+    want = json.dumps(decomposition_report(whole(mobius_sieve(n)), phase, n, 0.2, period=phase.size))
+    monkeypatch.setattr(bsz_harness, "_GATHER", gather)
+    assert json.dumps(decomposition_report(whole(mobius_sieve(n)), phase, n, 0.2, period=phase.size)) == want
+
+
+def test_decomposition_report_holds_one_block_at_a_time(monkeypatch):
+    # only the audit bitmap (n + 1 bytes) and the exclusion array (M_j0 + 1) outlive a block.  Three
+    # whole-schedule passes held every block's primes and sieve set (523 KB here, 9.4 times the largest
+    # block's) and peaked 583 KB above those two arrays; the one loop peaks 226 KB above them
+    import tracemalloc
+
+    monkeypatch.setattr(bsz_harness, "_GATHER", 1024)  # a gather bound well below the blocks' total
+    phase, n, alpha = _p1009_phase(), 4 * 10**5, 0.2
+    nu = whole(mobius_sieve(n))
+    params = make_params(alpha, n)
+    blocks = prime_blocks(params)
+    sets = sieve_sets(params, blocks)
+    largest = max(8 * (b.primes.size + q.size) for b, q in zip(blocks, sets))
+    assert sum(8 * (b.primes.size + q.size) for b, q in zip(blocks, sets)) > 9 * largest
+    del blocks, sets
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        decomposition_report(nu, phase, n, alpha, period=phase.size)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    bound = (n + 1) + (sieve_range(params) + 1) + 6 * largest + 24 * bsz_harness._GATHER
+    assert peak <= bound, (peak, bound)
 
 
 # --- arrays against the per-term definition --------------------------------------------
@@ -508,7 +588,7 @@ def test_wj_grouped_path_matches_oracle_on_one_block():
     blocks = [PrimeBlock(9, i64(2, 3, 5, 7))]
     sets = [np.arange(1, 601)]
     assert len(sets[0]) > t
-    got = wj_sums(np.array(phase_list), blocks, sets)
+    got = wj_sums(np.array(phase_list), zip(blocks, sets))
     assert got[0] == pytest.approx(_wj_oracle(mu.values, phase_list, blocks, sets)[0], rel=1e-12)
 
 

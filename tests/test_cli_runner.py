@@ -1493,6 +1493,21 @@ def test_cli_import_leaves_hashlib_for_the_manifest():
     assert proc.stdout.strip() == "[]"
 
 
+def test_only_bsz_report_compiles_bsz_harness(tmp_path):
+    # a child of any other command skips bsz_harness; cli_runner.decomposition_report resolves on first use
+    cfg = write_cfg(tmp_path, "mobius.json", {"command": "mobius-check", "limit": "100"})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys; from mobiusdyn import cli_runner; "
+        f"cli_runner.main(['mobius-check', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]); "
+        "print('mobiusdyn.bsz_harness' in sys.modules); from mobiusdyn import bsz_harness; "
+        "print(cli_runner.decomposition_report is bsz_harness.decomposition_report)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_cli_run_writes_its_manifest_without_openssl(tmp_path):
     import hashlib
 
