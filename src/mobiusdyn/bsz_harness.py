@@ -13,17 +13,17 @@ Q_j and contribute nothing to any sum or cardinality count, so block
 materialisation stops at the last j with R_{j+1} <= N; for realistic alpha
 the nominal upper end j1 sits astronomically beyond that point.
 
-F arrives as the phases of one period, F(n) = phase[(n - 1) % t], and nu
-as (start, segment) pairs, as the twisted-sum kernel takes mu.  nu = mu and
-nu = 1 are +-1 with one sign on every prime, so W_j never reads nu and is a
-batch of numpy gathers; the left side folds the segments into integer
-residue counts over the period, weighted by the phases.
+F arrives as the phases of one period, F(n) = phase[(n - 1) % t].  nu = mu
+and nu = 1 are +-1 with one sign on every prime, so W_j never reads nu and
+is a batch of numpy gathers.  The left side sum_{n <= N} nu(n)F(n) is
+handed in as a number: for F = psi_u(xi_n) it is the twisted sum
+char_sums.twisted_sum_schedule computes at N, the one kernel for S(N).
 
 The decomposition runs the stages as one loop over j: block j's primes, its
 sieve set cut from one exclusion array carried across blocks, its products
 marked in one audit bitmap over 0..N, then W_j, after which P_j and Q_j are
 dropped.  Only the bitmap (N + 1 bytes), the exclusion array (M_{j0} + 1
-bytes), the residue counts and a few numbers per block outlive a block.
+bytes) and a few numbers per block outlive a block.
 
 Inequalities with unspecified constants are evaluated with the constant set
 to 1 and reported as two-sided numbers, never hard-asserted.
@@ -45,8 +45,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .arith_fn import ResourceGuard, primes_in
-from .char_sums import _add_residue_counts, _prefix_segments, _slices
-from .exact_sum import _fsum, _fsums, _weighted_sum
+from .char_sums import _slices
+from .exact_sum import _fsum, _fsums
 
 
 _SIEVE_SET_LIMIT = 10**8  # the largest M_j whose exclusion array sieve_sets allocates
@@ -220,6 +220,18 @@ def _check_phase(phase: np.ndarray) -> None:
         raise ValueError(f"|F({bad + 1})| = {size[bad]} exceeds 1")
 
 
+def _row_sums(phase: np.ndarray, m_res: np.ndarray, r_res: np.ndarray) -> np.ndarray:
+    """|sum_r F(m r)| for each m of m_res over the r of r_res, residues mod t; the gathered rows die with the call."""
+    t = phase.size
+    inner = np.empty(m_res.size)
+    for i, chunk in _slices(m_res, r_res.size, _GATHER):
+        idx = np.multiply.outer(chunk, r_res)
+        idx -= 1
+        idx -= idx // t * t  # idx %= t, but numpy's int64 floor division by a scalar is faster
+        inner[i : i + chunk.size] = np.abs(phase[idx].sum(axis=1))
+    return inner
+
+
 def wj_sums(phase: np.ndarray, pairs: Iterable[tuple[PrimeBlock, np.ndarray]]) -> list[float]:
     """W_j = sum_{m in Q_j} |sum_{r in P_j} nu(r) F(m r)| for each pair (P_j, Q_j), in order.
 
@@ -245,54 +257,36 @@ def wj_sums(phase: np.ndarray, pairs: Iterable[tuple[PrimeBlock, np.ndarray]]) -
     for block, members in pairs:
         r_res = block.primes % t
         m_res = members % t
+        del block, members  # P_j and Q_j are not held through the gather
         counts = 1
         if m_res.size > t:
             counts = np.bincount(m_res, minlength=t)
             m_res = np.flatnonzero(counts)
             counts = counts[m_res]
-        inner = np.empty(m_res.size)
-        for i, chunk in _slices(m_res, r_res.size, _GATHER):
-            idx = np.multiply.outer(chunk, r_res)
-            idx -= 1
-            idx -= idx // t * t  # idx %= t, but numpy's int64 floor division by a scalar is faster
-            inner[i : i + chunk.size] = np.abs(phase[idx].sum(axis=1))
-        terms.append(counts * inner)
+        terms.append(counts * _row_sums(phase, m_res, r_res))
         if sum(map(len, terms)) > _GATHER:
             w += _fsums(np.concatenate(terms), [len(x) for x in terms])
             terms = []
     return w + _fsums(np.concatenate([np.empty(0), *terms]), [len(x) for x in terms])
 
 
-def decomposition_report(
-    nu: Iterable[tuple[int, np.ndarray]], phase: np.ndarray, n: int, alpha: float, period: int
-) -> dict:
-    """Compute the left side, every W_j, and the empirical decomposition quotient.
+def decomposition_report(lhs: complex, phase: np.ndarray, n: int, alpha: float, period: int) -> dict:
+    """Compute every W_j and the empirical decomposition quotient of the given left side.
 
-    nu is nu(1..) as (start, segment) pairs, read up to N as
-    twisted_sum_schedule reads mu, and each segment is refused unless it lies
-    in {-1, 0, 1}; it must also meet wj_sums' rule on the primes.  phase is
-    as in wj_sums; period is the orbit period recorded in the report.  The
-    left side is sum_s c_s F(s + 1) with the exact integer residue counts
-    c_s = sum_{n <= N, n - 1 = s mod t} nu(n) and one exactly rounded sum per
-    component.
-    quotient = |sum_{n' <= N} nu(n')F(n')| / (sum_j W_j + alpha*N); it is
-    reported as data, not compared against any constant.  collisions is
-    always 0: a repeated product raises AssertionError instead.
+    lhs is sum_{n' <= N} nu(n')F(n'), as twisted_sum_schedule gives it for
+    F = psi_u(xi_n), with nu meeting wj_sums' rule on the primes; phase is as
+    in wj_sums, checked before any allocation, and period is recorded.
+    quotient = |lhs| / (sum_j W_j + alpha*N) is reported as data, not
+    compared against any constant.  collisions is always 0: a repeated
+    product raises AssertionError instead.
     The blocks are built one at a time, by prime_blocks, sieve_sets and
     distinct_products_check on one-block lists, as wj_sums reads them.  The
     bitmap is counted once, after the last block; if it holds fewer marks
     than there were products, or there were more than N, the schedule is
     rebuilt and the batch audit raises, naming the smallest repeat.
     """
-    params = make_params(alpha, n)
     _check_phase(phase)
-    counts = np.zeros(phase.size, dtype=np.int32)  # |c_s| <= N <= 1e9 < 2^31
-    for start, segment in _prefix_segments(nu, n):
-        if segment.size and (segment.min() < -1 or segment.max() > 1):
-            bad = int(np.flatnonzero(np.abs(segment.astype(np.int64)) > 1)[0])
-            raise ValueError(f"|nu({start + bad})| = {abs(int(segment[bad]))} exceeds 1")
-        _add_residue_counts(counts, segment, start - 1)
-    lhs = _weighted_sum(counts, phase.real, phase.imag)
+    params = make_params(alpha, n)
     excluded = np.zeros(sieve_range(params) + 1, dtype=bool)
     seen = np.zeros(n + 1, dtype=bool)
     rows = []
@@ -308,7 +302,7 @@ def decomposition_report(
             sum_pq += distinct_products_check(blocks, sets, n, seen).total_products
             p_count, q_count = blocks[0].primes.size, sets[0].size
             rows.append({"j": j, "r_j": params.r(j), "m_j": params.m(j), "p_count": p_count, "q_count": q_count})
-            yield blocks[0], sets[0]
+            yield blocks.pop(), sets.pop()  # held by wj_sums alone, which drops them before its gather
 
     w_values = wj_sums(phase, schedule())
     for row, w in zip(rows, w_values):

@@ -29,8 +29,8 @@ path.
 The correlation and single sums read matrix, seed, period and table from one
 Trajectory; the twisted schedule takes (matrix, xi0) and builds only the
 orbit prefix it needs, unless it is handed a Trajectory.  It takes mu as
-(start, segment) pairs, read through `_prefix_segments` (as bsz_harness
-reads nu) and folded into its residue counts as they arrive.
+(start, segment) pairs, read through `_prefix_segments` and folded into
+its residue counts as they arrive; bsz-report takes its left side from it.
 The exhaustive Weil kernels follow the same pattern over all of F_p or the
 norm-one group, through one shared pass loop (_weil_sums): exact int64 phase
 numerators, then one exactly rounded sum per function and component (_fsums,
@@ -250,7 +250,8 @@ def twisted_sum_schedule(
     and sin, so no trigonometry runs per checkpoint.
     The snapshots go through a pass early rather than hold more than 16*t
     bytes per frequency, what whole-prefix cos and sin arrays would take.
-    The reports come frequency by frequency, each over the whole schedule.
+    The reports come frequency by frequency, each over the whole schedule;
+    an empty schedule or no frequency gives [].
     A given traj of the same (matrix, xi0) supplies the prefix from its
     table; without one only the first min(max N, t) terms of the orbit are
     built, their number fixed by ord(theta^2) before the build.
@@ -261,7 +262,7 @@ def twisted_sum_schedule(
         raise ValueError("every checkpoint must be >= 1")
     if list(n_schedule) != sorted(n_schedule):
         raise ValueError("n_schedule must be ascending")
-    if not n_schedule:
+    if not (n_schedule and freqs):
         return []
     n_max = n_schedule[-1]
     if traj is None:

@@ -64,6 +64,7 @@ from .char_sums import (
     CSV_HEADER,
     SumReport,
     _angles,
+    _prefix_segments,
     _unit,
     correlation_sum,
     single_sum,
@@ -439,7 +440,10 @@ def _mu_stream(limit: int, cache: str | None):
 
 def _rebuilt_cache(limit: int, cache: str):
     table = mobius_sieve(limit)
-    table.save(cache)
+    try:
+        table.save(cache)
+    except OSError as exc:
+        raise ConfigError(f"option '--mu-cache': cannot write the rebuilt table: {exc}") from None
     yield 1, table.values[1:]
 
 
@@ -553,18 +557,20 @@ def cmd_bsz_report(cfg: dict, mu_cache: str | None) -> tuple[int, dict[str, byte
     """sieve-block decomposition report to JSON, with the admissibility-condition block"""
     modulus, matrix, xi0, n, alpha = cfg["p"], cfg["matrix"], cfg["seed"], cfg["n"], cfg["alpha"]
     traj = period(matrix, xi0)
-    if cfg["f"] == "psi_xi":
-        phase = _unit(_angles(traj.orbit_table, modulus.p, cfg["psi_u"]))  # F(n) = phase[(n - 1) % t]
-    else:
-        phase = np.ones(1, dtype=complex)
     if cfg["nu"] == "mobius":
         nu = _mu_stream(n, mu_cache)
     else:  # one segment-long run of ones, handed out once per segment
         ones = np.ones(min(n, _SEGMENT), dtype=np.int8)
         nu = ((lo, ones[: n + 1 - lo]) for lo in range(1, n + 1, ones.size))
+    if cfg["f"] == "psi_xi":  # F(n) = phase[(n - 1) % t]; the left side is the twisted sum at N
+        phase = _unit(_angles(traj.orbit_table, modulus.p, cfg["psi_u"]))
+        lhs = twisted_sum_schedule(matrix, xi0, [cfg["psi_u"]], [n], nu, traj)[0].value
+    else:
+        phase = np.ones(1, dtype=complex)
+        lhs = complex(sum(int(segment.sum(dtype=np.int64)) for _, segment in _prefix_segments(nu, n)))
 
     bsz = _bsz()
-    decomposition = bsz.decomposition_report(nu, phase, n, alpha, traj.period)
+    decomposition = bsz.decomposition_report(lhs, phase, n, alpha, traj.period)
     conditions = bsz.theorem_conditions(alpha, n, modulus.p, traj.period, cfg["epsilon"])
     body = dict(decomposition, conditions=conditions, matrix=list(matrix.entries()), xi0=xi0.value, p=modulus.p)
     return EXIT_OK, {"bsz_report.json": _json_bytes(body)}

@@ -97,8 +97,3 @@ def _fsum(values: np.ndarray, weights=1) -> float:
     """
     w = np.broadcast_to(weights, values.shape)
     return sum(_product_total(w[i : i + _BLOCK], values[i : i + _BLOCK]) for i in range(0, values.size, _BLOCK)) / _ONE
-
-
-def _weighted_sum(weights, cos: np.ndarray, sin: np.ndarray) -> complex:
-    """sum_r weights[r] * (cos[r] + i sin[r]) with one exactly rounded _fsum per component."""
-    return complex(_fsum(cos, weights), _fsum(sin, weights))

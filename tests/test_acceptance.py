@@ -261,7 +261,7 @@ def test_criterion_8_bsz_sanity_all_ones():
     w = wj_sums(phase, zip(blocks, sets))
     for block, qset, wj in zip(blocks, sets, w):
         assert wj == float(len(block.primes) * len(qset))
-    agg = decomposition_report([(1, np.ones(n, dtype=np.int8))], phase, n, 0.2, period=1)["aggregates"]
+    agg = decomposition_report(complex(n), phase, n, 0.2, period=1)["aggregates"]
     assert agg["lhs_re"] == float(n) and agg["lhs_im"] == 0.0
     print(f"\nPASS criterion 8: nu = F = 1 gives LHS = N and W_j = #P_j * #Q_j exactly")
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mobiusdyn import bsz_harness
-from mobiusdyn.arith_fn import ResourceGuard, mobius_sieve
+from mobiusdyn.arith_fn import mobius_sieve
 from mobiusdyn.bsz_harness import (
     BszParams,
     DistinctProductsReport,
@@ -24,17 +24,23 @@ from mobiusdyn.bsz_harness import (
     wj_sums,
 )
 from mobiusdyn.field_arith import PrimeModulus
+from mobiusdyn.char_sums import twisted_sum_schedule
 from mobiusdyn.mobius_dynamics import MobiusMatrix, period
 from mobiusdyn.sampling import random_sl2
-from oracles import _ORACLE_PRIMES, AdditiveCharacter, apply, whole
+from oracles import _ORACLE_PRIMES, AdditiveCharacter, apply
 
 TOY = BszParams(alpha=1.0, n=10**4, j0=3.0, j1=5.0)  # R_j = 2^j, blocks j = 3, 4, 5
 ONE = np.ones(1, dtype=complex)  # F = 1: one period of length 1
 
 
-def ones(n):
-    """nu = 1 on 1..n, as the one (start, values) pair of a stream."""
-    return [(1, np.ones(n, dtype=np.int8))]
+def lhs_of(nu, phase, n):
+    """sum_{k <= n} nu[k] F(k), F(k) = phase[(k - 1) % t], for a dense nu array: a left side for decomposition_report."""
+    return complex(np.dot(nu[1 : n + 1], phase[np.arange(n) % phase.size]))
+
+
+def mertens(n):
+    """M(n) = sum_{k <= n} mu(k), the left side at nu = mu and F = 1."""
+    return complex(int(mobius_sieve(n).values.sum(dtype=np.int64)))
 
 
 def i64(*values):
@@ -88,7 +94,7 @@ def test_r_j_past_the_double_range_materialises_no_block():
     params = make_params(1e-5, 1000)
     assert params.r(params.j_range.start) == math.inf
     assert prime_blocks(params) == [] and sieve_range(params) == 0
-    report = decomposition_report(ones(1000), ONE, 1000, 1e-5, period=1)
+    report = decomposition_report(complex(1000), ONE, 1000, 1e-5, period=1)
     assert report["rows"] == [] and report["aggregates"]["lhs_re"] == 1000.0
 
 
@@ -293,7 +299,7 @@ def test_decomposition_report_names_a_forced_collision_as_the_batch_audit_does(m
     with pytest.raises(AssertionError) as batch:
         distinct_products_check(blocks, colliding(params, blocks), n)
     with pytest.raises(AssertionError) as streamed:
-        decomposition_report(whole(mobius_sieve(n)), ONE, n, alpha, period=1)
+        decomposition_report(mertens(n), ONE, n, alpha, period=1)
     assert str(streamed.value) == str(batch.value) == "product 2773 produced twice"
 
 
@@ -389,7 +395,7 @@ def test_wj_equals_the_modulo_expression_bit_for_bit(t):
 
 
 def test_decomposition_all_ones_lhs_is_n():
-    report = decomposition_report(ones(10**4), ONE, 10**4, 0.2, period=1)
+    report = decomposition_report(complex(10**4), ONE, 10**4, 0.2, period=1)
     agg = report["aggregates"]
     assert complex(agg["lhs_re"], agg["lhs_im"]) == pytest.approx(10**4)
     assert report["rows"]
@@ -400,14 +406,13 @@ def test_decomposition_all_ones_lhs_is_n():
 
 
 def test_decomposition_reproducible():
-    mu = mobius_sieve(2000)
-    rep1 = decomposition_report(whole(mu), ONE, 2000, 0.25, period=7)
-    rep2 = decomposition_report(whole(mu), ONE, 2000, 0.25, period=7)
+    rep1 = decomposition_report(mertens(2000), ONE, 2000, 0.25, period=7)
+    rep2 = decomposition_report(mertens(2000), ONE, 2000, 0.25, period=7)
     assert rep1 == rep2
 
 
 def test_decomposition_quotient_definition():
-    report = decomposition_report(ones(5000), ONE, 5000, 0.3, period=1)
+    report = decomposition_report(complex(5000), ONE, 5000, 0.3, period=1)
     agg = report["aggregates"]
     denom = sum(row["w"] for row in report["rows"]) + 0.3 * 5000
     assert agg["quotient"] == pytest.approx(agg["lhs_abs"] / denom)
@@ -416,7 +421,7 @@ def test_decomposition_quotient_definition():
 def _assert_report_matches_the_stages(n, alpha, phase):
     """The report's params, rows and aggregates against the batch prime_blocks, sieve_sets, wj_sums and audit."""
     t = phase.size
-    report = decomposition_report(whole(mobius_sieve(n)), phase, n, alpha, period=t)
+    report = decomposition_report(lhs_of(mobius_sieve(n).values, phase, n), phase, n, alpha, period=t)
     params = make_params(alpha, n)
     blocks = prime_blocks(params)
     sets = sieve_sets(params, blocks)
@@ -466,20 +471,22 @@ def _p1009_phase():
 def test_report_bytes_do_not_depend_on_the_gather_size(monkeypatch, gather):
     # _GATHER sets the audit and W_j chunks and when wj_sums flushes its buffered terms to _fsums
     phase, n = _p1009_phase(), 3 * 10**4
-    want = json.dumps(decomposition_report(whole(mobius_sieve(n)), phase, n, 0.2, period=phase.size))
+    lhs = lhs_of(mobius_sieve(n).values, phase, n)
+    want = json.dumps(decomposition_report(lhs, phase, n, 0.2, period=phase.size))
     monkeypatch.setattr(bsz_harness, "_GATHER", gather)
-    assert json.dumps(decomposition_report(whole(mobius_sieve(n)), phase, n, 0.2, period=phase.size)) == want
+    assert json.dumps(decomposition_report(lhs, phase, n, 0.2, period=phase.size)) == want
 
 
 def test_decomposition_report_holds_one_block_at_a_time(monkeypatch):
     # only the audit bitmap (n + 1 bytes) and the exclusion array (M_j0 + 1) outlive a block.  Three
     # whole-schedule passes held every block's primes and sieve set (523 KB here, 9.4 times the largest
-    # block's) and peaked 583 KB above those two arrays; the one loop peaks 226 KB above them
+    # block's) and peaked 583 KB above those two arrays.  The one loop peaked 226 KB above them while
+    # P_j and Q_j lived through the W_j gather and its rows into the next block, and 175 KB without
     import tracemalloc
 
     monkeypatch.setattr(bsz_harness, "_GATHER", 1024)  # a gather bound well below the blocks' total
     phase, n, alpha = _p1009_phase(), 4 * 10**5, 0.2
-    nu = whole(mobius_sieve(n))
+    lhs = lhs_of(mobius_sieve(n).values, phase, n)
     params = make_params(alpha, n)
     blocks = prime_blocks(params)
     sets = sieve_sets(params, blocks)
@@ -489,11 +496,11 @@ def test_decomposition_report_holds_one_block_at_a_time(monkeypatch):
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        decomposition_report(nu, phase, n, alpha, period=phase.size)
+        decomposition_report(lhs, phase, n, alpha, period=phase.size)
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
-    bound = (n + 1) + (sieve_range(params) + 1) + 6 * largest + 24 * bsz_harness._GATHER
+    bound = (n + 1) + (sieve_range(params) + 1) + 3 * largest + 24 * bsz_harness._GATHER
     assert peak <= bound, (peak, bound)
 
 
@@ -560,7 +567,12 @@ def test_arrays_match_per_term_definition(orbit, nu_kind):
         A, xi0, t = _pole_orbit() if orbit == "pole" else _pole_free_orbit()
         phase_list = _stepped_phases(A, xi0, t, 3)
     nu = mobius_sieve(n).values if nu_kind == "mobius" else np.ones(n + 1, dtype=np.int8)
-    report = decomposition_report([(1, nu[1:])], np.array(phase_list), n, alpha, period=t)
+    if orbit == "one":  # F = 1: the exact integer sum of nu, as bsz-report takes it
+        lhs = complex(int(nu[1:].sum(dtype=np.int64)))
+    else:  # the twisted sum at N, as bsz-report takes it
+        lhs = twisted_sum_schedule(A, xi0, [3], [n], [(1, nu[1:])])[0].value
+    assert abs(lhs - _lhs_oracle(nu, phase_list, n)) < 1e-8
+    report = decomposition_report(lhs, np.array(phase_list), n, alpha, period=t)
     params = make_params(alpha, n)
     blocks = prime_blocks(params)
     sets = sieve_sets(params, blocks)
@@ -574,8 +586,7 @@ def test_arrays_match_per_term_definition(orbit, nu_kind):
         if orbit == "one" and nu_kind == "one":
             assert row["w"] == float(len(block.primes) * len(qset))
     agg = report["aggregates"]
-    lhs = complex(agg["lhs_re"], agg["lhs_im"])
-    assert abs(lhs - _lhs_oracle(nu, phase_list, n)) < 1e-8
+    assert complex(agg["lhs_re"], agg["lhs_im"]) == lhs
     if orbit == "one" and nu_kind == "one":
         assert lhs == complex(n, 0)
 
@@ -590,35 +601,6 @@ def test_wj_grouped_path_matches_oracle_on_one_block():
     assert len(sets[0]) > t
     got = wj_sums(np.array(phase_list), zip(blocks, sets))
     assert got[0] == pytest.approx(_wj_oracle(mu.values, phase_list, blocks, sets)[0], rel=1e-12)
-
-
-def test_harness_rejects_short_or_non_integer_nu():
-    with pytest.raises(ResourceGuard, match="need values up to 1000, the segments stop at 999"):
-        decomposition_report(ones(999), ONE, 1000, 0.2, period=1)
-    with pytest.raises(TypeError):
-        decomposition_report([(1, np.ones(1000))], ONE, 1000, 0.2, period=1)
-
-
-def _segments(values, size):
-    """values[1:] as (start, values) pairs of size entries each, so values[k] is nu(k)."""
-    return [(lo, values[lo : lo + size]) for lo in range(1, values.size, size)]
-
-
-def test_decomposition_report_refuses_a_short_stream_a_gap_or_a_bad_value():
-    nu = mobius_sieve(2000).values
-    want = decomposition_report(whole(mobius_sieve(2000)), ONE, 2000, 0.25, period=1)
-    assert decomposition_report(_segments(nu, 64), ONE, 2000, 0.25, period=1) == want
-    assert decomposition_report(_segments(mobius_sieve(5000).values, 64), ONE, 2000, 0.25, period=1) == want
-    with pytest.raises(ResourceGuard, match="need values up to 2000, the segments stop at 1998"):
-        decomposition_report(_segments(nu[:1999], 64), ONE, 2000, 0.25, period=1)
-    gap = _segments(nu, 64)
-    del gap[5]
-    with pytest.raises(ValueError, match="starts at 385, not at 321"):
-        decomposition_report(gap, ONE, 2000, 0.25, period=1)
-    bad = nu.copy()
-    bad[1500] = 2  # in a later segment than the first
-    with pytest.raises(ValueError, match=r"\|nu\(1500\)\| = 2"):
-        decomposition_report(_segments(bad, 64), ONE, 2000, 0.25, period=1)
 
 
 # --- conditions ---------------------------------------------------------------------

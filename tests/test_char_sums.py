@@ -298,6 +298,8 @@ def test_twisted_stream_that_stops_short_or_skips(mu_table):
     gap = [(1, mu_table.values[1:65]), (66, mu_table.values[66:130])]
     with pytest.raises(ValueError, match="starts at 66"):
         twisted_sum_schedule(A101, XI101, [1], [100], gap)
+    with pytest.raises(TypeError):  # a float segment does not fold into the integer residue counts
+        twisted_sum_schedule(A101, XI101, [1], [100], [(1, np.ones(100))])
 
 
 # --- correlation and single sums ------------------------------------------------------

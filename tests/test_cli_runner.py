@@ -314,6 +314,27 @@ def test_empty_points_list_gives_header_only_csv(tmp_path):
     assert (outdir / "sum_scan.csv").read_text().count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, body",
+    [
+        ("sum-scan", {"kinds": []}),
+        ("sum-scan", {"kinds": ["twisted"], "n_schedule": []}),
+        ("sum-scan", {"kinds": ["twisted"], "n_schedule": ["50"], "frequencies": []}),
+        ("sum-scan", {"kinds": ["single"], "points": []}),
+        ("weil-check", {"primes": []}),
+        ("weil-check", {"primes": ["101"], "functions_per_prime": "1", "norm_one_primes": []}),
+    ],
+    ids=["kinds", "n_schedule", "frequencies", "points", "primes", "norm_one_primes"],
+)
+def test_empty_list_fields_exit_0_or_2_without_raising(tmp_path, capsys, command, body):
+    code, outdir = run(tmp_path, command, {**SCAN_BASE, **body} if command == "sum-scan" else body)
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    assert "Traceback" not in capsys.readouterr().err
+    if command == "sum-scan":  # no row to compute: the CSV is its header alone
+        assert code == EXIT_OK
+        assert (outdir / "sum_scan.csv").read_text().count("\n") == 1
+
+
 def test_manifest_covers_outputs(tmp_path):
     import hashlib
 
@@ -900,6 +921,29 @@ def test_mu_cache_values_outside_mu_range_are_config_error(tmp_path, capsys):
     assert "mu-cache" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step", ["mkstemp", "replace"])
+@pytest.mark.parametrize("command", ["sum-scan", "bsz-report"])
+def test_unwritable_mu_cache_exits_2_naming_mu_cache(tmp_path, capsys, monkeypatch, command, step):
+    # a missing cache is rebuilt and saved; a save that fails (here ENOSPC) leaves no output and no temporary file
+    import errno
+    import tempfile
+
+    import mobiusdyn.arith_fn as af
+
+    def full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(*((tempfile, "mkstemp") if step == "mkstemp" else (af.os, "replace")), full)
+    cache = tmp_path / "cache" / "mu.bin"
+    body = BSZ_BASE if command == "bsz-report" else {**SCAN_BASE, "kinds": ["twisted"], "n_schedule": ["50"]}
+    code, outdir = run(tmp_path, command, body, extra=["--mu-cache", str(cache)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "'--mu-cache'" in err and "No space left" in err and "Traceback" not in err
+    assert not outdir.exists()
+    assert list(cache.parent.iterdir()) == []
+
+
 # --- parameter errors name their field and exit 2 -----------------------------------
 
 BSZ_BASE = {
@@ -1451,6 +1495,21 @@ def test_bsz_rows_do_not_depend_on_nu(tmp_path):
     assert code == EXIT_OK
     rows = [json.loads((outdir / "bsz_report.json").read_text())["rows"] for outdir in (mobius, one)]
     assert rows[0] == rows[1] and rows[0]
+
+
+def test_bsz_left_side_is_the_twisted_sum_at_n(tmp_path):
+    # on the shipped p1009 instance, bsz-report's left side is sum-scan's twisted row at N, float for float
+    body = json.loads((CONFIG_DIR / "bsz_report_p1009.json").read_text())
+    assert (body["nu"], body["f"]) == ("mobius", "psi_xi")
+    code, bsz = run(tmp_path, "bsz-report", body, out_name="bsz")
+    assert code == EXIT_OK
+    scan = {key: body[key] for key in ("p", "matrix", "seed")}
+    scan.update(kinds=["twisted"], frequencies=[body["psi_u"]], n_schedule=[body["n"]])
+    code, twisted = run(tmp_path, "sum-scan", scan, out_name="twisted")
+    assert code == EXIT_OK
+    [row] = csv.DictReader(io.StringIO((twisted / "sum_scan.csv").read_text()))
+    agg = json.loads((bsz / "bsz_report.json").read_text())["aggregates"]
+    assert (agg["lhs_re"], agg["lhs_im"]) == (float(row["re"]), float(row["im"]))
 
 
 def test_bsz_report_bytes_with_a_cache_of_n_of_2n_and_without(tmp_path, small_segments):
