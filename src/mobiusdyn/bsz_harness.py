@@ -15,15 +15,16 @@ the nominal upper end j1 sits astronomically beyond that point.
 
 F arrives as the phases of one period, F(n) = phase[(n - 1) % t].  nu = mu
 and nu = 1 are +-1 with one sign on every prime, so W_j never reads nu and
-is a batch of numpy gathers.  The left side sum_{n <= N} nu(n)F(n) is
+is a batch of numpy gathers over residues mod t, every row an exactly
+rounded sum.  The left side sum_{n <= N} nu(n)F(n) is
 handed in as a number: for F = psi_u(xi_n) it is the twisted sum
 char_sums.twisted_sum_schedule computes at N, the one kernel for S(N).
 
 The decomposition runs the stages as one loop over j: block j's primes, its
-sieve set cut from one exclusion array carried across blocks, its products
-marked in one audit bitmap over 0..N, then W_j, after which P_j and Q_j are
-dropped.  Only the bitmap (N + 1 bytes), the exclusion array (M_{j0} + 1
-bytes) and a few numbers per block outlive a block.
+sieve set cut from one exclusion array carried across blocks, a check of the
+construction that makes its products distinct, then W_j, after which P_j
+and Q_j are dropped.  Only the exclusion array (M_{j0} + 1 bytes) and a few
+numbers per block outlive a block; nothing N long is allocated.
 
 Inequalities with unspecified constants are evaluated with the constant set
 to 1 and reported as two-sided numbers, never hard-asserted.
@@ -46,11 +47,11 @@ import numpy as np
 
 from .arith_fn import ResourceGuard, primes_in
 from .char_sums import _slices
-from .exact_sum import _fsum, _fsums
+from .exact_sum import _fsum, _fsum_rows
 
 
 _SIEVE_SET_LIMIT = 10**8  # the largest M_j whose exclusion array sieve_sets allocates
-_GATHER = 1 << 16  # entries per gathered chunk of products
+_GATHER = 1 << 16  # entries per gathered chunk: products in the batch audit, cos and sin in W_j
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,7 @@ class BszParams:
     @property
     def j_range(self) -> range:
         """Integers j with j0 <= j <= j1 (real comparison of the endpoints)."""
-        lo = math.ceil(self.j0)
-        hi = math.floor(self.j1)
-        return range(lo, hi + 1)
+        return range(math.ceil(self.j0), math.floor(self.j1) + 1)
 
 
 def make_params(alpha: float, n: int) -> BszParams:
@@ -130,17 +129,12 @@ def sieve_range(params: BszParams) -> int:
     return m_max
 
 
-def sieve_sets(
-    params: BszParams, blocks: Sequence[PrimeBlock], excluded: np.ndarray | None = None
-) -> list[np.ndarray]:
+def sieve_sets(params: BszParams, blocks: Sequence[PrimeBlock], excluded: np.ndarray | None = None) -> list[np.ndarray]:
     """Q_j for each block, in the order of blocks: ascending int64 m <= M_j with no prime factor in blocks <= j.
 
-    One boolean exclusion array up to the largest M_j (sieve_range), marked
-    cumulatively block by block and read after each block's primes are
-    added.  Without excluded, blocks is prime_blocks(params) or a prefix of
-    it and the array is allocated here; given excluded, blocks continue the
-    blocks already marked in it, as decomposition_report passes them one at
-    a time.
+    One boolean exclusion array up to the largest M_j (sieve_range), marked cumulatively block by block and
+    read after each block's primes are added.  Without excluded, blocks is prime_blocks(params) or a prefix
+    of it and the array is allocated here; given excluded, blocks continue the blocks already marked in it.
     """
     if not blocks:
         return []
@@ -165,25 +159,35 @@ class DistinctProductsReport:
     total_products: int
 
 
+def _ascending_within(a: np.ndarray, lo: float, hi: float) -> bool:
+    return not a.size or bool(a[0] >= lo and a[-1] < hi and np.all(a[1:] > a[:-1]))
+
+
 def distinct_products_check(
-    blocks: Sequence[PrimeBlock], sets: Sequence[np.ndarray], n: int, seen: np.ndarray | None = None
+    blocks: Sequence[PrimeBlock], sets: Sequence[np.ndarray], n: int, sieve: tuple[BszParams, np.ndarray] | None = None
 ) -> DistinctProductsReport:
     """Verify the products m*r are pairwise distinct, all <= n, and count them.
 
-    Every product is marked in a bitmap over 0..n.  The bitmap then holds one
-    mark per distinct product and the total counts every product, so the two
-    counts agree exactly when no product repeats, inside a chunk, a block or
-    across blocks.  Only when they differ are the products sorted, to name
-    the smallest repeated one.  A collision is reported before the budget
-    sum #P_j #Q_j <= n is checked.
-    Given seen, a bitmap over 0..n that earlier calls have marked, the
-    products are marked there and counted, factor and bound checks
-    included, but the bitmap is not counted: the caller compares it with
-    the summed totals once every block is in.
+    Every product is marked in a bitmap over 0..n, so its marks count the distinct products and the total
+    every product: the two agree exactly when no product repeats, inside a chunk, a block or across blocks.
+    Only when they differ are the products sorted, to name the smallest repeated one.  A collision is
+    reported before the budget sum #P_j #Q_j <= n is checked.
+    Given sieve = (params, excluded), blocks is the block whose primes sieve_sets has just marked in
+    excluded, and the products are distinct by construction: r in P_j is the least prime factor of m*r from
+    the first block on, so m*r fixes r, j and m.  That construction is checked instead, in O(block): P_j and
+    Q_j strictly increasing inside [R_j, R_{j+1}) and [1, M_j], Q_j unmarked in excluded.
     """
-    carried = seen is not None
-    if not carried:
-        seen = np.zeros(n + 1, dtype=bool)
+    if sieve is not None:
+        params, excluded = sieve
+        for block, q in zip(blocks, sets):
+            if not (
+                _ascending_within(block.primes, params.r(block.j), params.r(block.j + 1))
+                and _ascending_within(q, 1, math.floor(params.m(block.j)) + 1)
+                and not excluded[q].any()  # q is in range once the line above holds
+            ):
+                raise AssertionError(f"block {block.j} breaks the construction that makes its products distinct")
+        return DistinctProductsReport(sum(block.primes.size * q.size for block, q in zip(blocks, sets)))
+    seen = np.zeros(n + 1, dtype=bool)
     pairs = []
     total = 0
     for block, members in zip(blocks, sets):
@@ -199,8 +203,6 @@ def distinct_products_check(
             seen[np.multiply.outer(chunk, primes)] = True
         pairs.append((members, primes))
         total += primes.size * members.size
-    if carried:
-        return DistinctProductsReport(total)
     if np.count_nonzero(seen) != total:
         prods = np.sort(np.concatenate([np.multiply.outer(m, r).ravel() for m, r in pairs]))
         repeat = prods[1:][prods[1:] == prods[:-1]]
@@ -214,83 +216,74 @@ def _check_phase(phase: np.ndarray) -> None:
     """|F| <= 1 on every entry of one nonempty period, the criterion's hypothesis on F."""
     if phase.ndim != 1 or phase.size == 0:
         raise ValueError("the phase array must be one nonempty period")
-    size = np.abs(phase)
-    if size.max() > 1.0 + 1e-9:
-        bad = int(size.argmax())
-        raise ValueError(f"|F({bad + 1})| = {size[bad]} exceeds 1")
+    bad = np.flatnonzero(~(np.abs(phase) <= 1.0 + 1e-9))  # a NaN fails <=
+    if bad.size:
+        raise ValueError(f"|F({bad[0] + 1})| = {abs(phase[bad[0]])} exceeds 1")
 
 
-def _row_sums(phase: np.ndarray, m_res: np.ndarray, r_res: np.ndarray) -> np.ndarray:
-    """|sum_r F(m r)| for each m of m_res over the r of r_res, residues mod t; the gathered rows die with the call."""
-    t = phase.size
-    inner = np.empty(m_res.size)
-    for i, chunk in _slices(m_res, r_res.size, _GATHER):
-        idx = np.multiply.outer(chunk, r_res)
-        idx -= 1
+def _grouped(values: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray | int]:
+    """(values mod t, 1), or, past t values, the residues mod t that occur and their counts, counted in chunks."""
+    if values.size <= t:
+        return values % t, 1
+    counts = np.zeros(t, dtype=np.int64)
+    for _, chunk in _slices(values, 8, _GATHER):  # no second array as long as values
+        counts += np.bincount(chunk - chunk // t * t, minlength=t)
+    return np.flatnonzero(counts), counts[counts > 0]
+
+
+def _block_w(table: np.ndarray, cols: tuple, rows: tuple) -> float:
+    """sum_s c(s) |sum_u c(u) F(s u)| over the (residue, count) pairs of rows and cols; see wj_sums."""
+    (u, c_u), (s, c_s), t = cols, rows, table.shape[1]
+    inner = np.empty(s.size)
+    for i, chunk in _slices(s, 2 * u.size, _GATHER // 2):
+        idx = np.multiply.outer(chunk, u)
         idx -= idx // t * t  # idx %= t, but numpy's int64 floor division by a scalar is faster
-        inner[i : i + chunk.size] = np.abs(phase[idx].sum(axis=1))
-    return inner
+        parts = np.take(table, idx, axis=1)  # the real and the imaginary parts of F(s u)
+        parts *= c_u
+        re, im = _fsum_rows(parts)
+        np.abs(re + 1j * im, out=inner[i : i + chunk.size])  # re + 1j * im is exact
+    return _fsum(inner, c_s)
 
 
 def wj_sums(phase: np.ndarray, pairs: Iterable[tuple[PrimeBlock, np.ndarray]]) -> list[float]:
     """W_j = sum_{m in Q_j} |sum_{r in P_j} nu(r) F(m r)| for each pair (P_j, Q_j), in order.
 
-    nu must be +-1 with one sign on every prime, as mu and 1 are: then the
-    inner sum is +-sum_r F(mr), whose rounded value only changes sign, so nu
-    is not read.  F(n) = phase[(n - 1) % t] with t = len(phase) and |F| <= 1,
-    which is checked on every entry.
-    The inner sum depends on m only through m mod t: when Q_j has more
-    members than there are residues, W_j = sum_s count_j(s) |inner(s)| over
-    the residues s that occur.  Residues are reduced before multiplying, so
-    the gathered indices (m mod t)(r mod t) stay exact in int64; the index
-    (mr - 1) mod t is formed as idx - (idx // t) t, the same integer as
-    idx % t.  pairs is read one pair at a time, so a generator can build each
-    block as it is needed.  Each W_j is the exactly rounded sum of its terms:
-    the buffered blocks' terms go through one segmented _fsums whenever they
-    pass _GATHER entries, and at the end.  A segment's sum does not depend on
-    the other segments, so where a flush falls moves no bit.
+    nu must be +-1 with one sign on every prime, as mu and 1 are: then the inner sum is +-sum_r F(mr), whose
+    rounded value only changes sign, so nu is not read.  F(n) = phase[(n - 1) % t] with t = len(phase) and
+    |F| <= 1, which is checked on every entry.
+    Only residues mod t matter, and a side with more members than t is grouped by residue, with counts c
+    (c = 1 on the other): W_j = sum_s c(s) |inner(s)|, inner(s) = sum_u c(u) F(s u), from at most
+    min(#Q_j, t) min(#P_j, t) gathered phases.  A row's parts are the exactly rounded sums of the rounded
+    c(u) cos and c(u) sin, |inner| np.abs of their complex, and W_j the exactly rounded sum of the rounded
+    c(s) |inner(s)|: no bit depends on chunks or on numpy's summation order.  pairs is read one pair at a
+    time, so a generator can build each block as it is needed.
     """
     _check_phase(phase)
-    t = phase.size
-    w: list[float] = []
-    terms = []  # count_j(s) |inner(s)| for each residue s, one array per buffered block
+    table = np.roll(np.stack((phase.real, phase.imag)), 1, axis=1)  # table[:, n % t] holds F(n)
+    w = []
     for block, members in pairs:
-        r_res = block.primes % t
-        m_res = members % t
+        cols, rows = _grouped(block.primes, phase.size), _grouped(members, phase.size)
         del block, members  # P_j and Q_j are not held through the gather
-        counts = 1
-        if m_res.size > t:
-            counts = np.bincount(m_res, minlength=t)
-            m_res = np.flatnonzero(counts)
-            counts = counts[m_res]
-        terms.append(counts * _row_sums(phase, m_res, r_res))
-        if sum(map(len, terms)) > _GATHER:
-            w += _fsums(np.concatenate(terms), [len(x) for x in terms])
-            terms = []
-    return w + _fsums(np.concatenate([np.empty(0), *terms]), [len(x) for x in terms])
+        w.append(_block_w(table, cols, rows))
+        del cols, rows  # nor their residues while the next block is built
+    return w
 
 
 def decomposition_report(lhs: complex, phase: np.ndarray, n: int, alpha: float, period: int) -> dict:
     """Compute every W_j and the empirical decomposition quotient of the given left side.
 
-    lhs is sum_{n' <= N} nu(n')F(n'), as twisted_sum_schedule gives it for
-    F = psi_u(xi_n), with nu meeting wj_sums' rule on the primes; phase is as
-    in wj_sums, checked before any allocation, and period is recorded.
-    quotient = |lhs| / (sum_j W_j + alpha*N) is reported as data, not
-    compared against any constant.  collisions is always 0: a repeated
-    product raises AssertionError instead.
-    The blocks are built one at a time, by prime_blocks, sieve_sets and
-    distinct_products_check on one-block lists, as wj_sums reads them.  The
-    bitmap is counted once, after the last block; if it holds fewer marks
-    than there were products, or there were more than N, the schedule is
-    rebuilt and the batch audit raises, naming the smallest repeat.
+    lhs is sum_{n' <= N} nu(n')F(n'), as twisted_sum_schedule gives it for F = psi_u(xi_n), with nu meeting
+    wj_sums' rule on the primes; phase is as in wj_sums, checked before any allocation, and period is
+    recorded.  quotient = |lhs| / (sum_j W_j + alpha*N) is reported as data, not compared against any
+    constant.  collisions is always 0: a repeated product raises AssertionError instead.
+    The blocks are built one at a time, by prime_blocks, sieve_sets and distinct_products_check (checking
+    the construction) on one-block lists, as wj_sums reads them.  If a block fails its check, or there were
+    more than N products, the schedule is rebuilt and the batch audit raises, naming the smallest repeat.
     """
     _check_phase(phase)
     params = make_params(alpha, n)
     excluded = np.zeros(sieve_range(params) + 1, dtype=bool)
-    seen = np.zeros(n + 1, dtype=bool)
-    rows = []
-    sum_pq = 0
+    rows, sum_pq = [], 0
 
     def schedule():
         nonlocal sum_pq
@@ -299,17 +292,21 @@ def decomposition_report(lhs: complex, phase: np.ndarray, n: int, alpha: float, 
             if not blocks:
                 return
             sets = sieve_sets(params, blocks, excluded)
-            sum_pq += distinct_products_check(blocks, sets, n, seen).total_products
+            sum_pq += distinct_products_check(blocks, sets, n, (params, excluded)).total_products
             p_count, q_count = blocks[0].primes.size, sets[0].size
             rows.append({"j": j, "r_j": params.r(j), "m_j": params.m(j), "p_count": p_count, "q_count": q_count})
             yield blocks.pop(), sets.pop()  # held by wj_sums alone, which drops them before its gather
 
-    w_values = wj_sums(phase, schedule())
+    try:
+        w_values = wj_sums(phase, schedule())
+        if sum_pq > n:
+            raise AssertionError(f"sum #P_j #Q_j = {sum_pq} exceeds N = {n}")
+    except AssertionError:
+        blocks = prime_blocks(params)  # the same products again, audited whole: this names the fault
+        distinct_products_check(blocks, sieve_sets(params, blocks), n)
+        raise
     for row, w in zip(rows, w_values):
         row["w"] = w
-    if np.count_nonzero(seen) != sum_pq or sum_pq > n:
-        blocks = prime_blocks(params)  # the same products again, audited whole: this raises
-        distinct_products_check(blocks, sieve_sets(params, blocks), n)
     sum_w = _fsum(np.array(w_values, dtype=np.float64))
     denom = sum_w + alpha * n
     return {

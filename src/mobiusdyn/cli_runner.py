@@ -250,10 +250,10 @@ def _alpha(raw, name: str, cfg) -> float:
 # never reads the field, and `text` says when it does.
 REQUIRED = object()
 _NONZERO = _checked(_residue, lambda u, cfg: u != 0, "field '{name}' must be nonzero mod p")
-_SIEVED = _checked(  # the product audit allocates an (n + 1)-byte bitmap, for nu = one too
+_SIEVED = _checked(  # the prime blocks are sieved up to n (primes_in), for nu = one too
     _at_least(1),
     lambda n, cfg: n <= _SIEVE_LIMIT,
-    f"field '{{name}}': the Mobius sieve and the product bitmap stop at {_SIEVE_LIMIT}, got {{value}}",
+    f"field '{{name}}': the Mobius and prime sieves stop at {_SIEVE_LIMIT}, got {{value}}",
     ResourceGuard,
 )
 _ORACLE_LIMIT = _checked(

@@ -12,6 +12,8 @@ reads it through `discrete_index`, a baby-step/giant-step discrete log; the
 Weil kernels take a multiplier of their own generator instead.  Likewise an
 `AdditiveCharacter` evaluates psi_u(x) = e(u*x/p) one field element at a
 time through `unit_circle`, while the kernels take the int u.
+`sieve_sets_oracle` builds the BSZ sieve sets Q_j from their definition,
+factorising each m by trial division (`prime_factors`), with no sieve.
 """
 
 import math
@@ -236,6 +238,38 @@ def mobius_oracle(n: int) -> int:
     if m > 1:
         sign = -sign
     return sign
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending, by trial division by every integer from 2."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def sieve_sets_oracle(params) -> list[list[int]]:
+    """Q_j for each block with R_{j+1} <= N, from the definition and no sieve.
+
+    Q_j holds the m <= M_j none of whose prime factors lies in the real
+    interval [R_{j_start}, R_{j+1}) the blocks so far cover; each m is
+    factorised on its own, once, by trial division.
+    """
+    j_start = params.j_range.start
+    out, factors = [], None
+    for j in params.j_range:
+        if params.r(j + 1) > params.n:
+            return out
+        m_j = math.floor(params.m(j))
+        if factors is None:  # M_j falls with j, so the first block's range covers every later one
+            factors = [prime_factors(m) for m in range(1, m_j + 1)]
+        lo, hi = params.r(j_start), params.r(j + 1)
+        out.append([m for m in range(1, m_j + 1) if not any(lo <= r < hi for r in factors[m - 1])])
+    return out
 
 
 def orbit_walk(matrix: MobiusMatrix, xi0: FpElem, limit: int) -> list[int]:

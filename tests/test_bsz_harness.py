@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from mobiusdyn.field_arith import PrimeModulus
 from mobiusdyn.char_sums import twisted_sum_schedule
 from mobiusdyn.mobius_dynamics import MobiusMatrix, period
 from mobiusdyn.sampling import random_sl2
-from oracles import _ORACLE_PRIMES, AdditiveCharacter, apply
+from oracles import _ORACLE_PRIMES, AdditiveCharacter, apply, sieve_sets_oracle
 
 TOY = BszParams(alpha=1.0, n=10**4, j0=3.0, j1=5.0)  # R_j = 2^j, blocks j = 3, 4, 5
 ONE = np.ones(1, dtype=complex)  # F = 1: one period of length 1
@@ -189,6 +190,14 @@ def test_sieve_sets_toy_instance_alpha_point_two():
         assert qset.tolist() == expected
 
 
+@settings(max_examples=30)
+@given(alpha=st.floats(min_value=0.12, max_value=0.49), n=st.integers(min_value=1, max_value=3 * 10**4))
+def test_sieve_sets_match_the_factorisation_oracle(alpha, n):
+    # the report's audit reads the exclusion array that builds Q_j, so Q_j meets its definition here, m by m
+    params = make_params(alpha, n)
+    assert [q.tolist() for q in sieve_sets(params, prime_blocks(params))] == sieve_sets_oracle(params)
+
+
 def test_blocks_and_sets_stay_int64_arrays_at_benchmark_size():
     # alpha = 0.2, N = 4e6: 265,588 primes and 349,821 members; as Python ints they traced 23.3 MB
     import tracemalloc
@@ -337,6 +346,15 @@ def test_wj_bound_check_covers_every_entry():
         wj_sums(phase, zip(blocks, sets))
 
 
+def test_phase_check_refuses_nan_before_any_block(monkeypatch):
+    # a NaN compares false with the bound, so a check on the largest |F| let it through
+    monkeypatch.setattr(bsz_harness, "prime_blocks", lambda *a: pytest.fail("a block was built"))
+    phase = np.array([1.0, math.nan, 1j])
+    for run in (lambda: decomposition_report(0j, phase, 10**4, 0.2, period=3), lambda: wj_sums(phase, [])):
+        with pytest.raises(ValueError, match=r"^\|F\(2\)\| = nan exceeds 1$"):
+            run()
+
+
 def test_wj_against_naive_double_loop():
     mu = mobius_sieve(10**4)
     m = PrimeModulus(1009)
@@ -369,26 +387,32 @@ def test_wj_against_naive_double_loop():
         assert got >= 0.0
 
 
+def _residue_counts(values, t):
+    """values % t with count 1, or, past t values, each residue that occurs and its count: as wj_sums groups a side."""
+    res = values % t
+    if res.size <= t:
+        return res, np.ones(res.size, dtype=np.int64)
+    counts = np.bincount(res, minlength=t)
+    return np.flatnonzero(counts), counts[counts > 0]
+
+
 @pytest.mark.parametrize("t", [7, 505, 65537])
 def test_wj_equals_the_modulo_expression_bit_for_bit(t):
-    # idx - (idx // t) t must gather the very entries (m r - 1) % t does, so every W_j keeps its bits
+    # idx - (idx // t) t must gather the very entries (m r - 1) % t does, so every W_j keeps its bits; each
+    # row's parts are math.fsum of the rounded c(u) cos and c(u) sin, and W_j math.fsum of c(s) |inner(s)|
     rng = np.random.default_rng(t)
     phase = np.exp(2j * np.pi * rng.random(t))
     params = make_params(0.2, 3 * 10**4)
     blocks = prime_blocks(params)
     sets = sieve_sets(params, blocks)
-    nu = mobius_sieve(params.n).values
     w = wj_sums(phase, zip(blocks, sets))
     assert len(w) == len(blocks) > 10
+    assert any(b.primes.size > t for b in blocks) == (t == 7)  # both sides grouped at t = 7
     for block, qset, got in zip(blocks, sets, w):
-        r, m, counts = block.primes, qset, 1
-        weights = nu[r].astype(np.float64)  # mu(r) = -1 on every prime, which wj_sums leaves out
-        if m.size > t:  # grouped by m mod t, as wj_sums does
-            counts = np.bincount(m % t, minlength=t)
-            m = np.flatnonzero(counts)
-            counts = counts[m]
-        terms = counts * np.abs((phase[(np.multiply.outer(m, r) - 1) % t] * weights).sum(axis=1))
-        assert got == math.fsum(terms)
+        (u, c_u), (s, c_s) = _residue_counts(block.primes, t), _residue_counts(qset, t)
+        gathered = phase[(np.multiply.outer(s, u) - 1) % t]
+        inner = [complex(math.fsum(re), math.fsum(im)) for re, im in zip(c_u * gathered.real, c_u * gathered.imag)]
+        assert got == math.fsum(c_s * np.abs(np.array(inner)))
 
 
 # --- decomposition report -----------------------------------------------------------
@@ -478,10 +502,12 @@ def test_report_bytes_do_not_depend_on_the_gather_size(monkeypatch, gather):
 
 
 def test_decomposition_report_holds_one_block_at_a_time(monkeypatch):
-    # only the audit bitmap (n + 1 bytes) and the exclusion array (M_j0 + 1) outlive a block.  Three
-    # whole-schedule passes held every block's primes and sieve set (523 KB here, 9.4 times the largest
-    # block's) and peaked 583 KB above those two arrays.  The one loop peaked 226 KB above them while
-    # P_j and Q_j lived through the W_j gather and its rows into the next block, and 175 KB without
+    # nothing N long is held: only the exclusion array (M_j0 + 1 bytes) and a few numbers per block outlive
+    # a block.  Three whole-schedule passes held every block's primes and sieve set (523 KB here, 9.4 times
+    # the largest block's) and peaked 583 KB above an (n + 1)-byte audit bitmap and the exclusion array; the
+    # one loop 175 KB above them.  With the bitmap gone and W_j gathered by residue on both sides, a chunk of
+    # rows at a time, the whole peak is 138 KB, 131 KB above the exclusion array.  The bound is 160 KB, 16%
+    # over that, and below n + 1 = 400 KB, so any N-byte array fails it
     import tracemalloc
 
     monkeypatch.setattr(bsz_harness, "_GATHER", 1024)  # a gather bound well below the blocks' total
@@ -500,8 +526,8 @@ def test_decomposition_report_holds_one_block_at_a_time(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
-    bound = (n + 1) + (sieve_range(params) + 1) + 3 * largest + 24 * bsz_harness._GATHER
-    assert peak <= bound, (peak, bound)
+    bound = (sieve_range(params) + 1) + 2 * largest + 40 * bsz_harness._GATHER
+    assert peak <= bound < n + 1, (peak, bound)
 
 
 # --- arrays against the per-term definition --------------------------------------------
@@ -519,6 +545,31 @@ def _wj_oracle(nu, phase, blocks, sets):
                 inner += int(nu[r]) * phase[(m * r - 1) % t]
             total += abs(inner)
         out.append(total)
+    return out
+
+
+def _wj_exact_oracle(phase, blocks, sets):
+    """W_j as wj_sums rounds it, one term at a time.
+
+    A side with more members than t = len(phase) is grouped by residue mod t, with counts c; each row's real
+    and imaginary parts are math.fsum of the rounded c(u) cos and c(u) sin, |inner| np.abs of their complex,
+    and W_j math.fsum of the rounded c(s) |inner(s)|.
+    """
+    t = len(phase)
+
+    def grouped(values):
+        res = [int(v) % t for v in values]
+        return sorted(Counter(res).items()) if len(res) > t else [(u, 1) for u in res]
+
+    out = []
+    for block, qset in zip(blocks, sets):
+        cols = grouped(block.primes)
+        terms = []
+        for s, c_s in grouped(qset):
+            row = [(c_u, phase[(s * u - 1) % t]) for u, c_u in cols]
+            inner = complex(math.fsum(c * f.real for c, f in row), math.fsum(c * f.imag for c, f in row))
+            terms.append(c_s * float(np.abs(inner)))
+        out.append(math.fsum(terms))
     return out
 
 
@@ -576,10 +627,13 @@ def test_arrays_match_per_term_definition(orbit, nu_kind):
     params = make_params(alpha, n)
     blocks = prime_blocks(params)
     sets = sieve_sets(params, blocks)
-    # both W_j paths run: blocks with more members than residues are grouped by m mod t
+    # both W_j paths run on each side: one with more members than residues is grouped by residue mod t
     q_sizes = [len(q) for q in sets]
     assert max(q_sizes) > t and min(q_sizes) <= t
+    if orbit != "one":
+        assert max(b.primes.size for b in blocks) > t >= min(b.primes.size for b in blocks)
     assert [row["q_count"] for row in report["rows"]] == q_sizes
+    assert [row["w"] for row in report["rows"]] == _wj_exact_oracle(phase_list, blocks, sets)  # bit for bit
     expected = _wj_oracle(nu, phase_list, blocks, sets)
     for row, want, block, qset in zip(report["rows"], expected, blocks, sets, strict=True):
         assert row["w"] == pytest.approx(want, rel=1e-12, abs=1e-9)
